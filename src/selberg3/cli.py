@@ -13,10 +13,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
-from .errors import InvalidParamsError, Selberg3Error
+from .errors import InvalidParamsError
 from .identities import REGISTRY, Budget, VerificationRecord, run_identity
 from .params import ParamSet
 
@@ -150,9 +151,16 @@ def _failed_record(identity_id, p, seed, exc) -> VerificationRecord:
                               f"{type(exc).__name__}: {exc}")
 
 
+def _finite_or_null(d: dict) -> dict:
+    """Strict JSON has no NaN or infinity: write them as null."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in d.items()}
+
+
 def _write_records(records: list[VerificationRecord], fmt: str, out_path):
     if fmt == "json":
-        text = "\n".join(json.dumps(r.as_dict()) for r in records) + "\n"
+        text = "\n".join(json.dumps(_finite_or_null(r.as_dict()), allow_nan=False)
+                         for r in records) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         fields = ["identity_id", "k1", "k2", "alpha", "beta1", "beta2", "gamma",
@@ -210,7 +218,7 @@ def cmd_verify(args) -> int:
             try:
                 records.append(run_identity(iid, p, budget=budget,
                                             seed=seed + i, tol=tol))
-            except Selberg3Error as exc:
+            except Exception as exc:  # one bad grid point must not lose the run
                 records.append(_failed_record(iid, p, seed + i, exc))
     _write_records(records, fmt, opts.get("out"))
     return 0 if all(r.passed for r in records) else 1

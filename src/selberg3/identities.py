@@ -22,6 +22,7 @@ from .chains import gamma_chain, unit_chain
 from .errors import InvalidParamsError, NotConvergedError
 from .integrands import LatticePoint, assembled_integrand, f_limit
 from .lattice import (
+    cone_array,
     cone_integer_parts,
     eps_limit_ratio,
     lattice_values,
@@ -301,10 +302,8 @@ def _chain_decomp_engine(p: ParamSet, budget: Budget, seed: int, tol: float | No
 def _fval_support_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
     rng = np.random.default_rng(seed)
     k1, k2 = p.k1, p.k2
-    cone = [(nu, nv) for nu, nv in cone_integer_parts(k1, k2, 6)]
-    NU = np.array([nu for nu, _ in cone], float)
-    NV = np.array([nv for _, nv in cone], float).reshape(len(cone), k2)
-    in_vals = lattice_values(NU, NV, p, seed=seed)
+    cone = cone_array(k1, k2, 6).astype(float)
+    in_vals = lattice_values(cone[:, :k1], cone[:, k1:], p, seed=seed)
     med = float(np.median(np.abs(in_vals[np.abs(in_vals) > 0])))
     npts = budget.points
     off = []
@@ -328,7 +327,9 @@ def _pde_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
                           rel_tol=budget.series_rel_tol,
                           max_bound=budget.max_bound, seed=seed)
     note = "second-equation denominator resolved to z2"
-    if p.k2 >= 2:
+    if p.z1 == p.z2:  # both denominators read the same value here
+        note = "second-equation denominator not discriminated at z1 == z2"
+    elif p.k2 >= 2:
         c1, alt = pde_residual(p, step=budget.step, use_closed_form=True,
                                second_eq_denominator="z1")
         note += f" (closed-form check: z1 variant residual {alt:.1e})"

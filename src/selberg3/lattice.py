@@ -3,8 +3,10 @@
 Points are organized into shells indexed by the maximum integer part;
 for |z| < 1 the shell contributions decay geometrically, so the series
 is summed shell by shell until the outermost shell is negligible.
-Summation inside a shell (and across shells) uses exact float summation
-in a fixed enumeration order, so results are bit-reproducible.
+Each shell is enumerated directly as an integer array, one row per
+point.  Summation inside a shell and across shells is exact
+(``math.fsum``) over a fixed point set, so results are bit-reproducible
+whatever the order of the points within a shell.
 """
 
 from __future__ import annotations
@@ -39,47 +41,47 @@ class SeriesResult:
     converged: bool
 
 
-def _decreasing_tuples(k: int, hi: int, lows: tuple):
-    """Weakly decreasing integer tuples with per-slot lower bounds."""
-    if k == 0:
-        yield ()
-        return
-    out = [0] * k
+def _append_column(P: np.ndarray, lo, hi) -> np.ndarray:
+    """Extend each row of ``P`` by every value in [lo, hi], in ascending order."""
+    n = P.shape[0]
+    count = np.maximum(np.broadcast_to(hi, n) - lo + 1, 0)
+    rows = np.repeat(np.arange(n), count)
+    offsets = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
+    return np.column_stack((P[rows], np.broadcast_to(lo, n)[rows] + offsets))
 
-    def rec(i, cap):
-        if i == k:
-            yield tuple(out)
-            return
-        lo = lows[i]
-        if lo > cap:
-            return
-        for val in range(lo, cap + 1):
-            out[i] = val
-            yield from rec(i + 1, val)
 
-    yield from rec(0, hi)
+def cone_array(k1: int, k2: int, bound: int, shell: bool = False) -> np.ndarray:
+    """Integer parts of the cone points with every part <= bound.
+
+    One row (nu_0..nu_{k1-1}, nv_0..nv_{k2-1}) per point, in lexicographic
+    order.  With ``shell`` only the points whose largest part equals
+    ``bound``; that part is nu_0 or nv_0, since both blocks decrease.
+    """
+    kk = k1 - k2
+    # the empty point (k1 = 0) has largest part 0
+    P = np.zeros((int(k1 > 0 or not shell or bound == 0), 0), dtype=np.int64)
+    for i in range(k1):
+        lo = bound if (i == 0 and shell and k2 == 0) else 0
+        P = _append_column(P, lo, P[:, i - 1] if i else bound)
+    for b in range(k2):
+        lo = P[:, b + kk]
+        if b == 0 and shell:
+            lo = np.where(P[:, 0] < bound, bound, lo)
+        P = _append_column(P, lo, P[:, k1 + b - 1] if b else bound)
+    return P
 
 
 def cone_integer_parts(k1: int, k2: int, bound: int):
-    """Integer parts (nu, nv) of every cone point with all parts <= bound."""
-    kk = k1 - k2
-    for nu in _decreasing_tuples(k1, bound, (0,) * k1):
-        lows = tuple(nu[b + kk] for b in range(k2))
-        for nv in _decreasing_tuples(k2, bound, lows):
-            yield nu, nv
+    """Integer parts (nu, nv) of every cone point with all parts <= bound,
+    in lexicographic order."""
+    for row in cone_array(k1, k2, bound).tolist():
+        yield tuple(row[:k1]), tuple(row[k1:])
 
 
 def enumerate_cone(spec: ConeSpec):
     """Stream of lattice points of the cone, all integer parts <= bound."""
     for nu, nv in cone_integer_parts(spec.k1, spec.k2, spec.bound):
         yield LatticePoint(nu, nv, spec.gamma)
-
-
-def _shell_integer_parts(k1: int, k2: int, shell: int):
-    for nu, nv in cone_integer_parts(k1, k2, shell):
-        mx = max(nu + nv) if (nu or nv) else 0
-        if mx == shell:
-            yield nu, nv
 
 
 def _regular_mask(NU: np.ndarray, NV: np.ndarray, p: ParamSet, tol: float = NEAR_TOL):
@@ -142,12 +144,10 @@ def lattice_values(NU: np.ndarray, NV: np.ndarray, p: ParamSet,
 
 def _shell_sum(k1: int, k2: int, shell: int, p: ParamSet, include_weight: bool,
                seed: int) -> float:
-    parts = list(_shell_integer_parts(k1, k2, shell))
-    if not parts:
+    P = cone_array(k1, k2, shell, shell=True).astype(float)
+    if not P.shape[0]:
         return 0.0
-    NU = np.array([nu for nu, _ in parts], dtype=float).reshape(len(parts), k1)
-    NV = np.array([nv for _, nv in parts], dtype=float).reshape(len(parts), k2)
-    vals = lattice_values(NU, NV, p, include_weight=include_weight, seed=seed)
+    vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=include_weight, seed=seed)
     return math.fsum(vals.tolist())
 
 
@@ -188,22 +188,8 @@ def sum_over_total_lattice(p: ParamSet, bound: int, seed: int = 7919) -> SeriesR
     the at-scale check of the support statement.
     """
     k1, k2 = p.k1, p.k2
-    rng = range(-bound, bound + 1)
-    pts = []
-
-    def rec(acc, depth, total):
-        if depth == total:
-            pts.append(tuple(acc))
-            return
-        for vv in rng:
-            acc.append(vv)
-            rec(acc, depth + 1, total)
-            acc.pop()
-
-    rec([], 0, k1 + k2)
-    NU = np.array([q[:k1] for q in pts], dtype=float)
-    NV = np.array([q[k1:] for q in pts], dtype=float).reshape(len(pts), k2)
-    vals = lattice_values(NU, NV, p, include_weight=True, seed=seed)
+    P = (np.indices((2 * bound + 1,) * (k1 + k2)).reshape(k1 + k2, -1).T - bound).astype(float)
+    vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=True, seed=seed)
     total = math.fsum(vals.tolist())
     return SeriesResult(total, 0.0, bound, True)
 

@@ -6,6 +6,7 @@ fields that an identity does not use are simply ignored by it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import InvalidParamsError
@@ -27,6 +28,9 @@ class ParamSet:
             raise InvalidParamsError("k1 and k2 must be integers")
         if not (self.k1 >= self.k2 >= 0):
             raise InvalidParamsError(f"need k1 >= k2 >= 0, got k1={self.k1}, k2={self.k2}")
+        for name in ("alpha", "beta1", "beta2", "gamma", "z1", "z2"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParamsError(f"{name} must be finite, got {getattr(self, name)}")
 
     # sl2 aliases
     @property

@@ -1,6 +1,7 @@
 """Command-line front end: flags, config files, reports, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -8,7 +9,7 @@ import os
 import pytest
 
 from selberg3.cli import main
-from selberg3.identities import identity_ids
+from selberg3.identities import REGISTRY, identity_ids
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +55,18 @@ class TestExitCodes:
     def test_missing_identity_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--k", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("--identity", "selb", "--k", "1", "--gamma", "inf"),
+        ("--identity", "dexp", "--k", "1", "--alpha", "inf"),
+        ("--identity", "exp3", "--k1", "1", "--k2", "1", "--beta1", "inf"),
+    ])
+    def test_non_finite_param_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert "must be finite" in err
+        assert "Traceback" not in err
+        assert out == ""
 
 
 class TestReports:
@@ -107,6 +120,38 @@ class TestReports:
         assert code == 0
         recs = [json.loads(line) for line in out.strip().splitlines()]
         assert [r["params"]["k1"] for r in recs] == [1, 2]
+
+
+def _strict_json(line):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(line, parse_constant=reject)
+
+
+class TestFailureRecords:
+    def test_engine_error_becomes_strict_failed_record(self, capsys, monkeypatch,
+                                                       tmp_path):
+        entry = REGISTRY["stirling_ratio"]
+
+        def engine(p, budget, seed, tol):
+            if p.alpha == 2.0:
+                raise ZeroDivisionError("float division by zero")
+            return entry.engine(p, budget, seed, tol)
+
+        monkeypatch.setitem(REGISTRY, "stirling_ratio",
+                            dataclasses.replace(entry, engine=engine))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"alpha": [1.0, 2.0, 3.0]}))
+        code, out, err = run_cli(capsys, "verify", "--identity", "stirling_ratio",
+                                 "--grid", str(grid))
+        assert code == 1 and "Traceback" not in err
+        recs = [_strict_json(line) for line in out.strip().splitlines()]
+        # the bad point is reported; the points after it still run
+        assert [r["passed"] for r in recs] == [True, False, True]
+        bad = recs[1]
+        assert bad["note"] == "ZeroDivisionError: float division by zero"
+        assert bad["lhs"] is None and bad["rel_dev"] is None
+        assert bad["params"]["alpha"] == 2.0
 
 
 class TestConfig:

@@ -75,6 +75,13 @@ class TestRecords:
         assert not rec.passed
 
 
+    def test_pde_note_at_equal_z_does_not_claim_a_resolution(self):
+        p = ParamSet(k1=2, k2=2, alpha=1.0, gamma=-0.1, z1=0.4, z2=0.4)
+        rec = run_identity("pde_residual", p)
+        assert rec.passed
+        assert "not discriminated" in rec.note and "resolved" not in rec.note
+
+
 class TestGrids:
     def test_empty_grid(self):
         assert run_grid("selb", []) == []

@@ -9,6 +9,7 @@ from oracles import brute_cone_integer_parts, mp_gamma
 from selberg3 import closed_forms as cf
 from selberg3.lattice import (
     ConeSpec,
+    cone_array,
     cone_integer_parts,
     enumerate_cone,
     eps_limit_ratio,
@@ -50,6 +51,44 @@ class TestEnumeration:
             assert pt.u[1] == pt.nu[1]
             assert pt.v[0] == pt.nv[0]
             assert pt.in_cone
+
+
+SHELL_SHAPES = [(1, 0), (3, 0), (1, 1), (2, 2), (3, 2), (3, 3), (4, 2)]
+
+
+def _shell(k1, k2, j):
+    return [(tuple(r[:k1]), tuple(r[k1:])) for r in cone_array(k1, k2, j, shell=True).tolist()]
+
+
+class TestShells:
+    @pytest.mark.parametrize("k1,k2", SHELL_SHAPES)
+    def test_shell_is_brute_cone_at_largest_part(self, k1, k2):
+        for j in range(9):
+            got = _shell(k1, k2, j)
+            assert len(got) == len(set(got))
+            want = {(nu, nv) for nu, nv in brute_cone_integer_parts(k1, k2, j)
+                    if max(nu + nv) == j}
+            assert set(got) == want
+
+    @pytest.mark.parametrize("k1,k2", SHELL_SHAPES)
+    def test_shells_partition_the_cone(self, k1, k2):
+        bound = 8 if k1 + k2 <= 4 else 6
+        shells = [set(_shell(k1, k2, j)) for j in range(bound + 1)]
+        union = set().union(*shells)
+        assert sum(len(s) for s in shells) == len(union)
+        assert union == set(cone_integer_parts(k1, k2, bound))
+
+    @pytest.mark.parametrize("k1,k2", SHELL_SHAPES)
+    def test_cone_order_is_lexicographic(self, k1, k2):
+        # limit_direction shuffles this list with a seeded rng
+        for bound in (0, 3, 6):
+            pts = list(cone_integer_parts(k1, k2, bound))
+            assert pts == sorted(pts)
+            assert all(isinstance(x, int) for nu, nv in pts for x in nu + nv)
+
+    def test_empty_point_sits_in_shell_zero(self):
+        assert _shell(0, 0, 0) == [((), ())]
+        assert _shell(0, 0, 1) == []
 
 
 class TestSeries:
