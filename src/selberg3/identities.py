@@ -50,11 +50,6 @@ class Budget:
     points: int = 50             # random points for support/limit checks
     smooth_order: int = 4
 
-    def scaled(self, factor: float) -> "Budget":
-        return Budget(self.series_rel_tol, self.max_bound, self.nodes,
-                      max(1000, int(self.samples * factor)), self.step,
-                      self.eps, self.points, self.smooth_order)
-
 
 @dataclass(frozen=True)
 class VerificationRecord:
@@ -158,7 +153,7 @@ def _v_decomp(p: ParamSet):
 # engines: return (lhs, lhs_err, rhs, tolerance, note)
 # ---------------------------------------------------------------------------
 
-def _det_or_mc(p: ParamSet, budget: Budget, seed: int, tol_det: float) -> QuadSpec:
+def _det_or_mc(p: ParamSet, budget: Budget, seed: int) -> QuadSpec:
     if p.k1 + p.k2 <= 3:
         return QuadSpec("deterministic", budget.nodes, budget.samples, seed,
                         budget.smooth_order)
@@ -176,7 +171,7 @@ def _quad_engine(which: str, rhs_fn, scheme: str | None = None):
             spec = QuadSpec("deterministic", budget.nodes, budget.samples, seed,
                             budget.smooth_order)
         else:
-            spec = _det_or_mc(p, budget, seed, tol)
+            spec = _det_or_mc(p, budget, seed)
         chain = gamma_chain(p.k1, p.k2, p.gamma)
         lhs, err = integrate_chain(ig, chain, spec, p)
         rhs = rhs_fn(p).to_float()
@@ -329,7 +324,9 @@ def _pde_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
     note = "second-equation denominator resolved to z2"
     if p.z1 == p.z2:  # both denominators read the same value here
         note = "second-equation denominator not discriminated at z1 == z2"
-    elif p.k2 >= 2:
+    elif p.k2 <= 1:  # the term over the disputed denominator has a factor k2 - 1
+        note = "second-equation denominator not discriminated at k2 <= 1"
+    else:
         c1, alt = pde_residual(p, step=budget.step, use_closed_form=True,
                                second_eq_denominator="z1")
         note += f" (closed-form check: z1 variant residual {alt:.1e})"

@@ -4,7 +4,10 @@ Two families live here.  The discrete family (``master_phi``, ``weight_w``,
 ``f_limit``) is evaluated on points of the shifted integer lattice, where
 gamma factors routinely sit at poles and zeros; finite values are obtained
 either directly (when every factor is regular) or as directional limits
-with Richardson extrapolation.  The continuous family (``weight_g``,
+with Richardson extrapolation.  The summand's singular structure is
+described once, by ``lattice_bases`` and ``factor_args``; the regularity
+test, the probe-direction check and the lattice factor tables all derive
+from that description.  The continuous family (``weight_g``,
 ``omega``, ``h_func``) is made of products of powers and symmetrized
 rational functions evaluated on batches of interior quadrature points.
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -32,6 +36,8 @@ from .errors import (
 from .params import ParamSet
 
 NEAR_SINGULAR_TOL = 1e-9
+POLE_TOL = 1e-12         # a numerator gamma closer to a pole raises PoleError
+PROBE_NEAR_TOL = 1e-13   # closest approach of an off-lattice probe to a weight pole
 SYM_TERM_CAP = 40320
 
 
@@ -99,7 +105,7 @@ class ContinuousPoint:
 # master function (sign, log) evaluation on real coordinates
 # ---------------------------------------------------------------------------
 
-def _sign_log_gamma(x, pole_tol: float = 1e-12):
+def _sign_log_gamma(x, pole_tol: float = POLE_TOL):
     """(sign, log|Gamma|) elementwise; raises when an argument is at a pole."""
     x = np.asarray(x, dtype=float)
     near = (x < 0.5) & (np.abs(x - np.round(x)) <= pole_tol)
@@ -250,7 +256,7 @@ def f_off_lattice(u: np.ndarray, v: np.ndarray, p: ParamSet,
     sign, logm = phi_sign_log(u, v, p)
     vals = sign * np.exp(logm)
     if include_weight and v.shape[1] > 0:
-        vals = vals * weight_w(u, v, p.gamma, near_tol=1e-13)
+        vals = vals * weight_w(u, v, p.gamma, near_tol=PROBE_NEAR_TOL)
     return vals
 
 
@@ -258,29 +264,84 @@ def f_off_lattice(u: np.ndarray, v: np.ndarray, p: ParamSet,
 # lattice evaluation: direct where regular, directional limit otherwise
 # ---------------------------------------------------------------------------
 
-def _lattice_gamma_args(pt: LatticePoint, p: ParamSet):
-    """All gamma/denominator arguments at a lattice point, with flags.
+@lru_cache(maxsize=None)
+def lattice_bases(k1: int, k2: int) -> tuple:
+    """The linear forms every factor of the lattice summand depends on.
 
-    Yields tuples (value, kind) where kind is 'num' for a numerator gamma,
-    'recip' for a reciprocal gamma and 'wden' for a weight denominator.
+    One (family, plus, minus) per base quantity x = c[plus] - c[minus] of
+    the coordinates c = (u_0..u_{k1-1}, v_0..v_{k2-1}, 0), in the order
+    ``phi_sign_log`` multiplies their factors: family 'u' is x = u_i (minus
+    is the trailing constant 0), 'vu' is x = v_j - u_i (i-major) and
+    'pair' is x = b_i - b_j for i < j, within u and then within v.
     """
-    u, v = pt.u, pt.v
-    k1, k2 = pt.k1, pt.k2
-    for i in range(k1):
-        yield u[i] + p.alpha, "num"
-        yield u[i] + 1.0, "recip"
-    for i in range(k1):
-        for j in range(k2):
-            yield v[j] - u[i] - p.gamma + 1.0, "num"
-            yield v[j] - u[i] + 1.0, "recip"
-            yield v[j] - u[i] - p.gamma, "wden"
-    for block, kdim in ((u, k1), (v, k2)):
-        for i in range(kdim):
-            for j in range(i + 1, kdim):
-                d = block[i] - block[j]
-                yield d + p.gamma, "num"
-                yield d - p.gamma + 1.0, "recip"
-                yield d, "wden"
+    K = k1 + k2
+    bases = [("u", i, K) for i in range(k1)]
+    bases += [("vu", k1 + j, i) for i in range(k1) for j in range(k2)]
+    for off, kdim in ((0, k1), (k1, k2)):
+        bases += [("pair", off + i, off + j) for i in range(kdim) for j in range(i + 1, kdim)]
+    return tuple(bases)
+
+
+def factor_args(family: str, x, p: ParamSet) -> tuple:
+    """(kind, argument) of every factor on base quantity x, in product order.
+
+    'num' is a numerator Gamma(arg), singular at a nonpositive integer;
+    'recip' is 1/Gamma(arg), an exact zero there; 'lin' is the plain
+    factor arg, which is also a weight denominator; 'den' is a weight
+    denominator only.  Each argument is the float expression
+    ``phi_sign_log`` and ``weight_w`` evaluate, so values built from it
+    match theirs bit for bit.
+    """
+    a, g = p.alpha, p.gamma
+    if family == "u":
+        return (("num", x + a), ("recip", x + 1.0))
+    if family == "vu":
+        return (("num", x - g + 1.0), ("recip", x + 1.0), ("den", x - g))
+    return (("lin", x), ("num", x + g), ("recip", x - g + 1.0))
+
+
+def _near_nonpos_int(x, tol: float):
+    """Within tol of a nonpositive integer; x a float or an array."""
+    return (x < 0.5) & (abs(x - np.rint(x)) <= tol)
+
+
+def _factor_singular(kind: str, arg, tol: float):
+    """Where a factor is singular: a 'num' pole or a vanishing 'lin' or
+    'den'; a 'recip' factor never is."""
+    if kind == "num":
+        return _near_nonpos_int(arg, tol)
+    return kind != "recip" and abs(arg) <= tol
+
+
+def factor_table(kind: str, arg: np.ndarray, tol: float = NEAR_SINGULAR_TOL):
+    """(sign, log, singular) of one factor over an array of arguments.
+
+    Singular entries are flagged, never raised; their sign and log are
+    placeholders.  A 'den' factor is not part of the master product and
+    has sign and log None.
+    """
+    singular = _factor_singular(kind, arg, tol)
+    if kind == "num":
+        sign, logm = _sign_log_gamma(np.where(singular, 1.0, arg))
+    elif kind == "recip":
+        sign, logm = _sign_log_recip_gamma(arg, tol)
+    elif kind == "lin":
+        sign, logm = _sign_log_value(arg)
+    else:
+        sign = logm = None
+    return sign, logm, singular
+
+
+def _factor_args_at(c: list, k1: int, k2: int, p: ParamSet):
+    """(base, kind, arg) of every factor at coordinates c = [u_0.., v_0.., 0],
+    each entry a float or an array of values."""
+    for b, (family, plus, minus) in enumerate(lattice_bases(k1, k2)):
+        for kind, arg in factor_args(family, c[plus] - c[minus], p):
+            yield b, kind, arg
+
+
+def _point_factor_args(pt: LatticePoint, p: ParamSet):
+    return _factor_args_at(pt.u.tolist() + pt.v.tolist() + [0.0], pt.k1, pt.k2, p)
 
 
 def lattice_point_is_regular(pt: LatticePoint, p: ParamSet,
@@ -291,67 +352,54 @@ def lattice_point_is_regular(pt: LatticePoint, p: ParamSet,
     integer (a pole of the master product) or a weight denominator
     vanishes; reciprocal gammas at nonpositive integers are harmless zeros.
     """
-    for val, kind in _lattice_gamma_args(pt, p):
-        if kind == "num":
-            if val < 0.5 and abs(val - round(val)) <= tol:
-                return False
-        elif kind == "wden":
-            if abs(val) <= tol:
-                return False
-    return True
+    return not any(_factor_singular(kind, x, tol) for _, kind, x in _point_factor_args(pt, p))
 
 
 def _draw_direction(rng, pt: LatticePoint, p: ParamSet, attempts: int = 32):
     """Direction along which no singular linear form stays degenerate."""
     k1, k2 = pt.k1, pt.k2
+    # forms vanishing at pt must move at a healthy rate along d
+    stuck = {b for b, _, x in _point_factor_args(pt, p)
+             if abs(x - round(x)) <= NEAR_SINGULAR_TOL or abs(x) <= NEAR_SINGULAR_TOL}
+    ends = [lattice_bases(k1, k2)[b][1:] for b in sorted(stuck)]
     for _ in range(attempts):
         d = rng.uniform(-1.0, 1.0, size=k1 + k2)
         norm = np.abs(d).max()
         if norm < 1e-3:
             continue
         d = d / norm
-        du, dv = d[:k1], d[k1:]
-        ok = True
-        # forms vanishing at pt must move at a healthy rate along d
-        for (val, kind), rate in zip(_lattice_gamma_args(pt, p),
-                                     _direction_rates(du, dv, k1, k2)):
-            if abs(val - round(val)) <= NEAR_SINGULAR_TOL or abs(val) <= NEAR_SINGULAR_TOL:
-                if abs(rate) < 0.05:
-                    ok = False
-                    break
-        if ok:
-            return du, dv
+        dd = d.tolist() + [0.0]
+        if all(abs(dd[plus] - dd[minus]) >= 0.05 for plus, minus in ends):
+            return d[:k1], d[k1:]
     raise LimitDisagreementError("could not find a generic probe direction")
 
 
-def _direction_rates(du, dv, k1, k2):
-    """Rates of change of the arguments yielded by _lattice_gamma_args."""
-    for i in range(k1):
-        yield du[i]
-        yield du[i]
-    for i in range(k1):
-        for j in range(k2):
-            yield dv[j] - du[i]
-            yield dv[j] - du[i]
-            yield dv[j] - du[i]
-    for block, kdim in ((du, k1), (dv, k2)):
-        for i in range(kdim):
-            for j in range(i + 1, kdim):
-                yield block[i] - block[j]
-                yield block[i] - block[j]
-                yield block[i] - block[j]
+def _neville_at_zero(xs, ys):
+    """Polynomial extrapolation of (xs, ys) to x = 0.
 
-
-def _neville_at_zero(xs, ys) -> float:
-    """Polynomial extrapolation of (xs, ys) to x = 0."""
+    Each ys[i] is a value, or an array of values, at xs[i].
+    """
     xs = list(map(float, xs))
-    ys = list(map(float, ys))
+    tab = [np.asarray(y, dtype=float) for y in ys]
     n = len(xs)
-    tab = ys[:]
     for level in range(1, n):
         for i in range(n - level):
             tab[i] = (xs[i + level] * tab[i] - xs[i] * tab[i + 1]) / (xs[i + level] - xs[i])
     return tab[0]
+
+
+def _probe_rows_ok(u: np.ndarray, v: np.ndarray, p: ParamSet,
+                   include_weight: bool) -> np.ndarray:
+    """Rows on which ``f_off_lattice`` raises neither PoleError nor
+    NearSingularError when called on that row's batch alone."""
+    weighted = include_weight and v.shape[1] > 0
+    ok = np.ones(u.shape[0], dtype=bool)
+    for _, kind, arg in _factor_args_at([*u.T, *v.T, 0.0], u.shape[1], v.shape[1], p):
+        if kind == "num":
+            ok &= ~_near_nonpos_int(arg, POLE_TOL)
+        elif kind != "recip" and weighted:
+            ok &= np.abs(arg) >= PROBE_NEAR_TOL
+    return ok
 
 
 def _directional_value(pt: LatticePoint, p: ParamSet, du, dv, eps_list,
@@ -360,30 +408,12 @@ def _directional_value(pt: LatticePoint, p: ParamSet, du, dv, eps_list,
     uu = np.stack([u0 + e * du for e in eps_list])
     vv = np.stack([v0 + e * dv for e in eps_list])
     vals = f_off_lattice(uu, vv, p, include_weight=include_weight)
-    return _neville_at_zero(eps_list, vals)
+    return float(_neville_at_zero(eps_list, vals))
 
 
-def f_limit(pt: LatticePoint, p: ParamSet, *, seed: int = 7919,
-            rel_tol: float = 1e-6, force_probe: bool = False,
-            include_weight: bool = True, return_pair: bool = False):
-    """Value of F at a lattice point.
-
-    Regular points are evaluated as a plain product.  At singular points
-    the value is the straight-line limit: probe at eps in {1e-2, 1e-3,
-    1e-4} (scaled by min(1, |gamma|)) along a random generic direction,
-    extrapolate to zero, and repeat with a second independent direction.
-    The two extrapolations must agree to ``rel_tol``.
-    """
-    if not force_probe and lattice_point_is_regular(pt, p):
-        u, v = pt.u[None, :], pt.v[None, :]
-        sign, logm = phi_sign_log(u, v, p, zero_tol=NEAR_SINGULAR_TOL)
-        val = float(sign[0] * np.exp(logm[0]))
-        if include_weight and val != 0.0 and pt.k2 > 0:
-            val *= float(weight_w(u, v, p.gamma)[0])
-        return (val, val) if return_pair else val
-
-    scale = min(1.0, abs(p.gamma))
-    eps_list = [1e-2 * scale, 1e-3 * scale, 1e-4 * scale]
+def _retry_pair(pt: LatticePoint, p: ParamSet, seed: int, include_weight: bool, eps_list):
+    """Two directional limits, drawing directions until two probe sets
+    evaluate without hitting a singular hyperplane."""
     rng = np.random.default_rng(seed)
     results = []
     attempts = 0
@@ -396,15 +426,87 @@ def f_limit(pt: LatticePoint, p: ParamSet, *, seed: int = 7919,
             continue
     if len(results) < 2:
         raise LimitDisagreementError("probe evaluations kept hitting singular hyperplanes")
-    a, b = results
-    scale_ref = max(abs(a), abs(b))
-    if scale_ref > 0 and abs(a - b) > rel_tol * scale_ref and scale_ref > 1e-300:
-        # tiny values (support region) are allowed to disagree in relative terms
-        if scale_ref > 1e-10:
-            raise LimitDisagreementError(
-                f"directional limits disagree: {a!r} vs {b!r} at {pt!r}")
-    val = 0.5 * (a + b)
-    return (a, b) if return_pair else val
+    return results
+
+
+def limit_pairs(pts, p: ParamSet, *, seed: int = 7919, rel_tol: float = 1e-6,
+                include_weight: bool = True) -> np.ndarray:
+    """Two directional limits (a, b) of F at each lattice point, shape (m, 2).
+
+    Every point draws its two directions from a fresh ``default_rng(seed)``,
+    exactly as a lone point would, and the three probes along each
+    direction of every point go through one ``f_off_lattice`` call, with
+    the extrapolation to zero vectorized over points.  A point whose
+    directions cannot be drawn, or with a probe on which ``f_off_lattice``
+    would raise, takes the sequential retry loop instead, so every value
+    is the one a lone point gets.  The two limits must agree to
+    ``rel_tol``; points are checked in order.
+    """
+    scale = min(1.0, abs(p.gamma))
+    eps_list = [1e-2 * scale, 1e-3 * scale, 1e-4 * scale]
+    pairs = np.empty((len(pts), 2))
+    drawn, dirs = [], []
+    for i, pt in enumerate(pts):
+        rng = np.random.default_rng(seed)
+        try:
+            dirs.append([_draw_direction(rng, pt, p) for _ in range(2)])
+        except LimitDisagreementError:
+            continue
+        drawn.append(i)
+    batched = set()
+    if drawn:
+        # probe rows in (point, direction, offset) order: u0 + eps * du
+        eps = np.asarray(eps_list)[:, None]
+        nrows = len(drawn) * 2 * len(eps_list)
+        u0 = np.array([pts[i].u for i in drawn])[:, None, None, :]
+        v0 = np.array([pts[i].v for i in drawn])[:, None, None, :]
+        du = np.array([[d[0] for d in pair] for pair in dirs])[:, :, None, :]
+        dv = np.array([[d[1] for d in pair] for pair in dirs])[:, :, None, :]
+        uu = (u0 + eps * du).reshape(nrows, -1)
+        vv = (v0 + eps * dv).reshape(nrows, -1)
+        ok = _probe_rows_ok(uu, vv, p, include_weight).reshape(len(drawn), -1).all(axis=1)
+        if ok.any():
+            rows = np.repeat(ok, 2 * len(eps_list))
+            vals = f_off_lattice(uu[rows], vv[rows], p, include_weight=include_weight)
+            done = np.asarray(drawn)[ok]
+            pairs[done] = _neville_at_zero(eps_list, vals.reshape(-1, 2, len(eps_list)).T).T
+            batched = set(done.tolist())
+    for i, pt in enumerate(pts):
+        if i not in batched:
+            pairs[i] = _retry_pair(pt, p, seed, include_weight, eps_list)
+        a, b = float(pairs[i, 0]), float(pairs[i, 1])
+        scale_ref = max(abs(a), abs(b))
+        if scale_ref > 0 and abs(a - b) > rel_tol * scale_ref and scale_ref > 1e-300:
+            # tiny values (support region) are allowed to disagree in relative terms
+            if scale_ref > 1e-10:
+                raise LimitDisagreementError(
+                    f"directional limits disagree: {a!r} vs {b!r} at {pt!r}")
+    return pairs
+
+
+def f_limit(pt: LatticePoint, p: ParamSet, *, seed: int = 7919,
+            rel_tol: float = 1e-6, force_probe: bool = False,
+            include_weight: bool = True, return_pair: bool = False):
+    """Value of F at a lattice point.
+
+    Regular points are evaluated as a plain product.  At singular points
+    the value is the straight-line limit: probe at eps in {1e-2, 1e-3,
+    1e-4} (scaled by min(1, |gamma|)) along a random generic direction,
+    extrapolate to zero, and repeat with a second independent direction.
+    The two extrapolations must agree to ``rel_tol``.  This is the
+    one-point case of :func:`limit_pairs`.
+    """
+    if not force_probe and lattice_point_is_regular(pt, p):
+        u, v = pt.u[None, :], pt.v[None, :]
+        sign, logm = phi_sign_log(u, v, p, zero_tol=NEAR_SINGULAR_TOL)
+        val = float(sign[0] * np.exp(logm[0]))
+        if include_weight and val != 0.0 and pt.k2 > 0:
+            val *= float(weight_w(u, v, p.gamma)[0])
+        return (val, val) if return_pair else val
+
+    a, b = limit_pairs([pt], p, seed=seed, rel_tol=rel_tol,
+                       include_weight=include_weight)[0].tolist()
+    return (a, b) if return_pair else 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,16 @@ Each shell is enumerated directly as an integer array, one row per
 point.  Summation inside a shell and across shells is exact
 (``math.fsum``) over a fixed point set, so results are bit-reproducible
 whatever the order of the points within a shell.
+
+Every gamma factor, reciprocal gamma factor and weight denominator of
+the summand is a function of one or two integer parts (the base
+quantities of ``integrands.lattice_bases``), so ``FactorTables`` holds
+each factor's (sign, log) and singular flag once per series, over the
+integer range in use; ``sum_discrete`` doubles that range when a shell
+passes it.  A shell's regularity mask and regular product are gathers
+from these tables, reduced in the order ``phi_sign_log`` uses, so they
+are bit-identical to it.  The shell's singular points are directional
+limits, probed together in one batch (``integrands.limit_pairs``).
 """
 
 from __future__ import annotations
@@ -18,11 +28,19 @@ import numpy as np
 
 from .closed_forms import sl3_discrete_rhs, sl3_exp_rhs
 from .errors import NotConvergedError
-from .integrands import LatticePoint, f_limit, phi_sign_log, weight_w
+from .integrands import (
+    LatticePoint,
+    factor_args,
+    factor_table,
+    lattice_bases,
+    lattice_shift,
+    limit_pairs,
+    weight_w,
+)
 from .logreal import power_log
 from .params import ParamSet
 
-NEAR_TOL = 1e-9
+TABLE_START = 8  # integer parts 0..7 in the first tables of a series
 
 
 @dataclass(frozen=True)
@@ -84,70 +102,135 @@ def enumerate_cone(spec: ConeSpec):
         yield LatticePoint(nu, nv, spec.gamma)
 
 
-def _regular_mask(NU: np.ndarray, NV: np.ndarray, p: ParamSet, tol: float = NEAR_TOL):
-    """Vectorized regularity test for batches of lattice points.
+@dataclass(frozen=True)
+class _BaseTable:
+    family: str
+    plus: int
+    minus: int | None       # None for a one-part base
+    sign: np.ndarray | None  # None where every sign is +1
+    logs: list
+    singular: np.ndarray | None  # None where no entry is singular
 
-    A point is regular when no numerator gamma argument is at a
-    nonpositive integer and no weight denominator vanishes.
+
+class FactorTables:
+    """The summand's factors at integer parts lo..hi, one table per base.
+
+    Each base quantity of ``lattice_bases`` depends on one integer part
+    (a 'u' base) or two (the others), so every factor on it is a table
+    over them: length W = hi - lo + 1, or W*W stored flat.  Per base the
+    tables hold the product of its factors' signs, the log of each factor
+    in product order, and whether any factor is singular.  Entries use
+    the float expressions of ``phi_sign_log``, so a product gathered from
+    them is bit-identical to it.
     """
-    n = NU.shape[0]
-    k1, k2 = NU.shape[1], NV.shape[1]
-    from .integrands import lattice_shift
 
-    U = NU + lattice_shift(k1, p.gamma)[None, :]
-    V = NV + lattice_shift(k2, p.gamma)[None, :] if k2 else np.zeros((n, 0))
-    bad = np.zeros(n, dtype=bool)
+    def __init__(self, k1: int, k2: int, p: ParamSet, lo: int, hi: int):
+        self.k1, self.k2, self.p = k1, k2, p
+        self.lo, self.hi, self.width = lo, hi, hi - lo + 1
+        parts = np.arange(lo, hi + 1, dtype=float)
+        shifts = np.concatenate((lattice_shift(k1, p.gamma), lattice_shift(k2, p.gamma)))
+        coord = [parts + s for s in shifts]
+        self.bases = []
+        for family, plus, minus in lattice_bases(k1, k2):
+            one_part = minus == k1 + k2
+            x = coord[plus] if one_part else coord[plus][:, None] - coord[minus][None, :]
+            sign, logs, singular = np.ones(x.shape), [], np.zeros(x.shape, dtype=bool)
+            for kind, arg in factor_args(family, x, p):
+                s, logm, bad = factor_table(kind, arg)
+                singular |= bad
+                if s is not None:
+                    sign = sign * s
+                    logs.append(logm.ravel())
+            self.bases.append(_BaseTable(
+                family, plus, None if one_part else minus,
+                None if np.all(sign == 1.0) else sign.ravel(), logs,
+                singular.ravel() if singular.any() else None))
 
-    def near_nonpos_int(x):
-        return (x < 0.5) & (np.abs(x - np.round(x)) <= tol)
+    def index(self, P: np.ndarray) -> list:
+        """Flat table index of every base at each row of integer parts."""
+        cols = [P[:, c] - self.lo for c in range(P.shape[1])]
+        return [cols[b.plus] if b.minus is None else cols[b.plus] * self.width + cols[b.minus]
+                for b in self.bases]
 
-    bad |= near_nonpos_int(U + p.alpha).any(axis=1)
-    if k2:
-        dvu = V[:, None, :] - U[:, :, None]
-        bad |= near_nonpos_int(dvu - p.gamma + 1.0).reshape(n, -1).any(axis=1)
-        bad |= (np.abs(dvu - p.gamma) <= tol).reshape(n, -1).any(axis=1)
-    for block, kdim in ((U, k1), (V, k2)):
-        for i in range(kdim):
-            for j in range(i + 1, kdim):
-                d = block[:, i] - block[:, j]
-                bad |= near_nonpos_int(d + p.gamma)
-                bad |= np.abs(d) <= tol
-    return ~bad
+    def regular(self, index: list, n: int) -> np.ndarray:
+        """Which of the n rows have no singular factor."""
+        bad = np.zeros(n, dtype=bool)
+        for b, ix in zip(self.bases, index):
+            if b.singular is not None:
+                bad |= b.singular.take(ix)
+        return ~bad
+
+    def sign_log(self, index: list, U: np.ndarray, V: np.ndarray):
+        """Master product, reduced as ``phi_sign_log`` does; rows with a
+        singular factor get placeholder values."""
+        n = U.shape[0]
+        sign = np.ones(n)
+        logm = np.zeros(n)
+        for b, ix in zip(self.bases, index):
+            if b.sign is not None:
+                sign = sign * b.sign.take(ix)
+
+        def family_sum(family, f):
+            return np.stack([b.logs[f].take(ix) for b, ix in zip(self.bases, index)
+                             if b.family == family], axis=1).sum(axis=1)
+
+        if self.k1:
+            logm = logm + math.log(self.p.z1) * U.sum(axis=1)
+            logm = logm + family_sum("u", 0)
+            logm = logm + family_sum("u", 1)
+        if self.k2:
+            logm = logm + math.log(self.p.z2) * V.sum(axis=1)
+        if self.k1 and self.k2:
+            logm = logm + family_sum("vu", 0)
+            logm = logm + family_sum("vu", 1)
+        for b, ix in zip(self.bases, index):
+            if b.family == "pair":
+                for table in b.logs:
+                    logm = logm + table.take(ix)
+        return sign, logm
 
 
 def lattice_values(NU: np.ndarray, NV: np.ndarray, p: ParamSet,
-                   include_weight: bool = True, seed: int = 7919) -> np.ndarray:
-    """F at a batch of lattice points; regular points vectorized, the rest
-    evaluated as directional limits."""
-    n = NU.shape[0]
-    k2 = NV.shape[1]
-    from .integrands import lattice_shift
+                   include_weight: bool = True, seed: int = 7919,
+                   tables: FactorTables | None = None) -> np.ndarray:
+    """F at a batch of lattice points.
 
-    vals = np.zeros(n)
-    regular = _regular_mask(NU, NV, p)
-    idx = np.where(regular)[0]
-    if idx.size:
-        U = NU[idx] + lattice_shift(NU.shape[1], p.gamma)[None, :]
-        V = NV[idx] + lattice_shift(k2, p.gamma)[None, :] if k2 else np.zeros((idx.size, 0))
-        sign, logm = phi_sign_log(U, V, p, zero_tol=NEAR_TOL)
-        fv = sign * np.exp(logm)
-        if include_weight and k2:
-            nz = fv != 0.0
-            if np.any(nz):
-                fv[nz] = fv[nz] * weight_w(U[nz], V[nz], p.gamma)
-        vals[idx] = fv
-    for i in np.where(~regular)[0]:
-        pt = LatticePoint(tuple(int(x) for x in NU[i]), tuple(int(x) for x in NV[i]), p.gamma)
-        vals[i] = f_limit(pt, p, seed=seed, include_weight=include_weight)
+    Regular points are gathered from ``tables``, which must span the
+    batch's integer parts; without them, tables are built over that range.
+    Singular points are directional limits, probed in one batch.
+    """
+    n, k1 = NU.shape
+    k2 = NV.shape[1]
+    P = np.hstack((NU, NV)).astype(np.int64)
+    if tables is None:
+        tables = FactorTables(k1, k2, p, int(P.min(initial=0)), int(P.max(initial=0)))
+    index = tables.index(P)
+    regular = tables.regular(index, n)
+    U = NU + lattice_shift(k1, p.gamma)[None, :]
+    V = NV + lattice_shift(k2, p.gamma)[None, :] if k2 else np.zeros((n, 0))
+    # every row is reduced on its own, so singular rows (placeholders,
+    # replaced below) leave the regular ones as phi_sign_log gives them
+    sign, logm = tables.sign_log(index, U, V)
+    vals = sign * np.exp(logm)
+    if include_weight and k2:
+        nz = regular & (vals != 0.0)
+        if np.any(nz):
+            vals[nz] = vals[nz] * weight_w(U[nz], V[nz], p.gamma)
+    sing = np.flatnonzero(~regular)
+    if sing.size:
+        pts = [LatticePoint(tuple(row[:k1]), tuple(row[k1:]), p.gamma) for row in P[sing].tolist()]
+        pairs = limit_pairs(pts, p, seed=seed, include_weight=include_weight)
+        vals[sing] = 0.5 * (pairs[:, 0] + pairs[:, 1])
     return vals
 
 
 def _shell_sum(k1: int, k2: int, shell: int, p: ParamSet, include_weight: bool,
-               seed: int) -> float:
+               seed: int, tables: FactorTables | None = None) -> float:
     P = cone_array(k1, k2, shell, shell=True).astype(float)
     if not P.shape[0]:
         return 0.0
-    vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=include_weight, seed=seed)
+    vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=include_weight, seed=seed,
+                          tables=tables)
     return math.fsum(vals.tolist())
 
 
@@ -170,8 +253,12 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-10,
     last = math.inf
     converged = False
     bound = 0
+    tables = None
     for j in range(max_bound + 1):
-        last = _shell_sum(k1, k2, j, p, include_weight, seed)
+        if tables is None or j > tables.hi:
+            # regrow by doubling the span of integer parts
+            tables = FactorTables(k1, k2, p, 0, 2 * tables.width - 1 if tables else TABLE_START - 1)
+        last = _shell_sum(k1, k2, j, p, include_weight, seed, tables)
         shells.append(last)
         partial = math.fsum(shells)
         bound = j

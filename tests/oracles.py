@@ -3,7 +3,11 @@
 Everything here is deliberately naive: exact rational arithmetic where
 possible, explicit loops over permutations, high-precision special
 functions from mpmath.  None of it shares code with the package paths it
-checks.
+checks, except the lattice-summand references at the end: they run the
+package's point evaluators (``phi_sign_log``, ``weight_w``,
+``f_off_lattice``, ``_draw_direction``) point by point, the way the
+batched table and probe paths replaced, which must reproduce them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 40
 
@@ -158,3 +163,91 @@ def mp_selberg_rhs(k, a, b, g) -> mp.mpf:
         out *= (mp_gamma(a + j * g) * mp_gamma(b + j * g) * mp_gamma(g + j * g)
                 / (mp_gamma(a + b + (2 * k - 2 - j) * g) * mp_gamma(g)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# lattice summand: the point-by-point path the factor tables replace
+# ---------------------------------------------------------------------------
+
+def regular_mask(NU, NV, p, tol=1e-9):
+    """Regularity of each lattice point, from the raw gamma arguments: no
+    numerator gamma at a nonpositive integer, no vanishing weight
+    denominator."""
+    from selberg3.integrands import lattice_shift
+
+    n, k1, k2 = NU.shape[0], NU.shape[1], NV.shape[1]
+    U = NU + lattice_shift(k1, p.gamma)[None, :]
+    V = NV + lattice_shift(k2, p.gamma)[None, :] if k2 else np.zeros((n, 0))
+    bad = np.zeros(n, dtype=bool)
+
+    def near_nonpos_int(x):
+        return (x < 0.5) & (np.abs(x - np.round(x)) <= tol)
+
+    bad |= near_nonpos_int(U + p.alpha).any(axis=1)
+    if k2:
+        dvu = V[:, None, :] - U[:, :, None]
+        bad |= near_nonpos_int(dvu - p.gamma + 1.0).reshape(n, -1).any(axis=1)
+        bad |= (np.abs(dvu - p.gamma) <= tol).reshape(n, -1).any(axis=1)
+    for block, kdim in ((U, k1), (V, k2)):
+        for i in range(kdim):
+            for j in range(i + 1, kdim):
+                d = block[:, i] - block[:, j]
+                bad |= near_nonpos_int(d + p.gamma)
+                bad |= np.abs(d) <= tol
+    return ~bad
+
+
+def regular_values(NU, NV, p, include_weight=True):
+    """(mask, values) of the lattice summand: ``phi_sign_log`` and
+    ``weight_w`` on the regular points, 0 elsewhere."""
+    from selberg3.integrands import lattice_shift, phi_sign_log, weight_w
+
+    n, k1, k2 = NU.shape[0], NU.shape[1], NV.shape[1]
+    regular = regular_mask(NU, NV, p)
+    vals = np.zeros(n)
+    idx = np.where(regular)[0]
+    if idx.size:
+        U = NU[idx] + lattice_shift(k1, p.gamma)[None, :]
+        V = NV[idx] + lattice_shift(k2, p.gamma)[None, :] if k2 else np.zeros((idx.size, 0))
+        sign, logm = phi_sign_log(U, V, p, zero_tol=1e-9)
+        fv = sign * np.exp(logm)
+        if include_weight and k2:
+            nz = fv != 0.0
+            if np.any(nz):
+                fv[nz] = fv[nz] * weight_w(U[nz], V[nz], p.gamma)
+        vals[idx] = fv
+    return regular, vals
+
+
+def sequential_limit_pair(pt, p, seed=7919, include_weight=True):
+    """Two directional limits at one lattice point, one direction at a time.
+
+    Directions come from the package's ``_draw_direction`` and probes from
+    its ``f_off_lattice``: the batched path must reproduce this loop, not
+    merely approximate the limit.
+    """
+    from selberg3 import integrands
+    from selberg3.errors import NearSingularError, PoleError
+
+    scale = min(1.0, abs(p.gamma))
+    eps_list = [1e-2 * scale, 1e-3 * scale, 1e-4 * scale]
+    rng = np.random.default_rng(seed)
+    results = []
+    for _ in range(10):
+        if len(results) == 2:
+            break
+        du, dv = integrands._draw_direction(rng, pt, p)
+        uu = np.stack([pt.u + e * du for e in eps_list])
+        vv = np.stack([pt.v + e * dv for e in eps_list])
+        try:
+            ys = integrands.f_off_lattice(uu, vv, p, include_weight=include_weight)
+        except (PoleError, NearSingularError):
+            continue
+        tab = [float(y) for y in ys]
+        for level in range(1, 3):
+            for i in range(3 - level):
+                tab[i] = ((eps_list[i + level] * tab[i] - eps_list[i] * tab[i + 1])
+                          / (eps_list[i + level] - eps_list[i]))
+        results.append(tab[0])
+    assert len(results) == 2, "probes kept hitting singular hyperplanes"
+    return tuple(results)

@@ -81,6 +81,16 @@ class TestRecords:
         assert rec.passed
         assert "not discriminated" in rec.note and "resolved" not in rec.note
 
+    def test_pde_note_at_k2_le_1_does_not_claim_a_resolution(self):
+        from selberg3.lattice import pde_coefficients
+
+        p = ParamSet(k1=2, k2=1, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
+        rec = run_identity("pde_residual", p)
+        assert rec.passed
+        assert "not discriminated at k2 <= 1" in rec.note and "resolved" not in rec.note
+        # the disputed term k2 (k2 - 1) gamma / (2 den) vanishes, so both readings agree
+        assert pde_coefficients(p, "z1") == pde_coefficients(p, "z2")
+
 
 class TestGrids:
     def test_empty_grid(self):

@@ -6,7 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import brute_h, brute_weight_g, brute_weight_w, mp_gamma
+from oracles import brute_h, brute_weight_g, brute_weight_w, mp_gamma, sequential_limit_pair
+from selberg3 import integrands
 from selberg3.errors import (
     DomainError,
     InadmissibleTripleError,
@@ -23,11 +24,13 @@ from selberg3.integrands import (
     h_tilde_func,
     is_admissible,
     lattice_point_is_regular,
+    limit_pairs,
     master_phi,
     omega,
     weight_g,
     weight_w,
 )
+from selberg3.lattice import cone_integer_parts
 from selberg3.params import ParamSet
 
 
@@ -318,3 +321,51 @@ class TestLatticeLimit:
         v = np.array([[1.11, 0.89]])
         vals = f_off_lattice(u, v, p)
         assert np.all(np.isfinite(vals))
+
+
+def _singular_cone_points(p, bound):
+    pts = [LatticePoint(nu, nv, p.gamma) for nu, nv in cone_integer_parts(p.k1, p.k2, bound)]
+    return [pt for pt in pts if not lattice_point_is_regular(pt, p)]
+
+
+class TestLimitPairs:
+    @pytest.mark.parametrize("k1,k2", [(2, 2), (3, 2)])
+    def test_batch_equals_per_point_limits(self, k1, k2):
+        p = ParamSet(k1=k1, k2=k2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
+        pts = _singular_cone_points(p, 5)
+        assert len(pts) > 5
+        got = limit_pairs(pts, p, seed=11)
+        for pt, pair in zip(pts, got.tolist()):
+            assert tuple(pair) == sequential_limit_pair(pt, p, seed=11)
+            assert tuple(pair) == f_limit(pt, p, seed=11, return_pair=True)
+
+    def test_probe_on_a_singular_hyperplane_takes_the_retry_loop(self, monkeypatch):
+        p = ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
+        pts = _singular_cone_points(p, 3)
+        target = LatticePoint((1, 1), (1, 1), p.gamma)
+        assert target in pts and len(pts) > 1
+        draw = integrands._draw_direction
+        forced = []
+
+        def first_direction_on_the_pole(rng, pt, p, attempts=32):
+            du, dv = draw(rng, pt, p, attempts)
+            if pt == target and not any(r is rng for r in forced):
+                forced.append(rng)
+                dv = dv.copy()
+                dv[0] = du[1]  # v_0 - u_1 - gamma = 0 all along: a weight pole
+            return du, dv
+
+        retry = integrands._retry_pair
+        retried = []
+
+        def spy(pt, *args):
+            retried.append(pt)
+            return retry(pt, *args)
+
+        monkeypatch.setattr(integrands, "_draw_direction", first_direction_on_the_pole)
+        monkeypatch.setattr(integrands, "_retry_pair", spy)
+        got = limit_pairs(pts, p, seed=11)
+        assert retried == [target]
+        for pt, pair in zip(pts, got.tolist()):
+            assert tuple(pair) == sequential_limit_pair(pt, p, seed=11)
+            assert tuple(pair) == f_limit(pt, p, seed=11, return_pair=True)

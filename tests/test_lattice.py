@@ -5,14 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_cone_integer_parts, mp_gamma
+from oracles import (
+    brute_cone_integer_parts,
+    mp_gamma,
+    regular_mask,
+    regular_values,
+    sequential_limit_pair,
+)
 from selberg3 import closed_forms as cf
+from selberg3.integrands import LatticePoint, lattice_shift, phi_sign_log
 from selberg3.lattice import (
+    TABLE_START,
     ConeSpec,
+    FactorTables,
     cone_array,
     cone_integer_parts,
     enumerate_cone,
     eps_limit_ratio,
+    lattice_values,
     pde_coefficients,
     pde_residual,
     sum_discrete,
@@ -89,6 +99,84 @@ class TestShells:
     def test_empty_point_sits_in_shell_zero(self):
         assert _shell(0, 0, 0) == [((), ())]
         assert _shell(0, 0, 1) == []
+
+
+TABLE_SHAPES = [(1, 0), (3, 0), (1, 1), (2, 1), (3, 2)]
+
+
+def _mixed_batch(k1, k2):
+    """Cone points, negated cone points and random parts in [-4, 7]."""
+    rng = np.random.default_rng(5)
+    return np.vstack((cone_array(k1, k2, 7), -cone_array(k1, k2, 4),
+                      rng.integers(-4, 8, size=(400, k1 + k2))))
+
+
+def _oracle_values(NU, NV, p, seed, include_weight=True):
+    """phi_sign_log and weight_w at regular points, the sequential
+    two-direction limit elsewhere."""
+    regular, vals = regular_values(NU, NV, p, include_weight)
+    for i in np.flatnonzero(~regular):
+        pt = LatticePoint(tuple(int(x) for x in NU[i]), tuple(int(x) for x in NV[i]), p.gamma)
+        a, b = sequential_limit_pair(pt, p, seed=seed, include_weight=include_weight)
+        vals[i] = 0.5 * (a + b)
+    return regular, vals
+
+
+class TestFactorTables:
+    @pytest.mark.parametrize("gamma", [-0.15, -0.5, -1 / 3])
+    @pytest.mark.parametrize("k1,k2", TABLE_SHAPES)
+    def test_mask_and_product_match_phi_bit_for_bit(self, k1, k2, gamma):
+        P = _mixed_batch(k1, k2)
+        NU, NV = P[:, :k1].astype(float), P[:, k1:].astype(float)
+        singular = zeros = 0
+        for alpha in (1.3, 2.0):  # 2.0 puts Gamma(u + alpha) poles at negative parts
+            p = ParamSet(k1=k1, k2=k2, alpha=alpha, gamma=gamma, z1=0.3, z2=0.5)
+            tables = FactorTables(k1, k2, p, int(P.min()), int(P.max()))
+            index = tables.index(P)
+            regular = tables.regular(index, P.shape[0])
+            assert np.array_equal(regular, regular_mask(NU, NV, p))
+            idx = np.flatnonzero(regular)
+            U = NU[idx] + lattice_shift(k1, gamma)[None, :]
+            V = NV[idx] + lattice_shift(k2, gamma)[None, :] if k2 else np.zeros((idx.size, 0))
+            sign, logm = tables.sign_log([ix[idx] for ix in index], U, V)
+            want_sign, want_log = phi_sign_log(U, V, p, zero_tol=1e-9)
+            assert np.array_equal(sign, want_sign)
+            assert np.array_equal(logm, want_log)
+            singular += int((~regular).sum())
+            zeros += int((sign == 0.0).sum())
+        assert singular and zeros  # poles or denominator hits, and 1/Gamma zeros
+
+    @pytest.mark.parametrize("k1,k2", [(2, 2), (3, 2)])
+    def test_cone_batch_with_singular_points(self, k1, k2):
+        p = ParamSet(k1=k1, k2=k2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
+        P = cone_array(k1, k2, 6).astype(float)
+        regular, want = _oracle_values(P[:, :k1], P[:, k1:], p, seed=11)
+        assert (~regular).any()
+        assert np.array_equal(lattice_values(P[:, :k1], P[:, k1:], p, seed=11), want)
+
+    @pytest.mark.parametrize("include_weight", [True, False])
+    def test_batch_with_negative_parts(self, include_weight):
+        p = ParamSet(k1=2, k2=1, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.3)
+        P = (np.indices((9, 9, 9)).reshape(3, -1).T - 4).astype(float)
+        _, want = _oracle_values(P[:, :2], P[:, 2:], p, seed=3, include_weight=include_weight)
+        got = lattice_values(P[:, :2], P[:, 2:], p, include_weight=include_weight, seed=3)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("which,k1,k2,z1,z2", [("dexp3", 2, 2, 0.3, 0.4),
+                                                   ("dexp3", 2, 1, 0.6, 0.6),
+                                                   ("dexp", 2, 0, 0.6, 0.5)])
+    def test_sum_discrete_across_table_regrowth(self, which, k1, k2, z1, z2):
+        p = ParamSet(k1=k1, k2=k2, alpha=1.3, gamma=-0.15, z1=z1, z2=z2)
+        res = sum_discrete(which, p, rel_tol=1e-10, seed=5)
+        assert res.converged and res.bound >= TABLE_START
+        shells = []
+        for j in range(res.bound + 1):
+            P = cone_array(k1, k2, j, shell=True).astype(float)
+            _, vals = _oracle_values(P[:, :k1], P[:, k1:], p, seed=5,
+                                     include_weight=which == "dexp3")
+            shells.append(math.fsum(vals.tolist()))
+        assert res.last_shell == shells[-1]
+        assert res.partial_sum == math.fsum(shells)
 
 
 class TestSeries:
