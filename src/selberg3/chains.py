@@ -8,7 +8,6 @@ the integration cycle of the sl3 identities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -122,7 +121,3 @@ def simplex_membership(t, s, x: float, y: float, k1: int, k2: int) -> bool:
     if k2 and (any(s[i] < s[i + 1] for i in range(k2 - 1)) or not (x <= s[k2 - 1] and s[0] <= y)):
         return False
     return all(s[b] >= t[b + k1 - k2] for b in range(k2))
-
-
-def sym_cap_ok(k1: int, k2: int) -> bool:
-    return math.factorial(k1) * math.factorial(k2) <= 40320

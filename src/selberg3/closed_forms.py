@@ -108,12 +108,6 @@ def sl3_selberg0_rhs(p: ParamSet) -> LogSigned:
     return prod_logsigned(factors)
 
 
-# R(alpha, beta1, beta2): the name used for the rational-weight chain
-# integral when it seeds the recursion system.
-def big_r(alpha: float, beta1: float, beta2: float, p: ParamSet) -> LogSigned:
-    return sl3_selberg_rhs(p.with_(alpha=alpha, beta1=beta1, beta2=beta2))
-
-
 def aomoto_rhs(k: int, ell: int, p: ParamSet, original: bool = False) -> LogSigned:
     """Value of the l-th moment of the classic integrand.
 
@@ -151,7 +145,7 @@ def j_closed_form(which: str, p: ParamSet, l: int = 0, m: int = 0) -> LogSigned:
     """
     k1, k2, a, b1, b2, g = p.k1, p.k2, p.alpha, p.beta1, p.beta2, p.gamma
     if which == "J000":
-        return big_r(a, b1 + 1, b2 + 1, p)
+        return sl3_selberg_rhs(p.with_(beta1=b1 + 1, beta2=b2 + 1))
     if which == "J0l0":
         if not 0 <= l <= k2:
             raise DomainError(f"need 0 <= l <= k2, got l={l}")

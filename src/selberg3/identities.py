@@ -153,25 +153,19 @@ def _v_decomp(p: ParamSet):
 # engines: return (lhs, lhs_err, rhs, tolerance, note)
 # ---------------------------------------------------------------------------
 
-def _det_or_mc(p: ParamSet, budget: Budget, seed: int) -> QuadSpec:
-    if p.k1 + p.k2 <= 3:
-        return QuadSpec("deterministic", budget.nodes, budget.samples, seed,
-                        budget.smooth_order)
-    return QuadSpec("monte_carlo", budget.nodes, budget.samples, seed,
+def _quad_spec(budget: Budget, seed: int, scheme: str = "deterministic",
+               default_nodes: int = 0) -> QuadSpec:
+    """The budget's quadrature settings; ``default_nodes`` stands in for an
+    unset ``budget.nodes``."""
+    return QuadSpec(scheme, budget.nodes or default_nodes, budget.samples, seed,
                     budget.smooth_order)
 
 
 def _quad_engine(which: str, rhs_fn, scheme: str | None = None):
     def engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
         ig = assembled_integrand(which, p)
-        if scheme == "monte_carlo":
-            spec = QuadSpec("monte_carlo", budget.nodes, budget.samples, seed,
-                            budget.smooth_order)
-        elif scheme == "deterministic":
-            spec = QuadSpec("deterministic", budget.nodes, budget.samples, seed,
-                            budget.smooth_order)
-        else:
-            spec = _det_or_mc(p, budget, seed)
+        spec = _quad_spec(budget, seed, scheme or (
+            "deterministic" if p.k1 + p.k2 <= 3 else "monte_carlo"))
         chain = gamma_chain(p.k1, p.k2, p.gamma)
         lhs, err = integrate_chain(ig, chain, spec, p)
         rhs = rhs_fn(p).to_float()
@@ -199,8 +193,7 @@ def _series_engine(which: str, rhs_fn):
 
 def _aomoto_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
     k = p.k
-    spec = QuadSpec("deterministic", budget.nodes, budget.samples, seed,
-                    budget.smooth_order)
+    spec = _quad_spec(budget, seed)
     chain = gamma_chain(k, 0, p.gamma)
     worst = (0.0, 0.0, 1.0)
     for ell in range(k + 1):
@@ -251,8 +244,7 @@ def _chain_decomp_engine(p: ParamSet, budget: Budget, seed: int, tol: float | No
     rng = np.random.default_rng(seed)
     k1, k2 = p.k1, p.k2
     chain = unit_chain(k1, k2)
-    spec = QuadSpec("deterministic", budget.nodes or 24, budget.samples, seed,
-                    budget.smooth_order)
+    spec = _quad_spec(budget, seed, default_nodes=24)
     n_mc = max(budget.samples, 100_000)
     box = rng.uniform(size=(n_mc, k1 + k2))
     bt, bs = box[:, :k1], box[:, k1:]

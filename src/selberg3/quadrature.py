@@ -22,6 +22,15 @@ per-axis (r, 1-r) pairs in product form, never by subtracting nearly
 equal coordinates, so nodes exponentially close to facets lose no
 precision.
 
+The tensor grid stays a broadcast product: each axis rule is one
+length-n vector viewed along its own axis of an (n,)*K grid, and chain
+position i depends on axes 0..i only, so its log-coordinate, coordinate
+and complement arrays have shape (n,)*(i+1) padded with ones, and a gap
+spans the axes between its two positions.  Only the weight product, the
+log power product, the rational weight and the values fill the grid.
+Each elementwise operation and reduction runs in the same order as over
+a full (n**K, K) node mesh, so the values match that mesh bit for bit.
+
 The Monte Carlo scheme importance-samples the matching beta densities
 (plus a gamma density for the overall scale on the half-line) and
 averages integrand/model, which is bounded by construction.
@@ -31,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -112,12 +122,14 @@ def facet_exponents(integrand: Integrand, M: OrderMap) -> AxisWeights:
 # deterministic engine
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def _axis_rule(n: int, w0: float, w1: float, q: int):
     """Nodes of one smoothed Gauss-Jacobi axis.
 
-    Returns (logr, logx, weight) with x = 1-r; the weight folds the
-    Jacobi weight of the lifted exponents together with the smooth parts
-    of the substitution r = I_xi(q, q).
+    Returns read-only (logr, logx, weight) with x = 1-r; the weight folds
+    the Jacobi weight of the lifted exponents together with the smooth
+    parts of the substitution r = I_xi(q, q).  Memoized: moments and
+    monomials of one record share their domains' rules.
     """
     a_lift = q * w1 + q - 1.0
     b_lift = q * w0 + q - 1.0
@@ -133,43 +145,52 @@ def _axis_rule(n: int, w0: float, w1: float, q: int):
     weight = wj * np.exp(w0 * np.log(u0) + w1 * np.log(u1) - logbeta_qq)
     logr = np.where(r > 0.5, np.log1p(-x), np.log(r))
     logx = np.log(x)
+    for arr in (logr, logx, weight):
+        arr.flags.writeable = False
     return logr, logx, weight
 
 
-def _mesh(cols):
-    grids = np.meshgrid(*cols, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def _on_axis(v: np.ndarray, i: int, K: int) -> np.ndarray:
+    """View of a per-axis vector along axis i of a K-dimensional grid."""
+    return v.reshape((1,) * i + (-1,) + (1,) * (K - 1 - i))
 
 
 class _ChainFrame:
-    """Stable per-node geometry of the chain coordinates.
+    """Stable geometry of the chain coordinates on a tensor grid.
 
-    Everything is derived from per-axis log r and log(1-r): cumulative
-    logs give the coordinates, and all pairwise gaps c_i - c_j come out
-    in product form c_i * (1 - exp(sum of inner log r)).
+    Axis i of the (n,)*K grid carries the i-th rule's nodes; arrays are
+    kept at the smallest broadcast shape, so chain position i depends on
+    grid axes 0..i only.  Cumulative logs give the coordinates, and all
+    pairwise gaps c_i - c_j come out in product form
+    c_i * (1 - exp(sum of inner log r)).
     """
 
-    def __init__(self, LOGR: np.ndarray, LOGX: np.ndarray):
-        self.n, self.K = LOGR.shape
-        self.LS = np.cumsum(LOGR, axis=1)       # log c_i
-        self.OM = -np.expm1(self.LS)            # 1 - c_i
-        self.C = np.exp(self.LS)
-        self.LOM = np.log(self.OM)
-        self.LOGR = LOGR
-        self.LOGX = LOGX
+    def __init__(self, logr_axes, logx_axes):
+        K = len(logr_axes)
+        self.shape = (len(logr_axes[0]),) * K
+        self.LOGR = [_on_axis(v, i, K) for i, v in enumerate(logr_axes)]
+        self.LOGX = [_on_axis(v, i, K) for i, v in enumerate(logx_axes)]
+        self.LS = [self.LOGR[0]]                # log c_i
+        for i in range(1, K):
+            self.LS.append(self.LS[i - 1] + self.LOGR[i])
+        self.OM = [-np.expm1(ls) for ls in self.LS]   # 1 - c_i
+        self.C = [np.exp(ls) for ls in self.LS]
+        self.LOM = [np.log(om) for om in self.OM]
         self._lgap = {}
 
     def lgap(self, i: int, j: int) -> np.ndarray:
         """log(c_i - c_j) for chain positions i < j.
 
-        The inner log-sum is taken over the raw per-axis logs, not as a
-        difference of cumulatives, which would cancel catastrophically
-        when a node sits exponentially close to a facet.
+        The inner log-sum is taken over the raw per-axis logs, left to
+        right, not as a difference of cumulatives, which would cancel
+        catastrophically when a node sits exponentially close to a facet.
         """
         key = (i, j)
         if key not in self._lgap:
-            inner = self.LOGR[:, i + 1:j + 1].sum(axis=1)
-            self._lgap[key] = self.LS[:, i] + np.log(-np.expm1(inner))
+            inner = self.LOGR[i + 1]
+            for m in range(i + 2, j + 1):
+                inner = inner + self.LOGR[m]
+            self._lgap[key] = self.LS[i] + np.log(-np.expm1(inner))
         return self._lgap[key]
 
 
@@ -180,24 +201,25 @@ def _signed_gap(frame: _ChainFrame, pos_a: int, pos_b: int):
     return -1.0, frame.lgap(pos_b, pos_a)
 
 
-def _rational_weight(integrand: Integrand, order, frame: _ChainFrame) -> np.ndarray:
-    """Symmetrized rational/polynomial weight evaluated from the frame."""
+def _rational_weight(integrand: Integrand, order, frame: _ChainFrame):
+    """Symmetrized rational/polynomial weight evaluated from the frame,
+    broadcastable to its grid (1.0 for a plain integrand)."""
     kind = integrand.kind
-    n = frame.n
     if kind == "plain":
-        return np.ones(n)
+        return 1.0
     k1, k2 = integrand.k1, integrand.k2
     if kind == "callable":
-        t = np.empty((n, k1))
-        s = np.empty((n, k2))
+        t = np.empty(frame.shape + (k1,))
+        s = np.empty(frame.shape + (k2,))
         for i, (knd, idx) in enumerate(order):
-            (t if knd == "t" else s)[:, idx - 1] = frame.C[:, i]
-        return integrand.fn(t, s)
+            (t if knd == "t" else s)[..., idx - 1] = frame.C[i]
+        n = math.prod(frame.shape)
+        return integrand.fn(t.reshape(n, k1), s.reshape(n, k2)).reshape(frame.shape)
     pos_t = {idx: i for i, (knd, idx) in enumerate(order) if knd == "t"}
     pos_s = {idx: i for i, (knd, idx) in enumerate(order) if knd == "s"}
-    tval = [frame.C[:, pos_t[a]] for a in range(1, k1 + 1)]
-    omt = [frame.OM[:, pos_t[a]] for a in range(1, k1 + 1)]
-    oms = [frame.OM[:, pos_s[b]] for b in range(1, k2 + 1)]
+    tval = [frame.C[pos_t[a]] for a in range(1, k1 + 1)]
+    omt = [frame.OM[pos_t[a]] for a in range(1, k1 + 1)]
+    oms = [frame.OM[pos_s[b]] for b in range(1, k2 + 1)]
 
     def gap_st(b, a):
         """s_b - t_a as a signed value."""
@@ -205,11 +227,11 @@ def _rational_weight(integrand: Integrand, order, frame: _ChainFrame) -> np.ndar
         return sign * np.exp(lg)
 
     kk = k1 - k2
-    total = np.zeros(n)
+    total = np.zeros(frame.shape)
     if kind == "g":
         for sigma in permutations(range(k1)):
             for tau in permutations(range(k2)):
-                term = np.ones(n)
+                term = 1.0
                 for b in range(k2):
                     term = term / gap_st(tau[b], sigma[b + kk])
                 total += term
@@ -217,13 +239,13 @@ def _rational_weight(integrand: Integrand, order, frame: _ChainFrame) -> np.ndar
         l1, l2, m = integrand.indices
         twisted = kind == "ht"
         for sigma in permutations(range(k1)):
-            base = np.ones(n)
+            base = 1.0
             for aa in range(l1):
                 base = base * tval[sigma[aa]]
             for aa in range(l1, k1):
                 base = base * omt[sigma[aa]]
             for tau in permutations(range(k2)):
-                term = base.copy()
+                term = base
                 for b in range(m):
                     numer = omt[sigma[b]] if twisted else oms[tau[b]]
                     term = term * numer / gap_st(tau[b], sigma[b])
@@ -233,7 +255,7 @@ def _rational_weight(integrand: Integrand, order, frame: _ChainFrame) -> np.ndar
     elif kind in ("moment", "moment_plain"):
         (ell,) = integrand.indices
         for sigma in permutations(range(k1)):
-            term = np.ones(n)
+            term = 1.0
             for aa in range(ell):
                 term = term * tval[sigma[aa]]
             if kind == "moment":
@@ -251,41 +273,36 @@ def _det_value(integrand: Integrand, order, aw: AxisWeights, n: int, q: int) -> 
         raise DomainError("deterministic scheme is restricted to [0,1] identities")
     K = len(order)
     a, g, b1, b2 = integrand.alpha, integrand.gamma, integrand.beta1, integrand.beta2
-    logr_cols, logx_cols, w_cols = [], [], []
-    for i in range(K):
-        lr, lx, w = _axis_rule(n, aw.w0[i], aw.w1[i], q)
-        logr_cols.append(lr)
-        logx_cols.append(lx)
-        w_cols.append(w)
-    LOGR = _mesh(logr_cols)
-    LOGX = _mesh(logx_cols)
-    W = np.prod(_mesh(w_cols), axis=1)
-    frame = _ChainFrame(LOGR, LOGX)
+    rules = [_axis_rule(n, aw.w0[i], aw.w1[i], q) for i in range(K)]
+    frame = _ChainFrame([lr for lr, _, _ in rules], [lx for _, lx, _ in rules])
+    W = _on_axis(rules[0][2], 0, K)
+    for i in range(1, K):
+        W = W * _on_axis(rules[i][2], i, K)
 
     # log of the power-product part of integrand * Jacobian / axis models;
     # a 'callable' integrand is a black box, so only Jacobian and models
     # are handled structurally for it
-    logf = np.zeros(frame.n)
+    logf = np.zeros(frame.shape)
     if integrand.kind != "callable":
         for i, (kndi, _) in enumerate(order):
             if kndi == "t":
-                logf += (a - 1.0) * frame.LS[:, i] + (b1 - 1.0) * frame.LOM[:, i]
+                logf += (a - 1.0) * frame.LS[i] + (b1 - 1.0) * frame.LOM[i]
             else:
-                logf += (b2 - 1.0) * frame.LOM[:, i]
+                logf += (b2 - 1.0) * frame.LOM[i]
         for i in range(K):
             for j in range(i + 1, K):
                 same = order[i][0] == order[j][0]
                 expo = 2.0 * g if same else -g
                 logf += expo * frame.lgap(i, j)
     for i in range(1, K):
-        logf += frame.LS[:, i - 1]  # Jacobian
+        logf += frame.LS[i - 1]  # Jacobian
     for i in range(K):
-        logf -= aw.w0[i] * LOGR[:, i] + aw.w1[i] * LOGX[:, i]
+        logf -= aw.w0[i] * frame.LOGR[i] + aw.w1[i] * frame.LOGX[i]
 
     vals = np.exp(logf) * _rational_weight(integrand, order, frame)
     if not np.all(np.isfinite(vals)):
         raise IntegrandSingularError("non-finite deterministic quadrature values")
-    return float(np.dot(W, vals))
+    return float(np.dot(W.ravel(), vals.ravel()))
 
 
 # ---------------------------------------------------------------------------

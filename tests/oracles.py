@@ -3,17 +3,22 @@
 Everything here is deliberately naive: exact rational arithmetic where
 possible, explicit loops over permutations, high-precision special
 functions from mpmath.  None of it shares code with the package paths it
-checks, except the lattice-summand references at the end: they run the
-package's point evaluators (``phi_sign_log``, ``weight_w``,
-``f_off_lattice``, ``_draw_direction``) point by point, the way the
-batched table and probe paths replaced, which must reproduce them bit
-for bit.
+checks, except two references at the end that the package must reproduce
+bit for bit:
+
+* the lattice-summand references run the package's point evaluators
+  (``phi_sign_log``, ``weight_w``, ``f_off_lattice``, ``_draw_direction``)
+  point by point, the way the batched table and probe paths replaced;
+* the chain-quadrature reference takes the package's per-axis rules
+  (``_axis_rule``) and lays the frame out over the full node mesh, the
+  way the broadcast tensor frame replaced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import mpmath as mp
 import numpy as np
@@ -251,3 +256,128 @@ def sequential_limit_pair(pt, p, seed=7919, include_weight=True):
         results.append(tab[0])
     assert len(results) == 2, "probes kept hitting singular hyperplanes"
     return tuple(results)
+
+
+# ---------------------------------------------------------------------------
+# deterministic chain quadrature: the full node mesh the broadcast frame
+# replaces
+# ---------------------------------------------------------------------------
+
+def mesh(cols):
+    grids = np.meshgrid(*cols, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+class MeshChainFrame:
+    """Per-node chain geometry on the full (n**K, K) node mesh."""
+
+    def __init__(self, LOGR, LOGX):
+        self.n, self.K = LOGR.shape
+        self.LS = np.cumsum(LOGR, axis=1)
+        self.OM = -np.expm1(self.LS)
+        self.C = np.exp(self.LS)
+        self.LOM = np.log(self.OM)
+        self.LOGR = LOGR
+        self.LOGX = LOGX
+
+    def lgap(self, i, j):
+        inner = self.LOGR[:, i + 1:j + 1].sum(axis=1)
+        return self.LS[:, i] + np.log(-np.expm1(inner))
+
+
+def _mesh_rational_weight(integrand, order, frame):
+    kind, n = integrand.kind, frame.n
+    if kind == "plain":
+        return np.ones(n)
+    k1, k2 = integrand.k1, integrand.k2
+    if kind == "callable":
+        t = np.empty((n, k1))
+        s = np.empty((n, k2))
+        for i, (knd, idx) in enumerate(order):
+            (t if knd == "t" else s)[:, idx - 1] = frame.C[:, i]
+        return integrand.fn(t, s)
+    pos_t = {idx: i for i, (knd, idx) in enumerate(order) if knd == "t"}
+    pos_s = {idx: i for i, (knd, idx) in enumerate(order) if knd == "s"}
+    tval = [frame.C[:, pos_t[a]] for a in range(1, k1 + 1)]
+    omt = [frame.OM[:, pos_t[a]] for a in range(1, k1 + 1)]
+    oms = [frame.OM[:, pos_s[b]] for b in range(1, k2 + 1)]
+
+    def gap_st(b, a):
+        pa, pb = pos_s[b + 1], pos_t[a + 1]
+        if pa < pb:
+            return np.exp(frame.lgap(pa, pb))
+        return -1.0 * np.exp(frame.lgap(pb, pa))
+
+    kk = k1 - k2
+    total = np.zeros(n)
+    if kind == "g":
+        for sigma in permutations(range(k1)):
+            for tau in permutations(range(k2)):
+                term = np.ones(n)
+                for b in range(k2):
+                    term = term / gap_st(tau[b], sigma[b + kk])
+                total += term
+    elif kind in ("h", "ht"):
+        l1, l2, m = integrand.indices
+        for sigma in permutations(range(k1)):
+            base = np.ones(n)
+            for aa in range(l1):
+                base = base * tval[sigma[aa]]
+            for aa in range(l1, k1):
+                base = base * omt[sigma[aa]]
+            for tau in permutations(range(k2)):
+                term = base.copy()
+                for b in range(m):
+                    numer = omt[sigma[b]] if kind == "ht" else oms[tau[b]]
+                    term = term * numer / gap_st(tau[b], sigma[b])
+                for b in range(l2, k2):
+                    term = term * oms[tau[b]] / gap_st(tau[b], sigma[b + kk])
+                total += term
+    else:  # moment, moment_plain
+        (ell,) = integrand.indices
+        for sigma in permutations(range(k1)):
+            term = np.ones(n)
+            for aa in range(ell):
+                term = term * tval[sigma[aa]]
+            if kind == "moment":
+                for aa in range(ell, k1):
+                    term = term * omt[sigma[aa]]
+            total += term
+        return total / factorial(k1)
+    return total / (factorial(k1) * factorial(k2))
+
+
+def mesh_det_value(integrand, order, aw, n, q):
+    """One tensor Gauss-Jacobi rule on one domain, every array laid out
+    over the full node mesh.
+
+    The per-axis rules come from the package's ``_axis_rule``; the frame,
+    weight and sum are the full-size path the broadcast frame replaced,
+    which the package must reproduce bit for bit.
+    """
+    from selberg3.quadrature import _axis_rule
+
+    K = len(order)
+    a, g, b1, b2 = integrand.alpha, integrand.gamma, integrand.beta1, integrand.beta2
+    rules = [_axis_rule(n, aw.w0[i], aw.w1[i], q) for i in range(K)]
+    LOGR = mesh([r[0] for r in rules])
+    LOGX = mesh([r[1] for r in rules])
+    W = np.prod(mesh([r[2] for r in rules]), axis=1)
+    frame = MeshChainFrame(LOGR, LOGX)
+    logf = np.zeros(frame.n)
+    if integrand.kind != "callable":
+        for i, (kndi, _) in enumerate(order):
+            if kndi == "t":
+                logf += (a - 1.0) * frame.LS[:, i] + (b1 - 1.0) * frame.LOM[:, i]
+            else:
+                logf += (b2 - 1.0) * frame.LOM[:, i]
+        for i in range(K):
+            for j in range(i + 1, K):
+                expo = 2.0 * g if order[i][0] == order[j][0] else -g
+                logf += expo * frame.lgap(i, j)
+    for i in range(1, K):
+        logf += frame.LS[:, i - 1]
+    for i in range(K):
+        logf -= aw.w0[i] * LOGR[:, i] + aw.w1[i] * LOGX[:, i]
+    vals = np.exp(logf) * _mesh_rational_weight(integrand, order, frame)
+    return float(np.dot(W, vals))

@@ -7,13 +7,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import domain_monomial_integral, interleavings, simplex_monomial_integral
+from oracles import (MeshChainFrame, domain_monomial_integral, interleavings, mesh,
+                     mesh_det_value, simplex_monomial_integral)
 from selberg3 import closed_forms as cf
 from selberg3.chains import OrderMap, enumerate_maps, gamma_chain, merged_order, unit_chain
 from selberg3.errors import DomainError
 from selberg3.integrands import Integrand, assembled_integrand
 from selberg3.params import ParamSet
-from selberg3.quadrature import QuadSpec, facet_exponents, integrate_chain, integrate_domain
+from selberg3.quadrature import (QuadSpec, _axis_rule, _ChainFrame, _det_value,
+                                 facet_exponents, integrate_chain, integrate_domain)
 
 EMPTY_MAP = OrderMap(())
 
@@ -80,6 +82,111 @@ class TestDeterministic:
         ig = assembled_integrand("selb", p)
         with pytest.raises(DomainError):
             integrate_domain(ig, EMPTY_MAP, QuadSpec("adaptive"), p)
+
+
+def _poly(t, s):
+    t, s = np.atleast_2d(t), np.atleast_2d(s)
+    out = np.ones(t.shape[0])
+    for i in range(t.shape[1]):
+        out = out * t[:, i] ** (i + 1)
+    for i in range(s.shape[1]):
+        out = out * (1.0 + s[:, i]) ** 2
+    return out
+
+
+def _frame_cases():
+    """(id, integrand, k1, k2) covering every weight kind at K = 1..4."""
+    out = []
+    for k in (1, 2, 3, 4):
+        p = ParamSet(k1=k, k2=0, alpha=1.2, beta1=2.2, gamma=-0.25)
+        out.append((f"plain-selb-{k}", assembled_integrand("selb", p), k, 0))
+        p = ParamSet(k1=k, k2=0, alpha=1.5, beta1=1.2, gamma=-0.11)
+        out.append((f"moment-{k}", assembled_integrand("aomoto", p, indices=k // 2), k, 0))
+        out.append((f"moment_plain-{k}",
+                    assembled_integrand("aomoto", p, indices=(k - 1, "original")), k, 0))
+    for k1, k2 in ((1, 0), (1, 1), (2, 1), (2, 2), (3, 1)):
+        ig = Integrand(_poly, k1, k2, "01", 0, 1.0, 0.0, 1.0, 1.0, kind="callable")
+        out.append((f"callable-{k1}{k2}", ig, k1, k2))
+    for k1, k2 in ((1, 1), (2, 1), (2, 2), (3, 1)):
+        p = ParamSet(k1=k1, k2=k2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+        out.append((f"g-{k1}{k2}", assembled_integrand("selb3", p), k1, k2))
+        out.append((f"plain-selb30-{k1}{k2}", assembled_integrand("selb30", p), k1, k2))
+    for which in ("J", "Jt"):
+        for k1, k2, idx in ((1, 1, (1, 1, 1)), (2, 1, (1, 0, 1)), (2, 2, (1, 1, 1)),
+                            (2, 2, (2, 2, 0))):
+            p = ParamSet(k1=k1, k2=k2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+            ig = assembled_integrand(which, p, indices=idx)
+            out.append((f"{ig.kind}-{k1}{k2}-{idx}", ig, k1, k2))
+    return out
+
+
+FRAME_CASES = _frame_cases()
+
+
+class TestBroadcastFrame:
+    """The broadcast tensor frame against the full node mesh, bit for bit."""
+
+    @pytest.mark.parametrize("ig,k1,k2", [c[1:] for c in FRAME_CASES],
+                             ids=[c[0] for c in FRAME_CASES])
+    def test_matches_full_mesh(self, ig, k1, k2):
+        K = k1 + k2
+        n = QuadSpec().nodes_for(K)
+        maps = enumerate_maps(k1, k2)
+        for M in {maps[0], maps[-1]}:
+            order = merged_order(M, k1, k2)
+            aw = facet_exponents(ig, M)
+            for m in (n, max(6, (2 * n) // 3)):
+                assert _det_value(ig, order, aw, m, 4) == mesh_det_value(ig, order, aw, m, 4)
+
+    def test_both_coordinate_kinds_in_one_order(self):
+        p = ParamSet(k1=2, k2=2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+        ig = assembled_integrand("selb3", p)
+        kinds = set()
+        for M in enumerate_maps(2, 2):
+            order = merged_order(M, 2, 2)
+            kinds.add("".join(knd for knd, _ in order))
+            aw = facet_exponents(ig, M)
+            assert _det_value(ig, order, aw, 24, 4) == mesh_det_value(ig, order, aw, 24, 4)
+        assert len(kinds) == len(enumerate_maps(2, 2)) > 1
+
+    def test_nodes_exponentially_close_to_unit_facet(self):
+        # smoothing order 12 puts nodes within ~1e-30 of r = 1, where a
+        # gap taken as a difference of cumulatives would cancel to zero
+        p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+        ig = assembled_integrand("selb3", p)
+        for M in enumerate_maps(2, 1):
+            order = merged_order(M, 2, 1)
+            aw = facet_exponents(ig, M)
+            logx = _axis_rule(48, aw.w0[1], aw.w1[1], 12)[1]
+            assert logx.min() < -60.0
+            got = _det_value(ig, order, aw, 48, 12)
+            assert np.isfinite(got)
+            assert got == mesh_det_value(ig, order, aw, 48, 12)
+
+    @pytest.mark.parametrize("K,n,q", [(3, 88, 4), (4, 24, 4), (4, 24, 12)])
+    def test_frame_arrays_match_full_mesh(self, K, n, q):
+        # elementwise, so that a last-bit change the weighted sum happens
+        # to round away still shows
+        rules = [_axis_rule(n, 0.5 + 0.1 * i, -0.3 + 0.2 * i, q) for i in range(K)]
+        logr, logx = [r[0] for r in rules], [r[1] for r in rules]
+        frame, ref = _ChainFrame(logr, logx), MeshChainFrame(mesh(logr), mesh(logx))
+
+        def full(arr):
+            return np.broadcast_to(arr, frame.shape).ravel()
+
+        for i in range(K):
+            for got, want in ((frame.LS, ref.LS), (frame.C, ref.C), (frame.OM, ref.OM),
+                              (frame.LOM, ref.LOM), (frame.LOGX, ref.LOGX)):
+                assert np.array_equal(full(got[i]), want[:, i])
+            for j in range(i + 1, K):
+                assert np.array_equal(full(frame.lgap(i, j)), ref.lgap(i, j))
+
+    def test_axis_rules_are_shared_and_read_only(self):
+        rule = _axis_rule(24, 0.3, -0.4, 4)
+        assert _axis_rule(24, 0.3, -0.4, 4) is rule
+        for arr in rule:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestMonteCarlo:
