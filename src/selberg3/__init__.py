@@ -32,14 +32,13 @@ from .errors import (
     Selberg3Error,
 )
 from .identities import Budget, VerificationRecord, identity_ids, run_grid, run_identity
-from .integrands import ContinuousPoint, LatticePoint, f_limit, is_admissible
+from .integrands import LatticePoint, f_limit, is_admissible
 from .lattice import ConeSpec, SeriesResult, enumerate_cone, sum_discrete
 from .logreal import LogSigned, gamma_ratio, log_gamma_signed, sin_ratio
 from .params import ParamSet
 from .quadrature import QuadSpec, integrate_chain, integrate_domain
 from .recursions import (
     JTable,
-    aomoto_suite,
     jjl_shift_check,
     solve_both,
     solve_j,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Budget",
     "ConeSpec",
-    "ContinuousPoint",
     "DegenerateError",
     "DomainError",
     "InadmissibleTripleError",
@@ -72,7 +70,6 @@ __all__ = [
     "SeriesResult",
     "VerificationRecord",
     "aomoto_rhs",
-    "aomoto_suite",
     "discrete_exp_rhs",
     "enumerate_cone",
     "exp_selberg_rhs",

@@ -7,13 +7,11 @@ either directly (when every factor is regular) or as directional limits
 with Richardson extrapolation.  The summand's singular structure is
 described once, by ``lattice_bases`` and ``factor_args``; the regularity
 test, the probe-direction check and the lattice factor tables all derive
-from that description.  The continuous family (``weight_g``,
-``omega``, ``h_func``) is made of products of powers and symmetrized
-rational functions evaluated on batches of interior quadrature points.
-
-All continuous evaluators accept arrays of shape (npoints, k1) / (npoints,
-k2) and return a vector of values; symmetrization is an explicit sum over
-both permutation groups (capped at 40320 terms per evaluation).
+from that description.  The continuous family is described, not
+evaluated: ``assembled_integrand`` returns an ``Integrand`` naming the
+interval, the power-product exponents and rates and the kind of
+symmetrized rational weight, and ``quadrature`` evaluates every
+integrand from that description on its chain frame, for both schemes.
 """
 
 from __future__ import annotations
@@ -93,12 +91,6 @@ class LatticePoint:
     @property
     def in_cone(self) -> bool:
         return integer_parts_in_cone(self.nu, self.nv, self.k1, self.k2)
-
-
-@dataclass(frozen=True)
-class ContinuousPoint:
-    t: tuple
-    s: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -510,70 +502,8 @@ def f_limit(pt: LatticePoint, p: ParamSet, *, seed: int = 7919,
 
 
 # ---------------------------------------------------------------------------
-# continuous weights
+# assembled integrands
 # ---------------------------------------------------------------------------
-
-def weight_g(t: np.ndarray, s: np.ndarray, form: str = "shifted",
-             near_tol: float = NEAR_SINGULAR_TOL) -> np.ndarray:
-    """Symmetrized rational weight with simple poles at t_a = s_b.
-
-    ``form='shifted'`` uses partners t_{b+k1-k2}; ``form='plain'`` uses
-    t_b.  The two agree identically; both are kept so the equality can be
-    tested.
-    """
-    t = np.atleast_2d(np.asarray(t, dtype=float))
-    s = np.atleast_2d(np.asarray(s, dtype=float))
-    n, k1, k2 = t.shape[0], t.shape[1], s.shape[1]
-    _check_sym_cap(k1, k2)
-    if k2 == 0:
-        return np.ones(n)
-    offset = (k1 - k2) if form == "shifted" else 0
-    if np.abs(t[:, None, :] - s[:, :, None]).min() < near_tol:
-        raise NearSingularError("weight evaluated too close to t = s")
-    total = np.zeros(n)
-    for sigma in permutations(range(k1)):
-        ts = t[:, sigma]
-        for tau in permutations(range(k2)):
-            ss = s[:, tau]
-            term = np.ones(n)
-            for b in range(k2):
-                term = term / (ss[:, b] - ts[:, b + offset])
-            total = total + term
-    return total / (math.factorial(k1) * math.factorial(k2))
-
-
-def omega(t: np.ndarray, s: np.ndarray, p: ParamSet,
-          near_tol: float = NEAR_SINGULAR_TOL) -> np.ndarray:
-    """Power-product master density on the open unit box.
-
-    Coincidence factors are taken on absolute values; inside any ordered
-    domain the orderings fix all signs, so no branch ambiguity arises.
-    """
-    t = np.atleast_2d(np.asarray(t, dtype=float))
-    s = np.atleast_2d(np.asarray(s, dtype=float))
-    n, k1, k2 = t.shape[0], t.shape[1], s.shape[1]
-    if (k1 and (t.min() <= 0.0 or t.max() >= 1.0)) or (k2 and (s.min() <= 0.0 or s.max() >= 1.0)):
-        raise DomainError("omega requires all coordinates strictly inside (0,1)")
-    a, b1, b2, g = p.alpha, p.beta1, p.beta2, p.gamma
-    logv = np.zeros(n)
-    if k1:
-        logv += (a - 1.0) * np.log(t).sum(axis=1) + (b1 - 1.0) * np.log1p(-t).sum(axis=1)
-    if k2:
-        logv += (b2 - 1.0) * np.log1p(-s).sum(axis=1)
-    if k1 and k2:
-        d = np.abs(t[:, :, None] - s[:, None, :])
-        if d.min() < near_tol:
-            raise NearSingularError("omega evaluated too close to t = s")
-        logv += (-g) * np.log(d).reshape(n, -1).sum(axis=1)
-    for block, kdim in ((t, k1), (s, k2)):
-        for i in range(kdim):
-            for j in range(i + 1, kdim):
-                d = np.abs(block[:, i] - block[:, j])
-                if d.min() < near_tol:
-                    raise NearSingularError("omega evaluated too close to a coincidence")
-                logv += (2.0 * g) * np.log(d)
-    return np.exp(logv)
-
 
 def is_admissible(l1: int, l2: int, m: int, k1: int, k2: int) -> bool:
     """Index bounds under which the end-point integrals are defined."""
@@ -581,68 +511,27 @@ def is_admissible(l1: int, l2: int, m: int, k1: int, k2: int) -> bool:
             and l1 <= k1 - k2 + l2 and l2 <= k2 and m <= min(l1, l2))
 
 
-def _h_core(l1, l2, m, t, s, k1, k2, twisted, near_tol):
-    t = np.atleast_2d(np.asarray(t, dtype=float))
-    s = np.atleast_2d(np.asarray(s, dtype=float))
-    n = t.shape[0]
-    _check_sym_cap(k1, k2)
-    if not is_admissible(l1, l2, m, k1, k2):
-        raise InadmissibleTripleError(f"triple ({l1},{l2},{m}) is not admissible for ({k1},{k2})")
-    if k1 and k2 and np.abs(t[:, None, :] - s[:, :, None]).min() < near_tol:
-        raise NearSingularError("h evaluated too close to t = s")
-    kk = k1 - k2
-    total = np.zeros(n)
-    for sigma in permutations(range(k1)):
-        ts = t[:, sigma]
-        base = np.ones(n)
-        for aa in range(l1):
-            base = base * ts[:, aa]
-        for aa in range(l1, k1):
-            base = base * (1.0 - ts[:, aa])
-        for tau in permutations(range(k2)):
-            ss = s[:, tau]
-            term = base.copy()
-            for b in range(m):
-                numer = (1.0 - ts[:, b]) if twisted else (1.0 - ss[:, b])
-                term = term * numer / (ss[:, b] - ts[:, b])
-            for b in range(l2, k2):
-                term = term * (1.0 - ss[:, b]) / (ss[:, b] - ts[:, b + kk])
-            total = total + term
-    return total / (math.factorial(k1) * math.factorial(k2))
-
-
-def h_func(l1: int, l2: int, m: int, t, s, k1: int, k2: int,
-           near_tol: float = NEAR_SINGULAR_TOL) -> np.ndarray:
-    """Doubly symmetrized end-point weight."""
-    return _h_core(l1, l2, m, t, s, k1, k2, twisted=False, near_tol=near_tol)
-
-
-def h_tilde_func(l1: int, l2: int, m: int, t, s, k1: int, k2: int,
-                 near_tol: float = NEAR_SINGULAR_TOL) -> np.ndarray:
-    """Twisted variant: the m-block numerators carry 1-t instead of 1-s."""
-    return _h_core(l1, l2, m, t, s, k1, k2, twisted=True, near_tol=near_tol)
-
-
 def h_pole_count(l1: int, l2: int, m: int, k2: int) -> int:
     """Number of simple-pole factors in each symmetrization term."""
     return m + (k2 - l2)
 
 
-# ---------------------------------------------------------------------------
-# assembled integrands
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class Integrand:
-    """A vectorized integrand with the facts quadrature needs about it.
+    """Description of an integrand: the facts quadrature evaluates it from.
 
+    The integrand is a power product times a symmetrized rational weight.
+    On '01' the power product is prod t^(alpha-1) (1-t)^(beta1-1)
+    prod (1-s)^(beta2-1); on '0inf' it is prod t^(alpha-1) e^(-rate t)
+    prod e^(-rate s) with ``exp_rates`` = (t rate, s rate).  Both carry
+    |pair gap|^(2 gamma) within a block and |t - s|^(-gamma) across.
     ``pole_count`` is the number of rational pole factors per
-    symmetrization term (0 when the rational weight is absent);
-    ``interval`` is '01' or '0inf'.  ``kind``/``indices`` describe the
-    rational-weight structure so the deterministic engine can evaluate
-    the integrand from stable gap quantities instead of raw coordinates:
-    'plain' (no weight), 'g', 'h', 'ht', 'moment' (symmetrized
-    t1..tl * (1-t_{l+1})..(1-t_k)) or 'moment_plain' (t1..tl only).
+    symmetrization term (0 when the rational weight is absent).
+    ``kind``/``indices`` name the rational weight: 'plain' (none), 'g',
+    'h', 'ht', 'moment' (symmetrized t1..tl * (1-t_{l+1})..(1-t_k)) or
+    'moment_plain' (t1..tl only).  Kind 'callable' is a black box: ``fn``
+    maps coordinate rows (t, s) to values and replaces the power product
+    and the weight; it is None for every other kind.
     """
 
     fn: object
@@ -658,124 +547,46 @@ class Integrand:
     kind: str = "plain"
     indices: tuple = ()
 
-    def __call__(self, t, s):
-        return self.fn(t, s)
 
-
-def assembled_integrand(which: str, p: ParamSet, indices=None,
-                        near_tol: float = 0.0) -> Integrand:
-    """Build the full integrand for one identity.
+def assembled_integrand(which: str, p: ParamSet, indices=None) -> Integrand:
+    """Describe the full integrand for one identity.
 
     ``which`` is one of 'selb', 'exp', 'exp3', 'selb3', 'selb30',
     'aomoto', 'J', 'Jt'.  For 'aomoto' ``indices`` is the moment index l
     (optionally the pair (l, 'original')); for 'J'/'Jt' it is the triple
-    (l1, l2, m).
+    (l1, l2, m), which must be admissible.
     """
     k1, k2 = p.k1, p.k2
     a, b1, b2, g = p.alpha, p.beta1, p.beta2, p.gamma
 
-    def pair_powers(t, s):
-        n = t.shape[0]
-        logv = np.zeros(n)
-        if k1 and k2:
-            d = np.abs(t[:, :, None] - s[:, None, :])
-            logv += (-g) * np.log(d).reshape(n, -1).sum(axis=1)
-        for block, kdim in ((t, k1), (s, k2)):
-            for i in range(kdim):
-                for j in range(i + 1, kdim):
-                    logv += (2.0 * g) * np.log(np.abs(block[:, i] - block[:, j]))
-        return logv
-
+    if which in ("selb", "exp", "aomoto") and k2 != 0:
+        raise DomainError(f"{which!r} requires k2 = 0")
+    if (which in ("exp3", "selb3") and k2) or which in ("J", "Jt"):
+        _check_sym_cap(k1, k2)
     if which == "selb":
-        if k2 != 0:
-            raise DomainError("'selb' requires k2 = 0")
-
-        def fn(t, s):
-            t = np.atleast_2d(t)
-            logv = (a - 1.0) * np.log(t).sum(axis=1) + (b1 - 1.0) * np.log1p(-t).sum(axis=1)
-            return np.exp(logv + pair_powers(t, np.zeros((t.shape[0], 0))))
-
-        return Integrand(fn, k1, 0, "01", 0, a, g, b1, b2, kind="plain")
-
+        return Integrand(None, k1, 0, "01", 0, a, g, b1, b2)
     if which == "exp":
-        if k2 != 0:
-            raise DomainError("'exp' requires k2 = 0")
-
-        def fn(t, s):
-            t = np.atleast_2d(t)
-            logv = (a - 1.0) * np.log(t).sum(axis=1) - t.sum(axis=1)
-            return np.exp(logv + pair_powers(t, np.zeros((t.shape[0], 0))))
-
-        return Integrand(fn, k1, 0, "0inf", 0, a, g, b1, b2, exp_rates=(1.0, 1.0), kind="plain")
-
+        return Integrand(None, k1, 0, "0inf", 0, a, g, b1, b2, exp_rates=(1.0, 1.0))
     if which == "exp3":
-
-        def fn(t, s):
-            t, s = np.atleast_2d(t), np.atleast_2d(s)
-            logv = (a - 1.0) * np.log(t).sum(axis=1) - b1 * t.sum(axis=1)
-            if k2:
-                logv = logv - b2 * s.sum(axis=1)
-            vals = np.exp(logv + pair_powers(t, s))
-            if k2:
-                vals = vals * weight_g(t, s, near_tol=near_tol)
-            return vals
-
-        return Integrand(fn, k1, k2, "0inf", k2, a, g, b1, b2, exp_rates=(b1, b2), kind="g" if k2 else "plain")
-
+        return Integrand(None, k1, k2, "0inf", k2, a, g, b1, b2, exp_rates=(b1, b2),
+                         kind="g" if k2 else "plain")
     if which == "selb3":
-
-        def fn(t, s):
-            vals = omega(t, s, p, near_tol=near_tol)
-            if k2:
-                vals = vals * weight_g(np.atleast_2d(t), np.atleast_2d(s), near_tol=near_tol)
-            return vals
-
-        return Integrand(fn, k1, k2, "01", k2, a, g, b1, b2, kind="g" if k2 else "plain")
-
+        return Integrand(None, k1, k2, "01", k2, a, g, b1, b2, kind="g" if k2 else "plain")
     if which == "selb30":
-
-        def fn(t, s):
-            return omega(t, s, p, near_tol=near_tol)
-
-        return Integrand(fn, k1, k2, "01", 0, a, g, b1, b2, kind="plain")
-
+        return Integrand(None, k1, k2, "01", 0, a, g, b1, b2)
     if which == "aomoto":
-        if k2 != 0:
-            raise DomainError("'aomoto' requires k2 = 0")
         if isinstance(indices, tuple):
             ell, flavor = indices
         else:
             ell, flavor = indices, "two-sided"
-
-        def fn(t, s):
-            t = np.atleast_2d(t)
-            n = t.shape[0]
-            logv = (a - 1.0) * np.log(t).sum(axis=1) + (b1 - 1.0) * np.log1p(-t).sum(axis=1)
-            base = np.exp(logv + pair_powers(t, np.zeros((n, 0))))
-            total = np.zeros(n)
-            for sigma in permutations(range(k1)):
-                ts = t[:, sigma]
-                term = np.ones(n)
-                for aa in range(ell):
-                    term = term * ts[:, aa]
-                if flavor == "two-sided":
-                    for aa in range(ell, k1):
-                        term = term * (1.0 - ts[:, aa])
-                total = total + term
-            return base * total / math.factorial(k1)
-
-        return Integrand(fn, k1, 0, "01", 0, a, g, b1, b2,
+        return Integrand(None, k1, 0, "01", 0, a, g, b1, b2,
                          kind="moment" if flavor == "two-sided" else "moment_plain",
                          indices=(ell,))
-
     if which in ("J", "Jt"):
         l1, l2, m = indices
-        hf = h_tilde_func if which == "Jt" else h_func
-
-        def fn(t, s):
-            return omega(t, s, p, near_tol=near_tol) * hf(l1, l2, m, t, s, k1, k2, near_tol=near_tol)
-
-        return Integrand(fn, k1, k2, "01", h_pole_count(l1, l2, m, k2), a, g, b1, b2,
+        if not is_admissible(l1, l2, m, k1, k2):
+            raise InadmissibleTripleError(
+                f"triple ({l1},{l2},{m}) is not admissible for ({k1},{k2})")
+        return Integrand(None, k1, k2, "01", h_pole_count(l1, l2, m, k2), a, g, b1, b2,
                          kind="ht" if which == "Jt" else "h", indices=(l1, l2, m))
-
     raise DomainError(f"unknown integrand {which!r}")

@@ -33,21 +33,25 @@ a full (n**K, K) node mesh, so the values match that mesh bit for bit.
 
 The Monte Carlo scheme importance-samples the matching beta densities
 (plus a gamma density for the overall scale on the half-line) and
-averages integrand/model, which is bounded by construction.
+averages integrand/model, which is bounded by construction.  It
+evaluates through the same chain frame, built from the sampled log r
+columns in fixed blocks of rows, so both schemes derive every value
+from the integrand's description by one code path; no raw-coordinate
+evaluator exists.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 import numpy as np
 from scipy.special import betainc, betaln, gammaln, roots_jacobi
 
 from .chains import Chain, OrderMap, merged_order
-from .errors import DomainError, IntegrandSingularError, NearSingularError
+from .errors import DomainError, IntegrandSingularError
 from .integrands import Integrand
 from .params import ParamSet
 
@@ -156,27 +160,38 @@ def _on_axis(v: np.ndarray, i: int, K: int) -> np.ndarray:
 
 
 class _ChainFrame:
-    """Stable geometry of the chain coordinates on a tensor grid.
+    """Stable geometry of the chain coordinates on a set of points.
 
-    Axis i of the (n,)*K grid carries the i-th rule's nodes; arrays are
-    kept at the smallest broadcast shape, so chain position i depends on
-    grid axes 0..i only.  Cumulative logs give the coordinates, and all
-    pairwise gaps c_i - c_j come out in product form
-    c_i * (1 - exp(sum of inner log r)).
+    ``LOGR[i]``/``LOGX[i]`` hold log r_i and log(1 - r_i) of chain axis i,
+    already placed: views along axis i of the deterministic (n,)*K grid,
+    or sample columns for Monte Carlo.  ``shape`` is their broadcast
+    shape, and each derived array keeps the smallest shape its inputs
+    allow.  Cumulative logs give the coordinates, and all pairwise gaps
+    c_i - c_j come out in product form c_i * (1 - exp(sum of inner log r)).
+    ``C``, ``OM`` and ``LOM`` are built on first use, so a half-line
+    frame, whose coordinates may exceed 1, never logs 1 - c.
     """
 
-    def __init__(self, logr_axes, logx_axes):
-        K = len(logr_axes)
-        self.shape = (len(logr_axes[0]),) * K
-        self.LOGR = [_on_axis(v, i, K) for i, v in enumerate(logr_axes)]
-        self.LOGX = [_on_axis(v, i, K) for i, v in enumerate(logx_axes)]
+    def __init__(self, LOGR, LOGX):
+        self.LOGR = list(LOGR)
+        self.LOGX = list(LOGX)
+        self.shape = np.broadcast_shapes(*(v.shape for v in self.LOGR))
         self.LS = [self.LOGR[0]]                # log c_i
-        for i in range(1, K):
+        for i in range(1, len(self.LOGR)):
             self.LS.append(self.LS[i - 1] + self.LOGR[i])
-        self.OM = [-np.expm1(ls) for ls in self.LS]   # 1 - c_i
-        self.C = [np.exp(ls) for ls in self.LS]
-        self.LOM = [np.log(om) for om in self.OM]
         self._lgap = {}
+
+    @cached_property
+    def C(self):
+        return [np.exp(ls) for ls in self.LS]
+
+    @cached_property
+    def OM(self):
+        return [-np.expm1(ls) for ls in self.LS]   # 1 - c_i
+
+    @cached_property
+    def LOM(self):
+        return [np.log(om) for om in self.OM]
 
     def lgap(self, i: int, j: int) -> np.ndarray:
         """log(c_i - c_j) for chain positions i < j.
@@ -217,9 +232,10 @@ def _rational_weight(integrand: Integrand, order, frame: _ChainFrame):
         return integrand.fn(t.reshape(n, k1), s.reshape(n, k2)).reshape(frame.shape)
     pos_t = {idx: i for i, (knd, idx) in enumerate(order) if knd == "t"}
     pos_s = {idx: i for i, (knd, idx) in enumerate(order) if knd == "s"}
-    tval = [frame.C[pos_t[a]] for a in range(1, k1 + 1)]
-    omt = [frame.OM[pos_t[a]] for a in range(1, k1 + 1)]
-    oms = [frame.OM[pos_s[b]] for b in range(1, k2 + 1)]
+    if kind != "g":  # a 'g' weight needs gaps only; 1 - c may be negative on the half-line
+        tval = [frame.C[pos_t[a]] for a in range(1, k1 + 1)]
+        omt = [frame.OM[pos_t[a]] for a in range(1, k1 + 1)]
+        oms = [frame.OM[pos_s[b]] for b in range(1, k2 + 1)]
 
     def gap_st(b, a):
         """s_b - t_a as a signed value."""
@@ -268,16 +284,16 @@ def _rational_weight(integrand: Integrand, order, frame: _ChainFrame):
     return total / (math.factorial(k1) * math.factorial(k2))
 
 
-def _det_value(integrand: Integrand, order, aw: AxisWeights, n: int, q: int) -> float:
-    if integrand.interval != "01":
-        raise DomainError("deterministic scheme is restricted to [0,1] identities")
+def _frame_values(integrand: Integrand, order, aw: AxisWeights,
+                  frame: _ChainFrame) -> np.ndarray:
+    """integrand * Jacobian / per-axis weight models on the frame's points.
+
+    On the half-line axis 0 carries the overall scale c_0 and has no
+    model here: the sampler's gamma density covers it.
+    """
     K = len(order)
     a, g, b1, b2 = integrand.alpha, integrand.gamma, integrand.beta1, integrand.beta2
-    rules = [_axis_rule(n, aw.w0[i], aw.w1[i], q) for i in range(K)]
-    frame = _ChainFrame([lr for lr, _, _ in rules], [lx for _, lx, _ in rules])
-    W = _on_axis(rules[0][2], 0, K)
-    for i in range(1, K):
-        W = W * _on_axis(rules[i][2], i, K)
+    halfline = integrand.interval == "0inf"
 
     # log of the power-product part of integrand * Jacobian / axis models;
     # a 'callable' integrand is a black box, so only Jacobian and models
@@ -285,7 +301,12 @@ def _det_value(integrand: Integrand, order, aw: AxisWeights, n: int, q: int) -> 
     logf = np.zeros(frame.shape)
     if integrand.kind != "callable":
         for i, (kndi, _) in enumerate(order):
-            if kndi == "t":
+            if halfline:
+                rate = integrand.exp_rates[0 if kndi == "t" else 1]
+                if kndi == "t":
+                    logf += (a - 1.0) * frame.LS[i]
+                logf -= rate * frame.C[i]
+            elif kndi == "t":
                 logf += (a - 1.0) * frame.LS[i] + (b1 - 1.0) * frame.LOM[i]
             else:
                 logf += (b2 - 1.0) * frame.LOM[i]
@@ -296,10 +317,20 @@ def _det_value(integrand: Integrand, order, aw: AxisWeights, n: int, q: int) -> 
                 logf += expo * frame.lgap(i, j)
     for i in range(1, K):
         logf += frame.LS[i - 1]  # Jacobian
-    for i in range(K):
+    for i in range(1 if halfline else 0, K):
         logf -= aw.w0[i] * frame.LOGR[i] + aw.w1[i] * frame.LOGX[i]
+    return np.exp(logf) * _rational_weight(integrand, order, frame)
 
-    vals = np.exp(logf) * _rational_weight(integrand, order, frame)
+
+def _det_value(integrand: Integrand, order, aw: AxisWeights, n: int, q: int) -> float:
+    K = len(order)
+    rules = [_axis_rule(n, aw.w0[i], aw.w1[i], q) for i in range(K)]
+    frame = _ChainFrame([_on_axis(r[0], i, K) for i, r in enumerate(rules)],
+                        [_on_axis(r[1], i, K) for i, r in enumerate(rules)])
+    W = _on_axis(rules[0][2], 0, K)
+    for i in range(1, K):
+        W = W * _on_axis(rules[i][2], i, K)
+    vals = _frame_values(integrand, order, aw, frame)
     if not np.all(np.isfinite(vals)):
         raise IntegrandSingularError("non-finite deterministic quadrature values")
     return float(np.dot(W.ravel(), vals.ravel()))
@@ -309,40 +340,7 @@ def _det_value(integrand: Integrand, order, aw: AxisWeights, n: int, q: int) -> 
 # Monte Carlo engine
 # ---------------------------------------------------------------------------
 
-def _evaluate_ratio(integrand: Integrand, order, aw: AxisWeights,
-                    R: np.ndarray, scale=None) -> np.ndarray:
-    """integrand(c(R)) * Jacobian / per-axis weight models on sample rows."""
-    n, K = R.shape
-    if scale is None:
-        C = np.cumprod(R, axis=1)
-    else:
-        inner = np.hstack([np.ones((n, 1)), R[:, 1:]])
-        C = scale[:, None] * np.cumprod(inner, axis=1)
-    t = np.empty((n, integrand.k1))
-    s = np.empty((n, integrand.k2))
-    for i, (kind, idx) in enumerate(order):
-        (t if kind == "t" else s)[:, idx - 1] = C[:, i]
-    try:
-        vals = integrand(t, s)
-    except NearSingularError as exc:
-        raise IntegrandSingularError(f"quadrature node hit a singular facet: {exc}") from exc
-    logJ = np.zeros(n)
-    for i in range(1, K):
-        logJ += np.log(C[:, i - 1])
-    logw = np.zeros(n)
-    for i in range(K):
-        if i == 0 and scale is not None:
-            continue
-        logw += aw.w0[i] * np.log(R[:, i])
-        if aw.w1[i] is not None:
-            logw += aw.w1[i] * np.log1p(-R[:, i])
-    sign = np.sign(vals)
-    with np.errstate(divide="ignore"):
-        logabs = np.log(np.abs(np.where(sign == 0.0, 1.0, vals)))
-    out = sign * np.exp(logabs + logJ - logw)
-    if not np.all(np.isfinite(out)):
-        raise IntegrandSingularError("non-finite Monte Carlo values; transform mismatch")
-    return out
+MC_BLOCK_ROWS = 65_536  # sample rows per frame; bounds the working set
 
 
 def _mc_value(integrand: Integrand, order, aw: AxisWeights, q: QuadSpec):
@@ -351,7 +349,6 @@ def _mc_value(integrand: Integrand, order, aw: AxisWeights, q: QuadSpec):
     n = q.sample_count
     halfline = integrand.interval == "0inf"
     logdens_const = 0.0
-    scale = None
     clip = 1e-12
     if halfline:
         a1 = aw.w0[0] + 1.0
@@ -366,9 +363,19 @@ def _mc_value(integrand: Integrand, order, aw: AxisWeights, q: QuadSpec):
         ai, bi = aw.w0[i] + 1.0, aw.w1[i] + 1.0
         R[:, i] = np.clip(rng.beta(ai, bi, size=n), clip, 1.0 - clip)
         logdens_const -= betaln(ai, bi)
-    vals = _evaluate_ratio(integrand, order, aw, R, scale=scale)
-    if halfline:
-        vals = vals * np.exp(-(a1 - 1.0) * np.log(scale) + b1 * scale)
+
+    # on the half-line column 0 is the scale c_0 itself, with no 1 - r
+    vals = np.empty(n)
+    for lo in range(0, n, MC_BLOCK_ROWS):
+        block = R[lo:lo + MC_BLOCK_ROWS]
+        logr = [np.log(block[:, i]) for i in range(K)]
+        logx = [None if i == 0 and halfline else np.log1p(-block[:, i]) for i in range(K)]
+        v = _frame_values(integrand, order, aw, _ChainFrame(logr, logx))
+        if halfline:
+            v = v * np.exp(-(a1 - 1.0) * logr[0] + b1 * block[:, 0])
+        vals[lo:lo + len(block)] = v
+    if not np.all(np.isfinite(vals)):
+        raise IntegrandSingularError("non-finite Monte Carlo values")
     vals = vals * math.exp(-logdens_const)
     mean = float(np.mean(vals))
     err = float(np.std(vals, ddof=1) / math.sqrt(n))
@@ -416,9 +423,7 @@ def integrate_chain(integrand: Integrand, chain: Chain, q: QuadSpec,
     total = 0.0
     errsq = 0.0
     for i, (M, coeff) in enumerate(chain.terms):
-        qi = q if q.scheme == "deterministic" else QuadSpec(
-            q.scheme, q.nodes_per_axis, q.sample_count, q.seed + 104729 * i,
-            q.smooth_order)
+        qi = q if q.scheme == "deterministic" else replace(q, seed=q.seed + 104729 * i)
         val, err = integrate_domain(integrand, M, qi, p)
         total += coeff * val
         errsq += (coeff * err) ** 2

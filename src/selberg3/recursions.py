@@ -245,30 +245,6 @@ def jjl_shift_check(p: ParamSet, l: int) -> float:
     return abs((left / right).to_float() - 1.0)
 
 
-def aomoto_suite(k: int, p: ParamSet, samples: int = 0, nodes: int = 0,
-                 seed: int = 20070920) -> dict:
-    """Two-sided check of the moment values: exact ratio relations plus
-    quadrature grounding of each moment integral.
-
-    Returns {'ratio_residuals': [...], 'quadrature': [(l, estimate,
-    closed_form, rel_dev), ...]}; the quadrature arm wants k <= 4.
-    """
-    from .chains import gamma_chain
-    from .closed_forms import aomoto_rhs
-    from .integrands import assembled_integrand
-    from .quadrature import QuadSpec, integrate_chain
-
-    report = {"ratio_residuals": aomoto_ratio_residuals(k, p), "quadrature": []}
-    chain = gamma_chain(k, 0, p.gamma)
-    spec = QuadSpec("deterministic", nodes, samples or 200_000, seed)
-    for ell in range(k + 1):
-        ig = assembled_integrand("aomoto", p.with_(k1=k, k2=0), indices=ell)
-        got, _ = integrate_chain(ig, chain, spec, p)
-        want = aomoto_rhs(k, ell, p).to_float()
-        report["quadrature"].append((ell, got, want, abs(got - want) / abs(want)))
-    return report
-
-
 def aomoto_ratio_residuals(k: int, p: ParamSet) -> list[float]:
     """Residuals of (alpha+(k-l-1)g) I_l = (beta+lg) I_{l+1}, l = 0..k-1."""
     from .closed_forms import aomoto_rhs

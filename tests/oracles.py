@@ -3,15 +3,20 @@
 Everything here is deliberately naive: exact rational arithmetic where
 possible, explicit loops over permutations, high-precision special
 functions from mpmath.  None of it shares code with the package paths it
-checks, except two references at the end that the package must reproduce
-bit for bit:
+checks, except the references that the package must reproduce:
 
 * the lattice-summand references run the package's point evaluators
   (``phi_sign_log``, ``weight_w``, ``f_off_lattice``, ``_draw_direction``)
   point by point, the way the batched table and probe paths replaced;
 * the chain-quadrature reference takes the package's per-axis rules
   (``_axis_rule``) and lays the frame out over the full node mesh, the
-  way the broadcast tensor frame replaced.
+  way the broadcast tensor frame replaced, bit for bit;
+* the raw-coordinate integrands (``omega``, ``weight_g``, ``h_func``,
+  ``h_tilde_func``, and ``raw_integrand``, which assembles them from an
+  ``Integrand`` description) evaluate on coordinate rows by subtracting
+  coordinates, and ``raw_ratio`` / ``raw_mc_value`` are the Monte Carlo
+  path built on them, which the chain frame replaced; they agree with
+  the frame to rounding away from coincidences.
 """
 
 from __future__ import annotations
@@ -381,3 +386,264 @@ def mesh_det_value(integrand, order, aw, n, q):
         logf -= aw.w0[i] * LOGR[:, i] + aw.w1[i] * LOGX[:, i]
     vals = np.exp(logf) * _mesh_rational_weight(integrand, order, frame)
     return float(np.dot(W, vals))
+
+
+# ---------------------------------------------------------------------------
+# raw-coordinate integrands and Monte Carlo: the path the chain frame
+# replaces
+# ---------------------------------------------------------------------------
+
+def _check_sym_cap(k1, k2):
+    from selberg3.errors import DomainError
+
+    if factorial(k1) * factorial(k2) > 40320:
+        raise DomainError(f"symmetrization over S_{k1} x S_{k2} exceeds the term cap")
+
+
+def weight_g(t, s, form="shifted", near_tol=1e-9, magnitude=False):
+    """Symmetrized rational weight with simple poles at t_a = s_b.
+
+    ``form='shifted'`` uses partners t_{b+k1-k2}; ``form='plain'`` uses
+    t_b.  The two agree identically; both are kept so the equality can be
+    tested.  ``magnitude=True`` sums the terms' absolute values instead.
+    """
+    from selberg3.errors import NearSingularError
+
+    t = np.atleast_2d(np.asarray(t, dtype=float))
+    s = np.atleast_2d(np.asarray(s, dtype=float))
+    n, k1, k2 = t.shape[0], t.shape[1], s.shape[1]
+    _check_sym_cap(k1, k2)
+    if k2 == 0:
+        return np.ones(n)
+    offset = (k1 - k2) if form == "shifted" else 0
+    if np.abs(t[:, None, :] - s[:, :, None]).min() < near_tol:
+        raise NearSingularError("weight evaluated too close to t = s")
+    total = np.zeros(n)
+    for sigma in permutations(range(k1)):
+        ts = t[:, sigma]
+        for tau in permutations(range(k2)):
+            ss = s[:, tau]
+            term = np.ones(n)
+            for b in range(k2):
+                term = term / (ss[:, b] - ts[:, b + offset])
+            total = total + (np.abs(term) if magnitude else term)
+    return total / (factorial(k1) * factorial(k2))
+
+
+def omega(t, s, p, near_tol=1e-9):
+    """Power-product master density on the open unit box.
+
+    Coincidence factors are taken on absolute values; inside any ordered
+    domain the orderings fix all signs, so no branch ambiguity arises.
+    """
+    from selberg3.errors import DomainError, NearSingularError
+
+    t = np.atleast_2d(np.asarray(t, dtype=float))
+    s = np.atleast_2d(np.asarray(s, dtype=float))
+    n, k1, k2 = t.shape[0], t.shape[1], s.shape[1]
+    if (k1 and (t.min() <= 0.0 or t.max() >= 1.0)) or (k2 and (s.min() <= 0.0 or s.max() >= 1.0)):
+        raise DomainError("omega requires all coordinates strictly inside (0,1)")
+    a, b1, b2, g = p.alpha, p.beta1, p.beta2, p.gamma
+    logv = np.zeros(n)
+    if k1:
+        logv += (a - 1.0) * np.log(t).sum(axis=1) + (b1 - 1.0) * np.log1p(-t).sum(axis=1)
+    if k2:
+        logv += (b2 - 1.0) * np.log1p(-s).sum(axis=1)
+    if k1 and k2:
+        d = np.abs(t[:, :, None] - s[:, None, :])
+        if d.min() < near_tol:
+            raise NearSingularError("omega evaluated too close to t = s")
+        logv += (-g) * np.log(d).reshape(n, -1).sum(axis=1)
+    for block, kdim in ((t, k1), (s, k2)):
+        for i in range(kdim):
+            for j in range(i + 1, kdim):
+                d = np.abs(block[:, i] - block[:, j])
+                if d.min() < near_tol:
+                    raise NearSingularError("omega evaluated too close to a coincidence")
+                logv += (2.0 * g) * np.log(d)
+    return np.exp(logv)
+
+
+def _h_core(l1, l2, m, t, s, k1, k2, twisted, near_tol, magnitude=False):
+    from selberg3.errors import InadmissibleTripleError, NearSingularError
+    from selberg3.integrands import is_admissible
+
+    t = np.atleast_2d(np.asarray(t, dtype=float))
+    s = np.atleast_2d(np.asarray(s, dtype=float))
+    n = t.shape[0]
+    _check_sym_cap(k1, k2)
+    if not is_admissible(l1, l2, m, k1, k2):
+        raise InadmissibleTripleError(f"triple ({l1},{l2},{m}) is not admissible for ({k1},{k2})")
+    if k1 and k2 and np.abs(t[:, None, :] - s[:, :, None]).min() < near_tol:
+        raise NearSingularError("h evaluated too close to t = s")
+    kk = k1 - k2
+    total = np.zeros(n)
+    for sigma in permutations(range(k1)):
+        ts = t[:, sigma]
+        base = np.ones(n)
+        for aa in range(l1):
+            base = base * ts[:, aa]
+        for aa in range(l1, k1):
+            base = base * (1.0 - ts[:, aa])
+        for tau in permutations(range(k2)):
+            ss = s[:, tau]
+            term = base.copy()
+            for b in range(m):
+                numer = (1.0 - ts[:, b]) if twisted else (1.0 - ss[:, b])
+                term = term * numer / (ss[:, b] - ts[:, b])
+            for b in range(l2, k2):
+                term = term * (1.0 - ss[:, b]) / (ss[:, b] - ts[:, b + kk])
+            total = total + (np.abs(term) if magnitude else term)
+    return total / (factorial(k1) * factorial(k2))
+
+
+def h_func(l1, l2, m, t, s, k1, k2, near_tol=1e-9):
+    """Doubly symmetrized end-point weight."""
+    return _h_core(l1, l2, m, t, s, k1, k2, twisted=False, near_tol=near_tol)
+
+
+def h_tilde_func(l1, l2, m, t, s, k1, k2, near_tol=1e-9):
+    """Twisted variant: the m-block numerators carry 1-t instead of 1-s."""
+    return _h_core(l1, l2, m, t, s, k1, k2, twisted=True, near_tol=near_tol)
+
+
+def _pair_powers(t, s, g):
+    n, k1, k2 = t.shape[0], t.shape[1], s.shape[1]
+    logv = np.zeros(n)
+    if k1 and k2:
+        d = np.abs(t[:, :, None] - s[:, None, :])
+        logv += (-g) * np.log(d).reshape(n, -1).sum(axis=1)
+    for block, kdim in ((t, k1), (s, k2)):
+        for i in range(kdim):
+            for j in range(i + 1, kdim):
+                logv += (2.0 * g) * np.log(np.abs(block[:, i] - block[:, j]))
+    return logv
+
+
+def raw_integrand(ig, near_tol=0.0, magnitude=False):
+    """The integrand an ``Integrand`` describes, as a function of raw
+    coordinate rows (t, s) of shapes (n, k1) / (n, k2).
+
+    On [0,1] it is ``omega`` times the rational weight the kind names; on
+    the half-line the power product carries e^(-rate c) from
+    ``exp_rates`` instead of the (1-c) powers.  A 'callable' integrand is
+    its own ``fn``.  ``magnitude=True`` sums the absolute values of the
+    weight's symmetrization terms, the scale against which the raw sum
+    loses digits when they cancel.
+    """
+    if ig.kind == "callable":
+        return ig.fn
+    from types import SimpleNamespace
+
+    k1, k2, a, g = ig.k1, ig.k2, ig.alpha, ig.gamma
+    params = SimpleNamespace(alpha=a, beta1=ig.beta1, beta2=ig.beta2, gamma=g)
+
+    def fn(t, s):
+        t = np.atleast_2d(np.asarray(t, dtype=float))
+        s = np.asarray(s, dtype=float).reshape(t.shape[0], k2)
+        if ig.interval == "01":
+            vals = omega(t, s, params, near_tol=near_tol)
+        else:
+            rt, rs = ig.exp_rates
+            logv = (a - 1.0) * np.log(t).sum(axis=1) - rt * t.sum(axis=1)
+            if k2:
+                logv = logv - rs * s.sum(axis=1)
+            vals = np.exp(logv + _pair_powers(t, s, g))
+        if ig.kind == "g":
+            vals = vals * weight_g(t, s, near_tol=near_tol, magnitude=magnitude)
+        elif ig.kind in ("h", "ht"):
+            l1, l2, m = ig.indices
+            vals = vals * _h_core(l1, l2, m, t, s, k1, k2, twisted=ig.kind == "ht",
+                                  near_tol=near_tol, magnitude=magnitude)
+        elif ig.kind in ("moment", "moment_plain"):
+            (ell,) = ig.indices
+            total = np.zeros(t.shape[0])
+            for sigma in permutations(range(k1)):
+                ts = t[:, sigma]
+                term = np.ones(t.shape[0])
+                for aa in range(ell):
+                    term = term * ts[:, aa]
+                if ig.kind == "moment":
+                    for aa in range(ell, k1):
+                        term = term * (1.0 - ts[:, aa])
+                total = total + term
+            vals = vals * total / factorial(k1)
+        return vals
+
+    return fn
+
+
+def raw_ratio(ig, order, aw, R, scale=None, magnitude=False):
+    """integrand(c(R)) * Jacobian / per-axis weight models on sample rows,
+    with the coordinates multiplied out and the integrand evaluated on
+    them raw; on the half-line ``scale`` is the overall scale c_0."""
+    from selberg3.errors import IntegrandSingularError, NearSingularError
+
+    n, K = R.shape
+    if scale is None:
+        C = np.cumprod(R, axis=1)
+    else:
+        inner = np.hstack([np.ones((n, 1)), R[:, 1:]])
+        C = scale[:, None] * np.cumprod(inner, axis=1)
+    t = np.empty((n, ig.k1))
+    s = np.empty((n, ig.k2))
+    for i, (kind, idx) in enumerate(order):
+        (t if kind == "t" else s)[:, idx - 1] = C[:, i]
+    try:
+        vals = raw_integrand(ig, magnitude=magnitude)(t, s)
+    except NearSingularError as exc:
+        raise IntegrandSingularError(f"quadrature node hit a singular facet: {exc}") from exc
+    logJ = np.zeros(n)
+    for i in range(1, K):
+        logJ += np.log(C[:, i - 1])
+    logw = np.zeros(n)
+    for i in range(K):
+        if i == 0 and scale is not None:
+            continue
+        logw += aw.w0[i] * np.log(R[:, i])
+        if aw.w1[i] is not None:
+            logw += aw.w1[i] * np.log1p(-R[:, i])
+    sign = np.sign(vals)
+    with np.errstate(divide="ignore"):
+        logabs = np.log(np.abs(np.where(sign == 0.0, 1.0, vals)))
+    out = sign * np.exp(logabs + logJ - logw)
+    if not np.all(np.isfinite(out)):
+        raise IntegrandSingularError("non-finite Monte Carlo values; transform mismatch")
+    return out
+
+
+def raw_mc_value(ig, order, aw, q):
+    """Monte Carlo estimate (mean, error) through ``raw_ratio``, with the
+    samples ``quadrature._mc_value`` draws: the same generator calls in
+    the same order."""
+    import math
+
+    from scipy.special import betaln, gammaln
+
+    K = len(order)
+    rng = np.random.default_rng(q.seed)
+    n = q.sample_count
+    halfline = ig.interval == "0inf"
+    logdens_const = 0.0
+    scale = None
+    clip = 1e-12
+    if halfline:
+        a1 = aw.w0[0] + 1.0
+        b1 = 0.9 * min(ig.exp_rates)
+        scale = np.maximum(rng.gamma(shape=a1, scale=1.0 / b1, size=n), 1e-280)
+        logdens_const += a1 * math.log(b1) - gammaln(a1)
+    R = np.empty((n, K))
+    for i in range(K):
+        if i == 0 and halfline:
+            R[:, 0] = scale
+            continue
+        ai, bi = aw.w0[i] + 1.0, aw.w1[i] + 1.0
+        R[:, i] = np.clip(rng.beta(ai, bi, size=n), clip, 1.0 - clip)
+        logdens_const -= betaln(ai, bi)
+    vals = raw_ratio(ig, order, aw, R, scale=scale)
+    if halfline:
+        vals = vals * np.exp(-(a1 - 1.0) * np.log(scale) + b1 * scale)
+    vals = vals * math.exp(-logdens_const)
+    mean = float(np.mean(vals))
+    err = float(np.std(vals, ddof=1) / math.sqrt(n))
+    return mean, err

@@ -17,12 +17,13 @@ from oracles import (
     brute_cone_integer_parts,
     domain_monomial_integral,
     simplex_monomial_integral,
+    weight_g,
 )
 from selberg3 import closed_forms as cf
 from selberg3.chains import enumerate_maps, gamma_chain, merged_order, unit_chain
 from selberg3.cli import main as cli_main
 from selberg3.identities import Budget, identity_ids, run_identity
-from selberg3.integrands import LatticePoint, assembled_integrand, f_limit, weight_g
+from selberg3.integrands import LatticePoint, assembled_integrand, f_limit
 from selberg3.lattice import (
     cone_integer_parts,
     eps_limit_ratio,
@@ -31,7 +32,7 @@ from selberg3.lattice import (
 )
 from selberg3.logreal import log_gamma_signed
 from selberg3.params import ParamSet
-from selberg3.quadrature import QuadSpec, integrate_chain
+from selberg3.quadrature import QuadSpec, _ChainFrame, _rational_weight, integrate_chain
 from selberg3.recursions import solve_both, verify_relations
 
 
@@ -311,6 +312,17 @@ def test_criterion_14_structural_suites(capsys, tmp_path):
     assert weight_g(t[:, rng.permutation(3)], s[:, rng.permutation(2)])[0] == \
         pytest.approx(base, rel=1e-12)
     assert weight_g(t, s, form="plain")[0] == pytest.approx(base, rel=1e-12)
+    # the package's g weight, from the chain frame of the same point
+    coords = sorted([(x, ("t", a + 1)) for a, x in enumerate(t[0])]
+                    + [(x, ("s", b + 1)) for b, x in enumerate(s[0])], reverse=True)
+    c = np.array([x for x, _ in coords])
+    r = c / np.concatenate(([1.0], c[:-1]))
+    frame = _ChainFrame([np.log(r[i:i + 1]) for i in range(5)],
+                        [np.log1p(-r[i:i + 1]) for i in range(5)])
+    ig = assembled_integrand("selb3", ParamSet(k1=3, k2=2, alpha=1.5, beta1=1.2,
+                                               beta2=1.4, gamma=-0.15))
+    got = _rational_weight(ig, [lab for _, lab in coords], frame)[0]
+    assert got == pytest.approx(base, rel=1e-12)
     # cone enumeration equals the brute-force filter
     assert set(cone_integer_parts(2, 1, 5)) == brute_cone_integer_parts(2, 1, 5)
     # registry completeness

@@ -6,7 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import brute_h, brute_weight_g, brute_weight_w, mp_gamma, sequential_limit_pair
+from oracles import (brute_h, brute_weight_g, brute_weight_w, h_func, h_tilde_func, mp_gamma,
+                     omega, raw_integrand, sequential_limit_pair, weight_g)
 from selberg3 import integrands
 from selberg3.errors import (
     DomainError,
@@ -15,19 +16,14 @@ from selberg3.errors import (
     PoleError,
 )
 from selberg3.integrands import (
-    ContinuousPoint,
     LatticePoint,
     assembled_integrand,
     f_limit,
     f_off_lattice,
-    h_func,
-    h_tilde_func,
     is_admissible,
     lattice_point_is_regular,
     limit_pairs,
     master_phi,
-    omega,
-    weight_g,
     weight_w,
 )
 from selberg3.lattice import cone_integer_parts
@@ -238,14 +234,14 @@ class TestAssembledIntegrands:
         rng = np.random.default_rng(1)
         t = np.sort(rng.uniform(0.05, 0.95, size=(8, 2)), axis=1)[:, ::-1]
         s = np.zeros((8, 0))
-        a = assembled_integrand("selb30", p)(t, s)
-        b = assembled_integrand("selb", p)(t, s)
+        a = raw_integrand(assembled_integrand("selb30", p))(t, s)
+        b = raw_integrand(assembled_integrand("selb", p))(t, s)
         assert np.allclose(a, b, rtol=1e-13)
 
     def test_exp3_11_assembly(self):
         p = ParamSet(k1=1, k2=1, alpha=1.5, beta1=1.0, beta2=1.3, gamma=-0.2)
         t, s = 0.4, 0.9
-        got = assembled_integrand("exp3", p)(np.array([[t]]), np.array([[s]]))[0]
+        got = raw_integrand(assembled_integrand("exp3", p))(np.array([[t]]), np.array([[s]]))[0]
         want = (math.exp(-p.beta1 * t) * t ** (p.alpha - 1)
                 * math.exp(-p.beta2 * s) * abs(s - t) ** (-p.gamma) / (s - t))
         assert got == pytest.approx(want, rel=1e-13)
@@ -256,7 +252,7 @@ class TestAssembledIntegrands:
         rng = np.random.default_rng(6)
         t = rng.uniform(0.05, 0.95, size=(10, 2))
         s = rng.uniform(0.05, 0.95, size=(10, 1))
-        lhs = assembled_integrand("J", p, indices=(0, 0, 0))(t, s)
+        lhs = raw_integrand(assembled_integrand("J", p, indices=(0, 0, 0)))(t, s)
         p_up = p.with_(beta1=p.beta1 + 1.0, beta2=p.beta2 + 1.0)
         rhs = omega(t, s, p_up) * weight_g(t, s)
         assert np.allclose(lhs, rhs, rtol=1e-12)
@@ -267,7 +263,7 @@ class TestAssembledIntegrands:
         rng = np.random.default_rng(8)
         t = rng.uniform(0.05, 0.95, size=(10, 2))
         s = rng.uniform(0.05, 0.95, size=(10, 1))
-        lhs = assembled_integrand("J", p, indices=(0, 1, 0))(t, s)
+        lhs = raw_integrand(assembled_integrand("J", p, indices=(0, 1, 0)))(t, s)
         rhs = omega(t, s, p.with_(beta1=p.beta1 + 1.0))
         assert np.allclose(lhs, rhs, rtol=1e-12)
 
@@ -309,10 +305,6 @@ class TestLatticeLimit:
         assert not lattice_point_is_regular(pt, p)
         a, b = f_limit(pt, p, return_pair=True)
         assert a == pytest.approx(b, rel=1e-6)
-
-    def test_continuous_point_container(self):
-        cp = ContinuousPoint((0.2, 0.1), (0.5,))
-        assert cp.t == (0.2, 0.1) and cp.s == (0.5,)
 
     def test_off_lattice_probe_values_finite(self):
         p = ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.3)

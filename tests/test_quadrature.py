@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from oracles import (MeshChainFrame, domain_monomial_integral, interleavings, mesh,
-                     mesh_det_value, simplex_monomial_integral)
+                     mesh_det_value, raw_mc_value, raw_ratio, simplex_monomial_integral)
 from selberg3 import closed_forms as cf
+from selberg3 import quadrature
 from selberg3.chains import OrderMap, enumerate_maps, gamma_chain, merged_order, unit_chain
-from selberg3.errors import DomainError
+from selberg3.errors import DomainError, InadmissibleTripleError
 from selberg3.integrands import Integrand, assembled_integrand
 from selberg3.params import ParamSet
-from selberg3.quadrature import (QuadSpec, _axis_rule, _ChainFrame, _det_value,
-                                 facet_exponents, integrate_chain, integrate_domain)
+from selberg3.quadrature import (QuadSpec, _axis_rule, _ChainFrame, _det_value, _frame_values,
+                                 _mc_value, _on_axis, facet_exponents, integrate_chain,
+                                 integrate_domain)
 
 EMPTY_MAP = OrderMap(())
 
@@ -77,6 +79,13 @@ class TestDeterministic:
         with pytest.raises(DomainError):
             integrate_domain(ig, OrderMap((1, 2)), QuadSpec("deterministic"), p)
 
+    @pytest.mark.parametrize("scheme", ["deterministic", "monte_carlo"])
+    def test_inadmissible_triple_rejected(self, scheme):
+        p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+        with pytest.raises(InadmissibleTripleError):
+            integrate_chain(assembled_integrand("J", p, indices=(2, 0, 0)),
+                            gamma_chain(2, 1, p.gamma), QuadSpec(scheme), p)
+
     def test_unknown_scheme(self):
         p = ParamSet(k1=1, k2=0, alpha=1.5, beta1=1.5, gamma=-0.1)
         ig = assembled_integrand("selb", p)
@@ -112,7 +121,7 @@ def _frame_cases():
         out.append((f"g-{k1}{k2}", assembled_integrand("selb3", p), k1, k2))
         out.append((f"plain-selb30-{k1}{k2}", assembled_integrand("selb30", p), k1, k2))
     for which in ("J", "Jt"):
-        for k1, k2, idx in ((1, 1, (1, 1, 1)), (2, 1, (1, 0, 1)), (2, 2, (1, 1, 1)),
+        for k1, k2, idx in ((1, 1, (1, 1, 1)), (2, 1, (1, 0, 0)), (2, 2, (1, 1, 1)),
                             (2, 2, (2, 2, 0))):
             p = ParamSet(k1=k1, k2=k2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
             ig = assembled_integrand(which, p, indices=idx)
@@ -169,7 +178,9 @@ class TestBroadcastFrame:
         # to round away still shows
         rules = [_axis_rule(n, 0.5 + 0.1 * i, -0.3 + 0.2 * i, q) for i in range(K)]
         logr, logx = [r[0] for r in rules], [r[1] for r in rules]
-        frame, ref = _ChainFrame(logr, logx), MeshChainFrame(mesh(logr), mesh(logx))
+        frame = _ChainFrame([_on_axis(v, i, K) for i, v in enumerate(logr)],
+                            [_on_axis(v, i, K) for i, v in enumerate(logx)])
+        ref = MeshChainFrame(mesh(logr), mesh(logx))
 
         def full(arr):
             return np.broadcast_to(arr, frame.shape).ravel()
@@ -187,6 +198,97 @@ class TestBroadcastFrame:
         for arr in rule:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+def _halfline_cases():
+    """(id, integrand, k1, k2) of the half-line kinds: 'plain' and 'g'."""
+    out = []
+    for k in (1, 2, 3):
+        p = ParamSet(k1=k, k2=0, alpha=1.5, gamma=-0.15)
+        out.append((f"plain-exp-{k}", assembled_integrand("exp", p), k, 0))
+    for k1, k2 in ((2, 0), (1, 1), (2, 1), (2, 2), (3, 1)):
+        p = ParamSet(k1=k1, k2=k2, alpha=1.5, beta1=1.0, beta2=1.3, gamma=-0.2)
+        ig = assembled_integrand("exp3", p)
+        out.append((f"{ig.kind}-exp3-{k1}{k2}", ig, k1, k2))
+    return out
+
+
+HALFLINE_CASES = _halfline_cases()
+
+
+def _min_gap(R, scale=None):
+    """Smallest distance between two chain coordinates, or between the
+    top coordinate and 1 on [0,1], of each sample row."""
+    if scale is None:
+        C = np.cumprod(R, axis=1)
+        C = np.hstack([np.ones((len(R), 1)), C])
+    else:
+        C = scale[:, None] * np.cumprod(np.hstack([np.ones((len(R), 1)), R[:, 1:]]), axis=1)
+    return np.min(C[:, :-1] - C[:, 1:], axis=1, initial=np.inf)
+
+
+def _sample_rows(ig, aw, K, n, seed):
+    """Rows drawn the way Monte Carlo draws them: (R, scale or None)."""
+    rng = np.random.default_rng(seed)
+    R = np.empty((n, K))
+    scale = None
+    if ig.interval == "0inf":
+        scale = rng.gamma(aw.w0[0] + 1.0, 1.0 / (0.9 * min(ig.exp_rates)), size=n)
+        R[:, 0] = scale
+    for i in range(0 if scale is None else 1, K):
+        R[:, i] = np.clip(rng.beta(aw.w0[i] + 1.0, aw.w1[i] + 1.0, size=n), 1e-12, 1 - 1e-12)
+    return R, scale
+
+
+def _assert_close_where_separated(got, want, gap, magnitude):
+    """rel <= 1e-9 on rows whose smallest gap exceeds 1e-6, times the
+    cancellation of the raw weight sum, which the raw side pays in lost
+    digits (magnitude: the same sum over the terms' absolute values)."""
+    keep = gap > 1e-6
+    assert keep.sum() > 0.5 * len(keep)
+    cancel = magnitude[keep] / np.abs(want[keep])
+    assert np.median(cancel) < 10.0
+    assert np.all(np.abs(got[keep] - want[keep]) <= 1e-9 * cancel * np.abs(want[keep]))
+
+
+class TestFrameAgainstRawOracle:
+    """Frame values against the raw-coordinate integrand x Jacobian / model."""
+
+    @pytest.mark.parametrize("ig,k1,k2", [c[1:] for c in FRAME_CASES],
+                             ids=[c[0] for c in FRAME_CASES])
+    def test_tensor_views(self, ig, k1, k2):
+        K = k1 + k2
+        maps = enumerate_maps(k1, k2)
+        for M in {maps[0], maps[-1]}:
+            order = merged_order(M, k1, k2)
+            aw = facet_exponents(ig, M)
+            rules = [_axis_rule(10, aw.w0[i], aw.w1[i], 4) for i in range(K)]
+            frame = _ChainFrame([_on_axis(r[0], i, K) for i, r in enumerate(rules)],
+                                [_on_axis(r[1], i, K) for i, r in enumerate(rules)])
+            got = np.broadcast_to(_frame_values(ig, order, aw, frame), frame.shape).ravel()
+            R = np.exp(mesh([r[0] for r in rules]))
+            _assert_close_where_separated(got, raw_ratio(ig, order, aw, R), _min_gap(R),
+                                          raw_ratio(ig, order, aw, R, magnitude=True))
+
+    @pytest.mark.parametrize("ig,k1,k2", [c[1:] for c in FRAME_CASES + HALFLINE_CASES],
+                             ids=[c[0] for c in FRAME_CASES + HALFLINE_CASES])
+    def test_sample_rows(self, ig, k1, k2):
+        K = k1 + k2
+        maps = enumerate_maps(k1, k2)
+        for M in {maps[0], maps[-1]}:
+            order = merged_order(M, k1, k2)
+            aw = facet_exponents(ig, M)
+            R, scale = _sample_rows(ig, aw, K, 2000, seed=K)
+            logx = [None if i == 0 and scale is not None else np.log1p(-R[:, i])
+                    for i in range(K)]
+            frame = _ChainFrame([np.log(R[:, i]) for i in range(K)], logx)
+            got = _frame_values(ig, order, aw, frame)
+            want = raw_ratio(ig, order, aw, R, scale=scale)
+            _assert_close_where_separated(got, want, _min_gap(R, scale),
+                                          raw_ratio(ig, order, aw, R, scale, magnitude=True))
+            if scale is not None:
+                # coordinates above 1 make 1 - c negative: it is never logged
+                assert "LOM" not in vars(frame) and "OM" not in vars(frame)
 
 
 class TestMonteCarlo:
@@ -229,6 +331,58 @@ class TestMonteCarlo:
         a = integrate_chain(ig, gamma_chain(1, 1, p.gamma), spec, p)
         b = integrate_chain(ig, gamma_chain(1, 1, p.gamma), spec, p)
         assert a == b
+
+    @pytest.mark.parametrize("which,k1,k2,idx", [
+        ("selb", 2, 0, None), ("selb30", 2, 2, None), ("selb3", 2, 1, None),
+        ("aomoto", 3, 0, 1), ("aomoto", 2, 0, (1, "original")), ("J", 2, 1, (1, 0, 0)),
+        ("Jt", 2, 2, (1, 1, 1)), ("exp", 2, 0, None), ("exp3", 2, 1, None),
+        ("exp3", 2, 2, None), ("callable", 2, 1, None)])
+    def test_matches_raw_coordinate_path(self, which, k1, k2, idx):
+        # the half-line points are the quadrature benchmark's exp3 point
+        p = ParamSet(k1=k1, k2=k2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+        if which.startswith("exp"):
+            p = p.with_(beta1=1.0, beta2=1.3, gamma=-0.2)
+        if which == "callable":
+            ig = Integrand(_poly, k1, k2, "01", 0, 1.0, 0.0, 1.0, 1.0, kind="callable")
+        else:
+            ig = assembled_integrand(which, p, indices=idx)
+        q = QuadSpec("monte_carlo", sample_count=20_000, seed=5)
+        maps = enumerate_maps(k1, k2)
+        for M in {maps[0], maps[-1]}:
+            order = merged_order(M, k1, k2)
+            aw = facet_exponents(ig, M)
+            (val, err), (want, want_err) = _mc_value(ig, order, aw, q), raw_mc_value(ig, order, aw, q)
+            assert val == pytest.approx(want, rel=1e-6)
+            assert err == pytest.approx(want_err, rel=1e-6)
+
+    @pytest.mark.parametrize("which,k1,k2,idx", [
+        ("selb3", 2, 1, None), ("exp3", 2, 1, None), ("J", 2, 2, (1, 1, 1))])
+    def test_estimate_does_not_depend_on_block_size(self, monkeypatch, which, k1, k2, idx):
+        p = ParamSet(k1=k1, k2=k2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+        ig = assembled_integrand(which, p, indices=idx)
+        spec = QuadSpec("monte_carlo", sample_count=70_000, seed=3)
+        chain = gamma_chain(k1, k2, p.gamma)
+        default = integrate_chain(ig, chain, spec, p)
+        monkeypatch.setattr(quadrature, "MC_BLOCK_ROWS", 1000)
+        assert integrate_chain(ig, chain, spec, p) == default
+
+    def test_frame_exact_at_a_clipped_coincidence(self):
+        # a sample clipped to r = 1 - 1e-12 puts t within 1e-12 * s of s,
+        # where subtracting raw coordinates loses four digits of the pole
+        p = ParamSet(k1=1, k2=1, alpha=1.5, beta1=1.0, beta2=1.3, gamma=-0.2)
+        ig = assembled_integrand("exp3", p)
+        M = OrderMap((1,))
+        order = merged_order(M, 1, 1)
+        assert order == [("s", 1), ("t", 1)]
+        aw = facet_exponents(ig, M)
+        s, r = 1.13020859, 1.0 - 1e-12
+        frame = _ChainFrame([np.log([s]), np.log([r])], [None, np.log1p(-np.array([r]))])
+        got = _frame_values(ig, order, aw, frame)[0]
+        ms, mr = mp.mpf(s), mp.mpf(r)
+        mt, a, g = ms * mr, mp.mpf(p.alpha), mp.mpf(p.gamma)
+        want = (mt ** (a - 1) * mp.exp(-p.beta1 * mt - p.beta2 * ms) * (ms - mt) ** (-g - 1)
+                * ms / (mr ** aw.w0[1] * (1 - mr) ** aw.w1[1]))
+        assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_exp3_11_factorization_oracle(self):
         p = ParamSet(k1=1, k2=1, alpha=1.5, beta1=1.0, beta2=1.3, gamma=-0.2)

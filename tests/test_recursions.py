@@ -12,7 +12,6 @@ from selberg3.recursions import (
     admissible_triples,
     all_relations,
     aomoto_ratio_residuals,
-    aomoto_suite,
     jjl_shift_check,
     solve_both,
     solve_j,
@@ -142,10 +141,3 @@ class TestAomotoSuite:
     def test_ratio_residuals(self, k):
         p = ParamSet(k1=k, k2=0, alpha=1.5, beta1=1.2, gamma=-0.11)
         assert max(aomoto_ratio_residuals(k, p)) < 1e-12
-
-    def test_full_report(self):
-        p = ParamSet(k1=2, k2=0, alpha=1.5, beta1=1.2, gamma=-0.1)
-        rep = aomoto_suite(2, p)
-        assert max(rep["ratio_residuals"]) < 1e-12
-        assert len(rep["quadrature"]) == 3
-        assert all(dev < 1e-4 for _, _, _, dev in rep["quadrature"])
