@@ -1,10 +1,12 @@
 """Summands and integrands: the left-hand side of every identity.
 
 Two families live here.  The discrete family (``master_phi``, ``weight_w``,
-``f_limit``) is evaluated on points of the shifted integer lattice, where
-gamma factors routinely sit at poles and zeros; finite values are obtained
-either directly (when every factor is regular) or as directional limits
-with Richardson extrapolation.  The summand's singular structure is
+``limit_pairs``) is evaluated on points of the shifted integer lattice,
+where gamma factors routinely sit at poles and zeros; finite values are
+obtained either directly (when every factor is regular) or as directional
+limits with Richardson extrapolation.  The checks evaluate batches of
+points, through ``lattice.lattice_values`` and ``limit_pairs``;
+``f_limit`` is the one-point case.  The summand's singular structure is
 described once, by ``lattice_bases`` and ``factor_args``; the regularity
 test, the probe-direction check and the lattice factor tables all derive
 from that description.  The continuous family is described, not

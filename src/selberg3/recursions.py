@@ -230,19 +230,33 @@ def solve_both(p: ParamSet, seed_value: LogSigned | None = None):
     return solve_j(p, seed_value, twisted=False), solve_j(p, seed_value, twisted=True)
 
 
-def jjl_shift_check(p: ParamSet, l: int) -> float:
-    """Residual of the parameter-shift identity between table corners.
+def jjl_shift_residuals(p: ParamSet) -> list[float]:
+    """Residuals of the parameter-shift identity between table corners,
+    for l = 0..k2.
 
     The (0, l, 0) entry at (alpha+1, beta1, beta2) must equal the
-    (k1, k2, k2-l) entry at (alpha, beta1+1, beta2).
+    (k1, k2, k2-l) entry at (alpha, beta1+1, beta2).  Both sides are
+    plain-table entries, so the two shifted plain tables are solved once
+    and every l is read from them.
     """
+    q_left = p.with_(alpha=p.alpha + 1.0)
+    q_right = p.with_(beta1=p.beta1 + 1.0)
+    left_tab = solve_j(q_left, j_closed_form("J000", q_left))
+    right_tab = solve_j(q_right, j_closed_form("J000", q_right))
+    out = []
+    for l in range(p.k2 + 1):
+        left = left_tab.value((0, l, 0))
+        right = right_tab.value((p.k1, p.k2, p.k2 - l))
+        out.append(abs((left / right).to_float() - 1.0))
+    return out
+
+
+def jjl_shift_check(p: ParamSet, l: int) -> float:
+    """Residual of the parameter-shift identity at one l
+    (see :func:`jjl_shift_residuals`)."""
     if not 0 <= l <= p.k2:
         raise InconsistentSystemError(f"need 0 <= l <= k2, got l={l}")
-    left_tab, _ = solve_both(p.with_(alpha=p.alpha + 1.0))
-    right_tab, _ = solve_both(p.with_(beta1=p.beta1 + 1.0))
-    left = left_tab.value((0, l, 0))
-    right = right_tab.value((p.k1, p.k2, p.k2 - l))
-    return abs((left / right).to_float() - 1.0)
+    return jjl_shift_residuals(p)[l]
 
 
 def aomoto_ratio_residuals(k: int, p: ParamSet) -> list[float]:

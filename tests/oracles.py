@@ -8,6 +8,10 @@ checks, except the references that the package must reproduce:
 * the lattice-summand references run the package's point evaluators
   (``phi_sign_log``, ``weight_w``, ``f_off_lattice``, ``_draw_direction``)
   point by point, the way the batched table and probe paths replaced;
+* the per-record check references (``sequential_fval_support``,
+  ``sequential_limit_direction``, ``per_l_jjl_shift``) call ``f_limit``
+  once per point and solve both shifted tables once per l, the way the
+  one-batch engines replaced, bit for bit;
 * the chain-quadrature reference takes the package's per-axis rules
   (``_axis_rule``) and lays the frame out over the full node mesh, the
   way the broadcast tensor frame replaced, bit for bit;
@@ -261,6 +265,69 @@ def sequential_limit_pair(pt, p, seed=7919, include_weight=True):
         results.append(tab[0])
     assert len(results) == 2, "probes kept hitting singular hyperplanes"
     return tuple(results)
+
+
+def sequential_fval_support(p, budget, seed, tol):
+    """The support check one lattice point at a time: in-cone values in one
+    batch, then ``f_limit`` at each off-cone point, in draw order."""
+    from selberg3.integrands import LatticePoint, f_limit
+    from selberg3.lattice import cone_array, lattice_values
+
+    rng = np.random.default_rng(seed)
+    k1, k2 = p.k1, p.k2
+    cone = cone_array(k1, k2, 6).astype(float)
+    in_vals = lattice_values(cone[:, :k1], cone[:, k1:], p, seed=seed)
+    med = float(np.median(np.abs(in_vals[np.abs(in_vals) > 0])))
+    npts = budget.points
+    off = []
+    while len(off) < npts:
+        nu = tuple(int(x) for x in rng.integers(-4, 8, size=k1))
+        nv = tuple(int(x) for x in rng.integers(-4, 8, size=k2))
+        pt = LatticePoint(nu, nv, p.gamma)
+        if not pt.in_cone:
+            off.append((nu, nv))
+    worst = 0.0
+    for nu, nv in off:
+        val = f_limit(LatticePoint(nu, nv, p.gamma), p, seed=seed)
+        worst = max(worst, abs(val))
+    return worst / med, 0.0, 0.0, (tol if tol is not None else 1e-8), \
+        f"max off-cone {worst:.2e} vs median in-cone {med:.2e}, {npts} points"
+
+
+def sequential_limit_direction(p, budget, seed, tol):
+    """The direction check one lattice point at a time, each probed by
+    ``f_limit``; a check that compared no point gets an infinite error."""
+    from selberg3.integrands import LatticePoint, f_limit
+    from selberg3.lattice import cone_integer_parts
+
+    rng = np.random.default_rng(seed)
+    pts = [(nu, nv) for nu, nv in cone_integer_parts(p.k1, p.k2, 5)]
+    rng.shuffle(pts)
+    pts = pts[:min(budget.points, 20)]
+    worst = 0.0
+    compared = 0
+    for nu, nv in pts:
+        a, b = f_limit(LatticePoint(nu, nv, p.gamma), p, seed=seed,
+                       force_probe=True, return_pair=True)
+        scale = max(abs(a), abs(b))
+        if scale > 1e-12:
+            worst = max(worst, abs(a - b) / scale)
+            compared += 1
+    err = 0.0 if compared else float("inf")
+    return worst, err, 0.0, (tol if tol is not None else 1e-6), \
+        f"max two-direction disagreement, {compared} of {len(pts)} points compared"
+
+
+def per_l_jjl_shift(p, l):
+    """The parameter-shift residual at one l, solving both families of both
+    shifted tables for it, the way the all-l residuals replaced."""
+    from selberg3.recursions import solve_both
+
+    left_tab, _ = solve_both(p.with_(alpha=p.alpha + 1.0))
+    right_tab, _ = solve_both(p.with_(beta1=p.beta1 + 1.0))
+    left = left_tab.value((0, l, 0))
+    right = right_tab.value((p.k1, p.k2, p.k2 - l))
+    return abs((left / right).to_float() - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import dataclasses
 
 import pytest
 
-from selberg3.errors import InvalidParamsError
+from oracles import per_l_jjl_shift, sequential_fval_support, sequential_limit_direction
+from selberg3 import lattice, recursions
+from selberg3.errors import InvalidParamsError, LimitDisagreementError, Selberg3Error
 from selberg3.identities import (
     REGISTRY,
     Budget,
@@ -103,3 +105,106 @@ class TestGrids:
         assert len(recs) == 3
         assert all(r.passed for r in recs)
         assert [r.seed for r in recs] == [9, 10, 11]
+
+
+BATCH_SHAPES = [(1, 1), (2, 1), (2, 2), (3, 2)]
+BATCH_GAMMAS = [-0.15, -0.28]
+BATCH_SEEDS = [1, 5, 808]
+
+
+def _lattice_params(k1, k2, gamma):
+    return ParamSet(k1=k1, k2=k2, alpha=1.3, gamma=gamma, z1=0.3, z2=0.5)
+
+
+def _outcome(engine, p, seed, budget=Budget()):
+    """An engine's returned fields, or the class and message it raised."""
+    try:
+        return engine(p, budget, seed, None)
+    except Selberg3Error as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestBatchedEngines:
+    """The one-batch engines against their point-by-point references."""
+
+    # at k2 = 2 the default 50 off-cone points reach a point whose two
+    # limits disagree at every case here, so 3 points also compare
+    # returned values there
+    @pytest.mark.parametrize("points", [50, 3])
+    @pytest.mark.parametrize("seed", BATCH_SEEDS)
+    @pytest.mark.parametrize("gamma", BATCH_GAMMAS)
+    @pytest.mark.parametrize("k1,k2", BATCH_SHAPES)
+    def test_fval_support_matches_sequential(self, k1, k2, gamma, seed, points):
+        p = _lattice_params(k1, k2, gamma)
+        budget = Budget(points=points)
+        got = _outcome(REGISTRY["fval_support"].engine, p, seed, budget)
+        assert got == _outcome(sequential_fval_support, p, seed, budget)
+
+    @pytest.mark.parametrize("seed", BATCH_SEEDS)
+    @pytest.mark.parametrize("gamma", BATCH_GAMMAS)
+    @pytest.mark.parametrize("k1,k2", BATCH_SHAPES)
+    def test_limit_direction_matches_sequential(self, k1, k2, gamma, seed):
+        p = _lattice_params(k1, k2, gamma)
+        got = _outcome(REGISTRY["limit_direction"].engine, p, seed)
+        assert got == _outcome(sequential_limit_direction, p, seed)
+
+    def test_fval_support_batch_probes_singular_rows_on_both_sides(self, monkeypatch):
+        limit_pairs = lattice.limit_pairs
+        probed = []
+
+        def spy(pts, *args, **kwargs):
+            probed.extend(pts)
+            return limit_pairs(pts, *args, **kwargs)
+
+        monkeypatch.setattr(lattice, "limit_pairs", spy)
+        p, budget = _lattice_params(2, 2, -0.15), Budget(points=3)
+        got = REGISTRY["fval_support"].engine(p, budget, 5, None)
+        assert any(pt.in_cone for pt in probed)
+        assert any(not pt.in_cone and min(pt.nu + pt.nv) < 0 for pt in probed)
+        assert got[0] > 0.0
+        monkeypatch.undo()
+        assert got == sequential_fval_support(p, budget, 5, None)
+
+    def test_fval_support_disagreement_message_matches_sequential(self):
+        p = ParamSet(k1=3, k2=1, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
+        with pytest.raises(LimitDisagreementError) as batched:
+            run_identity("fval_support", p, seed=5)
+        with pytest.raises(LimitDisagreementError) as sequential:
+            sequential_fval_support(p, Budget(), 5, None)
+        assert str(batched.value) == str(sequential.value)
+
+    @pytest.mark.parametrize("p", [
+        ParamSet(k1=3, k2=2, alpha=1.3, gamma=-0.15, z1=1e-6, z2=1e-6),
+        ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=1e-4, z2=1e-4),
+    ])
+    def test_limit_direction_comparing_no_point_does_not_pass(self, p):
+        rec = run_identity("limit_direction", p, seed=3)
+        assert not rec.passed
+        assert rec.lhs_err == float("inf")
+        assert rec.note.startswith("max two-direction disagreement, 0 of 20 points compared")
+        assert "insufficient precision" in rec.note
+
+    def test_limit_direction_note_counts_compared_points(self):
+        p = ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.3)
+        rec = run_identity("limit_direction", p, seed=808)
+        assert rec.passed and rec.lhs_err == 0.0
+        assert rec.note == "max two-direction disagreement, 20 of 20 points compared"
+
+    @pytest.mark.parametrize("k1,k2", [(1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (4, 1)])
+    def test_jjl_shift_residuals_match_per_l(self, k1, k2):
+        p = ParamSet(k1=k1, k2=k2, alpha=1.47, beta1=1.23, beta2=1.61, gamma=-0.17)
+        assert recursions.jjl_shift_residuals(p) == [per_l_jjl_shift(p, l) for l in range(k2 + 1)]
+
+    def test_jjl_shift_record_solves_two_tables(self, monkeypatch):
+        solve_j = recursions.solve_j
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("twisted", False))
+            return solve_j(*args, **kwargs)
+
+        monkeypatch.setattr(recursions, "solve_j", spy)
+        p = ParamSet(k1=3, k2=2, alpha=1.3, beta1=1.2, beta2=1.4, gamma=-0.15)
+        rec = run_identity("jjl_shift", p)
+        assert rec.passed
+        assert calls == [False, False]
