@@ -201,8 +201,15 @@ def cmd_verify(args) -> int:
                 raise InvalidParamsError(f"unknown identity {iid!r}; see 'selberg3 list'")
         grid = _param_grid(opts)
         seed = int(opts.get("seed", os.environ.get("SELBERG_SEED", DEFAULT_SEED)))
+        if seed < 0:
+            raise InvalidParamsError(f"seed must be >= 0, got {seed}")
         tol = float(opts["tol"]) if opts.get("tol") is not None else None
-        budget = Budget(samples=int(opts["budget"])) if opts.get("budget") else Budget()
+        # an infinite tolerance passes every check, a NaN or negative one none
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise InvalidParamsError(f"tolerance must be finite and > 0, got {tol}")
+        budget = Budget(samples=int(opts["budget"])) if "budget" in opts else Budget()
+        if budget.samples < 2:  # one sample has no standard error
+            raise InvalidParamsError(f"budget must be an integer >= 2, got {budget.samples}")
         fmt = opts.get("format", "json")
         # validate everything before running anything expensive
         for iid in identities:

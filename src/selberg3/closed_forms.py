@@ -138,8 +138,8 @@ def j_closed_form(which: str, p: ParamSet, l: int = 0, m: int = 0) -> LogSigned:
 
     * ``"J000"``  -- the seed, R(alpha, beta1+1, beta2+1);
     * ``"J0l0"``  -- the (0,l,0) entry, a rational multiple of the seed;
-    * ``"J0k20"`` -- the (0,k2,0) entry as an explicit gamma product;
-    * ``"Jk1k20"``-- the (k1,k2,0) entry as an explicit gamma product;
+    * ``"J0k20"`` -- the (0,k2,0) entry, the no-weight chain value at beta1+1;
+    * ``"Jk1k20"``-- the (k1,k2,0) entry, the no-weight chain value at alpha+1;
     * ``"Jtk1k2m"`` -- the twisted (k1,k2,m) entry, rational multiple of
       the (k1,k2,0) one.
     """
@@ -154,27 +154,9 @@ def j_closed_form(which: str, p: ParamSet, l: int = 0, m: int = 0) -> LogSigned:
             out = out * LogSigned.from_float(-(k1 - k2 + 1 + i) * g) / LogSigned.from_float(b2 + i * g)
         return out
     if which == "J0k20":
-        factors = [_exp_product(k1, a, g)]
-        for j in range(k1 - k2):
-            factors.append(_gamma(b1 + 1 + j * g) / _gamma(a + b1 + 1 + (2 * k1 - k2 - 2 - j) * g))
-        for j in range(k2):
-            factors.append(_gamma(b2 + j * g) * _gamma(b1 + b2 + 1 - g + j * g)
-                           * _gamma(1 - k1 * g + j * g) * _gamma(g + j * g)
-                           / (_gamma(b2 + 1 + (2 * k2 - k1 - 2 - j) * g)
-                              * _gamma(a + b1 + b2 + 1 + (k1 + k2 - 3 - j) * g)
-                              * _gamma(g)))
-        return prod_logsigned(factors)
+        return sl3_selberg0_rhs(p.with_(beta1=b1 + 1))
     if which == "Jk1k20":
-        factors = [_exp_product(k1, a + 1, g)]
-        for j in range(k1 - k2):
-            factors.append(_gamma(b1 + j * g) / _gamma(a + b1 + 1 + (2 * k1 - k2 - 2 - j) * g))
-        for j in range(k2):
-            factors.append(_gamma(b2 + j * g) * _gamma(b1 + b2 - g + j * g)
-                           * _gamma(1 - k1 * g + j * g) * _gamma(g + j * g)
-                           / (_gamma(b2 + 1 + (2 * k2 - k1 - 2 - j) * g)
-                              * _gamma(a + b1 + b2 + 1 + (k1 + k2 - 3 - j) * g)
-                              * _gamma(g)))
-        return prod_logsigned(factors)
+        return sl3_selberg0_rhs(p.with_(alpha=a + 1))
     if which == "Jtk1k2m":
         if not 0 <= m <= k2:
             raise DomainError(f"need 0 <= m <= k2, got m={m}")

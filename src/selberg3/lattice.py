@@ -17,6 +17,10 @@ passes it.  A shell's regularity mask and regular product are gathers
 from these tables, reduced in the order ``phi_sign_log`` uses, so they
 are bit-identical to it.  The shell's singular points are directional
 limits, probed together in one batch (``integrands.limit_pairs``).
+
+The summand depends on z only through z1**sum(u) * z2**sum(v), so
+``sum_discrete`` also returns the exact z-derivatives, from first moments
+of the same shell values; ``pde_residual`` needs that one pass.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .logreal import power_log
 from .params import ParamSet
 
 TABLE_START = 8  # integer parts 0..7 in the first tables of a series
+_CLOSED_FORM_STEP = 1e-4  # central-difference step of the closed-form residuals
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,8 @@ class SeriesResult:
     last_shell: float
     bound: int
     converged: bool
+    dz1: float  # d(partial_sum)/dz1
+    dz2: float  # d(partial_sum)/dz2
 
 
 def _append_column(P: np.ndarray, lo, hi) -> np.ndarray:
@@ -225,13 +232,20 @@ def lattice_values(NU: np.ndarray, NV: np.ndarray, p: ParamSet,
 
 
 def _shell_sum(k1: int, k2: int, shell: int, p: ParamSet, include_weight: bool,
-               seed: int, tables: FactorTables | None = None) -> float:
+               seed: int, tables: FactorTables | None = None):
+    """The shell's sum and its values' first moment in each integer part."""
     P = cone_array(k1, k2, shell, shell=True).astype(float)
-    if not P.shape[0]:
-        return 0.0
     vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=include_weight, seed=seed,
-                          tables=tables)
-    return math.fsum(vals.tolist())
+                          tables=tables) if P.shape[0] else np.zeros(0)
+    return math.fsum(vals.tolist()), vals @ P
+
+
+def _z_derivatives(k1: int, k2: int, p: ParamSet, total: float, moments: np.ndarray):
+    """d/dz1 and d/dz2 of a sum whose summand carries z1**sum(u) * z2**sum(v),
+    from the first moments of the integer parts: u is nu plus the shift."""
+    shifts = np.concatenate((lattice_shift(k1, p.gamma), lattice_shift(k2, p.gamma)))
+    m = moments + shifts * total
+    return float(m[:k1].sum() / p.z1), float(m[k1:].sum() / p.z2) if k2 else 0.0
 
 
 def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-10,
@@ -249,6 +263,7 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-10,
     if max_bound is None:
         max_bound = 200 if k1 + k2 <= 2 else 60
     shells = []
+    moments = np.zeros(k1 + k2)
     partial = 0.0
     last = math.inf
     converged = False
@@ -258,14 +273,16 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-10,
         if tables is None or j > tables.hi:
             # regrow by doubling the span of integer parts
             tables = FactorTables(k1, k2, p, 0, 2 * tables.width - 1 if tables else TABLE_START - 1)
-        last = _shell_sum(k1, k2, j, p, include_weight, seed, tables)
+        last, shell_moments = _shell_sum(k1, k2, j, p, include_weight, seed, tables)
         shells.append(last)
+        moments += shell_moments
         partial = math.fsum(shells)
         bound = j
         if j >= 1 and partial != 0.0 and abs(last) <= rel_tol * abs(partial):
             converged = True
             break
-    return SeriesResult(partial, last, bound, converged)
+    return SeriesResult(partial, last, bound, converged,
+                        *_z_derivatives(k1, k2, p, partial, moments))
 
 
 def sum_over_total_lattice(p: ParamSet, bound: int, seed: int = 7919) -> SeriesResult:
@@ -278,16 +295,7 @@ def sum_over_total_lattice(p: ParamSet, bound: int, seed: int = 7919) -> SeriesR
     P = (np.indices((2 * bound + 1,) * (k1 + k2)).reshape(k1 + k2, -1).T - bound).astype(float)
     vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=True, seed=seed)
     total = math.fsum(vals.tolist())
-    return SeriesResult(total, 0.0, bound, True)
-
-
-def series_value(p: ParamSet, rel_tol: float = 1e-10, max_bound: int | None = None,
-                 seed: int = 7919) -> float:
-    res = sum_discrete("dexp3", p, rel_tol=rel_tol, max_bound=max_bound, seed=seed)
-    if not res.converged:
-        raise NotConvergedError(
-            f"series not converged at bound {res.bound} (last shell {res.last_shell!r})")
-    return res.partial_sum
+    return SeriesResult(total, 0.0, bound, True, *_z_derivatives(k1, k2, p, total, vals @ P))
 
 
 def pde_coefficients(p: ParamSet, second_eq_denominator: str = "z2"):
@@ -310,23 +318,30 @@ def pde_coefficients(p: ParamSet, second_eq_denominator: str = "z2"):
     return coeff1, coeff2
 
 
-def pde_residual(p: ParamSet, step: float = 1e-4, use_closed_form: bool = False,
-                 second_eq_denominator: str = "z2", rel_tol: float = 1e-10,
-                 max_bound: int | None = None, seed: int = 7919):
-    """Central-difference residuals of the two dynamical equations.
+def pde_residual(p: ParamSet, use_closed_form: bool = False,
+                 second_eq_denominator: str = "z2", max_bound: int | None = None,
+                 seed: int = 7919):
+    """Residuals of the two dynamical equations.
 
+    The series' derivatives are the exact ones ``sum_discrete`` returns
+    with its sum, from one pass; the closed form's are central differences
+    at step 1e-4.
     Returns (residual_z1, residual_z2), each |dPsi - c Psi| / |c Psi|.
     """
-    def psi(z1, z2):
-        q = p.with_(z1=z1, z2=z2)
-        if use_closed_form:
-            return sl3_discrete_rhs(q).to_float()
-        return series_value(q, rel_tol=rel_tol, max_bound=max_bound, seed=seed)
+    if use_closed_form:
+        def psi(z1, z2):
+            return sl3_discrete_rhs(p.with_(z1=z1, z2=z2)).to_float()
 
-    z1, z2 = p.z1, p.z2
-    base = psi(z1, z2)
-    d1 = (psi(z1 + step, z2) - psi(z1 - step, z2)) / (2 * step)
-    d2 = (psi(z1, z2 + step) - psi(z1, z2 - step)) / (2 * step)
+        z1, z2, h = p.z1, p.z2, _CLOSED_FORM_STEP
+        base = psi(z1, z2)
+        d1 = (psi(z1 + h, z2) - psi(z1 - h, z2)) / (2 * h)
+        d2 = (psi(z1, z2 + h) - psi(z1, z2 - h)) / (2 * h)
+    else:
+        res = sum_discrete("dexp3", p, max_bound=max_bound, seed=seed)
+        if not res.converged:
+            raise NotConvergedError(
+                f"series not converged at bound {res.bound} (last shell {res.last_shell!r})")
+        base, d1, d2 = res.partial_sum, res.dz1, res.dz2
     c1, c2 = pde_coefficients(p, second_eq_denominator)
 
     def rel(d, c):

@@ -156,14 +156,14 @@ def test_criterion_08_limit_direction_independence():
 def test_criterion_09_dynamical_system_residuals():
     t0 = time.time()
     p = ParamSet(k1=2, k2=1, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.3)
-    r1, r2 = pde_residual(p, step=1e-4, seed=909)
+    r1, r2 = pde_residual(p, seed=909)
     ok = max(r1, r2) <= 1e-6
     # resolve the printed ambiguity of the second equation's denominator on
     # the closed form where k2 distinguishes them
     p22 = ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.35)
-    good = pde_residual(p22, step=1e-4, use_closed_form=True,
+    good = pde_residual(p22, use_closed_form=True,
                         second_eq_denominator="z2")
-    bad = pde_residual(p22, step=1e-4, use_closed_form=True,
+    bad = pde_residual(p22, use_closed_form=True,
                        second_eq_denominator="z1")
     ok = ok and max(good) < 1e-6 and bad[1] > 1e-3
     elapsed = time.time() - t0

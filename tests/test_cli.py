@@ -68,6 +68,32 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv,config,env_seed", [
+        (("--identity", "selb", "--k", "1", "--tol", "inf"), None, None),
+        (("--identity", "selb", "--k", "1"), "tol = inf\n", None),
+        (("--identity", "selb", "--k", "1", "--tol", "nan"), None, None),
+        (("--identity", "selb", "--k", "1", "--tol", "-1"), None, None),
+        (("--identity", "exp", "--k", "1", "--budget", "-5"), None, None),
+        (("--identity", "exp", "--k", "1", "--budget", "0"), None, None),
+        (("--identity", "exp", "--k", "1", "--budget", "1"), None, None),
+        (("--identity", "exp", "--k", "1", "--seed", "-3"), None, None),
+        (("--identity", "exp", "--k", "1"), None, "-3"),
+    ])
+    def test_meaningless_tolerance_budget_or_seed_exit_two(self, capsys, tmp_path,
+                                                           monkeypatch, argv, config,
+                                                           env_seed):
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            argv += ("--config", str(cfg))
+        if env_seed is not None:
+            monkeypatch.setenv("SELBERG_SEED", env_seed)
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert "configuration error" in err
+        assert "Traceback" not in err
+        assert out == ""
+
 
 class TestReports:
     def test_json_round_trip(self, capsys, tmp_path):

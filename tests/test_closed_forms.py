@@ -145,12 +145,25 @@ class TestJClosedForms:
         want = -(2 * self.p.gamma / self.p.beta2) * cf.j_closed_form("J000", self.p).to_float()
         assert got == pytest.approx(want, rel=1e-13)
 
-    def test_corner_form_shift_reduces_to_plain_value(self):
-        # shifting beta1 down by one turns the corner form into the
-        # no-rational-weight chain value
-        shifted = cf.j_closed_form("J0k20", self.p.with_(beta1=self.p.beta1 - 1.0))
-        want = cf.sl3_selberg0_rhs(self.p)
-        assert shifted.to_float() == pytest.approx(want.to_float(), rel=1e-13)
+    @pytest.mark.parametrize("which,da,db1", [("J0k20", 0, 1), ("Jk1k20", 1, 0)])
+    def test_corner_forms_match_explicit_products(self, which, da, db1):
+        # the (0,k2,0) and (k1,k2,0) corners as explicit gamma products,
+        # evaluated in mpmath: the no-weight chain value at alpha+da, beta1+db1
+        k1, k2, p = self.p.k1, self.p.k2, self.p
+        a, b1 = mp.mpf(p.alpha) + da, mp.mpf(p.beta1) + db1
+        b2, g = mp.mpf(p.beta2), mp.mpf(p.gamma)
+        want = mp.mpf(1)
+        for j in range(k1):
+            want *= mp_gamma(a + j * g) * mp_gamma(g + j * g) / mp_gamma(g)
+        for j in range(k1 - k2):
+            want *= mp_gamma(b1 + j * g) / mp_gamma(a + b1 + (2 * k1 - k2 - 2 - j) * g)
+        for j in range(k2):
+            want *= (mp_gamma(b2 + j * g) * mp_gamma(b1 + b2 - g + j * g)
+                     * mp_gamma(1 - k1 * g + j * g) * mp_gamma(g + j * g)
+                     / (mp_gamma(b2 + 1 + (2 * k2 - k1 - 2 - j) * g)
+                        * mp_gamma(a + b1 + b2 + (k1 + k2 - 3 - j) * g) * mp_gamma(g)))
+        got = cf.j_closed_form(which, p).to_float()
+        assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_twisted_corner_prefactor(self):
         got = cf.j_closed_form("Jtk1k2m", self.p, m=1).to_float()

@@ -169,14 +169,23 @@ class TestFactorTables:
         p = ParamSet(k1=k1, k2=k2, alpha=1.3, gamma=-0.15, z1=z1, z2=z2)
         res = sum_discrete(which, p, rel_tol=1e-10, seed=5)
         assert res.converged and res.bound >= TABLE_START
-        shells = []
+        shells, mom1, mom2 = [], [], []
         for j in range(res.bound + 1):
             P = cone_array(k1, k2, j, shell=True).astype(float)
             _, vals = _oracle_values(P[:, :k1], P[:, k1:], p, seed=5,
                                      include_weight=which == "dexp3")
             shells.append(math.fsum(vals.tolist()))
+            mom1.append(math.fsum((vals * P[:, :k1].sum(axis=1)).tolist()))
+            mom2.append(math.fsum((vals * P[:, k1:].sum(axis=1)).tolist()))
         assert res.last_shell == shells[-1]
         assert res.partial_sum == math.fsum(shells)
+        # the summand carries z1**sum(u) * z2**sum(v), u = nu + shift
+        shift1 = p.gamma * k1 * (k1 - 1) / 2
+        shift2 = p.gamma * k2 * (k2 - 1) / 2
+        want1 = (math.fsum(mom1) + shift1 * res.partial_sum) / z1
+        want2 = (math.fsum(mom2) + shift2 * res.partial_sum) / z2
+        assert res.dz1 == pytest.approx(want1, rel=1e-13)
+        assert res.dz2 == pytest.approx(want2, rel=1e-13)
 
 
 class TestSeries:
@@ -204,9 +213,20 @@ class TestSeries:
 
         p = ParamSet(k1=2, k2=1, alpha=1.3, gamma=-0.12, z1=0.5, z2=0.4)
         start = 4 * (p.k1 + p.k2)
-        shells = [abs(_shell_sum(2, 1, j, p, True, 7919)) for j in range(start, start + 6)]
+        shells = [abs(_shell_sum(2, 1, j, p, True, 7919)[0]) for j in range(start, start + 6)]
         for a, b in zip(shells, shells[1:]):
             assert b < 0.9 * a
+
+    @pytest.mark.parametrize("k1,k2", [(2, 1), (2, 2), (3, 1)])
+    def test_z_derivatives_match_central_differences(self, k1, k2):
+        p = ParamSet(k1=k1, k2=k2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.4)
+        res = sum_discrete("dexp3", p)
+        h = 1e-5
+        for name, got in (("z1", res.dz1), ("z2", res.dz2)):
+            z = getattr(p, name)
+            up = sum_discrete("dexp3", p.with_(**{name: z + h})).partial_sum
+            down = sum_discrete("dexp3", p.with_(**{name: z - h})).partial_sum
+            assert got == pytest.approx((up - down) / (2 * h), rel=1e-6)
 
     def test_not_converged_flag(self):
         p = ParamSet(k1=1, k2=0, alpha=1.0, gamma=-0.2, z1=0.9)
@@ -248,24 +268,38 @@ class TestDynamicalSystem:
     def test_k1_only_closed_solution(self):
         # for one block the system is d/dz log Psi = alpha/(1-z)
         p = ParamSet(k1=1, k2=0, alpha=1.4, gamma=-0.2, z1=0.45, z2=0.5)
-        r1, r2 = pde_residual(p, step=1e-4, use_closed_form=False)
+        r1, r2 = pde_residual(p, use_closed_form=False)
         assert r1 < 1e-7
         c1, _ = pde_coefficients(p)
         assert c1 == pytest.approx(p.alpha / (1 - p.z1), rel=1e-12)
 
     def test_closed_form_residuals_select_z2_variant(self):
         p = ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.35)
-        good = pde_residual(p, step=1e-4, use_closed_form=True,
+        good = pde_residual(p, use_closed_form=True,
                             second_eq_denominator="z2")
-        bad = pde_residual(p, step=1e-4, use_closed_form=True,
+        bad = pde_residual(p, use_closed_form=True,
                            second_eq_denominator="z1")
         assert max(good) < 1e-6
         assert bad[1] > 1e-3  # the printed z1 denominator is inconsistent
 
     def test_series_residuals_21(self):
         p = ParamSet(k1=2, k2=1, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.3)
-        r1, r2 = pde_residual(p, step=1e-4)
+        r1, r2 = pde_residual(p)
         assert max(r1, r2) < 1e-6
+
+    def test_series_residuals_take_one_series_pass(self, monkeypatch):
+        import selberg3.lattice as lattice
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return sum_discrete(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "sum_discrete", spy)
+        p = ParamSet(k1=2, k2=1, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
+        assert max(lattice.pde_residual(p)) < 1e-6
+        assert calls == ["dexp3"]
 
 
 class TestEpsLimitLink:
