@@ -100,17 +100,28 @@ def _merged_options(args) -> dict:
     return opts
 
 
+# each alias and the parameter it sets; 'k' also sets k2 = 0
+ALIASES = {"k": "k1", "beta": "beta1", "z": "z1"}
+PARAMS = ("k1", "k2", "alpha", "beta1", "beta2", "gamma", "z1", "z2")
+
+
+def _param_values(items) -> dict:
+    """ParamSet fields from (key, value) pairs, a later pair winning."""
+    out = {}
+    for key, v in items:
+        dst = ALIASES.get(key, key)
+        if dst not in PARAMS:
+            raise InvalidParamsError(f"unknown grid key {key!r}")
+        out[dst] = int(v) if dst in ("k1", "k2") else float(v)
+        if key == "k":
+            out["k2"] = 0
+    return out
+
+
 def _param_grid(opts) -> list[ParamSet]:
-    base = {}
-    if opts.get("k") is not None:
-        base["k1"] = int(opts["k"])
-        base["k2"] = 0
-    for src, dst in (("k1", "k1"), ("k2", "k2"), ("alpha", "alpha"),
-                     ("beta", "beta1"), ("beta1", "beta1"), ("beta2", "beta2"),
-                     ("gamma", "gamma"), ("z", "z1"), ("z1", "z1"), ("z2", "z2")):
-        if opts.get(src) is not None:
-            cast = int if dst in ("k1", "k2") else float
-            base[dst] = cast(opts[src])
+    # aliases first, so --k1 overrides --k and --beta1 overrides --beta
+    base = _param_values((key, opts[key]) for key in (*ALIASES, *PARAMS)
+                         if opts.get(key) is not None)
     if opts.get("grid"):
         with open(opts["grid"], "r", encoding="utf-8") as fh:
             spec = json.load(fh)
@@ -124,24 +135,7 @@ def _param_grid(opts) -> list[ParamSet]:
                 points = [dict(pt, **{key: v}) for pt in points for v in values]
         else:
             raise InvalidParamsError("grid file must hold a JSON list or object")
-        out = []
-        for pt in points:
-            merged = dict(base)
-            for key, v in pt.items():
-                if key == "k":
-                    merged["k1"], merged["k2"] = int(v), 0
-                elif key in ("beta", "beta1"):
-                    merged["beta1"] = float(v)
-                elif key == "z":
-                    merged["z1"] = float(v)
-                elif key in ("k1", "k2"):
-                    merged[key] = int(v)
-                elif key in ("alpha", "beta2", "gamma", "z1", "z2"):
-                    merged[key] = float(v)
-                else:
-                    raise InvalidParamsError(f"unknown grid key {key!r}")
-            out.append(ParamSet(**merged))
-        return out
+        return [ParamSet(**{**base, **_param_values(pt.items())}) for pt in points]
     return [ParamSet(**base)]
 
 

@@ -108,27 +108,19 @@ def sl3_selberg0_rhs(p: ParamSet) -> LogSigned:
     return prod_logsigned(factors)
 
 
-def aomoto_rhs(k: int, ell: int, p: ParamSet, original: bool = False) -> LogSigned:
-    """Value of the l-th moment of the classic integrand.
-
-    With ``original=False`` this is the two-sided moment (both t and 1-t
-    factors present), whose prefactor has beta-shifted denominators.  With
-    ``original=True`` it is the plain t-moment with alpha+beta-shifted
-    denominators.
-    """
+def aomoto_rhs(k: int, ell: int, p: ParamSet) -> LogSigned:
+    """Value of the l-th two-sided moment of the classic integrand (both
+    t and 1-t factors present), whose prefactor has beta-shifted
+    denominators."""
     if not 0 <= ell <= k:
         raise DomainError(f"need 0 <= l <= k, got l={ell}, k={k}")
     a, b, g = p.alpha, p.beta, p.gamma
     pre = LogSigned.one()
     for i in range(ell):
         num = LogSigned.from_float(a + (k - 1 - i) * g)
-        if original:
-            den = LogSigned.from_float(a + b + (2 * k - 2 - i) * g)
-        else:
-            den = LogSigned.from_float(b + i * g)
+        den = LogSigned.from_float(b + i * g)
         pre = pre * num / den
-    base = p.with_(k1=k, k2=0) if original else p.with_(k1=k, k2=0, beta1=b + 1)
-    return pre * selberg_rhs(base)
+    return pre * selberg_rhs(p.with_(k1=k, k2=0, beta1=b + 1))
 
 
 def j_closed_form(which: str, p: ParamSet, l: int = 0, m: int = 0) -> LogSigned:

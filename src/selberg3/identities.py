@@ -20,7 +20,7 @@ import numpy as np
 from . import closed_forms as cf
 from .chains import gamma_chain, unit_chain
 from .errors import InvalidParamsError, NotConvergedError
-from .integrands import LatticePoint, assembled_integrand, integer_parts_in_cone, limit_pairs
+from .integrands import assembled_integrand, integer_parts_in_cone, limit_pairs
 from .lattice import (
     cone_array,
     cone_integer_parts,
@@ -35,6 +35,7 @@ from .quadrature import QuadSpec, integrate_chain
 from .recursions import jjl_shift_residuals, solve_both, verify_relations
 
 MC_FLOOR = 1e-3
+MC_CEIL = 0.1  # a Monte Carlo check certifies at least one digit
 EPS_LINK = 1e-3  # rescaling parameter of the limit link
 
 
@@ -158,6 +159,15 @@ def _quad_spec(budget: Budget, seed: int, scheme: str = "deterministic",
     return QuadSpec(scheme, default_nodes, budget.samples, seed)
 
 
+def _mc_tolerance(sigma: float, ref: float) -> float:
+    """Default tolerance of a Monte Carlo check: three standard errors
+    relative to the reference (infinite against a zero reference), within
+    [MC_FLOOR, MC_CEIL].  Where 3 sigma passes MC_CEIL the record is
+    insufficient precision, not a pass at any deviation."""
+    rel = 3.0 * sigma / abs(ref) if ref != 0.0 else math.inf
+    return min(max(rel, MC_FLOOR), MC_CEIL)
+
+
 def _quad_engine(which: str, rhs_fn, scheme: str | None = None):
     def engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
         ig = assembled_integrand(which, p)
@@ -167,7 +177,7 @@ def _quad_engine(which: str, rhs_fn, scheme: str | None = None):
         lhs, err = integrate_chain(ig, chain, spec, p)
         rhs = rhs_fn(p).to_float()
         if spec.scheme == "monte_carlo":
-            tolerance = tol if tol is not None else max(3.0 * err / abs(rhs), MC_FLOOR)
+            tolerance = tol if tol is not None else _mc_tolerance(err, rhs)
         else:
             tolerance = tol if tol is not None else 1e-6
         return lhs, err, rhs, tolerance, spec.scheme
@@ -240,7 +250,7 @@ def _chain_decomp_engine(p: ParamSet, budget: Budget, seed: int, tol: float | No
     k1, k2 = p.k1, p.k2
     chain = unit_chain(k1, k2)
     spec = _quad_spec(budget, seed, default_nodes=24)
-    n_mc = max(budget.samples, 100_000)
+    n_mc = budget.samples
     box = rng.uniform(size=(n_mc, k1 + k2))
     bt, bs = box[:, :k1], box[:, k1:]
     inside = np.ones(n_mc, dtype=bool)
@@ -277,7 +287,9 @@ def _chain_decomp_engine(p: ParamSet, budget: Budget, seed: int, tol: float | No
         if worst is None or margin > worst[0]:
             worst = (margin, det, mc, sigma)
     margin, det, mc, sigma = worst
-    tolerance = tol if tol is not None else max(3.0 * sigma / abs(mc), MC_FLOOR)
+    if not inside.any():  # a sampler that hit no cone point measured nothing
+        sigma = math.inf
+    tolerance = tol if tol is not None else _mc_tolerance(sigma, mc)
     return det, sigma, mc, tolerance, "worst of 20 random monomials"
 
 
@@ -332,9 +344,9 @@ def _limit_direction_engine(p: ParamSet, budget: Budget, seed: int, tol: float |
     rng = np.random.default_rng(seed)
     pts = [(nu, nv) for nu, nv in cone_integer_parts(p.k1, p.k2, 5)]
     rng.shuffle(pts)
-    pts = [LatticePoint(nu, nv, p.gamma) for nu, nv in pts[:min(budget.points, 20)]]
-    # every point probed in one batch, each with its lone-point directions
-    pairs = limit_pairs(pts, p, seed=seed)
+    pts = pts[:min(budget.points, 20)]
+    P = np.array([nu + nv for nu, nv in pts], dtype=np.int64).reshape(-1, p.k1 + p.k2)
+    pairs = limit_pairs(P[:, :p.k1], P[:, p.k1:], p, seed=seed)
     scale = np.abs(pairs).max(axis=1)
     compared = scale > 1e-12
     dev = np.abs(pairs[:, 0] - pairs[:, 1])[compared] / scale[compared]

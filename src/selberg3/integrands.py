@@ -1,15 +1,16 @@
 """Summands and integrands: the left-hand side of every identity.
 
-Two families live here.  The discrete family (``master_phi``, ``weight_w``,
-``limit_pairs``) is evaluated on points of the shifted integer lattice,
-where gamma factors routinely sit at poles and zeros; finite values are
-obtained either directly (when every factor is regular) or as directional
-limits with Richardson extrapolation.  The checks evaluate batches of
-points, through ``lattice.lattice_values`` and ``limit_pairs``;
-``f_limit`` is the one-point case.  The summand's singular structure is
-described once, by ``lattice_bases`` and ``factor_args``; the regularity
-test, the probe-direction check and the lattice factor tables all derive
-from that description.  The continuous family is described, not
+Two families live here.  The discrete family (``phi_sign_log``,
+``weight_w``, ``limit_pairs``) is evaluated on points of the shifted
+integer lattice, where gamma factors routinely sit at poles and zeros;
+finite values are obtained either directly (when every factor is
+regular) or as directional limits with Richardson extrapolation.  The
+checks evaluate batches of points through ``lattice.lattice_values``,
+which takes the singular ones to ``limit_pairs``; ``f_limit`` is its
+one-point case.  The summand's singular structure is described once, by
+``lattice_bases`` and ``factor_args``; the lattice factor tables, the
+choice of probe directions and the probe check all derive from that
+description.  The continuous family is described, not
 evaluated: ``assembled_integrand`` returns an ``Integrand`` naming the
 interval, the power-product exponents and rates and the kind of
 symmetrized rational weight, and ``quadrature`` evaluates every
@@ -39,6 +40,10 @@ NEAR_SINGULAR_TOL = 1e-9
 POLE_TOL = 1e-12         # a numerator gamma closer to a pole raises PoleError
 PROBE_NEAR_TOL = 1e-13   # closest approach of an off-lattice probe to a weight pole
 SYM_TERM_CAP = 40320
+PROBE_TRIES = 10         # directions a singular point may try
+DRAW_WINDOW = 32         # draws allowed to find each direction
+MIN_RATE = 0.05          # least rate of a form at an integer along a direction
+AGREE_TOL = 1e-6         # relative agreement of a point's two limits
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +177,6 @@ def phi_sign_log(u: np.ndarray, v: np.ndarray, p: ParamSet, zero_tol: float = 1e
                 s7, l7 = _sign_log_recip_gamma(d - g + 1.0, zero_tol)
                 accumulate(s7, l7)
     return sign, logm
-
-
-def master_phi(pt, p: ParamSet):
-    """Master product at one point, as a LogSigned value."""
-    from .logreal import LogSigned
-
-    if isinstance(pt, LatticePoint):
-        u, v = pt.u, pt.v
-    else:
-        u, v = pt
-    sign, logm = phi_sign_log(np.asarray(u, float)[None, :], np.asarray(v, float)[None, :], p)
-    return LogSigned(int(sign[0]), float(logm[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -334,40 +327,6 @@ def _factor_args_at(c: list, k1: int, k2: int, p: ParamSet):
             yield b, kind, arg
 
 
-def _point_factor_args(pt: LatticePoint, p: ParamSet):
-    return _factor_args_at(pt.u.tolist() + pt.v.tolist() + [0.0], pt.k1, pt.k2, p)
-
-
-def lattice_point_is_regular(pt: LatticePoint, p: ParamSet,
-                             tol: float = NEAR_SINGULAR_TOL) -> bool:
-    """True when F can be evaluated at pt as a plain product.
-
-    Regularity fails when a numerator gamma argument sits at a nonpositive
-    integer (a pole of the master product) or a weight denominator
-    vanishes; reciprocal gammas at nonpositive integers are harmless zeros.
-    """
-    return not any(_factor_singular(kind, x, tol) for _, kind, x in _point_factor_args(pt, p))
-
-
-def _draw_direction(rng, pt: LatticePoint, p: ParamSet, attempts: int = 32):
-    """Direction along which no singular linear form stays degenerate."""
-    k1, k2 = pt.k1, pt.k2
-    # forms vanishing at pt must move at a healthy rate along d
-    stuck = {b for b, _, x in _point_factor_args(pt, p)
-             if abs(x - round(x)) <= NEAR_SINGULAR_TOL or abs(x) <= NEAR_SINGULAR_TOL}
-    ends = [lattice_bases(k1, k2)[b][1:] for b in sorted(stuck)]
-    for _ in range(attempts):
-        d = rng.uniform(-1.0, 1.0, size=k1 + k2)
-        norm = np.abs(d).max()
-        if norm < 1e-3:
-            continue
-        d = d / norm
-        dd = d.tolist() + [0.0]
-        if all(abs(dd[plus] - dd[minus]) >= 0.05 for plus, minus in ends):
-            return d[:k1], d[k1:]
-    raise LimitDisagreementError("could not find a generic probe direction")
-
-
 def _neville_at_zero(xs, ys):
     """Polynomial extrapolation of (xs, ys) to x = 0.
 
@@ -396,111 +355,117 @@ def _probe_rows_ok(u: np.ndarray, v: np.ndarray, p: ParamSet,
     return ok
 
 
-def _directional_value(pt: LatticePoint, p: ParamSet, du, dv, eps_list,
-                       include_weight: bool) -> float:
-    u0, v0 = pt.u, pt.v
-    uu = np.stack([u0 + e * du for e in eps_list])
-    vv = np.stack([v0 + e * dv for e in eps_list])
-    vals = f_off_lattice(uu, vv, p, include_weight=include_weight)
-    return float(_neville_at_zero(eps_list, vals))
+def _candidate_draws(seed: int, K: int) -> np.ndarray:
+    """The raw direction draws every lattice point tries, in order.
+
+    Row r is the r-th draw of ``default_rng(seed)``; the block holds every
+    draw the direction limits can reach.
+    """
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(PROBE_TRIES * DRAW_WINDOW, K))
 
 
-def _retry_pair(pt: LatticePoint, p: ParamSet, seed: int, include_weight: bool, eps_list):
-    """Two directional limits, drawing directions until two probe sets
-    evaluate without hitting a singular hyperplane."""
-    rng = np.random.default_rng(seed)
-    results = []
-    attempts = 0
-    while len(results) < 2 and attempts < 10:
-        attempts += 1
-        du, dv = _draw_direction(rng, pt, p)
-        try:
-            results.append(_directional_value(pt, p, du, dv, eps_list, include_weight))
-        except (PoleError, NearSingularError):
-            continue
-    if len(results) < 2:
-        raise LimitDisagreementError("probe evaluations kept hitting singular hyperplanes")
-    return results
-
-
-def limit_pairs(pts, p: ParamSet, *, seed: int = 7919, rel_tol: float = 1e-6,
+def limit_pairs(NU: np.ndarray, NV: np.ndarray, p: ParamSet, *, seed: int = 7919,
                 include_weight: bool = True) -> np.ndarray:
     """Two directional limits (a, b) of F at each lattice point, shape (m, 2).
 
-    Every point draws its two directions from a fresh ``default_rng(seed)``,
-    exactly as a lone point would, and the three probes along each
-    direction of every point go through one ``f_off_lattice`` call, with
-    the extrapolation to zero vectorized over points.  A point whose
-    directions cannot be drawn, or with a probe on which ``f_off_lattice``
-    would raise, takes the sequential retry loop instead, so every value
-    is the one a lone point gets.  The two limits must agree to
-    ``rel_tol``; points are checked in order.
+    ``NU``/``NV`` hold integer parts, one row per point.  Every point
+    chooses its directions from one block of candidates, the draws of
+    ``_candidate_draws`` scaled to unit max-norm, skipping draws of norm
+    below 1e-3.  A candidate is generic for a point when every form with
+    a factor argument at an integer there moves at rate >= 0.05 along
+    it, and clean when none of its probes, at eps in {1e-2, 1e-3, 1e-4}
+    times min(1, |gamma|), sits on a singular hyperplane.  A point tries
+    its generic candidates in order, each within 32 draws of the one
+    before and at most 10, and takes the first two clean ones.  All
+    probes go through one ``f_off_lattice`` call and are extrapolated to
+    zero together.  Points are then checked in order: one without two
+    directions, or whose limits (above 1e-10) differ by more than 1e-6
+    relative, raises :class:`LimitDisagreementError`.
     """
+    m, k1 = NU.shape
+    k2 = NV.shape[1]
+    X = np.hstack((NU + lattice_shift(k1, p.gamma), NV + lattice_shift(k2, p.gamma)))
     scale = min(1.0, abs(p.gamma))
-    eps_list = [1e-2 * scale, 1e-3 * scale, 1e-4 * scale]
-    pairs = np.empty((len(pts), 2))
-    drawn, dirs = [], []
-    for i, pt in enumerate(pts):
-        rng = np.random.default_rng(seed)
-        try:
-            dirs.append([_draw_direction(rng, pt, p) for _ in range(2)])
-        except LimitDisagreementError:
-            continue
-        drawn.append(i)
-    batched = set()
-    if drawn:
-        # probe rows in (point, direction, offset) order: u0 + eps * du
-        eps = np.asarray(eps_list)[:, None]
-        nrows = len(drawn) * 2 * len(eps_list)
-        u0 = np.array([pts[i].u for i in drawn])[:, None, None, :]
-        v0 = np.array([pts[i].v for i in drawn])[:, None, None, :]
-        du = np.array([[d[0] for d in pair] for pair in dirs])[:, :, None, :]
-        dv = np.array([[d[1] for d in pair] for pair in dirs])[:, :, None, :]
-        uu = (u0 + eps * du).reshape(nrows, -1)
-        vv = (v0 + eps * dv).reshape(nrows, -1)
-        ok = _probe_rows_ok(uu, vv, p, include_weight).reshape(len(drawn), -1).all(axis=1)
-        if ok.any():
-            rows = np.repeat(ok, 2 * len(eps_list))
-            vals = f_off_lattice(uu[rows], vv[rows], p, include_weight=include_weight)
-            done = np.asarray(drawn)[ok]
-            pairs[done] = _neville_at_zero(eps_list, vals.reshape(-1, 2, len(eps_list)).T).T
-            batched = set(done.tolist())
-    for i, pt in enumerate(pts):
-        if i not in batched:
-            pairs[i] = _retry_pair(pt, p, seed, include_weight, eps_list)
-        a, b = float(pairs[i, 0]), float(pairs[i, 1])
-        scale_ref = max(abs(a), abs(b))
-        if scale_ref > 0 and abs(a - b) > rel_tol * scale_ref and scale_ref > 1e-300:
-            # tiny values (support region) are allowed to disagree in relative terms
-            if scale_ref > 1e-10:
-                raise LimitDisagreementError(
-                    f"directional limits disagree: {a!r} vs {b!r} at {pt!r}")
+    eps = np.array([1e-2 * scale, 1e-3 * scale, 1e-4 * scale])
+
+    draws = _candidate_draws(seed, k1 + k2)
+    norm = np.abs(draws).max(axis=1)
+    kept = norm >= 1e-3
+    D = draws / np.where(kept, norm, 1.0)[:, None]
+
+    # a base with a factor argument at an integer must move along a direction
+    bases = lattice_bases(k1, k2)
+    stuck = np.zeros((m, len(bases)), dtype=bool)
+    for b, _, arg in _factor_args_at([*X.T, 0.0], k1, k2, p):
+        stuck[:, b] |= np.abs(arg - np.rint(arg)) <= NEAR_SINGULAR_TOL
+    plus, minus = [b[1] for b in bases], [b[2] for b in bases]
+    ends = np.hstack((D, np.zeros((len(D), 1))))
+    slow = np.abs(ends[:, plus] - ends[:, minus]) < MIN_RATE
+    generic = kept & ~(stuck @ slow.T)
+
+    # the directions a point tries: its generic candidates in draw order,
+    # each found within DRAW_WINDOW draws of the one before
+    tried = np.argsort(~generic, axis=1, kind="stable")[:, :PROBE_TRIES]
+    gaps = np.diff(tried, axis=1, prepend=-1)
+    found = np.logical_and.accumulate(
+        np.take_along_axis(generic, tried, axis=1) & (gaps <= DRAW_WINDOW), axis=1)
+
+    def probes(rows, cand):
+        """Probe coordinates (n, 3, K) along candidates ``cand`` at ``rows``."""
+        return X[rows, None, :] + eps[None, :, None] * D[cand][:, None, :]
+
+    def clean(rows, ranks):
+        pr = probes(rows, tried[rows, ranks]).reshape(-1, k1 + k2)
+        ok = _probe_rows_ok(pr[:, :k1], pr[:, k1:], p, include_weight)
+        return ok.reshape(-1, len(eps)).all(axis=1)
+
+    is_clean = np.zeros_like(found)
+    rows, ranks = np.nonzero(found[:, :2])
+    is_clean[rows, ranks] = clean(rows, ranks)
+    # a point with an unclean direction goes on to its next ones
+    for j in range(2, PROBE_TRIES):
+        rows = np.flatnonzero(found[:, j] & (is_clean.sum(axis=1) < 2))
+        if not rows.size:
+            break
+        is_clean[rows, j] = clean(rows, np.full(rows.size, j))
+
+    ok = is_clean.sum(axis=1) >= 2
+    pairs = np.zeros((m, 2))
+    if ok.any():
+        rows = np.flatnonzero(ok)
+        chosen = np.take_along_axis(tried, np.argsort(~is_clean, axis=1, kind="stable")[:, :2],
+                                    axis=1)[rows]
+        # probe rows in (point, direction, offset) order
+        pr = probes(np.repeat(rows, 2), chosen.ravel()).reshape(-1, k1 + k2)
+        vals = f_off_lattice(pr[:, :k1], pr[:, k1:], p, include_weight=include_weight)
+        pairs[rows] = _neville_at_zero(eps, vals.reshape(-1, 2, len(eps)).T).T
+
+    a, b = pairs[:, 0], pairs[:, 1]
+    ref = np.maximum(np.abs(a), np.abs(b))
+    bad = ~ok | ((np.abs(a - b) > AGREE_TOL * ref) & (ref > 1e-10))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not ok[i]:
+            raise LimitDisagreementError(
+                "probe evaluations kept hitting singular hyperplanes" if found[i].all()
+                else "could not find a generic probe direction")
+        pt = LatticePoint(tuple(int(x) for x in NU[i]), tuple(int(x) for x in NV[i]), p.gamma)
+        raise LimitDisagreementError(
+            f"directional limits disagree: {float(a[i])!r} vs {float(b[i])!r} at {pt!r}")
     return pairs
 
 
 def f_limit(pt: LatticePoint, p: ParamSet, *, seed: int = 7919,
-            rel_tol: float = 1e-6, force_probe: bool = False,
-            include_weight: bool = True, return_pair: bool = False):
-    """Value of F at a lattice point.
-
-    Regular points are evaluated as a plain product.  At singular points
-    the value is the straight-line limit: probe at eps in {1e-2, 1e-3,
-    1e-4} (scaled by min(1, |gamma|)) along a random generic direction,
-    extrapolate to zero, and repeat with a second independent direction.
-    The two extrapolations must agree to ``rel_tol``.  This is the
-    one-point case of :func:`limit_pairs`.
+            include_weight: bool = True) -> float:
+    """Value of F at one lattice point: the one-row case of
+    ``lattice.lattice_values``.  Regular points are a plain product;
+    at singular points the value is the mean of the two directional
+    limits of :func:`limit_pairs`.
     """
-    if not force_probe and lattice_point_is_regular(pt, p):
-        u, v = pt.u[None, :], pt.v[None, :]
-        sign, logm = phi_sign_log(u, v, p, zero_tol=NEAR_SINGULAR_TOL)
-        val = float(sign[0] * np.exp(logm[0]))
-        if include_weight and val != 0.0 and pt.k2 > 0:
-            val *= float(weight_w(u, v, p.gamma)[0])
-        return (val, val) if return_pair else val
+    from .lattice import lattice_values  # lattice is built on this module
 
-    a, b = limit_pairs([pt], p, seed=seed, rel_tol=rel_tol,
-                       include_weight=include_weight)[0].tolist()
-    return (a, b) if return_pair else 0.5 * (a + b)
+    return float(lattice_values(np.array([pt.nu]), np.array([pt.nv]), p,
+                                include_weight=include_weight, seed=seed)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +495,8 @@ class Integrand:
     ``pole_count`` is the number of rational pole factors per
     symmetrization term (0 when the rational weight is absent).
     ``kind``/``indices`` name the rational weight: 'plain' (none), 'g',
-    'h', 'ht', 'moment' (symmetrized t1..tl * (1-t_{l+1})..(1-t_k)) or
-    'moment_plain' (t1..tl only).  Kind 'callable' is a black box: ``fn``
+    'h' or 'ht', the last two at a triple (l1, l2, m).  Kind 'callable'
+    is a black box: ``fn``
     maps coordinate rows (t, s) to values and replaces the power product
     and the weight; it is None for every other kind.
     """
@@ -554,9 +519,9 @@ def assembled_integrand(which: str, p: ParamSet, indices=None) -> Integrand:
     """Describe the full integrand for one identity.
 
     ``which`` is one of 'selb', 'exp', 'exp3', 'selb3', 'selb30',
-    'aomoto', 'J', 'Jt'.  For 'aomoto' ``indices`` is the moment index l
-    (optionally the pair (l, 'original')); for 'J'/'Jt' it is the triple
-    (l1, l2, m), which must be admissible.
+    'aomoto', 'J', 'Jt'.  For 'aomoto' ``indices`` is the moment index l,
+    the symmetrized t1..tl * (1-t_{l+1})..(1-t_k); for 'J'/'Jt' it is the
+    triple (l1, l2, m), which must be admissible.
     """
     k1, k2 = p.k1, p.k2
     a, b1, b2, g = p.alpha, p.beta1, p.beta2, p.gamma
@@ -576,14 +541,8 @@ def assembled_integrand(which: str, p: ParamSet, indices=None) -> Integrand:
         return Integrand(None, k1, k2, "01", k2, a, g, b1, b2, kind="g" if k2 else "plain")
     if which == "selb30":
         return Integrand(None, k1, k2, "01", 0, a, g, b1, b2)
-    if which == "aomoto":
-        if isinstance(indices, tuple):
-            ell, flavor = indices
-        else:
-            ell, flavor = indices, "two-sided"
-        return Integrand(None, k1, 0, "01", 0, a, g, b1, b2,
-                         kind="moment" if flavor == "two-sided" else "moment_plain",
-                         indices=(ell,))
+    if which == "aomoto":  # the l-th moment is the h weight at (l, 0, 0)
+        return Integrand(None, k1, 0, "01", 0, a, g, b1, b2, kind="h", indices=(indices, 0, 0))
     if which in ("J", "Jt"):
         l1, l2, m = indices
         if not is_admissible(l1, l2, m, k1, k2):

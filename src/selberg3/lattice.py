@@ -225,8 +225,7 @@ def lattice_values(NU: np.ndarray, NV: np.ndarray, p: ParamSet,
             vals[nz] = vals[nz] * weight_w(U[nz], V[nz], p.gamma)
     sing = np.flatnonzero(~regular)
     if sing.size:
-        pts = [LatticePoint(tuple(row[:k1]), tuple(row[k1:]), p.gamma) for row in P[sing].tolist()]
-        pairs = limit_pairs(pts, p, seed=seed, include_weight=include_weight)
+        pairs = limit_pairs(NU[sing], NV[sing], p, seed=seed, include_weight=include_weight)
         vals[sing] = 0.5 * (pairs[:, 0] + pairs[:, 1])
     return vals
 

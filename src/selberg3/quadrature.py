@@ -255,7 +255,7 @@ def _rational_weight(integrand: Integrand, order, frame: _ChainFrame):
         l1, l2, m = integrand.indices
         twisted = kind == "ht"
         for sigma in permutations(range(k1)):
-            base = 1.0
+            base = term = 1.0  # frees the last sigma's grid before the next is built
             for aa in range(l1):
                 base = base * tval[sigma[aa]]
             for aa in range(l1, k1):
@@ -268,17 +268,6 @@ def _rational_weight(integrand: Integrand, order, frame: _ChainFrame):
                 for b in range(l2, k2):
                     term = term * oms[tau[b]] / gap_st(tau[b], sigma[b + kk])
                 total += term
-    elif kind in ("moment", "moment_plain"):
-        (ell,) = integrand.indices
-        for sigma in permutations(range(k1)):
-            term = 1.0
-            for aa in range(ell):
-                term = term * tval[sigma[aa]]
-            if kind == "moment":
-                for aa in range(ell, k1):
-                    term = term * omt[sigma[aa]]
-            total += term
-        return total / math.factorial(k1)
     else:
         raise DomainError(f"unknown rational weight kind {kind!r}")
     return total / (math.factorial(k1) * math.factorial(k2))

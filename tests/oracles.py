@@ -6,11 +6,13 @@ functions from mpmath.  None of it shares code with the package paths it
 checks, except the references that the package must reproduce:
 
 * the lattice-summand references run the package's point evaluators
-  (``phi_sign_log``, ``weight_w``, ``f_off_lattice``, ``_draw_direction``)
-  point by point, the way the batched table and probe paths replaced;
+  (``phi_sign_log``, ``weight_w``, ``f_off_lattice``) point by point, and
+  draw each point's probe directions one at a time with their own copy
+  of the draw rule, the way the factor tables and the candidate block
+  replaced;
 * the per-record check references (``sequential_fval_support``,
-  ``sequential_limit_direction``, ``per_l_jjl_shift``) call ``f_limit``
-  once per point and solve both shifted tables once per l, the way the
+  ``sequential_limit_direction``, ``per_l_jjl_shift``) evaluate one point
+  at a time and solve both shifted tables once per l, the way the
   one-batch engines replaced, bit for bit;
 * the chain-quadrature reference takes the package's per-axis rules
   (``_axis_rule``) and lays the frame out over the full node mesh, the
@@ -233,24 +235,63 @@ def regular_values(NU, NV, p, include_weight=True):
     return regular, vals
 
 
-def sequential_limit_pair(pt, p, seed=7919, include_weight=True):
+def _stuck_forms(pt, p, tol=1e-9):
+    """(plus, minus) coordinate indices of every linear form of the summand
+    with a factor argument within tol of an integer at pt; index K is the
+    constant 0."""
+    a, g = p.alpha, p.gamma
+    c = pt.u.tolist() + pt.v.tolist() + [0.0]
+    k1, k2 = pt.k1, pt.k2
+    K = k1 + k2
+    forms = [(i, K, lambda x: (x + a, x + 1.0)) for i in range(k1)]
+    forms += [(k1 + j, i, lambda x: (x - g + 1.0, x + 1.0, x - g))
+              for i in range(k1) for j in range(k2)]
+    for off, kdim in ((0, k1), (k1, k2)):
+        forms += [(off + i, off + j, lambda x: (x, x + g, x - g + 1.0))
+                  for i in range(kdim) for j in range(i + 1, kdim)]
+    return [(plus, minus) for plus, minus, args in forms
+            if any(abs(y - round(y)) <= tol or abs(y) <= tol for y in args(c[plus] - c[minus]))]
+
+
+def sequential_limit_pair(pt, p, seed=7919, include_weight=True, draws=None):
     """Two directional limits at one lattice point, one direction at a time.
 
-    Directions come from the package's ``_draw_direction`` and probes from
-    its ``f_off_lattice``: the batched path must reproduce this loop, not
-    merely approximate the limit.
+    Each direction takes up to 32 uniform draws in [-1, 1]^K, skips those
+    of max-norm below 1e-3, scales to unit max-norm and is accepted when
+    every form with a factor argument at an integer (``_stuck_forms``)
+    moves at rate >= 0.05 along it.  Its three probes go through the
+    package's ``f_off_lattice``; a direction on which that raises is
+    dropped, and at most 10 directions are tried for two.  ``draws``, rows
+    of raw draws, replaces ``default_rng(seed)``.  This is the per-point
+    loop the package's candidate block replaced, with its messages.
     """
     from selberg3 import integrands
-    from selberg3.errors import NearSingularError, PoleError
+    from selberg3.errors import LimitDisagreementError, NearSingularError, PoleError
 
     scale = min(1.0, abs(p.gamma))
     eps_list = [1e-2 * scale, 1e-3 * scale, 1e-4 * scale]
+    K = pt.k1 + pt.k2
     rng = np.random.default_rng(seed)
+    rows = iter(draws) if draws is not None else None
+    stuck = _stuck_forms(pt, p)
+
+    def draw_direction():
+        for _ in range(32):
+            d = next(rows) if rows is not None else rng.uniform(-1.0, 1.0, size=K)
+            norm = np.abs(d).max()
+            if norm < 1e-3:
+                continue
+            d = d / norm
+            dd = d.tolist() + [0.0]
+            if all(abs(dd[plus] - dd[minus]) >= 0.05 for plus, minus in stuck):
+                return d[:pt.k1], d[pt.k1:]
+        raise LimitDisagreementError("could not find a generic probe direction")
+
     results = []
     for _ in range(10):
         if len(results) == 2:
             break
-        du, dv = integrands._draw_direction(rng, pt, p)
+        du, dv = draw_direction()
         uu = np.stack([pt.u + e * du for e in eps_list])
         vv = np.stack([pt.v + e * dv for e in eps_list])
         try:
@@ -263,14 +304,42 @@ def sequential_limit_pair(pt, p, seed=7919, include_weight=True):
                 tab[i] = ((eps_list[i + level] * tab[i] - eps_list[i] * tab[i + 1])
                           / (eps_list[i + level] - eps_list[i]))
         results.append(tab[0])
-    assert len(results) == 2, "probes kept hitting singular hyperplanes"
+    if len(results) < 2:
+        raise LimitDisagreementError("probe evaluations kept hitting singular hyperplanes")
     return tuple(results)
+
+
+def sequential_limit_pairs(pts, p, seed=7919, include_weight=True, draws=None):
+    """``sequential_limit_pair`` at each point in order, each pair checked
+    as soon as it is found: two limits above 1e-10 must agree to 1e-6
+    relative.  Returns an (m, 2) array."""
+    from selberg3.errors import LimitDisagreementError
+
+    out = []
+    for pt in pts:
+        a, b = sequential_limit_pair(pt, p, seed, include_weight, draws)
+        scale = max(abs(a), abs(b))
+        if abs(a - b) > 1e-6 * scale and scale > 1e-10:
+            raise LimitDisagreementError(f"directional limits disagree: {a!r} vs {b!r} at {pt!r}")
+        out.append((a, b))
+    return np.array(out).reshape(-1, 2)
+
+
+def sequential_point_value(pt, p, seed=7919, include_weight=True):
+    """The lattice summand at one point: ``regular_values`` where it is
+    regular, the mean of its checked sequential limit pair elsewhere."""
+    NU, NV = np.array([pt.nu], dtype=float), np.array([pt.nv], dtype=float)
+    regular, vals = regular_values(NU, NV, p, include_weight)
+    if regular[0]:
+        return float(vals[0])
+    a, b = sequential_limit_pairs([pt], p, seed, include_weight)[0].tolist()
+    return 0.5 * (a + b)
 
 
 def sequential_fval_support(p, budget, seed, tol):
     """The support check one lattice point at a time: in-cone values in one
-    batch, then ``f_limit`` at each off-cone point, in draw order."""
-    from selberg3.integrands import LatticePoint, f_limit
+    batch, then each off-cone point on its own, in draw order."""
+    from selberg3.integrands import LatticePoint
     from selberg3.lattice import cone_array, lattice_values
 
     rng = np.random.default_rng(seed)
@@ -285,30 +354,28 @@ def sequential_fval_support(p, budget, seed, tol):
         nv = tuple(int(x) for x in rng.integers(-4, 8, size=k2))
         pt = LatticePoint(nu, nv, p.gamma)
         if not pt.in_cone:
-            off.append((nu, nv))
+            off.append(pt)
     worst = 0.0
-    for nu, nv in off:
-        val = f_limit(LatticePoint(nu, nv, p.gamma), p, seed=seed)
-        worst = max(worst, abs(val))
+    for pt in off:
+        worst = max(worst, abs(sequential_point_value(pt, p, seed=seed)))
     return worst / med, 0.0, 0.0, (tol if tol is not None else 1e-8), \
         f"max off-cone {worst:.2e} vs median in-cone {med:.2e}, {npts} points"
 
 
 def sequential_limit_direction(p, budget, seed, tol):
-    """The direction check one lattice point at a time, each probed by
-    ``f_limit``; a check that compared no point gets an infinite error."""
-    from selberg3.integrands import LatticePoint, f_limit
+    """The direction check one lattice point at a time, each probed on its
+    own; a check that compared no point gets an infinite error."""
+    from selberg3.integrands import LatticePoint
     from selberg3.lattice import cone_integer_parts
 
     rng = np.random.default_rng(seed)
     pts = [(nu, nv) for nu, nv in cone_integer_parts(p.k1, p.k2, 5)]
     rng.shuffle(pts)
     pts = pts[:min(budget.points, 20)]
+    pairs = sequential_limit_pairs([LatticePoint(nu, nv, p.gamma) for nu, nv in pts], p, seed)
     worst = 0.0
     compared = 0
-    for nu, nv in pts:
-        a, b = f_limit(LatticePoint(nu, nv, p.gamma), p, seed=seed,
-                       force_probe=True, return_pair=True)
+    for a, b in pairs.tolist():
         scale = max(abs(a), abs(b))
         if scale > 1e-12:
             worst = max(worst, abs(a - b) / scale)
@@ -405,17 +472,6 @@ def _mesh_rational_weight(integrand, order, frame):
                 for b in range(l2, k2):
                     term = term * oms[tau[b]] / gap_st(tau[b], sigma[b + kk])
                 total += term
-    else:  # moment, moment_plain
-        (ell,) = integrand.indices
-        for sigma in permutations(range(k1)):
-            term = np.ones(n)
-            for aa in range(ell):
-                term = term * tval[sigma[aa]]
-            if kind == "moment":
-                for aa in range(ell, k1):
-                    term = term * omt[sigma[aa]]
-            total += term
-        return total / factorial(k1)
     return total / (factorial(k1) * factorial(k2))
 
 
@@ -622,19 +678,6 @@ def raw_integrand(ig, near_tol=0.0, magnitude=False):
             l1, l2, m = ig.indices
             vals = vals * _h_core(l1, l2, m, t, s, k1, k2, twisted=ig.kind == "ht",
                                   near_tol=near_tol, magnitude=magnitude)
-        elif ig.kind in ("moment", "moment_plain"):
-            (ell,) = ig.indices
-            total = np.zeros(t.shape[0])
-            for sigma in permutations(range(k1)):
-                ts = t[:, sigma]
-                term = np.ones(t.shape[0])
-                for aa in range(ell):
-                    term = term * ts[:, aa]
-                if ig.kind == "moment":
-                    for aa in range(ell, k1):
-                        term = term * (1.0 - ts[:, aa])
-                total = total + term
-            vals = vals * total / factorial(k1)
         return vals
 
     return fn

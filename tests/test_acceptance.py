@@ -23,7 +23,7 @@ from selberg3 import closed_forms as cf
 from selberg3.chains import enumerate_maps, gamma_chain, merged_order, unit_chain
 from selberg3.cli import main as cli_main
 from selberg3.identities import Budget, identity_ids, run_identity
-from selberg3.integrands import LatticePoint, assembled_integrand, f_limit
+from selberg3.integrands import assembled_integrand
 from selberg3.lattice import (
     cone_integer_parts,
     eps_limit_ratio,

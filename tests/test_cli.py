@@ -8,7 +8,8 @@ import os
 
 import pytest
 
-from selberg3.cli import main
+from selberg3.cli import _param_grid, main
+from selberg3.errors import InvalidParamsError
 from selberg3.identities import REGISTRY, identity_ids
 
 
@@ -203,3 +204,49 @@ class TestConfig:
         code, out, _ = run_cli(capsys, "verify", "--identity", "stirling_ratio")
         assert code == 0
         assert json.loads(out.strip())["seed"] == 4242
+
+
+class TestAliases:
+    @pytest.mark.parametrize("alias,value,field", [("k", 3, "k1"), ("beta", 1.7, "beta1"),
+                                                   ("z", 0.25, "z1")])
+    def test_alias_sets_the_same_params_from_a_flag_and_a_grid_point(self, tmp_path, alias,
+                                                                     value, field):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{alias: value}]))
+        (from_flag,) = _param_grid({alias: value, "k2": None})
+        (from_grid,) = _param_grid({"grid": str(grid)})
+        assert from_flag == from_grid
+        assert getattr(from_flag, field) == value
+        if alias == "k":
+            assert from_flag.k2 == 0
+
+    def test_named_flag_overrides_its_alias(self):
+        (p,) = _param_grid({"k": 3, "k1": 2, "beta": 1.7, "beta1": 1.2, "z": 0.3, "z1": 0.4})
+        assert (p.k1, p.k2, p.beta1, p.z1) == (2, 0, 1.2, 0.4)
+
+    def test_k_in_a_grid_point_resets_a_flag_k2(self, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"k": 3}, {"k1": 3}]))
+        k_point, k1_point = _param_grid({"k2": 1, "grid": str(grid)})
+        assert (k_point.k1, k_point.k2) == (3, 0)
+        assert (k1_point.k1, k1_point.k2) == (3, 1)
+
+    def test_unknown_grid_key(self, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"kappa": 1}]))
+        with pytest.raises(InvalidParamsError, match="unknown grid key 'kappa'"):
+            _param_grid({"grid": str(grid)})
+
+
+class TestMonteCarloBudget:
+    @pytest.mark.parametrize("argv", [
+        ("--identity", "exp", "--k", "2", "--alpha", "1.5", "--gamma", "-0.15", "--budget", "2"),
+        ("--identity", "exp", "--k", "2", "--alpha", "1.5", "--gamma", "-0.15", "--budget", "10"),
+        ("--identity", "chain_decomp", "--k1", "2", "--k2", "2", "--budget", "2")])
+    def test_tiny_budget_is_insufficient_precision(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        rec = json.loads(out)
+        assert rec["passed"] is False
+        assert rec["note"].endswith("insufficient precision")
+        assert "Traceback" not in err

@@ -120,13 +120,6 @@ class TestAomotoRhs:
                 rhs = (p.beta + l * p.gamma) * vals[l + 1]
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_original_flavor_prefactor(self):
-        p = p_(k1=2, k2=0, alpha=1.5, beta1=1.2, gamma=-0.1)
-        got = cf.aomoto_rhs(2, 1, p, original=True).to_float()
-        pre = (p.alpha + p.gamma) / (p.alpha + p.beta + 2 * p.gamma)
-        want = pre * cf.selberg_rhs(p).to_float()
-        assert got == pytest.approx(want, rel=1e-13)
-
     def test_l_out_of_range(self):
         with pytest.raises(DomainError):
             cf.aomoto_rhs(2, 3, p_(k1=2, k2=0))

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in it."""
+"""Source hygiene: every name a module imports is used in it, and every
+private module-level function or class is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,31 @@ def test_no_unused_imports(path):
 def test_detector_flags_an_unused_import():
     source = "import math\nfrom os import path, sep\nprint(path, math.pi)\n"
     assert unused_imports(source) == ["sep (line 2)"]
+
+
+def private_definitions(source: str) -> set[str]:
+    """Module-level functions and classes whose names start with one '_'."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def names_read(source: str) -> set[str]:
+    """Every bare name and attribute name the source reads."""
+    tree = ast.parse(source)
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_private_definition_is_read():
+    sources = [path.read_text() for path in SRC.glob("*.py")]
+    defined = set().union(*map(private_definitions, sources))
+    read = set().union(*map(names_read, sources))
+    assert len(defined) > 40
+    assert sorted(defined - read) == []
+
+
+def test_detector_flags_an_unread_private_helper():
+    source = "def _used():\n    pass\n\n\ndef _left():\n    pass\n\n\nclass _Kept:\n    f = _used\n"
+    assert private_definitions(source) == {"_used", "_left", "_Kept"}
+    assert private_definitions(source) - names_read(source) == {"_left", "_Kept"}

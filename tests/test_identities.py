@@ -8,13 +8,17 @@ from oracles import per_l_jjl_shift, sequential_fval_support, sequential_limit_d
 from selberg3 import lattice, recursions
 from selberg3.errors import InvalidParamsError, LimitDisagreementError, Selberg3Error
 from selberg3.identities import (
+    MC_CEIL,
+    MC_FLOOR,
     REGISTRY,
     Budget,
     VerificationRecord,
+    _mc_tolerance,
     identity_ids,
     run_grid,
     run_identity,
 )
+from selberg3.integrands import integer_parts_in_cone
 from selberg3.params import ParamSet
 
 EXPECTED_IDS = {"selb", "exp", "dexp", "dexp3", "exp3", "selb3", "selb30",
@@ -152,15 +156,16 @@ class TestBatchedEngines:
         limit_pairs = lattice.limit_pairs
         probed = []
 
-        def spy(pts, *args, **kwargs):
-            probed.extend(pts)
-            return limit_pairs(pts, *args, **kwargs)
+        def spy(NU, NV, *args, **kwargs):
+            probed.extend(zip(NU.tolist(), NV.tolist()))
+            return limit_pairs(NU, NV, *args, **kwargs)
 
         monkeypatch.setattr(lattice, "limit_pairs", spy)
         p, budget = _lattice_params(2, 2, -0.15), Budget(points=3)
         got = REGISTRY["fval_support"].engine(p, budget, 5, None)
-        assert any(pt.in_cone for pt in probed)
-        assert any(not pt.in_cone and min(pt.nu + pt.nv) < 0 for pt in probed)
+        assert any(integer_parts_in_cone(nu, nv, 2, 2) for nu, nv in probed)
+        assert any(not integer_parts_in_cone(nu, nv, 2, 2) and min(nu + nv) < 0
+                   for nu, nv in probed)
         assert got[0] > 0.0
         monkeypatch.undo()
         assert got == sequential_fval_support(p, budget, 5, None)
@@ -208,3 +213,22 @@ class TestBatchedEngines:
         rec = run_identity("jjl_shift", p)
         assert rec.passed
         assert calls == [False, False]
+
+
+class TestMonteCarloTolerance:
+    def test_default_tolerance_is_three_sigma_within_floor_and_ceiling(self):
+        assert _mc_tolerance(1e-3, 1.0) == pytest.approx(3e-3)
+        assert _mc_tolerance(1e-6, 1.0) == MC_FLOOR
+        assert _mc_tolerance(0.3, 1.0) == MC_CEIL
+        assert _mc_tolerance(1e-9, 0.0) == MC_CEIL  # a zero reference: infinite relative sigma
+
+    def test_chain_decomp_takes_the_budget_sample_count(self):
+        p = ParamSet(k1=2, k2=1)
+        small = run_identity("chain_decomp", p, budget=Budget(samples=1000), seed=3)
+        default = run_identity("chain_decomp", p, seed=3)
+        assert small.lhs_err != default.lhs_err
+
+    def test_chain_decomp_without_a_cone_sample_is_insufficient_precision(self):
+        rec = run_identity("chain_decomp", ParamSet(k1=2, k2=2), budget=Budget(samples=2), seed=1)
+        assert rec.lhs_err == float("inf") and rec.rhs == 0.0
+        assert not rec.passed and rec.note.endswith("insufficient precision")

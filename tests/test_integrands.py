@@ -1,17 +1,20 @@
 """Summand and integrand evaluation, including lattice limit values."""
 
 import math
+from itertools import permutations
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from oracles import (brute_h, brute_weight_g, brute_weight_w, h_func, h_tilde_func, mp_gamma,
-                     omega, raw_integrand, sequential_limit_pair, weight_g)
+                     omega, raw_integrand, regular_mask, sequential_limit_pairs,
+                     sequential_point_value, weight_g)
 from selberg3 import integrands
 from selberg3.errors import (
     DomainError,
     InadmissibleTripleError,
+    LimitDisagreementError,
     NearSingularError,
     PoleError,
 )
@@ -21,26 +24,30 @@ from selberg3.integrands import (
     f_limit,
     f_off_lattice,
     is_admissible,
-    lattice_point_is_regular,
     limit_pairs,
-    master_phi,
+    phi_sign_log,
     weight_w,
 )
-from selberg3.lattice import cone_integer_parts
+from selberg3.lattice import cone_array, lattice_values
 from selberg3.params import ParamSet
+
+
+def master_value(u, v, p):
+    """The master product at one real point (u, v), through phi_sign_log."""
+    sign, logm = phi_sign_log(np.asarray(u, float)[None, :], np.asarray(v, float)[None, :], p)
+    return float(sign[0] * np.exp(logm[0]))
 
 
 class TestMasterPhi:
     def test_empty_shape_is_one(self):
         p = ParamSet(k1=0, k2=0)
-        v = master_phi((np.zeros(0), np.zeros(0)), p)
-        assert v.to_float() == pytest.approx(1.0)
+        assert master_value(np.zeros(0), np.zeros(0), p) == pytest.approx(1.0)
 
     def test_single_factor(self):
         p = ParamSet(k1=1, k2=0, alpha=1.3, gamma=-0.2, z1=0.5)
         u1 = 0.37
         want = 0.5 ** u1 * float(mp_gamma(u1 + 1.3) / mp_gamma(u1 + 1.0))
-        got = master_phi((np.array([u1]), np.zeros(0)), p).to_float()
+        got = master_value(np.array([u1]), np.zeros(0), p)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_two_block_product_term_by_term(self):
@@ -51,13 +58,13 @@ class TestMasterPhi:
                 * float(mp_gamma(u[0] + 1.3) / mp_gamma(u[0] + 1.0))
                 * float(mp_gamma(u[1] + 1.3) / mp_gamma(u[1] + 1.0))
                 * d * float(mp_gamma(d + p.gamma) / mp_gamma(d - p.gamma + 1.0)))
-        got = master_phi((np.array(u), np.zeros(0)), p).to_float()
+        got = master_value(np.array(u), np.zeros(0), p)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_pole_raises(self):
         p = ParamSet(k1=1, k2=0, alpha=2.0, gamma=-0.2, z1=0.5)
         with pytest.raises(PoleError):
-            master_phi((np.array([-3.0]), np.zeros(0)), p)  # u + alpha = -1
+            master_value(np.array([-3.0]), np.zeros(0), p)  # u + alpha = -1
 
 
 class TestWeightW:
@@ -257,6 +264,19 @@ class TestAssembledIntegrands:
         rhs = omega(t, s, p_up) * weight_g(t, s)
         assert np.allclose(lhs, rhs, rtol=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_aomoto_moment_is_the_h_weight_at_l00(self, k):
+        p = ParamSet(k1=k, k2=0, alpha=1.5, beta1=1.2, gamma=-0.11)
+        for ell in range(k + 1):
+            ig = assembled_integrand("aomoto", p, indices=ell)
+            assert ig == assembled_integrand("J", p, indices=(ell, 0, 0))
+            rng = np.random.default_rng(k)
+            t = rng.uniform(0.05, 0.95, size=(6, k))
+            want = [np.mean([np.prod(t[i, list(s[:ell])]) * np.prod(1.0 - t[i, list(s[ell:])])
+                             for s in permutations(range(k))]) for i in range(6)]
+            got = raw_integrand(ig)(t, np.zeros((6, 0))) / omega(t, np.zeros((6, 0)), p)
+            assert np.allclose(got, want, rtol=1e-12)
+
     def test_j0k20_integrand_identity(self):
         # omega(a, b1, b2) * h_{0,k2,0} == omega(a, b1+1, b2) pointwise
         p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
@@ -268,11 +288,26 @@ class TestAssembledIntegrands:
         assert np.allclose(lhs, rhs, rtol=1e-12)
 
 
+def _parts(pts):
+    """Integer-part arrays (NU, NV) of a list of lattice points."""
+    m, k1, k2 = len(pts), pts[0].k1, pts[0].k2
+    return (np.array([pt.nu for pt in pts], dtype=float).reshape(m, k1),
+            np.array([pt.nv for pt in pts], dtype=float).reshape(m, k2))
+
+
+def _is_regular(pt, p):
+    return bool(regular_mask(*_parts([pt]), p)[0])
+
+
+# a regular point, a singular cone point and a singular off-cone point
+F_LIMIT_POINTS = [((2, 1), (2,)), ((1, 1), (1, 1)), ((-1, 1), (1, 3))]
+
+
 class TestLatticeLimit:
     def test_regular_point_direct(self):
         p = ParamSet(k1=1, k2=0, alpha=1.3, gamma=-0.2, z1=0.5)
         pt = LatticePoint((0,), (), p.gamma)
-        assert lattice_point_is_regular(pt, p)
+        assert _is_regular(pt, p)
         assert f_limit(pt, p) == pytest.approx(float(mp_gamma(1.3)), rel=1e-12)
 
     def test_out_of_cone_is_zero(self):
@@ -292,19 +327,37 @@ class TestLatticeLimit:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_force_probe_agrees_with_direct(self):
+        # limit_pairs probes any point, a regular one too
         p = ParamSet(k1=2, k2=1, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.3)
         pt = LatticePoint((2, 1), (2,), p.gamma)
+        assert _is_regular(pt, p)
         direct = f_limit(pt, p)
-        probed = f_limit(pt, p, force_probe=True)
+        probed = limit_pairs(*_parts([pt]), p).mean()
         assert probed == pytest.approx(direct, rel=1e-7)
 
     def test_singular_point_two_directions_agree(self):
         # the (2,2) diagonal points are genuine pole/zero collisions
         p = ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.3)
         pt = LatticePoint((1, 1), (1, 1), p.gamma)
-        assert not lattice_point_is_regular(pt, p)
-        a, b = f_limit(pt, p, return_pair=True)
+        assert not _is_regular(pt, p)
+        a, b = limit_pairs(*_parts([pt]), p)[0]
         assert a == pytest.approx(b, rel=1e-6)
+
+    @pytest.mark.parametrize("nu,nv", F_LIMIT_POINTS)
+    def test_f_limit_is_one_row_of_lattice_values(self, nu, nv):
+        p = ParamSet(k1=len(nu), k2=len(nv), alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
+        pt = LatticePoint(nu, nv, p.gamma)
+        for seed, include_weight in ((7919, True), (3, False)):
+            got = f_limit(pt, p, seed=seed, include_weight=include_weight)
+            row = lattice_values(*_parts([pt]), p, include_weight=include_weight, seed=seed)
+            assert got == row[0]
+            assert got == sequential_point_value(pt, p, seed, include_weight)
+
+    def test_f_limit_cases_cover_both_kinds_of_point(self):
+        kinds = [_is_regular(LatticePoint(nu, nv, -0.15),
+                             ParamSet(k1=len(nu), k2=len(nv), alpha=1.3, gamma=-0.15))
+                 for nu, nv in F_LIMIT_POINTS]
+        assert True in kinds and False in kinds
 
     def test_off_lattice_probe_values_finite(self):
         p = ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.3)
@@ -316,8 +369,45 @@ class TestLatticeLimit:
 
 
 def _singular_cone_points(p, bound):
-    pts = [LatticePoint(nu, nv, p.gamma) for nu, nv in cone_integer_parts(p.k1, p.k2, bound)]
-    return [pt for pt in pts if not lattice_point_is_regular(pt, p)]
+    """The singular points of the cone shells 0..bound, as LatticePoints."""
+    P = cone_array(p.k1, p.k2, bound).astype(float)
+    P = P[~regular_mask(P[:, :p.k1], P[:, p.k1:], p)].astype(int)
+    return [LatticePoint(tuple(r[:p.k1]), tuple(r[p.k1:]), p.gamma) for r in P.tolist()]
+
+
+def _outcome(fn, *args, **kwargs):
+    """The returned array, or the class and message of what was raised."""
+    try:
+        return fn(*args, **kwargs)
+    except LimitDisagreementError as exc:
+        return type(exc), str(exc)
+
+
+def _same(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    return isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+# (2,2) point singular through the weight pole v_0 - u_1 = gamma, with
+# Gamma(u_0 + alpha) at 1e-3 from its pole at -1; that near pole spoils
+# its limits, so a small z2 keeps them below the 1e-10 agreement scale
+PLANT_P = ParamSet(k1=2, k2=2, alpha=1.151, gamma=-0.15, z1=0.3, z2=1e-8)
+PLANT_PT = LatticePoint((-2, 1), (1, 1), PLANT_P.gamma)
+# generic everywhere (every form moves at rate >= 0.05) and of unit max-norm;
+# its first probe, eps = 1.5e-3, puts u_0 + alpha on -1
+PLANTED = np.array([-2.0 / 3.0, 0.2, 1.0, -0.5])
+# every coordinate alike: no form between two coordinates moves
+STILL = np.full(4, 0.7)
+
+
+def _plant(monkeypatch, head):
+    """Make the candidate block start with the rows ``head``, followed by
+    the true draws, cut to the block's size; returns the block."""
+    block = integrands._candidate_draws(7919, 4)
+    planted = np.vstack((head, block))[:len(block)]
+    monkeypatch.setattr(integrands, "_candidate_draws", lambda seed, K: planted.copy())
+    return planted
 
 
 class TestLimitPairs:
@@ -326,38 +416,80 @@ class TestLimitPairs:
         p = ParamSet(k1=k1, k2=k2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
         pts = _singular_cone_points(p, 5)
         assert len(pts) > 5
-        got = limit_pairs(pts, p, seed=11)
-        for pt, pair in zip(pts, got.tolist()):
-            assert tuple(pair) == sequential_limit_pair(pt, p, seed=11)
-            assert tuple(pair) == f_limit(pt, p, seed=11, return_pair=True)
+        returned = 0
+        for seed in (3, 11, 808):
+            for include_weight in (True, False):
+                got = _outcome(limit_pairs, *_parts(pts), p, seed=seed,
+                               include_weight=include_weight)
+                want = _outcome(sequential_limit_pairs, pts, p, seed, include_weight)
+                assert _same(got, want)
+                returned += isinstance(want, np.ndarray)
+        assert returned >= 3
 
-    def test_probe_on_a_singular_hyperplane_takes_the_retry_loop(self, monkeypatch):
+    def test_planted_candidate_is_generic_and_hits_a_pole(self):
+        pt, p = PLANT_PT, PLANT_P
+        assert not _is_regular(pt, p)
+        assert np.abs(PLANTED).max() == 1.0
+        ends = np.append(PLANTED, 0.0)
+        for _, plus, minus in integrands.lattice_bases(2, 2):
+            assert abs(ends[plus] - ends[minus]) >= 0.05
+        eps = 1e-2 * abs(p.gamma)
+        with pytest.raises(PoleError):
+            f_off_lattice(pt.u[None, :] + eps * PLANTED[:2], pt.v[None, :] + eps * PLANTED[2:], p)
+
+    def test_probe_on_a_singular_hyperplane_takes_the_next_candidate(self, monkeypatch):
+        p = PLANT_P
+        pts = [PLANT_PT] + _singular_cone_points(p, 3)
+        assert len(pts) > 2
+        unplanted = limit_pairs(*_parts(pts), p)
+        planted = _plant(monkeypatch, PLANTED)
+        got = limit_pairs(*_parts(pts), p)
+        assert np.array_equal(got, sequential_limit_pairs(pts, p, draws=planted))
+        # the target skips the planted candidate for the true draws after it;
+        # the cone points, whose probes it leaves clean, take it first
+        assert np.array_equal(got[0], unplanted[0])
+        assert not np.array_equal(got[1:], unplanted[1:])
+
+    @pytest.mark.parametrize("unclean,raises", [(8, False), (9, True)])
+    def test_at_most_ten_directions_per_point(self, monkeypatch, unclean, raises):
+        planted = _plant(monkeypatch, np.tile(PLANTED, (unclean, 1)))
+        got = _outcome(limit_pairs, *_parts([PLANT_PT]), PLANT_P)
+        assert _same(got, _outcome(sequential_limit_pairs, [PLANT_PT], PLANT_P, draws=planted))
+        assert isinstance(got, tuple) == raises
+        if raises:
+            assert got[1] == "probe evaluations kept hitting singular hyperplanes"
+
+    @pytest.mark.parametrize("still,raises", [(31, False), (32, True)])
+    def test_each_direction_within_32_draws(self, monkeypatch, still, raises):
         p = ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
-        pts = _singular_cone_points(p, 3)
-        target = LatticePoint((1, 1), (1, 1), p.gamma)
-        assert target in pts and len(pts) > 1
-        draw = integrands._draw_direction
-        forced = []
+        pt = LatticePoint((1, 1), (1, 1), p.gamma)
+        planted = _plant(monkeypatch, np.vstack([np.tile(STILL, (still, 1)),
+                                                 PLANTED, np.tile(STILL, (still, 1))]))
+        got = _outcome(limit_pairs, *_parts([pt]), p)
+        want = _outcome(sequential_limit_pairs, [pt], p, draws=planted)
+        assert _same(got, want)
+        assert isinstance(got, tuple) == raises
+        if raises:
+            assert got[1] == "could not find a generic probe direction"
 
-        def first_direction_on_the_pole(rng, pt, p, attempts=32):
-            du, dv = draw(rng, pt, p, attempts)
-            if pt == target and not any(r is rng for r in forced):
-                forced.append(rng)
-                dv = dv.copy()
-                dv[0] = du[1]  # v_0 - u_1 - gamma = 0 all along: a weight pole
-            return du, dv
+    def test_no_generic_direction_raises(self, monkeypatch):
+        p = ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
+        pts = _singular_cone_points(p, 2)
+        planted = _plant(monkeypatch, np.tile(STILL, (320, 1)))
+        got = _outcome(limit_pairs, *_parts(pts), p)
+        assert got == (LimitDisagreementError, "could not find a generic probe direction")
+        assert got == _outcome(sequential_limit_pairs, pts, p, draws=planted)
 
-        retry = integrands._retry_pair
-        retried = []
+    def test_one_off_lattice_call_per_batch(self, monkeypatch):
+        p = ParamSet(k1=3, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
+        pts = _singular_cone_points(p, 4)
+        calls = []
+        evaluate = integrands.f_off_lattice
 
-        def spy(pt, *args):
-            retried.append(pt)
-            return retry(pt, *args)
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return evaluate(*args, **kwargs)
 
-        monkeypatch.setattr(integrands, "_draw_direction", first_direction_on_the_pole)
-        monkeypatch.setattr(integrands, "_retry_pair", spy)
-        got = limit_pairs(pts, p, seed=11)
-        assert retried == [target]
-        for pt, pair in zip(pts, got.tolist()):
-            assert tuple(pair) == sequential_limit_pair(pt, p, seed=11)
-            assert tuple(pair) == f_limit(pt, p, seed=11, return_pair=True)
+        monkeypatch.setattr(integrands, "f_off_lattice", spy)
+        limit_pairs(*_parts(pts), p, seed=11)
+        assert calls == [6 * len(pts)]

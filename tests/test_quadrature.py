@@ -111,8 +111,6 @@ def _frame_cases():
         out.append((f"plain-selb-{k}", assembled_integrand("selb", p), k, 0))
         p = ParamSet(k1=k, k2=0, alpha=1.5, beta1=1.2, gamma=-0.11)
         out.append((f"moment-{k}", assembled_integrand("aomoto", p, indices=k // 2), k, 0))
-        out.append((f"moment_plain-{k}",
-                    assembled_integrand("aomoto", p, indices=(k - 1, "original")), k, 0))
     for k1, k2 in ((1, 0), (1, 1), (2, 1), (2, 2), (3, 1)):
         ig = Integrand(_poly, k1, k2, "01", 0, 1.0, 0.0, 1.0, 1.0, kind="callable")
         out.append((f"callable-{k1}{k2}", ig, k1, k2))
@@ -334,7 +332,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("which,k1,k2,idx", [
         ("selb", 2, 0, None), ("selb30", 2, 2, None), ("selb3", 2, 1, None),
-        ("aomoto", 3, 0, 1), ("aomoto", 2, 0, (1, "original")), ("J", 2, 1, (1, 0, 0)),
+        ("aomoto", 3, 0, 1), ("aomoto", 2, 0, 2), ("J", 2, 1, (1, 0, 0)),
         ("Jt", 2, 2, (1, 1, 1)), ("exp", 2, 0, None), ("exp3", 2, 1, None),
         ("exp3", 2, 2, None), ("callable", 2, 1, None)])
     def test_matches_raw_coordinate_path(self, which, k1, k2, idx):
