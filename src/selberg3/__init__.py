@@ -36,7 +36,7 @@ from .integrands import LatticePoint, f_limit, is_admissible
 from .lattice import ConeSpec, SeriesResult, enumerate_cone, sum_discrete
 from .logreal import LogSigned, gamma_ratio, log_gamma_signed, sin_ratio
 from .params import ParamSet
-from .quadrature import QuadSpec, integrate_chain, integrate_domain
+from .quadrature import QuadSpec, integrate_chain, integrate_domain, integrate_family
 from .recursions import (
     JTable,
     jjl_shift_check,
@@ -78,6 +78,7 @@ __all__ = [
     "identity_ids",
     "integrate_chain",
     "integrate_domain",
+    "integrate_family",
     "is_admissible",
     "j_closed_form",
     "jjl_shift_check",

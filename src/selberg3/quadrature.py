@@ -31,6 +31,11 @@ log power product, the rational weight and the values fill the grid.
 Each elementwise operation and reduction runs in the same order as over
 a full (n**K, K) node mesh, so the values match that mesh bit for bit.
 
+Integrands that differ only in their weight form a family, which shares
+one frame per domain and rule: the axis rules, frame, weight product,
+power product and coordinate rows are built once, and each member adds
+its own weight and weighted sum, bit-identical to a run on its own.
+
 The Monte Carlo scheme importance-samples the matching beta densities
 (plus a gamma density for the overall scale on the half-line) and
 averages integrand/model, which is bounded by construction.  It
@@ -132,8 +137,8 @@ def _axis_rule(n: int, w0: float, w1: float, q: int):
 
     Returns read-only (logr, logx, weight) with x = 1-r; the weight folds
     the Jacobi weight of the lifted exponents together with the smooth
-    parts of the substitution r = I_xi(q, q).  Memoized: moments and
-    monomials of one record share their domains' rules.
+    parts of the substitution r = I_xi(q, q).  Memoized: domains and
+    records at equal exponents share their rules.
     """
     a_lift = q * w1 + q - 1.0
     b_lift = q * w0 + q - 1.0
@@ -146,7 +151,11 @@ def _axis_rule(n: int, w0: float, w1: float, q: int):
     u0 = r / xi ** q
     u1 = x / omxi ** q
     logbeta_qq = betaln(q, q)
-    weight = wj * np.exp(w0 * np.log(u0) + w1 * np.log(u1) - logbeta_qq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = wj * np.exp(w0 * np.log(u0) + w1 * np.log(u1) - logbeta_qq)
+    if not np.all(np.isfinite(weight)):  # large exponents overflow the rule
+        raise IntegrandSingularError(f"non-finite quadrature rule weights at "
+                                     f"exponents ({w0}, {w1})")
     logr = np.where(r > 0.5, np.log1p(-x), np.log(r))
     logx = np.log(x)
     for arr in (logr, logx, weight):
@@ -216,20 +225,16 @@ def _signed_gap(frame: _ChainFrame, pos_a: int, pos_b: int):
     return -1.0, frame.lgap(pos_b, pos_a)
 
 
-def _rational_weight(integrand: Integrand, order, frame: _ChainFrame):
+def _rational_weight(integrand: Integrand, order, frame: _ChainFrame, rows=None):
     """Symmetrized rational/polynomial weight evaluated from the frame,
-    broadcastable to its grid (1.0 for a plain integrand)."""
+    broadcastable to its grid (1.0 for a plain integrand).  A 'callable'
+    integrand reads the coordinate rows (t, s) of the frame's points."""
     kind = integrand.kind
     if kind == "plain":
         return 1.0
     k1, k2 = integrand.k1, integrand.k2
     if kind == "callable":
-        t = np.empty(frame.shape + (k1,))
-        s = np.empty(frame.shape + (k2,))
-        for i, (knd, idx) in enumerate(order):
-            (t if knd == "t" else s)[..., idx - 1] = frame.C[i]
-        n = math.prod(frame.shape)
-        return integrand.fn(t.reshape(n, k1), s.reshape(n, k2)).reshape(frame.shape)
+        return integrand.fn(*rows).reshape(frame.shape)
     pos_t = {idx: i for i, (knd, idx) in enumerate(order) if knd == "t"}
     pos_s = {idx: i for i, (knd, idx) in enumerate(order) if knd == "s"}
     if kind != "g":  # a 'g' weight needs gaps only; 1 - c may be negative on the half-line
@@ -273,25 +278,29 @@ def _rational_weight(integrand: Integrand, order, frame: _ChainFrame):
     return total / (math.factorial(k1) * math.factorial(k2))
 
 
-def _frame_values(integrand: Integrand, order, aw: AxisWeights,
-                  frame: _ChainFrame) -> np.ndarray:
-    """integrand * Jacobian / per-axis weight models on the frame's points.
+def _frame_values(members, order, aw: AxisWeights, frame: _ChainFrame):
+    """integrand * Jacobian / per-axis weight models on the frame's points,
+    yielded one array per member of a family.
 
-    On the half-line axis 0 carries the overall scale c_0 and has no
-    model here: the sampler's gamma density covers it.
+    The members share everything but the weight, so the power product,
+    Jacobian and models (and a 'callable' family's coordinate rows) are
+    built once and each member multiplies in only its own weight.  On
+    the half-line axis 0 carries the overall scale c_0 and has no model
+    here: the sampler's gamma density covers it.
     """
+    ig = members[0]
     K = len(order)
-    a, g, b1, b2 = integrand.alpha, integrand.gamma, integrand.beta1, integrand.beta2
-    halfline = integrand.interval == "0inf"
+    a, g, b1, b2 = ig.alpha, ig.gamma, ig.beta1, ig.beta2
+    halfline = ig.interval == "0inf"
 
     # log of the power-product part of integrand * Jacobian / axis models;
     # a 'callable' integrand is a black box, so only Jacobian and models
     # are handled structurally for it
     logf = np.zeros(frame.shape)
-    if integrand.kind != "callable":
+    if ig.kind != "callable":
         for i, (kndi, _) in enumerate(order):
             if halfline:
-                rate = integrand.exp_rates[0 if kndi == "t" else 1]
+                rate = ig.exp_rates[0 if kndi == "t" else 1]
                 if kndi == "t":
                     logf += (a - 1.0) * frame.LS[i]
                 logf -= rate * frame.C[i]
@@ -308,10 +317,25 @@ def _frame_values(integrand: Integrand, order, aw: AxisWeights,
         logf += frame.LS[i - 1]  # Jacobian
     for i in range(1 if halfline else 0, K):
         logf -= aw.w0[i] * frame.LOGR[i] + aw.w1[i] * frame.LOGX[i]
-    return np.exp(logf) * _rational_weight(integrand, order, frame)
+    base = np.exp(logf)
+    del logf  # no grid-sized log lives on while the members are evaluated
+    rows = None
+    if ig.kind == "callable":  # read-only coordinate rows (t, s), shared by the members
+        t = np.empty(frame.shape + (ig.k1,))
+        s = np.empty(frame.shape + (ig.k2,))
+        for i, (knd, idx) in enumerate(order):
+            (t if knd == "t" else s)[..., idx - 1] = frame.C[i]
+        n = math.prod(frame.shape)
+        rows = t.reshape(n, ig.k1), s.reshape(n, ig.k2)
+        for arr in rows:
+            arr.flags.writeable = False
+    for member in members:
+        yield base * _rational_weight(member, order, frame, rows)
 
 
-def _det_value(integrand: Integrand, order, aw: AxisWeights, n: int, q: int) -> float:
+def _det_value(members, order, aw: AxisWeights, n: int, q: int) -> list[float]:
+    """One tensor rule on one domain: one value per member, all on one
+    frame and weight product."""
     K = len(order)
     rules = [_axis_rule(n, aw.w0[i], aw.w1[i], q) for i in range(K)]
     frame = _ChainFrame([_on_axis(r[0], i, K) for i, r in enumerate(rules)],
@@ -319,10 +343,13 @@ def _det_value(integrand: Integrand, order, aw: AxisWeights, n: int, q: int) -> 
     W = _on_axis(rules[0][2], 0, K)
     for i in range(1, K):
         W = W * _on_axis(rules[i][2], i, K)
-    vals = _frame_values(integrand, order, aw, frame)
-    if not np.all(np.isfinite(vals)):
-        raise IntegrandSingularError("non-finite deterministic quadrature values")
-    return float(np.dot(W.ravel(), vals.ravel()))
+    W = W.ravel()
+    out = []
+    for vals in _frame_values(members, order, aw, frame):
+        if not np.all(np.isfinite(vals)):
+            raise IntegrandSingularError("non-finite deterministic quadrature values")
+        out.append(float(np.dot(W, vals.ravel())))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +359,17 @@ def _det_value(integrand: Integrand, order, aw: AxisWeights, n: int, q: int) -> 
 MC_BLOCK_ROWS = 65_536  # sample rows per frame; bounds the working set
 
 
-def _mc_value(integrand: Integrand, order, aw: AxisWeights, q: QuadSpec):
+def _mc_value(members, order, aw: AxisWeights, q: QuadSpec) -> list[tuple[float, float]]:
+    """(mean, standard error) per member, every member on the same draws."""
     K = len(order)
     rng = np.random.default_rng(q.seed)
     n = q.sample_count
-    halfline = integrand.interval == "0inf"
+    halfline = members[0].interval == "0inf"
     logdens_const = 0.0
     clip = 1e-12
     if halfline:
         a1 = aw.w0[0] + 1.0
-        b1 = 0.9 * min(integrand.exp_rates)
+        b1 = 0.9 * min(members[0].exp_rates)
         scale = np.maximum(rng.gamma(shape=a1, scale=1.0 / b1, size=n), 1e-280)
         logdens_const += a1 * math.log(b1) - gammaln(a1)
     R = np.empty((n, K))
@@ -354,39 +382,49 @@ def _mc_value(integrand: Integrand, order, aw: AxisWeights, q: QuadSpec):
         logdens_const -= betaln(ai, bi)
 
     # on the half-line column 0 is the scale c_0 itself, with no 1 - r
-    vals = np.empty(n)
+    vals = [np.empty(n) for _ in members]
     for lo in range(0, n, MC_BLOCK_ROWS):
         block = R[lo:lo + MC_BLOCK_ROWS]
         logr = [np.log(block[:, i]) for i in range(K)]
         logx = [None if i == 0 and halfline else np.log1p(-block[:, i]) for i in range(K)]
-        v = _frame_values(integrand, order, aw, _ChainFrame(logr, logx))
+        frame = _ChainFrame(logr, logx)
         if halfline:
-            v = v * np.exp(-(a1 - 1.0) * logr[0] + b1 * block[:, 0])
-        vals[lo:lo + len(block)] = v
-    if not np.all(np.isfinite(vals)):
-        raise IntegrandSingularError("non-finite Monte Carlo values")
-    vals = vals * math.exp(-logdens_const)
-    mean = float(np.mean(vals))
-    err = float(np.std(vals, ddof=1) / math.sqrt(n))
-    return mean, err
+            undo = np.exp(-(a1 - 1.0) * logr[0] + b1 * block[:, 0])
+        for out, v in zip(vals, _frame_values(members, order, aw, frame)):
+            out[lo:lo + len(block)] = v * undo if halfline else v
+    result = []
+    for v in vals:
+        if not np.all(np.isfinite(v)):
+            raise IntegrandSingularError("non-finite Monte Carlo values")
+        v = v * math.exp(-logdens_const)
+        result.append((float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(n))))
+    return result
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
 
-def integrate_domain(integrand: Integrand, M: OrderMap, q: QuadSpec,
-                     p: ParamSet) -> tuple[float, float]:
-    """Integral of the integrand over one interleaving domain.
+def integrate_domain(integrand: Integrand, M: OrderMap, q: QuadSpec, p: ParamSet,
+                     *, more=()) -> list[tuple[float, float]]:
+    """Integrals of a family over one interleaving domain.
 
-    Returns (value, error estimate).  The deterministic tensor rule is
-    available on [0,1] up to dimension 4; Monte Carlo handles everything
-    else, including the half-line.
+    The family is ``integrand`` followed by the integrands in ``more``,
+    which differ from it only in their weight; they share the domain's
+    rules, frame and power product.  Returns one (value, error estimate)
+    per member.  The deterministic tensor rule is available on [0,1] up
+    to dimension 4; Monte Carlo handles everything else, including the
+    half-line.
     """
+    members = (integrand, *more)
+    for ig in more:  # the weight (kind, indices, fn) is all that may differ
+        if (replace(ig, fn=integrand.fn, kind=integrand.kind, indices=integrand.indices)
+                != integrand or (ig.kind == "callable") != (integrand.kind == "callable")):
+            raise ValueError(f"family members differ in more than their weight: {ig}")
     k1, k2 = integrand.k1, integrand.k2
     K = k1 + k2
     if K == 0:
-        return 1.0, 0.0
+        return [(1.0, 0.0)] * len(members)
     order = merged_order(M, k1, k2)
     aw = facet_exponents(integrand, M)
     if any(w <= -1.0 for w in aw.w0) or any(w is not None and w <= -1.0 for w in aw.w1):
@@ -398,22 +436,30 @@ def integrate_domain(integrand: Integrand, M: OrderMap, q: QuadSpec,
         if K > 4:
             raise DomainError("deterministic scheme requires k1 + k2 <= 4")
         n = q.nodes_for(K)
-        val = _det_value(integrand, order, aw, n, q.smooth_order)
-        val2 = _det_value(integrand, order, aw, max(6, (2 * n) // 3), q.smooth_order)
-        return val, abs(val - val2)
+        vals = _det_value(members, order, aw, n, q.smooth_order)
+        vals2 = _det_value(members, order, aw, max(6, (2 * n) // 3), q.smooth_order)
+        return [(v, abs(v - v2)) for v, v2 in zip(vals, vals2)]
     if q.scheme != "monte_carlo":
         raise DomainError(f"unknown quadrature scheme {q.scheme!r}")
-    return _mc_value(integrand, order, aw, q)
+    return _mc_value(members, order, aw, q)
+
+
+def integrate_family(members, chain: Chain, q: QuadSpec,
+                     p: ParamSet) -> list[tuple[float, float]]:
+    """``integrate_chain`` of each member of a family, in one pass over
+    the chain's domains: one (value, error) per member."""
+    first, *more = members
+    totals = [0.0] * len(members)
+    errsq = [0.0] * len(members)
+    for i, (M, coeff) in enumerate(chain.terms):
+        qi = q if q.scheme == "deterministic" else replace(q, seed=q.seed + 104729 * i)
+        for j, (val, err) in enumerate(integrate_domain(first, M, qi, p, more=more)):
+            totals[j] += coeff * val
+            errsq[j] += (coeff * err) ** 2
+    return [(total, math.sqrt(e)) for total, e in zip(totals, errsq)]
 
 
 def integrate_chain(integrand: Integrand, chain: Chain, q: QuadSpec,
                     p: ParamSet) -> tuple[float, float]:
     """Weighted sum of domain integrals; errors combined in quadrature."""
-    total = 0.0
-    errsq = 0.0
-    for i, (M, coeff) in enumerate(chain.terms):
-        qi = q if q.scheme == "deterministic" else replace(q, seed=q.seed + 104729 * i)
-        val, err = integrate_domain(integrand, M, qi, p)
-        total += coeff * val
-        errsq += (coeff * err) ** 2
-    return total, math.sqrt(errsq)
+    return integrate_family([integrand], chain, q, p)[0]

@@ -14,9 +14,14 @@ checks, except the references that the package must reproduce:
   ``sequential_limit_direction``, ``per_l_jjl_shift``) evaluate one point
   at a time and solve both shifted tables once per l, the way the
   one-batch engines replaced, bit for bit;
+* the per-member engine references (``per_member_aomoto``,
+  ``per_member_chain_decomp``) integrate each moment or monomial as its
+  own chain integral and evaluate each monomial on every sampled row,
+  the way the integrand-family engines replaced, bit for bit;
 * the chain-quadrature reference takes the package's per-axis rules
-  (``_axis_rule``) and lays the frame out over the full node mesh, the
-  way the broadcast tensor frame replaced, bit for bit;
+  (``_axis_rule``) and lays the frame out over the full node mesh, one
+  integrand and one domain at a time, the way the broadcast tensor frame
+  and the integrand families replaced, bit for bit;
 * the raw-coordinate integrands (``omega``, ``weight_g``, ``h_func``,
   ``h_tilde_func``, and ``raw_integrand``, which assembles them from an
   ``Integrand`` description) evaluate on coordinate rows by subtracting
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, inf, sqrt
 
 import mpmath as mp
 import numpy as np
@@ -397,6 +402,82 @@ def per_l_jjl_shift(p, l):
     return abs((left / right).to_float() - 1.0)
 
 
+def per_member_aomoto(p, budget, seed, tol):
+    """The moment check one chain integral per moment."""
+    from selberg3 import closed_forms as cf
+    from selberg3.chains import gamma_chain
+    from selberg3.identities import _quad_spec
+    from selberg3.integrands import assembled_integrand
+    from selberg3.quadrature import integrate_chain
+
+    k = p.k
+    spec = _quad_spec(budget, seed)
+    chain = gamma_chain(k, 0, p.gamma)
+    worst = None
+    for ell in range(k + 1):
+        ig = assembled_integrand("aomoto", p, indices=ell)
+        lhs, err = integrate_chain(ig, chain, spec, p)
+        rhs = cf.aomoto_rhs(k, ell, p).to_float()
+        dev = abs(lhs - rhs) / abs(rhs)
+        if worst is None or dev >= worst[0]:
+            worst = (dev, lhs, rhs, err)
+    dev, lhs, rhs, err = worst
+    return lhs, err, rhs, (tol if tol is not None else 1e-4), f"worst over l=0..{k}"
+
+
+def per_member_chain_decomp(p, budget, seed, tol):
+    """The decomposition check one chain integral per monomial, each
+    monomial evaluated on every sampled row and masked to the cone."""
+    from selberg3.chains import unit_chain
+    from selberg3.identities import _mc_tolerance, _quad_spec
+    from selberg3.integrands import Integrand
+    from selberg3.quadrature import integrate_chain
+
+    rng = np.random.default_rng(seed)
+    k1, k2 = p.k1, p.k2
+    chain = unit_chain(k1, k2)
+    spec = _quad_spec(budget, seed, default_nodes=24)
+    n_mc = budget.samples
+    box = rng.uniform(size=(n_mc, k1 + k2))
+    bt, bs = box[:, :k1], box[:, k1:]
+    inside = np.ones(n_mc, dtype=bool)
+    for i in range(k1 - 1):
+        inside &= bt[:, i] >= bt[:, i + 1]
+    for i in range(k2 - 1):
+        inside &= bs[:, i] >= bs[:, i + 1]
+    for b in range(k2):
+        inside &= bs[:, b] >= bt[:, b + k1 - k2]
+    worst = None
+    for _ in range(20):
+        degs_t = rng.integers(0, 4, size=k1)
+        degs_s = rng.integers(0, 4, size=k2)
+
+        def poly(t, s, dt=degs_t, ds=degs_s):
+            t = np.atleast_2d(t)
+            s = np.atleast_2d(s)
+            out = np.ones(t.shape[0])
+            for i in range(t.shape[1]):
+                out = out * t[:, i] ** dt[i]
+            for i in range(s.shape[1]):
+                out = out * s[:, i] ** ds[i]
+            return out
+
+        ig = Integrand(poly, k1, k2, "01", 0, 1.0, 0.0, 1.0, 1.0, kind="callable")
+        det, _ = integrate_chain(ig, chain, spec, p)
+        vals = np.where(inside, poly(box[:, :k1], box[:, k1:]), 0.0)
+        mc = float(np.mean(vals))
+        sigma = float(np.std(vals, ddof=1) / sqrt(n_mc))
+        dev = abs(det - mc)
+        margin = dev / (3.0 * sigma) if sigma > 0 else inf
+        if worst is None or margin > worst[0]:
+            worst = (margin, det, mc, sigma)
+    margin, det, mc, sigma = worst
+    if not inside.any():
+        sigma = inf
+    tolerance = tol if tol is not None else _mc_tolerance(sigma, mc)
+    return det, sigma, mc, tolerance, "worst of 20 random monomials"
+
+
 # ---------------------------------------------------------------------------
 # deterministic chain quadrature: the full node mesh the broadcast frame
 # replaces
@@ -509,6 +590,24 @@ def mesh_det_value(integrand, order, aw, n, q):
         logf -= aw.w0[i] * LOGR[:, i] + aw.w1[i] * LOGX[:, i]
     vals = np.exp(logf) * _mesh_rational_weight(integrand, order, frame)
     return float(np.dot(W, vals))
+
+
+def mesh_chain_value(integrand, chain, q):
+    """The deterministic chain integral and its error estimate from
+    ``mesh_det_value`` on each domain, at the two rules the package pairs."""
+    from selberg3.chains import merged_order
+    from selberg3.quadrature import facet_exponents
+
+    k1, k2 = integrand.k1, integrand.k2
+    n = q.nodes_for(k1 + k2)
+    total = errsq = 0.0
+    for M, coeff in chain.terms:
+        order, aw = merged_order(M, k1, k2), facet_exponents(integrand, M)
+        val = mesh_det_value(integrand, order, aw, n, q.smooth_order)
+        val2 = mesh_det_value(integrand, order, aw, max(6, (2 * n) // 3), q.smooth_order)
+        total += coeff * val
+        errsq += (coeff * abs(val - val2)) ** 2
+    return total, sqrt(errsq)
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,17 @@ class TestFailureRecords:
         assert bad["lhs"] is None and bad["rel_dev"] is None
         assert bad["params"]["alpha"] == 2.0
 
+    @pytest.mark.parametrize("identity", ["selb", "aomoto"])
+    @pytest.mark.parametrize("ab", ["150", "300"])
+    def test_overflowing_rule_is_a_named_failure(self, capsys, identity, ab):
+        # inside the validity region, but the Gauss-Jacobi weights overflow
+        code, out, err = run_cli(capsys, "verify", "--identity", identity, "--k", "2",
+                                 "--alpha", ab, "--beta", ab, "--gamma", "-0.1")
+        assert code == 1 and "Traceback" not in err
+        [rec] = [_strict_json(line) for line in out.strip().splitlines()]
+        assert not rec["passed"] and rec["lhs"] is None
+        assert rec["note"].startswith("IntegrandSingularError: non-finite quadrature rule weights")
+
 
 class TestConfig:
     def test_config_file_and_flag_override(self, capsys, tmp_path):

@@ -1,12 +1,16 @@
 """Verification registry: completeness, reproducibility, dispatch."""
 
 import dataclasses
+import math
 
 import pytest
 
-from oracles import per_l_jjl_shift, sequential_fval_support, sequential_limit_direction
-from selberg3 import lattice, recursions
-from selberg3.errors import InvalidParamsError, LimitDisagreementError, Selberg3Error
+from oracles import (per_l_jjl_shift, per_member_aomoto, per_member_chain_decomp,
+                     sequential_fval_support, sequential_limit_direction)
+from selberg3 import identities, lattice, quadrature, recursions
+from selberg3.chains import gamma_chain, unit_chain
+from selberg3.errors import (IntegrandSingularError, InvalidParamsError, LimitDisagreementError,
+                             Selberg3Error)
 from selberg3.identities import (
     MC_CEIL,
     MC_FLOOR,
@@ -18,8 +22,10 @@ from selberg3.identities import (
     run_grid,
     run_identity,
 )
-from selberg3.integrands import integer_parts_in_cone
+from selberg3.integrands import assembled_integrand, integer_parts_in_cone
+from selberg3.logreal import LogSigned
 from selberg3.params import ParamSet
+from selberg3.quadrature import QuadSpec, integrate_chain
 
 EXPECTED_IDS = {"selb", "exp", "dexp", "dexp3", "exp3", "selb3", "selb30",
                 "aomoto", "jjj_relations", "jjl_shift", "j0k", "chain_decomp",
@@ -213,6 +219,86 @@ class TestBatchedEngines:
         rec = run_identity("jjl_shift", p)
         assert rec.passed
         assert calls == [False, False]
+
+
+class TestFamilyEngines:
+    """The integrand-family engines against their per-member references."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("k,alpha,beta,gamma", [
+        (1, 1.5, 1.2, -0.11), (2, 1.5, 1.2, -0.11), (3, 1.5, 1.2, -0.11),
+        (3, 2.3, 0.8, 0.2), (4, 1.5, 1.2, -0.11)])
+    def test_aomoto_matches_per_member(self, k, alpha, beta, gamma, seed):
+        p = ParamSet(k1=k, alpha=alpha, beta1=beta, gamma=gamma)
+        got = REGISTRY["aomoto"].engine(p, Budget(), seed, None)
+        assert got == per_member_aomoto(p, Budget(), seed, None)
+
+    @pytest.mark.parametrize("seed", [1, 1313])
+    @pytest.mark.parametrize("k1,k2", [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2), (3, 1)])
+    def test_chain_decomp_matches_per_member(self, k1, k2, seed):
+        p, budget = ParamSet(k1=k1, k2=k2), Budget(samples=50_000)
+        got = REGISTRY["chain_decomp"].engine(p, budget, seed, None)
+        assert got == per_member_chain_decomp(p, budget, seed, None)
+
+    def test_chain_decomp_builds_one_frame_per_domain_and_rule(self, monkeypatch):
+        built = []
+
+        class Spy(quadrature._ChainFrame):
+            def __init__(self, LOGR, LOGX):
+                built.append(1)
+                super().__init__(LOGR, LOGX)
+
+        monkeypatch.setattr(quadrature, "_ChainFrame", Spy)
+        p = ParamSet(k1=2, k2=2)
+        rec = run_identity("chain_decomp", p, seed=3)
+        assert rec.passed
+        assert len(built) == 2 * len(unit_chain(2, 2).terms) == 4
+
+    def test_aomoto_picks_a_nan_moment_as_the_worst(self, monkeypatch):
+        p = ParamSet(k1=2, alpha=1.5, beta1=1.2, gamma=-0.11)
+        good = identities.integrate_family
+
+        def one_nan(members, chain, q, p):
+            out = good(members, chain, q, p)
+            out[1] = (math.nan, 0.0)
+            return out
+
+        monkeypatch.setattr(identities, "integrate_family", one_nan)
+        lhs, err, rhs, tol, note = REGISTRY["aomoto"].engine(p, Budget(), 1, None)
+        assert math.isnan(lhs) and err == 0.0
+        assert rhs == identities.cf.aomoto_rhs(2, 1, p).to_float()
+        rec = run_identity("aomoto", p, seed=1)
+        monkeypatch.undo()
+        assert not rec.passed and math.isnan(rec.rel_dev)
+
+    def test_aomoto_with_a_zero_reference_does_not_divide(self, monkeypatch):
+        p = ParamSet(k1=2, alpha=1.5, beta1=1.2, gamma=-0.11)
+        moment_0, _ = integrate_chain(assembled_integrand("aomoto", p, indices=0),
+                                      gamma_chain(2, 0, p.gamma), QuadSpec(), p)
+        real = identities.cf.aomoto_rhs
+
+        def underflow_at_0(k, ell, p):
+            return LogSigned.zero() if ell == 0 else real(k, ell, p)
+
+        monkeypatch.setattr(identities.cf, "aomoto_rhs", underflow_at_0)
+        lhs, err, rhs, _, _ = REGISTRY["aomoto"].engine(p, Budget(), 1, None)
+        # against a zero reference the deviation is |lhs|, far above any
+        # relative deviation, so that moment is the worst
+        assert rhs == 0.0 and lhs == moment_0
+        rec = run_identity("aomoto", p, seed=1)
+        assert not rec.passed and rec.rel_dev == rec.lhs
+
+
+class TestOverflowingRules:
+    """Large alpha and beta overflow the Gauss-Jacobi weights: the record
+    names the error rather than reading NaN as a precision miss."""
+
+    @pytest.mark.parametrize("which", ["selb", "aomoto"])
+    @pytest.mark.parametrize("a", [150.0, 300.0])
+    def test_overflow_raises_integrand_singular(self, which, a):
+        p = ParamSet(k1=2, alpha=a, beta1=a, gamma=-0.1)
+        with pytest.raises(IntegrandSingularError, match="non-finite quadrature rule weights"):
+            run_identity(which, p)
 
 
 class TestMonteCarloTolerance:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from oracles import (MeshChainFrame, domain_monomial_integral, interleavings, mesh,
-                     mesh_det_value, raw_mc_value, raw_ratio, simplex_monomial_integral)
+                     mesh_chain_value, mesh_det_value, raw_mc_value, raw_ratio,
+                     simplex_monomial_integral)
 from selberg3 import closed_forms as cf
 from selberg3 import quadrature
 from selberg3.chains import OrderMap, enumerate_maps, gamma_chain, merged_order, unit_chain
@@ -17,7 +18,7 @@ from selberg3.integrands import Integrand, assembled_integrand
 from selberg3.params import ParamSet
 from selberg3.quadrature import (QuadSpec, _axis_rule, _ChainFrame, _det_value, _frame_values,
                                  _mc_value, _on_axis, facet_exponents, integrate_chain,
-                                 integrate_domain)
+                                 integrate_domain, integrate_family)
 
 EMPTY_MAP = OrderMap(())
 
@@ -26,7 +27,7 @@ class TestDeterministic:
     def test_euler_beta(self):
         p = ParamSet(k1=1, k2=0, alpha=2.5, beta1=1.5, gamma=-0.1)
         ig = assembled_integrand("selb", p)
-        val, err = integrate_domain(ig, EMPTY_MAP, QuadSpec(), p)
+        [(val, err)] = integrate_domain(ig, EMPTY_MAP, QuadSpec(), p)
         want = float(mp.beta(2.5, 1.5))
         assert val == pytest.approx(want, rel=1e-12)
         assert err < 1e-10
@@ -34,13 +35,13 @@ class TestDeterministic:
     def test_one_twelfth(self):
         p = ParamSet(k1=2, k2=0, alpha=1.0, beta1=1.0, gamma=1.0)
         ig = assembled_integrand("selb", p)
-        val, _ = integrate_domain(ig, EMPTY_MAP, QuadSpec(), p)
+        [(val, _)] = integrate_domain(ig, EMPTY_MAP, QuadSpec(), p)
         assert val == pytest.approx(1.0 / 12.0, rel=1e-10)
 
     def test_zero_dimension(self):
         p = ParamSet(k1=0, k2=0)
         ig = assembled_integrand("selb30", p)
-        assert integrate_domain(ig, EMPTY_MAP, QuadSpec(), p) == (1.0, 0.0)
+        assert integrate_domain(ig, EMPTY_MAP, QuadSpec(), p) == [(1.0, 0.0)]
 
     def test_selb3_11_against_value(self):
         p = ParamSet(k1=1, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.2)
@@ -62,7 +63,7 @@ class TestDeterministic:
         p = ParamSet(k1=1, k2=0, alpha=a, beta1=b)
         errs = []
         for n in (4, 8):
-            val, _ = integrate_domain(ig, EMPTY_MAP, QuadSpec(nodes_per_axis=n), p)
+            [(val, _)] = integrate_domain(ig, EMPTY_MAP, QuadSpec(nodes_per_axis=n), p)
             errs.append(abs(val - want))
         # halving the spacing must gain at least the nominal order (4)
         assert errs[1] <= errs[0] / 16.0
@@ -143,7 +144,7 @@ class TestBroadcastFrame:
             order = merged_order(M, k1, k2)
             aw = facet_exponents(ig, M)
             for m in (n, max(6, (2 * n) // 3)):
-                assert _det_value(ig, order, aw, m, 4) == mesh_det_value(ig, order, aw, m, 4)
+                assert _det_value([ig], order, aw, m, 4) == [mesh_det_value(ig, order, aw, m, 4)]
 
     def test_both_coordinate_kinds_in_one_order(self):
         p = ParamSet(k1=2, k2=2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
@@ -153,7 +154,7 @@ class TestBroadcastFrame:
             order = merged_order(M, 2, 2)
             kinds.add("".join(knd for knd, _ in order))
             aw = facet_exponents(ig, M)
-            assert _det_value(ig, order, aw, 24, 4) == mesh_det_value(ig, order, aw, 24, 4)
+            assert _det_value([ig], order, aw, 24, 4) == [mesh_det_value(ig, order, aw, 24, 4)]
         assert len(kinds) == len(enumerate_maps(2, 2)) > 1
 
     def test_nodes_exponentially_close_to_unit_facet(self):
@@ -166,7 +167,7 @@ class TestBroadcastFrame:
             aw = facet_exponents(ig, M)
             logx = _axis_rule(48, aw.w0[1], aw.w1[1], 12)[1]
             assert logx.min() < -60.0
-            got = _det_value(ig, order, aw, 48, 12)
+            [got] = _det_value([ig], order, aw, 48, 12)
             assert np.isfinite(got)
             assert got == mesh_det_value(ig, order, aw, 48, 12)
 
@@ -263,7 +264,7 @@ class TestFrameAgainstRawOracle:
             rules = [_axis_rule(10, aw.w0[i], aw.w1[i], 4) for i in range(K)]
             frame = _ChainFrame([_on_axis(r[0], i, K) for i, r in enumerate(rules)],
                                 [_on_axis(r[1], i, K) for i, r in enumerate(rules)])
-            got = np.broadcast_to(_frame_values(ig, order, aw, frame), frame.shape).ravel()
+            got = np.broadcast_to(next(_frame_values([ig], order, aw, frame)), frame.shape).ravel()
             R = np.exp(mesh([r[0] for r in rules]))
             _assert_close_where_separated(got, raw_ratio(ig, order, aw, R), _min_gap(R),
                                           raw_ratio(ig, order, aw, R, magnitude=True))
@@ -280,7 +281,7 @@ class TestFrameAgainstRawOracle:
             logx = [None if i == 0 and scale is not None else np.log1p(-R[:, i])
                     for i in range(K)]
             frame = _ChainFrame([np.log(R[:, i]) for i in range(K)], logx)
-            got = _frame_values(ig, order, aw, frame)
+            got = next(_frame_values([ig], order, aw, frame))
             want = raw_ratio(ig, order, aw, R, scale=scale)
             _assert_close_where_separated(got, want, _min_gap(R, scale),
                                           raw_ratio(ig, order, aw, R, scale, magnitude=True))
@@ -296,7 +297,7 @@ class TestMonteCarlo:
         p = ParamSet(k1=1, k2=0, alpha=2.5, beta1=1.5, gamma=-0.1)
         ig = assembled_integrand("selb", p)
         want = float(mp.beta(2.5, 1.5))
-        val, err = integrate_domain(ig, EMPTY_MAP,
+        [(val, err)] = integrate_domain(ig, EMPTY_MAP,
                                     QuadSpec("monte_carlo", sample_count=10_000), p)
         assert val == pytest.approx(want, rel=1e-13)
         assert err < 1e-15
@@ -305,7 +306,7 @@ class TestMonteCarlo:
         p = ParamSet(k1=2, k2=0, alpha=2.5, beta1=1.5, gamma=-0.1)
         ig = assembled_integrand("selb", p)
         want = cf.selberg_rhs(p).to_float()
-        val, err = integrate_domain(ig, EMPTY_MAP,
+        [(val, err)] = integrate_domain(ig, EMPTY_MAP,
                                     QuadSpec("monte_carlo", sample_count=200_000), p)
         assert abs(val - want) < 4 * err
 
@@ -316,7 +317,7 @@ class TestMonteCarlo:
         want = cf.selberg_rhs(p).to_float()
         cover = 0
         for rep in range(100):
-            val, err = integrate_domain(
+            [(val, err)] = integrate_domain(
                 ig, EMPTY_MAP, QuadSpec("monte_carlo", sample_count=20_000,
                                         seed=1000 + rep), p)
             cover += abs(val - want) <= 2.0 * err
@@ -349,7 +350,7 @@ class TestMonteCarlo:
         for M in {maps[0], maps[-1]}:
             order = merged_order(M, k1, k2)
             aw = facet_exponents(ig, M)
-            (val, err), (want, want_err) = _mc_value(ig, order, aw, q), raw_mc_value(ig, order, aw, q)
+            [(val, err)], (want, want_err) = _mc_value([ig], order, aw, q), raw_mc_value(ig, order, aw, q)
             assert val == pytest.approx(want, rel=1e-6)
             assert err == pytest.approx(want_err, rel=1e-6)
 
@@ -375,7 +376,7 @@ class TestMonteCarlo:
         aw = facet_exponents(ig, M)
         s, r = 1.13020859, 1.0 - 1e-12
         frame = _ChainFrame([np.log([s]), np.log([r])], [None, np.log1p(-np.array([r]))])
-        got = _frame_values(ig, order, aw, frame)[0]
+        got = next(_frame_values([ig], order, aw, frame))[0]
         ms, mr = mp.mpf(s), mp.mpf(r)
         mt, a, g = ms * mr, mp.mpf(p.alpha), mp.mpf(p.gamma)
         want = (mt ** (a - 1) * mp.exp(-p.beta1 * mt - p.beta2 * ms) * (ms - mt) ** (-g - 1)
@@ -430,6 +431,85 @@ class TestChainDecomposition:
             for M in maps:
                 total += domain_monomial_integral(merged_order(M, k1, k2), degs_t, degs_s)
             assert total == simplex_monomial_integral(k1, k2, degs_t, degs_s)
+
+
+def _monomial(degs_t, degs_s):
+    def poly(t, s):
+        t, s = np.atleast_2d(t), np.atleast_2d(s)
+        out = np.ones(t.shape[0])
+        for i, d in enumerate(degs_t):
+            out = out * t[:, i] ** d
+        for i, d in enumerate(degs_s):
+            out = out * s[:, i] ** d
+        return out
+    return poly
+
+
+def _family_cases():
+    """(id, members, chain, p): families whose members differ only in
+    their weight."""
+    out = []
+    for k in (1, 2, 3, 4):
+        p = ParamSet(k1=k, k2=0, alpha=1.5, beta1=1.2, gamma=-0.11)
+        members = [assembled_integrand("aomoto", p, indices=ell) for ell in range(k + 1)]
+        members.append(assembled_integrand("selb", p))  # the plain weight joins too
+        out.append((f"aomoto-{k}", members, gamma_chain(k, 0, p.gamma), p))
+    for k1, k2 in ((1, 0), (2, 0), (2, 1), (2, 2)):
+        rng = np.random.default_rng(10 * k1 + k2)
+        members = [Integrand(_monomial(rng.integers(0, 4, size=k1), rng.integers(0, 4, size=k2)),
+                             k1, k2, "01", 0, 1.0, 0.0, 1.0, 1.0, kind="callable")
+                   for _ in range(5)]
+        out.append((f"monomials-{k1}{k2}", members, unit_chain(k1, k2), ParamSet(k1=k1, k2=k2)))
+    p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+    members = [assembled_integrand(which, p, indices=idx) for which, idx in
+               (("J", (1, 0, 0)), ("Jt", (1, 1, 1)), ("J", (2, 1, 1)), ("Jt", (0, 0, 0)))]
+    assert len({ig.pole_count for ig in members}) == 1
+    out.append(("J-Jt-21", members, gamma_chain(2, 1, p.gamma), p))
+    return out
+
+
+FAMILY_CASES = _family_cases()
+FAMILY_SPECS = {"deterministic": QuadSpec(nodes_per_axis=12),
+                "monte_carlo": QuadSpec("monte_carlo", sample_count=20_000, seed=9)}
+
+
+class TestFamilies:
+    """One pass over a family equals each member's own chain integral."""
+
+    @pytest.mark.parametrize("scheme", list(FAMILY_SPECS))
+    @pytest.mark.parametrize("members,chain,p", [c[1:] for c in FAMILY_CASES],
+                             ids=[c[0] for c in FAMILY_CASES])
+    def test_family_equals_each_member(self, members, chain, p, scheme):
+        q = FAMILY_SPECS[scheme]
+        got = integrate_family(members, chain, q, p)
+        assert got == [integrate_chain(ig, chain, q, p) for ig in members]
+        if scheme == "deterministic":
+            assert got == [mesh_chain_value(ig, chain, q) for ig in members]
+
+    def test_domain_returns_one_pair_per_member(self):
+        members, chain, p = FAMILY_CASES[2][1:]
+        M, q = chain.terms[0][0], QuadSpec(nodes_per_axis=12)
+        got = integrate_domain(members[0], M, q, p, more=members[1:])
+        assert len(got) == len(members)
+        assert got == [integrate_domain(ig, M, q, p)[0] for ig in members]
+
+    @pytest.mark.parametrize("scheme", list(FAMILY_SPECS))
+    def test_mixed_family_rejected(self, scheme):
+        q = FAMILY_SPECS[scheme]
+        p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+        chain = gamma_chain(2, 1, p.gamma)
+        poles = [assembled_integrand("J", p, indices=(1, 0, 0)),
+                 assembled_integrand("J", p, indices=(0, 1, 0))]
+        assert poles[0].pole_count != poles[1].pole_count
+        shifted = [poles[0], assembled_integrand("J", p.with_(alpha=1.6), indices=(1, 0, 0))]
+        black_box = [Integrand(_monomial([1, 0], [2]), 2, 1, "01", 0, 1.0, 0.0, 1.0, 1.0,
+                               kind="callable"),
+                     Integrand(None, 2, 1, "01", 0, 1.0, 0.0, 1.0, 1.0)]
+        for members in (poles, shifted, black_box):
+            with pytest.raises(ValueError, match="differ in more than their weight"):
+                integrate_family(members, chain, q, p)
+            with pytest.raises(ValueError, match="differ in more than their weight"):
+                integrate_domain(members[0], chain.terms[0][0], q, p, more=members[1:])
 
 
 class TestFacetExponents:
