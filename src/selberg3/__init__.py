@@ -33,7 +33,7 @@ from .errors import (
 )
 from .identities import Budget, VerificationRecord, identity_ids, run_grid, run_identity
 from .integrands import LatticePoint, f_limit, is_admissible
-from .lattice import ConeSpec, SeriesResult, enumerate_cone, sum_discrete
+from .lattice import SeriesResult, sum_discrete
 from .logreal import LogSigned, gamma_ratio, log_gamma_signed, sin_ratio
 from .params import ParamSet
 from .quadrature import QuadSpec, integrate_chain, integrate_domain, integrate_family
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Budget",
-    "ConeSpec",
     "DegenerateError",
     "DomainError",
     "InadmissibleTripleError",
@@ -71,7 +70,6 @@ __all__ = [
     "VerificationRecord",
     "aomoto_rhs",
     "discrete_exp_rhs",
-    "enumerate_cone",
     "exp_selberg_rhs",
     "f_limit",
     "gamma_ratio",

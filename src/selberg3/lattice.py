@@ -3,20 +3,21 @@
 Points are organized into shells indexed by the maximum integer part;
 for |z| < 1 the shell contributions decay geometrically, so the series
 is summed shell by shell until the outermost shell is negligible.
-Each shell is enumerated directly as an integer array, one row per
-point.  Summation inside a shell and across shells is exact
-(``math.fsum``) over a fixed point set, so results are bit-reproducible
-whatever the order of the points within a shell.
+Small consecutive shells share a block of about ``ROW_BLOCK`` rows and a
+large shell is a block alone; a block is enumerated directly as one
+integer array, one row per point.  Summation inside a shell and across
+shells is exact (``math.fsum``), in shell order, over a fixed point set.
 
 Every gamma factor, reciprocal gamma factor and weight denominator of
 the summand is a function of one or two integer parts (the base
 quantities of ``integrands.lattice_bases``), so ``FactorTables`` holds
 each factor's (sign, log) and singular flag once per series, over the
-integer range in use; ``sum_discrete`` doubles that range when a shell
-passes it.  A shell's regularity mask and regular product are gathers
+integer range in use; ``sum_discrete`` doubles that range when a block
+passes it.  A block's regularity mask and regular product are gathers
 from these tables, reduced in the order ``phi_sign_log`` uses, so they
-are bit-identical to it.  The shell's singular points are directional
-limits, probed together in one batch (``integrands.limit_pairs``).
+are bit-identical to it.  A shell's singular points are directional
+limits, probed together in one batch (``integrands.limit_pairs``), and
+only for the shells up to the stopping shell.
 
 The summand depends on z only through z1**sum(u) * z2**sum(v), so
 ``sum_discrete`` also returns the exact z-derivatives, from first moments
@@ -33,7 +34,6 @@ import numpy as np
 from .closed_forms import sl3_discrete_rhs, sl3_exp_rhs
 from .errors import NotConvergedError
 from .integrands import (
-    LatticePoint,
     factor_args,
     factor_table,
     lattice_bases,
@@ -45,15 +45,8 @@ from .logreal import power_log
 from .params import ParamSet
 
 TABLE_START = 8  # integer parts 0..7 in the first tables of a series
+ROW_BLOCK = 512  # rows a block of small shells reaches for
 _CLOSED_FORM_STEP = 1e-4  # central-difference step of the closed-form residuals
-
-
-@dataclass(frozen=True)
-class ConeSpec:
-    k1: int
-    k2: int
-    gamma: float
-    bound: int
 
 
 @dataclass(frozen=True)
@@ -75,23 +68,23 @@ def _append_column(P: np.ndarray, lo, hi) -> np.ndarray:
     return np.column_stack((P[rows], np.broadcast_to(lo, n)[rows] + offsets))
 
 
-def cone_array(k1: int, k2: int, bound: int, shell: bool = False) -> np.ndarray:
-    """Integer parts of the cone points with every part <= bound.
+def cone_array(k1: int, k2: int, bound: int, least: int = 0) -> np.ndarray:
+    """Integer parts of the cone points whose largest part lies in [least, bound].
 
     One row (nu_0..nu_{k1-1}, nv_0..nv_{k2-1}) per point, in lexicographic
-    order.  With ``shell`` only the points whose largest part equals
-    ``bound``; that part is nu_0 or nv_0, since both blocks decrease.
+    order.  The largest part is nu_0 or nv_0, since both blocks decrease;
+    ``least=bound`` gives the shell of points whose largest part is ``bound``.
     """
     kk = k1 - k2
     # the empty point (k1 = 0) has largest part 0
-    P = np.zeros((int(k1 > 0 or not shell or bound == 0), 0), dtype=np.int64)
+    P = np.zeros((int(k1 > 0 or least == 0), 0), dtype=np.int64)
     for i in range(k1):
-        lo = bound if (i == 0 and shell and k2 == 0) else 0
+        lo = least if (i == 0 and k2 == 0) else 0
         P = _append_column(P, lo, P[:, i - 1] if i else bound)
     for b in range(k2):
         lo = P[:, b + kk]
-        if b == 0 and shell:
-            lo = np.where(P[:, 0] < bound, bound, lo)
+        if b == 0 and least:
+            lo = np.where(P[:, 0] < least, least, lo)
         P = _append_column(P, lo, P[:, k1 + b - 1] if b else bound)
     return P
 
@@ -101,12 +94,6 @@ def cone_integer_parts(k1: int, k2: int, bound: int):
     in lexicographic order."""
     for row in cone_array(k1, k2, bound).tolist():
         yield tuple(row[:k1]), tuple(row[k1:])
-
-
-def enumerate_cone(spec: ConeSpec):
-    """Stream of lattice points of the cone, all integer parts <= bound."""
-    for nu, nv in cone_integer_parts(spec.k1, spec.k2, spec.bound):
-        yield LatticePoint(nu, nv, spec.gamma)
 
 
 @dataclass(frozen=True)
@@ -210,7 +197,7 @@ def lattice_values(NU: np.ndarray, NV: np.ndarray, p: ParamSet,
     k2 = NV.shape[1]
     P = np.hstack((NU, NV)).astype(np.int64)
     if tables is None:
-        tables = FactorTables(k1, k2, p, int(P.min(initial=0)), int(P.max(initial=0)))
+        tables = FactorTables(k1, k2, p, *((int(P.min()), int(P.max())) if P.size else (0, 0)))
     index = tables.index(P)
     regular = tables.regular(index, n)
     U = NU + lattice_shift(k1, p.gamma)[None, :]
@@ -230,13 +217,38 @@ def lattice_values(NU: np.ndarray, NV: np.ndarray, p: ParamSet,
     return vals
 
 
-def _shell_sum(k1: int, k2: int, shell: int, p: ParamSet, include_weight: bool,
-               seed: int, tables: FactorTables | None = None):
-    """The shell's sum and its values' first moment in each integer part."""
-    P = cone_array(k1, k2, shell, shell=True).astype(float)
-    vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=include_weight, seed=seed,
-                          tables=tables) if P.shape[0] else np.zeros(0)
-    return math.fsum(vals.tolist()), vals @ P
+def _block_shells(k1: int, k2: int, j: int, hi: int, p: ParamSet, include_weight: bool,
+                  seed: int, tables: FactorTables):
+    """Each shell of the block j..hi in order: its point count, its sum and
+    its values' first moment in each integer part.  One ``lattice_values``
+    call covers the block but the singular points of its later shells,
+    which are probed one shell at a time, when that shell is asked for.
+    """
+    P = cone_array(k1, k2, hi, least=j)
+    ends, keep = [P.shape[0]], np.ones(P.shape[0], dtype=bool)
+    if hi > j:
+        largest = P.max(axis=1, initial=0)
+        # a stable sort keeps each shell's points in lexicographic order
+        P = P[np.argsort(largest, kind="stable")]
+        ends = np.cumsum(np.bincount(largest - j, minlength=hi - j + 1)).tolist()
+        # the singular points of the later shells wait for their own shell
+        keep[ends[0]:] = tables.regular(tables.index(P[ends[0]:]), P.shape[0] - ends[0])
+    P = P.astype(float)  # no view may keep the integer array alive
+    if keep.all():
+        vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=include_weight,
+                              seed=seed, tables=tables)
+    else:
+        vals = np.empty(P.shape[0])
+        vals[keep] = lattice_values(P[keep, :k1], P[keep, k1:], p,
+                                    include_weight=include_weight, seed=seed, tables=tables)
+    start = 0
+    for end in ends:
+        aside = start + np.flatnonzero(~keep[start:end])
+        if aside.size:
+            vals[aside] = lattice_values(P[aside, :k1], P[aside, k1:], p,
+                                         include_weight=include_weight, seed=seed, tables=tables)
+        yield end - start, math.fsum(vals[start:end].tolist()), vals[start:end] @ P[start:end]
+        start = end
 
 
 def _z_derivatives(k1: int, k2: int, p: ParamSet, total: float, moments: np.ndarray):
@@ -261,40 +273,29 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-10,
     k2 = p.k2 if which == "dexp3" else 0
     if max_bound is None:
         max_bound = 200 if k1 + k2 <= 2 else 60
+    if max_bound < 0:
+        raise ValueError(f"max_bound must be >= 0, got {max_bound}")
     shells = []
     moments = np.zeros(k1 + k2)
-    partial = 0.0
-    last = math.inf
-    converged = False
-    bound = 0
-    tables = None
-    for j in range(max_bound + 1):
-        if tables is None or j > tables.hi:
-            # regrow by doubling the span of integer parts
-            tables = FactorTables(k1, k2, p, 0, 2 * tables.width - 1 if tables else TABLE_START - 1)
-        last, shell_moments = _shell_sum(k1, k2, j, p, include_weight, seed, tables)
-        shells.append(last)
-        moments += shell_moments
-        partial = math.fsum(shells)
-        bound = j
-        if j >= 1 and partial != 0.0 and abs(last) <= rel_tol * abs(partial):
-            converged = True
-            break
+    tables, converged, j, rows = None, False, 0, 1
+    while j <= max_bound and not converged:
+        # small shells double their block's length, up to about ROW_BLOCK rows
+        hi = min(max_bound, j + min(j + 1, max(1, ROW_BLOCK // max(rows, 1))) - 1)
+        if tables is None or hi > tables.hi:
+            # regrow by doubling the span of integer parts until it holds the block
+            width = TABLE_START << (hi // TABLE_START).bit_length()
+            tables = FactorTables(k1, k2, p, 0, width - 1)
+        for bound, (rows, last, shell_moments) in enumerate(
+                _block_shells(k1, k2, j, hi, p, include_weight, seed, tables), start=j):
+            shells.append(last)
+            moments += shell_moments
+            partial = math.fsum(shells)
+            if bound >= 1 and partial != 0.0 and abs(last) <= rel_tol * abs(partial):
+                converged = True
+                break
+        j = hi + 1
     return SeriesResult(partial, last, bound, converged,
                         *_z_derivatives(k1, k2, p, partial, moments))
-
-
-def sum_over_total_lattice(p: ParamSet, bound: int, seed: int = 7919) -> SeriesResult:
-    """Sum F over the full shifted lattice box [-bound, bound]^(k1+k2).
-
-    Off-cone points contribute exact zeros (or limit values ~ 0); this is
-    the at-scale check of the support statement.
-    """
-    k1, k2 = p.k1, p.k2
-    P = (np.indices((2 * bound + 1,) * (k1 + k2)).reshape(k1 + k2, -1).T - bound).astype(float)
-    vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=True, seed=seed)
-    total = math.fsum(vals.tolist())
-    return SeriesResult(total, 0.0, bound, True, *_z_derivatives(k1, k2, p, total, vals @ P))
 
 
 def pde_coefficients(p: ParamSet, second_eq_denominator: str = "z2"):

@@ -10,6 +10,8 @@ checks, except the references that the package must reproduce:
   draw each point's probe directions one at a time with their own copy
   of the draw rule, the way the factor tables and the candidate block
   replaced;
+* the series reference (``shell_by_shell_sum``) evaluates one shell of
+  the cone at a time, the way the blocks of shells replaced, bit for bit;
 * the per-record check references (``sequential_fval_support``,
   ``sequential_limit_direction``, ``per_l_jjl_shift``) evaluate one point
   at a time and solve both shifted tables once per l, the way the
@@ -476,6 +478,66 @@ def per_member_chain_decomp(p, budget, seed, tol):
         sigma = inf
     tolerance = tol if tol is not None else _mc_tolerance(sigma, mc)
     return det, sigma, mc, tolerance, "worst of 20 random monomials"
+
+
+# ---------------------------------------------------------------------------
+# lattice series: one shell per evaluation, and the full lattice box
+# ---------------------------------------------------------------------------
+
+def shell_by_shell_sum(which, p, rel_tol=1e-10, max_bound=None, seed=7919):
+    """``sum_discrete`` one shell at a time: each shell enumerated on its
+    own and evaluated in one ``lattice_values`` call, the way the blocks
+    of shells replaced, bit for bit.  Returns the ``SeriesResult`` and
+    the list of shell sums."""
+    import math
+
+    from selberg3.lattice import (
+        TABLE_START,
+        FactorTables,
+        SeriesResult,
+        _z_derivatives,
+        cone_array,
+        lattice_values,
+    )
+
+    include_weight = which == "dexp3"
+    k1, k2 = p.k1, (p.k2 if include_weight else 0)
+    if max_bound is None:
+        max_bound = 200 if k1 + k2 <= 2 else 60
+    shells, moments = [], np.zeros(k1 + k2)
+    partial, last, converged, bound, tables = 0.0, inf, False, 0, None
+    for j in range(max_bound + 1):
+        if tables is None or j > tables.hi:
+            tables = FactorTables(k1, k2, p, 0, 2 * tables.width - 1 if tables else TABLE_START - 1)
+        P = cone_array(k1, k2, j, least=j).astype(float)
+        vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=include_weight, seed=seed,
+                              tables=tables) if P.shape[0] else np.zeros(0)
+        last = math.fsum(vals.tolist())
+        shells.append(last)
+        moments += vals @ P
+        partial = math.fsum(shells)
+        bound = j
+        if j >= 1 and partial != 0.0 and abs(last) <= rel_tol * abs(partial):
+            converged = True
+            break
+    return SeriesResult(partial, last, bound, converged,
+                        *_z_derivatives(k1, k2, p, partial, moments)), shells
+
+
+def sum_over_total_lattice(p, bound, seed=7919):
+    """Sum F over the full shifted lattice box [-bound, bound]^(k1+k2).
+
+    Off-cone points contribute exact zeros (or limit values ~ 0); this is
+    the at-scale check of the support statement.  Returns the sum.
+    """
+    import math
+
+    from selberg3.lattice import lattice_values
+
+    k1, k2 = p.k1, p.k2
+    P = (np.indices((2 * bound + 1,) * (k1 + k2)).reshape(k1 + k2, -1).T - bound).astype(float)
+    vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=True, seed=seed)
+    return math.fsum(vals.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -11,29 +11,30 @@ from oracles import (
     regular_mask,
     regular_values,
     sequential_limit_pair,
+    shell_by_shell_sum,
+    sum_over_total_lattice,
 )
 from selberg3 import closed_forms as cf
+from selberg3.errors import LimitDisagreementError
+from selberg3.identities import Budget, run_identity
 from selberg3.integrands import LatticePoint, lattice_shift, phi_sign_log
 from selberg3.lattice import (
     TABLE_START,
-    ConeSpec,
     FactorTables,
     cone_array,
     cone_integer_parts,
-    enumerate_cone,
     eps_limit_ratio,
     lattice_values,
     pde_coefficients,
     pde_residual,
     sum_discrete,
-    sum_over_total_lattice,
 )
 from selberg3.params import ParamSet
 
 
 class TestEnumeration:
     def test_k1_line(self):
-        pts = list(enumerate_cone(ConeSpec(1, 0, -0.2, 3)))
+        pts = [LatticePoint(nu, nv, -0.2) for nu, nv in cone_integer_parts(1, 0, 3)]
         assert sorted(pt.nu[0] for pt in pts) == [0, 1, 2, 3]
         assert all(pt.u[0] == pt.nu[0] for pt in pts)  # shift is 0 for the last slot
 
@@ -55,9 +56,10 @@ class TestEnumeration:
         assert got == want
 
     def test_points_carry_shift(self):
-        spec = ConeSpec(2, 1, -0.2, 1)
-        for pt in enumerate_cone(spec):
-            assert pt.u[0] == pytest.approx(pt.nu[0] + spec.gamma)
+        gamma = -0.2
+        for nu, nv in cone_integer_parts(2, 1, 1):
+            pt = LatticePoint(nu, nv, gamma)
+            assert pt.u[0] == pytest.approx(pt.nu[0] + gamma)
             assert pt.u[1] == pt.nu[1]
             assert pt.v[0] == pt.nv[0]
             assert pt.in_cone
@@ -67,7 +69,7 @@ SHELL_SHAPES = [(1, 0), (3, 0), (1, 1), (2, 2), (3, 2), (3, 3), (4, 2)]
 
 
 def _shell(k1, k2, j):
-    return [(tuple(r[:k1]), tuple(r[k1:])) for r in cone_array(k1, k2, j, shell=True).tolist()]
+    return [(tuple(r[:k1]), tuple(r[k1:])) for r in cone_array(k1, k2, j, least=j).tolist()]
 
 
 class TestShells:
@@ -171,7 +173,7 @@ class TestFactorTables:
         assert res.converged and res.bound >= TABLE_START
         shells, mom1, mom2 = [], [], []
         for j in range(res.bound + 1):
-            P = cone_array(k1, k2, j, shell=True).astype(float)
+            P = cone_array(k1, k2, j, least=j).astype(float)
             _, vals = _oracle_values(P[:, :k1], P[:, k1:], p, seed=5,
                                      include_weight=which == "dexp3")
             shells.append(math.fsum(vals.tolist()))
@@ -209,11 +211,11 @@ class TestSeries:
         assert a.partial_sum == pytest.approx(b.partial_sum, rel=1e-12)
 
     def test_shell_decay_is_geometric(self):
-        from selberg3.lattice import _shell_sum
-
         p = ParamSet(k1=2, k2=1, alpha=1.3, gamma=-0.12, z1=0.5, z2=0.4)
         start = 4 * (p.k1 + p.k2)
-        shells = [abs(_shell_sum(2, 1, j, p, True, 7919)[0]) for j in range(start, start + 6)]
+        _, shells = shell_by_shell_sum("dexp3", p, rel_tol=0.0, max_bound=start + 5)
+        shells = [abs(s) for s in shells[start:]]
+        assert len(shells) == 6
         for a, b in zip(shells, shells[1:]):
             assert b < 0.9 * a
 
@@ -237,7 +239,7 @@ class TestSeries:
         p = ParamSet(k1=2, k2=1, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.3)
         tot = sum_over_total_lattice(p, bound=12)
         cone = sum_discrete("dexp3", p, rel_tol=1e-14, max_bound=12)
-        assert tot.partial_sum == pytest.approx(cone.partial_sum, rel=1e-8)
+        assert tot == pytest.approx(cone.partial_sum, rel=1e-8)
 
     def test_negative_parts_vanish_for_k1(self):
         # 1/Gamma(u+1) kills every negative integer part
@@ -262,6 +264,157 @@ class TestSeries:
         vals = lattice_values(NU[off], NV[off], p)
         cone = sum_discrete("dexp3", p, rel_tol=1e-10).partial_sum
         assert np.abs(vals).max() <= 1e-10 * abs(cone)
+
+
+SERIES_SHAPES = [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
+
+
+def _outcome(fn, *args, **kwargs):
+    """What a call returns, or the class and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _oracle_sum(*args, **kwargs):
+    return shell_by_shell_sum(*args, **kwargs)[0]
+
+
+def _spy(monkeypatch, module, name):
+    """Record the integer parts of every call to ``module.name``."""
+    calls, real = [], getattr(module, name)
+
+    def spy(NU, NV, *args, **kwargs):
+        calls.append(np.hstack((NU, NV)))
+        return real(NU, NV, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestBlockedSum:
+    """Blocks of shells give the series of one shell at a time, bit for bit."""
+
+    @pytest.mark.parametrize("which", ["dexp", "dexp3"])
+    @pytest.mark.parametrize("k1,k2", SERIES_SHAPES)
+    def test_equals_shell_by_shell(self, which, k1, k2):
+        # at z = 0.6 the (3, 2) series runs 44 shells, too slow for both sides
+        for z, bounds in ((0.3, (None, 0, 5, 12)), (0.6, (0, 5, 12)), (1e-6, (None, 0, 5, 12))):
+            for max_bound in bounds:
+                p = ParamSet(k1=k1, k2=k2, alpha=1.3, gamma=-0.15, z1=z, z2=z)
+                got = _outcome(sum_discrete, which, p, max_bound=max_bound, seed=5)
+                assert got == _outcome(_oracle_sum, which, p, max_bound=max_bound, seed=5)
+                if z == 1e-6 and max_bound is None:
+                    assert got.converged and got.bound <= 2
+
+    def test_equal_errors(self):
+        # Gamma(u_0 + alpha) meets a zero at nu = (0, 0), where the limits disagree
+        p = ParamSet(k1=2, k2=0, alpha=1.3, gamma=-0.5, z1=0.3)
+        got = _outcome(sum_discrete, "dexp", p, seed=5)
+        assert got[0] is LimitDisagreementError
+        assert got == _outcome(_oracle_sum, "dexp", p, seed=5)
+
+    def test_tables_regrow_across_a_block(self, monkeypatch):
+        import selberg3.lattice as lattice
+
+        spans = []
+
+        class SpyTables(FactorTables):
+            def __init__(self, k1, k2, p, lo, hi):
+                spans.append((lo, hi))
+                super().__init__(k1, k2, p, lo, hi)
+
+        monkeypatch.setattr(lattice, "FactorTables", SpyTables)
+        p = ParamSet(k1=2, k2=0, alpha=1.3, gamma=-0.15, z1=0.6)
+        got = sum_discrete("dexp", p, seed=5)
+        # the block of shells 7..14 starts inside the first tables and ends past them
+        assert spans[:2] == [(0, TABLE_START - 1), (0, 2 * TABLE_START - 1)]
+        assert got.converged and got.bound >= 2 * TABLE_START
+        monkeypatch.undo()
+        assert got == _oracle_sum("dexp", p, seed=5)
+
+    # at z = 0.05 the series stops at shell 7 of the block 7..9, at z = 0.2
+    # after its multi-shell blocks
+    @pytest.mark.parametrize("z,stop_in_block", [(0.05, True), (0.2, False)])
+    def test_limits_probed_per_shell_up_to_the_stop(self, monkeypatch, z, stop_in_block):
+        import selberg3.lattice as lattice
+
+        values = _spy(monkeypatch, lattice, "lattice_values")
+        calls = _spy(monkeypatch, lattice, "limit_pairs")
+        p = ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=z, z2=z)
+        got = sum_discrete("dexp3", p, seed=5)
+        blocked = calls.copy()
+        calls.clear()
+        assert got == _oracle_sum("dexp3", p, seed=5)
+        assert len(blocked) == len(calls) > 1
+        for a, b in zip(blocked, calls):
+            assert np.array_equal(a, b)
+        for P in blocked:  # one shell per call, none past the stop
+            largest = P.max(axis=1)
+            assert largest.min() == largest.max() <= got.bound
+        # the stopping shell's block runs on, over regular points only,
+        # past shells that hold singular points
+        past = np.vstack([P[P.max(axis=1) > got.bound] for P in values])
+        assert bool(past.size) == stop_in_block
+        if not stop_in_block:
+            return
+        hi = int(past.max())
+        assert regular_mask(past[:, :2], past[:, 2:], p).all()
+        after = cone_array(2, 2, hi, least=got.bound + 1).astype(float)
+        assert not regular_mask(after[:, :2], after[:, 2:], p).all()
+
+    def test_few_value_calls_for_small_shells(self, monkeypatch):
+        import selberg3.lattice as lattice
+
+        calls = _spy(monkeypatch, lattice, "lattice_values")
+        p = ParamSet(k1=1, k2=1, alpha=1.3, gamma=-0.15, z1=0.5, z2=0.5)
+        got = sum_discrete("dexp3", p)
+        assert got.converged and got.bound > 14
+        assert len(calls) <= 6
+
+    @pytest.mark.parametrize("k1,k2", SHELL_SHAPES)
+    def test_cone_block_is_its_shells(self, k1, k2):
+        def rows(P):
+            return {tuple(r) for r in P.tolist()}
+
+        for j, hi in ((0, 0), (0, 3), (1, 2), (3, 6), (5, 5)):
+            block = cone_array(k1, k2, hi, least=j)
+            shells = np.vstack([cone_array(k1, k2, s, least=s) for s in range(j, hi + 1)])
+            assert len(block) == len(shells) and rows(block) == rows(shells)
+            order = np.argsort(block.max(axis=1, initial=0), kind="stable")
+            assert np.array_equal(block[order], shells)
+
+    def test_max_bound_below_zero_raises(self):
+        p = ParamSet(k1=1, alpha=1.0, gamma=-0.2, z1=0.5)
+        with pytest.raises(ValueError, match="max_bound"):
+            sum_discrete("dexp", p, max_bound=-1)
+        with pytest.raises(ValueError, match="max_bound"):
+            run_identity("dexp", p, budget=Budget(max_bound=-3))
+        res = sum_discrete("dexp", p, max_bound=0)  # shell 0 is the point nu = (0,)
+        assert (res.partial_sum, res.last_shell, res.bound, res.converged) == (1.0, 1.0, 0, False)
+
+    def test_one_batch_tables_span_the_batch(self, monkeypatch):
+        import selberg3.lattice as lattice
+        from selberg3.integrands import f_limit
+
+        spans = []
+
+        class SpyTables(FactorTables):
+            def __init__(self, k1, k2, p, lo, hi):
+                spans.append((lo, hi))
+                super().__init__(k1, k2, p, lo, hi)
+
+        p = ParamSet(k1=2, k2=1, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
+        points = [LatticePoint((600, 300), (400,), p.gamma), LatticePoint((12, 5), (8,), p.gamma)]
+        # tables from 0 up, as every batch had before
+        want = [lattice_values(np.array([pt.nu]), np.array([pt.nv]), p,
+                               tables=FactorTables(2, 1, p, 0, max(pt.nu)))[0] for pt in points]
+        assert want[1] != 0.0
+        monkeypatch.setattr(lattice, "FactorTables", SpyTables)
+        assert [f_limit(pt, p) for pt in points] == want
+        assert lattice_values(np.zeros((0, 2)), np.zeros((0, 1)), p).shape == (0,)
+        assert spans == [(300, 600), (5, 12), (0, 0)]
 
 
 class TestDynamicalSystem:
