@@ -94,30 +94,3 @@ def merged_order(M: OrderMap, k1: int, k2: int) -> list[tuple]:
         order.append(("t", j))
     return order
 
-
-def domain_membership(M: OrderMap, t, s, x: float, y: float) -> bool:
-    """Direct inequality test for one interleaving domain on [x, y]."""
-    k1, k2 = len(t), len(s)
-    if k1 and not (x <= t[k1 - 1] and t[0] <= y):
-        return False
-    if any(t[i] < t[i + 1] for i in range(k1 - 1)):
-        return False
-    if k2 and not (x <= s[k2 - 1] and s[0] <= y):
-        return False
-    if any(s[i] < s[i + 1] for i in range(k2 - 1)):
-        return False
-    for b in range(1, k2 + 1):
-        j = M.m[b - 1]
-        upper = y if j == 1 else t[j - 2]
-        if not (t[j - 1] <= s[b - 1] <= upper):
-            return False
-    return True
-
-
-def simplex_membership(t, s, x: float, y: float, k1: int, k2: int) -> bool:
-    """Membership in the full interleaved cone (union of all domains)."""
-    if k1 and (any(t[i] < t[i + 1] for i in range(k1 - 1)) or not (x <= t[k1 - 1] and t[0] <= y)):
-        return False
-    if k2 and (any(s[i] < s[i + 1] for i in range(k2 - 1)) or not (x <= s[k2 - 1] and s[0] <= y)):
-        return False
-    return all(s[b] >= t[b + k1 - k2] for b in range(k2))

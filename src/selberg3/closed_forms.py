@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
+from itertools import permutations
 
 from .errors import DegenerateError, DomainError
 from .logreal import LogSigned, log_gamma_signed, power_log, prod_logsigned
@@ -106,6 +108,32 @@ def sl3_selberg0_rhs(p: ParamSet) -> LogSigned:
                           * _gamma(a + b1 + b2 + (k1 + k2 - 3 - j) * g)
                           * _gamma(g)))
     return prod_logsigned(factors)
+
+
+def cone_monomial_integral(k1: int, k2: int, degs_t, degs_s) -> Fraction:
+    """Exact integral of prod t^degs_t prod s^degs_s over the interleaved
+    cone in [0,1]: t and s each descending, s_b >= t_(b+k1-k2).
+
+    The cone is the union of the total orders of the coordinates that
+    satisfy its inequalities, each a chain 1 >= c_1 >= ... >= c_K >= 0
+    whose monomial integrates to prod 1 / (e_i + ... + e_K + K - i + 1).
+    """
+    labels = [("t", a) for a in range(k1)] + [("s", b) for b in range(k2)]
+    degs = {("t", a): int(d) for a, d in enumerate(degs_t)}
+    degs.update({("s", b): int(d) for b, d in enumerate(degs_s)})
+    above = ([(("t", a), ("t", a + 1)) for a in range(k1 - 1)]
+             + [(("s", b), ("s", b + 1)) for b in range(k2 - 1)]
+             + [(("s", b), ("t", b + k1 - k2)) for b in range(k2)])
+    total = Fraction(0)
+    for order in permutations(labels):
+        pos = {lab: i for i, lab in enumerate(order)}
+        if all(pos[hi] < pos[lo] for hi, lo in above):
+            term, tail = Fraction(1), 0
+            for i in range(len(order) - 1, -1, -1):
+                tail += degs[order[i]] + 1
+                term /= tail
+            total += term
+    return total
 
 
 def aomoto_rhs(k: int, ell: int, p: ParamSet) -> LogSigned:

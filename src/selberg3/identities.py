@@ -171,8 +171,10 @@ def _mc_tolerance(sigma: float, ref: float) -> float:
 def _quad_engine(which: str, rhs_fn, scheme: str | None = None):
     def engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
         ig = assembled_integrand(which, p)
+        # the rule dimension: the half-line's scale axis has no rule
+        dim = p.k1 + p.k2 - (ig.interval == "0inf")
         spec = _quad_spec(budget, seed, scheme or (
-            "deterministic" if p.k1 + p.k2 <= 3 else "monte_carlo"))
+            "deterministic" if dim <= 3 else "monte_carlo"))
         chain = gamma_chain(p.k1, p.k2, p.gamma)
         lhs, err = integrate_chain(ig, chain, spec, p)
         rhs = rhs_fn(p).to_float()
@@ -265,41 +267,21 @@ def _monomial(degs_t, degs_s):
 def _chain_decomp_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
     rng = np.random.default_rng(seed)
     k1, k2 = p.k1, p.k2
-    chain = unit_chain(k1, k2)
+    degs = [(rng.integers(0, 4, size=k1), rng.integers(0, 4, size=k2)) for _ in range(20)]
+    # the 20 monomials are one family: each domain's frame and coordinate
+    # rows are built once; each is checked against its exact cone integral
+    members = [Integrand(_monomial(dt, ds), k1, k2, "01", 0, 1.0, 0.0, 1.0, 1.0,
+                         kind="callable") for dt, ds in degs]
     spec = _quad_spec(budget, seed, default_nodes=24)
-    n_mc = budget.samples
-    box = rng.uniform(size=(n_mc, k1 + k2))
-    bt, bs = box[:, :k1], box[:, k1:]
-    inside = np.ones(n_mc, dtype=bool)
-    for i in range(k1 - 1):
-        inside &= bt[:, i] >= bt[:, i + 1]
-    for i in range(k2 - 1):
-        inside &= bs[:, i] >= bs[:, i + 1]
-    for b in range(k2):
-        inside &= bs[:, b] >= bt[:, b + k1 - k2]
-    cone = box[inside]
-
-    # the 20 monomials, drawn in the order the record's stream always drew
-    # them, are one family: each domain's frame and coordinate rows are
-    # built once; the sampled side evaluates them on the in-cone rows only
-    members = [Integrand(_monomial(rng.integers(0, 4, size=k1), rng.integers(0, 4, size=k2)),
-                         k1, k2, "01", 0, 1.0, 0.0, 1.0, 1.0, kind="callable")
-               for _ in range(20)]
     worst = None
-    for ig, (det, _) in zip(members, integrate_family(members, chain, spec, p)):
-        vals = np.zeros(n_mc)
-        vals[inside] = ig.fn(cone[:, :k1], cone[:, k1:])
-        mc = float(np.mean(vals))
-        sigma = float(np.std(vals, ddof=1) / math.sqrt(n_mc))
-        dev = abs(det - mc)
-        margin = dev / (3.0 * sigma) if sigma > 0 else math.inf
-        if worst is None or margin > worst[0]:
-            worst = (margin, det, mc, sigma)
-    margin, det, mc, sigma = worst
-    if not inside.any():  # a sampler that hit no cone point measured nothing
-        sigma = math.inf
-    tolerance = tol if tol is not None else _mc_tolerance(sigma, mc)
-    return det, sigma, mc, tolerance, "worst of 20 random monomials"
+    for (dt, ds), (det, err) in zip(degs, integrate_family(members, unit_chain(k1, k2),
+                                                           spec, p)):
+        exact = float(cf.cone_monomial_integral(k1, k2, dt, ds))
+        dev = abs(det - exact) / exact
+        if worst is None or dev >= worst[0]:
+            worst = (dev, det, err, exact)
+    dev, det, err, exact = worst
+    return det, err, exact, (tol if tol is not None else 1e-6), "worst of 20 random monomials"
 
 
 def _fval_support_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
@@ -390,7 +372,7 @@ _register("selb", "k-dimensional beta-type integral over the ordered simplex "
           _quad_engine("selb", cf.selberg_rhs, "deterministic"))
 _register("exp", "exponential-weight integral on the half-line vs gamma product",
           "alpha>0, gamma above convergence threshold, gamma != 0", _v_exp,
-          _quad_engine("exp", cf.exp_selberg_rhs, "monte_carlo"))
+          _quad_engine("exp", cf.exp_selberg_rhs))
 _register("dexp", "one-block lattice-cone series vs gamma product",
           "alpha>0, z in (0,1), generic gamma", _v_dexp,
           _series_engine("dexp", cf.discrete_exp_rhs))
@@ -399,7 +381,7 @@ _register("dexp3", "two-block lattice-cone series vs gamma product",
           _series_engine("dexp3", cf.sl3_discrete_rhs))
 _register("exp3", "two-block half-line chain integral vs gamma product",
           "alpha,beta1,beta2>0, gamma in (-0.5,0)", _v_sl3_cont,
-          _quad_engine("exp3", cf.sl3_exp_rhs, "monte_carlo"))
+          _quad_engine("exp3", cf.sl3_exp_rhs))
 _register("selb3", "two-block [0,1] chain integral with rational weight vs "
           "gamma product", "alpha,beta1,beta2>0, gamma in (-0.5,0)", _v_sl3_cont,
           _quad_engine("selb3", cf.sl3_selberg_rhs))

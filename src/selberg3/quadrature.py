@@ -36,9 +36,14 @@ one frame per domain and rule: the axis rules, frame, weight product,
 power product and coordinate rows are built once, and each member adds
 its own weight and weighted sum, bit-identical to a run on its own.
 
+On the half-line the integrand is homogeneous in the overall scale
+apart from its exponential factors, so both schemes put the top
+coordinate at c_0 = 1 and integrate the scale in closed form, to
+Gamma(H) L^(-H) (the Laguerre limit of Selberg's integral).  Only the
+K - 1 inner ratio axes carry a rule or samples.
+
 The Monte Carlo scheme importance-samples the matching beta densities
-(plus a gamma density for the overall scale on the half-line) and
-averages integrand/model, which is bounded by construction.  It
+and averages integrand/model, which is bounded by construction.  It
 evaluates through the same chain frame, built from the sampled log r
 columns in fixed blocks of rows, so both schemes derive every value
 from the integrand's description by one code path; no raw-coordinate
@@ -163,6 +168,10 @@ def _axis_rule(n: int, w0: float, w1: float, q: int):
     return logr, logx, weight
 
 
+# the half-line's axis 0: c_0 = 1 (log r = 0), no 1 - r, weight 1
+_SCALE_NODE = (np.zeros(1), None, np.ones(1))
+
+
 def _on_axis(v: np.ndarray, i: int, K: int) -> np.ndarray:
     """View of a per-axis vector along axis i of a K-dimensional grid."""
     return v.reshape((1,) * i + (-1,) + (1,) * (K - 1 - i))
@@ -285,8 +294,11 @@ def _frame_values(members, order, aw: AxisWeights, frame: _ChainFrame):
     The members share everything but the weight, so the power product,
     Jacobian and models (and a 'callable' family's coordinate rows) are
     built once and each member multiplies in only its own weight.  On
-    the half-line axis 0 carries the overall scale c_0 and has no model
-    here: the sampler's gamma density covers it.
+    the half-line the frame's top coordinate is c_0 = 1 and axis 0 has
+    no model: the overall scale is integrated in closed form instead.
+    Apart from e^(-rate c) the integrand times Jacobian is homogeneous of
+    degree H - 1 in the scale, H = w0[0] + 1, so the scale axis gives
+    Gamma(H) L^(-H) with L the sum of rate * c over the chain.
     """
     ig = members[0]
     K = len(order)
@@ -300,10 +312,8 @@ def _frame_values(members, order, aw: AxisWeights, frame: _ChainFrame):
     if ig.kind != "callable":
         for i, (kndi, _) in enumerate(order):
             if halfline:
-                rate = ig.exp_rates[0 if kndi == "t" else 1]
                 if kndi == "t":
                     logf += (a - 1.0) * frame.LS[i]
-                logf -= rate * frame.C[i]
             elif kndi == "t":
                 logf += (a - 1.0) * frame.LS[i] + (b1 - 1.0) * frame.LOM[i]
             else:
@@ -313,6 +323,11 @@ def _frame_values(members, order, aw: AxisWeights, frame: _ChainFrame):
                 same = order[i][0] == order[j][0]
                 expo = 2.0 * g if same else -g
                 logf += expo * frame.lgap(i, j)
+        if halfline:
+            H = aw.w0[0] + 1.0
+            L = sum(ig.exp_rates[0 if knd == "t" else 1] * frame.C[i]
+                    for i, (knd, _) in enumerate(order))
+            logf += gammaln(H) - H * np.log(L)
     for i in range(1, K):
         logf += frame.LS[i - 1]  # Jacobian
     for i in range(1 if halfline else 0, K):
@@ -335,11 +350,14 @@ def _frame_values(members, order, aw: AxisWeights, frame: _ChainFrame):
 
 def _det_value(members, order, aw: AxisWeights, n: int, q: int) -> list[float]:
     """One tensor rule on one domain: one value per member, all on one
-    frame and weight product."""
+    frame and weight product.  On the half-line axis 0 is the unit top
+    coordinate, one node of weight 1, so the grid has n**(K-1) nodes."""
     K = len(order)
-    rules = [_axis_rule(n, aw.w0[i], aw.w1[i], q) for i in range(K)]
+    rules = [_SCALE_NODE if i == 0 and members[0].interval == "0inf"
+             else _axis_rule(n, aw.w0[i], aw.w1[i], q) for i in range(K)]
     frame = _ChainFrame([_on_axis(r[0], i, K) for i, r in enumerate(rules)],
-                        [_on_axis(r[1], i, K) for i, r in enumerate(rules)])
+                        [None if r[1] is None else _on_axis(r[1], i, K)
+                         for i, r in enumerate(rules)])
     W = _on_axis(rules[0][2], 0, K)
     for i in range(1, K):
         W = W * _on_axis(rules[i][2], i, K)
@@ -367,31 +385,21 @@ def _mc_value(members, order, aw: AxisWeights, q: QuadSpec) -> list[tuple[float,
     halfline = members[0].interval == "0inf"
     logdens_const = 0.0
     clip = 1e-12
-    if halfline:
-        a1 = aw.w0[0] + 1.0
-        b1 = 0.9 * min(members[0].exp_rates)
-        scale = np.maximum(rng.gamma(shape=a1, scale=1.0 / b1, size=n), 1e-280)
-        logdens_const += a1 * math.log(b1) - gammaln(a1)
-    R = np.empty((n, K))
-    for i in range(K):
-        if i == 0 and halfline:
-            R[:, 0] = scale
-            continue
+    R = np.ones((n, K))
+    for i in range(1 if halfline else 0, K):
         ai, bi = aw.w0[i] + 1.0, aw.w1[i] + 1.0
         R[:, i] = np.clip(rng.beta(ai, bi, size=n), clip, 1.0 - clip)
         logdens_const -= betaln(ai, bi)
 
-    # on the half-line column 0 is the scale c_0 itself, with no 1 - r
+    # on the half-line column 0 is the unit top coordinate, with no 1 - r
     vals = [np.empty(n) for _ in members]
     for lo in range(0, n, MC_BLOCK_ROWS):
         block = R[lo:lo + MC_BLOCK_ROWS]
         logr = [np.log(block[:, i]) for i in range(K)]
         logx = [None if i == 0 and halfline else np.log1p(-block[:, i]) for i in range(K)]
         frame = _ChainFrame(logr, logx)
-        if halfline:
-            undo = np.exp(-(a1 - 1.0) * logr[0] + b1 * block[:, 0])
         for out, v in zip(vals, _frame_values(members, order, aw, frame)):
-            out[lo:lo + len(block)] = v * undo if halfline else v
+            out[lo:lo + len(block)] = v
     result = []
     for v in vals:
         if not np.all(np.isfinite(v)):
@@ -412,9 +420,10 @@ def integrate_domain(integrand: Integrand, M: OrderMap, q: QuadSpec, p: ParamSet
     The family is ``integrand`` followed by the integrands in ``more``,
     which differ from it only in their weight; they share the domain's
     rules, frame and power product.  Returns one (value, error estimate)
-    per member.  The deterministic tensor rule is available on [0,1] up
-    to dimension 4; Monte Carlo handles everything else, including the
-    half-line.
+    per member.  The deterministic tensor rule is available up to rule
+    dimension 4: K = k1 + k2 axes on [0,1], and K - 1 on the half-line,
+    whose overall scale is integrated in closed form.  Monte Carlo
+    handles everything else.
     """
     members = (integrand, *more)
     for ig in more:  # the weight (kind, indices, fn) is all that may differ
@@ -430,12 +439,15 @@ def integrate_domain(integrand: Integrand, M: OrderMap, q: QuadSpec, p: ParamSet
     if any(w <= -1.0 for w in aw.w0) or any(w is not None and w <= -1.0 for w in aw.w1):
         raise DomainError(f"facet exponent at or below -1; integral diverges: {aw}")
 
+    halfline = integrand.interval == "0inf"
+    if halfline and integrand.kind == "callable":
+        raise DomainError("a black-box integrand on the half-line has no closed-form scale")
+
     if q.scheme == "deterministic":
-        if integrand.interval != "01":
-            raise DomainError("deterministic scheme is restricted to [0,1] identities")
-        if K > 4:
-            raise DomainError("deterministic scheme requires k1 + k2 <= 4")
-        n = q.nodes_for(K)
+        dim = K - 1 if halfline else K
+        if dim > 4:
+            raise DomainError("deterministic scheme requires k1 + k2 <= 4 (5 on the half-line)")
+        n = q.nodes_for(dim)
         vals = _det_value(members, order, aw, n, q.smooth_order)
         vals2 = _det_value(members, order, aw, max(6, (2 * n) // 3), q.smooth_order)
         return [(v, abs(v - v2)) for v, v2 in zip(vals, vals2)]

@@ -18,8 +18,13 @@ checks, except the references that the package must reproduce:
   one-batch engines replaced, bit for bit;
 * the per-member engine references (``per_member_aomoto``,
   ``per_member_chain_decomp``) integrate each moment or monomial as its
-  own chain integral and evaluate each monomial on every sampled row,
-  the way the integrand-family engines replaced, bit for bit;
+  own chain integral, the way the integrand-family engines replaced,
+  bit for bit;
+* the cone-membership tests (``domain_membership``,
+  ``simplex_membership``) and the iid box sampler of the interleaved
+  cone (``box_cone_monomial``, through ``cone_mask``) test membership
+  point by point and integrate by rejection, apart from the chain
+  decomposition;
 * the chain-quadrature reference takes the package's per-axis rules
   (``_axis_rule``) and lays the frame out over the full node mesh, one
   integrand and one domain at a time, the way the broadcast tensor frame
@@ -29,7 +34,8 @@ checks, except the references that the package must reproduce:
   ``Integrand`` description) evaluate on coordinate rows by subtracting
   coordinates, and ``raw_ratio`` / ``raw_mc_value`` are the Monte Carlo
   path built on them, which the chain frame replaced; they agree with
-  the frame to rounding away from coincidences.
+  the frame to rounding away from coincidences.  On the half-line they
+  take the closed-form scale integral, as the frame does.
 """
 
 from __future__ import annotations
@@ -429,9 +435,9 @@ def per_member_aomoto(p, budget, seed, tol):
 
 def per_member_chain_decomp(p, budget, seed, tol):
     """The decomposition check one chain integral per monomial, each
-    monomial evaluated on every sampled row and masked to the cone."""
+    against this module's exact cone integral."""
     from selberg3.chains import unit_chain
-    from selberg3.identities import _mc_tolerance, _quad_spec
+    from selberg3.identities import _quad_spec
     from selberg3.integrands import Integrand
     from selberg3.quadrature import integrate_chain
 
@@ -439,21 +445,9 @@ def per_member_chain_decomp(p, budget, seed, tol):
     k1, k2 = p.k1, p.k2
     chain = unit_chain(k1, k2)
     spec = _quad_spec(budget, seed, default_nodes=24)
-    n_mc = budget.samples
-    box = rng.uniform(size=(n_mc, k1 + k2))
-    bt, bs = box[:, :k1], box[:, k1:]
-    inside = np.ones(n_mc, dtype=bool)
-    for i in range(k1 - 1):
-        inside &= bt[:, i] >= bt[:, i + 1]
-    for i in range(k2 - 1):
-        inside &= bs[:, i] >= bs[:, i + 1]
-    for b in range(k2):
-        inside &= bs[:, b] >= bt[:, b + k1 - k2]
+    degs = [(rng.integers(0, 4, size=k1), rng.integers(0, 4, size=k2)) for _ in range(20)]
     worst = None
-    for _ in range(20):
-        degs_t = rng.integers(0, 4, size=k1)
-        degs_s = rng.integers(0, 4, size=k2)
-
+    for degs_t, degs_s in degs:
         def poly(t, s, dt=degs_t, ds=degs_s):
             t = np.atleast_2d(t)
             s = np.atleast_2d(s)
@@ -465,19 +459,67 @@ def per_member_chain_decomp(p, budget, seed, tol):
             return out
 
         ig = Integrand(poly, k1, k2, "01", 0, 1.0, 0.0, 1.0, 1.0, kind="callable")
-        det, _ = integrate_chain(ig, chain, spec, p)
-        vals = np.where(inside, poly(box[:, :k1], box[:, k1:]), 0.0)
-        mc = float(np.mean(vals))
-        sigma = float(np.std(vals, ddof=1) / sqrt(n_mc))
-        dev = abs(det - mc)
-        margin = dev / (3.0 * sigma) if sigma > 0 else inf
-        if worst is None or margin > worst[0]:
-            worst = (margin, det, mc, sigma)
-    margin, det, mc, sigma = worst
-    if not inside.any():
-        sigma = inf
-    tolerance = tol if tol is not None else _mc_tolerance(sigma, mc)
-    return det, sigma, mc, tolerance, "worst of 20 random monomials"
+        det, err = integrate_chain(ig, chain, spec, p)
+        exact = float(simplex_monomial_integral(k1, k2, [int(d) for d in degs_t],
+                                                [int(d) for d in degs_s]))
+        dev = abs(det - exact) / exact
+        if worst is None or dev >= worst[0]:
+            worst = (dev, det, err, exact)
+    dev, det, err, exact = worst
+    return det, err, exact, (tol if tol is not None else 1e-6), "worst of 20 random monomials"
+
+
+def cone_mask(t, s):
+    """Rows of (t, s) inside the interleaved cone: t and s each
+    descending, s_b >= t_(b+k1-k2); the vectorized ``simplex_membership``
+    on the unit box."""
+    k1, k2 = t.shape[1], s.shape[1]
+    inside = np.ones(len(t), dtype=bool)
+    for i in range(k1 - 1):
+        inside &= t[:, i] >= t[:, i + 1]
+    for i in range(k2 - 1):
+        inside &= s[:, i] >= s[:, i + 1]
+    for b in range(k2):
+        inside &= s[:, b] >= t[:, b + k1 - k2]
+    return inside
+
+
+def box_cone_monomial(k1, k2, degs_t, degs_s, n, seed):
+    """(mean, standard error) of a monomial over the interleaved cone by
+    iid uniform sampling of the unit box, masked to the cone."""
+    box = np.random.default_rng(seed).uniform(size=(n, k1 + k2))
+    t, s = box[:, :k1], box[:, k1:]
+    vals = np.where(cone_mask(t, s), np.prod(t ** np.asarray(degs_t), axis=1)
+                    * np.prod(s ** np.asarray(degs_s), axis=1), 0.0)
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / sqrt(n))
+
+
+def domain_membership(M, t, s, x: float, y: float) -> bool:
+    """Direct inequality test for one interleaving domain on [x, y]."""
+    k1, k2 = len(t), len(s)
+    if k1 and not (x <= t[k1 - 1] and t[0] <= y):
+        return False
+    if any(t[i] < t[i + 1] for i in range(k1 - 1)):
+        return False
+    if k2 and not (x <= s[k2 - 1] and s[0] <= y):
+        return False
+    if any(s[i] < s[i + 1] for i in range(k2 - 1)):
+        return False
+    for b in range(1, k2 + 1):
+        j = M.m[b - 1]
+        upper = y if j == 1 else t[j - 2]
+        if not (t[j - 1] <= s[b - 1] <= upper):
+            return False
+    return True
+
+
+def simplex_membership(t, s, x: float, y: float, k1: int, k2: int) -> bool:
+    """Membership in the full interleaved cone (union of all domains)."""
+    if k1 and (any(t[i] < t[i + 1] for i in range(k1 - 1)) or not (x <= t[k1 - 1] and t[0] <= y)):
+        return False
+    if k2 and (any(s[i] < s[i + 1] for i in range(k2 - 1)) or not (x <= s[k2 - 1] and s[0] <= y)):
+        return False
+    return all(s[b] >= t[b + k1 - k2] for b in range(k2))
 
 
 # ---------------------------------------------------------------------------
@@ -844,18 +886,20 @@ def raw_integrand(ig, near_tol=0.0, magnitude=False):
     return fn
 
 
-def raw_ratio(ig, order, aw, R, scale=None, magnitude=False):
+def raw_ratio(ig, order, aw, R, magnitude=False):
     """integrand(c(R)) * Jacobian / per-axis weight models on sample rows,
     with the coordinates multiplied out and the integrand evaluated on
-    them raw; on the half-line ``scale`` is the overall scale c_0."""
+    them raw.  On the half-line column 0 of ``R`` is 1, the unit top
+    coordinate, and the overall scale is integrated in closed form: the
+    raw e^(-L) at c_0 = 1, L the sum of rate * c, is traded for
+    Gamma(H) L^(-H), H = w0[0] + 1."""
+    from scipy.special import gammaln
+
     from selberg3.errors import IntegrandSingularError, NearSingularError
 
     n, K = R.shape
-    if scale is None:
-        C = np.cumprod(R, axis=1)
-    else:
-        inner = np.hstack([np.ones((n, 1)), R[:, 1:]])
-        C = scale[:, None] * np.cumprod(inner, axis=1)
+    halfline = ig.interval == "0inf"
+    C = np.cumprod(R, axis=1)
     t = np.empty((n, ig.k1))
     s = np.empty((n, ig.k2))
     for i, (kind, idx) in enumerate(order):
@@ -867,13 +911,14 @@ def raw_ratio(ig, order, aw, R, scale=None, magnitude=False):
     logJ = np.zeros(n)
     for i in range(1, K):
         logJ += np.log(C[:, i - 1])
+    if halfline:
+        rt, rs = ig.exp_rates
+        L = rt * t.sum(axis=1) + rs * s.sum(axis=1)
+        H = aw.w0[0] + 1.0
+        logJ += L + gammaln(H) - H * np.log(L)
     logw = np.zeros(n)
-    for i in range(K):
-        if i == 0 and scale is not None:
-            continue
-        logw += aw.w0[i] * np.log(R[:, i])
-        if aw.w1[i] is not None:
-            logw += aw.w1[i] * np.log1p(-R[:, i])
+    for i in range(1 if halfline else 0, K):
+        logw += aw.w0[i] * np.log(R[:, i]) + aw.w1[i] * np.log1p(-R[:, i])
     sign = np.sign(vals)
     with np.errstate(divide="ignore"):
         logabs = np.log(np.abs(np.where(sign == 0.0, 1.0, vals)))
@@ -886,35 +931,22 @@ def raw_ratio(ig, order, aw, R, scale=None, magnitude=False):
 def raw_mc_value(ig, order, aw, q):
     """Monte Carlo estimate (mean, error) through ``raw_ratio``, with the
     samples ``quadrature._mc_value`` draws: the same generator calls in
-    the same order."""
+    the same order, none for the half-line's top coordinate."""
     import math
 
-    from scipy.special import betaln, gammaln
+    from scipy.special import betaln
 
     K = len(order)
     rng = np.random.default_rng(q.seed)
     n = q.sample_count
-    halfline = ig.interval == "0inf"
     logdens_const = 0.0
-    scale = None
     clip = 1e-12
-    if halfline:
-        a1 = aw.w0[0] + 1.0
-        b1 = 0.9 * min(ig.exp_rates)
-        scale = np.maximum(rng.gamma(shape=a1, scale=1.0 / b1, size=n), 1e-280)
-        logdens_const += a1 * math.log(b1) - gammaln(a1)
-    R = np.empty((n, K))
-    for i in range(K):
-        if i == 0 and halfline:
-            R[:, 0] = scale
-            continue
+    R = np.ones((n, K))
+    for i in range(1 if ig.interval == "0inf" else 0, K):
         ai, bi = aw.w0[i] + 1.0, aw.w1[i] + 1.0
         R[:, i] = np.clip(rng.beta(ai, bi, size=n), clip, 1.0 - clip)
         logdens_const -= betaln(ai, bi)
-    vals = raw_ratio(ig, order, aw, R, scale=scale)
-    if halfline:
-        vals = vals * np.exp(-(a1 - 1.0) * np.log(scale) + b1 * scale)
-    vals = vals * math.exp(-logdens_const)
+    vals = raw_ratio(ig, order, aw, R) * math.exp(-logdens_const)
     mean = float(np.mean(vals))
     err = float(np.std(vals, ddof=1) / math.sqrt(n))
     return mean, err

@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import interleavings
+from oracles import domain_membership, interleavings, simplex_membership
 from selberg3.chains import (
     OrderMap,
     coefficient_x,
-    domain_membership,
     enumerate_maps,
     gamma_chain,
     merged_order,
-    simplex_membership,
     unit_chain,
 )
 from selberg3.errors import DomainError

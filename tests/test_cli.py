@@ -251,9 +251,9 @@ class TestAliases:
 
 class TestMonteCarloBudget:
     @pytest.mark.parametrize("argv", [
-        ("--identity", "exp", "--k", "2", "--alpha", "1.5", "--gamma", "-0.15", "--budget", "2"),
-        ("--identity", "exp", "--k", "2", "--alpha", "1.5", "--gamma", "-0.15", "--budget", "10"),
-        ("--identity", "chain_decomp", "--k1", "2", "--k2", "2", "--budget", "2")])
+        ("--identity", "selb3", "--k1", "2", "--k2", "2", "--budget", "2"),
+        ("--identity", "selb3", "--k1", "2", "--k2", "2", "--budget", "10"),
+        ("--identity", "exp", "--k", "5", "--gamma", "-0.1", "--budget", "2")])
     def test_tiny_budget_is_insufficient_precision(self, capsys, argv):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 1

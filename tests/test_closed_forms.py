@@ -1,12 +1,14 @@
 """Closed gamma-product forms and their internal reductions."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import mp_gamma, mp_selberg_rhs
+from oracles import (box_cone_monomial, cone_mask, mp_gamma, mp_selberg_rhs,
+                     simplex_membership, simplex_monomial_integral)
 from selberg3 import closed_forms as cf
 from selberg3.errors import DomainError
 from selberg3.logreal import power_log
@@ -96,6 +98,48 @@ class TestSl3Reductions:
         want = (1.3 ** p.gamma) * (2.3 ** (-p.alpha)) * float(
             mp_gamma(p.alpha) * mp_gamma(-p.gamma))
         assert cf.sl3_exp_rhs(p).to_float() == pytest.approx(want, rel=1e-13)
+
+
+class TestConeMonomialIntegral:
+    """The exact reference of the chain-decomposition check."""
+
+    @pytest.mark.parametrize("k1,k2", [(0, 0), (1, 0), (3, 0), (1, 1), (2, 1), (2, 2),
+                                       (3, 1), (3, 2)])
+    def test_equals_the_interleavings_oracle(self, k1, k2):
+        rng = np.random.default_rng(5 * k1 + k2)
+        for _ in range(6):
+            degs_t = rng.integers(0, 5, size=k1)
+            degs_s = rng.integers(0, 5, size=k2)
+            got = cf.cone_monomial_integral(k1, k2, degs_t, degs_s)
+            assert isinstance(got, Fraction)
+            assert got == simplex_monomial_integral(k1, k2, [int(d) for d in degs_t],
+                                                    [int(d) for d in degs_s])
+
+    def test_small_cases_by_hand(self):
+        # the (1,1) cone s >= t: int t s = 1/8, int 1 = 1/2
+        assert cf.cone_monomial_integral(1, 1, [1], [1]) == Fraction(1, 8)
+        assert cf.cone_monomial_integral(1, 1, [0], [0]) == Fraction(1, 2)
+        assert cf.cone_monomial_integral(2, 0, [0, 0], []) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("k1,k2", [(2, 1), (2, 2), (3, 1)])
+    def test_box_sampler_within_four_sigma(self, k1, k2):
+        # iid uniform samples of the unit box, masked by the cone
+        # inequalities, against the exact integral over the total orders
+        rng = np.random.default_rng(11 * k1 + k2)
+        for rep in range(3):
+            degs_t, degs_s = rng.integers(0, 4, size=k1), rng.integers(0, 4, size=k2)
+            mean, sigma = box_cone_monomial(k1, k2, degs_t, degs_s, 200_000, seed=rep)
+            exact = float(cf.cone_monomial_integral(k1, k2, degs_t, degs_s))
+            assert sigma > 0 and abs(mean - exact) <= 4.0 * sigma
+
+    def test_cone_mask_is_simplex_membership(self):
+        rng = np.random.default_rng(4)
+        k1, k2 = 3, 2
+        box = rng.uniform(size=(2000, k1 + k2))
+        t, s = box[:, :k1], box[:, k1:]
+        want = [simplex_membership(ti, si, 0.0, 1.0, k1, k2) for ti, si in zip(t, s)]
+        assert cone_mask(t, s).tolist() == want
+        assert 0 < sum(want) < len(want)
 
 
 class TestAomotoRhs:

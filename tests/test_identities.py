@@ -82,8 +82,10 @@ class TestRecords:
         assert rec.tolerance == 1e-3 and rec.passed
 
     def test_forced_failure_via_tiny_tolerance(self):
-        p = ParamSet(k1=2, k2=0, alpha=1.5, gamma=-0.15)
-        rec = run_identity("exp", p, budget=Budget(samples=20_000), tol=1e-12)
+        # a sampled record: no deterministic rounding can meet 1e-12 by luck
+        p = ParamSet(k1=2, k2=2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+        rec = run_identity("selb3", p, budget=Budget(samples=20_000), tol=1e-12)
+        assert rec.note.startswith("monte_carlo")
         assert not rec.passed
 
 
@@ -254,6 +256,18 @@ class TestFamilyEngines:
         assert rec.passed
         assert len(built) == 2 * len(unit_chain(2, 2).terms) == 4
 
+    def test_chain_decomp_ignores_the_sample_budget(self):
+        # the reference is an exact rational integral, so nothing samples
+        p = ParamSet(k1=2, k2=1)
+        small = dataclasses.asdict(run_identity("chain_decomp", p, budget=Budget(samples=2),
+                                                seed=3))
+        default = dataclasses.asdict(run_identity("chain_decomp", p, seed=3))
+        small.pop("runtime_ms")
+        default.pop("runtime_ms")
+        assert small == default
+        assert default["tolerance"] == 1e-6 and default["passed"]
+        assert default["rel_dev"] <= 1e-12 and default["lhs_err"] <= 1e-10
+
     def test_aomoto_picks_a_nan_moment_as_the_worst(self, monkeypatch):
         p = ParamSet(k1=2, alpha=1.5, beta1=1.2, gamma=-0.11)
         good = identities.integrate_family
@@ -289,6 +303,40 @@ class TestFamilyEngines:
         assert not rec.passed and rec.rel_dev == rec.lhs
 
 
+class TestHalfLineRecords:
+    """exp and exp3 integrate the overall scale in closed form, so up to
+    three ratio axes they run the deterministic rule."""
+
+    def test_exp_k3_is_deterministic_and_seed_free(self):
+        p = ParamSet(k1=3, k2=0, alpha=1.5, gamma=-0.15)
+        recs = []
+        for seed in range(5):
+            rec = dataclasses.asdict(run_identity("exp", p, seed=seed))
+            rec.pop("runtime_ms")
+            rec.pop("seed")
+            recs.append(rec)
+        assert all(rec == recs[0] for rec in recs)
+        assert recs[0]["passed"] and recs[0]["tolerance"] == 1e-6
+        assert recs[0]["note"] == "deterministic"
+        assert recs[0]["rel_dev"] <= 1e-9
+
+    @pytest.mark.parametrize("which,k1,k2,scheme", [
+        ("exp", 1, 0, "deterministic"), ("exp", 4, 0, "deterministic"),
+        ("exp", 5, 0, "monte_carlo"), ("exp3", 2, 2, "deterministic"),
+        ("selb3", 2, 2, "monte_carlo")])
+    def test_scheme_follows_the_rule_dimension(self, monkeypatch, which, k1, k2, scheme):
+        seen = []
+
+        def spy(ig, chain, q, p):
+            seen.append(q.scheme)
+            return 1.0, 0.0
+
+        monkeypatch.setattr(identities, "integrate_chain", spy)
+        p = ParamSet(k1=k1, k2=k2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.1)
+        run_identity(which, p)
+        assert seen == [scheme]
+
+
 class TestOverflowingRules:
     """Large alpha and beta overflow the Gauss-Jacobi weights: the record
     names the error rather than reading NaN as a precision miss."""
@@ -308,13 +356,3 @@ class TestMonteCarloTolerance:
         assert _mc_tolerance(0.3, 1.0) == MC_CEIL
         assert _mc_tolerance(1e-9, 0.0) == MC_CEIL  # a zero reference: infinite relative sigma
 
-    def test_chain_decomp_takes_the_budget_sample_count(self):
-        p = ParamSet(k1=2, k2=1)
-        small = run_identity("chain_decomp", p, budget=Budget(samples=1000), seed=3)
-        default = run_identity("chain_decomp", p, seed=3)
-        assert small.lhs_err != default.lhs_err
-
-    def test_chain_decomp_without_a_cone_sample_is_insufficient_precision(self):
-        rec = run_identity("chain_decomp", ParamSet(k1=2, k2=2), budget=Budget(samples=2), seed=1)
-        assert rec.lhs_err == float("inf") and rec.rhs == 0.0
-        assert not rec.passed and rec.note.endswith("insufficient precision")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import (MeshChainFrame, domain_monomial_integral, interleavings, mesh,
-                     mesh_chain_value, mesh_det_value, raw_mc_value, raw_ratio,
+                     mesh_chain_value, mesh_det_value, mp_gamma, raw_mc_value, raw_ratio,
                      simplex_monomial_integral)
 from selberg3 import closed_forms as cf
 from selberg3 import quadrature
@@ -68,17 +68,39 @@ class TestDeterministic:
         # halving the spacing must gain at least the nominal order (4)
         assert errs[1] <= errs[0] / 16.0
 
-    def test_restricted_to_unit_interval(self):
+    def test_half_line_scale_in_closed_form(self):
+        # k = 1 is the scale axis alone: Gamma(alpha), with no rule and no error
         p = ParamSet(k1=1, k2=0, alpha=1.5, gamma=-0.1)
-        ig = assembled_integrand("exp", p)
-        with pytest.raises(DomainError):
-            integrate_domain(ig, EMPTY_MAP, QuadSpec("deterministic"), p)
+        [(val, err)] = integrate_domain(assembled_integrand("exp", p), EMPTY_MAP,
+                                        QuadSpec("deterministic"), p)
+        assert val == pytest.approx(math.gamma(1.5), rel=1e-15) and err == 0.0
+        for k, gamma in ((2, -0.15), (3, -0.15), (3, 0.4)):
+            p = ParamSet(k1=k, k2=0, alpha=1.5, gamma=gamma)
+            [(val, err)] = integrate_domain(assembled_integrand("exp", p), EMPTY_MAP,
+                                            QuadSpec("deterministic"), p)
+            want = float(mp.mpf(1) / mp.factorial(k) * mp.fprod(
+                mp_gamma(1.5 + j * gamma) * mp_gamma(1 + (j + 1) * gamma) / mp_gamma(1 + gamma)
+                for j in range(k)))
+            assert val == pytest.approx(want, rel=1e-10)
+            assert abs(val - want) <= 3.0 * err + 1e-14 * want
+
+    def test_black_box_rejected_on_the_half_line(self):
+        ig = Integrand(_poly, 1, 0, "0inf", 0, 1.0, 0.0, 1.0, 1.0, exp_rates=(1.0, 1.0),
+                       kind="callable")
+        for scheme in ("deterministic", "monte_carlo"):
+            with pytest.raises(DomainError, match="half-line"):
+                integrate_domain(ig, EMPTY_MAP, QuadSpec(scheme), ParamSet(k1=1, k2=0))
 
     def test_dimension_cap(self):
         p = ParamSet(k1=3, k2=2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.1)
         ig = assembled_integrand("selb3", p)
         with pytest.raises(DomainError):
             integrate_domain(ig, OrderMap((1, 2)), QuadSpec("deterministic"), p)
+        # the half-line's rule has one axis fewer: k = 6 has five
+        p = ParamSet(k1=6, k2=0, alpha=1.5, gamma=-0.1)
+        with pytest.raises(DomainError, match="5 on the half-line"):
+            integrate_domain(assembled_integrand("exp", p), EMPTY_MAP,
+                             QuadSpec("deterministic"), p)
 
     @pytest.mark.parametrize("scheme", ["deterministic", "monte_carlo"])
     def test_inadmissible_triple_rejected(self, scheme):
@@ -215,28 +237,24 @@ def _halfline_cases():
 HALFLINE_CASES = _halfline_cases()
 
 
-def _min_gap(R, scale=None):
-    """Smallest distance between two chain coordinates, or between the
-    top coordinate and 1 on [0,1], of each sample row."""
-    if scale is None:
-        C = np.cumprod(R, axis=1)
+def _min_gap(R, halfline=False):
+    """Smallest distance between two chain coordinates of each sample
+    row, or between the top coordinate and 1 on [0,1]; on the half-line
+    column 0 of R is the unit top coordinate itself."""
+    C = np.cumprod(R, axis=1)
+    if not halfline:
         C = np.hstack([np.ones((len(R), 1)), C])
-    else:
-        C = scale[:, None] * np.cumprod(np.hstack([np.ones((len(R), 1)), R[:, 1:]]), axis=1)
     return np.min(C[:, :-1] - C[:, 1:], axis=1, initial=np.inf)
 
 
 def _sample_rows(ig, aw, K, n, seed):
-    """Rows drawn the way Monte Carlo draws them: (R, scale or None)."""
+    """Rows drawn the way Monte Carlo draws them; on the half-line
+    column 0 is 1 and draws nothing."""
     rng = np.random.default_rng(seed)
-    R = np.empty((n, K))
-    scale = None
-    if ig.interval == "0inf":
-        scale = rng.gamma(aw.w0[0] + 1.0, 1.0 / (0.9 * min(ig.exp_rates)), size=n)
-        R[:, 0] = scale
-    for i in range(0 if scale is None else 1, K):
+    R = np.ones((n, K))
+    for i in range(1 if ig.interval == "0inf" else 0, K):
         R[:, i] = np.clip(rng.beta(aw.w0[i] + 1.0, aw.w1[i] + 1.0, size=n), 1e-12, 1 - 1e-12)
-    return R, scale
+    return R
 
 
 def _assert_close_where_separated(got, want, gap, magnitude):
@@ -253,20 +271,24 @@ def _assert_close_where_separated(got, want, gap, magnitude):
 class TestFrameAgainstRawOracle:
     """Frame values against the raw-coordinate integrand x Jacobian / model."""
 
-    @pytest.mark.parametrize("ig,k1,k2", [c[1:] for c in FRAME_CASES],
-                             ids=[c[0] for c in FRAME_CASES])
+    @pytest.mark.parametrize("ig,k1,k2", [c[1:] for c in FRAME_CASES + HALFLINE_CASES],
+                             ids=[c[0] for c in FRAME_CASES + HALFLINE_CASES])
     def test_tensor_views(self, ig, k1, k2):
         K = k1 + k2
+        halfline = ig.interval == "0inf"
         maps = enumerate_maps(k1, k2)
         for M in {maps[0], maps[-1]}:
             order = merged_order(M, k1, k2)
             aw = facet_exponents(ig, M)
-            rules = [_axis_rule(10, aw.w0[i], aw.w1[i], 4) for i in range(K)]
+            rules = [quadrature._SCALE_NODE if i == 0 and halfline
+                     else _axis_rule(10, aw.w0[i], aw.w1[i], 4) for i in range(K)]
             frame = _ChainFrame([_on_axis(r[0], i, K) for i, r in enumerate(rules)],
-                                [_on_axis(r[1], i, K) for i, r in enumerate(rules)])
+                                [None if r[1] is None else _on_axis(r[1], i, K)
+                                 for i, r in enumerate(rules)])
             got = np.broadcast_to(next(_frame_values([ig], order, aw, frame)), frame.shape).ravel()
             R = np.exp(mesh([r[0] for r in rules]))
-            _assert_close_where_separated(got, raw_ratio(ig, order, aw, R), _min_gap(R),
+            assert len(R) == 10 ** (K - 1 if halfline else K)
+            _assert_close_where_separated(got, raw_ratio(ig, order, aw, R), _min_gap(R, halfline),
                                           raw_ratio(ig, order, aw, R, magnitude=True))
 
     @pytest.mark.parametrize("ig,k1,k2", [c[1:] for c in FRAME_CASES + HALFLINE_CASES],
@@ -277,16 +299,16 @@ class TestFrameAgainstRawOracle:
         for M in {maps[0], maps[-1]}:
             order = merged_order(M, k1, k2)
             aw = facet_exponents(ig, M)
-            R, scale = _sample_rows(ig, aw, K, 2000, seed=K)
-            logx = [None if i == 0 and scale is not None else np.log1p(-R[:, i])
-                    for i in range(K)]
+            halfline = ig.interval == "0inf"
+            R = _sample_rows(ig, aw, K, 2000, seed=K)
+            logx = [None if i == 0 and halfline else np.log1p(-R[:, i]) for i in range(K)]
             frame = _ChainFrame([np.log(R[:, i]) for i in range(K)], logx)
             got = next(_frame_values([ig], order, aw, frame))
-            want = raw_ratio(ig, order, aw, R, scale=scale)
-            _assert_close_where_separated(got, want, _min_gap(R, scale),
-                                          raw_ratio(ig, order, aw, R, scale, magnitude=True))
-            if scale is not None:
-                # coordinates above 1 make 1 - c negative: it is never logged
+            want = raw_ratio(ig, order, aw, R)
+            _assert_close_where_separated(got, want, _min_gap(R, halfline),
+                                          raw_ratio(ig, order, aw, R, magnitude=True))
+            if halfline:
+                # the half-line integrand has no 1 - c factor: it is never logged
                 assert "LOM" not in vars(frame) and "OM" not in vars(frame)
 
 
@@ -366,21 +388,24 @@ class TestMonteCarlo:
         assert integrate_chain(ig, chain, spec, p) == default
 
     def test_frame_exact_at_a_clipped_coincidence(self):
-        # a sample clipped to r = 1 - 1e-12 puts t within 1e-12 * s of s,
-        # where subtracting raw coordinates loses four digits of the pole
+        # a sample clipped to r = 1 - 1e-12 puts t within 1e-12 of the unit
+        # top coordinate s, where subtracting raw coordinates loses four
+        # digits of the pole
         p = ParamSet(k1=1, k2=1, alpha=1.5, beta1=1.0, beta2=1.3, gamma=-0.2)
         ig = assembled_integrand("exp3", p)
         M = OrderMap((1,))
         order = merged_order(M, 1, 1)
         assert order == [("s", 1), ("t", 1)]
         aw = facet_exponents(ig, M)
-        s, r = 1.13020859, 1.0 - 1e-12
-        frame = _ChainFrame([np.log([s]), np.log([r])], [None, np.log1p(-np.array([r]))])
+        r = 1.0 - 1e-12
+        frame = _ChainFrame([np.zeros(1), np.log([r])], [None, np.log1p(-np.array([r]))])
         got = next(_frame_values([ig], order, aw, frame))[0]
-        ms, mr = mp.mpf(s), mp.mpf(r)
-        mt, a, g = ms * mr, mp.mpf(p.alpha), mp.mpf(p.gamma)
-        want = (mt ** (a - 1) * mp.exp(-p.beta1 * mt - p.beta2 * ms) * (ms - mt) ** (-g - 1)
-                * ms / (mr ** aw.w0[1] * (1 - mr) ** aw.w1[1]))
+        # s = 1 and t = r; the scale integral is Gamma(H) L^-H, L = b1 t + b2 s
+        mr, a, g = mp.mpf(r), mp.mpf(p.alpha), mp.mpf(p.gamma)
+        H = mp.mpf(aw.w0[0]) + 1
+        scale = mp.gamma(H) * (p.beta1 * mr + p.beta2) ** (-H)
+        want = (mr ** (a - 1) * (1 - mr) ** (-g - 1) * scale
+                / (mr ** aw.w0[1] * (1 - mr) ** aw.w1[1]))
         assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_exp3_11_factorization_oracle(self):
@@ -391,6 +416,36 @@ class TestMonteCarlo:
         want = (1.3 ** p.gamma) * (2.3 ** (-p.alpha)) * float(
             mp.gamma(p.alpha) * mp.gamma(-p.gamma))
         assert abs(val - want) <= max(3 * err, 1e-3 * abs(want))
+
+
+class TestHalfLineMonteCarlo:
+    """Monte Carlo on the half-line stays as a cross-check of the
+    closed-form scale: it samples the ratio axes only."""
+
+    @pytest.mark.parametrize("which,k1,k2", [("exp", 1, 0), ("exp", 2, 0), ("exp", 3, 0),
+                                             ("exp3", 1, 1), ("exp3", 2, 1)])
+    def test_against_the_closed_form(self, which, k1, k2):
+        p = ParamSet(k1=k1, k2=k2, alpha=1.5, beta1=1.0, beta2=1.3,
+                     gamma=-0.15 if which == "exp" else -0.2)
+        rhs = cf.exp_selberg_rhs if which == "exp" else cf.sl3_exp_rhs
+        val, err = integrate_chain(assembled_integrand(which, p), gamma_chain(k1, k2, p.gamma),
+                                   QuadSpec("monte_carlo", sample_count=200_000, seed=31), p)
+        want = rhs(p).to_float()
+        assert abs(val - want) <= 4.0 * err + 1e-14 * abs(want)
+        assert err <= 1e-2 * abs(want)
+
+    def test_exp_k3_stderr_calibration(self):
+        # the error bar covers the true error in most replications
+        p = ParamSet(k1=3, k2=0, alpha=1.5, gamma=-0.15)
+        ig = assembled_integrand("exp", p)
+        want = cf.exp_selberg_rhs(p).to_float()
+        cover = 0
+        for rep in range(100):
+            [(val, err)] = integrate_domain(
+                ig, EMPTY_MAP, QuadSpec("monte_carlo", sample_count=20_000,
+                                        seed=2000 + rep), p)
+            cover += abs(val - want) <= 2.0 * err
+        assert cover >= 90
 
 
 class TestChainDecomposition:
