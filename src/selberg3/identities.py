@@ -130,6 +130,40 @@ def _v_sl3_cont(p: ParamSet):
     _need(-0.5 < p.gamma < 0.0, "need gamma in (-0.5, 0); working range is [-0.3, -0.02]")
 
 
+def _clusters_at_one_converge(p: ParamSet, poles: int) -> bool:
+    """Whether every cluster of points at 1 is integrable on [0,1].
+
+    m_t of the t's and m_s of the s's meeting 1 at scale rho give
+    (1-t)^(beta1-1) and (1-s)^(beta2-1) powers, rho^(2 gamma) per pair
+    within a block and rho^(-gamma) across, and up to min(poles, m_t, m_s)
+    rational poles, against a volume rho^(m_t+m_s-1) d rho.  A cluster's
+    s's sit above its t's partners, so m_s >= m_t - (k1 - k2).
+    """
+    k1, k2, g = p.k1, p.k2, p.gamma
+    for mt in range(k1 + 1):
+        for ms in range(max(0, mt - (k1 - k2)), k2 + 1):
+            if mt + ms and (mt * p.beta1 + ms * p.beta2
+                            + g * (mt * (mt - 1) + ms * (ms - 1) - mt * ms)
+                            - min(poles, mt, ms)) <= 0.0:
+                return False
+    return True
+
+
+def _v_selb3(p: ParamSet):
+    _v_sl3_cont(p)
+    _need(_clusters_at_one_converge(p, p.k2),
+          "the integral diverges where points meet 1: need m_t beta1 + m_s beta2 + "
+          "gamma (m_t(m_t-1) + m_s(m_s-1) - m_t m_s) > min(k2, m_t, m_s) for every "
+          "cluster, e.g. beta1 + beta2 - gamma > 1")
+
+
+def _v_selb30(p: ParamSet):
+    _v_sl3_cont(p)
+    _need(_clusters_at_one_converge(p, 0),
+          "the integral diverges where points meet 1: need m_t beta1 + m_s beta2 + "
+          "gamma (m_t(m_t-1) + m_s(m_s-1) - m_t m_s) > 0 for every cluster")
+
+
 def _v_aomoto(p: ParamSet):
     _v_selb(p)
     _need(p.k <= 6, "need k <= 6 for the symmetrized moment factor")
@@ -171,10 +205,8 @@ def _mc_tolerance(sigma: float, ref: float) -> float:
 def _quad_engine(which: str, rhs_fn, scheme: str | None = None):
     def engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
         ig = assembled_integrand(which, p)
-        # the rule dimension: the half-line's scale axis has no rule
-        dim = p.k1 + p.k2 - (ig.interval == "0inf")
         spec = _quad_spec(budget, seed, scheme or (
-            "deterministic" if dim <= 3 else "monte_carlo"))
+            "deterministic" if p.k1 + p.k2 <= 4 else "monte_carlo"))
         chain = gamma_chain(p.k1, p.k2, p.gamma)
         lhs, err = integrate_chain(ig, chain, spec, p)
         rhs = rhs_fn(p).to_float()
@@ -383,10 +415,12 @@ _register("exp3", "two-block half-line chain integral vs gamma product",
           "alpha,beta1,beta2>0, gamma in (-0.5,0)", _v_sl3_cont,
           _quad_engine("exp3", cf.sl3_exp_rhs))
 _register("selb3", "two-block [0,1] chain integral with rational weight vs "
-          "gamma product", "alpha,beta1,beta2>0, gamma in (-0.5,0)", _v_sl3_cont,
+          "gamma product", "alpha,beta1,beta2>0, gamma in (-0.5,0), every cluster at 1 "
+          "integrable (k1=k2=1: beta1+beta2-gamma>1)", _v_selb3,
           _quad_engine("selb3", cf.sl3_selberg_rhs))
 _register("selb30", "two-block [0,1] chain integral without rational weight vs "
-          "gamma product", "alpha,beta1,beta2>0, gamma in (-0.5,0)", _v_sl3_cont,
+          "gamma product", "alpha,beta1,beta2>0, gamma in (-0.5,0), every cluster at 1 "
+          "integrable", _v_selb30,
           _quad_engine("selb30", cf.sl3_selberg0_rhs))
 _register("aomoto", "moment integrals of the beta-type density vs shifted "
           "product forms", "as selb, k <= 6", _v_aomoto, _aomoto_engine)

@@ -1,58 +1,70 @@
 """Quadrature over interleaving domains and chains.
 
-Each domain is one descending chain of the k1+k2 coordinates, so the
-nested-ratio substitution c_i = c_{i-1} * r_i maps it onto the unit cube
-with every singular facet sent to a coordinate hyperplane.  The facet
-behavior is captured per axis by a pair of endpoint exponents:
+Each domain is one descending chain of the k1+k2 coordinates.  Its K
+points cut the interval into gaps: on [0,1] there are N = K+1 of them,
+g_0 = 1 - c_0, g_i = c_{i-1} - c_i and g_K = c_{K-1}; on the half-line
+there are N = K, whose sum is the top coordinate c_0.  Each of c_i,
+1 - c_i and c_i - c_j is the sum S[lo..hi] of one run of consecutive
+gaps, so ``_describe`` writes every described integrand on a domain as
+a list of (lo, hi, exponent) power factors and a list of rational-weight
+terms, each a coefficient times a product of S[lo..hi]^(+-1).  One
+evaluator, ``_frame_values``, turns that description into integrand x
+Jacobian / model on any frame that returns log S for an interval.
 
-* at r_i = 0 the whole inner block collapses to the origin, and the
-  exponent is the scaling degree of integrand times Jacobian there;
-* at r_i = 1 two chain-adjacent coordinates collide, and the exponent is
-  the coincidence power of that pair (including the -1 of a rational
-  pole when the identity carries one).
+The deterministic scheme is a sector rule (Binoth & Heinrich, Nucl.
+Phys. B 585 (2000) 741).  It splits the simplex of gaps into one sector
+per binary tree whose in-order is the gap order: the root is the largest
+gap and each node is at least every gap below it, so there are
+Catalan(N) sectors (5, 14, 42 for N = 3, 4, 5).  In a sector g_root = 1
+(Cheng-Wu) and g_v = g_parent y_v with y in [0,1]^(N-1), so every gap sum
+is its shallowest gap times a factor in [1, length].  The integrand is
+then a monomial in y times a smooth function, and one Gauss-Jacobi rule
+per axis, with the monomial's exponent as its weight, converges
+geometrically.  The exponent of axis v is v's count of proper
+descendants (the Jacobian) plus every power factor whose shallowest gap
+lies at or below v, plus the least pole count over the weight terms;
+the remaining weight powers are non-negative integers.  The projective
+factor is (sum g)^(-(D+N)) for total degree D, which is 0 on the
+half-line.  The rule starts at ``nodes_for(dim)`` nodes per axis, takes
+|v(n) - v(n-2)| as the estimate, and adds two nodes per axis until every
+member's relative estimate is within ``SECTOR_RTOL``, up to
+``SECTOR_MAX_NODES`` per axis and ``SECTOR_MAX_GRID`` nodes per domain.
+An explicit ``nodes_per_axis`` fixes the pair (n-2, n).  Each level's
+axis rules come from one batched eigenvalue solve with Christoffel-number
+weights (``_jacobi_rules``).  Up to rule dimension ``STACK_DIM`` all
+sectors of a level share one stacked frame, where numpy's per-call cost
+would otherwise dominate; beyond it each sector broadcasts its own
+per-axis vectors.  Log-gaps are path sums of log y, and no gap sum is
+ever taken as a difference.
 
-The deterministic scheme integrates with a tensor product of Gauss-Jacobi
-rules carrying exactly those endpoint weights, composed with a per-axis
-polynomial smoothing map r = I_xi(q, q) (regularized incomplete beta).
-The smoothing map multiplies the algebraic order of the remaining corner
-singularities (coincidences of non-adjacent coordinates, which no
-per-axis weight can absorb) and is what makes dimension-3 runs converge
-to ~1e-8 instead of ~1e-3.  All integrand factors are rebuilt from
-per-axis (r, 1-r) pairs in product form, never by subtracting nearly
-equal coordinates, so nodes exponentially close to facets lose no
-precision.
+On the half-line the integrand is homogeneous in the overall scale apart
+from its exponential factors, so the scale is integrated in closed form
+to Gamma(H) L^(-H), L the sum of rate x coordinate (the Laguerre limit of
+Selberg's integral), and only the gap simplex carries a rule or samples.
 
-The tensor grid stays a broadcast product: each axis rule is one
-length-n vector viewed along its own axis of an (n,)*K grid, and chain
-position i depends on axes 0..i only, so its log-coordinate, coordinate
-and complement arrays have shape (n,)*(i+1) padded with ones, and a gap
-spans the axes between its two positions.  Only the weight product, the
-log power product, the rational weight and the values fill the grid.
-Each elementwise operation and reduction runs in the same order as over
-a full (n**K, K) node mesh, so the values match that mesh bit for bit.
+Black-box ('callable') integrands have no description.  They keep the
+chain frame's nested ratios c_i = c_{i-1} r_i and a tensor product of
+Gauss-Jacobi rules composed with the smoothing map r = I_xi(q, q), with
+the endpoint exponents of ``facet_exponents`` per axis, and the pair
+(n, 2n/3) as the error estimate.  The tensor grid stays a broadcast
+product of per-axis vectors, bit for bit the full node mesh.
 
-Integrands that differ only in their weight form a family, which shares
-one frame per domain and rule: the axis rules, frame, weight product,
-power product and coordinate rows are built once, and each member adds
-its own weight and weighted sum, bit-identical to a run on its own.
+The Monte Carlo scheme importance-samples the beta densities of
+``facet_exponents`` and averages integrand/model through the same chain
+frame, in fixed blocks of rows.
 
-On the half-line the integrand is homogeneous in the overall scale
-apart from its exponential factors, so both schemes put the top
-coordinate at c_0 = 1 and integrate the scale in closed form, to
-Gamma(H) L^(-H) (the Laguerre limit of Selberg's integral).  Only the
-K - 1 inner ratio axes carry a rule or samples.
-
-The Monte Carlo scheme importance-samples the matching beta densities
-and averages integrand/model, which is bounded by construction.  It
-evaluates through the same chain frame, built from the sampled log r
-columns in fixed blocks of rows, so both schemes derive every value
-from the integrand's description by one code path; no raw-coordinate
-evaluator exists.
+Integrands that differ only in their weight form a family.  The family
+shares each domain's rules, frames and power product, and each member
+adds only its weight and weighted sum, bit-identical to a run on its
+own: the sector exponents count the weight's poles, which every member
+of a family shares, and a member that certifies stops at the level a
+run on its own would stop at.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import permutations
@@ -65,6 +77,13 @@ from .errors import DomainError, IntegrandSingularError
 from .integrands import Integrand
 from .params import ParamSet
 
+SECTOR_RTOL = 1e-8          # relative estimate a member certifies at
+SECTOR_MAX_NODES = 64       # nodes per axis the sector levels stop at
+SECTOR_MAX_GRID = 2 ** 22   # nodes on one domain no sector level may pass
+BLACK_BOX_NODES = {0: 1, 1: 96, 2: 72, 3: 88, 4: 24}  # smoothed tensor rule, per dimension
+# a domain integral below this has lost its digits to the double range
+_TINY = sys.float_info.min / sys.float_info.epsilon
+
 
 @dataclass(frozen=True)
 class QuadSpec:
@@ -74,12 +93,13 @@ class QuadSpec:
     nodes_per_axis: int = 0        # 0 = pick by dimension
     sample_count: int = 200_000
     seed: int = 20070920
-    smooth_order: int = 4          # q of the per-axis smoothing map
+    smooth_order: int = 4          # q of the black-box rule's smoothing map
 
     def nodes_for(self, dim: int) -> int:
+        """Nodes per axis the sector rule starts at, for rule dimension dim."""
         if self.nodes_per_axis:
             return self.nodes_per_axis
-        return {0: 1, 1: 96, 2: 72, 3: 88, 4: 24}.get(dim, 12)
+        return {0: 1, 1: 12, 2: 12, 3: 14, 4: 14}.get(dim, 14)
 
 
 @dataclass(frozen=True)
@@ -133,44 +153,170 @@ def facet_exponents(integrand: Integrand, M: OrderMap) -> AxisWeights:
 
 
 # ---------------------------------------------------------------------------
-# deterministic engine
+# the gap-interval description
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _axis_rule(n: int, w0: float, w1: float, q: int):
-    """Nodes of one smoothed Gauss-Jacobi axis.
+@dataclass(frozen=True)
+class _Description:
+    """A described integrand on one domain, in sums S[lo..hi] of gaps.
 
-    Returns read-only (logr, logx, weight) with x = 1-r; the weight folds
-    the Jacobi weight of the lifted exponents together with the smooth
-    parts of the substitution r = I_xi(q, q).  Memoized: domains and
-    records at equal exponents share their rules.
+    ``factors`` are the power product's (lo, hi, exponent); ``terms`` the
+    rational weight's (coefficient, ((lo, hi, +-1), ...)), the domain
+    order's signs folded into the coefficients (empty: no weight);
+    ``scale`` the half-line's (lo, hi, rate) per coordinate.  ``degree``
+    and ``wdegree`` are the homogeneity degrees of the power product and
+    of the weight.
     """
-    a_lift = q * w1 + q - 1.0
-    b_lift = q * w0 + q - 1.0
-    xj, wj = roots_jacobi(n, a_lift, b_lift)
-    xi = 0.5 * (xj + 1.0)
-    omxi = 0.5 * (1.0 - xj)
-    wj = wj * 2.0 ** (-(a_lift + b_lift + 1.0))
-    r = betainc(q, q, xi)
-    x = betainc(q, q, omxi)  # exact complement of r
-    u0 = r / xi ** q
-    u1 = x / omxi ** q
-    logbeta_qq = betaln(q, q)
-    with np.errstate(over="ignore", invalid="ignore"):
-        weight = wj * np.exp(w0 * np.log(u0) + w1 * np.log(u1) - logbeta_qq)
-    if not np.all(np.isfinite(weight)):  # large exponents overflow the rule
-        raise IntegrandSingularError(f"non-finite quadrature rule weights at "
-                                     f"exponents ({w0}, {w1})")
-    logr = np.where(r > 0.5, np.log1p(-x), np.log(r))
-    logx = np.log(x)
-    for arr in (logr, logx, weight):
-        arr.flags.writeable = False
-    return logr, logx, weight
+
+    N: int
+    halfline: bool
+    factors: tuple
+    terms: tuple
+    scale: tuple
+    degree: float
+    wdegree: int
 
 
-# the half-line's axis 0: c_0 = 1 (log r = 0), no 1 - r, weight 1
-_SCALE_NODE = (np.zeros(1), None, np.ones(1))
+@lru_cache(maxsize=256)
+def _describe(ig: Integrand, order: tuple) -> _Description:
+    """The gap-interval description of a described integrand on the
+    domain whose merged descending order is ``order``."""
+    K = len(order)
+    halfline = ig.interval == "0inf"
+    off = 0 if halfline else 1
+    N = K + off
+    a, g, b1, b2 = ig.alpha, ig.gamma, ig.beta1, ig.beta2
 
+    def coord(i):            # c_i
+        return (i + off, N - 1)
+
+    def comp(i):             # 1 - c_i, on [0,1] only
+        return (0, i)
+
+    def between(i, j):       # c_i - c_j for i < j
+        return (i + off, j - 1 + off)
+
+    expo = {}
+    for i, (knd, _) in enumerate(order):
+        if knd == "t":
+            expo[coord(i)] = a - 1.0
+        if not halfline:
+            expo[comp(i)] = (b1 if knd == "t" else b2) - 1.0
+        for j in range(i + 1, K):
+            expo[between(i, j)] = 2.0 * g if order[j][0] == knd else -g
+    factors = tuple((lo, hi, e) for (lo, hi), e in expo.items() if e != 0.0)
+
+    terms = ()
+    if ig.kind in ("g", "h", "ht"):
+        k1, k2 = ig.k1, ig.k2
+        pos_t = {idx: i for i, (knd, idx) in enumerate(order) if knd == "t"}
+        pos_s = {idx: i for i, (knd, idx) in enumerate(order) if knd == "s"}
+        merged = {}
+
+        def add(ups, poles):
+            """One symmetrization term: numerator intervals and (s, t) poles."""
+            sign, power = 1.0, {}
+            for iv in ups:
+                power[iv] = power.get(iv, 0) + 1
+            for b, at in poles:  # 1 / (s_b - t_a), signed by the domain order
+                ps, pt = pos_s[b + 1], pos_t[at + 1]
+                iv = between(ps, pt) if ps < pt else between(pt, ps)
+                sign *= 1.0 if ps < pt else -1.0
+                power[iv] = power.get(iv, 0) - 1
+            key = tuple(sorted((lo, hi, x) for (lo, hi), x in power.items() if x))
+            merged[key] = merged.get(key, 0.0) + sign
+
+        kk = k1 - k2
+        for sigma in permutations(range(k1)):
+            for tau in permutations(range(k2)):
+                if ig.kind == "g":
+                    add((), [(tau[b], sigma[b + kk]) for b in range(k2)])
+                    continue
+                l1, l2, m = ig.indices
+                ups = [coord(pos_t[sigma[x] + 1]) for x in range(l1)]
+                ups += [comp(pos_t[sigma[x] + 1]) for x in range(l1, k1)]
+                ups += [comp(pos_t[sigma[b] + 1] if ig.kind == "ht" else pos_s[tau[b] + 1])
+                        for b in range(m)]
+                ups += [comp(pos_s[tau[b] + 1]) for b in range(l2, k2)]
+                add(ups, [(tau[b], sigma[b]) for b in range(m)]
+                    + [(tau[b], sigma[b + kk]) for b in range(l2, k2)])
+        norm = math.factorial(k1) * math.factorial(k2)
+        terms = tuple((c / norm, key) for key, c in merged.items())
+    elif ig.kind != "plain":
+        raise DomainError(f"unknown rational weight kind {ig.kind!r}")
+
+    scale = ()
+    if halfline:
+        scale = tuple((*coord(i), ig.exp_rates[0 if knd == "t" else 1])
+                      for i, (knd, _) in enumerate(order))
+    wdegree = sum(x for _, _, x in terms[0][1]) if terms else 0
+    return _Description(N, halfline, factors, terms, scale,
+                        sum(e for _, _, e in factors), wdegree)
+
+
+def _frame_values(members, order, aw: AxisWeights, frame):
+    """integrand * Jacobian / model on the frame's points, yielded one
+    array per member of a family.
+
+    The frame gives log S[lo..hi] of any gap interval, log of the gaps'
+    total and log(Jacobian / model); ``aw`` is the chain frame's model.
+    The members share everything but the weight, so the power product
+    is built once and each member multiplies in only its own weight.  A
+    'callable' family is a black box: only Jacobian and models are
+    structural, and the members read the frame's coordinate rows (t, s).
+    """
+    ig = members[0]
+    if ig.kind == "callable":
+        base = np.exp(frame.log_model(aw))
+        t = np.empty(frame.shape + (ig.k1,))
+        s = np.empty(frame.shape + (ig.k2,))
+        for i, (knd, idx) in enumerate(order):
+            (t if knd == "t" else s)[..., idx - 1] = frame.C[i]
+        n = math.prod(frame.shape)
+        rows = t.reshape(n, ig.k1), s.reshape(n, ig.k2)
+        for arr in rows:  # read-only rows, shared by the members
+            arr.flags.writeable = False
+        for member in members:
+            yield base * member.fn(*rows).reshape(frame.shape)
+        return
+    yield from _described_values([_describe(m, tuple(order)) for m in members], frame, aw)
+
+
+def _described_values(descs, frame, aw):
+    """``_frame_values`` of a described family, from its descriptions."""
+    d = descs[0]
+    logf = frame.log_model(aw)
+    for lo, hi, e in d.factors:
+        logf = logf + e * frame.log_sum(lo, hi)
+    if d.halfline:  # members share their pole count, so their weight degree too
+        H = d.degree + d.wdegree + d.N
+        L = sum(rate * np.exp(frame.log_sum(lo, hi)) for lo, hi, rate in d.scale)
+        logf = logf + (gammaln(H) - H * np.log(L))
+        proj = 0.0
+    else:  # the projective factor of a degree-D integrand on N gaps
+        proj = frame.log_total
+        logf = logf - (d.degree + d.N) * proj
+    base = np.exp(logf)
+    del logf  # no grid-sized log lives on while the members are evaluated
+    for desc in descs:
+        yield base * _weight(desc, frame, proj) if desc.terms else base
+
+
+def _weight(desc: _Description, frame, proj=0.0):
+    """The described rational weight on the frame's points, each term
+    taken at the projected point: (sum g)^-wdegree with log(sum g) = proj."""
+    weight = 0.0
+    for coef, facs in desc.terms:
+        lt = -desc.wdegree * proj
+        for lo, hi, x in facs:
+            lt = lt + x * frame.log_sum(lo, hi)
+        weight = weight + coef * np.exp(lt)
+    return weight
+
+
+# ---------------------------------------------------------------------------
+# the chain frame: Monte Carlo and black-box integrands
+# ---------------------------------------------------------------------------
 
 def _on_axis(v: np.ndarray, i: int, K: int) -> np.ndarray:
     """View of a per-axis vector along axis i of a K-dimensional grid."""
@@ -181,18 +327,22 @@ class _ChainFrame:
     """Stable geometry of the chain coordinates on a set of points.
 
     ``LOGR[i]``/``LOGX[i]`` hold log r_i and log(1 - r_i) of chain axis i,
-    already placed: views along axis i of the deterministic (n,)*K grid,
-    or sample columns for Monte Carlo.  ``shape`` is their broadcast
-    shape, and each derived array keeps the smallest shape its inputs
-    allow.  Cumulative logs give the coordinates, and all pairwise gaps
-    c_i - c_j come out in product form c_i * (1 - exp(sum of inner log r)).
+    already placed: views along axis i of a tensor grid, or sample
+    columns for Monte Carlo; ``LOGX[0]`` is None on the half-line, whose
+    top coordinate is c_0 = 1.  ``shape`` is their broadcast shape, and
+    each derived array keeps the smallest shape its inputs allow.
+    Cumulative logs give the coordinates, and all pairwise gaps c_i - c_j
+    come out in product form c_i * (1 - exp(sum of inner log r)).
     ``C``, ``OM`` and ``LOM`` are built on first use, so a half-line
     frame, whose coordinates may exceed 1, never logs 1 - c.
     """
 
+    log_total = 0.0  # the gaps sum to 1
+
     def __init__(self, LOGR, LOGX):
         self.LOGR = list(LOGR)
         self.LOGX = list(LOGX)
+        self.off = 0 if self.LOGX[0] is None else 1
         self.shape = np.broadcast_shapes(*(v.shape for v in self.LOGR))
         self.LS = [self.LOGR[0]]                # log c_i
         for i in range(1, len(self.LOGR)):
@@ -226,138 +376,68 @@ class _ChainFrame:
             self._lgap[key] = self.LS[i] + np.log(-np.expm1(inner))
         return self._lgap[key]
 
+    def log_sum(self, lo: int, hi: int):
+        """log S[lo..hi]: 1 - c_hi, c_lo, or c_i - c_j, from the chain."""
+        off, N = self.off, len(self.LOGR) + self.off
+        if lo == 0 and hi == N - 1:
+            return 0.0
+        if off and lo == 0:
+            return self.LOM[hi]
+        if hi == N - 1:
+            return self.LS[lo - off]
+        return self.lgap(lo - off, hi + 1 - off)
 
-def _signed_gap(frame: _ChainFrame, pos_a: int, pos_b: int):
-    """(sign, log|c_a - c_b|) with sign + when pos_a is the larger coordinate."""
-    if pos_a < pos_b:
-        return 1.0, frame.lgap(pos_a, pos_b)
-    return -1.0, frame.lgap(pos_b, pos_a)
-
-
-def _rational_weight(integrand: Integrand, order, frame: _ChainFrame, rows=None):
-    """Symmetrized rational/polynomial weight evaluated from the frame,
-    broadcastable to its grid (1.0 for a plain integrand).  A 'callable'
-    integrand reads the coordinate rows (t, s) of the frame's points."""
-    kind = integrand.kind
-    if kind == "plain":
-        return 1.0
-    k1, k2 = integrand.k1, integrand.k2
-    if kind == "callable":
-        return integrand.fn(*rows).reshape(frame.shape)
-    pos_t = {idx: i for i, (knd, idx) in enumerate(order) if knd == "t"}
-    pos_s = {idx: i for i, (knd, idx) in enumerate(order) if knd == "s"}
-    if kind != "g":  # a 'g' weight needs gaps only; 1 - c may be negative on the half-line
-        tval = [frame.C[pos_t[a]] for a in range(1, k1 + 1)]
-        omt = [frame.OM[pos_t[a]] for a in range(1, k1 + 1)]
-        oms = [frame.OM[pos_s[b]] for b in range(1, k2 + 1)]
-
-    def gap_st(b, a):
-        """s_b - t_a as a signed value."""
-        sign, lg = _signed_gap(frame, pos_s[b + 1], pos_t[a + 1])
-        return sign * np.exp(lg)
-
-    kk = k1 - k2
-    total = np.zeros(frame.shape)
-    if kind == "g":
-        for sigma in permutations(range(k1)):
-            for tau in permutations(range(k2)):
-                term = 1.0
-                for b in range(k2):
-                    term = term / gap_st(tau[b], sigma[b + kk])
-                total += term
-    elif kind in ("h", "ht"):
-        l1, l2, m = integrand.indices
-        twisted = kind == "ht"
-        for sigma in permutations(range(k1)):
-            base = term = 1.0  # frees the last sigma's grid before the next is built
-            for aa in range(l1):
-                base = base * tval[sigma[aa]]
-            for aa in range(l1, k1):
-                base = base * omt[sigma[aa]]
-            for tau in permutations(range(k2)):
-                term = base
-                for b in range(m):
-                    numer = omt[sigma[b]] if twisted else oms[tau[b]]
-                    term = term * numer / gap_st(tau[b], sigma[b])
-                for b in range(l2, k2):
-                    term = term * oms[tau[b]] / gap_st(tau[b], sigma[b + kk])
-                total += term
-    else:
-        raise DomainError(f"unknown rational weight kind {kind!r}")
-    return total / (math.factorial(k1) * math.factorial(k2))
+    def log_model(self, aw: AxisWeights) -> np.ndarray:
+        """log(Jacobian / per-axis facet models); the half-line's axis 0
+        has no model, its scale being integrated in closed form."""
+        K = len(self.LOGR)
+        logf = np.zeros(self.shape)
+        for i in range(1, K):
+            logf += self.LS[i - 1]  # Jacobian
+        for i in range(1 - self.off, K):
+            logf -= aw.w0[i] * self.LOGR[i] + aw.w1[i] * self.LOGX[i]
+        return logf
 
 
-def _frame_values(members, order, aw: AxisWeights, frame: _ChainFrame):
-    """integrand * Jacobian / per-axis weight models on the frame's points,
-    yielded one array per member of a family.
+@lru_cache(maxsize=64)
+def _axis_rule(n: int, w0: float, w1: float, q: int):
+    """Nodes of one smoothed Gauss-Jacobi axis of the black-box rule.
 
-    The members share everything but the weight, so the power product,
-    Jacobian and models (and a 'callable' family's coordinate rows) are
-    built once and each member multiplies in only its own weight.  On
-    the half-line the frame's top coordinate is c_0 = 1 and axis 0 has
-    no model: the overall scale is integrated in closed form instead.
-    Apart from e^(-rate c) the integrand times Jacobian is homogeneous of
-    degree H - 1 in the scale, H = w0[0] + 1, so the scale axis gives
-    Gamma(H) L^(-H) with L the sum of rate * c over the chain.
+    Returns read-only (logr, logx, weight) with x = 1-r; the weight folds
+    the Jacobi weight of the lifted exponents together with the smooth
+    parts of the substitution r = I_xi(q, q).  Memoized: domains and
+    records at equal exponents share their rules.
     """
-    ig = members[0]
-    K = len(order)
-    a, g, b1, b2 = ig.alpha, ig.gamma, ig.beta1, ig.beta2
-    halfline = ig.interval == "0inf"
-
-    # log of the power-product part of integrand * Jacobian / axis models;
-    # a 'callable' integrand is a black box, so only Jacobian and models
-    # are handled structurally for it
-    logf = np.zeros(frame.shape)
-    if ig.kind != "callable":
-        for i, (kndi, _) in enumerate(order):
-            if halfline:
-                if kndi == "t":
-                    logf += (a - 1.0) * frame.LS[i]
-            elif kndi == "t":
-                logf += (a - 1.0) * frame.LS[i] + (b1 - 1.0) * frame.LOM[i]
-            else:
-                logf += (b2 - 1.0) * frame.LOM[i]
-        for i in range(K):
-            for j in range(i + 1, K):
-                same = order[i][0] == order[j][0]
-                expo = 2.0 * g if same else -g
-                logf += expo * frame.lgap(i, j)
-        if halfline:
-            H = aw.w0[0] + 1.0
-            L = sum(ig.exp_rates[0 if knd == "t" else 1] * frame.C[i]
-                    for i, (knd, _) in enumerate(order))
-            logf += gammaln(H) - H * np.log(L)
-    for i in range(1, K):
-        logf += frame.LS[i - 1]  # Jacobian
-    for i in range(1 if halfline else 0, K):
-        logf -= aw.w0[i] * frame.LOGR[i] + aw.w1[i] * frame.LOGX[i]
-    base = np.exp(logf)
-    del logf  # no grid-sized log lives on while the members are evaluated
-    rows = None
-    if ig.kind == "callable":  # read-only coordinate rows (t, s), shared by the members
-        t = np.empty(frame.shape + (ig.k1,))
-        s = np.empty(frame.shape + (ig.k2,))
-        for i, (knd, idx) in enumerate(order):
-            (t if knd == "t" else s)[..., idx - 1] = frame.C[i]
-        n = math.prod(frame.shape)
-        rows = t.reshape(n, ig.k1), s.reshape(n, ig.k2)
-        for arr in rows:
-            arr.flags.writeable = False
-    for member in members:
-        yield base * _rational_weight(member, order, frame, rows)
+    a_lift = q * w1 + q - 1.0
+    b_lift = q * w0 + q - 1.0
+    xj, wj = roots_jacobi(n, a_lift, b_lift)
+    xi = 0.5 * (xj + 1.0)
+    omxi = 0.5 * (1.0 - xj)
+    wj = wj * 2.0 ** (-(a_lift + b_lift + 1.0))
+    r = betainc(q, q, xi)
+    x = betainc(q, q, omxi)  # exact complement of r
+    u0 = r / xi ** q
+    u1 = x / omxi ** q
+    logbeta_qq = betaln(q, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = wj * np.exp(w0 * np.log(u0) + w1 * np.log(u1) - logbeta_qq)
+    if not np.all(np.isfinite(weight)):  # large exponents overflow the rule
+        raise IntegrandSingularError(f"non-finite quadrature rule weights at "
+                                     f"exponents ({w0}, {w1})")
+    logr = np.where(r > 0.5, np.log1p(-x), np.log(r))
+    logx = np.log(x)
+    for arr in (logr, logx, weight):
+        arr.flags.writeable = False
+    return logr, logx, weight
 
 
 def _det_value(members, order, aw: AxisWeights, n: int, q: int) -> list[float]:
-    """One tensor rule on one domain: one value per member, all on one
-    frame and weight product.  On the half-line axis 0 is the unit top
-    coordinate, one node of weight 1, so the grid has n**(K-1) nodes."""
+    """One smoothed tensor rule of a black-box family on one domain: one
+    value per member, all on one frame and weight product."""
     K = len(order)
-    rules = [_SCALE_NODE if i == 0 and members[0].interval == "0inf"
-             else _axis_rule(n, aw.w0[i], aw.w1[i], q) for i in range(K)]
+    rules = [_axis_rule(n, aw.w0[i], aw.w1[i], q) for i in range(K)]
     frame = _ChainFrame([_on_axis(r[0], i, K) for i, r in enumerate(rules)],
-                        [None if r[1] is None else _on_axis(r[1], i, K)
-                         for i, r in enumerate(rules)])
+                        [_on_axis(r[1], i, K) for i, r in enumerate(rules)])
     W = _on_axis(rules[0][2], 0, K)
     for i in range(1, K):
         W = W * _on_axis(rules[i][2], i, K)
@@ -368,6 +448,334 @@ def _det_value(members, order, aw: AxisWeights, n: int, q: int) -> list[float]:
             raise IntegrandSingularError("non-finite deterministic quadrature values")
         out.append(float(np.dot(W, vals.ravel())))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the sector rule: described integrands
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Tree:
+    """One sector: a heap-ordered binary tree on the gaps.
+
+    ``parent[v]`` is -1 at the root; ``axes`` are the non-root nodes, axis
+    d carrying y of node axes[d]; ``top[lo][hi]`` is the shallowest gap of
+    S[lo..hi], the largest one in the sector.
+    """
+
+    root: int
+    parent: tuple
+    axes: tuple
+    top: tuple
+
+
+def _trees(lo: int, hi: int) -> list[tuple]:
+    """(root, parent map) of every binary tree whose in-order is lo..hi."""
+    if lo > hi:
+        return [(None, {})]
+    out = []
+    for r in range(lo, hi + 1):
+        for left, lpar in _trees(lo, r - 1):
+            for right, rpar in _trees(r + 1, hi):
+                par = {**lpar, **rpar, r: -1}
+                for child in (left, right):
+                    if child is not None:
+                        par[child] = r
+                out.append((r, par))
+    return out
+
+
+@dataclass(frozen=True)
+class _SectorTable:
+    """Every sector on N gaps: its tree, its descendant counts per axis
+    (the Jacobian's exponents), and ``cover[s, lo, hi, d]``, 1 when axis d
+    lies on the path from the root to the top gap of S[lo..hi]."""
+
+    trees: tuple
+    desc: np.ndarray
+    cover: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.desc.shape[1]
+
+
+@lru_cache(maxsize=None)
+def _sector_table(N: int) -> _SectorTable:
+    trees, desc, cover = [], [], []
+    for root, par in _trees(0, N - 1):
+        parent = tuple(par[v] for v in range(N))
+
+        def path(v):  # v and its ancestors below the root
+            out = []
+            while v != root:
+                out.append(v)
+                v = parent[v]
+            return out
+
+        axes = tuple(v for v in range(N) if v != root)
+        depth = [len(path(v)) for v in range(N)]
+        top = tuple(tuple(min(range(lo, hi + 1), key=depth.__getitem__) if hi >= lo else -1
+                          for hi in range(N)) for lo in range(N))
+        ax = {v: d for d, v in enumerate(axes)}
+        cnt = np.zeros(N - 1, dtype=int)
+        for v in range(N):
+            for u in path(v)[1:]:
+                cnt[ax[u]] += 1
+        cov = np.zeros((N, N, N - 1), dtype=int)
+        for lo in range(N):
+            for hi in range(lo, N):
+                for u in path(top[lo][hi]):
+                    cov[lo, hi, ax[u]] = 1
+        trees.append(_Tree(root, parent, axes, top))
+        desc.append(cnt)
+        cover.append(cov)
+    return _SectorTable(tuple(trees), np.array(desc), np.array(cover))
+
+
+def _sector_exponents(descs, table: _SectorTable) -> np.ndarray:
+    """Jacobi exponent of every axis of every sector, shape (sectors, dim).
+
+    Each power factor adds its exponent to the axes on its top gap's
+    path; the weight adds the least pole count over its terms, which is
+    the same for every member of a family, so the numerators leave
+    non-negative integer powers.
+    """
+    E = table.desc.astype(float)
+    for lo, hi, e in descs[0].factors:
+        E = E + e * table.cover[:, lo, hi]
+    poles = [sum((x * table.cover[:, lo, hi] for lo, hi, x in facs if x < 0),
+                 np.zeros_like(table.desc))
+             for desc in descs for _, facs in desc.terms]
+    if poles:
+        E = E + np.min(poles, axis=0)
+    return E
+
+
+_RULES: dict = {}   # (n, E) -> read-only (log y, weight); records at equal exponents share
+_RULES_CAP = 4096
+
+
+def _jacobi_rules(n: int, exponents) -> dict:
+    """The n-node Gauss-Jacobi rule for y^E on [0,1] of every exponent E,
+    as {E: (log y, weight)} with y = (1+x)/2 of the rule on [-1,1].
+
+    The rules a level lacks come from one batched solve.  The nodes are
+    the eigenvalues of the Jacobi matrix of (1+x)^E; each weight is the
+    Christoffel number 1 / sum_k p_k(x)^2 of the orthonormal polynomials,
+    run up from p_0 = 1 by their recurrence, over E + 1.  A sum of squares
+    keeps every weight to full relative precision, however small, and no
+    weight is ever scaled by 2^-(E+1).
+    """
+    missing = sorted({e for e in exponents if (n, e) not in _RULES})
+    if missing:
+        if len(_RULES) > _RULES_CAP:
+            _RULES.clear()
+        b = np.array(missing)[:, None]
+        k = np.arange(1, n)[None, :]
+        s = 2.0 * k + b
+        diag = np.hstack([b / (b + 2.0), b * b / (s * (s + 2.0))])
+        off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+        J = np.zeros((len(missing), n, n))
+        idx = np.arange(n)
+        J[:, idx, idx] = diag
+        J[:, idx[1:], idx[:-1]] = off
+        x = np.linalg.eigvalsh(J)
+        p_prev, p, total = 0.0, np.ones_like(x), np.ones_like(x)
+        for j in range(n - 1):
+            p_prev, p = p, ((x - diag[:, j:j + 1]) * p - p_prev * (off[:, j - 1:j] if j else 0.0)) \
+                / off[:, j:j + 1]
+            total += p * p
+        logy = np.log1p(x) - math.log(2.0)
+        w = 1.0 / (total * (b + 1.0))
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(logy))):
+            raise IntegrandSingularError(f"non-finite quadrature rule weights at exponents {missing}")
+        for i, e in enumerate(missing):
+            rule = (logy[i].copy(), w[i].copy())
+            for arr in rule:
+                arr.flags.writeable = False
+            _RULES[(n, e)] = rule
+    return {e: _RULES[(n, e)] for e in exponents}
+
+
+class _SectorFrame:
+    """The points of one sector: g_root = 1 and g_v = g_parent y_v.
+
+    ``LY[v]`` is log y_v of non-root node v, a view along its own axis of
+    the (n,)*dim grid.  log g_v is a path sum of log y, and log S of an
+    interval is its top gap's log plus log1p of the other gaps' ratios
+    to it, products of y below the top, so no sum is ever taken as a
+    difference.  ``E`` and ``desc`` hold the sector's Jacobi exponents and
+    descendant counts per axis.
+    """
+
+    def __init__(self, tree: _Tree, LY: dict, E, desc):
+        self.tree, self.LY, self.E, self.desc = tree, LY, E, desc
+        self._rel = {}
+        self._ratio = {}
+        self._lsum = {}
+
+    def _log_ratio(self, top: int, j: int):
+        """log(g_j / g_top) for j in the subtree of top (0 at j = top)."""
+        if j == top:
+            return 0.0
+        key = (top, j)
+        if key not in self._rel:
+            self._rel[key] = self._log_ratio(top, self.tree.parent[j]) + self.LY[j]
+        return self._rel[key]
+
+    def _gap_ratio(self, top: int, j: int):
+        key = (top, j)
+        if key not in self._ratio:
+            self._ratio[key] = np.exp(self._log_ratio(top, j))
+        return self._ratio[key]
+
+    def log_sum(self, lo: int, hi: int):
+        key = (lo, hi)
+        if key not in self._lsum:
+            top = self.tree.top[lo][hi]
+            rest = None
+            for j in range(lo, hi + 1):
+                if j != top:
+                    r = self._gap_ratio(top, j)
+                    rest = r if rest is None else rest + r
+            lsum = self._log_ratio(self.tree.root, top)
+            self._lsum[key] = lsum if rest is None else lsum + np.log1p(rest)
+        return self._lsum[key]
+
+    @cached_property
+    def log_total(self):
+        return self.log_sum(0, len(self.tree.parent) - 1)
+
+    def log_model(self, aw=None):
+        """log(Jacobian / model): sum over axes of (descendants - E) log y."""
+        return sum(((c - e) * self.LY[v] for v, c, e in zip(self.tree.axes, self.desc, self.E)),
+                   0.0)
+
+
+class _StackFrame:
+    """The points of every sector of a level at once, for rule dimensions
+    low enough that numpy's per-call cost outweighs the grid: each array
+    carries a leading sector axis.  log g_j sums log y over the axes on
+    the path to gap j, and S of an interval is the plain sum of its gaps,
+    each at most g_root = 1 and none near underflow, so the sum of
+    positives is exact to rounding.
+    """
+
+    def __init__(self, table: _SectorTable, E: np.ndarray, rules: dict, n: int):
+        S, dim = E.shape
+        self.shape = (S,) + (n,) * dim
+        self.E, self.desc = E, table.desc
+
+        def place(arr, d):  # (S, n) along grid axis d
+            return arr.reshape((S,) + (1,) * d + (n,) + (1,) * (dim - 1 - d))
+
+        self.LY = [place(np.array([rules[e][0] for e in E[:, d]]), d) for d in range(dim)]
+        self.W = [np.array([rules[e][1] for e in E[:, d]]) for d in range(dim)]
+        self.G = []
+        for j in range(dim + 1):
+            lg = 0.0
+            for d in range(dim):
+                lg = lg + table.cover[:, j, j, d].reshape((S,) + (1,) * dim) * self.LY[d]
+            self.G.append(np.exp(lg))
+        self._sum = {}
+        self._lsum = {}
+
+    def _gap_sum(self, lo: int, hi: int):
+        key = (lo, hi)
+        if key not in self._sum:
+            self._sum[key] = self.G[lo] if lo == hi else self._gap_sum(lo, hi - 1) + self.G[hi]
+        return self._sum[key]
+
+    def log_sum(self, lo: int, hi: int):
+        key = (lo, hi)
+        if key not in self._lsum:
+            self._lsum[key] = np.log(self._gap_sum(lo, hi))
+        return self._lsum[key]
+
+    @cached_property
+    def log_total(self):
+        return self.log_sum(0, len(self.G) - 1)
+
+    def log_model(self, aw=None):
+        S = self.shape[0]
+        return sum(((self.desc[:, d] - self.E[:, d]).reshape((S,) + (1,) * len(self.LY)) * ly
+                    for d, ly in enumerate(self.LY)), np.zeros(self.shape))
+
+    def weighted_sum(self, vals) -> float:
+        v = np.broadcast_to(vals, self.shape)
+        for d in reversed(range(len(self.W))):  # axis d is last once those after it are summed
+            v = (v * self.W[d].reshape(self.shape[:1] + (1,) * d + self.shape[-1:])).sum(axis=-1)
+        return float(v.sum())
+
+
+STACK_DIM = 2  # rule dimensions up to which all sectors of a level share one frame
+
+
+def _sector_level(descs, table: _SectorTable, E: np.ndarray, n: int) -> list[float]:
+    """The sector rule at n nodes per axis: one value per member."""
+    dim = table.dim
+    shape = (n,) * dim
+    rules = _jacobi_rules(n, E.ravel().tolist())
+    if dim <= STACK_DIM:
+        frame = _StackFrame(table, E, rules, n)
+        totals = [frame.weighted_sum(v) for v in _described_values(descs, frame, None)]
+    else:
+        totals = [0.0] * len(descs)
+        for tree, Es, desc in zip(table.trees, E.tolist(), table.desc.tolist()):
+            axes = [rules[e] for e in Es]
+            frame = _SectorFrame(tree, {v: _on_axis(axes[d][0], d, dim)
+                                        for d, v in enumerate(tree.axes)}, Es, desc)
+            for j, vals in enumerate(_described_values(descs, frame, None)):
+                if np.shape(vals) != shape:
+                    vals = np.broadcast_to(vals, shape)
+                for d in reversed(range(dim)):
+                    vals = vals @ axes[d][1]
+                totals[j] += float(vals)
+    for v in totals:
+        if not math.isfinite(v):
+            raise IntegrandSingularError("non-finite deterministic quadrature values")
+        if abs(v) < _TINY:
+            raise IntegrandSingularError("a domain integral underflows the double range")
+    return totals
+
+
+def _sector_rule(members, order, q: QuadSpec) -> list[tuple[float, float]]:
+    """(value, estimate) per member of a described family on one domain.
+
+    The levels add two nodes per axis while any member's relative
+    estimate exceeds ``SECTOR_RTOL``; a member that certifies keeps the
+    level it certified at, so its pair is the one a run on its own gives.
+    """
+    descs = [_describe(m, tuple(order)) for m in members]
+    table = _sector_table(descs[0].N)
+    E = _sector_exponents(descs, table)
+    if np.any(E <= -1.0):
+        raise DomainError("sector exponent at or below -1; integral diverges")
+    dim, sectors = table.dim, len(table.trees)
+    if dim == 0:  # the half-line's scale alone: exact
+        return [(v, 0.0) for v in _sector_level(descs, table, E, 1)]
+    n = q.nodes_for(dim)
+    active = list(range(len(members)))
+    prev = _sector_level(descs, table, E, max(1, n - 2))
+    cur = _sector_level(descs, table, E, n)
+    out = [None] * len(members)
+    while True:
+        grow = (not q.nodes_per_axis and n + 2 <= SECTOR_MAX_NODES
+                and sectors * (n + 2) ** dim <= SECTOR_MAX_GRID)
+        still = []
+        for j, v, v2 in zip(active, cur, prev):
+            est = abs(v - v2)
+            if grow and est > SECTOR_RTOL * abs(v):
+                still.append((j, v))
+            else:
+                out[j] = (v, est)
+        if not still:
+            return out
+        n += 2
+        active = [j for j, _ in still]
+        prev = [v for _, v in still]
+        cur = _sector_level([descs[j] for j in active], table, E, n)
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +827,12 @@ def integrate_domain(integrand: Integrand, M: OrderMap, q: QuadSpec, p: ParamSet
 
     The family is ``integrand`` followed by the integrands in ``more``,
     which differ from it only in their weight; they share the domain's
-    rules, frame and power product.  Returns one (value, error estimate)
-    per member.  The deterministic tensor rule is available up to rule
-    dimension 4: K = k1 + k2 axes on [0,1], and K - 1 on the half-line,
-    whose overall scale is integrated in closed form.  Monte Carlo
-    handles everything else.
+    rules, frames and power product.  Returns one (value, error estimate)
+    per member.  The deterministic scheme is available up to rule
+    dimension 4: k1 + k2 <= 4 on [0,1], and 5 on the half-line, whose
+    overall scale is integrated in closed form.  Described integrands
+    take the sector rule, black boxes the smoothed tensor rule.  Monte
+    Carlo handles everything else.
     """
     members = (integrand, *more)
     for ig in more:  # the weight (kind, indices, fn) is all that may differ
@@ -447,7 +856,9 @@ def integrate_domain(integrand: Integrand, M: OrderMap, q: QuadSpec, p: ParamSet
         dim = K - 1 if halfline else K
         if dim > 4:
             raise DomainError("deterministic scheme requires k1 + k2 <= 4 (5 on the half-line)")
-        n = q.nodes_for(dim)
+        if integrand.kind != "callable":
+            return _sector_rule(members, order, q)
+        n = q.nodes_per_axis or BLACK_BOX_NODES[dim]
         vals = _det_value(members, order, aw, n, q.smooth_order)
         vals2 = _det_value(members, order, aw, max(6, (2 * n) // 3), q.smooth_order)
         return [(v, abs(v - v2)) for v, v2 in zip(vals, vals2)]
@@ -459,19 +870,22 @@ def integrate_domain(integrand: Integrand, M: OrderMap, q: QuadSpec, p: ParamSet
 def integrate_family(members, chain: Chain, q: QuadSpec,
                      p: ParamSet) -> list[tuple[float, float]]:
     """``integrate_chain`` of each member of a family, in one pass over
-    the chain's domains: one (value, error) per member."""
+    the chain's domains: one (value, error) per member.  Deterministic
+    domain errors add linearly, as they need not be independent; Monte
+    Carlo errors add in quadrature."""
     first, *more = members
+    deterministic = q.scheme == "deterministic"
     totals = [0.0] * len(members)
-    errsq = [0.0] * len(members)
+    errs = [0.0] * len(members)
     for i, (M, coeff) in enumerate(chain.terms):
-        qi = q if q.scheme == "deterministic" else replace(q, seed=q.seed + 104729 * i)
+        qi = q if deterministic else replace(q, seed=q.seed + 104729 * i)
         for j, (val, err) in enumerate(integrate_domain(first, M, qi, p, more=more)):
             totals[j] += coeff * val
-            errsq[j] += (coeff * err) ** 2
-    return [(total, math.sqrt(e)) for total, e in zip(totals, errsq)]
+            errs[j] += abs(coeff) * err if deterministic else (coeff * err) ** 2
+    return [(total, e if deterministic else math.sqrt(e)) for total, e in zip(totals, errs)]
 
 
 def integrate_chain(integrand: Integrand, chain: Chain, q: QuadSpec,
                     p: ParamSet) -> tuple[float, float]:
-    """Weighted sum of domain integrals; errors combined in quadrature."""
+    """Weighted sum of domain integrals with their combined error."""
     return integrate_family([integrand], chain, q, p)[0]

@@ -25,10 +25,17 @@ checks, except the references that the package must reproduce:
   cone (``box_cone_monomial``, through ``cone_mask``) test membership
   point by point and integrate by rejection, apart from the chain
   decomposition;
-* the chain-quadrature reference takes the package's per-axis rules
-  (``_axis_rule``) and lays the frame out over the full node mesh, one
-  integrand and one domain at a time, the way the broadcast tensor frame
-  and the integrand families replaced, bit for bit;
+* the black-box chain-quadrature reference takes the package's per-axis
+  rules (``_axis_rule``) and lays the frame out over the full node mesh,
+  one integrand and one domain at a time, the way the broadcast tensor
+  frame and the integrand families replaced, bit for bit;
+* the sector-rule reference (``heap_trees``, ``brute_sector_values``,
+  ``brute_domain_value``) loops over the sectors, found as the Cartesian
+  trees of every ordering of the gaps, and over the nodes of scipy's
+  Gauss-Jacobi rules, and evaluates each integrand from its formula on
+  raw gaps (``raw_gap_integrand``), every coordinate and difference an
+  fsum of consecutive gaps; it takes only the sector exponents from the
+  package;
 * the raw-coordinate integrands (``omega``, ``weight_g``, ``h_func``,
   ``h_tilde_func``, and ``raw_integrand``, which assembles them from an
   ``Integrand`` description) evaluate on coordinate rows by subtracting
@@ -697,21 +704,22 @@ def mesh_det_value(integrand, order, aw, n, q):
 
 
 def mesh_chain_value(integrand, chain, q):
-    """The deterministic chain integral and its error estimate from
-    ``mesh_det_value`` on each domain, at the two rules the package pairs."""
+    """The deterministic chain integral of a black box and its error
+    estimate from ``mesh_det_value`` on each domain, at the two rules the
+    package pairs; the domains' estimates add linearly."""
     from selberg3.chains import merged_order
-    from selberg3.quadrature import facet_exponents
+    from selberg3.quadrature import BLACK_BOX_NODES, facet_exponents
 
     k1, k2 = integrand.k1, integrand.k2
-    n = q.nodes_for(k1 + k2)
-    total = errsq = 0.0
+    n = q.nodes_per_axis or BLACK_BOX_NODES[k1 + k2]
+    total = err = 0.0
     for M, coeff in chain.terms:
         order, aw = merged_order(M, k1, k2), facet_exponents(integrand, M)
         val = mesh_det_value(integrand, order, aw, n, q.smooth_order)
         val2 = mesh_det_value(integrand, order, aw, max(6, (2 * n) // 3), q.smooth_order)
         total += coeff * val
-        errsq += (coeff * abs(val - val2)) ** 2
-    return total, sqrt(errsq)
+        err += abs(coeff) * abs(val - val2)
+    return total, err
 
 
 # ---------------------------------------------------------------------------
@@ -950,3 +958,170 @@ def raw_mc_value(ig, order, aw, q):
     mean = float(np.mean(vals))
     err = float(np.std(vals, ddof=1) / math.sqrt(n))
     return mean, err
+
+
+# ---------------------------------------------------------------------------
+# sector rule: plain loops over trees and nodes on raw gaps
+# ---------------------------------------------------------------------------
+
+def cartesian_tree(g):
+    """Parent tuple (-1 at the root) of the sector holding gap vector g:
+    the largest gap is the root, and each side of it is split the same way."""
+    parent = [None] * len(g)
+
+    def split(lo, hi, up):
+        if lo > hi:
+            return
+        top = max(range(lo, hi + 1), key=lambda j: g[j])
+        parent[top] = up
+        split(lo, top - 1, top)
+        split(top + 1, hi, top)
+
+    split(0, len(g) - 1, -1)
+    return tuple(parent)
+
+
+def heap_trees(N):
+    """Every sector on N gaps, as the distinct Cartesian trees of the N!
+    orderings of the gaps."""
+    return sorted({cartesian_tree(perm) for perm in permutations(range(N))})
+
+
+def raw_gap_integrand(ig, order, g):
+    """The integrand an ``Integrand`` describes, at one unnormalized gap
+    vector g of a domain (merged descending ``order``), in its projective
+    form: homogeneous of degree -N in g.
+
+    Every coordinate, complement and difference is an fsum of consecutive
+    gaps.  On [0,1] the point is g / sum(g) and the value carries
+    sum(g)^-N; on the half-line the coordinates are the gaps' tail sums
+    and the scale integral Gamma(H) L^-H, H = degree + N, replaces e^-L.
+    """
+    import math
+
+    K, N = len(order), len(g)
+    halfline = ig.interval == "0inf"
+    off = 0 if halfline else 1
+    total = math.fsum(g)
+    gg = list(g) if halfline else [x / total for x in g]
+    c = [math.fsum(gg[i + off:]) for i in range(K)]
+    om = [math.fsum(gg[:i + 1]) for i in range(K)]
+
+    def diff(i, j):  # c_i - c_j
+        if i < j:
+            return math.fsum(gg[i + off:j + off])
+        return -math.fsum(gg[j + off:i + off])
+
+    a, gm, b1, b2 = ig.alpha, ig.gamma, ig.beta1, ig.beta2
+    pos_t = {idx: i for i, (knd, idx) in enumerate(order) if knd == "t"}
+    pos_s = {idx: i for i, (knd, idx) in enumerate(order) if knd == "s"}
+    k1, k2 = ig.k1, ig.k2
+    val, degree = 1.0, 0.0
+    for i, (knd, _) in enumerate(order):
+        if knd == "t":
+            val *= c[i] ** (a - 1.0)
+            degree += a - 1.0
+        if not halfline:
+            val *= om[i] ** ((b1 if knd == "t" else b2) - 1.0)
+        for j in range(i + 1, K):
+            e = 2.0 * gm if order[j][0] == knd else -gm
+            val *= diff(i, j) ** e
+            degree += e
+    kk = k1 - k2
+    if ig.kind != "plain":
+        total_w = 0.0
+        for sigma in permutations(range(k1)):
+            for tau in permutations(range(k2)):
+                ts = [pos_t[x + 1] for x in sigma]
+                ss = [pos_s[x + 1] for x in tau]
+                term = 1.0
+                if ig.kind == "g":
+                    for b in range(k2):
+                        term /= diff(ss[b], ts[b + kk])
+                    wdeg = -k2
+                else:
+                    l1, l2, m = ig.indices
+                    for x in range(l1):
+                        term *= c[ts[x]]
+                    for x in range(l1, k1):
+                        term *= om[ts[x]]
+                    for b in range(m):
+                        numer = om[ts[b]] if ig.kind == "ht" else om[ss[b]]
+                        term *= numer / diff(ss[b], ts[b])
+                    for b in range(l2, k2):
+                        term *= om[ss[b]] / diff(ss[b], ts[b + kk])
+                    wdeg = k1
+                total_w += term
+        val *= total_w / (factorial(k1) * factorial(k2))
+        degree += wdeg
+    if halfline:
+        rates = [ig.exp_rates[0 if knd == "t" else 1] for knd, _ in order]
+        L = math.fsum(r * x for r, x in zip(rates, c))
+        H = degree + N
+        return val * math.exp(math.lgamma(H) - H * math.log(L))
+    return val * total ** (-N)
+
+
+def brute_sector_values(ig, order, parent, E, ys):
+    """integrand x Jacobian / model at sector points: ``ys`` holds one y
+    tuple per point, over the non-root gaps in index order.  g_root = 1,
+    g_v = g_parent * y_v, the Jacobian is the product of g_parent over
+    the non-root gaps, and the model is prod y^E."""
+    import math
+
+    N = len(parent)
+    axes = [v for v in range(N) if parent[v] != -1]
+    out = []
+    for y in ys:
+        yv = dict(zip(axes, y))
+        g = [None] * N
+
+        def gap(v):
+            if g[v] is None:
+                g[v] = 1.0 if parent[v] == -1 else gap(parent[v]) * yv[v]
+            return g[v]
+
+        for v in range(N):
+            gap(v)
+        jac = math.prod(g[parent[v]] for v in axes)
+        model = math.prod(yv[v] ** e for v, e in zip(axes, E))
+        out.append(raw_gap_integrand(ig, order, g) * jac / model)
+    return out
+
+
+def brute_sector_sum(ig, order, parent, E, n):
+    """One sector's n-node tensor Gauss-Jacobi sum, by plain loops: axis
+    d integrates y^E[d] on [0,1] with scipy's rule mapped by y = (1+x)/2."""
+    from itertools import product
+
+    from scipy.special import roots_jacobi
+
+    rules = []
+    for e in E:
+        x, w = roots_jacobi(n, 0.0, e)
+        rules.append(list(zip((1.0 + x) / 2.0, w * 2.0 ** (-(e + 1.0)))))
+    points = list(product(*rules))
+    vals = brute_sector_values(ig, order, parent, E, [tuple(y for y, _ in pt) for pt in points])
+    total = 0.0
+    for pt, v in zip(points, vals):
+        wt = 1.0
+        for _, w in pt:
+            wt *= w
+        total += wt * v
+    return total
+
+
+def brute_domain_value(ig, order, n, members=()):
+    """The sector rule's value on one domain at n nodes per axis: the sum
+    of ``brute_sector_sum`` over ``heap_trees``, each sector at the rule
+    exponents the package assigns it (those of the family ``ig`` +
+    ``members``, when given)."""
+    from selberg3.quadrature import _describe, _sector_exponents, _sector_table
+
+    fam = (ig, *members)
+    descs = [_describe(m, tuple(order)) for m in fam]
+    table = _sector_table(descs[0].N)
+    E = _sector_exponents(descs, table)
+    rows = {tree.parent: E[s] for s, tree in enumerate(table.trees)}
+    return sum(brute_sector_sum(ig, order, parent, [float(e) for e in rows[parent]], n)
+               for parent in heap_trees(descs[0].N))

@@ -181,15 +181,30 @@ class TestFailureRecords:
         assert bad["params"]["alpha"] == 2.0
 
     @pytest.mark.parametrize("identity", ["selb", "aomoto"])
-    @pytest.mark.parametrize("ab", ["150", "300"])
-    def test_overflowing_rule_is_a_named_failure(self, capsys, identity, ab):
-        # inside the validity region, but the Gauss-Jacobi weights overflow
+    def test_large_exponents_pass(self, capsys, identity):
+        # the sector rule's weights never scale by 2^-(E+1), so they neither
+        # underflow nor overflow here
         code, out, err = run_cli(capsys, "verify", "--identity", identity, "--k", "2",
-                                 "--alpha", ab, "--beta", ab, "--gamma", "-0.1")
+                                 "--alpha", "150", "--beta", "150", "--gamma", "-0.1")
+        assert code == 0 and "Traceback" not in err
+        [rec] = [_strict_json(line) for line in out.strip().splitlines()]
+        assert rec["passed"]
+
+    @pytest.mark.parametrize("identity", ["selb", "aomoto"])
+    def test_integral_below_the_double_range_is_a_named_failure(self, capsys, identity):
+        # inside the validity region, but the integral (about 1e-360) is not a double
+        code, out, err = run_cli(capsys, "verify", "--identity", identity, "--k", "2",
+                                 "--alpha", "300", "--beta", "300", "--gamma", "-0.1")
         assert code == 1 and "Traceback" not in err
         [rec] = [_strict_json(line) for line in out.strip().splitlines()]
         assert not rec["passed"] and rec["lhs"] is None
-        assert rec["note"].startswith("IntegrandSingularError: non-finite quadrature rule weights")
+        assert rec["note"].startswith("IntegrandSingularError: a domain integral underflows")
+
+    def test_divergent_selb3_point_is_a_configuration_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--identity", "selb3", "--k1", "1",
+                                 "--k2", "1", "--alpha", "1.0", "--beta1", "0.3",
+                                 "--beta2", "0.4", "--gamma", "-0.1")
+        assert code == 2 and "Traceback" not in err and "diverges where points meet 1" in err
 
 
 class TestConfig:
@@ -251,8 +266,8 @@ class TestAliases:
 
 class TestMonteCarloBudget:
     @pytest.mark.parametrize("argv", [
-        ("--identity", "selb3", "--k1", "2", "--k2", "2", "--budget", "2"),
-        ("--identity", "selb3", "--k1", "2", "--k2", "2", "--budget", "10"),
+        ("--identity", "selb3", "--k1", "3", "--k2", "2", "--budget", "2"),
+        ("--identity", "selb3", "--k1", "3", "--k2", "2", "--budget", "10"),
         ("--identity", "exp", "--k", "5", "--gamma", "-0.1", "--budget", "2")])
     def test_tiny_budget_is_insufficient_precision(self, capsys, argv):
         code, out, err = run_cli(capsys, "verify", *argv)

@@ -82,8 +82,9 @@ class TestRecords:
         assert rec.tolerance == 1e-3 and rec.passed
 
     def test_forced_failure_via_tiny_tolerance(self):
-        # a sampled record: no deterministic rounding can meet 1e-12 by luck
-        p = ParamSet(k1=2, k2=2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+        # a sampled record (k1 + k2 = 5): no deterministic rounding can
+        # meet 1e-12 by luck
+        p = ParamSet(k1=3, k2=2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
         rec = run_identity("selb3", p, budget=Budget(samples=20_000), tol=1e-12)
         assert rec.note.startswith("monte_carlo")
         assert not rec.passed
@@ -323,7 +324,7 @@ class TestHalfLineRecords:
     @pytest.mark.parametrize("which,k1,k2,scheme", [
         ("exp", 1, 0, "deterministic"), ("exp", 4, 0, "deterministic"),
         ("exp", 5, 0, "monte_carlo"), ("exp3", 2, 2, "deterministic"),
-        ("selb3", 2, 2, "monte_carlo")])
+        ("selb3", 2, 2, "deterministic"), ("selb3", 3, 2, "monte_carlo")])
     def test_scheme_follows_the_rule_dimension(self, monkeypatch, which, k1, k2, scheme):
         seen = []
 
@@ -337,16 +338,60 @@ class TestHalfLineRecords:
         assert seen == [scheme]
 
 
-class TestOverflowingRules:
-    """Large alpha and beta overflow the Gauss-Jacobi weights: the record
-    names the error rather than reading NaN as a precision miss."""
+# points inside the validity regions where the tensor rule failed: the
+# coincidence corners of selb k = 3, 4 and exp k = 3, small beta in selb3
+# (1,1), and large alpha = beta, where its Gauss-Jacobi weights underflowed
+# (lhs 0.0) or overflowed
+MENDED_BREACHES = [
+    ("selb", dict(k1=3, alpha=1.2, beta1=2.2, gamma=-0.25)),
+    ("selb", dict(k1=4, alpha=1.5, beta1=1.2, gamma=-0.15)),
+    ("exp", dict(k1=3, alpha=1.14, gamma=-0.27)),
+    ("exp", dict(k1=3, alpha=1.5, gamma=-0.3)),
+    ("selb3", dict(k1=1, k2=1, alpha=1.91595, beta1=0.75889, beta2=0.74075, gamma=-0.05085)),
+    ("selb", dict(k1=2, alpha=100.0, beta1=100.0, gamma=-0.1)),
+    ("aomoto", dict(k1=2, alpha=100.0, beta1=100.0, gamma=-0.1)),
+    ("selb", dict(k1=2, alpha=150.0, beta1=150.0, gamma=-0.1)),
+    ("aomoto", dict(k1=2, alpha=150.0, beta1=150.0, gamma=-0.1)),
+]
+
+
+class TestMendedBreaches:
+    @pytest.mark.parametrize("which,params", MENDED_BREACHES,
+                             ids=[f"{w}-k{p['k1']}{p.get('k2', 0)}-a{p['alpha']:g}-g{p['gamma']:g}"
+                                  for w, p in MENDED_BREACHES])
+    def test_passes_at_the_default_tolerance(self, which, params):
+        rec = run_identity(which, ParamSet(**params))
+        assert rec.passed and rec.tolerance == (1e-4 if which == "aomoto" else 1e-6), rec
+        assert rec.rel_dev <= 3.0 * rec.lhs_err / abs(rec.rhs) + 1e-13, rec
 
     @pytest.mark.parametrize("which", ["selb", "aomoto"])
-    @pytest.mark.parametrize("a", [150.0, 300.0])
-    def test_overflow_raises_integrand_singular(self, which, a):
-        p = ParamSet(k1=2, alpha=a, beta1=a, gamma=-0.1)
-        with pytest.raises(IntegrandSingularError, match="non-finite quadrature rule weights"):
+    def test_integral_below_the_double_range_is_named(self, which):
+        # at alpha = beta = 300 the integral is about 1e-360: the record
+        # names the error rather than reading 0.0
+        p = ParamSet(k1=2, alpha=300.0, beta1=300.0, gamma=-0.1)
+        with pytest.raises(IntegrandSingularError, match="underflows the double range"):
             run_identity(which, p)
+
+
+class TestSelb3Predicate:
+    """selb3 and selb30 admit only points where every cluster at 1 converges."""
+
+    def test_divergent_cluster_at_one_is_rejected(self):
+        # (1-s)^(beta2-1) (1-t)^(beta1-1) |s-t|^(-gamma-1): beta1+beta2-gamma <= 1
+        for k1, k2 in ((1, 1), (2, 2)):
+            p = ParamSet(k1=k1, k2=k2, alpha=1.0, beta1=0.3, beta2=0.4, gamma=-0.1)
+            with pytest.raises(InvalidParamsError, match="diverges where points meet 1"):
+                run_identity("selb3", p)
+        # without the rational pole the same point converges
+        p = ParamSet(k1=1, k2=1, alpha=1.0, beta1=0.3, beta2=0.4, gamma=-0.1)
+        assert run_identity("selb30", p).passed
+
+    def test_selb30_cluster_of_t_at_one(self):
+        # two t's meeting 1 with no s between: 2 beta1 + 2 gamma <= 0
+        p = ParamSet(k1=2, k2=0, alpha=1.0, beta1=0.15, beta2=1.0, gamma=-0.2)
+        with pytest.raises(InvalidParamsError, match="diverges where points meet 1"):
+            run_identity("selb30", p)
+        assert run_identity("selb30", p.with_(beta1=0.25)).passed
 
 
 class TestMonteCarloTolerance:

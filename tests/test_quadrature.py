@@ -7,8 +7,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import (MeshChainFrame, domain_monomial_integral, interleavings, mesh,
-                     mesh_chain_value, mesh_det_value, mp_gamma, raw_mc_value, raw_ratio,
+from oracles import (MeshChainFrame, brute_domain_value, brute_sector_values, cartesian_tree,
+                     domain_monomial_integral, heap_trees, interleavings, mesh, mesh_chain_value,
+                     mesh_det_value, mp_gamma, mp_selberg_rhs, raw_mc_value, raw_ratio,
                      simplex_monomial_integral)
 from selberg3 import closed_forms as cf
 from selberg3 import quadrature
@@ -16,11 +17,26 @@ from selberg3.chains import OrderMap, enumerate_maps, gamma_chain, merged_order,
 from selberg3.errors import DomainError, InadmissibleTripleError
 from selberg3.integrands import Integrand, assembled_integrand
 from selberg3.params import ParamSet
-from selberg3.quadrature import (QuadSpec, _axis_rule, _ChainFrame, _det_value, _frame_values,
-                                 _mc_value, _on_axis, facet_exponents, integrate_chain,
-                                 integrate_domain, integrate_family)
+from selberg3.quadrature import (BLACK_BOX_NODES, QuadSpec, _axis_rule, _ChainFrame, _describe,
+                                 _described_values, _det_value, _frame_values, _jacobi_rules,
+                                 _mc_value, _on_axis, _sector_exponents, _sector_level,
+                                 _sector_table, _SectorFrame, _StackFrame, facet_exponents,
+                                 integrate_chain, integrate_domain, integrate_family)
 
 EMPTY_MAP = OrderMap(())
+
+
+def _level_value(ig, order, n, members=()):
+    """The sector rule's value of ``ig`` on one domain at n nodes per axis,
+    with the rule exponents of the family ``ig`` + ``members``."""
+    descs = [_describe(m, tuple(order)) for m in (ig, *members)]
+    table = _sector_table(descs[0].N)
+    return _sector_level(descs, table, _sector_exponents(descs, table), n)[0]
+
+
+def _oracle_nodes(K):
+    """Nodes per axis of the per-sector oracle: its loops are plain Python."""
+    return 3 if K >= 4 else 4
 
 
 class TestDeterministic:
@@ -68,6 +84,20 @@ class TestDeterministic:
         # halving the spacing must gain at least the nominal order (4)
         assert errs[1] <= errs[0] / 16.0
 
+        # a described integrand takes the sector rule, which converges
+        # geometrically even at the coincidence corner of selb k=3, where
+        # the smoothed tensor rule decayed algebraically
+        p = ParamSet(k1=3, k2=0, alpha=1.2, beta1=2.2, gamma=-0.25)
+        ig = assembled_integrand("selb", p)
+        want = float(mp_selberg_rhs(3, 1.2, 2.2, -0.25))  # the ordered chamber
+        errs = []
+        for n in (8, 12, 16):
+            [(val, err)] = integrate_domain(ig, EMPTY_MAP, QuadSpec(nodes_per_axis=n), p)
+            assert abs(val - want) <= err
+            errs.append(abs(val - want))
+        # every four nodes per axis gain at least three digits
+        assert errs[1] <= errs[0] / 1e3 and errs[2] <= errs[1] / 1e3
+
     def test_half_line_scale_in_closed_form(self):
         # k = 1 is the scale axis alone: Gamma(alpha), with no rule and no error
         p = ParamSet(k1=1, k2=0, alpha=1.5, gamma=-0.1)
@@ -76,13 +106,15 @@ class TestDeterministic:
         assert val == pytest.approx(math.gamma(1.5), rel=1e-15) and err == 0.0
         for k, gamma in ((2, -0.15), (3, -0.15), (3, 0.4)):
             p = ParamSet(k1=k, k2=0, alpha=1.5, gamma=gamma)
-            [(val, err)] = integrate_domain(assembled_integrand("exp", p), EMPTY_MAP,
-                                            QuadSpec("deterministic"), p)
             want = float(mp.mpf(1) / mp.factorial(k) * mp.fprod(
                 mp_gamma(1.5 + j * gamma) * mp_gamma(1 + (j + 1) * gamma) / mp_gamma(1 + gamma)
                 for j in range(k)))
+            # the default levels stop once the estimate certifies 1e-8, so
+            # 1e-10 is asked of a fixed finer rule; both bars hold
+            for spec in (QuadSpec("deterministic"), QuadSpec("deterministic", nodes_per_axis=24)):
+                [(val, err)] = integrate_domain(assembled_integrand("exp", p), EMPTY_MAP, spec, p)
+                assert abs(val - want) <= 3.0 * err + 1e-14 * want
             assert val == pytest.approx(want, rel=1e-10)
-            assert abs(val - want) <= 3.0 * err + 1e-14 * want
 
     def test_black_box_rejected_on_the_half_line(self):
         ig = Integrand(_poly, 1, 0, "0inf", 0, 1.0, 0.0, 1.0, 1.0, exp_rates=(1.0, 1.0),
@@ -130,7 +162,8 @@ def _frame_cases():
     """(id, integrand, k1, k2) covering every weight kind at K = 1..4."""
     out = []
     for k in (1, 2, 3, 4):
-        p = ParamSet(k1=k, k2=0, alpha=1.2, beta1=2.2, gamma=-0.25)
+        # gamma = -0.25 is the convergence threshold -1/k at k = 4
+        p = ParamSet(k1=k, k2=0, alpha=1.2, beta1=2.2, gamma=-0.25 if k < 4 else -0.2)
         out.append((f"plain-selb-{k}", assembled_integrand("selb", p), k, 0))
         p = ParamSet(k1=k, k2=0, alpha=1.5, beta1=1.2, gamma=-0.11)
         out.append((f"moment-{k}", assembled_integrand("aomoto", p, indices=k // 2), k, 0))
@@ -154,16 +187,23 @@ FRAME_CASES = _frame_cases()
 
 
 class TestBroadcastFrame:
-    """The broadcast tensor frame against the full node mesh, bit for bit."""
+    """Black boxes: the broadcast tensor frame against the full node mesh,
+    bit for bit.  Described integrands: the sector rule on one domain
+    against the per-sector oracle on raw gaps."""
 
     @pytest.mark.parametrize("ig,k1,k2", [c[1:] for c in FRAME_CASES],
                              ids=[c[0] for c in FRAME_CASES])
     def test_matches_full_mesh(self, ig, k1, k2):
         K = k1 + k2
-        n = QuadSpec().nodes_for(K)
+        n = BLACK_BOX_NODES[K]
         maps = enumerate_maps(k1, k2)
         for M in {maps[0], maps[-1]}:
             order = merged_order(M, k1, k2)
+            if ig.kind != "callable":
+                m = _oracle_nodes(K)
+                assert _level_value(ig, order, m) == pytest.approx(
+                    brute_domain_value(ig, order, m), rel=1e-13, abs=0.0)
+                continue
             aw = facet_exponents(ig, M)
             for m in (n, max(6, (2 * n) // 3)):
                 assert _det_value([ig], order, aw, m, 4) == [mesh_det_value(ig, order, aw, m, 4)]
@@ -175,23 +215,28 @@ class TestBroadcastFrame:
         for M in enumerate_maps(2, 2):
             order = merged_order(M, 2, 2)
             kinds.add("".join(knd for knd, _ in order))
-            aw = facet_exponents(ig, M)
-            assert _det_value([ig], order, aw, 24, 4) == [mesh_det_value(ig, order, aw, 24, 4)]
+            assert _level_value(ig, order, 3) == pytest.approx(brute_domain_value(ig, order, 3),
+                                                               rel=1e-13, abs=0.0)
         assert len(kinds) == len(enumerate_maps(2, 2)) > 1
 
     def test_nodes_exponentially_close_to_unit_facet(self):
         # smoothing order 12 puts nodes within ~1e-30 of r = 1, where a
-        # gap taken as a difference of cumulatives would cancel to zero
+        # gap taken as a difference of cumulatives would cancel to zero;
+        # the chain frame that Monte Carlo evaluates through must not
         p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
         ig = assembled_integrand("selb3", p)
         for M in enumerate_maps(2, 1):
             order = merged_order(M, 2, 1)
             aw = facet_exponents(ig, M)
-            logx = _axis_rule(48, aw.w0[1], aw.w1[1], 12)[1]
-            assert logx.min() < -60.0
-            [got] = _det_value([ig], order, aw, 48, 12)
+            rules = [_axis_rule(48, aw.w0[i], aw.w1[i], 12) for i in range(3)]
+            assert rules[1][1].min() < -60.0
+            frame = _ChainFrame([_on_axis(r[0], i, 3) for i, r in enumerate(rules)],
+                                [_on_axis(r[1], i, 3) for i, r in enumerate(rules)])
+            vals = np.broadcast_to(next(_frame_values([ig], order, aw, frame)), frame.shape)
+            W = np.prod(mesh([r[2] for r in rules]), axis=1)
+            got = float(np.dot(W, vals.ravel()))
             assert np.isfinite(got)
-            assert got == mesh_det_value(ig, order, aw, 48, 12)
+            assert got == pytest.approx(mesh_det_value(ig, order, aw, 48, 12), rel=1e-12)
 
     @pytest.mark.parametrize("K,n,q", [(3, 88, 4), (4, 24, 4), (4, 24, 12)])
     def test_frame_arrays_match_full_mesh(self, K, n, q):
@@ -274,22 +319,45 @@ class TestFrameAgainstRawOracle:
     @pytest.mark.parametrize("ig,k1,k2", [c[1:] for c in FRAME_CASES + HALFLINE_CASES],
                              ids=[c[0] for c in FRAME_CASES + HALFLINE_CASES])
     def test_tensor_views(self, ig, k1, k2):
+        """Black boxes: the chain frame on the smoothed tensor nodes.
+        Described integrands: every sector's frame, on its own and all
+        sectors stacked, against the per-sector oracle on raw gaps, point
+        by point."""
         K = k1 + k2
-        halfline = ig.interval == "0inf"
         maps = enumerate_maps(k1, k2)
         for M in {maps[0], maps[-1]}:
             order = merged_order(M, k1, k2)
-            aw = facet_exponents(ig, M)
-            rules = [quadrature._SCALE_NODE if i == 0 and halfline
-                     else _axis_rule(10, aw.w0[i], aw.w1[i], 4) for i in range(K)]
-            frame = _ChainFrame([_on_axis(r[0], i, K) for i, r in enumerate(rules)],
-                                [None if r[1] is None else _on_axis(r[1], i, K)
-                                 for i, r in enumerate(rules)])
-            got = np.broadcast_to(next(_frame_values([ig], order, aw, frame)), frame.shape).ravel()
-            R = np.exp(mesh([r[0] for r in rules]))
-            assert len(R) == 10 ** (K - 1 if halfline else K)
-            _assert_close_where_separated(got, raw_ratio(ig, order, aw, R), _min_gap(R, halfline),
-                                          raw_ratio(ig, order, aw, R, magnitude=True))
+            if ig.kind == "callable":
+                aw = facet_exponents(ig, M)
+                rules = [_axis_rule(10, aw.w0[i], aw.w1[i], 4) for i in range(K)]
+                frame = _ChainFrame([_on_axis(r[0], i, K) for i, r in enumerate(rules)],
+                                    [_on_axis(r[1], i, K) for i, r in enumerate(rules)])
+                got = np.broadcast_to(next(_frame_values([ig], order, aw, frame)),
+                                      frame.shape).ravel()
+                R = np.exp(mesh([r[0] for r in rules]))
+                _assert_close_where_separated(got, raw_ratio(ig, order, aw, R), _min_gap(R),
+                                              raw_ratio(ig, order, aw, R, magnitude=True))
+                continue
+            descs = [_describe(ig, tuple(order))]
+            table = _sector_table(descs[0].N)
+            E, dim, n = _sector_exponents(descs, table), table.dim, _oracle_nodes(K)
+            rules = _jacobi_rules(n, E.ravel().tolist())
+            stacked = np.broadcast_to(next(_described_values(
+                descs, _StackFrame(table, E, rules, n), None)), (len(table.trees),) + (n,) * dim)
+            for s, tree in enumerate(table.trees):
+                axes = [rules[e] for e in E[s].tolist()]
+                frame = _SectorFrame(tree, {v: _on_axis(axes[d][0], d, dim)
+                                            for d, v in enumerate(tree.axes)},
+                                     E[s].tolist(), table.desc[s].tolist())
+                got = np.broadcast_to(next(_described_values(descs, frame, None)),
+                                      (n,) * dim).ravel()
+                ys = [tuple(y) for y in np.exp(mesh([a[0] for a in axes]))] if dim else [()]
+                want = np.array(brute_sector_values(ig, order, tree.parent, E[s].tolist(), ys))
+                # to 1e-13 of the sector's largest value: a symmetrized
+                # weight may cancel to far below it at single points
+                scale = 1e-13 * np.abs(want).max()
+                assert np.all(np.abs(got - want) <= scale)
+                assert np.all(np.abs(stacked[s].ravel() - want) <= scale)
 
     @pytest.mark.parametrize("ig,k1,k2", [c[1:] for c in FRAME_CASES + HALFLINE_CASES],
                              ids=[c[0] for c in FRAME_CASES + HALFLINE_CASES])
@@ -538,8 +606,17 @@ class TestFamilies:
         q = FAMILY_SPECS[scheme]
         got = integrate_family(members, chain, q, p)
         assert got == [integrate_chain(ig, chain, q, p) for ig in members]
-        if scheme == "deterministic":
+        if scheme == "deterministic" and members[0].kind == "callable":
             assert got == [mesh_chain_value(ig, chain, q) for ig in members]
+        elif scheme == "deterministic":
+            # the sector rule of a family against the per-sector oracle
+            n = _oracle_nodes(chain.k1 + chain.k2)
+            small = integrate_family(members, chain, QuadSpec(nodes_per_axis=n), p)
+            for ig, (val, _) in zip(members, small):
+                want = sum(coeff * brute_domain_value(ig, merged_order(M, chain.k1, chain.k2), n,
+                                                      members)
+                           for M, coeff in chain.terms)
+                assert val == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_domain_returns_one_pair_per_member(self):
         members, chain, p = FAMILY_CASES[2][1:]
@@ -565,6 +642,130 @@ class TestFamilies:
                 integrate_family(members, chain, q, p)
             with pytest.raises(ValueError, match="differ in more than their weight"):
                 integrate_domain(members[0], chain.terms[0][0], q, p, more=members[1:])
+
+
+CATALAN = {2: 2, 3: 5, 4: 14, 5: 42}
+
+
+class TestSectorRule:
+    """The sector rule of described integrands: its sectors, levels and bars."""
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    def test_sectors_partition_the_simplex(self, N):
+        parents = [tree.parent for tree in _sector_table(N).trees]
+        assert len(set(parents)) == len(parents) == CATALAN[N]
+        assert sorted(parents) == heap_trees(N)
+        # a point lies in exactly one sector: its Cartesian tree's
+        for g in np.random.default_rng(N).dirichlet(np.ones(N), size=200):
+            inside = [all(par[v] == -1 or g[v] <= g[par[v]] for v in range(N)) for par in parents]
+            assert sum(inside) == 1 and parents[inside.index(True)] == cartesian_tree(g)
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_sector_volumes_add_up_to_the_ordered_chamber(self, K):
+        # every exponent 0: the sectors integrate 1 over 1 > c_0 > ... > 0
+        p = ParamSet(k1=K, k2=0, alpha=1.0, beta1=1.0, gamma=0.0)
+        [(val, err)] = integrate_domain(assembled_integrand("selb", p), EMPTY_MAP, QuadSpec(), p)
+        want = 1.0 / math.factorial(K)
+        assert abs(val - want) <= err + 1e-15 * want
+        assert val == pytest.approx(want, rel=1e-10)
+
+    def test_a_divergent_sector_raises(self):
+        # at gamma = -1/k four coinciding points diverge; every facet
+        # exponent stays above -1, one sector's reaches it
+        p = ParamSet(k1=4, k2=0, alpha=1.2, beta1=2.2, gamma=-0.25)
+        ig = assembled_integrand("selb", p)
+        assert min(facet_exponents(ig, EMPTY_MAP).w0) > -1.0
+        with pytest.raises(DomainError, match="sector exponent"):
+            integrate_domain(ig, EMPTY_MAP, QuadSpec(), p)
+        # s and t meeting 1 diverge when beta1 + beta2 - gamma <= 1
+        p = ParamSet(k1=1, k2=1, alpha=1.0, beta1=0.3, beta2=0.4, gamma=-0.1)
+        with pytest.raises(DomainError, match="sector exponent"):
+            integrate_chain(assembled_integrand("selb3", p), gamma_chain(1, 1, p.gamma),
+                            QuadSpec(), p)
+
+    def test_explicit_nodes_fix_the_pair(self):
+        p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+        ig = assembled_integrand("selb3", p)
+        for M in enumerate_maps(2, 1):
+            order = merged_order(M, 2, 1)
+            [(val, err)] = integrate_domain(ig, M, QuadSpec(nodes_per_axis=8), p)
+            assert val == _level_value(ig, order, 8)
+            assert err == abs(val - _level_value(ig, order, 6))
+
+    def test_levels_refine_until_the_estimate_certifies(self):
+        p = ParamSet(k1=3, k2=0, alpha=1.2, beta1=2.2, gamma=-0.25)
+        ig = assembled_integrand("selb", p)
+        order = merged_order(EMPTY_MAP, 3, 0)
+        [(val, err)] = integrate_domain(ig, EMPTY_MAP, QuadSpec(), p)
+        levels = {n: _level_value(ig, order, n) for n in range(12, 22, 2)}
+        n = next(n for n in levels if levels[n] == val)
+        assert err == abs(levels[n] - levels[n - 2]) <= quadrature.SECTOR_RTOL * abs(val)
+        # every level before it missed the certificate
+        for m in range(QuadSpec().nodes_for(3), n, 2):
+            assert abs(levels[m] - levels[m - 2]) > quadrature.SECTOR_RTOL * abs(levels[m])
+
+    def test_family_members_keep_their_own_level(self):
+        # here the moments certify at different levels; each keeps the
+        # pair a run on its own gives
+        p = ParamSet(k1=2, k2=0, alpha=1.03, beta1=1.94, gamma=-0.13)
+        members = [assembled_integrand("aomoto", p, indices=ell) for ell in range(3)]
+        chain = gamma_chain(2, 0, p.gamma)
+        got = integrate_family(members, chain, QuadSpec(), p)
+        assert got == [integrate_chain(ig, chain, QuadSpec(), p) for ig in members]
+        order = merged_order(EMPTY_MAP, 2, 0)
+        at = [next(n for n in (12, 14, 16) if _level_value(ig, order, n) == val)
+              for ig, (val, _) in zip(members, got)]
+        assert len(set(at)) > 1
+
+    def test_deterministic_domain_errors_add_linearly(self):
+        p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+        ig = assembled_integrand("selb3", p)
+        chain = gamma_chain(2, 1, p.gamma)
+        assert len(chain.terms) == 2
+        parts = [(coeff, *integrate_domain(ig, M, QuadSpec(), p)[0]) for M, coeff in chain.terms]
+        val, err = integrate_chain(ig, chain, QuadSpec(), p)
+        assert val == sum(c * v for c, v, _ in parts)
+        assert err == sum(abs(c) * e for c, _, e in parts)
+        # Monte Carlo domains are independent draws: their errors add in quadrature
+        q = QuadSpec("monte_carlo", sample_count=20_000, seed=4)
+        parts = [(coeff, *integrate_domain(ig, M, QuadSpec("monte_carlo", sample_count=20_000,
+                                                           seed=4 + 104729 * i), p)[0])
+                 for i, (M, coeff) in enumerate(chain.terms)]
+        val, err = integrate_chain(ig, chain, q, p)
+        assert err == pytest.approx(math.sqrt(sum((c * e) ** 2 for c, _, e in parts)), rel=1e-15)
+
+
+# seeded points of the regions the sector rule was scanned over: alpha,
+# beta in [0.7, 2.2] and gamma in [-0.28, -0.05] unless a shape says else
+REGION_SHAPES = [("selb3", 2, 2, {}), ("selb30", 2, 2, {}), ("selb", 3, 0, {}),
+                 ("exp", 4, 0, {}), ("exp3", 2, 2, {}),
+                 ("selb3", 2, 1, {"gamma": (-0.45, -0.05)}),
+                 ("selb3", 1, 1, {"beta": (0.5, 2.2)})]
+
+
+class TestSectorRegions:
+    @pytest.mark.parametrize("which,k1,k2,ranges", REGION_SHAPES,
+                             ids=[f"{w}-{k1}{k2}" + "".join(f"-{k}" for k in r)
+                                  for w, k1, k2, r in REGION_SHAPES])
+    def test_passes_with_an_honest_bar(self, which, k1, k2, ranges):
+        from selberg3.errors import InvalidParamsError
+        from selberg3.identities import REGISTRY, run_identity
+
+        rng = np.random.default_rng(1400 + 10 * k1 + k2)
+        lo_b, hi_b = ranges.get("beta", (0.7, 2.2))
+        lo_g, hi_g = ranges.get("gamma", (-0.28, -0.05))
+        checked = 0
+        while checked < 8:
+            p = ParamSet(k1=k1, k2=k2, alpha=rng.uniform(0.7, 2.2), beta1=rng.uniform(lo_b, hi_b),
+                         beta2=rng.uniform(lo_b, hi_b), gamma=rng.uniform(lo_g, hi_g))
+            try:  # points outside the identity's validity region are redrawn
+                REGISTRY[which].validate(p)
+            except InvalidParamsError:
+                continue
+            rec = run_identity(which, p)
+            assert rec.passed and rec.note == "deterministic", rec
+            assert rec.rel_dev <= 3.0 * rec.lhs_err / abs(rec.rhs) + 1e-13, rec
+            checked += 1
 
 
 class TestFacetExponents:
