@@ -567,10 +567,10 @@ def _jacobi_rules(n: int, exponents) -> dict:
     keeps every weight to full relative precision, however small, and no
     weight is ever scaled by 2^-(E+1).
     """
+    if len(_RULES) > _RULES_CAP:  # before the lookup, so every requested rule is rebuilt
+        _RULES.clear()
     missing = sorted({e for e in exponents if (n, e) not in _RULES})
     if missing:
-        if len(_RULES) > _RULES_CAP:
-            _RULES.clear()
         b = np.array(missing)[:, None]
         k = np.arange(1, n)[None, :]
         s = 2.0 * k + b
@@ -709,7 +709,10 @@ class _StackFrame:
         return float(v.sum())
 
 
-STACK_DIM = 2  # rule dimensions up to which all sectors of a level share one frame
+# rule dimensions up to which all sectors of a level share one frame: at
+# 1-2 numpy's per-call cost outweighs the grid, at 3-4 the stacked grids
+# cost more time and memory than each sector's broadcast vectors
+STACK_DIM = 2
 
 
 def _sector_level(descs, table: _SectorTable, E: np.ndarray, n: int) -> list[float]:

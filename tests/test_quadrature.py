@@ -717,6 +717,17 @@ class TestSectorRule:
               for ig, (val, _) in zip(members, got)]
         assert len(set(at)) > 1
 
+    def test_rule_cache_over_its_cap_serves_a_partly_cached_request(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_RULES", {})
+        monkeypatch.setattr(quadrature, "_RULES_CAP", 2)
+        fresh = {e: (ly.copy(), w.copy()) for e, (ly, w) in _jacobi_rules(6, [0.5, 1.0]).items()}
+        _jacobi_rules(6, [2.0, 3.0])  # the cache now holds more than its cap
+        got = _jacobi_rules(6, [0.5, 1.0, 4.0])  # partly cached
+        assert set(got) == {0.5, 1.0, 4.0}
+        for e in (0.5, 1.0):
+            assert np.array_equal(got[e][0], fresh[e][0]) and np.array_equal(got[e][1], fresh[e][1])
+        assert len(quadrature._RULES) <= 3
+
     def test_deterministic_domain_errors_add_linearly(self):
         p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
         ig = assembled_integrand("selb3", p)
