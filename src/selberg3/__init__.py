@@ -10,7 +10,6 @@ from .closed_forms import (
     discrete_exp_rhs,
     exp_selberg_rhs,
     j_closed_form,
-    nk_constant,
     selberg_rhs,
     sl3_discrete_rhs,
     sl3_exp_rhs,
@@ -39,7 +38,6 @@ from .params import ParamSet
 from .quadrature import QuadSpec, integrate_chain, integrate_domain, integrate_family
 from .recursions import (
     JTable,
-    jjl_shift_check,
     solve_both,
     solve_j,
     verify_relations,
@@ -79,9 +77,7 @@ __all__ = [
     "integrate_family",
     "is_admissible",
     "j_closed_form",
-    "jjl_shift_check",
     "log_gamma_signed",
-    "nk_constant",
     "run_grid",
     "run_identity",
     "selberg_rhs",

@@ -9,12 +9,10 @@ values of the recursion family of end-point integrals.
 
 from __future__ import annotations
 
-import cmath
-import math
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import DegenerateError, DomainError
+from .errors import DomainError
 from .logreal import LogSigned, log_gamma_signed, power_log, prod_logsigned
 from .params import ParamSet
 
@@ -185,25 +183,3 @@ def j_closed_form(which: str, p: ParamSet, l: int = 0, m: int = 0) -> LogSigned:
             out = out * LogSigned.from_float(-(b2 + (k2 - k1 - 1 + i) * g)) / LogSigned.from_float((k1 - i) * g)
         return out
     raise DomainError(f"unknown closed form {which!r}")
-
-
-def nk_constant(k: int, alpha: float, gamma: float) -> tuple[LogSigned, float]:
-    """Complex normalization constant of the looping-contour comparison.
-
-    Returned as (magnitude, phase); the phase is reduced to (-pi, pi].
-    """
-    sg = math.sin(math.pi * gamma)
-    if abs(sg) < 1e-12:
-        raise DegenerateError(f"sin(pi*gamma) vanishes at gamma={gamma!r}")
-    acc = complex(1.0, 0.0)
-    mag = LogSigned.one()
-    for j in range(k):
-        val = (2j * cmath.exp(1j * math.pi * alpha)
-               * math.sin(math.pi * (alpha + j * gamma))
-               * math.sin(math.pi * (gamma + j * gamma)) / sg)
-        r, phi = cmath.polar(val)
-        if r == 0.0:
-            return LogSigned.zero(), 0.0
-        mag = mag * LogSigned(1, math.log(r))
-        acc *= cmath.exp(1j * phi)
-    return mag, cmath.phase(acc)

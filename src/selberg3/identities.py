@@ -130,38 +130,69 @@ def _v_sl3_cont(p: ParamSet):
     _need(-0.5 < p.gamma < 0.0, "need gamma in (-0.5, 0); working range is [-0.3, -0.02]")
 
 
-def _clusters_at_one_converge(p: ParamSet, poles: int) -> bool:
-    """Whether every cluster of points at 1 is integrable on [0,1].
+def _divergent_cluster(p: ParamSet, poles: int, halfline: bool = False) -> str | None:
+    """Where some cluster of points makes the integral diverge, or None.
 
-    m_t of the t's and m_s of the s's meeting 1 at scale rho give
-    (1-t)^(beta1-1) and (1-s)^(beta2-1) powers, rho^(2 gamma) per pair
-    within a block and rho^(-gamma) across, and up to min(poles, m_t, m_s)
-    rational poles, against a volume rho^(m_t+m_s-1) d rho.  A cluster's
-    s's sit above its t's partners, so m_s >= m_t - (k1 - k2).
+    m_t t's and m_s s's meeting at scale rho give rho^(2 gamma) per pair
+    within a block, rho^(-gamma) per pair across, and up to
+    min(poles, m_t, m_s) rational poles: rho^X in all.  Inside the
+    interval their relative positions have volume rho^(m_t+m_s-2) d rho,
+    so X + m_t + m_s - 1 > 0 is needed.  At 1 the cluster also carries
+    (1-t)^(beta1-1), (1-s)^(beta2-1) and one more dimension, so
+    m_t beta1 + m_s beta2 + X > 0; at 0 it carries t^(alpha-1), so
+    m_t alpha + m_s + X > 0.  Nothing meets 1 on the half-line.
+
+    A cluster is a run of consecutive coordinates in some domain's
+    descending order, whose prefixes ending at t_j hold at least
+    j - (k1 - k2) s's and which ends at a t.  So every run of two or more
+    points can meet inside; a run from the top, which can meet 1, has
+    m_s >= m_t - (k1 - k2); a run to the bottom, which can meet 0, has a
+    t, and m_s <= m_t unless it holds every t.
     """
-    k1, k2, g = p.k1, p.k2, p.gamma
+    k1, k2 = p.k1, p.k2
+    a, b1, b2, g = p.alpha, p.beta1, p.beta2, p.gamma
     for mt in range(k1 + 1):
-        for ms in range(max(0, mt - (k1 - k2)), k2 + 1):
-            if mt + ms and (mt * p.beta1 + ms * p.beta2
-                            + g * (mt * (mt - 1) + ms * (ms - 1) - mt * ms)
-                            - min(poles, mt, ms)) <= 0.0:
-                return False
-    return True
+        for ms in range(k2 + 1):
+            X = g * (mt * (mt - 1) + ms * (ms - 1) - mt * ms) - min(poles, mt, ms)
+            if (not halfline and mt + ms and ms >= mt - (k1 - k2)
+                    and mt * b1 + ms * b2 + X <= 0.0):
+                return "1"
+            if mt and (ms <= mt or mt == k1) and mt * a + ms + X <= 0.0:
+                return "0"
+            if mt + ms > 1 and X + mt + ms - 1 <= 0.0:
+                return "inside"
+    return None
+
+
+_CLUSTER_NEED = {
+    "1": "m_t beta1 + m_s beta2 + X > 0 (beta1 + beta2 - gamma > 1 at k1 = k2 = 1)",
+    "0": "m_t alpha + m_s + X > 0 (alpha + gamma > 0 where two t's meet)",
+    "inside": "X + m_t + m_s - 1 > 0 (gamma > -1/3 where three t's meet)",
+}
+
+
+def _need_clusters(p: ParamSet, poles: int, halfline: bool = False):
+    place = _divergent_cluster(p, poles, halfline)
+    if place is not None:
+        raise InvalidParamsError(
+            f"the integral diverges where points meet {place}: every cluster of m_t t's "
+            f"and m_s s's needs {_CLUSTER_NEED[place]}, with X = gamma (m_t(m_t-1) + "
+            f"m_s(m_s-1) - m_t m_s) - min({poles}, m_t, m_s)")
 
 
 def _v_selb3(p: ParamSet):
     _v_sl3_cont(p)
-    _need(_clusters_at_one_converge(p, p.k2),
-          "the integral diverges where points meet 1: need m_t beta1 + m_s beta2 + "
-          "gamma (m_t(m_t-1) + m_s(m_s-1) - m_t m_s) > min(k2, m_t, m_s) for every "
-          "cluster, e.g. beta1 + beta2 - gamma > 1")
+    _need_clusters(p, p.k2)
 
 
 def _v_selb30(p: ParamSet):
     _v_sl3_cont(p)
-    _need(_clusters_at_one_converge(p, 0),
-          "the integral diverges where points meet 1: need m_t beta1 + m_s beta2 + "
-          "gamma (m_t(m_t-1) + m_s(m_s-1) - m_t m_s) > 0 for every cluster")
+    _need_clusters(p, 0)
+
+
+def _v_exp3(p: ParamSet):
+    _v_sl3_cont(p)
+    _need_clusters(p, p.k2, halfline=True)
 
 
 def _v_aomoto(p: ParamSet):
@@ -186,11 +217,9 @@ def _v_decomp(p: ParamSet):
 # engines: return (lhs, lhs_err, rhs, tolerance, note)
 # ---------------------------------------------------------------------------
 
-def _quad_spec(budget: Budget, seed: int, scheme: str = "deterministic",
-               default_nodes: int = 0) -> QuadSpec:
-    """The budget's quadrature settings; ``default_nodes`` 0 lets the
-    dimension pick the nodes per axis."""
-    return QuadSpec(scheme, default_nodes, budget.samples, seed)
+def _quad_spec(budget: Budget, seed: int, scheme: str = "deterministic") -> QuadSpec:
+    """The budget's quadrature settings; the dimension picks the nodes."""
+    return QuadSpec(scheme, 0, budget.samples, seed)
 
 
 def _mc_tolerance(sigma: float, ref: float) -> float:
@@ -304,7 +333,7 @@ def _chain_decomp_engine(p: ParamSet, budget: Budget, seed: int, tol: float | No
     # rows are built once; each is checked against its exact cone integral
     members = [Integrand(_monomial(dt, ds), k1, k2, "01", 0, 1.0, 0.0, 1.0, 1.0,
                          kind="callable") for dt, ds in degs]
-    spec = _quad_spec(budget, seed, default_nodes=24)
+    spec = _quad_spec(budget, seed)
     worst = None
     for (dt, ds), (det, err) in zip(degs, integrate_family(members, unit_chain(k1, k2),
                                                            spec, p)):
@@ -412,14 +441,14 @@ _register("dexp3", "two-block lattice-cone series vs gamma product",
           "alpha>0, z1,z2 in (0,1), gamma in (-0.5,0)", _v_dexp3,
           _series_engine("dexp3", cf.sl3_discrete_rhs))
 _register("exp3", "two-block half-line chain integral vs gamma product",
-          "alpha,beta1,beta2>0, gamma in (-0.5,0)", _v_sl3_cont,
+          "alpha,beta1,beta2>0, gamma in (-0.5,0), every cluster of points integrable", _v_exp3,
           _quad_engine("exp3", cf.sl3_exp_rhs))
 _register("selb3", "two-block [0,1] chain integral with rational weight vs "
-          "gamma product", "alpha,beta1,beta2>0, gamma in (-0.5,0), every cluster at 1 "
+          "gamma product", "alpha,beta1,beta2>0, gamma in (-0.5,0), every cluster of points "
           "integrable (k1=k2=1: beta1+beta2-gamma>1)", _v_selb3,
           _quad_engine("selb3", cf.sl3_selberg_rhs))
 _register("selb30", "two-block [0,1] chain integral without rational weight vs "
-          "gamma product", "alpha,beta1,beta2>0, gamma in (-0.5,0), every cluster at 1 "
+          "gamma product", "alpha,beta1,beta2>0, gamma in (-0.5,0), every cluster of points "
           "integrable", _v_selb30,
           _quad_engine("selb30", cf.sl3_selberg0_rhs))
 _register("aomoto", "moment integrals of the beta-type density vs shifted "

@@ -136,14 +136,6 @@ def log_gamma_signed(x: float, pole_tol: float = DEFAULT_POLE_TOL) -> LogSigned:
     return LogSigned(sign, logmag)
 
 
-def gamma_reciprocal_signed(x: float, pole_tol: float = DEFAULT_POLE_TOL) -> LogSigned:
-    """1/Gamma(x), which is an entire function: poles of gamma become zeros."""
-    if _near_nonpositive_integer(x, pole_tol):
-        return LogSigned.zero()
-    g = log_gamma_signed(x, pole_tol)
-    return LogSigned(g.sign, -g.logmag)
-
-
 def gamma_ratio(x: float, c: float, d: float, pole_tol: float = DEFAULT_POLE_TOL) -> LogSigned:
     """Gamma(x+c)/Gamma(x+d), which behaves like x**(c-d) for large x."""
     num = log_gamma_signed(x + c, pole_tol)

@@ -19,23 +19,22 @@ Catalan(N) sectors (5, 14, 42 for N = 3, 4, 5).  In a sector g_root = 1
 (Cheng-Wu) and g_v = g_parent y_v with y in [0,1]^(N-1), so every gap sum
 is its shallowest gap times a factor in [1, length].  The integrand is
 then a monomial in y times a smooth function, and one Gauss-Jacobi rule
-per axis, with the monomial's exponent as its weight, converges
-geometrically.  The exponent of axis v is v's count of proper
-descendants (the Jacobian) plus every power factor whose shallowest gap
-lies at or below v, plus the least pole count over the weight terms;
-the remaining weight powers are non-negative integers.  The projective
-factor is (sum g)^(-(D+N)) for total degree D, which is 0 on the
-half-line.  The rule starts at ``nodes_for(dim)`` nodes per axis, takes
-|v(n) - v(n-2)| as the estimate, and adds two nodes per axis until every
-member's relative estimate is within ``SECTOR_RTOL``, up to
-``SECTOR_MAX_NODES`` per axis and ``SECTOR_MAX_GRID`` nodes per domain.
-An explicit ``nodes_per_axis`` fixes the pair (n-2, n).  Each level's
-axis rules come from one batched eigenvalue solve with Christoffel-number
-weights (``_jacobi_rules``).  Up to rule dimension ``STACK_DIM`` all
-sectors of a level share one stacked frame, where numpy's per-call cost
-would otherwise dominate; beyond it each sector broadcasts its own
-per-axis vectors.  Log-gaps are path sums of log y, and no gap sum is
-ever taken as a difference.
+per axis, weighted by the monomial, converges geometrically.  The
+exponent of axis v is v's count of proper descendants (the Jacobian)
+plus every power factor whose shallowest gap lies at or below v, plus
+the least pole count over the weight terms; the remaining weight powers
+are non-negative integers.  The projective factor is (sum g)^(-(D+N))
+for total degree D, which is 0 on the half-line.  The levels
+(``_refine``) start at ``nodes_for(dim)`` nodes per axis, take
+|v(n) - v(n-2)| as the estimate, and add two nodes per axis until every
+member's relative estimate is within ``SECTOR_RTOL``, within
+``SECTOR_MAX_NODES`` per axis and ``SECTOR_MAX_GRID`` nodes per domain;
+an explicit ``nodes_per_axis`` fixes the pair (n-2, n).  Each level's
+axis rules come from one batched eigenvalue solve (``_jacobi_rules``).
+Up to rule dimension ``STACK_DIM`` all sectors of a level share one
+stacked frame, where numpy's per-call cost would otherwise dominate;
+beyond it each sector broadcasts its own per-axis vectors.  Log-gaps
+are path sums of log y, and no gap sum is ever taken as a difference.
 
 On the half-line the integrand is homogeneous in the overall scale apart
 from its exponential factors, so the scale is integrated in closed form
@@ -43,11 +42,11 @@ to Gamma(H) L^(-H), L the sum of rate x coordinate (the Laguerre limit of
 Selberg's integral), and only the gap simplex carries a rule or samples.
 
 Black-box ('callable') integrands have no description.  They keep the
-chain frame's nested ratios c_i = c_{i-1} r_i and a tensor product of
-Gauss-Jacobi rules composed with the smoothing map r = I_xi(q, q), with
-the endpoint exponents of ``facet_exponents`` per axis, and the pair
-(n, 2n/3) as the error estimate.  The tensor grid stays a broadcast
-product of per-axis vectors, bit for bit the full node mesh.
+chain frame's nested ratios c_i = c_{i-1} r_i, and axis i takes the
+Gauss-Jacobi rule of r^w0 (1-r)^w1 for the endpoint exponents of
+``facet_exponents``, through the same rule builder and levels.  For a
+polynomial this is a conical-product rule (Stroud, 1971), exact once
+2n - 1 reaches its degree in every r_i.
 
 The Monte Carlo scheme importance-samples the beta densities of
 ``facet_exponents`` and averages integrand/model through the same chain
@@ -70,7 +69,7 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 
 import numpy as np
-from scipy.special import betainc, betaln, gammaln, roots_jacobi
+from scipy.special import betaln, gammaln
 
 from .chains import Chain, OrderMap, merged_order
 from .errors import DomainError, IntegrandSingularError
@@ -78,25 +77,25 @@ from .integrands import Integrand
 from .params import ParamSet
 
 SECTOR_RTOL = 1e-8          # relative estimate a member certifies at
-SECTOR_MAX_NODES = 64       # nodes per axis the sector levels stop at
-SECTOR_MAX_GRID = 2 ** 22   # nodes on one domain no sector level may pass
-BLACK_BOX_NODES = {0: 1, 1: 96, 2: 72, 3: 88, 4: 24}  # smoothed tensor rule, per dimension
+SECTOR_MAX_NODES = 64       # nodes per axis the levels stop at
+SECTOR_MAX_GRID = 2 ** 22   # nodes on one domain no level may pass
 # a domain integral below this has lost its digits to the double range
 _TINY = sys.float_info.min / sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """How to integrate: scheme, resolution, and reproducibility seed."""
+    """How to integrate: scheme, resolution, and reproducibility seed.
+    ``smooth_order`` is read by the benchmark's tracer only; no rule uses it."""
 
     scheme: str = "deterministic"  # or "monte_carlo"
     nodes_per_axis: int = 0        # 0 = pick by dimension
     sample_count: int = 200_000
     seed: int = 20070920
-    smooth_order: int = 4          # q of the black-box rule's smoothing map
+    smooth_order: int = 4
 
     def nodes_for(self, dim: int) -> int:
-        """Nodes per axis the sector rule starts at, for rule dimension dim."""
+        """Nodes per axis the levels start at, for rule dimension dim."""
         if self.nodes_per_axis:
             return self.nodes_per_axis
         return {0: 1, 1: 12, 2: 12, 3: 14, 4: 14}.get(dim, 14)
@@ -399,59 +398,8 @@ class _ChainFrame:
         return logf
 
 
-@lru_cache(maxsize=64)
-def _axis_rule(n: int, w0: float, w1: float, q: int):
-    """Nodes of one smoothed Gauss-Jacobi axis of the black-box rule.
-
-    Returns read-only (logr, logx, weight) with x = 1-r; the weight folds
-    the Jacobi weight of the lifted exponents together with the smooth
-    parts of the substitution r = I_xi(q, q).  Memoized: domains and
-    records at equal exponents share their rules.
-    """
-    a_lift = q * w1 + q - 1.0
-    b_lift = q * w0 + q - 1.0
-    xj, wj = roots_jacobi(n, a_lift, b_lift)
-    xi = 0.5 * (xj + 1.0)
-    omxi = 0.5 * (1.0 - xj)
-    wj = wj * 2.0 ** (-(a_lift + b_lift + 1.0))
-    r = betainc(q, q, xi)
-    x = betainc(q, q, omxi)  # exact complement of r
-    u0 = r / xi ** q
-    u1 = x / omxi ** q
-    logbeta_qq = betaln(q, q)
-    with np.errstate(over="ignore", invalid="ignore"):
-        weight = wj * np.exp(w0 * np.log(u0) + w1 * np.log(u1) - logbeta_qq)
-    if not np.all(np.isfinite(weight)):  # large exponents overflow the rule
-        raise IntegrandSingularError(f"non-finite quadrature rule weights at "
-                                     f"exponents ({w0}, {w1})")
-    logr = np.where(r > 0.5, np.log1p(-x), np.log(r))
-    logx = np.log(x)
-    for arr in (logr, logx, weight):
-        arr.flags.writeable = False
-    return logr, logx, weight
-
-
-def _det_value(members, order, aw: AxisWeights, n: int, q: int) -> list[float]:
-    """One smoothed tensor rule of a black-box family on one domain: one
-    value per member, all on one frame and weight product."""
-    K = len(order)
-    rules = [_axis_rule(n, aw.w0[i], aw.w1[i], q) for i in range(K)]
-    frame = _ChainFrame([_on_axis(r[0], i, K) for i, r in enumerate(rules)],
-                        [_on_axis(r[1], i, K) for i, r in enumerate(rules)])
-    W = _on_axis(rules[0][2], 0, K)
-    for i in range(1, K):
-        W = W * _on_axis(rules[i][2], i, K)
-    W = W.ravel()
-    out = []
-    for vals in _frame_values(members, order, aw, frame):
-        if not np.all(np.isfinite(vals)):
-            raise IntegrandSingularError("non-finite deterministic quadrature values")
-        out.append(float(np.dot(W, vals.ravel())))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# the sector rule: described integrands
+# the sector rule, the black boxes' tensor rule, and the levels of both
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -552,30 +500,38 @@ def _sector_exponents(descs, table: _SectorTable) -> np.ndarray:
     return E
 
 
-_RULES: dict = {}   # (n, E) -> read-only (log y, weight); records at equal exponents share
+_RULES: dict = {}   # (n, weight) -> read-only (log y, weight); records at equal exponents share
 _RULES_CAP = 4096
 
 
 def _jacobi_rules(n: int, exponents) -> dict:
-    """The n-node Gauss-Jacobi rule for y^E on [0,1] of every exponent E,
-    as {E: (log y, weight)} with y = (1+x)/2 of the rule on [-1,1].
+    """The n-node Gauss-Jacobi rules on [0,1] for y^E of each exponent E
+    and y^E (1-y)^A of each pair (E, A), as {weight: (log y, weight)}.
 
-    The rules a level lacks come from one batched solve.  The nodes are
-    the eigenvalues of the Jacobi matrix of (1+x)^E; each weight is the
-    Christoffel number 1 / sum_k p_k(x)^2 of the orthonormal polynomials,
-    run up from p_0 = 1 by their recurrence, over E + 1.  A sum of squares
-    keeps every weight to full relative precision, however small, and no
-    weight is ever scaled by 2^-(E+1).
+    The rules a level lacks come from one batched solve: nodes y = (1+x)/2
+    from the eigenvalues x of the Jacobi matrix of (1+x)^E (1-x)^A, and
+    as weights the mass B(E+1, A+1) times the Christoffel numbers
+    1 / sum_k p_k(x)^2, which keep full relative precision however small.
+    Rows with A = 0 keep the one-sided entries, bit for bit.
     """
     if len(_RULES) > _RULES_CAP:  # before the lookup, so every requested rule is rebuilt
         _RULES.clear()
-    missing = sorted({e for e in exponents if (n, e) not in _RULES})
+    missing = list(dict.fromkeys(e for e in exponents if (n, e) not in _RULES))
     if missing:
-        b = np.array(missing)[:, None]
+        b, a = np.array([e if isinstance(e, tuple) else (e, 0.0) for e in missing]).T[:, :, None]
         k = np.arange(1, n)[None, :]
-        s = 2.0 * k + b
-        diag = np.hstack([b / (b + 2.0), b * b / (s * (s + 2.0))])
-        off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+        s = 2.0 * k + b + a
+        diag = np.hstack([(b - a) / (b + a + 2.0), (b * b - a * a) / (s * (s + 2.0))])
+        with np.errstate(invalid="ignore", divide="ignore"):  # two-sided rows: rebuilt below
+            off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+        norm = b + 1.0  # 1 / the weight's mass
+        two = a[:, 0] != 0.0
+        if two.any():  # 2/s sqrt(k (k+a) (k+b) (k+a+b) / (s^2 - 1)), (k+a+b) / (s-1) = 1 at k = 1
+            a2, b2, s2 = a[two], b[two], s[two]
+            ratio = np.ones_like(s2)
+            ratio[:, 1:] = (k[:, 1:] + a2 + b2) / (s2[:, 1:] - 1.0)
+            off[two] = 2.0 / s2 * np.sqrt(k * (k + a2) * (k + b2) * ratio / (s2 + 1.0))
+            norm[two] = np.exp(-betaln(b2 + 1.0, a2 + 1.0))
         J = np.zeros((len(missing), n, n))
         idx = np.arange(n)
         J[:, idx, idx] = diag
@@ -587,7 +543,7 @@ def _jacobi_rules(n: int, exponents) -> dict:
                 / off[:, j:j + 1]
             total += p * p
         logy = np.log1p(x) - math.log(2.0)
-        w = 1.0 / (total * (b + 1.0))
+        w = 1.0 / (total * norm)
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(logy))):
             raise IntegrandSingularError(f"non-finite quadrature rule weights at exponents {missing}")
         for i, e in enumerate(missing):
@@ -596,6 +552,14 @@ def _jacobi_rules(n: int, exponents) -> dict:
                 arr.flags.writeable = False
             _RULES[(n, e)] = rule
     return {e: _RULES[(n, e)] for e in exponents}
+
+
+def _tensor_sum(vals, weights) -> float:
+    """The weighted sum of values on a tensor grid, one weight vector per axis."""
+    vals = np.broadcast_to(vals, tuple(len(w) for w in weights))
+    for w in reversed(weights):
+        vals = vals @ w
+    return float(vals)
 
 
 class _SectorFrame:
@@ -718,7 +682,6 @@ STACK_DIM = 2
 def _sector_level(descs, table: _SectorTable, E: np.ndarray, n: int) -> list[float]:
     """The sector rule at n nodes per axis: one value per member."""
     dim = table.dim
-    shape = (n,) * dim
     rules = _jacobi_rules(n, E.ravel().tolist())
     if dim <= STACK_DIM:
         frame = _StackFrame(table, E, rules, n)
@@ -730,11 +693,7 @@ def _sector_level(descs, table: _SectorTable, E: np.ndarray, n: int) -> list[flo
             frame = _SectorFrame(tree, {v: _on_axis(axes[d][0], d, dim)
                                         for d, v in enumerate(tree.axes)}, Es, desc)
             for j, vals in enumerate(_described_values(descs, frame, None)):
-                if np.shape(vals) != shape:
-                    vals = np.broadcast_to(vals, shape)
-                for d in reversed(range(dim)):
-                    vals = vals @ axes[d][1]
-                totals[j] += float(vals)
+                totals[j] += _tensor_sum(vals, [w for _, w in axes])
     for v in totals:
         if not math.isfinite(v):
             raise IntegrandSingularError("non-finite deterministic quadrature values")
@@ -744,28 +703,43 @@ def _sector_level(descs, table: _SectorTable, E: np.ndarray, n: int) -> list[flo
 
 
 def _sector_rule(members, order, q: QuadSpec) -> list[tuple[float, float]]:
-    """(value, estimate) per member of a described family on one domain.
-
-    The levels add two nodes per axis while any member's relative
-    estimate exceeds ``SECTOR_RTOL``; a member that certifies keeps the
-    level it certified at, so its pair is the one a run on its own gives.
-    """
+    """(value, estimate) per member of a described family on one domain."""
     descs = [_describe(m, tuple(order)) for m in members]
     table = _sector_table(descs[0].N)
     E = _sector_exponents(descs, table)
     if np.any(E <= -1.0):
         raise DomainError("sector exponent at or below -1; integral diverges")
-    dim, sectors = table.dim, len(table.trees)
-    if dim == 0:  # the half-line's scale alone: exact
-        return [(v, 0.0) for v in _sector_level(descs, table, E, 1)]
+    return _refine(lambda active, n: _sector_level([descs[j] for j in active], table, E, n),
+                   len(members), table.dim, len(table.trees), q)
+
+
+def _tensor_level(members, order, aw: AxisWeights, n: int) -> list[float]:
+    """The chain frame's tensor rule at n nodes per axis, axis i the
+    Gauss-Jacobi rule of r^w0[i] (1-r)^w1[i]: one value per member."""
+    K = len(order)
+    rules = _jacobi_rules(n, list(zip(aw.w0, aw.w1)))
+    axes = [rules[w] for w in zip(aw.w0, aw.w1)]
+    frame = _ChainFrame([_on_axis(ly, i, K) for i, (ly, _) in enumerate(axes)],
+                        [_on_axis(np.log(-np.expm1(ly)), i, K) for i, (ly, _) in enumerate(axes)])
+    totals = [_tensor_sum(vals, [w for _, w in axes])
+              for vals in _frame_values(members, order, aw, frame)]
+    if not all(math.isfinite(v) for v in totals):
+        raise IntegrandSingularError("non-finite deterministic quadrature values")
+    return totals
+
+
+def _refine(level, count: int, dim: int, grids: int, q: QuadSpec) -> list[tuple[float, float]]:
+    """(value, estimate) per member of a family on one domain, from the
+    active members' values ``level(active, n)`` on ``grids`` tensor grids
+    of dimension ``dim``; a member that certifies keeps its level."""
     n = q.nodes_for(dim)
-    active = list(range(len(members)))
-    prev = _sector_level(descs, table, E, max(1, n - 2))
-    cur = _sector_level(descs, table, E, n)
-    out = [None] * len(members)
+    active = list(range(count))
+    prev = level(active, max(1, n - 2))
+    cur = level(active, n)
+    out = [None] * count
     while True:
         grow = (not q.nodes_per_axis and n + 2 <= SECTOR_MAX_NODES
-                and sectors * (n + 2) ** dim <= SECTOR_MAX_GRID)
+                and grids * (n + 2) ** dim <= SECTOR_MAX_GRID)
         still = []
         for j, v, v2 in zip(active, cur, prev):
             est = abs(v - v2)
@@ -778,7 +752,7 @@ def _sector_rule(members, order, q: QuadSpec) -> list[tuple[float, float]]:
         n += 2
         active = [j for j, _ in still]
         prev = [v for _, v in still]
-        cur = _sector_level([descs[j] for j in active], table, E, n)
+        cur = level(active, n)
 
 
 # ---------------------------------------------------------------------------
@@ -833,9 +807,9 @@ def integrate_domain(integrand: Integrand, M: OrderMap, q: QuadSpec, p: ParamSet
     rules, frames and power product.  Returns one (value, error estimate)
     per member.  The deterministic scheme is available up to rule
     dimension 4: k1 + k2 <= 4 on [0,1], and 5 on the half-line, whose
-    overall scale is integrated in closed form.  Described integrands
-    take the sector rule, black boxes the smoothed tensor rule.  Monte
-    Carlo handles everything else.
+    overall scale is integrated in closed form: the sector rule for
+    described integrands, the tensor rule for black boxes.  Monte Carlo
+    handles everything else.
     """
     members = (integrand, *more)
     for ig in more:  # the weight (kind, indices, fn) is all that may differ
@@ -861,10 +835,8 @@ def integrate_domain(integrand: Integrand, M: OrderMap, q: QuadSpec, p: ParamSet
             raise DomainError("deterministic scheme requires k1 + k2 <= 4 (5 on the half-line)")
         if integrand.kind != "callable":
             return _sector_rule(members, order, q)
-        n = q.nodes_per_axis or BLACK_BOX_NODES[dim]
-        vals = _det_value(members, order, aw, n, q.smooth_order)
-        vals2 = _det_value(members, order, aw, max(6, (2 * n) // 3), q.smooth_order)
-        return [(v, abs(v - v2)) for v, v2 in zip(vals, vals2)]
+        return _refine(lambda active, n: _tensor_level([members[j] for j in active], order, aw, n),
+                       len(members), dim, 1, q)
     if q.scheme != "monte_carlo":
         raise DomainError(f"unknown quadrature scheme {q.scheme!r}")
     return _mc_value(members, order, aw, q)

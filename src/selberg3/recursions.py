@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .closed_forms import j_closed_form, selberg_rhs
+from .closed_forms import j_closed_form
 from .errors import InconsistentSystemError, PivotZeroError
 from .integrands import is_admissible
 from .logreal import LogSigned
@@ -248,31 +248,4 @@ def jjl_shift_residuals(p: ParamSet) -> list[float]:
         left = left_tab.value((0, l, 0))
         right = right_tab.value((p.k1, p.k2, p.k2 - l))
         out.append(abs((left / right).to_float() - 1.0))
-    return out
-
-
-def jjl_shift_check(p: ParamSet, l: int) -> float:
-    """Residual of the parameter-shift identity at one l
-    (see :func:`jjl_shift_residuals`)."""
-    if not 0 <= l <= p.k2:
-        raise InconsistentSystemError(f"need 0 <= l <= k2, got l={l}")
-    return jjl_shift_residuals(p)[l]
-
-
-def aomoto_ratio_residuals(k: int, p: ParamSet) -> list[float]:
-    """Residuals of (alpha+(k-l-1)g) I_l = (beta+lg) I_{l+1}, l = 0..k-1."""
-    from .closed_forms import aomoto_rhs
-
-    a, b, g = p.alpha, p.beta, p.gamma
-    out = []
-    vals = [aomoto_rhs(k, l, p).to_float() for l in range(k + 1)]
-    for l in range(k):
-        lhs = (a + (k - l - 1) * g) * vals[l]
-        rhs = (b + l * g) * vals[l + 1]
-        out.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-    # boundary identities against the plain product form
-    s_b1 = selberg_rhs(p.with_(k1=k, k2=0, beta1=p.beta + 1.0)).to_float()
-    s_a1 = selberg_rhs(p.with_(k1=k, k2=0, alpha=p.alpha + 1.0)).to_float()
-    out.append(abs(vals[0] - s_b1) / abs(s_b1))
-    out.append(abs(vals[k] - s_a1) / abs(s_a1))
     return out

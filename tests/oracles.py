@@ -26,9 +26,13 @@ checks, except the references that the package must reproduce:
   point by point and integrate by rejection, apart from the chain
   decomposition;
 * the black-box chain-quadrature reference takes the package's per-axis
-  rules (``_axis_rule``) and lays the frame out over the full node mesh,
-  one integrand and one domain at a time, the way the broadcast tensor
-  frame and the integrand families replaced, bit for bit;
+  rules (``_jacobi_rules``) and lays the frame out over the full node
+  mesh, one integrand and one domain at a time, the way the broadcast
+  tensor frame and the integrand families replaced; it sums the mesh
+  axis by axis in the package's order, so it matches bit for bit;
+* the one-sided Gauss-Jacobi reference (``one_sided_jacobi_rules``) is
+  the rule builder as it was before it took a weight at y = 1, which
+  the package must still reproduce bit for bit at A = 0;
 * the sector-rule reference (``heap_trees``, ``brute_sector_values``,
   ``brute_domain_value``) loops over the sectors, found as the Cartesian
   trees of every ordering of the gaps, and over the nodes of scipy's
@@ -451,7 +455,7 @@ def per_member_chain_decomp(p, budget, seed, tol):
     rng = np.random.default_rng(seed)
     k1, k2 = p.k1, p.k2
     chain = unit_chain(k1, k2)
-    spec = _quad_spec(budget, seed, default_nodes=24)
+    spec = _quad_spec(budget, seed)
     degs = [(rng.integers(0, 4, size=k1), rng.integers(0, 4, size=k2)) for _ in range(20)]
     worst = None
     for degs_t, degs_s in degs:
@@ -590,8 +594,8 @@ def sum_over_total_lattice(p, bound, seed=7919):
 
 
 # ---------------------------------------------------------------------------
-# deterministic chain quadrature: the full node mesh the broadcast frame
-# replaces
+# deterministic chain quadrature of black boxes: the full node mesh the
+# broadcast frame replaces
 # ---------------------------------------------------------------------------
 
 def mesh(cols):
@@ -616,110 +620,77 @@ class MeshChainFrame:
         return self.LS[:, i] + np.log(-np.expm1(inner))
 
 
-def _mesh_rational_weight(integrand, order, frame):
-    kind, n = integrand.kind, frame.n
-    if kind == "plain":
-        return np.ones(n)
-    k1, k2 = integrand.k1, integrand.k2
-    if kind == "callable":
-        t = np.empty((n, k1))
-        s = np.empty((n, k2))
-        for i, (knd, idx) in enumerate(order):
-            (t if knd == "t" else s)[:, idx - 1] = frame.C[:, i]
-        return integrand.fn(t, s)
-    pos_t = {idx: i for i, (knd, idx) in enumerate(order) if knd == "t"}
-    pos_s = {idx: i for i, (knd, idx) in enumerate(order) if knd == "s"}
-    tval = [frame.C[:, pos_t[a]] for a in range(1, k1 + 1)]
-    omt = [frame.OM[:, pos_t[a]] for a in range(1, k1 + 1)]
-    oms = [frame.OM[:, pos_s[b]] for b in range(1, k2 + 1)]
+def mesh_det_value(integrand, order, aw, n):
+    """The tensor rule of a black box on one domain at n nodes per axis,
+    every array laid out over the full node mesh.
 
-    def gap_st(b, a):
-        pa, pb = pos_s[b + 1], pos_t[a + 1]
-        if pa < pb:
-            return np.exp(frame.lgap(pa, pb))
-        return -1.0 * np.exp(frame.lgap(pb, pa))
-
-    kk = k1 - k2
-    total = np.zeros(n)
-    if kind == "g":
-        for sigma in permutations(range(k1)):
-            for tau in permutations(range(k2)):
-                term = np.ones(n)
-                for b in range(k2):
-                    term = term / gap_st(tau[b], sigma[b + kk])
-                total += term
-    elif kind in ("h", "ht"):
-        l1, l2, m = integrand.indices
-        for sigma in permutations(range(k1)):
-            base = np.ones(n)
-            for aa in range(l1):
-                base = base * tval[sigma[aa]]
-            for aa in range(l1, k1):
-                base = base * omt[sigma[aa]]
-            for tau in permutations(range(k2)):
-                term = base.copy()
-                for b in range(m):
-                    numer = omt[sigma[b]] if kind == "ht" else oms[tau[b]]
-                    term = term * numer / gap_st(tau[b], sigma[b])
-                for b in range(l2, k2):
-                    term = term * oms[tau[b]] / gap_st(tau[b], sigma[b + kk])
-                total += term
-    return total / (factorial(k1) * factorial(k2))
-
-
-def mesh_det_value(integrand, order, aw, n, q):
-    """One tensor Gauss-Jacobi rule on one domain, every array laid out
-    over the full node mesh.
-
-    The per-axis rules come from the package's ``_axis_rule``; the frame,
-    weight and sum are the full-size path the broadcast frame replaced,
-    which the package must reproduce bit for bit.
+    The per-axis rules come from the package's ``_jacobi_rules``, axis i
+    at the weight r^w0[i] (1-r)^w1[i]; the frame, the coordinate rows and
+    the values are the full-size path the broadcast frame replaced, which
+    the package must reproduce bit for bit.
     """
-    from selberg3.quadrature import _axis_rule
+    from selberg3.quadrature import _jacobi_rules
 
     K = len(order)
-    a, g, b1, b2 = integrand.alpha, integrand.gamma, integrand.beta1, integrand.beta2
-    rules = [_axis_rule(n, aw.w0[i], aw.w1[i], q) for i in range(K)]
-    LOGR = mesh([r[0] for r in rules])
-    LOGX = mesh([r[1] for r in rules])
-    W = np.prod(mesh([r[2] for r in rules]), axis=1)
-    frame = MeshChainFrame(LOGR, LOGX)
+    rules = _jacobi_rules(n, list(zip(aw.w0, aw.w1)))
+    axes = [rules[w] for w in zip(aw.w0, aw.w1)]
+    LOGR = mesh([ly for ly, _ in axes])
+    frame = MeshChainFrame(LOGR, np.log(-np.expm1(LOGR)))
     logf = np.zeros(frame.n)
-    if integrand.kind != "callable":
-        for i, (kndi, _) in enumerate(order):
-            if kndi == "t":
-                logf += (a - 1.0) * frame.LS[:, i] + (b1 - 1.0) * frame.LOM[:, i]
-            else:
-                logf += (b2 - 1.0) * frame.LOM[:, i]
-        for i in range(K):
-            for j in range(i + 1, K):
-                expo = 2.0 * g if order[i][0] == order[j][0] else -g
-                logf += expo * frame.lgap(i, j)
     for i in range(1, K):
         logf += frame.LS[:, i - 1]
     for i in range(K):
-        logf -= aw.w0[i] * LOGR[:, i] + aw.w1[i] * LOGX[:, i]
-    vals = np.exp(logf) * _mesh_rational_weight(integrand, order, frame)
-    return float(np.dot(W, vals))
+        logf -= aw.w0[i] * LOGR[:, i] + aw.w1[i] * frame.LOGX[:, i]
+    t = np.empty((frame.n, integrand.k1))
+    s = np.empty((frame.n, integrand.k2))
+    for i, (knd, idx) in enumerate(order):
+        (t if knd == "t" else s)[:, idx - 1] = frame.C[:, i]
+    vals = (np.exp(logf) * integrand.fn(t, s)).reshape((n,) * K)
+    for _, w in reversed(axes):
+        vals = vals @ w
+    return float(vals)
 
 
 def mesh_chain_value(integrand, chain, q):
-    """The deterministic chain integral of a black box and its error
-    estimate from ``mesh_det_value`` on each domain, at the two rules the
-    package pairs; the domains' estimates add linearly."""
+    """The deterministic chain integral of a black box at the fixed pair
+    (n-2, n), n = ``q.nodes_per_axis``, from ``mesh_det_value`` on each
+    domain: the value at n and |v(n) - v(n-2)|, added linearly."""
     from selberg3.chains import merged_order
-    from selberg3.quadrature import BLACK_BOX_NODES, facet_exponents
+    from selberg3.quadrature import facet_exponents
 
-    k1, k2 = integrand.k1, integrand.k2
-    n = q.nodes_per_axis or BLACK_BOX_NODES[k1 + k2]
+    k1, k2, n = integrand.k1, integrand.k2, q.nodes_per_axis
     total = err = 0.0
     for M, coeff in chain.terms:
         order, aw = merged_order(M, k1, k2), facet_exponents(integrand, M)
-        val = mesh_det_value(integrand, order, aw, n, q.smooth_order)
-        val2 = mesh_det_value(integrand, order, aw, max(6, (2 * n) // 3), q.smooth_order)
+        val = mesh_det_value(integrand, order, aw, n)
         total += coeff * val
-        err += abs(coeff) * abs(val - val2)
+        err += abs(coeff) * abs(val - mesh_det_value(integrand, order, aw, n - 2))
     return total, err
+
+
+def one_sided_jacobi_rules(n, exponents):
+    """{E: (log y, weight)} of the n-node Gauss-Jacobi rules for y^E on
+    [0,1], built by one batched solve the way the package built them
+    before its rules took a weight at y = 1."""
+    missing = sorted(set(exponents))
+    b = np.array(missing)[:, None]
+    k = np.arange(1, n)[None, :]
+    s = 2.0 * k + b
+    diag = np.hstack([b / (b + 2.0), b * b / (s * (s + 2.0))])
+    off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    J = np.zeros((len(missing), n, n))
+    idx = np.arange(n)
+    J[:, idx, idx] = diag
+    J[:, idx[1:], idx[:-1]] = off
+    x = np.linalg.eigvalsh(J)
+    p_prev, p, total = 0.0, np.ones_like(x), np.ones_like(x)
+    for j in range(n - 1):
+        p_prev, p = p, ((x - diag[:, j:j + 1]) * p - p_prev * (off[:, j - 1:j] if j else 0.0)) \
+            / off[:, j:j + 1]
+        total += p * p
+    logy = np.log1p(x) - np.log(2.0)
+    w = 1.0 / (total * (b + 1.0))
+    return {e: (logy[i], w[i]) for i, e in enumerate(missing)}
 
 
 # ---------------------------------------------------------------------------
@@ -1125,3 +1096,56 @@ def brute_domain_value(ig, order, n, members=()):
     rows = {tree.parent: E[s] for s, tree in enumerate(table.trees)}
     return sum(brute_sector_sum(ig, order, parent, [float(e) for e in rows[parent]], n)
                for parent in heap_trees(descs[0].N))
+
+
+# ---------------------------------------------------------------------------
+# paper content that no registered identity reaches
+# ---------------------------------------------------------------------------
+
+def nk_constant(k: int, alpha: float, gamma: float):
+    """Complex normalization constant of the looping-contour comparison.
+
+    Returned as (magnitude, phase), the magnitude a ``LogSigned``; the
+    phase is reduced to (-pi, pi].
+    """
+    import cmath
+    import math
+
+    from selberg3.errors import DegenerateError
+    from selberg3.logreal import LogSigned
+
+    sg = math.sin(math.pi * gamma)
+    if abs(sg) < 1e-12:
+        raise DegenerateError(f"sin(pi*gamma) vanishes at gamma={gamma!r}")
+    acc = complex(1.0, 0.0)
+    mag = LogSigned.one()
+    for j in range(k):
+        val = (2j * cmath.exp(1j * math.pi * alpha)
+               * math.sin(math.pi * (alpha + j * gamma))
+               * math.sin(math.pi * (gamma + j * gamma)) / sg)
+        r, phi = cmath.polar(val)
+        if r == 0.0:
+            return LogSigned.zero(), 0.0
+        mag = mag * LogSigned(1, math.log(r))
+        acc *= cmath.exp(1j * phi)
+    return mag, cmath.phase(acc)
+
+
+def aomoto_ratio_residuals(k: int, p) -> list[float]:
+    """Residuals of (alpha+(k-l-1)g) I_l = (beta+lg) I_{l+1}, l = 0..k-1,
+    between the package's moment closed forms, then of the two boundary
+    moments against the plain product form."""
+    from selberg3.closed_forms import aomoto_rhs, selberg_rhs
+
+    a, b, g = p.alpha, p.beta, p.gamma
+    out = []
+    vals = [aomoto_rhs(k, l, p).to_float() for l in range(k + 1)]
+    for l in range(k):
+        lhs = (a + (k - l - 1) * g) * vals[l]
+        rhs = (b + l * g) * vals[l + 1]
+        out.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+    s_b1 = selberg_rhs(p.with_(k1=k, k2=0, beta1=p.beta + 1.0)).to_float()
+    s_a1 = selberg_rhs(p.with_(k1=k, k2=0, alpha=p.alpha + 1.0)).to_float()
+    out.append(abs(vals[0] - s_b1) / abs(s_b1))
+    out.append(abs(vals[k] - s_a1) / abs(s_a1))
+    return out

@@ -184,7 +184,7 @@ def test_criterion_10_eps_limit_link():
 
 def test_criterion_11_moment_integrals():
     t0 = time.time()
-    from selberg3.recursions import aomoto_ratio_residuals
+    from oracles import aomoto_ratio_residuals
 
     worst_ratio = 0.0
     for k in range(1, 6):

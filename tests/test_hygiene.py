@@ -1,7 +1,10 @@
-"""Source hygiene: every name a module imports is used in it, and every
-private module-level function or class is read somewhere in the package."""
+"""Source hygiene: every name a module imports is used in it, every
+private module-level function or class is read somewhere in the package,
+and every public module-level name is read by package code or named in
+README's library surface."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -67,3 +70,56 @@ def test_detector_flags_an_unread_private_helper():
     source = "def _used():\n    pass\n\n\ndef _left():\n    pass\n\n\nclass _Kept:\n    f = _used\n"
     assert private_definitions(source) == {"_used", "_left", "_Kept"}
     assert private_definitions(source) - names_read(source) == {"_left", "_Kept"}
+
+
+README = SRC.parent.parent / "README.md"
+
+
+def public_definitions(source: str) -> set[str]:
+    """Module-level functions, classes and assigned names without a
+    leading '_'."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in out if not name.startswith("_")}
+
+
+def names_loaded(source: str) -> set[str]:
+    """Every bare name and attribute name the source reads, not counting
+    the names it binds."""
+    tree = ast.parse(source)
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def library_surface(readme: str) -> set[str]:
+    """Every identifier in README's "Library surface" section."""
+    section = readme.split("\n## Library surface\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"[A-Za-z_]\w*", section))
+
+
+def unreached_public_names(sources: dict, surface: set) -> list[str]:
+    """module.name of every public module-level name that no package
+    code reads (re-exports in ``__init__`` are not reads) and README's
+    library surface does not name."""
+    read = set().union(*(names_loaded(src) for mod, src in sources.items() if mod != "__init__"))
+    return sorted(f"{mod}.{name}" for mod, src in sources.items()
+                  for name in public_definitions(src) if name not in read | surface)
+
+
+def test_every_public_name_is_reached():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert sum(len(public_definitions(src)) for src in sources.values()) > 100
+    assert unreached_public_names(sources, library_surface(README.read_text())) == []
+
+
+def test_detector_flags_an_unreached_public_name():
+    sources = {"a": "LIMIT = 3\n\n\ndef used():\n    return LIMIT\n\n\ndef left():\n    pass\n",
+               "b": "from .a import used\n\nX = used()\n\n\nclass Named:\n    pass\n",
+               "__init__": "from .a import left\n"}
+    assert unreached_public_names(sources, {"Named"}) == ["a.left", "b.X"]

@@ -3,11 +3,13 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from oracles import (per_l_jjl_shift, per_member_aomoto, per_member_chain_decomp,
                      sequential_fval_support, sequential_limit_direction)
 from selberg3 import identities, lattice, quadrature, recursions
+from selberg3.cli import main
 from selberg3.chains import gamma_chain, unit_chain
 from selberg3.errors import (IntegrandSingularError, InvalidParamsError, LimitDisagreementError,
                              Selberg3Error)
@@ -374,7 +376,8 @@ class TestMendedBreaches:
 
 
 class TestSelb3Predicate:
-    """selb3 and selb30 admit only points where every cluster at 1 converges."""
+    """selb3, selb30 and exp3 admit only points where every cluster of points
+    converges: at 1, at 0 and inside the interval."""
 
     def test_divergent_cluster_at_one_is_rejected(self):
         # (1-s)^(beta2-1) (1-t)^(beta1-1) |s-t|^(-gamma-1): beta1+beta2-gamma <= 1
@@ -392,6 +395,57 @@ class TestSelb3Predicate:
         with pytest.raises(InvalidParamsError, match="diverges where points meet 1"):
             run_identity("selb30", p)
         assert run_identity("selb30", p.with_(beta1=0.25)).passed
+
+    def test_three_t_meeting_inside_diverge(self, capsys):
+        # three t's meeting inside with no s between: 6 gamma + 2 <= 0
+        p = ParamSet(k1=3, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.4)
+        for which in ("selb3", "selb30", "exp3"):
+            with pytest.raises(InvalidParamsError, match="diverges where points meet inside"):
+                run_identity(which, p)
+        code = main(["verify", "--identity", "selb30", "--k1", "3", "--k2", "1", "--alpha", "1.5",
+                     "--beta1", "1.2", "--beta2", "1.4", "--gamma", "-0.4"])
+        out, err = capsys.readouterr()
+        assert code == 2 and "meet inside" in err and "Traceback" not in err and out == ""
+
+    def test_cluster_of_t_at_zero(self):
+        # two t's meeting 0: t^(alpha-1) each, 2 alpha + 2 gamma <= 0
+        p = ParamSet(k1=2, k2=0, alpha=0.15, beta1=1.2, beta2=1.4, gamma=-0.2)
+        for which in ("selb3", "selb30", "exp3"):
+            with pytest.raises(InvalidParamsError, match="diverges where points meet 0"):
+                run_identity(which, p)
+        assert run_identity("selb30", p.with_(alpha=0.25)).passed
+
+    @pytest.mark.parametrize("which", ["selb3", "selb30", "exp3"])
+    def test_predicate_is_the_sector_rule_divergence(self, which):
+        # seeded points of the base region alpha, beta > 0, gamma in (-0.5, 0):
+        # an accepted point integrates on every domain without the sector
+        # rule's DomainError, and a rejected one raises it on some domain
+        from selberg3.chains import enumerate_maps
+        from selberg3.errors import DomainError
+        from selberg3.quadrature import integrate_domain
+
+        rng = np.random.default_rng(1800)
+        places = set()
+        for k1, k2 in ((1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (3, 1), (2, 2)):
+            for _ in range(10):
+                p = ParamSet(k1=k1, k2=k2, alpha=rng.uniform(0.02, 2.2),
+                             beta1=rng.uniform(0.02, 2.2), beta2=rng.uniform(0.02, 2.2),
+                             gamma=rng.uniform(-0.5, 0.0))
+                try:
+                    REGISTRY[which].validate(p)
+                    place = None
+                except InvalidParamsError as exc:
+                    place = str(exc).split("meet ")[1].split(":")[0]
+                ig = assembled_integrand(which, p)
+                raised = []
+                for M in enumerate_maps(k1, k2):
+                    try:
+                        integrate_domain(ig, M, QuadSpec(nodes_per_axis=2), p)
+                    except DomainError:
+                        raised.append(M)
+                assert bool(raised) == (place is not None), (p, place)
+                places.add(place)
+        assert places == ({None, "0", "inside"} if which == "exp3" else {None, "0", "1", "inside"})
 
 
 class TestMonteCarloTolerance:

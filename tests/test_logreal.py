@@ -11,7 +11,6 @@ from selberg3.errors import DegenerateError, PoleError
 from selberg3.logreal import (
     LogSigned,
     gamma_ratio,
-    gamma_reciprocal_signed,
     log_gamma_signed,
     power_log,
     sin_ratio,
@@ -106,12 +105,6 @@ class TestLogGamma:
         for x in xs:
             prod = (log_gamma_signed(x) * log_gamma_signed(1.0 - x)).to_float()
             assert prod * math.sin(math.pi * x) == pytest.approx(math.pi, rel=1e-10)
-
-    def test_reciprocal_gamma_zero_at_nonpositive_integers(self):
-        assert gamma_reciprocal_signed(0.0).sign == 0
-        assert gamma_reciprocal_signed(-5.0).sign == 0
-        assert gamma_reciprocal_signed(2.5).to_float() == pytest.approx(
-            1.0 / float(mp_gamma(2.5)), rel=1e-13)
 
 
 class TestGammaRatio:

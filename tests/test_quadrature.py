@@ -9,19 +9,19 @@ import pytest
 
 from oracles import (MeshChainFrame, brute_domain_value, brute_sector_values, cartesian_tree,
                      domain_monomial_integral, heap_trees, interleavings, mesh, mesh_chain_value,
-                     mesh_det_value, mp_gamma, mp_selberg_rhs, raw_mc_value, raw_ratio,
-                     simplex_monomial_integral)
+                     mesh_det_value, mp_gamma, mp_selberg_rhs, one_sided_jacobi_rules,
+                     raw_gap_integrand, raw_mc_value, raw_ratio, simplex_monomial_integral)
 from selberg3 import closed_forms as cf
 from selberg3 import quadrature
 from selberg3.chains import OrderMap, enumerate_maps, gamma_chain, merged_order, unit_chain
 from selberg3.errors import DomainError, InadmissibleTripleError
 from selberg3.integrands import Integrand, assembled_integrand
 from selberg3.params import ParamSet
-from selberg3.quadrature import (BLACK_BOX_NODES, QuadSpec, _axis_rule, _ChainFrame, _describe,
-                                 _described_values, _det_value, _frame_values, _jacobi_rules,
-                                 _mc_value, _on_axis, _sector_exponents, _sector_level,
-                                 _sector_table, _SectorFrame, _StackFrame, facet_exponents,
-                                 integrate_chain, integrate_domain, integrate_family)
+from selberg3.quadrature import (QuadSpec, _ChainFrame, _describe, _described_values,
+                                 _frame_values, _jacobi_rules, _mc_value, _on_axis,
+                                 _sector_exponents, _sector_level, _sector_table, _SectorFrame,
+                                 _StackFrame, _tensor_level, facet_exponents, integrate_chain,
+                                 integrate_domain, integrate_family)
 
 EMPTY_MAP = OrderMap(())
 
@@ -78,15 +78,17 @@ class TestDeterministic:
         ig = Integrand(smooth, 1, 0, "01", 0, a, 0.0, b, 1.0, kind="callable")
         p = ParamSet(k1=1, k2=0, alpha=a, beta1=b)
         errs = []
-        for n in (4, 8):
-            [(val, _)] = integrate_domain(ig, EMPTY_MAP, QuadSpec(nodes_per_axis=n), p)
+        for n in (2, 4, 6):
+            [(val, err)] = integrate_domain(ig, EMPTY_MAP, QuadSpec(nodes_per_axis=n), p)
+            assert abs(val - want) <= err + 1e-15 * want
             errs.append(abs(val - want))
-        # halving the spacing must gain at least the nominal order (4)
-        assert errs[1] <= errs[0] / 16.0
+        # the Gauss-Jacobi rule of the endpoint exponents leaves e^t, which
+        # is entire: every two nodes gain at least five digits, to rounding
+        assert errs[1] <= 1e-5 * errs[0] and errs[2] <= max(1e-5 * errs[1], 1e-15 * want)
 
         # a described integrand takes the sector rule, which converges
         # geometrically even at the coincidence corner of selb k=3, where
-        # the smoothed tensor rule decayed algebraically
+        # a tensor rule over the chain decays algebraically
         p = ParamSet(k1=3, k2=0, alpha=1.2, beta1=2.2, gamma=-0.25)
         ig = assembled_integrand("selb", p)
         want = float(mp_selberg_rhs(3, 1.2, 2.2, -0.25))  # the ordered chamber
@@ -195,7 +197,7 @@ class TestBroadcastFrame:
                              ids=[c[0] for c in FRAME_CASES])
     def test_matches_full_mesh(self, ig, k1, k2):
         K = k1 + k2
-        n = BLACK_BOX_NODES[K]
+        n = QuadSpec().nodes_for(K)
         maps = enumerate_maps(k1, k2)
         for M in {maps[0], maps[-1]}:
             order = merged_order(M, k1, k2)
@@ -205,8 +207,8 @@ class TestBroadcastFrame:
                     brute_domain_value(ig, order, m), rel=1e-13, abs=0.0)
                 continue
             aw = facet_exponents(ig, M)
-            for m in (n, max(6, (2 * n) // 3)):
-                assert _det_value([ig], order, aw, m, 4) == [mesh_det_value(ig, order, aw, m, 4)]
+            for m in (n - 2, n):
+                assert _tensor_level([ig], order, aw, m) == [mesh_det_value(ig, order, aw, m)]
 
     def test_both_coordinate_kinds_in_one_order(self):
         p = ParamSet(k1=2, k2=2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
@@ -220,30 +222,37 @@ class TestBroadcastFrame:
         assert len(kinds) == len(enumerate_maps(2, 2)) > 1
 
     def test_nodes_exponentially_close_to_unit_facet(self):
-        # smoothing order 12 puts nodes within ~1e-30 of r = 1, where a
-        # gap taken as a difference of cumulatives would cancel to zero;
-        # the chain frame that Monte Carlo evaluates through must not
+        # points within 1e-30 of r = 1, where a gap taken as a difference
+        # of cumulatives would cancel to zero: the chain frame that Monte
+        # Carlo and the tensor rule evaluate through must not, against the
+        # raw-gap integrand, whose gaps are products of the ratios
         p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
         ig = assembled_integrand("selb3", p)
+        x = np.array([0.3, 1e-9, 1e-30])  # 1 - r per axis
+        logr, logx = np.log1p(-x), np.log(x)
         for M in enumerate_maps(2, 1):
             order = merged_order(M, 2, 1)
             aw = facet_exponents(ig, M)
-            rules = [_axis_rule(48, aw.w0[i], aw.w1[i], 12) for i in range(3)]
-            assert rules[1][1].min() < -60.0
-            frame = _ChainFrame([_on_axis(r[0], i, 3) for i, r in enumerate(rules)],
-                                [_on_axis(r[1], i, 3) for i, r in enumerate(rules)])
-            vals = np.broadcast_to(next(_frame_values([ig], order, aw, frame)), frame.shape)
-            W = np.prod(mesh([r[2] for r in rules]), axis=1)
-            got = float(np.dot(W, vals.ravel()))
-            assert np.isfinite(got)
-            assert got == pytest.approx(mesh_det_value(ig, order, aw, 48, 12), rel=1e-12)
+            frame = _ChainFrame([_on_axis(logr, i, 3) for i in range(3)],
+                                [_on_axis(logx, i, 3) for i in range(3)])
+            got = np.broadcast_to(next(_frame_values([ig], order, aw, frame)), frame.shape).ravel()
+            assert np.all(np.isfinite(got))
+            for val, idx in zip(got, mesh([np.arange(3)] * 3)):
+                r, xi = 1.0 - x[idx], x[idx]
+                c = np.cumprod(r)
+                gaps = [xi[0], c[0] * xi[1], c[1] * xi[2], c[2]]
+                want = (raw_gap_integrand(ig, order, gaps) * c[0] * c[1]
+                        / np.prod(r ** np.array(aw.w0) * xi ** np.array(aw.w1)))
+                assert val == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("K,n,q", [(3, 88, 4), (4, 24, 4), (4, 24, 12)])
     def test_frame_arrays_match_full_mesh(self, K, n, q):
         # elementwise, so that a last-bit change the weighted sum happens
-        # to round away still shows
-        rules = [_axis_rule(n, 0.5 + 0.1 * i, -0.3 + 0.2 * i, q) for i in range(K)]
-        logr, logx = [r[0] for r in rules], [r[1] for r in rules]
+        # to round away still shows; q scales the exponents at r = 0
+        weights = [(q * (0.5 + 0.1 * i), -0.3 + 0.2 * i) for i in range(K)]
+        rules = _jacobi_rules(n, weights)
+        logr = [rules[w][0] for w in weights]
+        logx = [np.log(-np.expm1(v)) for v in logr]
         frame = _ChainFrame([_on_axis(v, i, K) for i, v in enumerate(logr)],
                             [_on_axis(v, i, K) for i, v in enumerate(logx)])
         ref = MeshChainFrame(mesh(logr), mesh(logx))
@@ -259,8 +268,8 @@ class TestBroadcastFrame:
                 assert np.array_equal(full(frame.lgap(i, j)), ref.lgap(i, j))
 
     def test_axis_rules_are_shared_and_read_only(self):
-        rule = _axis_rule(24, 0.3, -0.4, 4)
-        assert _axis_rule(24, 0.3, -0.4, 4) is rule
+        rule = _jacobi_rules(24, [(0.3, -0.4)])[(0.3, -0.4)]
+        assert _jacobi_rules(24, [(0.3, -0.4), 1.5])[(0.3, -0.4)] is rule
         for arr in rule:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -319,7 +328,7 @@ class TestFrameAgainstRawOracle:
     @pytest.mark.parametrize("ig,k1,k2", [c[1:] for c in FRAME_CASES + HALFLINE_CASES],
                              ids=[c[0] for c in FRAME_CASES + HALFLINE_CASES])
     def test_tensor_views(self, ig, k1, k2):
-        """Black boxes: the chain frame on the smoothed tensor nodes.
+        """Black boxes: the chain frame on the tensor rule's nodes.
         Described integrands: every sector's frame, on its own and all
         sectors stacked, against the per-sector oracle on raw gaps, point
         by point."""
@@ -329,12 +338,14 @@ class TestFrameAgainstRawOracle:
             order = merged_order(M, k1, k2)
             if ig.kind == "callable":
                 aw = facet_exponents(ig, M)
-                rules = [_axis_rule(10, aw.w0[i], aw.w1[i], 4) for i in range(K)]
-                frame = _ChainFrame([_on_axis(r[0], i, K) for i, r in enumerate(rules)],
-                                    [_on_axis(r[1], i, K) for i, r in enumerate(rules)])
+                weights = list(zip(aw.w0, aw.w1))
+                logr = [_jacobi_rules(10, weights)[w][0] for w in weights]
+                frame = _ChainFrame([_on_axis(v, i, K) for i, v in enumerate(logr)],
+                                    [_on_axis(np.log(-np.expm1(v)), i, K)
+                                     for i, v in enumerate(logr)])
                 got = np.broadcast_to(next(_frame_values([ig], order, aw, frame)),
                                       frame.shape).ravel()
-                R = np.exp(mesh([r[0] for r in rules]))
+                R = np.exp(mesh(logr))
                 _assert_close_where_separated(got, raw_ratio(ig, order, aw, R), _min_gap(R),
                                               raw_ratio(ig, order, aw, R, magnitude=True))
                 continue
@@ -536,9 +547,10 @@ class TestChainDecomposition:
                 return out
 
             ig = Integrand(poly, k1, k2, "01", 0, 1.0, 0.0, 1.0, 1.0, kind="callable")
-            got, _ = integrate_chain(ig, unit_chain(k1, k2), spec, p)
+            got, err = integrate_chain(ig, unit_chain(k1, k2), spec, p)
             want = float(simplex_monomial_integral(k1, k2, degs_t, degs_s))
-            assert got == pytest.approx(want, rel=1e-6)
+            assert got == pytest.approx(want, rel=1e-13)
+            assert abs(got - want) <= 3.0 * err + 1e-13 * want
 
     @pytest.mark.parametrize("k1,k2", [(2, 1), (2, 2), (3, 2), (4, 1), (3, 3)])
     def test_exact_tiling_identity(self, k1, k2):
@@ -642,6 +654,76 @@ class TestFamilies:
                 integrate_family(members, chain, q, p)
             with pytest.raises(ValueError, match="differ in more than their weight"):
                 integrate_domain(members[0], chain.terms[0][0], q, p, more=members[1:])
+
+
+class TestTensorRule:
+    """Black boxes: one Gauss-Jacobi rule builder and the sector rule's
+    levels on the chain frame."""
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 24])
+    def test_two_sided_rules_integrate_beta_moments(self, n):
+        # an n-node Gauss rule is exact for degree 2n - 1 against its weight:
+        # int y^(E+j) (1-y)^A dy = B(E+j+1, A+1), j < 2n, to rounding, near
+        # both ends, at a Chebyshev weight and at exponents near 300
+        weights = [(0.3, 0.7), (-0.5, -0.5), (-0.7, -0.8), (-0.95, 2.0), (2.0, -0.99),
+                   (0.0, 300.0), (299.5, 299.5), (3.0, 297.3), (0.0, 0.0), (1.5, 0.0)]
+        rules = _jacobi_rules(n, weights)
+        for E, A in weights:
+            ly, w = rules[(E, A)]
+            for j in range(2 * n):
+                got = mp.fsum(mp.mpf(wi) * mp.exp(j * mp.mpf(lyi)) for wi, lyi in zip(w, ly))
+                assert abs(got / mp.beta(E + j + 1, A + 1) - 1) < 1e-12, (E, A, j)
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 14, 64])
+    def test_one_sided_rules_are_unchanged(self, monkeypatch, n):
+        # A = 0 rules, asked alone, as pairs or next to two-sided rules,
+        # are bit for bit the one-sided builder's, so no sector rule moves
+        monkeypatch.setattr(quadrature, "_RULES", {})
+        E = [0.0, 0.5, 1.0, 3.0, -0.9, 2.75, 150.0, 299.7]
+        want = one_sided_jacobi_rules(n, E)
+        alone = _jacobi_rules(n, E)
+        mixed = _jacobi_rules(n, [(e, 0.0) for e in E] + [(e, 0.4) for e in E])
+        for e in E:
+            for ly, w in (alone[e], mixed[(e, 0.0)]):
+                assert np.array_equal(ly, want[e][0]) and np.array_equal(w, want[e][1])
+
+    @pytest.mark.parametrize("k1,k2", [(1, 0), (2, 1), (3, 1), (2, 2), (4, 0)])
+    def test_monomials_exact_on_every_domain(self, k1, k2):
+        # degree <= 3 per coordinate is degree <= 3K per ratio: the default
+        # levels, from 12 nodes on, are exact, and the bar is rounding
+        rng = np.random.default_rng(100 + 10 * k1 + k2)
+        p = ParamSet(k1=k1, k2=k2)
+        for M in enumerate_maps(k1, k2):
+            order = merged_order(M, k1, k2)
+            degs = [([int(d) for d in rng.integers(0, 4, size=k1)],
+                     [int(d) for d in rng.integers(0, 4, size=k2)]) for _ in range(3)]
+            members = [Integrand(_monomial(dt, ds), k1, k2, "01", 0, 1.0, 0.0, 1.0, 1.0,
+                                 kind="callable") for dt, ds in degs]
+            got = integrate_domain(members[0], M, QuadSpec(), p, more=members[1:])
+            for (dt, ds), (val, err) in zip(degs, got):
+                want = float(domain_monomial_integral(order, dt, ds))
+                assert abs(val - want) <= 1e-13 * want and err <= 1e-13 * want
+
+    def test_levels_refine_until_the_estimate_certifies(self):
+        # 1 / (1.08 - t1 t2) has a pole near the corner: the levels go on
+        # from the sector rule's start until the estimate certifies
+        def near_pole(t, s):
+            t = np.atleast_2d(t)
+            return 1.0 / (1.08 - t[:, 0] * t[:, 1])
+
+        ig = Integrand(near_pole, 2, 0, "01", 0, 1.0, 0.0, 1.0, 1.0, kind="callable")
+        order, aw = merged_order(EMPTY_MAP, 2, 0), facet_exponents(ig, EMPTY_MAP)
+        [(val, err)] = integrate_domain(ig, EMPTY_MAP, QuadSpec(), ParamSet(k1=2, k2=0))
+        levels = {n: _tensor_level([ig], order, aw, n)[0] for n in range(10, 32, 2)}
+        n = next(n for n in levels if levels[n] == val)
+        assert err == abs(levels[n] - levels[n - 2]) <= quadrature.SECTOR_RTOL * abs(val)
+        for m in range(QuadSpec().nodes_for(2), n, 2):
+            assert abs(levels[m] - levels[m - 2]) > quadrature.SECTOR_RTOL * abs(levels[m])
+        # an explicit node count fixes the pair
+        [(val, err)] = integrate_domain(ig, EMPTY_MAP, QuadSpec(nodes_per_axis=8),
+                                        ParamSet(k1=2, k2=0))
+        assert val == _tensor_level([ig], order, aw, 8)[0]
+        assert err == abs(val - _tensor_level([ig], order, aw, 6)[0])
 
 
 CATALAN = {2: 2, 3: 5, 4: 14, 5: 42}

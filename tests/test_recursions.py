@@ -8,11 +8,11 @@ from selberg3.errors import PivotZeroError
 from selberg3.integrands import is_admissible
 from selberg3.logreal import LogSigned
 from selberg3.params import ParamSet
+from oracles import aomoto_ratio_residuals
 from selberg3.recursions import (
     admissible_triples,
     all_relations,
-    aomoto_ratio_residuals,
-    jjl_shift_check,
+    jjl_shift_residuals,
     solve_both,
     solve_j,
     verify_relations,
@@ -128,12 +128,12 @@ class TestShiftIdentity:
     @pytest.mark.parametrize("k1,k2", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 1)])
     def test_shift_residuals(self, k1, k2):
         p = ParamSet(k1=k1, k2=k2, alpha=1.47, beta1=1.23, beta2=1.61, gamma=-0.17)
-        for l in range(k2 + 1):
-            assert jjl_shift_check(p, l) < 1e-8
+        residuals = jjl_shift_residuals(p)
+        assert len(residuals) == k2 + 1 and max(residuals) < 1e-8
 
     def test_k2_zero_trivial(self):
         p = ParamSet(k1=2, k2=0, alpha=1.5, beta1=1.2, gamma=-0.1)
-        assert jjl_shift_check(p, 0) < 1e-12
+        assert jjl_shift_residuals(p)[0] < 1e-12
 
 
 class TestAomotoSuite:
