@@ -95,10 +95,6 @@ class LatticePoint:
     def v(self) -> np.ndarray:
         return np.asarray(self.nv, dtype=float) + lattice_shift(self.k2, self.gamma)
 
-    @property
-    def in_cone(self) -> bool:
-        return integer_parts_in_cone(self.nu, self.nv, self.k1, self.k2)
-
 
 # ---------------------------------------------------------------------------
 # master function (sign, log) evaluation on real coordinates

@@ -1,9 +1,10 @@
-"""Log-signed real arithmetic and gamma-family primitives.
+"""Log-signed real products and gamma-family primitives.
 
 Every closed form in this package is a long product of gamma values and
 real powers.  Such products overflow float64 long before they become
 mathematically interesting, so they are carried as (sign, log of absolute
-value) pairs and only converted to plain floats at the very end.
+value) pairs, multiplied and divided in that form, and only converted to
+plain floats at the very end.  Sums are never formed in log form.
 
 The log-gamma kernel is the platform C library one (``math.lgamma``),
 which is good to ~15 significant digits for positive arguments; signs for
@@ -64,44 +65,6 @@ class LogSigned:
         if self.sign == 0:
             return LogSigned.zero()
         return LogSigned(self.sign * other.sign, self.logmag - other.logmag)
-
-    def __neg__(self) -> "LogSigned":
-        return LogSigned(-self.sign, self.logmag)
-
-    def __add__(self, other: "LogSigned") -> "LogSigned":
-        # Log-sum-exp anchored at the larger magnitude; exact cancellation
-        # of opposite equal-magnitude values yields the zero element.
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        big, small = (self, other) if self.logmag >= other.logmag else (other, self)
-        if self.sign == other.sign:
-            return LogSigned(big.sign, big.logmag + math.log1p(math.exp(small.logmag - big.logmag)))
-        if self.logmag == other.logmag:
-            return LogSigned.zero()
-        ratio = math.exp(small.logmag - big.logmag)
-        if ratio == 1.0:
-            return LogSigned.zero()
-        return LogSigned(big.sign, big.logmag + math.log1p(-ratio))
-
-    def __sub__(self, other: "LogSigned") -> "LogSigned":
-        return self + (-other)
-
-    def powi(self, n: int) -> "LogSigned":
-        """Integer power (sign-aware)."""
-        if self.sign == 0:
-            return LogSigned.one() if n == 0 else LogSigned.zero()
-        sign = 1 if (self.sign > 0 or n % 2 == 0) else -1
-        return LogSigned(sign, n * self.logmag)
-
-    def __abs__(self) -> "LogSigned":
-        if self.sign == 0:
-            return LogSigned.zero()
-        return LogSigned(1, self.logmag)
-
-    def isclose(self, other: "LogSigned", rel_tol: float = 1e-12) -> bool:
-        return math.isclose(self.to_float(), other.to_float(), rel_tol=rel_tol, abs_tol=0.0)
 
 
 def power_log(base: float, exponent: float) -> LogSigned:

@@ -5,6 +5,8 @@ triples (l1, l2, m) satisfy two relation families each: one advancing l1
 at fixed (l2, m), one advancing l2.  For generic parameters the whole
 table follows from the single seed value at (0, 0, 0).
 
+The table is linear in its seed, so it is solved once in plain floats at
+a unit seed; the seed's log-signed value scales an entry when it is read.
 The solver walks columns (l2 ascending, l1 ascending) and fills each
 column from the top of its m-chain downward.  Every pivot divides by a
 beta-shifted coefficient; the only other division is the 2x2 column-top
@@ -39,21 +41,19 @@ def admissible_triples(k1: int, k2: int) -> list[tuple]:
 
 @dataclass
 class JTable:
-    """Solved table of one family, with provenance per entry."""
+    """Solved table of one family: the entries solve the relations at a
+    unit seed, and ``seed`` scales them at read-out."""
 
     k1: int
     k2: int
     params: ParamSet
     twisted: bool
-    entries: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
+    seed: LogSigned
+    entries: dict = field(default_factory=dict)  # triple -> float, at seed 1
     pivot_ids: set = field(default_factory=set)
 
     def value(self, triple) -> LogSigned:
-        return self.entries[triple]
-
-    def floats(self) -> dict:
-        return {t: v.to_float() for t, v in self.entries.items()}
+        return self.seed * LogSigned.from_float(self.entries[triple])
 
 
 @dataclass(frozen=True)
@@ -117,94 +117,58 @@ def _guard(coeff: float, what: str) -> float:
     return coeff
 
 
+def _step(tab: JTable, rels: list[Relation], targets: list[tuple]) -> None:
+    """Solve relations for as many entries, every other entry they touch
+    being known: one relation for its beta-shifted pivot entry, or two
+    for the column top at l1 = l2 by Cramer's rule."""
+    rows = []
+    for rel in rels:
+        coeffs, rhs = [0.0] * len(targets), 0.0
+        for coeff, triple in rel.terms:
+            if triple in targets:
+                coeffs[targets.index(triple)] = coeff
+            else:
+                rhs -= coeff * tab.entries[triple]
+        rows.append((coeffs, rhs))
+    if len(rows) == 1:
+        [([pivot], rhs)] = rows
+        values = [rhs / _guard(pivot, f"beta-shifted {rels[0].rid}")]
+    else:
+        ([a11, a12], ra), ([b11, b12], rb) = rows
+        det = _guard(a11 * b12 - a12 * b11, "column-top determinant")
+        values = [(b12 * ra - a12 * rb) / det, (a11 * rb - b11 * ra) / det]
+    tab.entries.update(zip(targets, values))
+    tab.pivot_ids.update(rel.rid for rel in rels)
+
+
 def solve_j(p: ParamSet, seed_value: LogSigned, twisted: bool = False) -> JTable:
-    """Fill the whole table from the seed entry at (0, 0, 0)."""
+    """Fill the whole table from the seed entry at (0, 0, 0).
+
+    The table is linear in its seed, so it is solved in plain floats at a
+    unit seed, and ``seed_value`` is applied when an entry is read."""
     k1, k2 = p.k1, p.k2
-    a, b1, b2, g = p.alpha, p.beta1, p.beta2, p.gamma
-    tab = JTable(k1, k2, p, twisted)
-    tab.entries[(0, 0, 0)] = seed_value
-    tab.provenance[(0, 0, 0)] = "seed"
-
-    def set_entry(triple, value, how, rid=None):
-        tab.entries[triple] = value
-        tab.provenance[triple] = how
-        if rid is not None:
-            tab.pivot_ids.add(rid)
-
-    def from_b(l1, l2, m):
-        """Solve relation B at (l1, l2, m) for the (l1, l2, m) entry."""
-        rel = _relation_b(p, l1, l2, m, twisted)
-        target = (l1, l2, m)
-        acc = LogSigned.zero()
-        pivot = None
-        for coeff, triple in rel.terms:
-            if triple == target:
-                pivot = _guard(coeff, "beta2-shifted")
-                continue
-            acc = acc + LogSigned.from_float(coeff) * tab.entries[triple]
-        set_entry(target, acc / LogSigned.from_float(-pivot), "relation", rel.rid)
-
-    def from_a(l1, l2, m):
-        """Solve relation A at (l1, l2, m) for the (l1+1, l2, m) entry."""
-        rel = _relation_a(p, l1, l2, m, twisted)
-        target = (l1 + 1, l2, m)
-        acc = LogSigned.zero()
-        pivot = None
-        for coeff, triple in rel.terms:
-            if triple == target:
-                pivot = _guard(coeff, "beta1-shifted")
-                continue
-            acc = acc + LogSigned.from_float(coeff) * tab.entries[triple]
-        set_entry(target, acc / LogSigned.from_float(-pivot), "relation", rel.rid)
-
+    tab = JTable(k1, k2, p, twisted, seed_value, {(0, 0, 0): 1.0})
+    rels = {rel.rid: rel for rel in all_relations(p, twisted)}
+    a, b = ("A~", "B~") if twisted else ("A", "B")
     for l2 in range(k2 + 1):
         for l1 in range(k1 - k2 + l2 + 1):
-            if l1 == 0 and l2 == 0:
-                continue
-            if l1 == 0:
-                from_b(0, l2, 0)
-                continue
-            mtop = min(l1, l2)
-            if l1 > l2:
-                from_a(l1 - 1, l2, l2)
-                rest = range(mtop - 1, -1, -1)
+            top = min(l1, l2)
+            if l1 == l2 > 0:
+                # the column top needs two relations solved jointly
+                _step(tab, [rels[(a, l1 - 1, l2, top - 1)], rels[(b, l1, l2, top - 1)]],
+                      [(l1, l2, top - 1), (l1, l2, top)])
+                top -= 1
+            elif l1 > l2:
+                _step(tab, [rels[(a, l1 - 1, l2, top)]], [(l1, l2, top)])
             elif l1 < l2:
-                from_b(l1, l2, l1)
-                rest = range(mtop - 1, -1, -1)
-            else:
-                d = l1
-                # column top needs two relations solved jointly
-                rel_a = _relation_a(p, d - 1, d, d - 1, twisted)
-                rel_b = _relation_b(p, d, d, d - 1, twisted)
-                x_t, y_t = (d, d, d - 1), (d, d, d)
+                _step(tab, [rels[(b, l1, l2, top)]], [(l1, l2, top)])
+            for m in range(top - 1, -1, -1):
+                _step(tab, [rels[(a, l1 - 1, l2, m)]], [(l1, l2, m)])
 
-                def split(rel):
-                    cx = cy = 0.0
-                    rhs = LogSigned.zero()
-                    for coeff, triple in rel.terms:
-                        if triple == x_t:
-                            cx = coeff
-                        elif triple == y_t:
-                            cy = coeff
-                        else:
-                            rhs = rhs + LogSigned.from_float(-coeff) * tab.entries[triple]
-                    return cx, cy, rhs
-
-                a11, a12, ra = split(rel_a)
-                b11, b12, rb = split(rel_b)
-                det = _guard(a11 * b12 - a12 * b11, "column-top determinant")
-                det_ls = LogSigned.from_float(det)
-                xval = (LogSigned.from_float(b12) * ra - LogSigned.from_float(a12) * rb) / det_ls
-                yval = (LogSigned.from_float(a11) * rb - LogSigned.from_float(b11) * ra) / det_ls
-                set_entry(y_t, yval, "relation", rel_a.rid)
-                set_entry(x_t, xval, "relation", rel_b.rid)
-                rest = range(d - 2, -1, -1)
-            for m in rest:
-                from_a(l1 - 1, l2, m)
-
-    missing = [t for t in admissible_triples(k1, k2) if t not in tab.entries]
-    if missing:
-        raise InconsistentSystemError(f"solver left entries unfilled: {missing}")
+    bad = [t for t in admissible_triples(k1, k2)
+           if not math.isfinite(tab.entries.get(t, math.nan))]
+    if bad:
+        raise InconsistentSystemError(f"solver left entries unfilled or non-finite: {bad}")
     return tab
 
 
@@ -216,7 +180,7 @@ def verify_relations(table: JTable, p: ParamSet) -> list[tuple]:
     """
     out = []
     for rel in all_relations(p, table.twisted):
-        terms = [coeff * table.entries[triple].to_float() for coeff, triple in rel.terms]
+        terms = [coeff * table.entries[triple] for coeff, triple in rel.terms]
         scale = max(abs(x) for x in terms) if terms else 0.0
         resid = abs(math.fsum(terms)) / scale if scale > 0 else 0.0
         out.append((rel.rid, resid, rel.rid in table.pivot_ids))

@@ -16,6 +16,9 @@ checks, except the references that the package must reproduce:
   ``sequential_limit_direction``, ``per_l_jjl_shift``) evaluate one point
   at a time and solve both shifted tables once per l, the way the
   one-batch engines replaced, bit for bit;
+* the exact recursion table (``exact_unit_table``) takes the package's
+  relation coefficients, each float converted exactly, and walks the
+  solver's columns in ``Fraction`` arithmetic at a unit seed;
 * the per-member engine references (``per_member_aomoto``,
   ``per_member_chain_decomp``) integrate each moment or monomial as its
   own chain integral, the way the integrand-family engines replaced,
@@ -363,7 +366,7 @@ def sequential_point_value(pt, p, seed=7919, include_weight=True):
 def sequential_fval_support(p, budget, seed, tol):
     """The support check one lattice point at a time: in-cone values in one
     batch, then each off-cone point on its own, in draw order."""
-    from selberg3.integrands import LatticePoint
+    from selberg3.integrands import LatticePoint, integer_parts_in_cone
     from selberg3.lattice import cone_array, lattice_values
 
     rng = np.random.default_rng(seed)
@@ -376,9 +379,8 @@ def sequential_fval_support(p, budget, seed, tol):
     while len(off) < npts:
         nu = tuple(int(x) for x in rng.integers(-4, 8, size=k1))
         nv = tuple(int(x) for x in rng.integers(-4, 8, size=k2))
-        pt = LatticePoint(nu, nv, p.gamma)
-        if not pt.in_cone:
-            off.append(pt)
+        if not integer_parts_in_cone(nu, nv, k1, k2):
+            off.append(LatticePoint(nu, nv, p.gamma))
     worst = 0.0
     for pt in off:
         worst = max(worst, abs(sequential_point_value(pt, p, seed=seed)))
@@ -419,6 +421,48 @@ def per_l_jjl_shift(p, l):
     left = left_tab.value((0, l, 0))
     right = right_tab.value((p.k1, p.k2, p.k2 - l))
     return abs((left / right).to_float() - 1.0)
+
+
+def exact_unit_table(p, twisted=False) -> dict:
+    """The recursion table at a unit seed in exact rationals.
+
+    The solver's column walk in ``Fraction`` arithmetic over the package's
+    relation coefficients, each float converted exactly: the exact table
+    for those coefficients, so a float table's distance from it is the
+    rounding of the solve alone."""
+    from selberg3.recursions import all_relations
+
+    rels = {rel.rid: [(Fraction(c), t) for c, t in rel.terms]
+            for rel in all_relations(p, twisted)}
+    a, b = ("A~", "B~") if twisted else ("A", "B")
+    J = {(0, 0, 0): Fraction(1)}
+
+    def row(rid, targets):
+        coeffs, rhs = [Fraction(0)] * len(targets), Fraction(0)
+        for c, t in rels[rid]:
+            if t in targets:
+                coeffs[targets.index(t)] += c
+            else:
+                rhs -= c * J[t]
+        return coeffs, rhs
+
+    for l2 in range(p.k2 + 1):
+        for l1 in range(p.k1 - p.k2 + l2 + 1):
+            m = min(l1, l2)
+            if l1 == l2 > 0:
+                x, y = (l1, l2, m - 1), (l1, l2, m)
+                (a11, a12), ra = row((a, l1 - 1, l2, m - 1), [x, y])
+                (b11, b12), rb = row((b, l1, l2, m - 1), [x, y])
+                det = a11 * b12 - a12 * b11
+                J[x], J[y] = (b12 * ra - a12 * rb) / det, (a11 * rb - b11 * ra) / det
+                m -= 1
+            elif l1 != l2:
+                (c,), r = row((a, l1 - 1, l2, m) if l1 > l2 else (b, l1, l2, m), [(l1, l2, m)])
+                J[(l1, l2, m)] = r / c
+            for m in range(m - 1, -1, -1):
+                (c,), r = row((a, l1 - 1, l2, m), [(l1, l2, m)])
+                J[(l1, l2, m)] = r / c
+    return J
 
 
 def per_member_aomoto(p, budget, seed, tol):

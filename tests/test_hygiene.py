@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in it, every
 private module-level function or class is read somewhere in the package,
-and every public module-level name is read by package code or named in
-README's library surface."""
+and every public module-level name, and every public method or property
+of a public class, is read by package code or named in README's library
+surface."""
 
 import ast
 import re
@@ -77,7 +78,8 @@ README = SRC.parent.parent / "README.md"
 
 def public_definitions(source: str) -> set[str]:
     """Module-level functions, classes and assigned names without a
-    leading '_'."""
+    leading '_', and ``Class.method`` for every method or property of a
+    public class without one."""
     out = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -85,6 +87,9 @@ def public_definitions(source: str) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             out.update(t.id for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            out.update(f"{node.name}.{item.name}" for item in node.body
+                       if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
     return {name for name in out if not name.startswith("_")}
 
 
@@ -104,12 +109,14 @@ def library_surface(readme: str) -> set[str]:
 
 
 def unreached_public_names(sources: dict, surface: set) -> list[str]:
-    """module.name of every public module-level name that no package
-    code reads (re-exports in ``__init__`` are not reads) and README's
-    library surface does not name."""
+    """module.name of every public name that no package code reads
+    (re-exports in ``__init__`` are not reads) and README's library
+    surface does not name; a method counts as read when any attribute of
+    its name is."""
     read = set().union(*(names_loaded(src) for mod, src in sources.items() if mod != "__init__"))
     return sorted(f"{mod}.{name}" for mod, src in sources.items()
-                  for name in public_definitions(src) if name not in read | surface)
+                  for name in public_definitions(src)
+                  if name.rsplit(".", 1)[-1] not in read | surface)
 
 
 def test_every_public_name_is_reached():
@@ -121,5 +128,10 @@ def test_every_public_name_is_reached():
 def test_detector_flags_an_unreached_public_name():
     sources = {"a": "LIMIT = 3\n\n\ndef used():\n    return LIMIT\n\n\ndef left():\n    pass\n",
                "b": "from .a import used\n\nX = used()\n\n\nclass Named:\n    pass\n",
-               "__init__": "from .a import left\n"}
-    assert unreached_public_names(sources, {"Named"}) == ["a.left", "b.X"]
+               "c": "class Box:\n    def __len__(self):\n        return 0\n\n"
+                    "    @property\n    def size(self):\n        return self.fill()\n\n"
+                    "    def fill(self):\n        return 1\n\n"
+                    "    def spill(self):\n        return 2\n\n\n"
+                    "class _Hidden:\n    def gone(self):\n        pass\n\n\nBox().size\n",
+               "__init__": "from .a import left\nfrom .c import Box\n"}
+    assert unreached_public_names(sources, {"Named"}) == ["a.left", "b.X", "c.Box.spill"]

@@ -17,7 +17,7 @@ from oracles import (
 from selberg3 import closed_forms as cf
 from selberg3.errors import LimitDisagreementError
 from selberg3.identities import Budget, run_identity
-from selberg3.integrands import LatticePoint, lattice_shift, phi_sign_log
+from selberg3.integrands import LatticePoint, integer_parts_in_cone, lattice_shift, phi_sign_log
 from selberg3.lattice import (
     TABLE_START,
     FactorTables,
@@ -62,7 +62,7 @@ class TestEnumeration:
             assert pt.u[0] == pytest.approx(pt.nu[0] + gamma)
             assert pt.u[1] == pt.nu[1]
             assert pt.v[0] == pt.nv[0]
-            assert pt.in_cone
+            assert integer_parts_in_cone(pt.nu, pt.nv, 2, 1)
 
 
 SHELL_SHAPES = [(1, 0), (3, 0), (1, 1), (2, 2), (3, 2), (3, 3), (4, 2)]

@@ -32,27 +32,10 @@ class TestLogSigned:
         # one unit of roundoff on the log scale: rel error up to |log x| * eps
         assert back == pytest.approx(x, rel=2e-13)
 
-    def test_opposite_equal_magnitudes_cancel_to_zero(self):
-        a = LogSigned(1, 1.2345)
-        b = LogSigned(-1, 1.2345)
-        assert (a + b).sign == 0
-
-    @given(st.floats(min_value=-1e6, max_value=1e6),
-           st.floats(min_value=-1e6, max_value=1e6))
-    @settings(max_examples=200)
-    def test_addition_matches_floats(self, x, y):
-        got = (LogSigned.from_float(x) + LogSigned.from_float(y)).to_float()
-        assert got == pytest.approx(x + y, rel=1e-12, abs=1e-9)
-
     def test_zero_is_absorbing_for_multiply(self):
         z = LogSigned.zero()
         assert (z * LogSigned(1, 5.0)).sign == 0
         assert (LogSigned(-1, 5.0) * z).sign == 0
-
-    def test_integer_power(self):
-        a = LogSigned.from_float(-2.0)
-        assert a.powi(3).to_float() == pytest.approx(-8.0)
-        assert a.powi(2).to_float() == pytest.approx(4.0)
 
     def test_power_log_rejects_negative_base(self):
         with pytest.raises(DegenerateError):

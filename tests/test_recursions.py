@@ -1,14 +1,17 @@
 """Recursion system: solver, residuals, closed-form corners, shifts."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from selberg3 import closed_forms as cf
-from selberg3.errors import PivotZeroError
+from selberg3.errors import InconsistentSystemError, PivotZeroError
+from selberg3.identities import run_identity
 from selberg3.integrands import is_admissible
 from selberg3.logreal import LogSigned
 from selberg3.params import ParamSet
-from oracles import aomoto_ratio_residuals
+from oracles import aomoto_ratio_residuals, exact_unit_table
 from selberg3.recursions import (
     admissible_triples,
     all_relations,
@@ -98,7 +101,7 @@ class TestSolver:
     def test_corrupted_table_fails_residuals(self):
         p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
         tab, _ = solve_both(p)
-        tab.entries[(1, 1, 0)] = tab.entries[(1, 1, 0)] * LogSigned.from_float(1.01)
+        tab.entries[(1, 1, 0)] *= 1.01
         worst = max(r for _, r, _ in verify_relations(tab, p))
         assert worst > 1e-4
 
@@ -109,11 +112,56 @@ class TestSolver:
         with pytest.raises(PivotZeroError):
             solve_both(p)
 
-    def test_provenance_recorded(self):
-        p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
-        tab, _ = solve_both(p)
-        assert tab.provenance[(0, 0, 0)] == "seed"
-        assert all(v in ("seed", "relation") for v in tab.provenance.values())
+
+# worst relative error of a unit-seed float table against the exact walk
+EXACT_WALK_BOUNDS = {(2, 1): 3e-14, (2, 2): 3e-14, (3, 2): 3e-14, (8, 0): 3e-14,
+                     (4, 3): 2e-12, (4, 4): 2e-12, (5, 3): 1e-10}
+
+# two (4, 4) points where the walk is ill-conditioned (alpha, beta1, beta2, gamma)
+POINT_A = (0.12047200123749455, 0.24341129963433877, 2.895160953473054, -0.17743075995130247)
+POINT_B = (1.935608529594337, 0.7333134824465303, 2.870393401729174, -0.4018877802087702)
+
+
+class TestUnitSeedTables:
+    @pytest.mark.parametrize("k1,k2", list(EXACT_WALK_BOUNDS))
+    def test_float_table_matches_exact_walk(self, k1, k2):
+        rng = np.random.default_rng(500 + 10 * k1 + k2)
+        worst = 0.0
+        for _ in range(40):
+            p = random_params(rng, k1, k2)
+            for twisted in (False, True):
+                tab = solve_j(p, LogSigned.one(), twisted)
+                exact = exact_unit_table(p, twisted)
+                assert set(tab.entries) == set(exact)
+                worst = max(worst, max(abs((Fraction(tab.entries[t]) - x) / x)
+                                       for t, x in exact.items()))
+        assert worst <= EXACT_WALK_BOUNDS[(k1, k2)]
+
+    def test_entry_out_of_float_range_is_named(self):
+        p = ParamSet(k1=3, k2=0, alpha=1e200, beta1=1.2, gamma=-0.1)
+        with pytest.raises(InconsistentSystemError, match="non-finite"):
+            solve_j(p, LogSigned.one())
+
+    def test_seed_scales_entries_at_read_out(self):
+        p = ParamSet(k1=3, k2=2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+        seed = cf.j_closed_form("J000", p)
+        tab = solve_j(p, seed)
+        assert tab.seed == seed and tab.entries[(0, 0, 0)] == 1.0
+        for triple, x in tab.entries.items():
+            assert tab.value(triple) == seed * LogSigned.from_float(x)
+
+    def test_point_b_passes_every_recursion_identity(self):
+        a, b1, b2, g = POINT_B
+        p = ParamSet(k1=4, k2=4, alpha=a, beta1=b1, beta2=b2, gamma=g)
+        for ident in ("jjj_relations", "j0k", "jjl_shift"):
+            rec = run_identity(ident, p)
+            assert rec.passed, (ident, rec.rel_dev, rec.tolerance)
+
+    def test_point_a_residual_pinned(self):
+        # a known breach of the 1e-10 default, set by the walk's conditioning
+        a, b1, b2, g = POINT_A
+        p = ParamSet(k1=4, k2=4, alpha=a, beta1=b1, beta2=b2, gamma=g)
+        assert run_identity("jjj_relations", p).rel_dev <= 3e-10
 
 
 class TestRelationInstances:
