@@ -149,13 +149,12 @@ def aomoto_rhs(k: int, ell: int, p: ParamSet) -> LogSigned:
     return pre * selberg_rhs(p.with_(k1=k, k2=0, beta1=b + 1))
 
 
-def j_closed_form(which: str, p: ParamSet, l: int = 0, m: int = 0) -> LogSigned:
+def j_closed_form(which: str, p: ParamSet, m: int = 0) -> LogSigned:
     """Boundary closed forms of the end-point integral family.
 
     ``which`` is one of:
 
     * ``"J000"``  -- the seed, R(alpha, beta1+1, beta2+1);
-    * ``"J0l0"``  -- the (0,l,0) entry, a rational multiple of the seed;
     * ``"J0k20"`` -- the (0,k2,0) entry, the no-weight chain value at beta1+1;
     * ``"Jk1k20"``-- the (k1,k2,0) entry, the no-weight chain value at alpha+1;
     * ``"Jtk1k2m"`` -- the twisted (k1,k2,m) entry, rational multiple of
@@ -164,13 +163,6 @@ def j_closed_form(which: str, p: ParamSet, l: int = 0, m: int = 0) -> LogSigned:
     k1, k2, a, b1, b2, g = p.k1, p.k2, p.alpha, p.beta1, p.beta2, p.gamma
     if which == "J000":
         return sl3_selberg_rhs(p.with_(beta1=b1 + 1, beta2=b2 + 1))
-    if which == "J0l0":
-        if not 0 <= l <= k2:
-            raise DomainError(f"need 0 <= l <= k2, got l={l}")
-        out = j_closed_form("J000", p)
-        for i in range(l):
-            out = out * LogSigned.from_float(-(k1 - k2 + 1 + i) * g) / LogSigned.from_float(b2 + i * g)
-        return out
     if which == "J0k20":
         return sl3_selberg0_rhs(p.with_(beta1=b1 + 1))
     if which == "Jk1k20":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,20 +65,7 @@ class VerificationRecord:
     note: str = ""
 
     def as_dict(self) -> dict:
-        d = {
-            "identity_id": self.identity_id,
-            "params": self.params.as_dict(),
-            "lhs": self.lhs,
-            "lhs_err": self.lhs_err,
-            "rhs": self.rhs,
-            "rel_dev": self.rel_dev,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "seed": self.seed,
-            "runtime_ms": self.runtime_ms,
-            "note": self.note,
-        }
-        return d
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ finite values are obtained either directly (when every factor is
 regular) or as directional limits with Richardson extrapolation.  The
 checks evaluate batches of points through ``lattice.lattice_values``,
 which takes the singular ones to ``limit_pairs``; ``f_limit`` is its
-one-point case.  The summand's singular structure is described once, by
-``lattice_bases`` and ``factor_args``; the lattice factor tables, the
-choice of probe directions and the probe check all derive from that
+one-point case.  The summand is described once, by ``lattice_bases``
+and ``factor_args``: every factor is ``factor_table`` at its argument,
+and ``master_sign_log`` adds the factor logs in one fixed order.  The
+point evaluator ``phi_sign_log``, the lattice factor tables, the choice
+of probe directions and the probe check all derive from that
 description.  The continuous family is described, not
 evaluated: ``assembled_integrand`` returns an ``Integrand`` naming the
 interval, the power-product exponents and rates and the kind of
@@ -100,78 +102,65 @@ class LatticePoint:
 # master function (sign, log) evaluation on real coordinates
 # ---------------------------------------------------------------------------
 
-def _sign_log_gamma(x, pole_tol: float = POLE_TOL):
-    """(sign, log|Gamma|) elementwise; raises when an argument is at a pole."""
-    x = np.asarray(x, dtype=float)
-    near = (x < 0.5) & (np.abs(x - np.round(x)) <= pole_tol)
-    if np.any(near):
-        raise PoleError(f"gamma pole at argument {x[near].flat[0]!r}")
-    return gammasgn(x), gammaln(x)
-
-
-def _sign_log_recip_gamma(x, zero_tol: float):
-    """(sign, log) of 1/Gamma(x); arguments within zero_tol of a nonpositive
-    integer give an exact zero (sign 0)."""
-    x = np.asarray(x, dtype=float)
-    zero = (x < 0.5) & (np.abs(x - np.round(x)) <= zero_tol)
-    safe = np.where(zero, 1.0, x)
-    sign = np.where(zero, 0.0, gammasgn(safe))
-    logm = np.where(zero, 0.0, -gammaln(safe))
-    return sign, logm
-
-
-def _sign_log_value(x):
-    """(sign, log|x|) of a plain factor; log of 0 is guarded by the caller."""
-    x = np.asarray(x, dtype=float)
-    sign = np.sign(x)
-    with np.errstate(divide="ignore"):
-        logm = np.where(sign == 0.0, 0.0, np.log(np.abs(np.where(sign == 0.0, 1.0, x))))
-    return sign, logm
-
-
-def phi_sign_log(u: np.ndarray, v: np.ndarray, p: ParamSet, zero_tol: float = 1e-12):
+def phi_sign_log(u: np.ndarray, v: np.ndarray, p: ParamSet):
     """Master-product value on real (u, v) batches as (sign, logmag) arrays.
 
-    Reciprocal gamma factors at nonpositive integers contribute exact
-    zeros; numerator gammas at poles raise :class:`PoleError`.
+    Every factor is ``factor_table`` at its ``factor_args`` argument, at
+    tolerance ``POLE_TOL``: reciprocal gamma factors at nonpositive
+    integers contribute exact zeros, and numerator gammas at poles raise
+    :class:`PoleError`.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    n = u.shape[0]
     k1, k2 = u.shape[1], v.shape[1]
-    a, g = p.alpha, p.gamma
+    bases = lattice_bases(k1, k2)
+    c = np.hstack((u, v, np.zeros((u.shape[0], 1))))
+    x = c[:, [b[1] for b in bases]] - c[:, [b[2] for b in bases]]
+    signs, logs = [], [[] for _ in bases]
+    for family in ("u", "vu", "pair"):
+        # one factor_table call per factor covers every base of the family
+        cols = [i for i, b in enumerate(bases) if b[0] == family]
+        for kind, arg in factor_args(family, x[:, cols], p) if cols else ():
+            if kind == "den":  # a weight denominator only
+                continue
+            sign, logm, singular = factor_table(kind, arg, POLE_TOL)
+            if kind == "num" and singular.any():
+                raise PoleError(f"gamma pole at argument {arg[singular][0]!r}")
+            signs.append(sign.prod(axis=1))
+            for j, b in enumerate(cols):
+                logs[b].append(logm[:, j])
+    return master_sign_log(p, u, v, signs, lambda b, f: logs[b][f])
+
+
+def master_sign_log(p: ParamSet, u: np.ndarray, v: np.ndarray, signs, factor_log):
+    """(sign, log|Phi|) of the master product from its factors.
+
+    ``signs`` yields factor signs in any order.  ``factor_log(b, f)`` is
+    the log of master-product factor f, in ``factor_args`` order, on base
+    b of ``lattice_bases``; each is asked for once, when it is added.
+    The logs are added up in one fixed order, so every evaluator of the
+    product agrees bit for bit: the z1 power, the 'u' family, the z2
+    power, the 'vu' family, then each pair's three factors in turn.  A
+    family adds one factor position at a time, as a row sum over its
+    bases.
+    """
+    n = u.shape[0]
     sign = np.ones(n)
-    logm = np.zeros(n)
-
-    def accumulate(s, l):
-        nonlocal sign, logm
+    for s in signs:
         sign = sign * s
-        logm = logm + l
-
-    if k1:
-        logm = logm + math.log(p.z1) * u.sum(axis=1)
-        s1, l1 = _sign_log_gamma(u + a)
-        accumulate(s1.prod(axis=1), l1.sum(axis=1))
-        s2, l2 = _sign_log_recip_gamma(u + 1.0, zero_tol)
-        accumulate(s2.prod(axis=1), l2.sum(axis=1))
-    if k2:
-        logm = logm + math.log(p.z2) * v.sum(axis=1)
-    if k1 and k2:
-        dvu = v[:, None, :] - u[:, :, None]  # (n, k1, k2)
-        s3, l3 = _sign_log_gamma(dvu - g + 1.0)
-        accumulate(s3.reshape(n, -1).prod(axis=1), l3.reshape(n, -1).sum(axis=1))
-        s4, l4 = _sign_log_recip_gamma(dvu + 1.0, zero_tol)
-        accumulate(s4.reshape(n, -1).prod(axis=1), l4.reshape(n, -1).sum(axis=1))
-    for block, kk in ((u, k1), (v, k2)):
-        for i in range(kk):
-            for j in range(i + 1, kk):
-                d = block[:, i] - block[:, j]
-                s5, l5 = _sign_log_value(d)
-                accumulate(s5, l5)
-                s6, l6 = _sign_log_gamma(d + g)
-                accumulate(s6, l6)
-                s7, l7 = _sign_log_recip_gamma(d - g + 1.0, zero_tol)
-                accumulate(s7, l7)
+    families = [b[0] for b in lattice_bases(u.shape[1], v.shape[1])]
+    logm = np.zeros(n)
+    for z, block, family in ((p.z1, u, "u"), (p.z2, v, "vu")):
+        if block.shape[1]:
+            logm = logm + math.log(z) * block.sum(axis=1)
+        for f in range(2):
+            column = [factor_log(b, f) for b, fam in enumerate(families) if fam == family]
+            if column:
+                logm = logm + np.stack(column, axis=1).sum(axis=1)
+    for b, fam in enumerate(families):
+        if fam == "pair":
+            for f in range(3):
+                logm = logm + factor_log(b, f)
     return sign, logm
 
 
@@ -253,7 +242,7 @@ def lattice_bases(k1: int, k2: int) -> tuple:
 
     One (family, plus, minus) per base quantity x = c[plus] - c[minus] of
     the coordinates c = (u_0..u_{k1-1}, v_0..v_{k2-1}, 0), in the order
-    ``phi_sign_log`` multiplies their factors: family 'u' is x = u_i (minus
+    ``master_sign_log`` reads their factors: family 'u' is x = u_i (minus
     is the trailing constant 0), 'vu' is x = v_j - u_i (i-major) and
     'pair' is x = b_i - b_j for i < j, within u and then within v.
     """
@@ -271,9 +260,9 @@ def factor_args(family: str, x, p: ParamSet) -> tuple:
     'num' is a numerator Gamma(arg), singular at a nonpositive integer;
     'recip' is 1/Gamma(arg), an exact zero there; 'lin' is the plain
     factor arg, which is also a weight denominator; 'den' is a weight
-    denominator only.  Each argument is the float expression
-    ``phi_sign_log`` and ``weight_w`` evaluate, so values built from it
-    match theirs bit for bit.
+    denominator only.  Every evaluator of the master product takes its
+    arguments from here, and a weight denominator is the float expression
+    ``weight_w`` evaluates, so values built from it match bit for bit.
     """
     a, g = p.alpha, p.gamma
     if family == "u":
@@ -300,19 +289,23 @@ def factor_table(kind: str, arg: np.ndarray, tol: float = NEAR_SINGULAR_TOL):
     """(sign, log, singular) of one factor over an array of arguments.
 
     Singular entries are flagged, never raised; their sign and log are
-    placeholders.  A 'den' factor is not part of the master product and
-    has sign and log None.
+    placeholders.  A 'recip' factor within tol of a nonpositive integer is
+    an exact zero, sign 0 and log 0.  A 'den' factor is not part of the
+    master product and has sign and log None.
     """
     singular = _factor_singular(kind, arg, tol)
+    if kind == "den":
+        return None, None, singular
+    if kind == "lin":
+        sign = np.sign(arg)
+        return sign, np.log(np.abs(np.where(sign == 0.0, 1.0, arg))), singular
+    # Gamma(1) = 1 stands in at a pole
+    at_pole = singular if kind == "num" else _near_nonpos_int(arg, tol)
+    safe = np.where(at_pole, 1.0, arg)
+    sign, logm = gammasgn(safe), gammaln(safe)
     if kind == "num":
-        sign, logm = _sign_log_gamma(np.where(singular, 1.0, arg))
-    elif kind == "recip":
-        sign, logm = _sign_log_recip_gamma(arg, tol)
-    elif kind == "lin":
-        sign, logm = _sign_log_value(arg)
-    else:
-        sign = logm = None
-    return sign, logm, singular
+        return sign, logm, singular
+    return np.where(at_pole, 0.0, sign), np.where(at_pole, 0.0, -logm), singular
 
 
 def _factor_args_at(c: list, k1: int, k2: int, p: ParamSet):

@@ -14,8 +14,9 @@ quantities of ``integrands.lattice_bases``), so ``FactorTables`` holds
 each factor's (sign, log) and singular flag once per series, over the
 integer range in use; ``sum_discrete`` doubles that range when a block
 passes it.  A block's regularity mask and regular product are gathers
-from these tables, reduced in the order ``phi_sign_log`` uses, so they
-are bit-identical to it.  A shell's singular points are directional
+from these tables, reduced by ``integrands.master_sign_log`` like every
+evaluation of the product, so they are bit-identical to
+``phi_sign_log``.  A shell's singular points are directional
 limits, probed together in one batch (``integrands.limit_pairs``), and
 only for the shells up to the stopping shell.
 
@@ -39,6 +40,7 @@ from .integrands import (
     lattice_bases,
     lattice_shift,
     limit_pairs,
+    master_sign_log,
     weight_w,
 )
 from .logreal import power_log
@@ -98,7 +100,6 @@ def cone_integer_parts(k1: int, k2: int, bound: int):
 
 @dataclass(frozen=True)
 class _BaseTable:
-    family: str
     plus: int
     minus: int | None       # None for a one-part base
     sign: np.ndarray | None  # None where every sign is +1
@@ -113,13 +114,13 @@ class FactorTables:
     (a 'u' base) or two (the others), so every factor on it is a table
     over them: length W = hi - lo + 1, or W*W stored flat.  Per base the
     tables hold the product of its factors' signs, the log of each factor
-    in product order, and whether any factor is singular.  Entries use
-    the float expressions of ``phi_sign_log``, so a product gathered from
-    them is bit-identical to it.
+    in product order, and whether any factor is singular.  Entries are
+    ``factor_table`` values, as in ``phi_sign_log``, so a product gathered
+    from them is bit-identical to it.
     """
 
     def __init__(self, k1: int, k2: int, p: ParamSet, lo: int, hi: int):
-        self.k1, self.k2, self.p = k1, k2, p
+        self.p = p
         self.lo, self.hi, self.width = lo, hi, hi - lo + 1
         parts = np.arange(lo, hi + 1, dtype=float)
         shifts = np.concatenate((lattice_shift(k1, p.gamma), lattice_shift(k2, p.gamma)))
@@ -136,7 +137,7 @@ class FactorTables:
                     sign = sign * s
                     logs.append(logm.ravel())
             self.bases.append(_BaseTable(
-                family, plus, None if one_part else minus,
+                plus, None if one_part else minus,
                 None if np.all(sign == 1.0) else sign.ravel(), logs,
                 singular.ravel() if singular.any() else None))
 
@@ -155,33 +156,12 @@ class FactorTables:
         return ~bad
 
     def sign_log(self, index: list, U: np.ndarray, V: np.ndarray):
-        """Master product, reduced as ``phi_sign_log`` does; rows with a
-        singular factor get placeholder values."""
-        n = U.shape[0]
-        sign = np.ones(n)
-        logm = np.zeros(n)
-        for b, ix in zip(self.bases, index):
-            if b.sign is not None:
-                sign = sign * b.sign.take(ix)
-
-        def family_sum(family, f):
-            return np.stack([b.logs[f].take(ix) for b, ix in zip(self.bases, index)
-                             if b.family == family], axis=1).sum(axis=1)
-
-        if self.k1:
-            logm = logm + math.log(self.p.z1) * U.sum(axis=1)
-            logm = logm + family_sum("u", 0)
-            logm = logm + family_sum("u", 1)
-        if self.k2:
-            logm = logm + math.log(self.p.z2) * V.sum(axis=1)
-        if self.k1 and self.k2:
-            logm = logm + family_sum("vu", 0)
-            logm = logm + family_sum("vu", 1)
-        for b, ix in zip(self.bases, index):
-            if b.family == "pair":
-                for table in b.logs:
-                    logm = logm + table.take(ix)
-        return sign, logm
+        """Master product through ``integrands.master_sign_log``; rows with
+        a singular factor get placeholder values."""
+        return master_sign_log(
+            self.p, U, V,
+            (b.sign.take(ix) for b, ix in zip(self.bases, index) if b.sign is not None),
+            lambda b, f: self.bases[b].logs[f].take(index[b]))
 
 
 def lattice_values(NU: np.ndarray, NV: np.ndarray, p: ParamSet,

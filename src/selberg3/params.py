@@ -7,7 +7,7 @@ fields that an identity does not use are simply ignored by it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import InvalidParamsError
 
@@ -49,13 +49,4 @@ class ParamSet:
         return replace(self, **kwargs)
 
     def as_dict(self) -> dict:
-        return {
-            "k1": self.k1,
-            "k2": self.k2,
-            "alpha": self.alpha,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "gamma": self.gamma,
-            "z1": self.z1,
-            "z2": self.z2,
-        }
+        return asdict(self)

@@ -41,7 +41,7 @@ def admissible_triples(k1: int, k2: int) -> list[tuple]:
 
 @dataclass
 class JTable:
-    """Solved table of one family: the entries solve the relations at a
+    """Solved table of one family: the entries solve ``relations`` at a
     unit seed, and ``seed`` scales them at read-out."""
 
     k1: int
@@ -51,6 +51,7 @@ class JTable:
     seed: LogSigned
     entries: dict = field(default_factory=dict)  # triple -> float, at seed 1
     pivot_ids: set = field(default_factory=set)
+    relations: list = field(default_factory=list)  # every relation instance
 
     def value(self, triple) -> LogSigned:
         return self.seed * LogSigned.from_float(self.entries[triple])
@@ -147,8 +148,9 @@ def solve_j(p: ParamSet, seed_value: LogSigned, twisted: bool = False) -> JTable
     The table is linear in its seed, so it is solved in plain floats at a
     unit seed, and ``seed_value`` is applied when an entry is read."""
     k1, k2 = p.k1, p.k2
-    tab = JTable(k1, k2, p, twisted, seed_value, {(0, 0, 0): 1.0})
-    rels = {rel.rid: rel for rel in all_relations(p, twisted)}
+    tab = JTable(k1, k2, p, twisted, seed_value, {(0, 0, 0): 1.0},
+                 relations=all_relations(p, twisted))
+    rels = {rel.rid: rel for rel in tab.relations}
     a, b = ("A~", "B~") if twisted else ("A", "B")
     for l2 in range(k2 + 1):
         for l1 in range(k1 - k2 + l2 + 1):
@@ -175,11 +177,12 @@ def solve_j(p: ParamSet, seed_value: LogSigned, twisted: bool = False) -> JTable
 def verify_relations(table: JTable, p: ParamSet) -> list[tuple]:
     """Relative residual of every relation instance against the table.
 
-    Returns [(relation id, residual, used_as_pivot)]; residuals are
-    |sum(coeff * value)| / max |coeff * value|.
+    The relations are the ones the table was solved from, at its own
+    parameters ``p``.  Returns [(relation id, residual, used_as_pivot)];
+    residuals are |sum(coeff * value)| / max |coeff * value|.
     """
     out = []
-    for rel in all_relations(p, table.twisted):
+    for rel in table.relations:
         terms = [coeff * table.entries[triple] for coeff, triple in rel.terms]
         scale = max(abs(x) for x in terms) if terms else 0.0
         resid = abs(math.fsum(terms)) / scale if scale > 0 else 0.0

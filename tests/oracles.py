@@ -5,11 +5,16 @@ possible, explicit loops over permutations, high-precision special
 functions from mpmath.  None of it shares code with the package paths it
 checks, except the references that the package must reproduce:
 
-* the lattice-summand references run the package's point evaluators
-  (``phi_sign_log``, ``weight_w``, ``f_off_lattice``) point by point, and
-  draw each point's probe directions one at a time with their own copy
-  of the draw rule, the way the factor tables and the candidate block
-  replaced;
+* the hand-written master product (``hand_phi_sign_log``) writes the
+  summand's gamma factors out family by family on raw coordinates, with
+  its own sign-log helpers, and adds their logs in the order the package
+  fixes; the package derives the same product from one description of
+  its factors, as ``phi_sign_log`` and through the factor tables, and
+  must match it bit for bit;
+* the lattice-summand references run ``hand_phi_sign_log`` and the
+  package's ``weight_w`` and ``f_off_lattice`` point by point, and draw
+  each point's probe directions one at a time with their own copy of the
+  draw rule, the way the factor tables and the candidate block replaced;
 * the series reference (``shell_by_shell_sum``) evaluates one shell of
   the cone at a time, the way the blocks of shells replaced, bit for bit;
 * the per-record check references (``sequential_fval_support``,
@@ -56,10 +61,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, inf, sqrt
+from math import factorial, inf, log, sqrt
 
 import mpmath as mp
 import numpy as np
+from scipy.special import gammaln, gammasgn
 
 mp.mp.dps = 40
 
@@ -212,6 +218,87 @@ def mp_selberg_rhs(k, a, b, g) -> mp.mpf:
 # lattice summand: the point-by-point path the factor tables replace
 # ---------------------------------------------------------------------------
 
+def _sign_log_gamma(x, pole_tol=1e-12):
+    """(sign, log|Gamma|) elementwise; raises when an argument is at a pole."""
+    from selberg3.errors import PoleError
+
+    x = np.asarray(x, dtype=float)
+    near = (x < 0.5) & (np.abs(x - np.round(x)) <= pole_tol)
+    if np.any(near):
+        raise PoleError(f"gamma pole at argument {x[near].flat[0]!r}")
+    return gammasgn(x), gammaln(x)
+
+
+def _sign_log_recip_gamma(x, zero_tol):
+    """(sign, log) of 1/Gamma(x); arguments within zero_tol of a nonpositive
+    integer give an exact zero (sign 0)."""
+    x = np.asarray(x, dtype=float)
+    zero = (x < 0.5) & (np.abs(x - np.round(x)) <= zero_tol)
+    safe = np.where(zero, 1.0, x)
+    sign = np.where(zero, 0.0, gammasgn(safe))
+    logm = np.where(zero, 0.0, -gammaln(safe))
+    return sign, logm
+
+
+def _sign_log_value(x):
+    """(sign, log|x|) of a plain factor; log of 0 is guarded by the caller."""
+    x = np.asarray(x, dtype=float)
+    sign = np.sign(x)
+    with np.errstate(divide="ignore"):
+        logm = np.where(sign == 0.0, 0.0, np.log(np.abs(np.where(sign == 0.0, 1.0, x))))
+    return sign, logm
+
+
+def hand_phi_sign_log(u, v, p, zero_tol=1e-12):
+    """The master product on real (u, v) batches as (sign, logmag) arrays,
+    written out factor family by factor family on raw coordinates.
+
+    Reciprocal gamma factors within ``zero_tol`` of a nonpositive integer
+    contribute exact zeros; numerator gammas at poles raise PoleError.
+    The package derives the same product from ``lattice_bases`` and must
+    match this bit for bit (``zero_tol=1e-9`` is the factor tables'
+    tolerance).
+    """
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    n = u.shape[0]
+    k1, k2 = u.shape[1], v.shape[1]
+    a, g = p.alpha, p.gamma
+    sign = np.ones(n)
+    logm = np.zeros(n)
+
+    def accumulate(s, l):
+        nonlocal sign, logm
+        sign = sign * s
+        logm = logm + l
+
+    if k1:
+        logm = logm + log(p.z1) * u.sum(axis=1)
+        s1, l1 = _sign_log_gamma(u + a)
+        accumulate(s1.prod(axis=1), l1.sum(axis=1))
+        s2, l2 = _sign_log_recip_gamma(u + 1.0, zero_tol)
+        accumulate(s2.prod(axis=1), l2.sum(axis=1))
+    if k2:
+        logm = logm + log(p.z2) * v.sum(axis=1)
+    if k1 and k2:
+        dvu = v[:, None, :] - u[:, :, None]  # (n, k1, k2)
+        s3, l3 = _sign_log_gamma(dvu - g + 1.0)
+        accumulate(s3.reshape(n, -1).prod(axis=1), l3.reshape(n, -1).sum(axis=1))
+        s4, l4 = _sign_log_recip_gamma(dvu + 1.0, zero_tol)
+        accumulate(s4.reshape(n, -1).prod(axis=1), l4.reshape(n, -1).sum(axis=1))
+    for block, kk in ((u, k1), (v, k2)):
+        for i in range(kk):
+            for j in range(i + 1, kk):
+                d = block[:, i] - block[:, j]
+                s5, l5 = _sign_log_value(d)
+                accumulate(s5, l5)
+                s6, l6 = _sign_log_gamma(d + g)
+                accumulate(s6, l6)
+                s7, l7 = _sign_log_recip_gamma(d - g + 1.0, zero_tol)
+                accumulate(s7, l7)
+    return sign, logm
+
+
 def regular_mask(NU, NV, p, tol=1e-9):
     """Regularity of each lattice point, from the raw gamma arguments: no
     numerator gamma at a nonpositive integer, no vanishing weight
@@ -241,9 +328,9 @@ def regular_mask(NU, NV, p, tol=1e-9):
 
 
 def regular_values(NU, NV, p, include_weight=True):
-    """(mask, values) of the lattice summand: ``phi_sign_log`` and
+    """(mask, values) of the lattice summand: ``hand_phi_sign_log`` and
     ``weight_w`` on the regular points, 0 elsewhere."""
-    from selberg3.integrands import lattice_shift, phi_sign_log, weight_w
+    from selberg3.integrands import lattice_shift, weight_w
 
     n, k1, k2 = NU.shape[0], NU.shape[1], NV.shape[1]
     regular = regular_mask(NU, NV, p)
@@ -252,7 +339,7 @@ def regular_values(NU, NV, p, include_weight=True):
     if idx.size:
         U = NU[idx] + lattice_shift(k1, p.gamma)[None, :]
         V = NV[idx] + lattice_shift(k2, p.gamma)[None, :] if k2 else np.zeros((idx.size, 0))
-        sign, logm = phi_sign_log(U, V, p, zero_tol=1e-9)
+        sign, logm = hand_phi_sign_log(U, V, p, zero_tol=1e-9)
         fv = sign * np.exp(logm)
         if include_weight and k2:
             nz = fv != 0.0

@@ -177,11 +177,6 @@ class TestJClosedForms:
         want = cf.sl3_selberg_rhs(self.p.with_(beta1=2.2, beta2=2.4)).to_float()
         assert cf.j_closed_form("J000", self.p).to_float() == pytest.approx(want, rel=1e-13)
 
-    def test_first_step_of_l_product(self):
-        got = cf.j_closed_form("J0l0", self.p, l=1).to_float()
-        want = -(2 * self.p.gamma / self.p.beta2) * cf.j_closed_form("J000", self.p).to_float()
-        assert got == pytest.approx(want, rel=1e-13)
-
     @pytest.mark.parametrize("which,da,db1", [("J0k20", 0, 1), ("Jk1k20", 1, 0)])
     def test_corner_forms_match_explicit_products(self, which, da, db1):
         # the (0,k2,0) and (k1,k2,0) corners as explicit gamma products,

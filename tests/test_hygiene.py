@@ -135,3 +135,31 @@ def test_detector_flags_an_unreached_public_name():
                     "class _Hidden:\n    def gone(self):\n        pass\n\n\nBox().size\n",
                "__init__": "from .a import left\nfrom .c import Box\n"}
     assert unreached_public_names(sources, {"Named"}) == ["a.left", "b.X", "c.Box.spill"]
+
+
+LAYERS = SRC.parent.parent / "perfbench" / "layers.py"
+
+
+def test_benchmark_names_are_package_functions():
+    """The benchmark traces package functions by (module, name) and its
+    worker builds a black-box ``Integrand`` positionally; a rename or a
+    deletion in the package must fail here, not only in a traced run."""
+    import importlib
+    import inspect
+
+    import numpy as np
+
+    from selberg3.integrands import Integrand
+
+    # executed from its source, so nothing is written under perfbench/
+    layers = {"__name__": "perfbench_layers"}
+    exec(compile(LAYERS.read_text(), str(LAYERS), "exec"), layers)
+    traced = sorted({*layers["NAMED"], ("quadrature", "facet_exponents")})
+    assert len(traced) > 10
+    for modname, fname in traced:
+        module = importlib.import_module(f"selberg3.{modname}")
+        fn = getattr(module, fname, None)
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, (modname, fname)
+    ig = Integrand(lambda t, s: np.ones(len(t)), 2, 1, "01", 0, 1.0, 0.0, 1.0, 1.0,
+                   kind="callable")
+    assert (ig.k1, ig.k2, ig.interval, ig.kind) == (2, 1, "01", "callable")

@@ -68,6 +68,20 @@ class TestRecords:
                           "rel_dev", "tolerance", "passed", "seed",
                           "runtime_ms", "note"}
 
+    def test_as_dict_is_the_literal_record(self):
+        p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15, z1=0.3, z2=0.4)
+        rec = VerificationRecord("selb3", p, 1.25, 1e-9, 1.5, 0.2, 1e-6, False, 7, 12, "n=8")
+        want = {"identity_id": "selb3",
+                "params": {"k1": 2, "k2": 1, "alpha": 1.5, "beta1": 1.2, "beta2": 1.4,
+                           "gamma": -0.15, "z1": 0.3, "z2": 0.4},
+                "lhs": 1.25, "lhs_err": 1e-9, "rhs": 1.5, "rel_dev": 0.2, "tolerance": 1e-6,
+                "passed": False, "seed": 7, "runtime_ms": 12, "note": "n=8"}
+        d = rec.as_dict()
+        assert d == want
+        # key order fixes the CLI's JSON and CSV columns
+        assert list(d) == list(want) and list(d["params"]) == list(want["params"])
+        assert p.as_dict() == want["params"]
+
     def test_reproducible_up_to_runtime(self):
         p = ParamSet(k1=1, k2=1, alpha=1.5, beta1=1.0, beta2=1.3, gamma=-0.2)
         a = run_identity("exp3", p, budget=Budget(samples=50_000), seed=3)

@@ -7,8 +7,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import (brute_h, brute_weight_g, brute_weight_w, h_func, h_tilde_func, mp_gamma,
-                     omega, raw_integrand, regular_mask, sequential_limit_pairs,
+from oracles import (brute_h, brute_weight_g, brute_weight_w, h_func, h_tilde_func,
+                     hand_phi_sign_log, mp_gamma, omega, raw_integrand, regular_mask, sequential_limit_pairs,
                      sequential_point_value, weight_g)
 from selberg3 import integrands
 from selberg3.errors import (
@@ -25,6 +25,7 @@ from selberg3.integrands import (
     f_off_lattice,
     integer_parts_in_cone,
     is_admissible,
+    lattice_shift,
     limit_pairs,
     phi_sign_log,
     weight_w,
@@ -66,6 +67,34 @@ class TestMasterPhi:
         p = ParamSet(k1=1, k2=0, alpha=2.0, gamma=-0.2, z1=0.5)
         with pytest.raises(PoleError):
             master_value(np.array([-3.0]), np.zeros(0), p)  # u + alpha = -1
+
+    @pytest.mark.parametrize("gamma", [-0.15, -0.5, -1 / 3, -0.28])
+    @pytest.mark.parametrize("k1,k2", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (2, 2),
+                                       (3, 2), (4, 3)])
+    def test_matches_hand_written_product_bit_for_bit(self, k1, k2, gamma):
+        rng = np.random.default_rng(10 * k1 + k2)
+        shift = np.concatenate((lattice_shift(k1, gamma), lattice_shift(k2, gamma)))
+        # lattice points put factors at poles and zeros; uniform reals are generic
+        X = np.vstack((rng.integers(-3, 5, size=(90, k1 + k2)) + shift,
+                       rng.uniform(-3.0, 5.0, size=(30, k1 + k2))))
+        poles = 0
+        for alpha in (1.3, 2.0):  # 2.0 puts Gamma(u + alpha) poles at negative parts
+            p = ParamSet(k1=k1, k2=k2, alpha=alpha, gamma=gamma, z1=0.3, z2=0.5)
+            at_pole = np.zeros(len(X), dtype=bool)
+            for i, x in enumerate(X):
+                try:
+                    hand_phi_sign_log(x[:k1], x[k1:], p)
+                except PoleError:
+                    at_pole[i] = True
+                    with pytest.raises(PoleError):
+                        phi_sign_log(x[:k1], x[k1:], p)
+            U, V = X[~at_pole, :k1], X[~at_pole, k1:]
+            sign, logm = phi_sign_log(U, V, p)
+            want_sign, want_log = hand_phi_sign_log(U, V, p)
+            assert np.array_equal(sign, want_sign)
+            assert np.array_equal(logm, want_log)
+            poles += int(at_pole.sum())
+        assert poles
 
 
 class TestWeightW:

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     brute_cone_integer_parts,
+    hand_phi_sign_log,
     mp_gamma,
     regular_mask,
     regular_values,
@@ -17,7 +18,7 @@ from oracles import (
 from selberg3 import closed_forms as cf
 from selberg3.errors import LimitDisagreementError
 from selberg3.identities import Budget, run_identity
-from selberg3.integrands import LatticePoint, integer_parts_in_cone, lattice_shift, phi_sign_log
+from selberg3.integrands import LatticePoint, integer_parts_in_cone, lattice_shift
 from selberg3.lattice import (
     TABLE_START,
     FactorTables,
@@ -114,7 +115,7 @@ def _mixed_batch(k1, k2):
 
 
 def _oracle_values(NU, NV, p, seed, include_weight=True):
-    """phi_sign_log and weight_w at regular points, the sequential
+    """hand_phi_sign_log and weight_w at regular points, the sequential
     two-direction limit elsewhere."""
     regular, vals = regular_values(NU, NV, p, include_weight)
     for i in np.flatnonzero(~regular):
@@ -141,7 +142,7 @@ class TestFactorTables:
             U = NU[idx] + lattice_shift(k1, gamma)[None, :]
             V = NV[idx] + lattice_shift(k2, gamma)[None, :] if k2 else np.zeros((idx.size, 0))
             sign, logm = tables.sign_log([ix[idx] for ix in index], U, V)
-            want_sign, want_log = phi_sign_log(U, V, p, zero_tol=1e-9)
+            want_sign, want_log = hand_phi_sign_log(U, V, p, zero_tol=1e-9)
             assert np.array_equal(sign, want_sign)
             assert np.array_equal(logm, want_log)
             singular += int((~regular).sum())

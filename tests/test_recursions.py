@@ -1,11 +1,13 @@
 """Recursion system: solver, residuals, closed-form corners, shifts."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from selberg3 import closed_forms as cf
+from selberg3 import recursions
 from selberg3.errors import InconsistentSystemError, PivotZeroError
 from selberg3.identities import run_identity
 from selberg3.integrands import is_admissible
@@ -104,6 +106,25 @@ class TestSolver:
         tab.entries[(1, 1, 0)] *= 1.01
         worst = max(r for _, r, _ in verify_relations(tab, p))
         assert worst > 1e-4
+
+    def test_relations_built_once_per_table(self, monkeypatch):
+        calls = []
+
+        def spy(p, twisted):
+            calls.append(twisted)
+            return all_relations(p, twisted)
+
+        monkeypatch.setattr(recursions, "all_relations", spy)
+        p = ParamSet(k1=3, k2=2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+        assert run_identity("jjj_relations", p).passed
+        assert sorted(calls) == [False, True]
+
+    def test_residuals_match_a_fresh_relation_walk(self):
+        p = ParamSet(k1=3, k2=2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+        for tab in solve_both(p):
+            fresh = replace(tab, relations=all_relations(p, tab.twisted))
+            assert fresh.relations is not tab.relations
+            assert verify_relations(tab, p) == verify_relations(fresh, p)
 
     def test_pivot_guard(self):
         # beta1 chosen so an l1-advance pivot vanishes
