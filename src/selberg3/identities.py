@@ -241,8 +241,7 @@ def _series_engine(which: str, rhs_fn):
             raise NotConvergedError(
                 f"series truncation at bound {res.bound} missed the target tail")
         rhs = rhs_fn(p).to_float()
-        err = abs(res.last_shell)
-        return res.partial_sum, err, rhs, (tol if tol is not None else 1e-8), \
+        return res.partial_sum, res.tail, rhs, (tol if tol is not None else 1e-8), \
             f"bound={res.bound}"
     return engine
 
@@ -354,17 +353,17 @@ def _fval_support_engine(p: ParamSet, budget: Budget, seed: int, tol: float | No
 
 
 def _pde_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
-    r1, r2 = pde_residual(p, use_closed_form=False, second_eq_denominator="z2",
-                          max_bound=budget.max_bound, seed=seed)
+    r1, r2, err = pde_residual(p, use_closed_form=False, second_eq_denominator="z2",
+                               max_bound=budget.max_bound, seed=seed)
     note = "second-equation denominator resolved to z2"
     if p.z1 == p.z2:  # both denominators read the same value here
         note = "second-equation denominator not discriminated at z1 == z2"
     elif p.k2 <= 1:  # the term over the disputed denominator has a factor k2 - 1
         note = "second-equation denominator not discriminated at k2 <= 1"
     else:
-        c1, alt = pde_residual(p, use_closed_form=True, second_eq_denominator="z1")
+        _, alt, _ = pde_residual(p, use_closed_form=True, second_eq_denominator="z1")
         note += f" (closed-form check: z1 variant residual {alt:.1e})"
-    return max(r1, r2), 0.0, 0.0, (tol if tol is not None else 1e-6), note
+    return max(r1, r2), err, 0.0, (tol if tol is not None else 1e-6), note
 
 
 def _stirling_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):

@@ -112,14 +112,12 @@ def phi_sign_log(u: np.ndarray, v: np.ndarray, p: ParamSet):
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    k1, k2 = u.shape[1], v.shape[1]
-    bases = lattice_bases(k1, k2)
+    plus, minus, families = base_index(u.shape[1], v.shape[1])
     c = np.hstack((u, v, np.zeros((u.shape[0], 1))))
-    x = c[:, [b[1] for b in bases]] - c[:, [b[2] for b in bases]]
-    signs, logs = [], [[] for _ in bases]
-    for family in ("u", "vu", "pair"):
+    x = c[:, plus] - c[:, minus]
+    signs, logs = [], [[] for _ in plus]
+    for family, cols in families.items():
         # one factor_table call per factor covers every base of the family
-        cols = [i for i, b in enumerate(bases) if b[0] == family]
         for kind, arg in factor_args(family, x[:, cols], p) if cols else ():
             if kind == "den":  # a weight denominator only
                 continue
@@ -148,19 +146,20 @@ def master_sign_log(p: ParamSet, u: np.ndarray, v: np.ndarray, signs, factor_log
     sign = np.ones(n)
     for s in signs:
         sign = sign * s
-    families = [b[0] for b in lattice_bases(u.shape[1], v.shape[1])]
+    families = base_index(u.shape[1], v.shape[1])[2]
     logm = np.zeros(n)
     for z, block, family in ((p.z1, u, "u"), (p.z2, v, "vu")):
         if block.shape[1]:
             logm = logm + math.log(z) * block.sum(axis=1)
         for f in range(2):
-            column = [factor_log(b, f) for b, fam in enumerate(families) if fam == family]
-            if column:
+            column = [factor_log(b, f) for b in families[family]]
+            if len(column) == 1:  # the row sum of one column is that column
+                logm = logm + column[0]
+            elif column:
                 logm = logm + np.stack(column, axis=1).sum(axis=1)
-    for b, fam in enumerate(families):
-        if fam == "pair":
-            for f in range(3):
-                logm = logm + factor_log(b, f)
+    for b in families["pair"]:
+        for f in range(3):
+            logm = logm + factor_log(b, f)
     return sign, logm
 
 
@@ -252,6 +251,18 @@ def lattice_bases(k1: int, k2: int) -> tuple:
     for off, kdim in ((0, k1), (k1, k2)):
         bases += [("pair", off + i, off + j) for i in range(kdim) for j in range(i + 1, kdim)]
     return tuple(bases)
+
+
+@lru_cache(maxsize=None)
+def base_index(k1: int, k2: int) -> tuple:
+    """``lattice_bases`` as indices: the plus and the minus coordinate of
+    every base, as read-only arrays, and the bases of each family in
+    order, {family: tuple}."""
+    bases = lattice_bases(k1, k2)
+    plus, minus = (np.array([b[i] for b in bases], dtype=np.intp) for i in (1, 2))
+    plus.flags.writeable = minus.flags.writeable = False
+    return plus, minus, {f: tuple(i for i, b in enumerate(bases) if b[0] == f)
+                         for f in ("u", "vu", "pair")}
 
 
 def factor_args(family: str, x, p: ParamSet) -> tuple:
@@ -383,11 +394,10 @@ def limit_pairs(NU: np.ndarray, NV: np.ndarray, p: ParamSet, *, seed: int = 7919
     D = draws / np.where(kept, norm, 1.0)[:, None]
 
     # a base with a factor argument at an integer must move along a direction
-    bases = lattice_bases(k1, k2)
-    stuck = np.zeros((m, len(bases)), dtype=bool)
+    plus, minus, _ = base_index(k1, k2)
+    stuck = np.zeros((m, len(plus)), dtype=bool)
     for b, _, arg in _factor_args_at([*X.T, 0.0], k1, k2, p):
         stuck[:, b] |= np.abs(arg - np.rint(arg)) <= NEAR_SINGULAR_TOL
-    plus, minus = [b[1] for b in bases], [b[2] for b in bases]
     ends = np.hstack((D, np.zeros((len(D), 1))))
     slow = np.abs(ends[:, plus] - ends[:, minus]) < MIN_RATE
     generic = kept & ~(stuck @ slow.T)

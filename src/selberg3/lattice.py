@@ -1,28 +1,39 @@
 """Lattice-cone enumeration and summation of the discrete series.
 
-Points are organized into shells indexed by the maximum integer part;
-for |z| < 1 the shell contributions decay geometrically, so the series
-is summed shell by shell until the outermost shell is negligible.
-Small consecutive shells share a block of about ``ROW_BLOCK`` rows and a
-large shell is a block alone; a block is enumerated directly as one
-integer array, one row per point.  Summation inside a shell and across
-shells is exact (``math.fsum``), in shell order, over a fixed point set.
+The summand carries z1**sum(u) * z2**sum(v), so its size at a cone point
+is set by the point's weighted degree sum(nu)*log(1/z1) + sum(nv)*log(1/z2).
+The series is summed by degree shell: shell s holds the points whose
+degree, in units of the least column weight c = log(1/max z), has integer
+part s.  A block of shells is enumerated directly as one integer array,
+each column cut to the degree left for it (``degree_band``).  Summation
+inside a shell and across shells is exact (``math.fsum``), in shell
+order, over a fixed point set.
+
+The sum stops on a tail bound from shell masses, the sums of |F| over a
+shell (``window_tail``).  Shells are grouped in windows of G shells, G
+the degree of the all-ones direction: no cone generator steps further, so
+a window never misses the dominant ray the way a single shell can.  With
+rho the largest ratio of consecutive masses among the last four windows,
+the tail is rho * M0 / (1 - rho).  The first block reaches the stop that
+c predicts, and a later block is a quarter of it.
 
 Every gamma factor, reciprocal gamma factor and weight denominator of
 the summand is a function of one or two integer parts (the base
 quantities of ``integrands.lattice_bases``), so ``FactorTables`` holds
 each factor's (sign, log) and singular flag once per series, over the
-integer range in use; ``sum_discrete`` doubles that range when a block
-passes it.  A block's regularity mask and regular product are gathers
-from these tables, reduced by ``integrands.master_sign_log`` like every
-evaluation of the product, so they are bit-identical to
-``phi_sign_log``.  A shell's singular points are directional
-limits, probed together in one batch (``integrands.limit_pairs``), and
-only for the shells up to the stopping shell.
+integer range in use; ``sum_discrete`` builds them at the first block's
+largest part and regrows them only when a later block passes it.  A
+block's regularity mask and regular product are gathers from these
+tables, reduced by ``integrands.master_sign_log`` like every evaluation
+of the product, so they are bit-identical to ``phi_sign_log``.  A
+shell's singular points are directional limits, probed together in one
+batch (``integrands.limit_pairs``), and only for the shells up to the
+stopping shell.
 
 The summand depends on z only through z1**sum(u) * z2**sum(v), so
 ``sum_discrete`` also returns the exact z-derivatives, from first moments
-of the same shell values; ``pde_residual`` needs that one pass.
+of the same shell values, and their tail bounds, from first-moment
+masses; ``pde_residual`` needs that one pass.
 """
 
 from __future__ import annotations
@@ -46,19 +57,25 @@ from .integrands import (
 from .logreal import power_log
 from .params import ParamSet
 
-TABLE_START = 8  # integer parts 0..7 in the first tables of a series
-ROW_BLOCK = 512  # rows a block of small shells reaches for
+_DEGREE_ROOM = 1e-9  # rounding room, in shells, of the degree cuts of a band's columns
+# relative rounding of one summand value, exp of a sum of up to a few dozen
+# log-gamma terms times a rational weight; the error bars add it over |F|
+_VALUE_ROUNDING = 1e-14
 _CLOSED_FORM_STEP = 1e-4  # central-difference step of the closed-form residuals
 
 
 @dataclass(frozen=True)
 class SeriesResult:
     partial_sum: float
-    last_shell: float
-    bound: int
+    # bound on |series - partial_sum|: the ``window_tail`` of the shells
+    # past ``bound`` (inf if it gives none) plus the rounding of the values
+    tail: float
+    bound: int  # the last degree shell summed
     converged: bool
     dz1: float  # d(partial_sum)/dz1
     dz2: float  # d(partial_sum)/dz2
+    dz1_tail: float  # the same bound for dz1
+    dz2_tail: float  # the same bound for dz2
 
 
 def _append_column(P: np.ndarray, lo, hi) -> np.ndarray:
@@ -197,38 +214,58 @@ def lattice_values(NU: np.ndarray, NV: np.ndarray, p: ParamSet,
     return vals
 
 
-def _block_shells(k1: int, k2: int, j: int, hi: int, p: ParamSet, include_weight: bool,
-                  seed: int, tables: FactorTables):
-    """Each shell of the block j..hi in order: its point count, its sum and
-    its values' first moment in each integer part.  One ``lattice_values``
-    call covers the block but the singular points of its later shells,
-    which are probed one shell at a time, when that shell is asked for.
+def degree_band(k1: int, k2: int, weights, lo: int, hi: int):
+    """Cone points of the degree shells lo..hi, in lexicographic order,
+    and their shells.  A point's shell is the integer part of its degree
+    a1 * sum(nu) + a2 * sum(nv), with ``weights`` = (a1, a2).
+
+    Columns are built as in ``cone_array``, each cut to the degree left
+    for it.  A row's least degree is that of its least extension in the
+    cone, so u_{b+k1-k2} already counts once more for v_b >= u_{b+k1-k2},
+    and v_b pays only its excess over it.  The last column also starts
+    where shell lo can begin.  The cuts leave rounding room; each row is
+    kept by its exact shell.
     """
-    P = cone_array(k1, k2, hi, least=j)
-    ends, keep = [P.shape[0]], np.ones(P.shape[0], dtype=bool)
-    if hi > j:
-        largest = P.max(axis=1, initial=0)
-        # a stable sort keeps each shell's points in lexicographic order
-        P = P[np.argsort(largest, kind="stable")]
-        ends = np.cumsum(np.bincount(largest - j, minlength=hi - j + 1)).tolist()
-        # the singular points of the later shells wait for their own shell
-        keep[ends[0]:] = tables.regular(tables.index(P[ends[0]:]), P.shape[0] - ends[0])
-    P = P.astype(float)  # no view may keep the integer array alive
-    if keep.all():
-        vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=include_weight,
-                              seed=seed, tables=tables)
-    else:
-        vals = np.empty(P.shape[0])
-        vals[keep] = lattice_values(P[keep, :k1], P[keep, k1:], p,
-                                    include_weight=include_weight, seed=seed, tables=tables)
-    start = 0
-    for end in ends:
-        aside = start + np.flatnonzero(~keep[start:end])
-        if aside.size:
-            vals[aside] = lattice_values(P[aside, :k1], P[aside, k1:], p,
-                                         include_weight=include_weight, seed=seed, tables=tables)
-        yield end - start, math.fsum(vals[start:end].tolist()), vals[start:end] @ P[start:end]
-        start = end
+    a1, a2 = weights
+    kk, K = k1 - k2, k1 + k2
+    P = np.zeros((1, 0), dtype=np.int64)
+    for col in range(K):
+        nv = max(0, col - k1)  # v columns already built
+        least = a1 * P[:, :min(col, k1)].sum(axis=1) + a2 * (
+            P[:, k1:col].sum(axis=1) + P[:, kk + nv:min(col, k1)].sum(axis=1))
+        if col < k1:
+            base, step = 0, a1 + (a2 if col >= kk else 0.0)
+        else:
+            base, step = P[:, col - k2], a2
+        top = base + np.floor((hi + 1 - least) / step + _DEGREE_ROOM).astype(np.int64)
+        if col not in (0, k1):
+            top = np.minimum(top, P[:, col - 1])
+        bottom = base
+        if col == K - 1 and lo > 0:
+            bottom = base + np.maximum(
+                np.ceil((lo - least) / step - _DEGREE_ROOM), 0).astype(np.int64)
+        P = _append_column(P, bottom, top)
+    shell = np.floor(a1 * P[:, :k1].sum(axis=1) + a2 * P[:, k1:].sum(axis=1)).astype(np.int64)
+    keep = (shell >= lo) & (shell <= hi)
+    return P[keep], shell[keep]
+
+
+def window_tail(masses: list, window: int) -> float:
+    """Tail bound rho * M0 / (1 - rho) of a series from its shell masses.
+
+    M0..M3 are the masses of the last four windows of ``window`` shells,
+    newest first, and rho the largest of M0/M1, M1/M2 and M2/M3.  The bound
+    is inf with fewer than four windows, at a zero window mass, or where
+    rho >= 1.
+    """
+    n = len(masses)
+    if n < 4 * window:
+        return math.inf
+    M = [math.fsum(masses[n - (i + 1) * window:n - i * window]) for i in range(4)]
+    if min(M) <= 0.0:
+        return math.inf
+    rho = max(M[0] / M[1], M[1] / M[2], M[2] / M[3])
+    return rho * M[0] / (1.0 - rho) if rho < 1.0 else math.inf
 
 
 def _z_derivatives(k1: int, k2: int, p: ParamSet, total: float, moments: np.ndarray):
@@ -239,43 +276,95 @@ def _z_derivatives(k1: int, k2: int, p: ParamSet, total: float, moments: np.ndar
     return float(m[:k1].sum() / p.z1), float(m[k1:].sum() / p.z2) if k2 else 0.0
 
 
-def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-10,
+def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
                  max_bound: int | None = None, seed: int = 7919) -> SeriesResult:
-    """Sum the cone series shell by shell until the tail is negligible.
+    """Sum the cone series by degree shell until its tail bound is negligible.
 
     ``which`` is 'dexp' (one-block summand, no rational weight) or
-    'dexp3' (two-block summand times the symmetrized weight).
+    'dexp3' (two-block summand times the symmetrized weight).  The sum
+    stops at the first shell where ``window_tail`` of the shell masses,
+    over windows of G shells, is at most ``rel_tol`` times |sum|.  G is
+    the degree of the all-ones direction, which no cone generator (a 0/1
+    vector) steps past.  ``max_bound`` is the last degree shell summed;
+    by default 600 (k1 + k2 <= 2) or 180, and at least eight windows.
+    The reported tails add the values' rounding, ``_VALUE_ROUNDING`` times
+    the summed masses, to the window tails.
+
+    The first block of shells reaches the predicted stop, log(1/rel_tol)
+    over the least column weight plus two shells (and at least four
+    windows); later blocks are a quarter of it, or one window.  Factor
+    tables are built at the width the first block's largest part needs
+    and regrown only when a later block passes it.  Each block's regular
+    points are evaluated in one call; its singular points are probed one
+    shell at a time, none past the stopping shell.
     """
     if which not in ("dexp", "dexp3"):
         raise ValueError(f"unknown series {which!r}")
     include_weight = which == "dexp3"
     k1 = p.k1
     k2 = p.k2 if which == "dexp3" else 0
+    zs = (p.z1, p.z2) if k2 else (p.z1,)
+    if not all(0.0 < z < 1.0 for z in zs):
+        raise ValueError(f"the series needs every z in (0, 1), got {zs}")
+    # column weights log(1/z) in units of the least of them, c
+    c1, c2 = -math.log(p.z1), -math.log(zs[-1])
+    c = min(c1, c2)
+    weights = (c1 / c, c2 / c)
+    window = math.ceil(k1 * weights[0] + k2 * weights[1])
     if max_bound is None:
-        max_bound = 200 if k1 + k2 <= 2 else 60
+        # the least stop is four windows, which far-apart z push past 180; allow twice it
+        max_bound = max(600 if k1 + k2 <= 2 else 180, 8 * window)
     if max_bound < 0:
         raise ValueError(f"max_bound must be >= 0, got {max_bound}")
-    shells = []
-    moments = np.zeros(k1 + k2)
-    tables, converged, j, rows = None, False, 0, 1
-    while j <= max_bound and not converged:
-        # small shells double their block's length, up to about ROW_BLOCK rows
-        hi = min(max_bound, j + min(j + 1, max(1, ROW_BLOCK // max(rows, 1))) - 1)
-        if tables is None or hi > tables.hi:
-            # regrow by doubling the span of integer parts until it holds the block
-            width = TABLE_START << (hi // TABLE_START).bit_length()
-            tables = FactorTables(k1, k2, p, 0, width - 1)
-        for bound, (rows, last, shell_moments) in enumerate(
-                _block_shells(k1, k2, j, hi, p, include_weight, seed, tables), start=j):
-            shells.append(last)
-            moments += shell_moments
-            partial = math.fsum(shells)
-            if bound >= 1 and partial != 0.0 and abs(last) <= rel_tol * abs(partial):
+    first = max(math.ceil(math.log(1.0 / rel_tol) / c) + 2 if rel_tol > 0.0 else max_bound + 1,
+                4 * window)
+    shift_u, shift_v = lattice_shift(k1, p.gamma).sum(), lattice_shift(k2, p.gamma).sum()
+    # per shell: the sum, and the masses of |F|, |F| |sum(u)| and |F| |sum(v)|
+    sums, masses, moments = [], ([], [], []), np.zeros(k1 + k2)
+    tables, converged, lo, size = None, False, 0, first
+    while lo <= max_bound and not converged:
+        hi = min(max_bound, lo + size - 1)
+        P, shell = degree_band(k1, k2, weights, lo, hi)
+        order = np.argsort(shell, kind="stable")  # each shell keeps lexicographic order
+        P = P[order]
+        ends = np.searchsorted(shell[order], np.arange(lo, hi + 1), side="right").tolist()
+        largest = int(P.max(initial=0))
+        if tables is None or largest > tables.hi:
+            tables = FactorTables(k1, k2, p, 0, largest)
+        regular = tables.regular(tables.index(P), P.shape[0])
+        P = P.astype(float)  # no view may keep the integer array alive
+        scale = np.stack((np.ones(P.shape[0]), np.abs(P[:, :k1].sum(axis=1) + shift_u),
+                          np.abs(P[:, k1:].sum(axis=1) + shift_v)))
+        vals = np.empty(P.shape[0])
+        if regular.any():
+            vals[regular] = lattice_values(P[regular, :k1], P[regular, k1:], p,
+                                           include_weight=include_weight, seed=seed,
+                                           tables=tables)
+        start = 0
+        for bound, end in enumerate(ends, start=lo):
+            aside = start + np.flatnonzero(~regular[start:end])
+            if aside.size:
+                vals[aside] = lattice_values(P[aside, :k1], P[aside, k1:], p,
+                                             include_weight=include_weight, seed=seed,
+                                             tables=tables)
+            shell_vals = vals[start:end]
+            sums.append(math.fsum(shell_vals.tolist()))
+            for m, row in zip(masses, np.abs(shell_vals) * scale[:, start:end]):
+                m.append(math.fsum(row.tolist()))
+            moments += shell_vals @ P[start:end]
+            start = end
+            partial = math.fsum(sums)
+            if partial != 0.0 and window_tail(masses[0], window) <= rel_tol * abs(partial):
                 converged = True
                 break
-        j = hi + 1
-    return SeriesResult(partial, last, bound, converged,
-                        *_z_derivatives(k1, k2, p, partial, moments))
+        lo, size = hi + 1, max(window, math.ceil(first / 4))
+
+    def bar(mass):
+        return window_tail(mass, window) + _VALUE_ROUNDING * math.fsum(mass)
+
+    return SeriesResult(partial, bar(masses[0]), bound, converged,
+                        *_z_derivatives(k1, k2, p, partial, moments),
+                        bar(masses[1]) / p.z1, bar(masses[2]) / p.z2 if k2 else 0.0)
 
 
 def pde_coefficients(p: ParamSet, second_eq_denominator: str = "z2"):
@@ -301,35 +390,43 @@ def pde_coefficients(p: ParamSet, second_eq_denominator: str = "z2"):
 def pde_residual(p: ParamSet, use_closed_form: bool = False,
                  second_eq_denominator: str = "z2", max_bound: int | None = None,
                  seed: int = 7919):
-    """Residuals of the two dynamical equations.
+    """Residuals of the two dynamical equations, and a bound on their error.
 
     The series' derivatives are the exact ones ``sum_discrete`` returns
-    with its sum, from one pass; the closed form's are central differences
-    at step 1e-4.
-    Returns (residual_z1, residual_z2), each |dPsi - c Psi| / |c Psi|.
+    with its sum, from one pass, and the tails of Psi, dPsi/dz1 and
+    dPsi/dz2 it returns bound their truncation.  The closed form's
+    derivatives are central differences at step 1e-4, and a third of
+    their difference from step 2e-4 is their error (Richardson).
+    Returns (residual_z1, residual_z2, err): each residual is
+    |dPsi - c Psi| / |c Psi|, and err bounds the error of either.
     """
     if use_closed_form:
         def psi(z1, z2):
             return sl3_discrete_rhs(p.with_(z1=z1, z2=z2)).to_float()
 
+        def central(h):
+            return ((psi(z1 + h, z2) - psi(z1 - h, z2)) / (2 * h),
+                    (psi(z1, z2 + h) - psi(z1, z2 - h)) / (2 * h))
+
         z1, z2, h = p.z1, p.z2, _CLOSED_FORM_STEP
         base = psi(z1, z2)
-        d1 = (psi(z1 + h, z2) - psi(z1 - h, z2)) / (2 * h)
-        d2 = (psi(z1, z2 + h) - psi(z1, z2 - h)) / (2 * h)
+        (d1, d2), (w1, w2) = central(h), central(2 * h)
+        e0, e1, e2 = 0.0, abs(d1 - w1) / 3, abs(d2 - w2) / 3
     else:
         res = sum_discrete("dexp3", p, max_bound=max_bound, seed=seed)
         if not res.converged:
             raise NotConvergedError(
-                f"series not converged at bound {res.bound} (last shell {res.last_shell!r})")
+                f"series not converged at bound {res.bound} (tail {res.tail!r})")
         base, d1, d2 = res.partial_sum, res.dz1, res.dz2
+        e0, e1, e2 = res.tail, res.dz1_tail, res.dz2_tail
     c1, c2 = pde_coefficients(p, second_eq_denominator)
 
-    def rel(d, c):
+    def scale(c):
         # a vanishing coefficient (k2 = 0 second equation) leaves |Psi| as scale
-        denom = abs(c * base) if c * base != 0.0 else abs(base)
-        return abs(d - c * base) / denom
+        return abs(c * base) if c * base != 0.0 else abs(base)
 
-    return rel(d1, c1), rel(d2, c2)
+    return (abs(d1 - c1 * base) / scale(c1), abs(d2 - c2 * base) / scale(c2),
+            max((e1 + abs(c1) * e0) / scale(c1), (e2 + abs(c2) * e0) / scale(c2)))
 
 
 def eps_limit_ratio(p: ParamSet, eps: float) -> float:

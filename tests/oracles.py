@@ -15,8 +15,11 @@ checks, except the references that the package must reproduce:
   package's ``weight_w`` and ``f_off_lattice`` point by point, and draw
   each point's probe directions one at a time with their own copy of the
   draw rule, the way the factor tables and the candidate block replaced;
-* the series reference (``shell_by_shell_sum``) evaluates one shell of
-  the cone at a time, the way the blocks of shells replaced, bit for bit;
+* the series reference (``degree_shell_sum``) enumerates and evaluates
+  one degree shell of the cone at a time, from per-block tuples crossed
+  by their sums, the way the degree bands replaced, bit for bit; a
+  largest-part order (``shell_by_shell_sum``) sums the same series apart
+  from either;
 * the per-record check references (``sequential_fval_support``,
   ``sequential_limit_direction``, ``per_l_jjl_shift``) evaluate one point
   at a time and solve both shifted tables once per l, the way the
@@ -669,43 +672,115 @@ def simplex_membership(t, s, x: float, y: float, k1: int, k2: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def shell_by_shell_sum(which, p, rel_tol=1e-10, max_bound=None, seed=7919):
-    """``sum_discrete`` one shell at a time: each shell enumerated on its
-    own and evaluated in one ``lattice_values`` call, the way the blocks
-    of shells replaced, bit for bit.  Returns the ``SeriesResult`` and
-    the list of shell sums."""
+    """The cone series in largest-part shells: shell j is every cone point
+    whose largest integer part is j, evaluated in one ``lattice_values``
+    call, and the sum stops at the first shell j >= 1 with
+    |shell| <= rel_tol * |sum|.  An order of summation apart from the
+    package's degree shells.  Returns the partial sum and the list of
+    shell sums."""
     import math
 
-    from selberg3.lattice import (
-        TABLE_START,
-        FactorTables,
-        SeriesResult,
-        _z_derivatives,
-        cone_array,
-        lattice_values,
-    )
+    from selberg3.lattice import cone_array, lattice_values
 
     include_weight = which == "dexp3"
     k1, k2 = p.k1, (p.k2 if include_weight else 0)
-    if max_bound is None:
-        max_bound = 200 if k1 + k2 <= 2 else 60
-    shells, moments = [], np.zeros(k1 + k2)
-    partial, last, converged, bound, tables = 0.0, inf, False, 0, None
+    shells = []
     for j in range(max_bound + 1):
-        if tables is None or j > tables.hi:
-            tables = FactorTables(k1, k2, p, 0, 2 * tables.width - 1 if tables else TABLE_START - 1)
         P = cone_array(k1, k2, j, least=j).astype(float)
-        vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=include_weight, seed=seed,
-                              tables=tables) if P.shape[0] else np.zeros(0)
-        last = math.fsum(vals.tolist())
-        shells.append(last)
-        moments += vals @ P
+        vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=include_weight, seed=seed)
+        shells.append(math.fsum(vals.tolist()))
         partial = math.fsum(shells)
-        bound = j
-        if j >= 1 and partial != 0.0 and abs(last) <= rel_tol * abs(partial):
+        if j >= 1 and partial != 0.0 and abs(shells[-1]) <= rel_tol * abs(partial):
+            break
+    return partial, shells
+
+
+def _oracle_window_tail(masses, window):
+    """rho * M0 / (1 - rho) over the last four windows of shell masses,
+    rho the largest ratio of consecutive windows; inf where it gives no
+    bound."""
+    import math
+
+    if len(masses) < 4 * window:
+        return inf
+    wins = [masses[len(masses) - (i + 1) * window:][:window] for i in range(4)]
+    M = [math.fsum(w) for w in wins]
+    if min(M) <= 0.0:
+        return inf
+    rho = max(M[0] / M[1], M[1] / M[2], M[2] / M[3])
+    return rho * M[0] / (1.0 - rho) if rho < 1.0 else inf
+
+
+def _block_by_sum(k, a, top):
+    """Decreasing k-tuples from ``cone_array`` grouped by their sum n,
+    for every n with a * n < top: {n: rows}."""
+    from selberg3.lattice import cone_array
+
+    rows = cone_array(k, 0, max(0, int(top / a) + 1))
+    sums = rows.sum(axis=1)
+    return {int(n): rows[sums == n] for n in np.unique(sums) if a * n < top}
+
+
+def degree_shell_sum(which, p, rel_tol=1e-11, max_bound=None, seed=7919):
+    """``sum_discrete`` one degree shell at a time.
+
+    Shell s is enumerated on its own, apart from ``degree_band``: the
+    decreasing u-tuples and v-tuples of ``cone_array`` are grouped by
+    their sums (m, n), every pair whose degree a1*m + a2*n has integer
+    part s is crossed, the rows that interleave (v_b >= u_{b+k1-k2}) are
+    kept, and the shell is sorted lexicographically.  Each shell is
+    evaluated in one ``lattice_values`` call, and the sum stops at the
+    first shell where the window tail of the shell masses is at most
+    rel_tol * |sum|.  Each bar adds the package's value rounding over the
+    summed masses.  Returns the ``SeriesResult``.
+    """
+    import math
+
+    from selberg3.integrands import lattice_shift
+    from selberg3.lattice import _VALUE_ROUNDING, SeriesResult, _z_derivatives, lattice_values
+
+    include_weight = which == "dexp3"
+    k1, k2 = p.k1, (p.k2 if include_weight else 0)
+    c1 = -log(p.z1)
+    c2 = -log(p.z2) if k2 else c1
+    c = min(c1, c2)
+    a1, a2 = c1 / c, c2 / c
+    window = math.ceil(k1 * a1 + k2 * a2)
+    if max_bound is None:
+        max_bound = max(600 if k1 + k2 <= 2 else 180, 8 * window)
+    shift_u, shift_v = lattice_shift(k1, p.gamma).sum(), lattice_shift(k2, p.gamma).sum()
+    sums, masses, mass_u, mass_v = [], [], [], []
+    moments, converged = np.zeros(k1 + k2), False
+    for s in range(max_bound + 1):
+        us = _block_by_sum(k1, a1, s + 1)
+        vs = _block_by_sum(k2, a2, s + 1)
+        parts = []
+        for m, U in us.items():
+            for n, V in vs.items():
+                if math.floor(a1 * m + a2 * n) != s:
+                    continue
+                rows = np.hstack((np.repeat(U, len(V), axis=0), np.tile(V, (len(U), 1))))
+                ok = np.all(rows[:, k1:] >= rows[:, k1 - k2:k1], axis=1)
+                parts.append(rows[ok])
+        P = np.vstack(parts) if parts else np.zeros((0, k1 + k2), dtype=np.int64)
+        P = P[np.lexsort(P.T[::-1])].astype(float)
+        vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=include_weight, seed=seed)
+        mag = np.abs(vals)
+        sums.append(math.fsum(vals.tolist()))
+        masses.append(math.fsum(mag.tolist()))
+        mass_u.append(math.fsum((mag * np.abs(P[:, :k1].sum(axis=1) + shift_u)).tolist()))
+        mass_v.append(math.fsum((mag * np.abs(P[:, k1:].sum(axis=1) + shift_v)).tolist()))
+        moments += vals @ P
+        partial = math.fsum(sums)
+        if partial != 0.0 and _oracle_window_tail(masses, window) <= rel_tol * abs(partial):
             converged = True
             break
-    return SeriesResult(partial, last, bound, converged,
-                        *_z_derivatives(k1, k2, p, partial, moments)), shells
+    def bar(masses):
+        return _oracle_window_tail(masses, window) + _VALUE_ROUNDING * math.fsum(masses)
+
+    return SeriesResult(partial, bar(masses), s, converged,
+                        *_z_derivatives(k1, k2, p, partial, moments),
+                        bar(mass_u) / p.z1, bar(mass_v) / p.z2 if k2 else 0.0)
 
 
 def sum_over_total_lattice(p, bound, seed=7919):

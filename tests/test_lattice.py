@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     brute_cone_integer_parts,
+    degree_shell_sum,
     hand_phi_sign_log,
     mp_gamma,
     regular_mask,
@@ -16,19 +17,20 @@ from oracles import (
     sum_over_total_lattice,
 )
 from selberg3 import closed_forms as cf
-from selberg3.errors import LimitDisagreementError
+from selberg3.errors import LimitDisagreementError, NotConvergedError
 from selberg3.identities import Budget, run_identity
 from selberg3.integrands import LatticePoint, integer_parts_in_cone, lattice_shift
 from selberg3.lattice import (
-    TABLE_START,
     FactorTables,
     cone_array,
     cone_integer_parts,
+    degree_band,
     eps_limit_ratio,
     lattice_values,
     pde_coefficients,
     pde_residual,
     sum_discrete,
+    window_tail,
 )
 from selberg3.params import ParamSet
 
@@ -168,27 +170,76 @@ class TestFactorTables:
     @pytest.mark.parametrize("which,k1,k2,z1,z2", [("dexp3", 2, 2, 0.3, 0.4),
                                                    ("dexp3", 2, 1, 0.6, 0.6),
                                                    ("dexp", 2, 0, 0.6, 0.5)])
-    def test_sum_discrete_across_table_regrowth(self, which, k1, k2, z1, z2):
+    def test_sum_discrete_across_table_regrowth(self, monkeypatch, which, k1, k2, z1, z2):
+        import selberg3.lattice as lattice
+
+        spans = []
+
+        class SpyTables(FactorTables):
+            def __init__(self, k1, k2, p, lo, hi):
+                spans.append((lo, hi))
+                super().__init__(k1, k2, p, lo, hi)
+
+        monkeypatch.setattr(lattice, "FactorTables", SpyTables)
         p = ParamSet(k1=k1, k2=k2, alpha=1.3, gamma=-0.15, z1=z1, z2=z2)
         res = sum_discrete(which, p, rel_tol=1e-10, seed=5)
-        assert res.converged and res.bound >= TABLE_START
-        shells, mom1, mom2 = [], [], []
+        # each series passes its first block, whose tables then regrow once
+        assert res.converged and len(spans) == 2 and spans[1][1] > spans[0][1]
+        kb = k2 if which == "dexp3" else 0
+        c1, c2 = -math.log(z1), -math.log(z2 if kb else z1)
+        a1, a2 = c1 / min(c1, c2), c2 / min(c1, c2)
+        P = cone_array(k1, kb, res.bound + 1)
+        shell = np.floor(a1 * P[:, :k1].sum(axis=1) + a2 * P[:, k1:].sum(axis=1))
+        shells, masses, mom1, mom2 = [], [], [], []
         for j in range(res.bound + 1):
-            P = cone_array(k1, k2, j, least=j).astype(float)
-            _, vals = _oracle_values(P[:, :k1], P[:, k1:], p, seed=5,
+            Q = P[shell == j].astype(float)
+            _, vals = _oracle_values(Q[:, :k1], Q[:, k1:], p, seed=5,
                                      include_weight=which == "dexp3")
             shells.append(math.fsum(vals.tolist()))
-            mom1.append(math.fsum((vals * P[:, :k1].sum(axis=1)).tolist()))
-            mom2.append(math.fsum((vals * P[:, k1:].sum(axis=1)).tolist()))
-        assert res.last_shell == shells[-1]
+            masses.append(math.fsum(np.abs(vals).tolist()))
+            mom1.append(math.fsum((vals * Q[:, :k1].sum(axis=1)).tolist()))
+            mom2.append(math.fsum((vals * Q[:, k1:].sum(axis=1)).tolist()))
         assert res.partial_sum == math.fsum(shells)
+        window = math.ceil(k1 * a1 + kb * a2)
+        assert window_tail(masses, window) <= 1e-10 * abs(res.partial_sum)
+        # the bar adds a relative rounding of 1e-14 over the summed masses
+        assert res.tail == window_tail(masses, window) + 1e-14 * math.fsum(masses)
         # the summand carries z1**sum(u) * z2**sum(v), u = nu + shift
         shift1 = p.gamma * k1 * (k1 - 1) / 2
-        shift2 = p.gamma * k2 * (k2 - 1) / 2
+        shift2 = p.gamma * kb * (kb - 1) / 2
         want1 = (math.fsum(mom1) + shift1 * res.partial_sum) / z1
         want2 = (math.fsum(mom2) + shift2 * res.partial_sum) / z2
         assert res.dz1 == pytest.approx(want1, rel=1e-13)
         assert res.dz2 == pytest.approx(want2, rel=1e-13)
+
+
+class TestDegreeBands:
+    WEIGHTS = [(1.0, 1.0), (1.0, 1.7), (2.3, 1.0), (1.0, 5.86)]
+
+    @pytest.mark.parametrize("weights", WEIGHTS)
+    @pytest.mark.parametrize("k1,k2", SHELL_SHAPES)
+    def test_band_is_the_cone_filtered_on_degree(self, k1, k2, weights):
+        a1, a2 = weights
+        P = cone_array(k1, k2, 12)
+        degree = np.floor(a1 * P[:, :k1].sum(axis=1) + a2 * P[:, k1:].sum(axis=1))
+        for lo, hi in ((0, 0), (0, 5), (3, 3), (4, 9), (10, 12)):
+            got, shell = degree_band(k1, k2, weights, lo, hi)
+            want = P[(degree >= lo) & (degree <= hi)]
+            assert np.array_equal(got, want)  # lexicographic, as cone_array
+            assert np.array_equal(shell, degree[(degree >= lo) & (degree <= hi)])
+
+    def test_window_tail(self):
+        masses = [0.5 ** s for s in range(12)]
+        assert window_tail(masses[:7], 2) == math.inf  # fewer than four windows
+        # geometric masses: the bound is the exact tail of the series
+        rest = math.fsum(0.5 ** s for s in range(12, 80))
+        assert window_tail(masses, 1) == pytest.approx(rest, rel=1e-15)
+        assert window_tail(masses, 3) == pytest.approx(rest, rel=1e-15)
+        assert window_tail(masses[:-1] + [0.0], 1) == math.inf  # a zero window mass
+        assert window_tail(masses[:-1] + [masses[-2]], 1) == math.inf  # rho = 1
+        # the largest of the three ratios sets rho
+        rising = [1.0, 0.5, 0.1, 0.08]
+        assert window_tail(rising, 1) == pytest.approx(0.8 * 0.08 / 0.2, rel=1e-15)
 
 
 class TestSeries:
@@ -197,7 +248,9 @@ class TestSeries:
         res = sum_discrete("dexp", p, rel_tol=1e-10)
         assert res.converged
         assert res.partial_sum == pytest.approx(2.0, rel=1e-9)
-        assert abs(res.last_shell) <= 1e-10 * abs(res.partial_sum)
+        assert res.tail <= 1e-10 * abs(res.partial_sum)
+        # one point per shell, masses z**n: the bound is the exact tail z**(n+1) / (1 - z)
+        assert abs(res.partial_sum - 2.0) <= res.tail * (1 + 1e-6)
 
     def test_dexp_matches_value(self):
         p = ParamSet(k1=2, k2=0, alpha=1.3, gamma=-0.2, z1=0.4)
@@ -232,15 +285,33 @@ class TestSeries:
             assert got == pytest.approx((up - down) / (2 * h), rel=1e-6)
 
     def test_not_converged_flag(self):
+        # degree shells 0..5 at z = 0.9: six shells of one point each, and
+        # a tail bound of about the sum itself
         p = ParamSet(k1=1, k2=0, alpha=1.0, gamma=-0.2, z1=0.9)
         res = sum_discrete("dexp", p, rel_tol=1e-10, max_bound=5)
-        assert not res.converged
+        assert not res.converged and res.bound == 5
+        assert res.partial_sum == pytest.approx(sum(0.9 ** n for n in range(6)), rel=1e-15)
+        assert res.tail == pytest.approx(0.9 ** 6 / 0.1, rel=1e-12)
+        with pytest.raises(NotConvergedError, match="bound 5"):
+            run_identity("dexp", p, budget=Budget(max_bound=5))
 
     def test_total_lattice_equals_cone(self):
+        # the box [-20, 20]^3 holds the cone's points of degree shells up to
+        # 20, and its truncation is about 2e-11 relative at z = 0.3
         p = ParamSet(k1=2, k2=1, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.3)
-        tot = sum_over_total_lattice(p, bound=12)
-        cone = sum_discrete("dexp3", p, rel_tol=1e-14, max_bound=12)
+        tot = sum_over_total_lattice(p, bound=20)
+        cone = sum_discrete("dexp3", p, rel_tol=1e-14)
+        assert cone.converged
         assert tot == pytest.approx(cone.partial_sum, rel=1e-8)
+
+    def test_default_bound_holds_four_windows_at_far_apart_z(self):
+        # a2 = log(1e6) / log(1/0.6) = 27.05, so a window is G = 57 shells and the
+        # least stop, four windows, lies past the plain default of 180
+        p = ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=0.6, z2=1e-6)
+        res = sum_discrete("dexp3", p, seed=3)
+        assert res.converged and res.bound == 4 * 57 - 1
+        rec = run_identity("dexp3", p, seed=3)
+        assert rec.passed
 
     def test_negative_parts_vanish_for_k1(self):
         # 1/Gamma(u+1) kills every negative integer part
@@ -279,7 +350,7 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _oracle_sum(*args, **kwargs):
-    return shell_by_shell_sum(*args, **kwargs)[0]
+    return degree_shell_sum(*args, **kwargs)
 
 
 def _spy(monkeypatch, module, name):
@@ -294,20 +365,32 @@ def _spy(monkeypatch, module, name):
     return calls
 
 
+def _shells_of(P, p):
+    """Degree shell of each row of integer parts at (z1, z2)."""
+    c1, c2 = -math.log(p.z1), -math.log(p.z2)
+    a1, a2 = c1 / min(c1, c2), c2 / min(c1, c2)
+    return np.floor(a1 * P[:, :p.k1].sum(axis=1) + a2 * P[:, p.k1:].sum(axis=1)).astype(int)
+
+
 class TestBlockedSum:
-    """Blocks of shells give the series of one shell at a time, bit for bit."""
+    """Blocks of degree shells give the series of one degree shell at a
+    time, bit for bit."""
 
     @pytest.mark.parametrize("which", ["dexp", "dexp3"])
     @pytest.mark.parametrize("k1,k2", SERIES_SHAPES)
     def test_equals_shell_by_shell(self, which, k1, k2):
-        # at z = 0.6 the (3, 2) series runs 44 shells, too slow for both sides
-        for z, bounds in ((0.3, (None, 0, 5, 12)), (0.6, (0, 5, 12)), (1e-6, (None, 0, 5, 12))):
+        for z, bounds in ((0.3, (None, 0, 5, 12)), (0.6, (None, 0, 5, 12)),
+                          (1e-6, (None, 0, 5, 12))):
             for max_bound in bounds:
                 p = ParamSet(k1=k1, k2=k2, alpha=1.3, gamma=-0.15, z1=z, z2=z)
                 got = _outcome(sum_discrete, which, p, max_bound=max_bound, seed=5)
                 assert got == _outcome(_oracle_sum, which, p, max_bound=max_bound, seed=5)
+                if max_bound is None:
+                    assert got.converged
                 if z == 1e-6 and max_bound is None:
-                    assert got.converged and got.bound <= 2
+                    # the least stop: four windows of G = k1 + k2 shells
+                    kb = k2 if which == "dexp3" else 0
+                    assert got.bound == 4 * (k1 + kb) - 1
 
     def test_equal_errors(self):
         # Gamma(u_0 + alpha) meets a zero at nu = (0, 0), where the limits disagree
@@ -329,15 +412,18 @@ class TestBlockedSum:
         monkeypatch.setattr(lattice, "FactorTables", SpyTables)
         p = ParamSet(k1=2, k2=0, alpha=1.3, gamma=-0.15, z1=0.6)
         got = sum_discrete("dexp", p, seed=5)
-        # the block of shells 7..14 starts inside the first tables and ends past them
-        assert spans[:2] == [(0, TABLE_START - 1), (0, 2 * TABLE_START - 1)]
-        assert got.converged and got.bound >= 2 * TABLE_START
+        # the first block holds the predicted stop, ceil(log(1e11) / log(1/0.6)) + 2
+        # = 52 shells, whose largest part is 51; the stop lies in the next block of
+        # 13 shells, and the tables regrow once, to its largest part
+        assert spans == [(0, 51), (0, 64)]
+        assert got.converged and 52 <= got.bound <= 64
         monkeypatch.undo()
         assert got == _oracle_sum("dexp", p, seed=5)
 
-    # at z = 0.05 the series stops at shell 7 of the block 7..9, at z = 0.2
-    # after its multi-shell blocks
-    @pytest.mark.parametrize("z,stop_in_block", [(0.05, True), (0.2, False)])
+    # at z = 0.05 the series stops at the last shell of its first block; at
+    # z = 0.3 it stops at the first shell of its second block, and the block
+    # runs on past it
+    @pytest.mark.parametrize("z,stop_in_block", [(0.05, False), (0.3, True)])
     def test_limits_probed_per_shell_up_to_the_stop(self, monkeypatch, z, stop_in_block):
         import selberg3.lattice as lattice
 
@@ -351,19 +437,23 @@ class TestBlockedSum:
         assert len(blocked) == len(calls) > 1
         for a, b in zip(blocked, calls):
             assert np.array_equal(a, b)
-        for P in blocked:  # one shell per call, none past the stop
-            largest = P.max(axis=1)
-            assert largest.min() == largest.max() <= got.bound
+        for P in blocked:  # one degree shell per call, none past the stop
+            shell = _shells_of(P, p)
+            assert shell.min() == shell.max() <= got.bound
         # the stopping shell's block runs on, over regular points only,
         # past shells that hold singular points
-        past = np.vstack([P[P.max(axis=1) > got.bound] for P in values])
+        past = np.vstack([P[_shells_of(P, p) > got.bound] for P in values])
         assert bool(past.size) == stop_in_block
         if not stop_in_block:
             return
-        hi = int(past.max())
+        hi = int(_shells_of(past, p).max())
         assert regular_mask(past[:, :2], past[:, 2:], p).all()
-        after = cone_array(2, 2, hi, least=got.bound + 1).astype(float)
-        assert not regular_mask(after[:, :2], after[:, 2:], p).all()
+        after = cone_array(2, 2, hi + 1)
+        shell = _shells_of(after, p)
+        after = after[(shell > got.bound) & (shell <= hi)].astype(float)
+        regular = regular_mask(after[:, :2], after[:, 2:], p)
+        assert not regular.all()
+        assert np.array_equal(np.unique(after[regular], axis=0), np.unique(past, axis=0))
 
     def test_few_value_calls_for_small_shells(self, monkeypatch):
         import selberg3.lattice as lattice
@@ -373,6 +463,16 @@ class TestBlockedSum:
         got = sum_discrete("dexp3", p)
         assert got.converged and got.bound > 14
         assert len(calls) <= 6
+
+    def test_work_guard_at_the_heaviest_benchmark_record(self, monkeypatch):
+        # by largest part this record evaluated 597,051 points
+        import selberg3.lattice as lattice
+
+        calls = _spy(monkeypatch, lattice, "lattice_values")
+        p = ParamSet(k1=3, k2=2, alpha=1.3, gamma=-0.15, z1=0.4, z2=0.2)
+        rec = run_identity("dexp3", p, seed=5)
+        assert rec.passed
+        assert sum(len(P) for P in calls) <= 20_000
 
     @pytest.mark.parametrize("k1,k2", SHELL_SHAPES)
     def test_cone_block_is_its_shells(self, k1, k2):
@@ -392,8 +492,11 @@ class TestBlockedSum:
             sum_discrete("dexp", p, max_bound=-1)
         with pytest.raises(ValueError, match="max_bound"):
             run_identity("dexp", p, budget=Budget(max_bound=-3))
-        res = sum_discrete("dexp", p, max_bound=0)  # shell 0 is the point nu = (0,)
-        assert (res.partial_sum, res.last_shell, res.bound, res.converged) == (1.0, 1.0, 0, False)
+        # shell 0 is the point nu = (0,); one shell gives no tail bound
+        res = sum_discrete("dexp", p, max_bound=0)
+        assert (res.partial_sum, res.tail, res.bound, res.converged) == (1.0, math.inf, 0, False)
+        with pytest.raises(ValueError, match="z in"):
+            sum_discrete("dexp", p.with_(z1=1.0))
 
     def test_one_batch_tables_span_the_batch(self, monkeypatch):
         import selberg3.lattice as lattice
@@ -418,12 +521,34 @@ class TestBlockedSum:
         assert spans == [(300, 600), (5, 12), (0, 0)]
 
 
+class TestTailBar:
+    """Points where a tail rule once under-covered the deviation: ratios of
+    single shells stopped at (0.6, 0.05), where the dominant diagonal ray
+    steps 3.51 in degree; two-step window ratios were aliased at
+    (0.4, 0.05) by windows that hold two diagonal points; at z1 = z2 = 0.6
+    the shell masses alternate by parity.  No point probes a singular
+    point, so its deviation is truncation and rounding alone."""
+
+    @pytest.mark.parametrize("z1,z2,alpha,gamma", [(0.6, 0.05, 1.3, -0.07),
+                                                   (0.4, 0.05, 2.1, -0.15),
+                                                   (0.6, 0.6, 1.3, -0.15)])
+    def test_bar_bounds_the_deviation(self, monkeypatch, z1, z2, alpha, gamma):
+        import selberg3.lattice as lattice
+
+        calls = _spy(monkeypatch, lattice, "limit_pairs")
+        p = ParamSet(k1=1, k2=1, alpha=alpha, gamma=gamma, z1=z1, z2=z2)
+        rec = run_identity("dexp3", p, seed=3)
+        assert not calls
+        assert rec.passed
+        assert rec.rel_dev <= 1.6 * rec.lhs_err / abs(rec.rhs)
+
+
 class TestDynamicalSystem:
     def test_k1_only_closed_solution(self):
         # for one block the system is d/dz log Psi = alpha/(1-z)
         p = ParamSet(k1=1, k2=0, alpha=1.4, gamma=-0.2, z1=0.45, z2=0.5)
-        r1, r2 = pde_residual(p, use_closed_form=False)
-        assert r1 < 1e-7
+        r1, r2, err = pde_residual(p, use_closed_form=False)
+        assert r1 < 1e-7 and 0.0 < err < 1e-7
         c1, _ = pde_coefficients(p)
         assert c1 == pytest.approx(p.alpha / (1 - p.z1), rel=1e-12)
 
@@ -433,13 +558,31 @@ class TestDynamicalSystem:
                             second_eq_denominator="z2")
         bad = pde_residual(p, use_closed_form=True,
                            second_eq_denominator="z1")
-        assert max(good) < 1e-6
+        assert max(good) < 1e-6  # both residuals and their bar
         assert bad[1] > 1e-3  # the printed z1 denominator is inconsistent
 
     def test_series_residuals_21(self):
         p = ParamSet(k1=2, k2=1, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.3)
-        r1, r2 = pde_residual(p)
+        r1, r2, err = pde_residual(p)
         assert max(r1, r2) < 1e-6
+
+    @pytest.mark.parametrize("k1,k2,z1,z2", [(2, 1, 0.3, 0.5), (2, 2, 0.3, 0.5),
+                                             (1, 1, 0.6, 0.6), (3, 2, 0.4, 0.2)])
+    def test_series_residual_bar_covers_the_truncation(self, k1, k2, z1, z2):
+        # the bar comes from the tails of Psi, dPsi/dz1 and dPsi/dz2; the
+        # residuals of the truncated sum move from those of a sum run to
+        # 1e-14 by less than it
+        p = ParamSet(k1=k1, k2=k2, alpha=1.3, gamma=-0.15, z1=z1, z2=z2)
+        res = sum_discrete("dexp3", p, seed=5)
+        full = sum_discrete("dexp3", p, rel_tol=1e-14, seed=5)
+        assert 0.0 < res.dz1_tail and 0.0 < res.dz2_tail
+        assert abs(res.dz1 - full.dz1) <= res.dz1_tail
+        assert abs(res.dz2 - full.dz2) <= res.dz2_tail
+        assert abs(res.partial_sum - full.partial_sum) <= res.tail
+        r1, r2, err = pde_residual(p, seed=5)
+        assert 0.0 < err <= 1e-8
+        rec = run_identity("pde_residual", p, seed=5)
+        assert rec.passed and rec.lhs_err > 0.0 and 3 * rec.lhs_err <= rec.tolerance
 
     def test_series_residuals_take_one_series_pass(self, monkeypatch):
         import selberg3.lattice as lattice
