@@ -8,8 +8,9 @@ there are N = K, whose sum is the top coordinate c_0.  Each of c_i,
 gaps, so ``_describe`` writes every described integrand on a domain as
 a list of (lo, hi, exponent) power factors and a list of rational-weight
 terms, each a coefficient times a product of S[lo..hi]^(+-1).  One
-evaluator, ``_frame_values``, turns that description into integrand x
-Jacobian / model on any frame that returns log S for an interval.
+evaluator, ``_described_values``, turns that description into integrand
+x Jacobian / model on any frame that gives each run S[lo..hi] as a run R
+(``_Runs``): the chain and stacked frames keep R = S and their own model.
 
 The deterministic scheme is a sector rule (Binoth & Heinrich, Nucl.
 Phys. B 585 (2000) 741).  It splits the simplex of gaps into one sector
@@ -17,14 +18,18 @@ per binary tree whose in-order is the gap order: the root is the largest
 gap and each node is at least every gap below it, so there are
 Catalan(N) sectors (5, 14, 42 for N = 3, 4, 5).  In a sector g_root = 1
 (Cheng-Wu) and g_v = g_parent y_v with y in [0,1]^(N-1), so every gap sum
-is its shallowest gap times a factor in [1, length].  The integrand is
+is its shallowest gap times a factor R in [1, length].  The integrand is
 then a monomial in y times a smooth function, and one Gauss-Jacobi rule
 per axis, weighted by the monomial, converges geometrically.  The
 exponent of axis v is v's count of proper descendants (the Jacobian)
 plus every power factor whose shallowest gap lies at or below v, plus
 the least pole count over the weight terms; the remaining weight powers
 are non-negative integers.  The projective factor is (sum g)^(-(D+N))
-for total degree D, which is 0 on the half-line.  The levels
+for total degree D, which is 0 on the half-line.  The rules integrate
+the monomial, so a sector's frame (``_SectorFrame``) carries only the
+smooth part: one exp of the power factors' log R, times the weight's
+terms, each its coefficient times the integer monomial in y that its
+numerators leave, times products and quotients of R.  The levels
 (``_refine``) start at ``nodes_for(dim)`` nodes per axis, take
 |v(n) - v(n-2)| as the estimate, and add two nodes per axis until every
 member's relative estimate is within ``SECTOR_RTOL``, within
@@ -33,8 +38,9 @@ an explicit ``nodes_per_axis`` fixes the pair (n-2, n).  Each level's
 axis rules come from one batched eigenvalue solve (``_jacobi_rules``).
 Up to rule dimension ``STACK_DIM`` all sectors of a level share one
 stacked frame, where numpy's per-call cost would otherwise dominate;
-beyond it each sector broadcasts its own per-axis vectors.  Log-gaps
-are path sums of log y, and no gap sum is ever taken as a difference.
+beyond it each sector broadcasts its own per-axis vectors, and each of
+its arrays spans only the axes it depends on.  Gap ratios are products
+of y along the tree, and no gap sum is ever taken as a difference.
 
 On the half-line the integrand is homogeneous in the overall scale apart
 from its exponential factors, so the scale is integrated in closed form
@@ -254,15 +260,13 @@ def _describe(ig: Integrand, order: tuple) -> _Description:
 
 
 def _frame_values(members, order, aw: AxisWeights, frame):
-    """integrand * Jacobian / model on the frame's points, yielded one
+    """integrand * Jacobian / model on a chain frame's points, yielded one
     array per member of a family.
 
-    The frame gives log S[lo..hi] of any gap interval, log of the gaps'
-    total and log(Jacobian / model); ``aw`` is the chain frame's model.
-    The members share everything but the weight, so the power product
-    is built once and each member multiplies in only its own weight.  A
-    'callable' family is a black box: only Jacobian and models are
-    structural, and the members read the frame's coordinate rows (t, s).
+    ``aw`` is the chain frame's model.  A described family goes through
+    ``_described_values``.  A 'callable' family is a black box: only
+    Jacobian and models are structural, and the members read the frame's
+    coordinate rows (t, s).
     """
     ig = members[0]
     if ig.kind == "callable":
@@ -278,39 +282,92 @@ def _frame_values(members, order, aw: AxisWeights, frame):
         for member in members:
             yield base * member.fn(*rows).reshape(frame.shape)
         return
-    yield from _described_values([_describe(m, tuple(order)) for m in members], frame, aw)
+    yield from _described_values([_describe(m, tuple(order)) for m in members], frame,
+                                 frame.log_model(aw))
 
 
-def _described_values(descs, frame, aw):
-    """``_frame_values`` of a described family, from its descriptions."""
+def _described_values(descs, frame, model=None):
+    """integrand * Jacobian / model of a described family on the frame's
+    points, yielded one array per member.
+
+    Every frame gives each gap run S[lo..hi] as a run R: ``log_run``,
+    integer powers ``run`` and the sum itself ``gap_sum``, and a
+    ``monomial`` per weight term.  The chain and stacked frames keep R = S,
+    an empty monomial and their own log(Jacobian / model) as ``model``; a
+    sector frame's R is S over its top gap, whose monomials its model
+    cancels exactly, so it passes none (``_SectorFrame``).  The members
+    share everything but the weight, so the power product is one exp,
+    taken once, and each member multiplies in only its own weight.
+    """
     d = descs[0]
-    logf = frame.log_model(aw)
-    for lo, hi, e in d.factors:
-        logf = logf + e * frame.log_sum(lo, hi)
+    logs = [(e, lo, hi) for lo, hi, e in d.factors]
+    if not d.halfline:  # the projective factor of a degree-D integrand on N gaps
+        logs.append((-(d.degree + d.N), 0, d.N - 1))
+    by_shape = {}  # runs spanning the same axes add up before they broadcast
+    for e, lo, hi in logs:
+        lr = e * frame.log_run(lo, hi)
+        key = getattr(lr, "shape", ())
+        by_shape[key] = by_shape[key] + lr if key in by_shape else lr
+    parts = [by_shape[key] for key in sorted(by_shape, key=math.prod)]
     if d.halfline:  # members share their pole count, so their weight degree too
         H = d.degree + d.wdegree + d.N
-        L = sum(rate * np.exp(frame.log_sum(lo, hi)) for lo, hi, rate in d.scale)
-        logf = logf + (gammaln(H) - H * np.log(L))
-        proj = 0.0
-    else:  # the projective factor of a degree-D integrand on N gaps
-        proj = frame.log_total
-        logf = logf - (d.degree + d.N) * proj
+        L = sum(rate * frame.gap_sum(lo, hi) for lo, hi, rate in d.scale)
+        parts.append(gammaln(H) - H * np.log(L))
+    if model is not None:
+        parts.append(model)
+    logf = sum(parts[1:], parts[0])
     base = np.exp(logf)
-    del logf  # no grid-sized log lives on while the members are evaluated
+    del logf, parts, by_shape  # no grid-sized log lives on while the members are evaluated
     for desc in descs:
-        yield base * _weight(desc, frame, proj) if desc.terms else base
+        yield base * _weight(desc, frame) if desc.terms or frame.monomial(()) else base
 
 
-def _weight(desc: _Description, frame, proj=0.0):
-    """The described rational weight on the frame's points, each term
-    taken at the projected point: (sum g)^-wdegree with log(sum g) = proj."""
+def _weight(desc: _Description, frame):
+    """The described rational weight on the frame's points, over what the
+    frame's runs leave out: each term is its coefficient times the frame's
+    monomial of the term times its runs to their powers, multiplied from
+    the smallest array up; no weight is one term of no runs.  On [0,1]
+    the sum is taken at the projected point: times (sum g)^-wdegree, one
+    power of the run of all gaps shared by the terms."""
     weight = 0.0
-    for coef, facs in desc.terms:
-        lt = -desc.wdegree * proj
-        for lo, hi, x in facs:
-            lt = lt + x * frame.log_sum(lo, hi)
-        weight = weight + coef * np.exp(lt)
+    for coef, facs in desc.terms or ((1.0, ()),):
+        term = coef
+        for arr in sorted([*frame.monomial(facs), *(frame.run(lo, hi, x) for lo, hi, x in facs)],
+                          key=_size):
+            term = term * arr
+        weight = weight + term
+    if not desc.halfline and desc.wdegree:
+        weight = weight * frame.run(0, desc.N - 1, -desc.wdegree)
     return weight
+
+
+def _size(arr) -> int:
+    return getattr(arr, "size", 1)
+
+
+class _Runs:
+    """What a frame gives ``_described_values``: each gap run S[lo..hi] as
+    a run R, its log (``log_run``), R itself (``_base_run``) and S
+    (``gap_sum``), and the monomial of a weight term (``monomial``), none
+    on a frame whose runs are the gap sums themselves.  Integer powers of
+    the runs are cached and taken by multiplication: a weight's powers are
+    small integers, where numpy's general power costs an exp and a log
+    per point."""
+
+    def monomial(self, facs):
+        return ()
+
+    def run(self, lo: int, hi: int, x: int):
+        key = (lo, hi, x)
+        if key not in self._runs:
+            if x == 1:
+                val = self._base_run(lo, hi)
+            elif x < 0:
+                val = 1.0 / self.run(lo, hi, -x)
+            else:
+                val = self.run(lo, hi, x - 1) * self.run(lo, hi, 1)
+            self._runs[key] = val
+        return self._runs[key]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +379,7 @@ def _on_axis(v: np.ndarray, i: int, K: int) -> np.ndarray:
     return v.reshape((1,) * i + (-1,) + (1,) * (K - 1 - i))
 
 
-class _ChainFrame:
+class _ChainFrame(_Runs):
     """Stable geometry of the chain coordinates on a set of points.
 
     ``LOGR[i]``/``LOGX[i]`` hold log r_i and log(1 - r_i) of chain axis i,
@@ -333,10 +390,9 @@ class _ChainFrame:
     Cumulative logs give the coordinates, and all pairwise gaps c_i - c_j
     come out in product form c_i * (1 - exp(sum of inner log r)).
     ``C``, ``OM`` and ``LOM`` are built on first use, so a half-line
-    frame, whose coordinates may exceed 1, never logs 1 - c.
+    frame, whose coordinates may exceed 1, never logs 1 - c.  Its runs
+    are the gap sums themselves, and on [0,1] they sum to 1.
     """
-
-    log_total = 0.0  # the gaps sum to 1
 
     def __init__(self, LOGR, LOGX):
         self.LOGR = list(LOGR)
@@ -347,6 +403,7 @@ class _ChainFrame:
         for i in range(1, len(self.LOGR)):
             self.LS.append(self.LS[i - 1] + self.LOGR[i])
         self._lgap = {}
+        self._runs = {}
 
     @cached_property
     def C(self):
@@ -375,7 +432,7 @@ class _ChainFrame:
             self._lgap[key] = self.LS[i] + np.log(-np.expm1(inner))
         return self._lgap[key]
 
-    def log_sum(self, lo: int, hi: int):
+    def log_run(self, lo: int, hi: int):
         """log S[lo..hi]: 1 - c_hi, c_lo, or c_i - c_j, from the chain."""
         off, N = self.off, len(self.LOGR) + self.off
         if lo == 0 and hi == N - 1:
@@ -385,6 +442,11 @@ class _ChainFrame:
         if hi == N - 1:
             return self.LS[lo - off]
         return self.lgap(lo - off, hi + 1 - off)
+
+    def gap_sum(self, lo: int, hi: int):
+        return np.exp(self.log_run(lo, hi))
+
+    _base_run = gap_sum
 
     def log_model(self, aw: AxisWeights) -> np.ndarray:
         """log(Jacobian / per-axis facet models); the half-line's axis 0
@@ -407,13 +469,15 @@ class _Tree:
     """One sector: a heap-ordered binary tree on the gaps.
 
     ``parent[v]`` is -1 at the root; ``axes`` are the non-root nodes, axis
-    d carrying y of node axes[d]; ``top[lo][hi]`` is the shallowest gap of
-    S[lo..hi], the largest one in the sector.
+    d carrying y of node axes[d]; ``path[v]`` are the axes from the root
+    down to v, whose y multiply to g_v; ``top[lo][hi]`` is the shallowest
+    gap of S[lo..hi], the largest one in the sector.
     """
 
     root: int
     parent: tuple
     axes: tuple
+    path: tuple
     top: tuple
 
 
@@ -466,6 +530,7 @@ def _sector_table(N: int) -> _SectorTable:
         top = tuple(tuple(min(range(lo, hi + 1), key=depth.__getitem__) if hi >= lo else -1
                           for hi in range(N)) for lo in range(N))
         ax = {v: d for d, v in enumerate(axes)}
+        paths = tuple(tuple(ax[u] for u in reversed(path(v))) for v in range(N))
         cnt = np.zeros(N - 1, dtype=int)
         for v in range(N):
             for u in path(v)[1:]:
@@ -475,10 +540,19 @@ def _sector_table(N: int) -> _SectorTable:
             for hi in range(lo, N):
                 for u in path(top[lo][hi]):
                     cov[lo, hi, ax[u]] = 1
-        trees.append(_Tree(root, parent, axes, top))
+        trees.append(_Tree(root, parent, axes, paths, top))
         desc.append(cnt)
         cover.append(cov)
     return _SectorTable(tuple(trees), np.array(desc), np.array(cover))
+
+
+def _power_exponents(desc: _Description, table: _SectorTable) -> np.ndarray:
+    """The sector exponents before the weight: descendant counts plus each
+    power factor's exponent on the axes of its top gap's path."""
+    E = table.desc.astype(float)
+    for lo, hi, e in desc.factors:
+        E = E + e * table.cover[:, lo, hi]
+    return E
 
 
 def _sector_exponents(descs, table: _SectorTable) -> np.ndarray:
@@ -489,9 +563,7 @@ def _sector_exponents(descs, table: _SectorTable) -> np.ndarray:
     the same for every member of a family, so the numerators leave
     non-negative integer powers.
     """
-    E = table.desc.astype(float)
-    for lo, hi, e in descs[0].factors:
-        E = E + e * table.cover[:, lo, hi]
+    E = _power_exponents(descs[0], table)
     poles = [sum((x * table.cover[:, lo, hi] for lo, hi, x in facs if x < 0),
                  np.zeros_like(table.desc))
              for desc in descs for _, facs in desc.terms]
@@ -562,68 +634,85 @@ def _tensor_sum(vals, weights) -> float:
     return float(vals)
 
 
-class _SectorFrame:
-    """The points of one sector: g_root = 1 and g_v = g_parent y_v.
+class _SectorFrame(_Runs):
+    """The points of one sector in factored form: g_root = 1 and
+    g_v = g_parent y_v.
 
-    ``LY[v]`` is log y_v of non-root node v, a view along its own axis of
-    the (n,)*dim grid.  log g_v is a path sum of log y, and log S of an
-    interval is its top gap's log plus log1p of the other gaps' ratios
-    to it, products of y below the top, so no sum is ever taken as a
-    difference.  ``E`` and ``desc`` hold the sector's Jacobi exponents and
-    descendant counts per axis.
+    ``Y[d]`` is y of axis d, a view along its own axis of the (n,)*dim
+    grid.  A run S[lo..hi] is its top gap, the monomial of y over the
+    top's path, times R = 1 + the other gaps' ratios to the top, each the
+    product of y on the path below it, so R lies in [1, length] and no
+    sum is ever a difference.  The axis rules already integrate the top
+    gaps' monomials: ``_sector_exponents`` builds the exponents from the
+    same paths, so log(Jacobian / model) and the power factors' top-gap
+    logs add up to lift . log y identically, ``lift`` the weight's least
+    pole count per axis.  The frame's runs are therefore R alone, and the
+    monomial of a weight term is y^(lift + its runs' top-gap powers), of
+    non-negative integer powers.  Each array spans only the axes it
+    depends on.
     """
 
-    def __init__(self, tree: _Tree, LY: dict, E, desc):
-        self.tree, self.LY, self.E, self.desc = tree, LY, E, desc
-        self._rel = {}
-        self._ratio = {}
-        self._lsum = {}
+    def __init__(self, tree: _Tree, Y: list, lift: list):
+        self.tree, self.Y, self.lift = tree, Y, lift
+        self._ratios, self._rests, self._runs, self._powers = {}, {}, {}, {}
 
-    def _log_ratio(self, top: int, j: int):
-        """log(g_j / g_top) for j in the subtree of top (0 at j = top)."""
-        if j == top:
-            return 0.0
+    def _ratio(self, top: int, j: int):
+        """g_j / g_top for a gap j below top."""
         key = (top, j)
-        if key not in self._rel:
-            self._rel[key] = self._log_ratio(top, self.tree.parent[j]) + self.LY[j]
-        return self._rel[key]
+        if key not in self._ratios:
+            up, y = self.tree.parent[j], self.Y[self.tree.path[j][-1]]
+            self._ratios[key] = y if up == top else self._ratio(top, up) * y
+        return self._ratios[key]
 
-    def _gap_ratio(self, top: int, j: int):
-        key = (top, j)
-        if key not in self._ratio:
-            self._ratio[key] = np.exp(self._log_ratio(top, j))
-        return self._ratio[key]
-
-    def log_sum(self, lo: int, hi: int):
+    def _rest(self, lo: int, hi: int):
+        """R - 1 of S[lo..hi], the run one gap shorter at an end other
+        than its top plus that gap's ratio; None for a single gap."""
+        if lo == hi:
+            return None
         key = (lo, hi)
-        if key not in self._lsum:
+        if key not in self._rests:
             top = self.tree.top[lo][hi]
-            rest = None
-            for j in range(lo, hi + 1):
-                if j != top:
-                    r = self._gap_ratio(top, j)
-                    rest = r if rest is None else rest + r
-            lsum = self._log_ratio(self.tree.root, top)
-            self._lsum[key] = lsum if rest is None else lsum + np.log1p(rest)
-        return self._lsum[key]
+            j, inner = (hi, self._rest(lo, hi - 1)) if top != hi else (lo, self._rest(lo + 1, hi))
+            ratio = self._ratio(top, j)
+            self._rests[key] = ratio if inner is None else inner + ratio
+        return self._rests[key]
 
-    @cached_property
-    def log_total(self):
-        return self.log_sum(0, len(self.tree.parent) - 1)
+    def log_run(self, lo: int, hi: int):
+        rest = self._rest(lo, hi)
+        return 0.0 if rest is None else np.log1p(rest)
 
-    def log_model(self, aw=None):
-        """log(Jacobian / model): sum over axes of (descendants - E) log y."""
-        return sum(((c - e) * self.LY[v] for v, c, e in zip(self.tree.axes, self.desc, self.E)),
-                   0.0)
+    def _base_run(self, lo: int, hi: int):
+        rest = self._rest(lo, hi)
+        return 1.0 if rest is None else 1.0 + rest
+
+    def gap_sum(self, lo: int, hi: int):
+        """S[lo..hi] itself: its top gap's monomial times R."""
+        out = self.run(lo, hi, 1)
+        for d in self.tree.path[self.tree.top[lo][hi]]:
+            out = out * self.Y[d]
+        return out
+
+    def monomial(self, facs):
+        """y^m of a weight term of runs ``facs``, one view per axis with
+        m = lift + the powers of the runs whose top gap's path crosses it."""
+        m = list(self.lift)
+        for lo, hi, x in facs:
+            for d in self.tree.path[self.tree.top[lo][hi]]:
+                m[d] += x
+        for d, k in enumerate(m):
+            if k and (d, k) not in self._powers:
+                self._powers[d, k] = self.Y[d] ** k
+        return [self._powers[d, k] for d, k in enumerate(m) if k]
 
 
-class _StackFrame:
+class _StackFrame(_Runs):
     """The points of every sector of a level at once, for rule dimensions
     low enough that numpy's per-call cost outweighs the grid: each array
     carries a leading sector axis.  log g_j sums log y over the axes on
     the path to gap j, and S of an interval is the plain sum of its gaps,
     each at most g_root = 1 and none near underflow, so the sum of
-    positives is exact to rounding.
+    positives is exact to rounding.  Its runs are the gap sums themselves,
+    and ``log_model`` carries the whole model.
     """
 
     def __init__(self, table: _SectorTable, E: np.ndarray, rules: dict, n: int):
@@ -644,24 +733,23 @@ class _StackFrame:
             self.G.append(np.exp(lg))
         self._sum = {}
         self._lsum = {}
+        self._runs = {}
 
-    def _gap_sum(self, lo: int, hi: int):
+    def gap_sum(self, lo: int, hi: int):
         key = (lo, hi)
         if key not in self._sum:
-            self._sum[key] = self.G[lo] if lo == hi else self._gap_sum(lo, hi - 1) + self.G[hi]
+            self._sum[key] = self.G[lo] if lo == hi else self.gap_sum(lo, hi - 1) + self.G[hi]
         return self._sum[key]
 
-    def log_sum(self, lo: int, hi: int):
+    _base_run = gap_sum
+
+    def log_run(self, lo: int, hi: int):
         key = (lo, hi)
         if key not in self._lsum:
-            self._lsum[key] = np.log(self._gap_sum(lo, hi))
+            self._lsum[key] = np.log(self.gap_sum(lo, hi))
         return self._lsum[key]
 
-    @cached_property
-    def log_total(self):
-        return self.log_sum(0, len(self.G) - 1)
-
-    def log_model(self, aw=None):
+    def log_model(self):
         S = self.shape[0]
         return sum(((self.desc[:, d] - self.E[:, d]).reshape((S,) + (1,) * len(self.LY)) * ly
                     for d, ly in enumerate(self.LY)), np.zeros(self.shape))
@@ -679,21 +767,29 @@ class _StackFrame:
 STACK_DIM = 2
 
 
+def _sector_frames(desc: _Description, table: _SectorTable, E: np.ndarray, rules: dict):
+    """(frame, axis weights) of each sector, from the rules of a level.
+    ``desc`` is any member's: the members share the power factors, and
+    the lift is what the exponents took off them for the weight."""
+    ys = {e: np.exp(ly) for e, (ly, _) in rules.items()}
+    lift = np.rint(_power_exponents(desc, table) - E).astype(int)
+    for tree, Es, lf in zip(table.trees, E.tolist(), lift.tolist()):
+        yield (_SectorFrame(tree, [_on_axis(ys[e], d, table.dim) for d, e in enumerate(Es)], lf),
+               [rules[e][1] for e in Es])
+
+
 def _sector_level(descs, table: _SectorTable, E: np.ndarray, n: int) -> list[float]:
     """The sector rule at n nodes per axis: one value per member."""
-    dim = table.dim
     rules = _jacobi_rules(n, E.ravel().tolist())
-    if dim <= STACK_DIM:
+    if table.dim <= STACK_DIM:
         frame = _StackFrame(table, E, rules, n)
-        totals = [frame.weighted_sum(v) for v in _described_values(descs, frame, None)]
+        totals = [frame.weighted_sum(v)
+                  for v in _described_values(descs, frame, frame.log_model())]
     else:
         totals = [0.0] * len(descs)
-        for tree, Es, desc in zip(table.trees, E.tolist(), table.desc.tolist()):
-            axes = [rules[e] for e in Es]
-            frame = _SectorFrame(tree, {v: _on_axis(axes[d][0], d, dim)
-                                        for d, v in enumerate(tree.axes)}, Es, desc)
-            for j, vals in enumerate(_described_values(descs, frame, None)):
-                totals[j] += _tensor_sum(vals, [w for _, w in axes])
+        for frame, weights in _sector_frames(descs[0], table, E, rules):
+            for j, vals in enumerate(_described_values(descs, frame)):
+                totals[j] += _tensor_sum(vals, weights)
     for v in totals:
         if not math.isfinite(v):
             raise IntegrandSingularError("non-finite deterministic quadrature values")

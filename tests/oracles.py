@@ -32,10 +32,11 @@ checks, except the references that the package must reproduce:
   own chain integral, the way the integrand-family engines replaced,
   bit for bit;
 * the cone-membership tests (``domain_membership``,
-  ``simplex_membership``) and the iid box sampler of the interleaved
-  cone (``box_cone_monomial``, through ``cone_mask``) test membership
-  point by point and integrate by rejection, apart from the chain
-  decomposition;
+  ``simplex_membership``, and their row forms ``domain_membership_rows``
+  and ``simplex_membership_rows``, which must agree with them) and the
+  iid box sampler of the interleaved cone (``box_cone_monomial``,
+  through ``cone_mask``) test membership point by point and integrate by
+  rejection, apart from the chain decomposition;
 * the black-box chain-quadrature reference takes the package's per-axis
   rules (``_jacobi_rules``) and lays the frame out over the full node
   mesh, one integrand and one domain at a time, the way the broadcast
@@ -51,6 +52,12 @@ checks, except the references that the package must reproduce:
   raw gaps (``raw_gap_integrand``), every coordinate and difference an
   fsum of consecutive gaps; it takes only the sector exponents from the
   package;
+* the log-domain sector reference (``log_domain_sector_values``) is the
+  sector frame as it was before it took runs in factored form: every
+  run and every weight term a sum of logs through its own exp, and the
+  model a full-grid log that cancels the top gaps' monomial; it takes
+  the package's descriptions, trees and rules, and the factored frame
+  must match it to rounding;
 * the raw-coordinate integrands (``omega``, ``weight_g``, ``h_func``,
   ``h_tilde_func``, and ``raw_integrand``, which assembles them from an
   ``Integrand`` description) evaluate on coordinate rows by subtracting
@@ -658,6 +665,25 @@ def domain_membership(M, t, s, x: float, y: float) -> bool:
     return True
 
 
+def domain_membership_rows(M, t, s, x: float, y: float) -> np.ndarray:
+    """``domain_membership`` of every row of t (n, k1) and s (n, k2)."""
+    k1, k2 = t.shape[1], s.shape[1]
+    ok = np.ones(len(t), dtype=bool)
+    if k1:
+        ok &= (x <= t[:, k1 - 1]) & (t[:, 0] <= y)
+    for i in range(k1 - 1):
+        ok &= t[:, i] >= t[:, i + 1]
+    if k2:
+        ok &= (x <= s[:, k2 - 1]) & (s[:, 0] <= y)
+    for i in range(k2 - 1):
+        ok &= s[:, i] >= s[:, i + 1]
+    for b in range(1, k2 + 1):
+        j = M.m[b - 1]
+        upper = y if j == 1 else t[:, j - 2]
+        ok &= (t[:, j - 1] <= s[:, b - 1]) & (s[:, b - 1] <= upper)
+    return ok
+
+
 def simplex_membership(t, s, x: float, y: float, k1: int, k2: int) -> bool:
     """Membership in the full interleaved cone (union of all domains)."""
     if k1 and (any(t[i] < t[i + 1] for i in range(k1 - 1)) or not (x <= t[k1 - 1] and t[0] <= y)):
@@ -665,6 +691,18 @@ def simplex_membership(t, s, x: float, y: float, k1: int, k2: int) -> bool:
     if k2 and (any(s[i] < s[i + 1] for i in range(k2 - 1)) or not (x <= s[k2 - 1] and s[0] <= y)):
         return False
     return all(s[b] >= t[b + k1 - k2] for b in range(k2))
+
+
+def simplex_membership_rows(t, s, x: float, y: float, k1: int, k2: int) -> np.ndarray:
+    """``simplex_membership`` of every row of t (n, k1) and s (n, k2)."""
+    ok = np.ones(len(t), dtype=bool)
+    if k1:
+        ok &= np.all(t[:, :-1] >= t[:, 1:], axis=1) & (x <= t[:, k1 - 1]) & (t[:, 0] <= y)
+    if k2:
+        ok &= np.all(s[:, :-1] >= s[:, 1:], axis=1) & (x <= s[:, k2 - 1]) & (s[:, 0] <= y)
+    for b in range(k2):
+        ok &= s[:, b] >= t[:, b + k1 - k2]
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -1302,6 +1340,74 @@ def brute_domain_value(ig, order, n, members=()):
     rows = {tree.parent: E[s] for s, tree in enumerate(table.trees)}
     return sum(brute_sector_sum(ig, order, parent, [float(e) for e in rows[parent]], n)
                for parent in heap_trees(descs[0].N))
+
+
+class LogSectorFrame:
+    """One sector's points in the log domain, the way the factored sector
+    frame replaced: log g_v is a path sum of log y, log S of a run is its
+    top gap's log plus log1p of the other gaps' ratios to it, and the
+    model is its own full-grid log, (descendants - E) . log y."""
+
+    def __init__(self, tree, LY, E, desc):
+        self.tree, self.LY, self.E, self.desc = tree, LY, E, desc
+        self._rel = {}
+
+    def log_ratio(self, top, j):
+        """log(g_j / g_top) for j in the subtree of top (0 at j = top)."""
+        if j == top:
+            return 0.0
+        if (top, j) not in self._rel:
+            self._rel[top, j] = self.log_ratio(top, self.tree.parent[j]) + self.LY[j]
+        return self._rel[top, j]
+
+    def log_sum(self, lo, hi):
+        top = self.tree.top[lo][hi]
+        rest = None
+        for j in range(lo, hi + 1):
+            if j != top:
+                r = np.exp(self.log_ratio(top, j))
+                rest = r if rest is None else rest + r
+        lsum = self.log_ratio(self.tree.root, top)
+        return lsum if rest is None else lsum + np.log1p(rest)
+
+    def log_model(self):
+        return sum(((c - e) * self.LY[v] for v, c, e in zip(self.tree.axes, self.desc, self.E)),
+                   0.0)
+
+
+def log_domain_sector_values(descs, tree, LY, E, desc):
+    """integrand x Jacobian / model of a described family on one sector,
+    one array per member, every factor and every weight term a sum of
+    logs taken through one exp each: ``LY`` maps each non-root node to its
+    log y view, ``E`` and ``desc`` are the sector's exponents and
+    descendant counts per axis."""
+    frame = LogSectorFrame(tree, LY, E, desc)
+    d = descs[0]
+    logf = frame.log_model()
+    for lo, hi, e in d.factors:
+        logf = logf + e * frame.log_sum(lo, hi)
+    if d.halfline:
+        H = d.degree + d.wdegree + d.N
+        L = sum(rate * np.exp(frame.log_sum(lo, hi)) for lo, hi, rate in d.scale)
+        logf = logf + (gammaln(H) - H * np.log(L))
+        proj = 0.0
+    else:
+        proj = frame.log_sum(0, d.N - 1)
+        logf = logf - (d.degree + d.N) * proj
+    base = np.exp(logf)
+    out = []
+    for member in descs:
+        if not member.terms:
+            out.append(base)
+            continue
+        weight = 0.0
+        for coef, facs in member.terms:
+            lt = -member.wdegree * proj
+            for lo, hi, x in facs:
+                lt = lt + x * frame.log_sum(lo, hi)
+            weight = weight + coef * np.exp(lt)
+        out.append(base * weight)
+    return out
 
 
 # ---------------------------------------------------------------------------

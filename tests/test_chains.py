@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import domain_membership, interleavings, simplex_membership
+from oracles import (domain_membership, domain_membership_rows, interleavings,
+                     simplex_membership, simplex_membership_rows)
 from selberg3.chains import (
     OrderMap,
     coefficient_x,
@@ -76,22 +77,27 @@ class TestMembership:
         assert not domain_membership(M, [0.7], [0.2], 0.0, 1.0)
 
     def test_partition_property(self):
-        # every strictly ordered point lies in exactly one domain
+        # every strictly ordered point lies in exactly one domain; row i
+        # of the draw is the point a loop drawing t, then s, makes i-th
         rng = np.random.default_rng(12)
         k1, k2 = 3, 2
         maps = enumerate_maps(k1, k2)
-        hits_histogram = {0: 0, 1: 0}
-        for _ in range(100_000):
-            t = np.sort(rng.uniform(0, 1, size=k1))[::-1]
-            s = np.sort(rng.uniform(0, 1, size=k2))[::-1]
-            hits = sum(domain_membership(M, t, s, 0.0, 1.0) for M in maps)
-            inside = simplex_membership(t, s, 0.0, 1.0, k1, k2)
-            if inside:
-                assert hits == 1
-            else:
-                assert hits == 0
-            hits_histogram[1 if inside else 0] += 1
-        assert hits_histogram[1] > 0 and hits_histogram[0] > 0
+        box = rng.uniform(0, 1, size=(100_000, k1 + k2))
+        t = np.sort(box[:, :k1], axis=1)[:, ::-1]
+        s = np.sort(box[:, k1:], axis=1)[:, ::-1]
+        member = [domain_membership_rows(M, t, s, 0.0, 1.0) for M in maps]
+        hits = np.sum(member, axis=0)
+        inside = simplex_membership_rows(t, s, 0.0, 1.0, k1, k2)
+        assert np.all(hits[inside] == 1)
+        assert np.all(hits[~inside] == 0)
+        assert inside.sum() > 0 and (~inside).sum() > 0
+        # the row forms are the scalar oracles, point by point, on a slice
+        # holding points inside and outside the cone
+        assert 0 < inside[:2000].sum() < 2000
+        for i in range(2000):
+            assert inside[i] == simplex_membership(t[i], s[i], 0.0, 1.0, k1, k2)
+            for M, rows in zip(maps, member):
+                assert rows[i] == domain_membership(M, t[i], s[i], 0.0, 1.0)
 
     def test_merged_order_consistent_with_membership(self):
         # points generated in merged descending order satisfy the inequalities
