@@ -20,7 +20,7 @@ import numpy as np
 from . import closed_forms as cf
 from .chains import gamma_chain, unit_chain
 from .errors import InvalidParamsError, NotConvergedError
-from .integrands import Integrand, assembled_integrand, integer_parts_in_cone, limit_pairs
+from .integrands import Integrand, assembled_integrand, limit_pairs
 from .lattice import (
     cone_array,
     cone_integer_parts,
@@ -331,19 +331,28 @@ def _chain_decomp_engine(p: ParamSet, budget: Budget, seed: int, tol: float | No
     return det, err, exact, (tol if tol is not None else 1e-6), "worst of 20 random monomials"
 
 
+def _in_cone(P: np.ndarray, k1: int, k2: int) -> np.ndarray:
+    """Which rows (nu, nv) of integer parts lie in the cone: both blocks
+    weakly decreasing and nonnegative, with nv[b] >= nu[b + k1 - k2]."""
+    U, V = P[:, :k1], P[:, k1:]
+    return (np.all(U[:, :-1] >= U[:, 1:], axis=1) & np.all(V[:, :-1] >= V[:, 1:], axis=1)
+            & np.all(P >= 0, axis=1) & np.all(V >= U[:, k1 - k2:], axis=1))
+
+
 def _fval_support_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
     rng = np.random.default_rng(seed)
     k1, k2 = p.k1, p.k2
     cone = cone_array(k1, k2, 6)
     npts = budget.points
-    off = []
-    while len(off) < npts:
-        nu = rng.integers(-4, 8, size=k1)
-        nv = rng.integers(-4, 8, size=k2)
-        if not integer_parts_in_cone(nu, nv, k1, k2):
-            off.append(np.concatenate((nu, nv)))
+    # a row of k1 + k2 draws takes the same values from the stream as a
+    # draw of nu then one of nv; keep the first npts off-cone rows
+    off, found = [], 0
+    while found < npts:
+        rows = rng.integers(-4, 8, size=(2 * npts, k1 + k2))
+        off.append(rows[~_in_cone(rows, k1, k2)])
+        found += len(off[-1])
     # one batch: the in-cone rows, then the off-cone rows
-    P = np.vstack([cone, *off]).astype(float)
+    P = np.vstack([cone, *off])[:len(cone) + npts].astype(float)
     vals = lattice_values(P[:, :k1], P[:, k1:], p, seed=seed)
     in_vals, off_vals = vals[:len(cone)], vals[len(cone):]
     med = float(np.median(np.abs(in_vals[np.abs(in_vals) > 0])))

@@ -57,18 +57,6 @@ def lattice_shift(k: int, gamma: float) -> np.ndarray:
     return gamma * np.arange(k - 1, -1, -1, dtype=float)
 
 
-def integer_parts_in_cone(nu, nv, k1: int, k2: int) -> bool:
-    """Cone membership of integer parts: both blocks weakly decreasing and
-    nonnegative, with nv[b] >= nu[b + k1 - k2] interleaving."""
-    nu = list(nu)
-    nv = list(nv)
-    if any(nu[i] < nu[i + 1] for i in range(k1 - 1)) or (k1 and nu[-1] < 0):
-        return False
-    if any(nv[i] < nv[i + 1] for i in range(k2 - 1)) or (k2 and nv[-1] < 0):
-        return False
-    return all(nv[b] >= nu[b + k1 - k2] for b in range(k2))
-
-
 @dataclass(frozen=True)
 class LatticePoint:
     """A point of the gamma-shifted integer lattice.
@@ -380,7 +368,24 @@ def limit_pairs(NU: np.ndarray, NV: np.ndarray, p: ParamSet, *, seed: int = 7919
     probes go through one ``f_off_lattice`` call and are extrapolated to
     zero together.  Points are then checked in order: one without two
     directions, or whose limits (above 1e-10) differ by more than 1e-6
-    relative, raises :class:`LimitDisagreementError`.
+    relative, raises :class:`LimitDisagreementError`.  Every row is
+    probed and checked on its own, so a row's pair and failure do not
+    depend on the other rows of the batch.
+    """
+    pairs, failures = _probe_limits(NU, NV, p, seed=seed, include_weight=include_weight)
+    if failures:
+        raise LimitDisagreementError(next(iter(failures.values())))
+    return pairs
+
+
+def _probe_limits(NU: np.ndarray, NV: np.ndarray, p: ParamSet, *, seed: int,
+                 include_weight: bool):
+    """``limit_pairs`` without the raise: the (m, 2) pairs, and the message
+    of each row that fails the check, by row in ascending order.
+
+    A failed row's pair is a placeholder.  ``lattice.sum_discrete`` probes
+    a block's singular rows in one call and raises a row's failure only
+    when its shell is summed.
     """
     m, k1 = NU.shape
     k2 = NV.shape[1]
@@ -442,16 +447,15 @@ def limit_pairs(NU: np.ndarray, NV: np.ndarray, p: ParamSet, *, seed: int = 7919
     a, b = pairs[:, 0], pairs[:, 1]
     ref = np.maximum(np.abs(a), np.abs(b))
     bad = ~ok | ((np.abs(a - b) > AGREE_TOL * ref) & (ref > 1e-10))
-    if bad.any():
-        i = int(np.argmax(bad))
+    failures = {}
+    for i in np.flatnonzero(bad).tolist():
         if not ok[i]:
-            raise LimitDisagreementError(
-                "probe evaluations kept hitting singular hyperplanes" if found[i].all()
-                else "could not find a generic probe direction")
+            failures[i] = ("probe evaluations kept hitting singular hyperplanes" if found[i].all()
+                           else "could not find a generic probe direction")
+            continue
         pt = LatticePoint(tuple(int(x) for x in NU[i]), tuple(int(x) for x in NV[i]), p.gamma)
-        raise LimitDisagreementError(
-            f"directional limits disagree: {float(a[i])!r} vs {float(b[i])!r} at {pt!r}")
-    return pairs
+        failures[i] = f"directional limits disagree: {float(a[i])!r} vs {float(b[i])!r} at {pt!r}"
+    return pairs, failures
 
 
 def f_limit(pt: LatticePoint, p: ParamSet, *, seed: int = 7919,

@@ -26,9 +26,11 @@ largest part and regrows them only when a later block passes it.  A
 block's regularity mask and regular product are gathers from these
 tables, reduced by ``integrands.master_sign_log`` like every evaluation
 of the product, so they are bit-identical to ``phi_sign_log``.  A
-shell's singular points are directional limits, probed together in one
-batch (``integrands.limit_pairs``), and only for the shells up to the
-stopping shell.
+block's singular points are directional limits, probed in one batch
+after its regular points (``integrands.limit_pairs``, which probes and
+checks every point on its own).  A point that fails the check raises
+only when the sum reaches its shell, so one past the stopping shell is
+probed, dropped and never reported.
 
 The summand depends on z only through z1**sum(u) * z2**sum(v), so
 ``sum_discrete`` also returns the exact z-derivatives, from first moments
@@ -44,8 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import sl3_discrete_rhs, sl3_exp_rhs
-from .errors import NotConvergedError
+from .errors import LimitDisagreementError, NotConvergedError
 from .integrands import (
+    _probe_limits,
     factor_args,
     factor_table,
     lattice_bases,
@@ -295,8 +298,12 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
     windows); later blocks are a quarter of it, or one window.  Factor
     tables are built at the width the first block's largest part needs
     and regrown only when a later block passes it.  Each block's regular
-    points are evaluated in one call; its singular points are probed one
-    shell at a time, none past the stopping shell.
+    points are evaluated in one call and its singular points probed in
+    one batch.  A singular point whose limits fail the check raises
+    :class:`LimitDisagreementError` when the sum reaches its shell, with
+    the message of the shell's first failed point in row order, as a
+    probe of that shell alone gives; failures past the stopping shell are
+    dropped with their shells.
     """
     if which not in ("dexp", "dexp3"):
         raise ValueError(f"unknown series {which!r}")
@@ -340,13 +347,21 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
             vals[regular] = lattice_values(P[regular, :k1], P[regular, k1:], p,
                                            include_weight=include_weight, seed=seed,
                                            tables=tables)
+        # the block's singular rows in one probe batch; a failed row raises
+        # only if the walk below reaches its shell
+        sing = np.flatnonzero(~regular)
+        failed, failure = P.shape[0], None
+        if sing.size:
+            pairs, failures = _probe_limits(P[sing, :k1], P[sing, k1:], p, seed=seed,
+                                            include_weight=include_weight)
+            vals[sing] = 0.5 * (pairs[:, 0] + pairs[:, 1])
+            if failures:
+                row, failure = next(iter(failures.items()))
+                failed = int(sing[row])
         start = 0
         for bound, end in enumerate(ends, start=lo):
-            aside = start + np.flatnonzero(~regular[start:end])
-            if aside.size:
-                vals[aside] = lattice_values(P[aside, :k1], P[aside, k1:], p,
-                                             include_weight=include_weight, seed=seed,
-                                             tables=tables)
+            if failed < end:
+                raise LimitDisagreementError(failure)
             shell_vals = vals[start:end]
             sums.append(math.fsum(shell_vals.tolist()))
             for m, row in zip(masses, np.abs(shell_vals) * scale[:, start:end]):

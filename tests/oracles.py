@@ -22,8 +22,9 @@ checks, except the references that the package must reproduce:
   from either;
 * the per-record check references (``sequential_fval_support``,
   ``sequential_limit_direction``, ``per_l_jjl_shift``) evaluate one point
-  at a time and solve both shifted tables once per l, the way the
-  one-batch engines replaced, bit for bit;
+  at a time, draw off-cone points one at a time through the scalar cone
+  test (``integer_parts_in_cone``), and solve both shifted tables once
+  per l, the way the one-batch engines replaced, bit for bit;
 * the exact recursion table (``exact_unit_table``) takes the package's
   relation coefficients, each float converted exactly, and walks the
   solver's columns in ``Fraction`` arithmetic at a unit seed;
@@ -198,6 +199,19 @@ def brute_h(l1, l2, m, t, s, k1, k2, twisted=False):
             total += term
     import math
     return total / (math.factorial(k1) * math.factorial(k2))
+
+
+def integer_parts_in_cone(nu, nv, k1: int, k2: int) -> bool:
+    """Cone membership of integer parts: both blocks weakly decreasing and
+    nonnegative, with nv[b] >= nu[b + k1 - k2] interleaving.  The scalar
+    test the support check's row test replaced."""
+    nu = list(nu)
+    nv = list(nv)
+    if any(nu[i] < nu[i + 1] for i in range(k1 - 1)) or (k1 and nu[-1] < 0):
+        return False
+    if any(nv[i] < nv[i + 1] for i in range(k2 - 1)) or (k2 and nv[-1] < 0):
+        return False
+    return all(nv[b] >= nu[b + k1 - k2] for b in range(k2))
 
 
 def brute_cone_integer_parts(k1, k2, bound):
@@ -463,7 +477,7 @@ def sequential_point_value(pt, p, seed=7919, include_weight=True):
 def sequential_fval_support(p, budget, seed, tol):
     """The support check one lattice point at a time: in-cone values in one
     batch, then each off-cone point on its own, in draw order."""
-    from selberg3.integrands import LatticePoint, integer_parts_in_cone
+    from selberg3.integrands import LatticePoint
     from selberg3.lattice import cone_array, lattice_values
 
     rng = np.random.default_rng(seed)

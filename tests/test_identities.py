@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (per_l_jjl_shift, per_member_aomoto, per_member_chain_decomp,
-                     sequential_fval_support, sequential_limit_direction)
+from oracles import (integer_parts_in_cone, per_l_jjl_shift, per_member_aomoto,
+                     per_member_chain_decomp, sequential_fval_support, sequential_limit_direction)
 from selberg3 import identities, lattice, quadrature, recursions
 from selberg3.cli import main
 from selberg3.chains import gamma_chain, unit_chain
@@ -24,7 +24,7 @@ from selberg3.identities import (
     run_grid,
     run_identity,
 )
-from selberg3.integrands import assembled_integrand, integer_parts_in_cone
+from selberg3.integrands import assembled_integrand
 from selberg3.logreal import LogSigned
 from selberg3.params import ParamSet
 from selberg3.quadrature import QuadSpec, integrate_chain
@@ -194,6 +194,13 @@ class TestBatchedEngines:
         assert got[0] > 0.0
         monkeypatch.undo()
         assert got == sequential_fval_support(p, budget, 5, None)
+
+    @pytest.mark.parametrize("k1,k2", [(1, 0), (2, 0), (1, 1), (2, 1), (2, 2), (3, 2), (4, 1)])
+    def test_row_cone_test_matches_the_scalar_one(self, k1, k2):
+        P = np.random.default_rng(3).integers(-1, 3, size=(2000, k1 + k2))
+        want = [integer_parts_in_cone(row[:k1], row[k1:], k1, k2) for row in P.tolist()]
+        assert any(want) and not all(want)
+        assert identities._in_cone(P, k1, k2).tolist() == want
 
     def test_fval_support_disagreement_message_matches_sequential(self):
         p = ParamSet(k1=3, k2=1, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from oracles import (brute_h, brute_weight_g, brute_weight_w, h_func, h_tilde_func,
-                     hand_phi_sign_log, mp_gamma, omega, raw_integrand, regular_mask, sequential_limit_pairs,
-                     sequential_point_value, weight_g)
+                     hand_phi_sign_log, integer_parts_in_cone, mp_gamma, omega, raw_integrand,
+                     regular_mask, sequential_limit_pairs, sequential_point_value, weight_g)
 from selberg3 import integrands
 from selberg3.errors import (
     DomainError,
@@ -23,7 +23,6 @@ from selberg3.integrands import (
     assembled_integrand,
     f_limit,
     f_off_lattice,
-    integer_parts_in_cone,
     is_admissible,
     lattice_shift,
     limit_pairs,

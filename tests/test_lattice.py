@@ -9,6 +9,7 @@ from oracles import (
     brute_cone_integer_parts,
     degree_shell_sum,
     hand_phi_sign_log,
+    integer_parts_in_cone,
     mp_gamma,
     regular_mask,
     regular_values,
@@ -19,7 +20,7 @@ from oracles import (
 from selberg3 import closed_forms as cf
 from selberg3.errors import LimitDisagreementError, NotConvergedError
 from selberg3.identities import Budget, run_identity
-from selberg3.integrands import LatticePoint, integer_parts_in_cone, lattice_shift
+from selberg3.integrands import LatticePoint, lattice_shift
 from selberg3.lattice import (
     FactorTables,
     cone_array,
@@ -329,8 +330,6 @@ class TestSeries:
         rng = np.random.default_rng(3)
         NU = rng.integers(-4, 6, size=(200, 2)).astype(float)
         NV = rng.integers(-4, 6, size=(200, 1)).astype(float)
-        from selberg3.integrands import integer_parts_in_cone
-
         off = np.array([not integer_parts_in_cone(nu, nv, 2, 1)
                         for nu, nv in zip(NU, NV)])
         vals = lattice_values(NU[off], NV[off], p)
@@ -424,36 +423,96 @@ class TestBlockedSum:
     # z = 0.3 it stops at the first shell of its second block, and the block
     # runs on past it
     @pytest.mark.parametrize("z,stop_in_block", [(0.05, False), (0.3, True)])
-    def test_limits_probed_per_shell_up_to_the_stop(self, monkeypatch, z, stop_in_block):
+    def test_singular_rows_probed_once_per_block(self, monkeypatch, z, stop_in_block):
         import selberg3.lattice as lattice
 
-        values = _spy(monkeypatch, lattice, "lattice_values")
-        calls = _spy(monkeypatch, lattice, "limit_pairs")
+        bands, band = [], lattice.degree_band
+
+        def spy_band(*args):
+            bands.append(band(*args))
+            return bands[-1]
+
+        monkeypatch.setattr(lattice, "degree_band", spy_band)
+        probed = _spy(monkeypatch, lattice, "_probe_limits")
+        one_at_a_time = _spy(monkeypatch, lattice, "limit_pairs")
         p = ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=z, z2=z)
         got = sum_discrete("dexp3", p, seed=5)
-        blocked = calls.copy()
-        calls.clear()
+        monkeypatch.undo()
         assert got == _oracle_sum("dexp3", p, seed=5)
-        assert len(blocked) == len(calls) > 1
-        for a, b in zip(blocked, calls):
+        # one probe batch per block that holds singular rows: its singular
+        # rows, in shell order and lexicographic within a shell
+        want = []
+        for P, shell in bands:
+            P = P[np.argsort(shell, kind="stable")].astype(float)
+            singular = ~regular_mask(P[:, :2], P[:, 2:], p)
+            if singular.any():
+                want.append(P[singular])
+        assert len(probed) == len(want) >= 1 and not one_at_a_time
+        for a, b in zip(probed, want):
             assert np.array_equal(a, b)
-        for P in blocked:  # one degree shell per call, none past the stop
-            shell = _shells_of(P, p)
-            assert shell.min() == shell.max() <= got.bound
-        # the stopping shell's block runs on, over regular points only,
-        # past shells that hold singular points
-        past = np.vstack([P[_shells_of(P, p) > got.bound] for P in values])
-        assert bool(past.size) == stop_in_block
-        if not stop_in_block:
-            return
-        hi = int(_shells_of(past, p).max())
-        assert regular_mask(past[:, :2], past[:, 2:], p).all()
-        after = cone_array(2, 2, hi + 1)
-        shell = _shells_of(after, p)
-        after = after[(shell > got.bound) & (shell <= hi)].astype(float)
-        regular = regular_mask(after[:, :2], after[:, 2:], p)
-        assert not regular.all()
-        assert np.array_equal(np.unique(after[regular], axis=0), np.unique(past, axis=0))
+        # the stopping shell's block probes the singular rows past the stop
+        # too, and drops them
+        past = _shells_of(probed[-1], p) > got.bound
+        assert past.any() == stop_in_block
+
+    @staticmethod
+    def _plant(monkeypatch, planted):
+        """Fail the probe of each point in ``planted`` wherever it is probed,
+        in the series and in its oracle alike; returns the rows probed."""
+        import selberg3.integrands as integrands
+        import selberg3.lattice as lattice
+
+        seen, real = [], integrands._probe_limits
+
+        def probe(NU, NV, *args, **kwargs):
+            pairs, failures = real(NU, NV, *args, **kwargs)
+            rows = np.hstack((NU, NV)).tolist()
+            seen.extend(rows)
+            for i, row in enumerate(rows):
+                if tuple(row) in planted:
+                    failures[i] = f"planted failure at {row}"
+            return pairs, dict(sorted(failures.items()))
+
+        monkeypatch.setattr(integrands, "_probe_limits", probe)
+        monkeypatch.setattr(lattice, "_probe_limits", probe)
+        return seen
+
+    # (3, 2) at z = 0.3 stops at shell 26, in its second block (shells 24..29);
+    # shells 20 to 29 hold five or six singular points each
+    P32 = ParamSet(k1=3, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.3)
+
+    def _singular_shells(self, monkeypatch):
+        """The series, and the rows it probes by shell, with no failure planted."""
+        seen = self._plant(monkeypatch, set())
+        want = sum_discrete("dexp3", self.P32, seed=5)
+        monkeypatch.undo()
+        shells = {}
+        for row in seen:
+            shells.setdefault(int(_shells_of(np.array([row]), self.P32)[0]), []).append(row)
+        return want, shells
+
+    def test_failure_past_the_stop_is_never_reported(self, monkeypatch):
+        want, shells = self._singular_shells(monkeypatch)
+        planted = {tuple(row) for s, rows in shells.items() if s > want.bound for row in rows}
+        assert planted  # the stopping block probes past the stop
+        seen = self._plant(monkeypatch, planted)
+        assert sum_discrete("dexp3", self.P32, seed=5) == want
+        assert planted <= {tuple(row) for row in seen}  # probed, and dropped
+        assert _oracle_sum("dexp3", self.P32, seed=5) == want
+
+    # the stopping shell, and a shell of the first block
+    @pytest.mark.parametrize("back", [0, 3])
+    def test_failure_up_to_the_stop_raises_as_the_oracle(self, monkeypatch, back):
+        # the first failed row, in row order, of the first shell that fails:
+        # two planted rows of one shell, and one in a later shell
+        want, shells = self._singular_shells(monkeypatch)
+        rows = shells[want.bound - back]
+        later = shells[want.bound + 1]
+        assert len(rows) >= 3
+        self._plant(monkeypatch, {tuple(rows[1]), tuple(rows[-1]), tuple(later[0])})
+        got = _outcome(sum_discrete, "dexp3", self.P32, seed=5)
+        assert got == (LimitDisagreementError, f"planted failure at {rows[1]}")
+        assert got == _outcome(_oracle_sum, "dexp3", self.P32, seed=5)
 
     def test_few_value_calls_for_small_shells(self, monkeypatch):
         import selberg3.lattice as lattice
@@ -473,6 +532,24 @@ class TestBlockedSum:
         rec = run_identity("dexp3", p, seed=5)
         assert rec.passed
         assert sum(len(P) for P in calls) <= 20_000
+
+    def test_one_probe_batch_per_block_at_a_heavy_record(self, monkeypatch):
+        # one shell at a time, this sum probed 30 shells that hold singular points
+        import selberg3.lattice as lattice
+
+        blocks, band = [], lattice.degree_band
+
+        def spy_band(*args):
+            blocks.append(args[3:])
+            return band(*args)
+
+        monkeypatch.setattr(lattice, "degree_band", spy_band)
+        probed = _spy(monkeypatch, lattice, "_probe_limits")
+        one_at_a_time = _spy(monkeypatch, lattice, "limit_pairs")
+        p = ParamSet(k1=3, k2=2, alpha=1.3, gamma=-0.15, z1=0.2, z2=0.4)
+        rec = run_identity("dexp3", p, seed=5)
+        assert rec.passed
+        assert 1 <= len(probed) <= len(blocks) and not one_at_a_time
 
     @pytest.mark.parametrize("k1,k2", SHELL_SHAPES)
     def test_cone_block_is_its_shells(self, k1, k2):
@@ -536,9 +613,10 @@ class TestTailBar:
         import selberg3.lattice as lattice
 
         calls = _spy(monkeypatch, lattice, "limit_pairs")
+        batches = _spy(monkeypatch, lattice, "_probe_limits")
         p = ParamSet(k1=1, k2=1, alpha=alpha, gamma=gamma, z1=z1, z2=z2)
         rec = run_identity("dexp3", p, seed=3)
-        assert not calls
+        assert not calls and not batches
         assert rec.passed
         assert rec.rel_dev <= 1.6 * rec.lhs_err / abs(rec.rhs)
 
