@@ -160,7 +160,7 @@ def j_closed_form(which: str, p: ParamSet, m: int = 0) -> LogSigned:
     * ``"Jtk1k2m"`` -- the twisted (k1,k2,m) entry, rational multiple of
       the (k1,k2,0) one.
     """
-    k1, k2, a, b1, b2, g = p.k1, p.k2, p.alpha, p.beta1, p.beta2, p.gamma
+    k2, a, b1, b2 = p.k2, p.alpha, p.beta1, p.beta2
     if which == "J000":
         return sl3_selberg_rhs(p.with_(beta1=b1 + 1, beta2=b2 + 1))
     if which == "J0k20":
@@ -170,8 +170,17 @@ def j_closed_form(which: str, p: ParamSet, m: int = 0) -> LogSigned:
     if which == "Jtk1k2m":
         if not 0 <= m <= k2:
             raise DomainError(f"need 0 <= m <= k2, got m={m}")
-        out = j_closed_form("Jk1k20", p)
-        for i in range(m):
-            out = out * LogSigned.from_float(-(b2 + (k2 - k1 - 1 + i) * g)) / LogSigned.from_float((k1 - i) * g)
-        return out
+        return twisted_corners(p)[m]
     raise DomainError(f"unknown closed form {which!r}")
+
+
+def twisted_corners(p: ParamSet) -> list:
+    """The twisted (k1, k2, m) entries for m = 0..k2, as one running
+    product from the (k1, k2, 0) entry: each m multiplies in one more
+    rational factor."""
+    k1, k2, b2, g = p.k1, p.k2, p.beta2, p.gamma
+    out = [j_closed_form("Jk1k20", p)]
+    for i in range(k2):
+        out.append(out[-1] * LogSigned.from_float(-(b2 + (k2 - k1 - 1 + i) * g))
+                   / LogSigned.from_float((k1 - i) * g))
+    return out

@@ -23,7 +23,6 @@ from .errors import InvalidParamsError, NotConvergedError
 from .integrands import Integrand, assembled_integrand, limit_pairs
 from .lattice import (
     cone_array,
-    cone_integer_parts,
     eps_limit_ratio,
     lattice_values,
     pde_residual,
@@ -284,15 +283,11 @@ def _jjl_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
 
 def _j0k_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
     tab, tabt = solve_both(p)
-    devs = []
-    pairs = [
-        (tab.value((0, p.k2, 0)), cf.j_closed_form("J0k20", p)),
-        (tab.value((p.k1, p.k2, 0)), cf.j_closed_form("Jk1k20", p)),
-    ]
-    for m in range(p.k2 + 1):
-        pairs.append((tabt.value((p.k1, p.k2, m)), cf.j_closed_form("Jtk1k2m", p, m=m)))
-    for got, want in pairs:
-        devs.append(abs((got / want).to_float() - 1.0))
+    corners = cf.twisted_corners(p)  # corners[0] is the (k1, k2, 0) entry
+    pairs = [(tab.value((0, p.k2, 0)), cf.j_closed_form("J0k20", p)),
+             (tab.value((p.k1, p.k2, 0)), corners[0])]
+    pairs += [(tabt.value((p.k1, p.k2, m)), want) for m, want in enumerate(corners)]
+    devs = [abs((got / want).to_float() - 1.0) for got, want in pairs]
     return max(devs), 0.0, 0.0, (tol if tol is not None else 1e-8), \
         "table corners vs product forms"
 
@@ -388,11 +383,9 @@ def _eps_link_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
 
 
 def _limit_direction_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
-    rng = np.random.default_rng(seed)
-    pts = [(nu, nv) for nu, nv in cone_integer_parts(p.k1, p.k2, 5)]
-    rng.shuffle(pts)
-    pts = pts[:min(budget.points, 20)]
-    P = np.array([nu + nv for nu, nv in pts], dtype=np.int64).reshape(-1, p.k1 + p.k2)
+    P = cone_array(p.k1, p.k2, 5)
+    np.random.default_rng(seed).shuffle(P)
+    P = P[:min(budget.points, 20)]
     pairs = limit_pairs(P[:, :p.k1], P[:, p.k1:], p, seed=seed)
     scale = np.abs(pairs).max(axis=1)
     compared = scale > 1e-12
@@ -401,7 +394,7 @@ def _limit_direction_engine(p: ParamSet, budget: Budget, seed: int, tol: float |
     # a check that compared no point has shown nothing
     err = 0.0 if compared.any() else math.inf
     return worst, err, 0.0, (tol if tol is not None else 1e-6), \
-        f"max two-direction disagreement, {int(compared.sum())} of {len(pts)} points compared"
+        f"max two-direction disagreement, {int(compared.sum())} of {len(P)} points compared"
 
 
 @dataclass(frozen=True)

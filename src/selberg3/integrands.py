@@ -398,37 +398,40 @@ def _probe_limits(NU: np.ndarray, NV: np.ndarray, p: ParamSet, *, seed: int,
     kept = norm >= 1e-3
     D = draws / np.where(kept, norm, 1.0)[:, None]
 
-    # a base with a factor argument at an integer must move along a direction
+    # a base with a factor argument at an integer must move along a direction;
+    # at integer parts an argument is an integer plus a constant of its base,
+    # so the lattice origin tells which bases these are for every row
     plus, minus, _ = base_index(k1, k2)
-    stuck = np.zeros((m, len(plus)), dtype=bool)
-    for b, _, arg in _factor_args_at([*X.T, 0.0], k1, k2, p):
-        stuck[:, b] |= np.abs(arg - np.rint(arg)) <= NEAR_SINGULAR_TOL
+    stuck = np.zeros(len(plus), dtype=bool)
+    origin = [*lattice_shift(k1, p.gamma), *lattice_shift(k2, p.gamma), 0.0]
+    for b, _, arg in _factor_args_at(origin, k1, k2, p):
+        stuck[b] |= abs(arg - round(arg)) <= NEAR_SINGULAR_TOL
     ends = np.hstack((D, np.zeros((len(D), 1))))
     slow = np.abs(ends[:, plus] - ends[:, minus]) < MIN_RATE
-    generic = kept & ~(stuck @ slow.T)
+    generic = kept & ~slow[:, stuck].any(axis=1)
 
-    # the directions a point tries: its generic candidates in draw order,
+    # the directions every point tries: the generic candidates in draw order,
     # each found within DRAW_WINDOW draws of the one before
-    tried = np.argsort(~generic, axis=1, kind="stable")[:, :PROBE_TRIES]
-    gaps = np.diff(tried, axis=1, prepend=-1)
-    found = np.logical_and.accumulate(
-        np.take_along_axis(generic, tried, axis=1) & (gaps <= DRAW_WINDOW), axis=1)
+    tried = np.argsort(~generic, kind="stable")[:PROBE_TRIES]
+    gaps = np.diff(tried, prepend=-1)
+    found = np.logical_and.accumulate(generic[tried] & (gaps <= DRAW_WINDOW))
 
     def probes(rows, cand):
         """Probe coordinates (n, 3, K) along candidates ``cand`` at ``rows``."""
         return X[rows, None, :] + eps[None, :, None] * D[cand][:, None, :]
 
     def clean(rows, ranks):
-        pr = probes(rows, tried[rows, ranks]).reshape(-1, k1 + k2)
+        pr = probes(rows, tried[ranks]).reshape(-1, k1 + k2)
         ok = _probe_rows_ok(pr[:, :k1], pr[:, k1:], p, include_weight)
         return ok.reshape(-1, len(eps)).all(axis=1)
 
-    is_clean = np.zeros_like(found)
-    rows, ranks = np.nonzero(found[:, :2])
+    is_clean = np.zeros((m, PROBE_TRIES), dtype=bool)
+    first = np.flatnonzero(found[:2])
+    rows, ranks = np.repeat(np.arange(m), first.size), np.tile(first, m)
     is_clean[rows, ranks] = clean(rows, ranks)
     # a point with an unclean direction goes on to its next ones
-    for j in range(2, PROBE_TRIES):
-        rows = np.flatnonzero(found[:, j] & (is_clean.sum(axis=1) < 2))
+    for j in np.flatnonzero(found[2:]) + 2:
+        rows = np.flatnonzero(is_clean.sum(axis=1) < 2)
         if not rows.size:
             break
         is_clean[rows, j] = clean(rows, np.full(rows.size, j))
@@ -437,8 +440,7 @@ def _probe_limits(NU: np.ndarray, NV: np.ndarray, p: ParamSet, *, seed: int,
     pairs = np.zeros((m, 2))
     if ok.any():
         rows = np.flatnonzero(ok)
-        chosen = np.take_along_axis(tried, np.argsort(~is_clean, axis=1, kind="stable")[:, :2],
-                                    axis=1)[rows]
+        chosen = tried[np.argsort(~is_clean[rows], axis=1, kind="stable")[:, :2]]
         # probe rows in (point, direction, offset) order
         pr = probes(np.repeat(rows, 2), chosen.ravel()).reshape(-1, k1 + k2)
         vals = f_off_lattice(pr[:, :k1], pr[:, k1:], p, include_weight=include_weight)
@@ -450,7 +452,7 @@ def _probe_limits(NU: np.ndarray, NV: np.ndarray, p: ParamSet, *, seed: int,
     failures = {}
     for i in np.flatnonzero(bad).tolist():
         if not ok[i]:
-            failures[i] = ("probe evaluations kept hitting singular hyperplanes" if found[i].all()
+            failures[i] = ("probe evaluations kept hitting singular hyperplanes" if found.all()
                            else "could not find a generic probe direction")
             continue
         pt = LatticePoint(tuple(int(x) for x in NU[i]), tuple(int(x) for x in NV[i]), p.gamma)

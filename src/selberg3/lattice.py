@@ -18,19 +18,22 @@ the tail is rho * M0 / (1 - rho).  The first block reaches the stop that
 c predicts, and a later block is a quarter of it.
 
 Every gamma factor, reciprocal gamma factor and weight denominator of
-the summand is a function of one or two integer parts (the base
-quantities of ``integrands.lattice_bases``), so ``FactorTables`` holds
-each factor's (sign, log) and singular flag once per series, over the
-integer range in use; ``sum_discrete`` builds them at the first block's
-largest part and regrows them only when a later block passes it.  A
-block's regularity mask and regular product are gathers from these
-tables, reduced by ``integrands.master_sign_log`` like every evaluation
-of the product, so they are bit-identical to ``phi_sign_log``.  A
-block's singular points are directional limits, probed in one batch
-after its regular points (``integrands.limit_pairs``, which probes and
-checks every point on its own).  A point that fails the check raises
-only when the sum reaches its shell, so one past the stopping shell is
-probed, dropped and never reported.
+the summand is a function of one base quantity of
+``integrands.lattice_bases``, and at a lattice point a base is an integer
+difference of two parts plus a constant of the base.  So
+``FactorTables`` holds each factor's (sign, log) and singular flag once
+per series, one table per base over the differences in use;
+``sum_discrete`` builds them at the first block's largest part and
+regrows them only when a later block passes it.  A block's regularity
+mask and regular product are gathers from these tables, reduced by
+``integrands.master_sign_log`` like every evaluation of the product;
+they match ``phi_sign_log`` up to the last-bit rounding of each factor's
+argument (``FactorTables``).  A block's singular points are directional
+limits, probed in one batch after its regular points
+(``integrands.limit_pairs``, which probes and checks every point on its
+own).  A point that fails the check raises only when the sum reaches
+its shell, so one past the stopping shell is probed, dropped and never
+reported.
 
 The summand depends on z only through z1**sum(u) * z2**sum(v), so
 ``sum_discrete`` also returns the exact z-derivatives, from first moments
@@ -49,6 +52,7 @@ from .closed_forms import sl3_discrete_rhs, sl3_exp_rhs
 from .errors import LimitDisagreementError, NotConvergedError
 from .integrands import (
     _probe_limits,
+    base_index,
     factor_args,
     factor_table,
     lattice_bases,
@@ -90,89 +94,73 @@ def _append_column(P: np.ndarray, lo, hi) -> np.ndarray:
     return np.column_stack((P[rows], np.broadcast_to(lo, n)[rows] + offsets))
 
 
-def cone_array(k1: int, k2: int, bound: int, least: int = 0) -> np.ndarray:
-    """Integer parts of the cone points whose largest part lies in [least, bound].
+def cone_array(k1: int, k2: int, bound: int) -> np.ndarray:
+    """Integer parts of the cone points with every part at most ``bound``.
 
     One row (nu_0..nu_{k1-1}, nv_0..nv_{k2-1}) per point, in lexicographic
-    order.  The largest part is nu_0 or nv_0, since both blocks decrease;
-    ``least=bound`` gives the shell of points whose largest part is ``bound``.
+    order.
     """
     kk = k1 - k2
-    # the empty point (k1 = 0) has largest part 0
-    P = np.zeros((int(k1 > 0 or least == 0), 0), dtype=np.int64)
+    P = np.zeros((1, 0), dtype=np.int64)  # the empty point (k1 = 0) is the one row
     for i in range(k1):
-        lo = least if (i == 0 and k2 == 0) else 0
-        P = _append_column(P, lo, P[:, i - 1] if i else bound)
+        P = _append_column(P, 0, P[:, i - 1] if i else bound)
     for b in range(k2):
-        lo = P[:, b + kk]
-        if b == 0 and least:
-            lo = np.where(P[:, 0] < least, least, lo)
-        P = _append_column(P, lo, P[:, k1 + b - 1] if b else bound)
+        P = _append_column(P, P[:, b + kk], P[:, k1 + b - 1] if b else bound)
     return P
-
-
-def cone_integer_parts(k1: int, k2: int, bound: int):
-    """Integer parts (nu, nv) of every cone point with all parts <= bound,
-    in lexicographic order."""
-    for row in cone_array(k1, k2, bound).tolist():
-        yield tuple(row[:k1]), tuple(row[k1:])
-
-
-@dataclass(frozen=True)
-class _BaseTable:
-    plus: int
-    minus: int | None       # None for a one-part base
-    sign: np.ndarray | None  # None where every sign is +1
-    logs: list
-    singular: np.ndarray | None  # None where no entry is singular
 
 
 class FactorTables:
     """The summand's factors at integer parts lo..hi, one table per base.
 
-    Each base quantity of ``lattice_bases`` depends on one integer part
-    (a 'u' base) or two (the others), so every factor on it is a table
-    over them: length W = hi - lo + 1, or W*W stored flat.  Per base the
-    tables hold the product of its factors' signs, the log of each factor
-    in product order, and whether any factor is singular.  Entries are
-    ``factor_table`` values, as in ``phi_sign_log``, so a product gathered
-    from them is bit-identical to it.
+    At a lattice point, base quantity x = c[plus] - c[minus] of
+    ``lattice_bases`` is the integer difference d = n[plus] - n[minus] of
+    the parts n = (nu, nv, 0) plus a constant of the base, the difference
+    of their ``lattice_shift`` entries.  So every factor on a base is one
+    table over d in [-span, span], span = max(hi, 0) - min(lo, 0), at
+    argument d + (s[plus] - s[minus]).  Per base the tables hold the
+    product of its factors' signs (None where every sign is +1), the log
+    of each factor in product order, and whether any factor is singular
+    (None where none is).  Entries are ``factor_table`` values, reduced by
+    ``master_sign_log``; ``phi_sign_log`` takes the same factors at
+    (n[plus] + s[plus]) - (n[minus] + s[minus]), which may round the
+    argument differently in its last bit.
     """
 
     def __init__(self, k1: int, k2: int, p: ParamSet, lo: int, hi: int):
-        self.p = p
-        self.lo, self.hi, self.width = lo, hi, hi - lo + 1
-        parts = np.arange(lo, hi + 1, dtype=float)
-        shifts = np.concatenate((lattice_shift(k1, p.gamma), lattice_shift(k2, p.gamma)))
-        coord = [parts + s for s in shifts]
-        self.bases = []
-        for family, plus, minus in lattice_bases(k1, k2):
-            one_part = minus == k1 + k2
-            x = coord[plus] if one_part else coord[plus][:, None] - coord[minus][None, :]
-            sign, logs, singular = np.ones(x.shape), [], np.zeros(x.shape, dtype=bool)
-            for kind, arg in factor_args(family, x, p):
-                s, logm, bad = factor_table(kind, arg)
+        self.p, self.hi = p, hi
+        self.span = max(hi, 0) - min(lo, 0)
+        plus, minus, _ = base_index(k1, k2)
+        self.pairs = list(zip(plus.tolist(), minus.tolist()))
+        shifts = np.concatenate((lattice_shift(k1, p.gamma), lattice_shift(k2, p.gamma), [0.0]))
+        d = np.arange(-self.span, self.span + 1, dtype=float)
+        self.signs, self.logs, self.singular = [], [], []
+        for (family, _, _), s in zip(lattice_bases(k1, k2), shifts[plus] - shifts[minus]):
+            sign, logs, singular = np.ones(d.size), [], np.zeros(d.size, dtype=bool)
+            for kind, arg in factor_args(family, d + s, p):
+                fs, logm, bad = factor_table(kind, arg)
                 singular |= bad
-                if s is not None:
-                    sign = sign * s
-                    logs.append(logm.ravel())
-            self.bases.append(_BaseTable(
-                plus, None if one_part else minus,
-                None if np.all(sign == 1.0) else sign.ravel(), logs,
-                singular.ravel() if singular.any() else None))
+                if fs is not None:
+                    sign = sign * fs
+                    logs.append(logm)
+            self.signs.append(None if np.all(sign == 1.0) else sign)
+            self.logs.append(logs)
+            self.singular.append(singular if singular.any() else None)
 
     def index(self, P: np.ndarray) -> list:
-        """Flat table index of every base at each row of integer parts."""
-        cols = [P[:, c] - self.lo for c in range(P.shape[1])]
-        return [cols[b.plus] if b.minus is None else cols[b.plus] * self.width + cols[b.minus]
-                for b in self.bases]
+        """Table index n[plus] - n[minus] + span of every base at each row
+        of integer parts, one contiguous array per base."""
+        parts = np.ascontiguousarray(P.T)
+        # a 'u' base's minus part is the trailing 0, which P does not hold
+        raised = parts + self.span
+        return [raised[plus] if minus == len(parts) else raised[plus] - parts[minus]
+                for plus, minus in self.pairs]
 
     def regular(self, index: list, n: int) -> np.ndarray:
         """Which of the n rows have no singular factor."""
         bad = np.zeros(n, dtype=bool)
-        for b, ix in zip(self.bases, index):
-            if b.singular is not None:
-                bad |= b.singular.take(ix)
+        for singular, ix in zip(self.singular, index):
+            if singular is not None:
+                bad |= singular.take(ix)
         return ~bad
 
     def sign_log(self, index: list, U: np.ndarray, V: np.ndarray):
@@ -180,8 +168,8 @@ class FactorTables:
         a singular factor get placeholder values."""
         return master_sign_log(
             self.p, U, V,
-            (b.sign.take(ix) for b, ix in zip(self.bases, index) if b.sign is not None),
-            lambda b, f: self.bases[b].logs[f].take(index[b]))
+            (sign.take(ix) for sign, ix in zip(self.signs, index) if sign is not None),
+            lambda b, f: self.logs[b][f].take(index[b]))
 
 
 def lattice_values(NU: np.ndarray, NV: np.ndarray, p: ParamSet,
@@ -296,10 +284,10 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
     The first block of shells reaches the predicted stop, log(1/rel_tol)
     over the least column weight plus two shells (and at least four
     windows); later blocks are a quarter of it, or one window.  Factor
-    tables are built at the width the first block's largest part needs
-    and regrown only when a later block passes it.  Each block's regular
-    points are evaluated in one call and its singular points probed in
-    one batch.  A singular point whose limits fail the check raises
+    tables are built over the differences the first block's largest part
+    reaches and regrown only when a later block passes it.  Each block's
+    regular points are evaluated in one call and its singular points
+    probed in one batch.  A singular point whose limits fail the check raises
     :class:`LimitDisagreementError` when the sum reaches its shell, with
     the message of the shell's first failed point in row order, as a
     probe of that shell alone gives; failures past the stopping shell are

@@ -5,16 +5,21 @@ possible, explicit loops over permutations, high-precision special
 functions from mpmath.  None of it shares code with the package paths it
 checks, except the references that the package must reproduce:
 
-* the hand-written master product (``hand_phi_sign_log``) writes the
-  summand's gamma factors out family by family on raw coordinates, with
-  its own sign-log helpers, and adds their logs in the order the package
-  fixes; the package derives the same product from one description of
-  its factors, as ``phi_sign_log`` and through the factor tables, and
-  must match it bit for bit;
-* the lattice-summand references run ``hand_phi_sign_log`` and the
+* the hand-written master products write the summand's gamma factors
+  out family by family, with their own sign-log helpers, and add their
+  logs in the order the package fixes: ``hand_phi_sign_log`` on raw
+  coordinates, which ``phi_sign_log`` must match bit for bit, and
+  ``hand_lattice_sign_log`` on integer parts, each base an integer
+  difference plus a difference of shifts, which the factor tables must
+  match bit for bit;
+* the lattice-summand references run ``hand_lattice_sign_log`` and the
   package's ``weight_w`` and ``f_off_lattice`` point by point, and draw
   each point's probe directions one at a time with their own copy of the
   draw rule, the way the factor tables and the candidate block replaced;
+* the cone enumerations ``cone_integer_parts`` (the package's
+  ``cone_array`` rows as tuples) and ``cone_array_from`` (its rows from a
+  least largest part on, one shell at ``least=bound``) serve the tests
+  and the references that walk the cone point by point or shell by shell;
 * the series reference (``degree_shell_sum``) enumerates and evaluates
   one degree shell of the cone at a time, from per-block tuples crossed
   by their sums, the way the degree bands replaced, bit for bit; a
@@ -214,6 +219,26 @@ def integer_parts_in_cone(nu, nv, k1: int, k2: int) -> bool:
     return all(nv[b] >= nu[b + k1 - k2] for b in range(k2))
 
 
+def cone_integer_parts(k1: int, k2: int, bound: int):
+    """Integer parts (nu, nv) of every cone point with all parts <= bound,
+    in lexicographic order: the rows of the package's ``cone_array`` as
+    tuples."""
+    from selberg3.lattice import cone_array
+
+    for row in cone_array(k1, k2, bound).tolist():
+        yield tuple(row[:k1]), tuple(row[k1:])
+
+
+def cone_array_from(k1: int, k2: int, bound: int, least: int) -> np.ndarray:
+    """The rows of the package's ``cone_array`` whose largest part is at
+    least ``least``, in its order; ``least=bound`` gives the shell of
+    points whose largest part is ``bound``."""
+    from selberg3.lattice import cone_array
+
+    P = cone_array(k1, k2, bound)
+    return P[P.max(axis=1, initial=0) >= least]
+
+
 def brute_cone_integer_parts(k1, k2, bound):
     """Filter the full integer box through the cone inequalities."""
     from itertools import product
@@ -279,14 +304,42 @@ def hand_phi_sign_log(u, v, p, zero_tol=1e-12):
 
     Reciprocal gamma factors within ``zero_tol`` of a nonpositive integer
     contribute exact zeros; numerator gammas at poles raise PoleError.
-    The package derives the same product from ``lattice_bases`` and must
-    match this bit for bit (``zero_tol=1e-9`` is the factor tables'
-    tolerance).
+    The package's ``phi_sign_log`` derives the same product from
+    ``lattice_bases`` and must match this bit for bit.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    n = u.shape[0]
-    k1, k2 = u.shape[1], v.shape[1]
+    pairs = [block[:, i] - block[:, j] for block in (u, v)
+             for i in range(block.shape[1]) for j in range(i + 1, block.shape[1])]
+    return _hand_product(p, u, v, v[:, None, :] - u[:, :, None], pairs, zero_tol)
+
+
+def hand_lattice_sign_log(NU, NV, p, zero_tol=1e-9):
+    """The master product at lattice points from their integer parts, as
+    (sign, logmag) arrays: ``hand_phi_sign_log`` with every base quantity
+    written as the difference of two integer parts plus the difference of
+    their shifts, (n_p - n_m) + (s_p - s_m), shift s_i = gamma*(k-1-i).
+
+    The z powers take the real coordinates n + s.  The package's factor
+    tables take the bases this way and must match this bit for bit
+    (``zero_tol=1e-9`` is their tolerance).
+    """
+    NU = np.atleast_2d(np.asarray(NU, dtype=float))
+    NV = np.atleast_2d(np.asarray(NV, dtype=float))
+    su = p.gamma * np.arange(NU.shape[1] - 1, -1, -1, dtype=float)
+    sv = p.gamma * np.arange(NV.shape[1] - 1, -1, -1, dtype=float)
+    dvu = (NV[:, None, :] - NU[:, :, None]) + (sv[None, :] - su[:, None])[None]
+    pairs = [(N[:, i] - N[:, j]) + (s[i] - s[j]) for N, s in ((NU, su), (NV, sv))
+             for i in range(N.shape[1]) for j in range(i + 1, N.shape[1])]
+    return _hand_product(p, NU + su, NV + sv, dvu, pairs, zero_tol)
+
+
+def _hand_product(p, u, v, dvu, pairs, zero_tol):
+    """(sign, logmag) of the master product from its base quantities: u
+    (n, k1), which are also the u bases, and v for the z powers, dvu
+    (n, k1, k2) the v_j - u_i bases and ``pairs`` the b_i - b_j bases, u
+    pairs first."""
+    n, k1, k2 = u.shape[0], u.shape[1], v.shape[1]
     a, g = p.alpha, p.gamma
     sign = np.ones(n)
     logm = np.zeros(n)
@@ -305,21 +358,17 @@ def hand_phi_sign_log(u, v, p, zero_tol=1e-12):
     if k2:
         logm = logm + log(p.z2) * v.sum(axis=1)
     if k1 and k2:
-        dvu = v[:, None, :] - u[:, :, None]  # (n, k1, k2)
         s3, l3 = _sign_log_gamma(dvu - g + 1.0)
         accumulate(s3.reshape(n, -1).prod(axis=1), l3.reshape(n, -1).sum(axis=1))
         s4, l4 = _sign_log_recip_gamma(dvu + 1.0, zero_tol)
         accumulate(s4.reshape(n, -1).prod(axis=1), l4.reshape(n, -1).sum(axis=1))
-    for block, kk in ((u, k1), (v, k2)):
-        for i in range(kk):
-            for j in range(i + 1, kk):
-                d = block[:, i] - block[:, j]
-                s5, l5 = _sign_log_value(d)
-                accumulate(s5, l5)
-                s6, l6 = _sign_log_gamma(d + g)
-                accumulate(s6, l6)
-                s7, l7 = _sign_log_recip_gamma(d - g + 1.0, zero_tol)
-                accumulate(s7, l7)
+    for d in pairs:
+        s5, l5 = _sign_log_value(d)
+        accumulate(s5, l5)
+        s6, l6 = _sign_log_gamma(d + g)
+        accumulate(s6, l6)
+        s7, l7 = _sign_log_recip_gamma(d - g + 1.0, zero_tol)
+        accumulate(s7, l7)
     return sign, logm
 
 
@@ -352,7 +401,7 @@ def regular_mask(NU, NV, p, tol=1e-9):
 
 
 def regular_values(NU, NV, p, include_weight=True):
-    """(mask, values) of the lattice summand: ``hand_phi_sign_log`` and
+    """(mask, values) of the lattice summand: ``hand_lattice_sign_log`` and
     ``weight_w`` on the regular points, 0 elsewhere."""
     from selberg3.integrands import lattice_shift, weight_w
 
@@ -363,7 +412,7 @@ def regular_values(NU, NV, p, include_weight=True):
     if idx.size:
         U = NU[idx] + lattice_shift(k1, p.gamma)[None, :]
         V = NV[idx] + lattice_shift(k2, p.gamma)[None, :] if k2 else np.zeros((idx.size, 0))
-        sign, logm = hand_phi_sign_log(U, V, p, zero_tol=1e-9)
+        sign, logm = hand_lattice_sign_log(NU[idx], NV[idx], p)
         fv = sign * np.exp(logm)
         if include_weight and k2:
             nz = fv != 0.0
@@ -503,7 +552,6 @@ def sequential_limit_direction(p, budget, seed, tol):
     """The direction check one lattice point at a time, each probed on its
     own; a check that compared no point gets an infinite error."""
     from selberg3.integrands import LatticePoint
-    from selberg3.lattice import cone_integer_parts
 
     rng = np.random.default_rng(seed)
     pts = [(nu, nv) for nu, nv in cone_integer_parts(p.k1, p.k2, 5)]
@@ -732,13 +780,13 @@ def shell_by_shell_sum(which, p, rel_tol=1e-10, max_bound=None, seed=7919):
     shell sums."""
     import math
 
-    from selberg3.lattice import cone_array, lattice_values
+    from selberg3.lattice import lattice_values
 
     include_weight = which == "dexp3"
     k1, k2 = p.k1, (p.k2 if include_weight else 0)
     shells = []
     for j in range(max_bound + 1):
-        P = cone_array(k1, k2, j, least=j).astype(float)
+        P = cone_array_from(k1, k2, j, j).astype(float)
         vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=include_weight, seed=seed)
         shells.append(math.fsum(vals.tolist()))
         partial = math.fsum(shells)

@@ -15,6 +15,7 @@ import pytest
 
 from oracles import (
     brute_cone_integer_parts,
+    cone_integer_parts,
     domain_monomial_integral,
     simplex_monomial_integral,
     weight_g,
@@ -25,7 +26,6 @@ from selberg3.cli import main as cli_main
 from selberg3.identities import Budget, identity_ids, run_identity
 from selberg3.integrands import assembled_integrand
 from selberg3.lattice import (
-    cone_integer_parts,
     eps_limit_ratio,
     pde_residual,
     sum_discrete,

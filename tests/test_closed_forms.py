@@ -11,7 +11,7 @@ from oracles import (box_cone_monomial, cone_mask, mp_gamma, mp_selberg_rhs, nk_
                      simplex_membership, simplex_monomial_integral)
 from selberg3 import closed_forms as cf
 from selberg3.errors import DomainError
-from selberg3.logreal import power_log
+from selberg3.logreal import LogSigned, power_log
 from selberg3.params import ParamSet
 
 
@@ -202,6 +202,18 @@ class TestJClosedForms:
         base = cf.j_closed_form("Jk1k20", self.p).to_float()
         pre = -(self.p.beta2 + (1 - 2 - 1) * self.p.gamma) / (2 * self.p.gamma)
         assert got == pytest.approx(pre * base, rel=1e-13)
+
+    def test_twisted_corners_are_the_per_m_products(self):
+        # each m on its own: the (k1, k2, 0) entry times its first m factors
+        p = p_(k1=3, k2=2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+        corners = cf.twisted_corners(p)
+        assert len(corners) == p.k2 + 1
+        for m, got in enumerate(corners):
+            want = cf.j_closed_form("Jk1k20", p)
+            for i in range(m):
+                want = (want * LogSigned.from_float(-(p.beta2 + (p.k2 - p.k1 - 1 + i) * p.gamma))
+                        / LogSigned.from_float((p.k1 - i) * p.gamma))
+            assert got == want
 
     def test_unknown_form_rejected(self):
         with pytest.raises(DomainError):

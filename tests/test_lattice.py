@@ -1,14 +1,18 @@
 """Cone enumeration, series summation, and the first-order system."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import digamma, gammaln
 
 from oracles import (
     brute_cone_integer_parts,
+    cone_array_from,
+    cone_integer_parts,
     degree_shell_sum,
-    hand_phi_sign_log,
+    hand_lattice_sign_log,
     integer_parts_in_cone,
     mp_gamma,
     regular_mask,
@@ -20,11 +24,17 @@ from oracles import (
 from selberg3 import closed_forms as cf
 from selberg3.errors import LimitDisagreementError, NotConvergedError
 from selberg3.identities import Budget, run_identity
-from selberg3.integrands import LatticePoint, lattice_shift
+from selberg3.integrands import (
+    LatticePoint,
+    factor_args,
+    factor_table,
+    lattice_bases,
+    lattice_shift,
+    phi_sign_log,
+)
 from selberg3.lattice import (
     FactorTables,
     cone_array,
-    cone_integer_parts,
     degree_band,
     eps_limit_ratio,
     lattice_values,
@@ -73,7 +83,7 @@ SHELL_SHAPES = [(1, 0), (3, 0), (1, 1), (2, 2), (3, 2), (3, 3), (4, 2)]
 
 
 def _shell(k1, k2, j):
-    return [(tuple(r[:k1]), tuple(r[k1:])) for r in cone_array(k1, k2, j, least=j).tolist()]
+    return [(tuple(r[:k1]), tuple(r[k1:])) for r in cone_array_from(k1, k2, j, j).tolist()]
 
 
 class TestShells:
@@ -145,12 +155,83 @@ class TestFactorTables:
             U = NU[idx] + lattice_shift(k1, gamma)[None, :]
             V = NV[idx] + lattice_shift(k2, gamma)[None, :] if k2 else np.zeros((idx.size, 0))
             sign, logm = tables.sign_log([ix[idx] for ix in index], U, V)
-            want_sign, want_log = hand_phi_sign_log(U, V, p, zero_tol=1e-9)
+            want_sign, want_log = hand_lattice_sign_log(NU[idx], NV[idx], p)
             assert np.array_equal(sign, want_sign)
             assert np.array_equal(logm, want_log)
             singular += int((~regular).sum())
             zeros += int((sign == 0.0).sum())
         assert singular and zeros  # poles or denominator hits, and 1/Gamma zeros
+
+    @pytest.mark.parametrize("gamma", [-0.15, -1 / 3])
+    @pytest.mark.parametrize("k1,k2", [(3, 0), (2, 1), (3, 2)])
+    def test_tables_agree_with_phi_to_argument_rounding(self, k1, k2, gamma):
+        """The tables take base x = c_p - c_m, c = n + s, as fl(d + fl(s_p - s_m)),
+        d = n_p - n_m; ``phi_sign_log`` takes fl(fl(c_p) - fl(c_m)).  The
+        first is within eps (|s_p - s_m| + |x|) of x and the second within
+        eps (|c_p| + |c_m| + |x|), eps = 2**-53, so they differ by at most
+        dx = eps (|c_p| + |c_m| + |s_p - s_m| + 2|x|).  A factor argument
+        adds at most two roundings, 4 eps (|arg| + |x| + 1) with dx, and its
+        log moves by at most |L'(arg)| times that: |psi(arg)| for a gamma
+        factor, 1/|arg| for a plain one; a 1/Gamma zero is 0 in both.  Each
+        log adds its own evaluation error, 8 eps (|L| + 1), and the two
+        fixed-order sums of T logs differ in rounding by at most
+        2 T eps times the sum of |logs|.  Signs and singular masks agree."""
+        eps = 2.0 ** -53
+        rng = np.random.default_rng(5)
+        P = np.vstack((_mixed_batch(k1, k2), rng.integers(-4, 300, size=(400, k1 + k2))))
+        shifts = np.concatenate((lattice_shift(k1, gamma), lattice_shift(k2, gamma), [0.0]))
+        C = np.hstack((P, np.zeros((P.shape[0], 1)))) + shifts
+        differ = 0
+        for alpha in (1.3, 2.0):
+            p = ParamSet(k1=k1, k2=k2, alpha=alpha, gamma=gamma, z1=0.3, z2=0.5)
+            tables = FactorTables(k1, k2, p, int(P.min()), int(P.max()))
+            index = tables.index(P)
+            singular = np.zeros(P.shape[0], dtype=bool)
+            slope, own, mass = 0.0, 0.0, np.abs(math.log(p.z1) * C[:, :k1].sum(axis=1))
+            mass = mass + np.abs(math.log(p.z2) * C[:, k1:-1].sum(axis=1))
+            terms = 2
+            for family, plus, minus in lattice_bases(k1, k2):
+                x = C[:, plus] - C[:, minus]
+                dx = eps * (np.abs(C[:, plus]) + np.abs(C[:, minus])
+                            + abs(shifts[plus] - shifts[minus]) + 2 * np.abs(x))
+                for kind, arg in factor_args(family, x, p):
+                    singular |= factor_table(kind, arg)[2]
+                    if kind == "den":
+                        continue
+                    terms += 1
+                    darg = dx + 4 * eps * (np.abs(arg) + np.abs(x) + 1.0)
+                    if kind == "lin":
+                        logm, rate = np.log(np.abs(arg)), 1.0 / np.abs(arg)
+                    else:
+                        zero = (arg < 0.5) & (np.abs(arg - np.rint(arg)) <= 1e-9)
+                        safe = np.where(zero, 1.5, arg)
+                        logm = np.where(zero, 0.0, gammaln(safe))
+                        rate = np.where(zero, 0.0, np.abs(digamma(safe)))
+                    slope = slope + rate * darg
+                    own = own + 8 * eps * (np.abs(logm) + 1.0)
+                    mass = mass + np.abs(logm)
+            regular = tables.regular(index, P.shape[0])
+            assert np.array_equal(regular, ~singular)
+            U, V = C[regular, :k1], C[regular, k1:-1]
+            sign, logm = tables.sign_log([ix[regular] for ix in index], U, V)
+            want_sign, want_log = phi_sign_log(U, V, p)
+            assert np.array_equal(sign, want_sign)
+            bound = (slope + own + 2 * terms * eps * mass)[regular]
+            gap = np.abs(logm - want_log)
+            assert np.all(gap <= bound)
+            differ += int((gap > 0.0).sum())
+        assert differ  # the two forms round some arguments apart
+
+    def test_wide_tables_stay_small(self):
+        # each base is one table over the differences -2047..2047, not 2048 x 2048
+        p = ParamSet(k1=1, k2=1, alpha=1.3, gamma=-0.15, z1=0.95, z2=0.95)
+        tracemalloc.start()
+        try:
+            FactorTables(1, 1, p, 0, 2047)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     @pytest.mark.parametrize("k1,k2", [(2, 2), (3, 2)])
     def test_cone_batch_with_singular_points(self, k1, k2):
@@ -557,8 +638,8 @@ class TestBlockedSum:
             return {tuple(r) for r in P.tolist()}
 
         for j, hi in ((0, 0), (0, 3), (1, 2), (3, 6), (5, 5)):
-            block = cone_array(k1, k2, hi, least=j)
-            shells = np.vstack([cone_array(k1, k2, s, least=s) for s in range(j, hi + 1)])
+            block = cone_array_from(k1, k2, hi, j)
+            shells = np.vstack([cone_array_from(k1, k2, s, s) for s in range(j, hi + 1)])
             assert len(block) == len(shells) and rows(block) == rows(shells)
             order = np.argsort(block.max(axis=1, initial=0), kind="stable")
             assert np.array_equal(block[order], shells)
