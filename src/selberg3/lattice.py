@@ -174,19 +174,22 @@ class FactorTables:
 
 def lattice_values(NU: np.ndarray, NV: np.ndarray, p: ParamSet,
                    include_weight: bool = True, seed: int = 7919,
-                   tables: FactorTables | None = None) -> np.ndarray:
+                   tables: FactorTables | None = None, index: list | None = None) -> np.ndarray:
     """F at a batch of lattice points.
 
     Regular points are gathered from ``tables``, which must span the
     batch's integer parts; without them, tables are built over that range.
-    Singular points are directional limits, probed in one batch.
+    ``index`` is ``tables.index`` of the batch's integer parts, for a
+    caller that already took it.  Singular points are directional limits,
+    probed in one batch.
     """
     n, k1 = NU.shape
     k2 = NV.shape[1]
-    P = np.hstack((NU, NV)).astype(np.int64)
-    if tables is None:
-        tables = FactorTables(k1, k2, p, *((int(P.min()), int(P.max())) if P.size else (0, 0)))
-    index = tables.index(P)
+    if index is None:
+        P = np.hstack((NU, NV)).astype(np.int64)
+        if tables is None:
+            tables = FactorTables(k1, k2, p, *((int(P.min()), int(P.max())) if P.size else (0, 0)))
+        index = tables.index(P)
     regular = tables.regular(index, n)
     U = NU + lattice_shift(k1, p.gamma)[None, :]
     V = NV + lattice_shift(k2, p.gamma)[None, :] if k2 else np.zeros((n, 0))
@@ -326,7 +329,10 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
         largest = int(P.max(initial=0))
         if tables is None or largest > tables.hi:
             tables = FactorTables(k1, k2, p, 0, largest)
-        regular = tables.regular(tables.index(P), P.shape[0])
+        index = tables.index(P)
+        regular = tables.regular(index, P.shape[0])
+        if not regular.all():
+            index = [ix[regular] for ix in index]
         P = P.astype(float)  # no view may keep the integer array alive
         scale = np.stack((np.ones(P.shape[0]), np.abs(P[:, :k1].sum(axis=1) + shift_u),
                           np.abs(P[:, k1:].sum(axis=1) + shift_v)))
@@ -334,7 +340,7 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
         if regular.any():
             vals[regular] = lattice_values(P[regular, :k1], P[regular, k1:], p,
                                            include_weight=include_weight, seed=seed,
-                                           tables=tables)
+                                           tables=tables, index=index)
         # the block's singular rows in one probe batch; a failed row raises
         # only if the walk below reaches its shell
         sing = np.flatnonzero(~regular)

@@ -24,18 +24,26 @@ per axis, weighted by the monomial, converges geometrically.  The
 exponent of axis v is v's count of proper descendants (the Jacobian)
 plus every power factor whose shallowest gap lies at or below v, plus
 the least pole count over the weight terms; the remaining weight powers
-are non-negative integers.  The projective factor is (sum g)^(-(D+N))
-for total degree D, which is 0 on the half-line.  The rules integrate
-the monomial, so a sector's frame (``_SectorFrame``) carries only the
-smooth part: one exp of the power factors' log R, times the weight's
-terms, each its coefficient times the integer monomial in y that its
-numerators leave, times products and quotients of R.  The levels
-(``_refine``) start at ``nodes_for(dim)`` nodes per axis, take
-|v(n) - v(n-2)| as the estimate, and add two nodes per axis until every
-member's relative estimate is within ``SECTOR_RTOL``, within
-``SECTOR_MAX_NODES`` per axis and ``SECTOR_MAX_GRID`` nodes per domain;
-an explicit ``nodes_per_axis`` fixes the pair (n-2, n).  Each level's
-axis rules come from one batched eigenvalue solve (``_jacobi_rules``).
+are non-negative integers; each exponent is summed exactly, so one that
+is an integer comes out as one.  The projective factor is
+(sum g)^(-(D+N)) for total degree D, which is 0 on the half-line.  The
+rules integrate the monomial, so a sector's frame (``_SectorFrame``)
+carries only the smooth part: one exp of the power factors' log R, which
+also takes the (sum g)^poles of the weight's projection that every
+member shares, times the weight's terms, each its coefficient times the
+integer monomial in y that its numerators leave, times products and
+quotients of R.  The log parts that span fewer axes than the grid are
+summed among themselves before they meet the full-size sum
+(``_sum_by_span``).  The levels (``_refine``) start at the pair
+(n - 1, n), n = ``nodes_for(dim)``, take |v(n) - v(n-1)| as the
+estimate, and add one node per axis until every member's relative
+estimate is within ``SECTOR_RTOL``, within ``SECTOR_MAX_NODES`` per axis
+and ``SECTOR_MAX_GRID`` nodes per domain; an explicit ``nodes_per_axis``
+fixes the pair (n-1, n).  Where the levels converge geometrically the
+estimate is about the deviation at n - 1, so it bounds the one at n by
+the rate per node, about 6x at rule dimension 4 (a two-node difference
+overstated it 40-50x).  Each level's axis rules come from one batched
+eigenvalue solve (``_jacobi_rules``).
 Up to rule dimension ``STACK_DIM`` all sectors of a level share one
 stacked frame, where numpy's per-call cost would otherwise dominate;
 beyond it each sector broadcasts its own per-axis vectors, and each of
@@ -71,8 +79,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import permutations
+from operator import or_
 
 import numpy as np
 from scipy.special import betaln, gammaln
@@ -101,10 +110,13 @@ class QuadSpec:
     smooth_order: int = 4
 
     def nodes_for(self, dim: int) -> int:
-        """Nodes per axis the levels start at, for rule dimension dim."""
+        """Nodes per axis n of the first level that can certify, for rule
+        dimension dim: the levels start at the pair (n - 1, n), which an
+        explicit ``nodes_per_axis`` fixes.  At rule dimensions 1-2 a level
+        costs per-call overhead, not nodes, so they start higher."""
         if self.nodes_per_axis:
             return self.nodes_per_axis
-        return {0: 1, 1: 12, 2: 12, 3: 14, 4: 14}.get(dim, 14)
+        return {0: 1, 1: 14, 2: 14, 3: 13, 4: 13}.get(dim, 13)
 
 
 @dataclass(frozen=True)
@@ -170,7 +182,8 @@ class _Description:
     order's signs folded into the coefficients (empty: no weight);
     ``scale`` the half-line's (lo, hi, rate) per coordinate.  ``degree``
     and ``wdegree`` are the homogeneity degrees of the power product and
-    of the weight.
+    of the weight, ``poles`` the integrand's pole count per weight term,
+    which every member of a family shares.
     """
 
     N: int
@@ -180,6 +193,7 @@ class _Description:
     scale: tuple
     degree: float
     wdegree: int
+    poles: int
 
 
 @lru_cache(maxsize=256)
@@ -256,7 +270,7 @@ def _describe(ig: Integrand, order: tuple) -> _Description:
                       for i, (knd, _) in enumerate(order))
     wdegree = sum(x for _, _, x in terms[0][1]) if terms else 0
     return _Description(N, halfline, factors, terms, scale,
-                        sum(e for _, _, e in factors), wdegree)
+                        sum(e for _, _, e in factors), wdegree, ig.pole_count)
 
 
 def _frame_values(members, order, aw: AxisWeights, frame):
@@ -297,29 +311,61 @@ def _described_values(descs, frame, model=None):
     sector frame's R is S over its top gap, whose monomials its model
     cancels exactly, so it passes none (``_SectorFrame``).  The members
     share everything but the weight, so the power product is one exp,
-    taken once, and each member multiplies in only its own weight.
+    taken once, and each member multiplies in only its own weight.  On
+    [0,1] the exp also carries the (sum g)^poles of the weight's
+    projection, the part every member shares.
     """
     d = descs[0]
     logs = [(e, lo, hi) for lo, hi, e in d.factors]
     if not d.halfline:  # the projective factor of a degree-D integrand on N gaps
-        logs.append((-(d.degree + d.N), 0, d.N - 1))
+        logs.append((d.poles - (d.degree + d.N), 0, d.N - 1))
     by_shape = {}  # runs spanning the same axes add up before they broadcast
     for e, lo, hi in logs:
         lr = e * frame.log_run(lo, hi)
         key = getattr(lr, "shape", ())
         by_shape[key] = by_shape[key] + lr if key in by_shape else lr
-    parts = [by_shape[key] for key in sorted(by_shape, key=math.prod)]
+    parts = list(by_shape.values())
     if d.halfline:  # members share their pole count, so their weight degree too
         H = d.degree + d.wdegree + d.N
         L = sum(rate * frame.gap_sum(lo, hi) for lo, hi, rate in d.scale)
         parts.append(gammaln(H) - H * np.log(L))
     if model is not None:
         parts.append(model)
-    logf = sum(parts[1:], parts[0])
-    base = np.exp(logf)
-    del logf, parts, by_shape  # no grid-sized log lives on while the members are evaluated
+    base = np.exp(_sum_by_span(parts))
+    del parts, by_shape  # no grid-sized log lives on while the members are evaluated
     for desc in descs:
         yield base * _weight(desc, frame) if desc.terms or frame.monomial(()) else base
+
+
+def _sum_by_span(parts):
+    """The sum of arrays that broadcast together, the parts that span
+    fewer axes than the sum added among themselves first, so that each
+    group of them meets the full-size sum once (``_span_groups``)."""
+    first, *rest = (sum((parts[i] for i in more), parts[i0])
+                    for i0, *more in _span_groups(tuple(getattr(p, "shape", ()) for p in parts)))
+    return sum(rest, first)
+
+
+@lru_cache(maxsize=1024)
+def _span_groups(shapes: tuple) -> tuple:
+    """Indices of ``shapes`` in groups whose joint span of axes stays short
+    of the sum's, the ones that span all of it in one group: widest first,
+    each shape joins the first group it keeps short.  Within a group the
+    narrowest come first, so they add up at their own size."""
+    spans = [sum(1 << i for i, size in enumerate(reversed(shape)) if size != 1)
+             for shape in shapes]
+    full = reduce(or_, spans, 0)
+    groups = []  # [axes spanned, indices]
+    for i in sorted(range(len(spans)), key=lambda i: -spans[i].bit_count()):
+        for group in groups:
+            if group[0] | spans[i] != full or group[0] == spans[i] == full:
+                group[0] |= spans[i]
+                group[1].append(i)
+                break
+        else:
+            groups.append([spans[i], [i]])
+    return tuple(tuple(sorted(indices, key=lambda i: spans[i].bit_count()))
+                 for _, indices in groups)
 
 
 def _weight(desc: _Description, frame):
@@ -328,7 +374,8 @@ def _weight(desc: _Description, frame):
     monomial of the term times its runs to their powers, multiplied from
     the smallest array up; no weight is one term of no runs.  On [0,1]
     the sum is taken at the projected point: times (sum g)^-wdegree, one
-    power of the run of all gaps shared by the terms."""
+    power of the run of all gaps shared by the terms, of which the power
+    product's exp already carries (sum g)^poles."""
     weight = 0.0
     for coef, facs in desc.terms or ((1.0, ()),):
         term = coef
@@ -336,8 +383,8 @@ def _weight(desc: _Description, frame):
                           key=_size):
             term = term * arr
         weight = weight + term
-    if not desc.halfline and desc.wdegree:
-        weight = weight * frame.run(0, desc.N - 1, -desc.wdegree)
+    if not desc.halfline and desc.wdegree + desc.poles:
+        weight = weight * frame.run(0, desc.N - 1, -(desc.wdegree + desc.poles))
     return weight
 
 
@@ -546,12 +593,20 @@ def _sector_table(N: int) -> _SectorTable:
     return _SectorTable(tuple(trees), np.array(desc), np.array(cover))
 
 
-def _power_exponents(desc: _Description, table: _SectorTable) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _power_exponents(desc: _Description) -> np.ndarray:
     """The sector exponents before the weight: descendant counts plus each
-    power factor's exponent on the axes of its top gap's path."""
-    E = table.desc.astype(float)
+    power factor's exponent on the axes of its top gap's path, each sum
+    taken exactly, so that exponents whose parameters cancel (2 gamma
+    against two -gamma) come out as exact integers and share one rule."""
+    table = _sector_table(desc.N)
+    terms = [[count] for count in table.desc.ravel().tolist()]  # per (sector, axis)
     for lo, hi, e in desc.factors:
-        E = E + e * table.cover[:, lo, hi]
+        for row, covered in zip(terms, table.cover[:, lo, hi].ravel().tolist()):
+            if covered:
+                row.append(e)
+    E = np.array([math.fsum(row) for row in terms]).reshape(table.desc.shape)
+    E.flags.writeable = False
     return E
 
 
@@ -563,7 +618,7 @@ def _sector_exponents(descs, table: _SectorTable) -> np.ndarray:
     the same for every member of a family, so the numerators leave
     non-negative integer powers.
     """
-    E = _power_exponents(descs[0], table)
+    E = _power_exponents(descs[0])
     poles = [sum((x * table.cover[:, lo, hi] for lo, hi, x in facs if x < 0),
                  np.zeros_like(table.desc))
              for desc in descs for _, facs in desc.terms]
@@ -772,7 +827,7 @@ def _sector_frames(desc: _Description, table: _SectorTable, E: np.ndarray, rules
     ``desc`` is any member's: the members share the power factors, and
     the lift is what the exponents took off them for the weight."""
     ys = {e: np.exp(ly) for e, (ly, _) in rules.items()}
-    lift = np.rint(_power_exponents(desc, table) - E).astype(int)
+    lift = np.rint(_power_exponents(desc) - E).astype(int)
     for tree, Es, lf in zip(table.trees, E.tolist(), lift.tolist()):
         yield (_SectorFrame(tree, [_on_axis(ys[e], d, table.dim) for d, e in enumerate(Es)], lf),
                [rules[e][1] for e in Es])
@@ -827,15 +882,18 @@ def _tensor_level(members, order, aw: AxisWeights, n: int) -> list[float]:
 def _refine(level, count: int, dim: int, grids: int, q: QuadSpec) -> list[tuple[float, float]]:
     """(value, estimate) per member of a family on one domain, from the
     active members' values ``level(active, n)`` on ``grids`` tensor grids
-    of dimension ``dim``; a member that certifies keeps its level."""
+    of dimension ``dim``.  The levels step one node per axis from the
+    pair (n - 1, n), n = ``q.nodes_for(dim)``, and each level's estimate
+    is its difference from the level one node below; a member that
+    certifies keeps its level."""
     n = q.nodes_for(dim)
     active = list(range(count))
-    prev = level(active, max(1, n - 2))
+    prev = level(active, max(1, n - 1))
     cur = level(active, n)
     out = [None] * count
     while True:
-        grow = (not q.nodes_per_axis and n + 2 <= SECTOR_MAX_NODES
-                and grids * (n + 2) ** dim <= SECTOR_MAX_GRID)
+        grow = (not q.nodes_per_axis and n + 1 <= SECTOR_MAX_NODES
+                and grids * (n + 1) ** dim <= SECTOR_MAX_GRID)
         still = []
         for j, v, v2 in zip(active, cur, prev):
             est = abs(v - v2)
@@ -845,7 +903,7 @@ def _refine(level, count: int, dim: int, grids: int, q: QuadSpec) -> list[tuple[
                 out[j] = (v, est)
         if not still:
             return out
-        n += 2
+        n += 1
         active = [j for j, _ in still]
         prev = [v for _, v in still]
         cur = level(active, n)

@@ -624,21 +624,43 @@ def exact_unit_table(p, twisted=False) -> dict:
     return J
 
 
-def per_member_aomoto(p, budget, seed, tol):
-    """The moment check one chain integral per moment."""
+class ChainIntegrals:
+    """``integrate_chain`` of each (integrand, chain, spec, parameters),
+    computed once: a deterministic spec reads neither its sample count nor
+    its seed, so specs that differ only there share one value."""
+
+    def __init__(self):
+        self._values = {}
+
+    def __call__(self, ig, chain, q, p):
+        from dataclasses import replace
+
+        from selberg3.quadrature import integrate_chain
+
+        key = (ig, chain, replace(q, sample_count=0, seed=0) if q.scheme == "deterministic"
+               else q, p)
+        if key not in self._values:
+            self._values[key] = integrate_chain(ig, chain, q, p)
+        return self._values[key]
+
+
+def per_member_aomoto(p, budget, seed, tol, integrate=None):
+    """The moment check one chain integral per moment, each through
+    ``integrate`` (``integrate_chain`` unless given)."""
     from selberg3 import closed_forms as cf
     from selberg3.chains import gamma_chain
     from selberg3.identities import _quad_spec
     from selberg3.integrands import assembled_integrand
     from selberg3.quadrature import integrate_chain
 
+    integrate = integrate or integrate_chain
     k = p.k
     spec = _quad_spec(budget, seed)
     chain = gamma_chain(k, 0, p.gamma)
     worst = None
     for ell in range(k + 1):
         ig = assembled_integrand("aomoto", p, indices=ell)
-        lhs, err = integrate_chain(ig, chain, spec, p)
+        lhs, err = integrate(ig, chain, spec, p)
         rhs = cf.aomoto_rhs(k, ell, p).to_float()
         dev = abs(lhs - rhs) / abs(rhs)
         if worst is None or dev >= worst[0]:
@@ -959,8 +981,8 @@ def mesh_det_value(integrand, order, aw, n):
 
 def mesh_chain_value(integrand, chain, q):
     """The deterministic chain integral of a black box at the fixed pair
-    (n-2, n), n = ``q.nodes_per_axis``, from ``mesh_det_value`` on each
-    domain: the value at n and |v(n) - v(n-2)|, added linearly."""
+    (n-1, n), n = ``q.nodes_per_axis``, from ``mesh_det_value`` on each
+    domain: the value at n and |v(n) - v(n-1)|, added linearly."""
     from selberg3.chains import merged_order
     from selberg3.quadrature import facet_exponents
 
@@ -970,7 +992,7 @@ def mesh_chain_value(integrand, chain, q):
         order, aw = merged_order(M, k1, k2), facet_exponents(integrand, M)
         val = mesh_det_value(integrand, order, aw, n)
         total += coeff * val
-        err += abs(coeff) * abs(val - mesh_det_value(integrand, order, aw, n - 2))
+        err += abs(coeff) * abs(val - mesh_det_value(integrand, order, aw, n - 1))
     return total, err
 
 

@@ -254,10 +254,10 @@ class TestFamilyEngines:
     @pytest.mark.parametrize("k,alpha,beta,gamma", [
         (1, 1.5, 1.2, -0.11), (2, 1.5, 1.2, -0.11), (3, 1.5, 1.2, -0.11),
         (3, 2.3, 0.8, 0.2), (4, 1.5, 1.2, -0.11)])
-    def test_aomoto_matches_per_member(self, k, alpha, beta, gamma, seed):
+    def test_aomoto_matches_per_member(self, k, alpha, beta, gamma, seed, chain_integrals):
         p = ParamSet(k1=k, alpha=alpha, beta1=beta, gamma=gamma)
         got = REGISTRY["aomoto"].engine(p, Budget(), seed, None)
-        assert got == per_member_aomoto(p, Budget(), seed, None)
+        assert got == per_member_aomoto(p, Budget(), seed, None, integrate=chain_integrals)
 
     @pytest.mark.parametrize("seed", [1, 1313])
     @pytest.mark.parametrize("k1,k2", [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2), (3, 1)])
