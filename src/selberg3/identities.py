@@ -20,7 +20,7 @@ import numpy as np
 from . import closed_forms as cf
 from .chains import gamma_chain, unit_chain
 from .errors import InvalidParamsError, NotConvergedError
-from .integrands import Integrand, assembled_integrand, limit_pairs
+from .integrands import _VALUE_ROUNDING, Integrand, assembled_integrand, limit_pairs
 from .lattice import (
     cone_array,
     eps_limit_ratio,
@@ -235,7 +235,7 @@ def _quad_engine(which: str, rhs_fn, scheme: str | None = None):
 
 def _series_engine(which: str, rhs_fn):
     def engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
-        res = sum_discrete(which, p, max_bound=budget.max_bound, seed=seed)
+        res = sum_discrete(which, p, max_bound=budget.max_bound)
         if not res.converged:
             raise NotConvergedError(
                 f"series truncation at bound {res.bound} missed the target tail")
@@ -348,17 +348,18 @@ def _fval_support_engine(p: ParamSet, budget: Budget, seed: int, tol: float | No
         found += len(off[-1])
     # one batch: the in-cone rows, then the off-cone rows
     P = np.vstack([cone, *off])[:len(cone) + npts].astype(float)
-    vals = lattice_values(P[:, :k1], P[:, k1:], p, seed=seed)
+    vals, rounding = lattice_values(P[:, :k1], P[:, k1:], p)
     in_vals, off_vals = vals[:len(cone)], vals[len(cone):]
     med = float(np.median(np.abs(in_vals[np.abs(in_vals) > 0])))
     worst = float(np.abs(off_vals).max(initial=0.0))
-    return worst / med, 0.0, 0.0, (tol if tol is not None else 1e-8), \
+    err = max(float(rounding[len(cone):].max(initial=0.0)), _VALUE_ROUNDING * worst)
+    return worst / med, err / med, 0.0, (tol if tol is not None else 1e-8), \
         f"max off-cone {worst:.2e} vs median in-cone {med:.2e}, {npts} points"
 
 
 def _pde_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
     r1, r2, err = pde_residual(p, use_closed_form=False, second_eq_denominator="z2",
-                               max_bound=budget.max_bound, seed=seed)
+                               max_bound=budget.max_bound)
     note = "second-equation denominator resolved to z2"
     if p.z1 == p.z2:  # both denominators read the same value here
         note = "second-equation denominator not discriminated at z1 == z2"
@@ -386,13 +387,15 @@ def _limit_direction_engine(p: ParamSet, budget: Budget, seed: int, tol: float |
     P = cone_array(p.k1, p.k2, 5)
     np.random.default_rng(seed).shuffle(P)
     P = P[:min(budget.points, 20)]
-    pairs = limit_pairs(P[:, :p.k1], P[:, p.k1:], p, seed=seed)
+    pairs, rounding = limit_pairs(P[:, :p.k1], P[:, p.k1:], p)
     scale = np.abs(pairs).max(axis=1)
     compared = scale > 1e-12
     dev = np.abs(pairs[:, 0] - pairs[:, 1])[compared] / scale[compared]
     worst = float(dev.max(initial=0.0))
-    # a check that compared no point has shown nothing
-    err = 0.0 if compared.any() else math.inf
+    # each limit is within its rounding; a check that compared no point has
+    # shown nothing
+    err = float((2.0 * rounding[compared] / scale[compared]).max(initial=0.0))
+    err = err if compared.any() else math.inf
     return worst, err, 0.0, (tol if tol is not None else 1e-6), \
         f"max two-direction disagreement, {int(compared.sum())} of {len(P)} points compared"
 

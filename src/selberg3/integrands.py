@@ -4,15 +4,16 @@ Two families live here.  The discrete family (``phi_sign_log``,
 ``weight_w``, ``limit_pairs``) is evaluated on points of the shifted
 integer lattice, where gamma factors routinely sit at poles and zeros;
 finite values are obtained either directly (when every factor is
-regular) or as directional limits with Richardson extrapolation.  The
-checks evaluate batches of points through ``lattice.lattice_values``,
-which takes the singular ones to ``limit_pairs``; ``f_limit`` is its
-one-point case.  The summand is described once, by ``lattice_bases``
-and ``factor_args``: every factor is ``factor_table`` at its argument,
-and ``master_sign_log`` adds the factor logs in one fixed order.  The
-point evaluator ``phi_sign_log``, the lattice factor tables, the choice
-of probe directions and the probe check all derive from that
-description.  The continuous family is described, not
+regular) or as exact directional limits from each factor's leading term
+(``_jet_limits``).  The checks evaluate batches of points through
+``lattice.lattice_values``, which takes the singular ones to
+``limit_pairs``; ``f_limit`` is its one-point case.  The summand is
+described once, by ``lattice_bases`` and ``factor_args``: every factor
+is ``factor_table`` at its argument, and ``master_sign_log`` adds the
+factor logs in one fixed order.  The weight is described once, by
+``weight_terms``.  The point evaluator ``phi_sign_log``, the lattice
+factor tables, ``weight_w`` and the limits all derive from these
+descriptions.  The continuous family is described, not
 evaluated: ``assembled_integrand`` returns an ``Integrand`` naming the
 interval, the power-product exponents and rates and the kind of
 symmetrized rational weight, and ``quadrature`` evaluates every
@@ -40,12 +41,10 @@ from .params import ParamSet
 
 NEAR_SINGULAR_TOL = 1e-9
 POLE_TOL = 1e-12         # a numerator gamma closer to a pole raises PoleError
-PROBE_NEAR_TOL = 1e-13   # closest approach of an off-lattice probe to a weight pole
 SYM_TERM_CAP = 40320
-PROBE_TRIES = 10         # directions a singular point may try
-DRAW_WINDOW = 32         # draws allowed to find each direction
-MIN_RATE = 0.05          # least rate of a form at an integer along a direction
-AGREE_TOL = 1e-6         # relative agreement of a point's two limits
+# relative rounding of one summand value, exp of a sum of up to a few dozen
+# log-gamma terms times a rational weight; the error bars add it over |F|
+_VALUE_ROUNDING = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -160,63 +159,100 @@ def _check_sym_cap(k1: int, k2: int):
         raise DomainError(f"symmetrization over S_{k1} x S_{k2} exceeds the term cap")
 
 
-def weight_w(u: np.ndarray, v: np.ndarray, gamma: float,
-             near_tol: float = NEAR_SINGULAR_TOL) -> np.ndarray:
-    """Symmetrized discrete weight on real (u, v) batches.
+@lru_cache(maxsize=None)
+def weight_terms(k1: int, k2: int) -> tuple:
+    """The symmetrization terms of the discrete weight, grouped by sigma.
+
+    One (head, tails) per sigma of S_k1, with one tail per tau of S_k2;
+    the (sigma, tau) term is the head's forms followed by the tail's.  A
+    form is ((plus, minus, shifted), power) on the coordinates
+    c = (u_0..u_{k1-1}, v_0..v_{k2-1}): the factor c[plus] - c[minus],
+    less gamma when shifted, multiplied in at power +1 and divided out at
+    -1, in the order listed.  With us = u[sigma], vs = v[tau] and
+    kk = k1 - k2 a term is prod_{i<j} (us_i - us_j - gamma)/(us_i - us_j)
+    / prod_b (vs_b - us_{b+kk} - gamma)
+    * prod_{b<a} (vs_b - us_{a+kk})/(vs_b - us_{a+kk} - gamma)
+    * prod_{i<j} (vs_i - vs_j - gamma)/(vs_i - vs_j).
+    """
+    kk = k1 - k2
+
+    def ratio(plus, minus, top):
+        """The factor (c[plus] - c[minus] [- gamma]) / (the other one)."""
+        return (((plus, minus, top), 1), ((plus, minus, not top), -1))
+
+    out = []
+    for sigma in permutations(range(k1)):
+        head = [f for i in range(k1) for j in range(i + 1, k1)
+                for f in ratio(sigma[i], sigma[j], True)]
+        tails = []
+        for tau in permutations(range(k1, k1 + k2)):
+            tail = [((tau[b], sigma[b + kk], True), -1) for b in range(k2)]
+            tail += [f for b in range(k2) for a in range(b + 1, k2)
+                     for f in ratio(tau[b], sigma[a + kk], False)]
+            tail += [f for i in range(k2) for j in range(i + 1, k2)
+                     for f in ratio(tau[i], tau[j], True)]
+            tails.append(tuple(tail))
+        out.append((tuple(head), tuple(tails)))
+    return tuple(out)
+
+
+def _weight_products(k1: int, k2: int, factor, one):
+    """Every symmetrization term of ``weight_terms``, in order: ``one``
+    times the term's factors, ``factor(form)`` each.  Terms of one sigma
+    share the product of its head."""
+    def times(x, forms):
+        for form, power in forms:
+            x = x * factor(form) if power > 0 else x / factor(form)
+        return x
+
+    for head, tails in weight_terms(k1, k2):
+        shared = times(one, head)
+        for tail in tails:
+            yield times(shared, tail)
+
+
+@lru_cache(maxsize=None)
+def _denominators(k1: int, k2: int) -> tuple:
+    """The forms some term of ``weight_terms`` divides by."""
+    return tuple(dict.fromkeys(form for head, tails in weight_terms(k1, k2)
+                               for forms in (head, *tails) for form, power in forms if power < 0))
+
+
+def _form_values(c: np.ndarray, gamma: float):
+    """``factor`` for ``_weight_products`` on coordinate rows c: the value
+    c[plus] - c[minus] (less gamma when shifted), each difference kept for
+    the next form on the same coordinates, as the two of a ratio are."""
+    last = [None, None]
+
+    def factor(form):
+        plus, minus, shifted = form
+        if last[0] != (plus, minus):
+            last[:] = (plus, minus), c[plus] - c[minus]
+        return last[1] - gamma if shifted else last[1]
+
+    return factor
+
+
+def weight_w(u: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
+    """Symmetrized discrete weight on real (u, v) batches: the mean of the
+    ``weight_terms`` terms.
 
     Simple poles sit on the hyperplanes v_b - u_a = gamma; evaluation
-    closer than ``near_tol`` to any denominator zero raises
+    closer than ``NEAR_SINGULAR_TOL`` to any denominator zero raises
     :class:`NearSingularError`.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     n, k1, k2 = u.shape[0], u.shape[1], v.shape[1]
     _check_sym_cap(k1, k2)
-    kk = k1 - k2
-    dvu = v[:, None, :] - u[:, :, None] - gamma
-    dev = [np.abs(dvu).min() if k1 and k2 else np.inf]
-    for block, kdim in ((u, k1), (v, k2)):
-        for i in range(kdim):
-            for j in range(i + 1, kdim):
-                dev.append(np.abs(block[:, i] - block[:, j]).min())
-    if min(dev) < near_tol:
+    factor = _form_values(np.hstack((u, v)).T, gamma)
+    if any(np.abs(factor(form)).min(initial=np.inf) < NEAR_SINGULAR_TOL
+           for form in _denominators(k1, k2)):
         raise NearSingularError("weight evaluated too close to a pole hyperplane")
-
     total = np.zeros(n)
-    for sigma in permutations(range(k1)):
-        us = u[:, sigma]
-        tfac = np.ones(n)
-        for i in range(k1):
-            for j in range(i + 1, k1):
-                d = us[:, i] - us[:, j]
-                tfac = tfac * (d - gamma) / d
-        for tau in permutations(range(k2)):
-            vs = v[:, tau]
-            term = tfac.copy()
-            for b in range(k2):
-                term = term / (vs[:, b] - us[:, b + kk] - gamma)
-            for b in range(k2):
-                for aa in range(b + 1, k2):
-                    d = vs[:, b] - us[:, aa + kk]
-                    term = term * d / (d - gamma)
-            for i in range(k2):
-                for j in range(i + 1, k2):
-                    d = vs[:, i] - vs[:, j]
-                    term = term * (d - gamma) / d
-            total = total + term
+    for term in _weight_products(k1, k2, factor, np.ones(n)):
+        total = total + term
     return total / (math.factorial(k1) * math.factorial(k2))
-
-
-def f_off_lattice(u: np.ndarray, v: np.ndarray, p: ParamSet,
-                  include_weight: bool = True) -> np.ndarray:
-    """F = Phi * w on real points away from the singular hyperplanes."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    sign, logm = phi_sign_log(u, v, p)
-    vals = sign * np.exp(logm)
-    if include_weight and v.shape[1] > 0:
-        vals = vals * weight_w(u, v, p.gamma, near_tol=PROBE_NEAR_TOL)
-    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -307,161 +343,125 @@ def factor_table(kind: str, arg: np.ndarray, tol: float = NEAR_SINGULAR_TOL):
     return np.where(at_pole, 0.0, sign), np.where(at_pole, 0.0, -logm), singular
 
 
-def _factor_args_at(c: list, k1: int, k2: int, p: ParamSet):
-    """(base, kind, arg) of every factor at coordinates c = [u_0.., v_0.., 0],
-    each entry a float or an array of values."""
-    for b, (family, plus, minus) in enumerate(lattice_bases(k1, k2)):
-        for kind, arg in factor_args(family, c[plus] - c[minus], p):
-            yield b, kind, arg
+@lru_cache(maxsize=None)
+def _jet_frame(k1: int, k2: int) -> tuple:
+    """What the jets of a (k1, k2) summand read apart from the point.
 
-
-def _neville_at_zero(xs, ys):
-    """Polynomial extrapolation of (xs, ys) to x = 0.
-
-    Each ys[i] is a value, or an array of values, at xs[i].
+    The two directions are sqrt of the first k1 + k2 primes and
+    (1, 2, ..., k1 + k2), along which every base and every weight form
+    moves.  Returns the rates d[plus] - d[minus] of the bases along each
+    (2, bases), the weight forms in order of first use with their rates
+    (2, forms), and each symmetrization term's power of each form (terms,
+    forms): one term of no form without a weight (k2 = 0).
     """
-    xs = list(map(float, xs))
-    tab = [np.asarray(y, dtype=float) for y in ys]
-    n = len(xs)
-    for level in range(1, n):
-        for i in range(n - level):
-            tab[i] = (xs[i + level] * tab[i] - xs[i] * tab[i + 1]) / (xs[i + level] - xs[i])
-    return tab[0]
+    K = k1 + k2
+    primes = [q for q in range(2, 12 * K + 8) if all(q % r for r in range(2, q))][:K]
+    dirs = np.array([np.sqrt(primes), np.arange(1.0, K + 1.0)])
+    ends = np.hstack((dirs, np.zeros((2, 1))))
+    plus, minus, _ = base_index(k1, k2)
+    terms = [head + tail for head, tails in (weight_terms(k1, k2) if k2 else ())
+             for tail in tails]
+    forms = tuple(dict.fromkeys(form for term in terms for form, _ in term))
+    powers = np.array([[sum(q for f, q in term if f == form) for form in forms]
+                       for term in terms] or [[]], dtype=np.int64)
+    form_rates = np.array([[d[f[0]] - d[f[1]] for f in forms] for d in dirs]).reshape(2, -1)
+    return ends[:, plus] - ends[:, minus], forms, form_rates, powers
 
 
-def _probe_rows_ok(u: np.ndarray, v: np.ndarray, p: ParamSet,
-                   include_weight: bool) -> np.ndarray:
-    """Rows on which ``f_off_lattice`` raises neither PoleError nor
-    NearSingularError when called on that row's batch alone."""
-    weighted = include_weight and v.shape[1] > 0
-    ok = np.ones(u.shape[0], dtype=bool)
-    for _, kind, arg in _factor_args_at([*u.T, *v.T, 0.0], u.shape[1], v.shape[1], p):
-        if kind == "num":
-            ok &= ~_near_nonpos_int(arg, POLE_TOL)
-        elif kind != "recip" and weighted:
-            ok &= np.abs(arg) >= PROBE_NEAR_TOL
-    return ok
+def _jet_limits(NU: np.ndarray, NV: np.ndarray, p: ParamSet):
+    """``limit_pairs`` without the raise: the (m, 2) limits, each row's
+    rounding scale, and the message of each row that fails, by row in
+    ascending order.
 
-
-def _candidate_draws(seed: int, K: int) -> np.ndarray:
-    """The raw direction draws every lattice point tries, in order.
-
-    Row r is the r-th draw of ``default_rng(seed)``; the block holds every
-    draw the direction limits can reach.
-    """
-    return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(PROBE_TRIES * DRAW_WINDOW, K))
-
-
-def limit_pairs(NU: np.ndarray, NV: np.ndarray, p: ParamSet, *, seed: int = 7919,
-                include_weight: bool = True) -> np.ndarray:
-    """Two directional limits (a, b) of F at each lattice point, shape (m, 2).
-
-    ``NU``/``NV`` hold integer parts, one row per point.  Every point
-    chooses its directions from one block of candidates, the draws of
-    ``_candidate_draws`` scaled to unit max-norm, skipping draws of norm
-    below 1e-3.  A candidate is generic for a point when every form with
-    a factor argument at an integer there moves at rate >= 0.05 along
-    it, and clean when none of its probes, at eps in {1e-2, 1e-3, 1e-4}
-    times min(1, |gamma|), sits on a singular hyperplane.  A point tries
-    its generic candidates in order, each within 32 draws of the one
-    before and at most 10, and takes the first two clean ones.  All
-    probes go through one ``f_off_lattice`` call and are extrapolated to
-    zero together.  Points are then checked in order: one without two
-    directions, or whose limits (above 1e-10) differ by more than 1e-6
-    relative, raises :class:`LimitDisagreementError`.  Every row is
-    probed and checked on its own, so a row's pair and failure do not
-    depend on the other rows of the batch.
-    """
-    pairs, failures = _probe_limits(NU, NV, p, seed=seed, include_weight=include_weight)
-    if failures:
-        raise LimitDisagreementError(next(iter(failures.values())))
-    return pairs
-
-
-def _probe_limits(NU: np.ndarray, NV: np.ndarray, p: ParamSet, *, seed: int,
-                 include_weight: bool):
-    """``limit_pairs`` without the raise: the (m, 2) pairs, and the message
-    of each row that fails the check, by row in ascending order.
-
-    A failed row's pair is a placeholder.  ``lattice.sum_discrete`` probes
-    a block's singular rows in one call and raises a row's failure only
-    when its shell is summed.
+    Along a direction every factor argument is x0 + r * eps, r the rate of
+    its base or weight form, and a factor singular at x0 has a closed-form
+    leading term: Gamma at a pole -n is (-1)**n / (n! r eps), 1/Gamma at
+    a zero -n is (-1)**n n! r eps, and a vanishing linear form (a pair
+    base or a weight form) is r eps.  Every other factor is its value at
+    x0 (``factor_table`` at tolerance ``NEAR_SINGULAR_TOL``, and the
+    weight forms as ``weight_w`` computes them).  Each symmetrization term
+    of F = Phi * w is then c * eps**order, and the limit is the sum of the
+    order-0 terms' c over the terms' count.  A row fails when a term has
+    a negative order (F has a pole there) or when its two limits differ
+    by more than ``_VALUE_ROUNDING`` times the sum of the two directions'
+    order-0 masses sum |c| / count; its rounding scale is
+    ``_VALUE_ROUNDING`` times the larger mass.  A failed row's pair is a
+    placeholder.  Every row is evaluated on its own.
     """
     m, k1 = NU.shape
     k2 = NV.shape[1]
-    X = np.hstack((NU + lattice_shift(k1, p.gamma), NV + lattice_shift(k2, p.gamma)))
-    scale = min(1.0, abs(p.gamma))
-    eps = np.array([1e-2 * scale, 1e-3 * scale, 1e-4 * scale])
+    base_rates, forms, form_rates, powers = _jet_frame(k1, k2)
+    plus, minus, families = base_index(k1, k2)
+    # each base as FactorTables takes it: the integer difference plus the shifts'
+    P = np.hstack((NU, NV, np.zeros((m, 1))))
+    shifts = np.concatenate((lattice_shift(k1, p.gamma), lattice_shift(k2, p.gamma), [0.0]))
+    x = (P[:, plus] - P[:, minus]) + (shifts[plus] - shifts[minus])
+    order = np.zeros(x.shape, dtype=np.int64)  # each base's power of eps
+    signs, logs = [], [[] for _ in plus]
+    for family, cols in families.items():
+        for kind, arg in factor_args(family, x[:, cols], p) if cols else ():
+            if kind == "den":  # a weight denominator only: a weight form
+                continue
+            sign, logm, singular = factor_table(kind, arg)
+            singular = singular | (sign == 0.0)  # a 1/Gamma zero too
+            if singular.any():
+                # a pole's power is -1, a zero's +1; a linear form vanishes at n = 0
+                n = np.where(singular, -np.rint(arg), 0.0)
+                step = -1 if kind == "num" else 1
+                sign = np.where(singular, 1.0 - 2.0 * (n % 2), sign)
+                logm = np.where(singular, step * gammaln(n + 1.0), logm)
+                order[:, cols] += step * singular
+            signs.append(sign.prod(axis=1))
+            for j, b in enumerate(cols):
+                logs[b].append(logm[:, j])
+    U = NU + lattice_shift(k1, p.gamma)[None, :]
+    V = NV + lattice_shift(k2, p.gamma)[None, :]
+    sign, logm = master_sign_log(p, U, V, signs, lambda b, f: logs[b][f])
+    # Phi's leading coefficient along each direction, (2, m): every factor on
+    # a base moves at the base's rate
+    phi = sign * np.exp(logm) * np.prod(base_rates[:, None, :] ** order, axis=2)
 
-    draws = _candidate_draws(seed, k1 + k2)
-    norm = np.abs(draws).max(axis=1)
-    kept = norm >= 1e-3
-    D = draws / np.where(kept, norm, 1.0)[:, None]
-
-    # a base with a factor argument at an integer must move along a direction;
-    # at integer parts an argument is an integer plus a constant of its base,
-    # so the lattice origin tells which bases these are for every row
-    plus, minus, _ = base_index(k1, k2)
-    stuck = np.zeros(len(plus), dtype=bool)
-    origin = [*lattice_shift(k1, p.gamma), *lattice_shift(k2, p.gamma), 0.0]
-    for b, _, arg in _factor_args_at(origin, k1, k2, p):
-        stuck[b] |= abs(arg - round(arg)) <= NEAR_SINGULAR_TOL
-    ends = np.hstack((D, np.zeros((len(D), 1))))
-    slow = np.abs(ends[:, plus] - ends[:, minus]) < MIN_RATE
-    generic = kept & ~slow[:, stuck].any(axis=1)
-
-    # the directions every point tries: the generic candidates in draw order,
-    # each found within DRAW_WINDOW draws of the one before
-    tried = np.argsort(~generic, kind="stable")[:PROBE_TRIES]
-    gaps = np.diff(tried, prepend=-1)
-    found = np.logical_and.accumulate(generic[tried] & (gaps <= DRAW_WINDOW))
-
-    def probes(rows, cand):
-        """Probe coordinates (n, 3, K) along candidates ``cand`` at ``rows``."""
-        return X[rows, None, :] + eps[None, :, None] * D[cand][:, None, :]
-
-    def clean(rows, ranks):
-        pr = probes(rows, tried[ranks]).reshape(-1, k1 + k2)
-        ok = _probe_rows_ok(pr[:, :k1], pr[:, k1:], p, include_weight)
-        return ok.reshape(-1, len(eps)).all(axis=1)
-
-    is_clean = np.zeros((m, PROBE_TRIES), dtype=bool)
-    first = np.flatnonzero(found[:2])
-    rows, ranks = np.repeat(np.arange(m), first.size), np.tile(first, m)
-    is_clean[rows, ranks] = clean(rows, ranks)
-    # a point with an unclean direction goes on to its next ones
-    for j in np.flatnonzero(found[2:]) + 2:
-        rows = np.flatnonzero(is_clean.sum(axis=1) < 2)
-        if not rows.size:
-            break
-        is_clean[rows, j] = clean(rows, np.full(rows.size, j))
-
-    ok = is_clean.sum(axis=1) >= 2
-    pairs = np.zeros((m, 2))
-    if ok.any():
-        rows = np.flatnonzero(ok)
-        chosen = tried[np.argsort(~is_clean[rows], axis=1, kind="stable")[:, :2]]
-        # probe rows in (point, direction, offset) order
-        pr = probes(np.repeat(rows, 2), chosen.ravel()).reshape(-1, k1 + k2)
-        vals = f_off_lattice(pr[:, :k1], pr[:, k1:], p, include_weight=include_weight)
-        pairs[rows] = _neville_at_zero(eps, vals.reshape(-1, 2, len(eps)).T).T
-
-    a, b = pairs[:, 0], pairs[:, 1]
-    ref = np.maximum(np.abs(a), np.abs(b))
-    bad = ~ok | ((np.abs(a - b) > AGREE_TOL * ref) & (ref > 1e-10))
+    # each weight form's leading coefficient: its rate where it vanishes
+    value = _form_values(np.hstack((U, V)).T, p.gamma)
+    vals = np.array([value(form) for form in forms]).reshape(len(forms), m)
+    vanish = np.abs(vals) <= NEAR_SINGULAR_TOL
+    lead = {form: np.where(vanish[f], form_rates[:, f, None], vals[f])
+            for f, form in enumerate(forms)}
+    terms = (np.stack(list(_weight_products(k1, k2, lead.__getitem__, np.ones((2, m)))))
+             if k2 else np.ones((1, 2, m)))
+    total = order.sum(axis=1) + powers @ vanish  # each term's power of eps, (terms, m)
+    lead_terms = np.where((total == 0)[:, None, :], phi * terms, 0.0)
+    limits = lead_terms.sum(axis=0) / len(terms)
+    mass = np.abs(lead_terms).sum(axis=0) / len(terms)
+    a, b = limits
+    pole = total.min(axis=0) < 0
+    bad = pole | ~(np.abs(a - b) <= _VALUE_ROUNDING * (mass[0] + mass[1]))
     failures = {}
     for i in np.flatnonzero(bad).tolist():
-        if not ok[i]:
-            failures[i] = ("probe evaluations kept hitting singular hyperplanes" if found.all()
-                           else "could not find a generic probe direction")
-            continue
         pt = LatticePoint(tuple(int(x) for x in NU[i]), tuple(int(x) for x in NV[i]), p.gamma)
-        failures[i] = f"directional limits disagree: {float(a[i])!r} vs {float(b[i])!r} at {pt!r}"
-    return pairs, failures
+        failures[i] = (f"F has a pole of order {-int(total[:, i].min())} at {pt!r}" if pole[i]
+                       else f"directional limits disagree: {float(a[i])!r} vs {float(b[i])!r}"
+                            f" at {pt!r}")
+    return limits.T, _VALUE_ROUNDING * mass.max(axis=0), failures
 
 
-def f_limit(pt: LatticePoint, p: ParamSet, *, seed: int = 7919,
-            include_weight: bool = True) -> float:
+def limit_pairs(NU: np.ndarray, NV: np.ndarray, p: ParamSet):
+    """Two directional limits (a, b) of F at each lattice point, shape
+    (m, 2), and each point's rounding scale, shape (m,).
+
+    ``NU``/``NV`` hold integer parts, one row per point.  The limits are
+    exact sums of leading-order terms along two fixed directions
+    (``_jet_limits``); the first point where F has a pole or where the
+    two limits differ by more than their rounding raises
+    :class:`LimitDisagreementError`.  The weight applies when k2 > 0.
+    """
+    pairs, rounding, failures = _jet_limits(NU, NV, p)
+    if failures:
+        raise LimitDisagreementError(next(iter(failures.values())))
+    return pairs, rounding
+
+
+def f_limit(pt: LatticePoint, p: ParamSet) -> float:
     """Value of F at one lattice point: the one-row case of
     ``lattice.lattice_values``.  Regular points are a plain product;
     at singular points the value is the mean of the two directional
@@ -469,8 +469,7 @@ def f_limit(pt: LatticePoint, p: ParamSet, *, seed: int = 7919,
     """
     from .lattice import lattice_values  # lattice is built on this module
 
-    return float(lattice_values(np.array([pt.nu]), np.array([pt.nv]), p,
-                                include_weight=include_weight, seed=seed)[0])
+    return float(lattice_values(np.array([pt.nu]), np.array([pt.nv]), p)[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,11 @@ regrows them only when a later block passes it.  A block's regularity
 mask and regular product are gathers from these tables, reduced by
 ``integrands.master_sign_log`` like every evaluation of the product;
 they match ``phi_sign_log`` up to the last-bit rounding of each factor's
-argument (``FactorTables``).  A block's singular points are directional
-limits, probed in one batch after its regular points
-(``integrands.limit_pairs``, which probes and checks every point on its
-own).  A point that fails the check raises only when the sum reaches
-its shell, so one past the stopping shell is probed, dropped and never
+argument (``FactorTables``).  A block's singular points are exact
+directional limits, taken in one batch after its regular points
+(``integrands.limit_pairs``, which checks every point on its own).  A
+point that fails the check raises only when the sum reaches its shell,
+so one past the stopping shell is evaluated, dropped and never
 reported.
 
 The summand depends on z only through z1**sum(u) * z2**sum(v), so
@@ -51,7 +51,8 @@ import numpy as np
 from .closed_forms import sl3_discrete_rhs, sl3_exp_rhs
 from .errors import LimitDisagreementError, NotConvergedError
 from .integrands import (
-    _probe_limits,
+    _VALUE_ROUNDING,
+    _jet_limits,
     base_index,
     factor_args,
     factor_table,
@@ -65,9 +66,6 @@ from .logreal import power_log
 from .params import ParamSet
 
 _DEGREE_ROOM = 1e-9  # rounding room, in shells, of the degree cuts of a band's columns
-# relative rounding of one summand value, exp of a sum of up to a few dozen
-# log-gamma terms times a rational weight; the error bars add it over |F|
-_VALUE_ROUNDING = 1e-14
 _CLOSED_FORM_STEP = 1e-4  # central-difference step of the closed-form residuals
 
 
@@ -173,15 +171,17 @@ class FactorTables:
 
 
 def lattice_values(NU: np.ndarray, NV: np.ndarray, p: ParamSet,
-                   include_weight: bool = True, seed: int = 7919,
-                   tables: FactorTables | None = None, index: list | None = None) -> np.ndarray:
-    """F at a batch of lattice points.
+                   tables: FactorTables | None = None, index: list | None = None):
+    """F at a batch of lattice points, and the rounding scale of each
+    singular point's value.
 
     Regular points are gathered from ``tables``, which must span the
     batch's integer parts; without them, tables are built over that range.
     ``index`` is ``tables.index`` of the batch's integer parts, for a
-    caller that already took it.  Singular points are directional limits,
-    probed in one batch.
+    caller that already took it.  The weight applies when k2 > 0.
+    Singular points are the mean of their two directional limits, all in
+    one ``limit_pairs`` batch, with its rounding; a regular value is a
+    product rounded to ``_VALUE_ROUNDING`` of its size, and its entry is 0.
     """
     n, k1 = NU.shape
     k2 = NV.shape[1]
@@ -197,15 +197,16 @@ def lattice_values(NU: np.ndarray, NV: np.ndarray, p: ParamSet,
     # replaced below) leave the regular ones as phi_sign_log gives them
     sign, logm = tables.sign_log(index, U, V)
     vals = sign * np.exp(logm)
-    if include_weight and k2:
+    if k2:
         nz = regular & (vals != 0.0)
         if np.any(nz):
             vals[nz] = vals[nz] * weight_w(U[nz], V[nz], p.gamma)
+    rounding = np.zeros(n)
     sing = np.flatnonzero(~regular)
     if sing.size:
-        pairs = limit_pairs(NU[sing], NV[sing], p, seed=seed, include_weight=include_weight)
+        pairs, rounding[sing] = limit_pairs(NU[sing], NV[sing], p)
         vals[sing] = 0.5 * (pairs[:, 0] + pairs[:, 1])
-    return vals
+    return vals, rounding
 
 
 def degree_band(k1: int, k2: int, weights, lo: int, hi: int):
@@ -271,7 +272,7 @@ def _z_derivatives(k1: int, k2: int, p: ParamSet, total: float, moments: np.ndar
 
 
 def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
-                 max_bound: int | None = None, seed: int = 7919) -> SeriesResult:
+                 max_bound: int | None = None) -> SeriesResult:
     """Sum the cone series by degree shell until its tail bound is negligible.
 
     ``which`` is 'dexp' (one-block summand, no rational weight) or
@@ -289,16 +290,15 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
     windows); later blocks are a quarter of it, or one window.  Factor
     tables are built over the differences the first block's largest part
     reaches and regrown only when a later block passes it.  Each block's
-    regular points are evaluated in one call and its singular points
-    probed in one batch.  A singular point whose limits fail the check raises
-    :class:`LimitDisagreementError` when the sum reaches its shell, with
-    the message of the shell's first failed point in row order, as a
-    probe of that shell alone gives; failures past the stopping shell are
-    dropped with their shells.
+    regular points are evaluated in one call and the limits at its
+    singular points in one batch.  A singular point that fails the check
+    raises :class:`LimitDisagreementError` when the sum reaches its shell,
+    with the message of the shell's first failed point in row order, as
+    that shell alone gives; failures past the stopping shell are dropped
+    with their shells.
     """
     if which not in ("dexp", "dexp3"):
         raise ValueError(f"unknown series {which!r}")
-    include_weight = which == "dexp3"
     k1 = p.k1
     k2 = p.k2 if which == "dexp3" else 0
     zs = (p.z1, p.z2) if k2 else (p.z1,)
@@ -339,15 +339,13 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
         vals = np.empty(P.shape[0])
         if regular.any():
             vals[regular] = lattice_values(P[regular, :k1], P[regular, k1:], p,
-                                           include_weight=include_weight, seed=seed,
-                                           tables=tables, index=index)
-        # the block's singular rows in one probe batch; a failed row raises
-        # only if the walk below reaches its shell
+                                           tables=tables, index=index)[0]
+        # the block's singular rows in one batch; a failed row raises only
+        # if the walk below reaches its shell
         sing = np.flatnonzero(~regular)
         failed, failure = P.shape[0], None
         if sing.size:
-            pairs, failures = _probe_limits(P[sing, :k1], P[sing, k1:], p, seed=seed,
-                                            include_weight=include_weight)
+            pairs, _, failures = _jet_limits(P[sing, :k1], P[sing, k1:], p)
             vals[sing] = 0.5 * (pairs[:, 0] + pairs[:, 1])
             if failures:
                 row, failure = next(iter(failures.items()))
@@ -397,8 +395,7 @@ def pde_coefficients(p: ParamSet, second_eq_denominator: str = "z2"):
 
 
 def pde_residual(p: ParamSet, use_closed_form: bool = False,
-                 second_eq_denominator: str = "z2", max_bound: int | None = None,
-                 seed: int = 7919):
+                 second_eq_denominator: str = "z2", max_bound: int | None = None):
     """Residuals of the two dynamical equations, and a bound on their error.
 
     The series' derivatives are the exact ones ``sum_discrete`` returns
@@ -422,7 +419,7 @@ def pde_residual(p: ParamSet, use_closed_form: bool = False,
         (d1, d2), (w1, w2) = central(h), central(2 * h)
         e0, e1, e2 = 0.0, abs(d1 - w1) / 3, abs(d2 - w2) / 3
     else:
-        res = sum_discrete("dexp3", p, max_bound=max_bound, seed=seed)
+        res = sum_discrete("dexp3", p, max_bound=max_bound)
         if not res.converged:
             raise NotConvergedError(
                 f"series not converged at bound {res.bound} (tail {res.tail!r})")

@@ -13,9 +13,11 @@ checks, except the references that the package must reproduce:
   difference plus a difference of shifts, which the factor tables must
   match bit for bit;
 * the lattice-summand references run ``hand_lattice_sign_log`` and the
-  package's ``weight_w`` and ``f_off_lattice`` point by point, and draw
-  each point's probe directions one at a time with their own copy of the
-  draw rule, the way the factor tables and the candidate block replaced;
+  package's ``weight_w`` at regular points and its ``limit_pairs`` one
+  point at a time, the way the factor tables and the batched limits
+  replaced; apart from them, ``mp_lattice_value`` writes F out factor by
+  factor in mpmath at 60 digits, a hair off a lattice point along a
+  direction, the reference for the limits themselves;
 * the cone enumerations ``cone_integer_parts`` (the package's
   ``cone_array`` rows as tuples) and ``cone_array_from`` (its rows from a
   least largest part on, one shell at ``least=bound``) serve the tests
@@ -400,9 +402,9 @@ def regular_mask(NU, NV, p, tol=1e-9):
     return ~bad
 
 
-def regular_values(NU, NV, p, include_weight=True):
-    """(mask, values) of the lattice summand: ``hand_lattice_sign_log`` and
-    ``weight_w`` on the regular points, 0 elsewhere."""
+def regular_values(NU, NV, p):
+    """(mask, values) of the lattice summand: ``hand_lattice_sign_log`` and,
+    when k2 > 0, ``weight_w`` on the regular points, 0 elsewhere."""
     from selberg3.integrands import lattice_shift, weight_w
 
     n, k1, k2 = NU.shape[0], NU.shape[1], NV.shape[1]
@@ -414,7 +416,7 @@ def regular_values(NU, NV, p, include_weight=True):
         V = NV[idx] + lattice_shift(k2, p.gamma)[None, :] if k2 else np.zeros((idx.size, 0))
         sign, logm = hand_lattice_sign_log(NU[idx], NV[idx], p)
         fv = sign * np.exp(logm)
-        if include_weight and k2:
+        if k2:
             nz = fv != 0.0
             if np.any(nz):
                 fv[nz] = fv[nz] * weight_w(U[nz], V[nz], p.gamma)
@@ -422,105 +424,98 @@ def regular_values(NU, NV, p, include_weight=True):
     return regular, vals
 
 
-def _stuck_forms(pt, p, tol=1e-9):
-    """(plus, minus) coordinate indices of every linear form of the summand
-    with a factor argument within tol of an integer at pt; index K is the
-    constant 0."""
-    a, g = p.alpha, p.gamma
-    c = pt.u.tolist() + pt.v.tolist() + [0.0]
-    k1, k2 = pt.k1, pt.k2
-    K = k1 + k2
-    forms = [(i, K, lambda x: (x + a, x + 1.0)) for i in range(k1)]
-    forms += [(k1 + j, i, lambda x: (x - g + 1.0, x + 1.0, x - g))
-              for i in range(k1) for j in range(k2)]
-    for off, kdim in ((0, k1), (k1, k2)):
-        forms += [(off + i, off + j, lambda x: (x, x + g, x - g + 1.0))
-                  for i in range(kdim) for j in range(i + 1, kdim)]
-    return [(plus, minus) for plus, minus, args in forms
-            if any(abs(y - round(y)) <= tol or abs(y) <= tol for y in args(c[plus] - c[minus]))]
+def mp_lattice_value(nu, nv, p, direction, eps="1e-25", dps=60):
+    """F at the lattice point (nu, nv) moved by eps along ``direction``, in
+    mpmath at ``dps`` digits, written out factor by factor.
 
-
-def sequential_limit_pair(pt, p, seed=7919, include_weight=True, draws=None):
-    """Two directional limits at one lattice point, one direction at a time.
-
-    Each direction takes up to 32 uniform draws in [-1, 1]^K, skips those
-    of max-norm below 1e-3, scales to unit max-norm and is accepted when
-    every form with a factor argument at an integer (``_stuck_forms``)
-    moves at rate >= 0.05 along it.  Its three probes go through the
-    package's ``f_off_lattice``; a direction on which that raises is
-    dropped, and at most 10 directions are tried for two.  ``draws``, rows
-    of raw draws, replaces ``default_rng(seed)``.  This is the per-point
-    loop the package's candidate block replaced, with its messages.
+    Every factor argument and weight form is taken at the point in mpmath
+    from the float parameters, snapped onto the nearest integer when within
+    1e-9 of it (the package's tolerance for a factor at a pole, a zero or
+    a vanishing form), and then moved by its rate along ``direction``
+    times eps.  The weight is the explicit permutation sum, present when
+    k2 > 0.  Far inside the limit, at eps = 1e-25, the value is the
+    directional limit to about 25 digits.
     """
-    from selberg3 import integrands
-    from selberg3.errors import LimitDisagreementError, NearSingularError, PoleError
+    with mp.workdps(dps):
+        eps = mp.mpf(eps)
+        k1, k2 = len(nu), len(nv)
+        a, g = mp.mpf(p.alpha), mp.mpf(p.gamma)
+        u = [(mp.mpf(n) + (k1 - 1 - i) * g, mp.mpf(float(d)))
+             for i, (n, d) in enumerate(zip(nu, direction[:k1]))]
+        v = [(mp.mpf(n) + (k2 - 1 - i) * g, mp.mpf(float(d)))
+             for i, (n, d) in enumerate(zip(nv, direction[k1:]))]
 
-    scale = min(1.0, abs(p.gamma))
-    eps_list = [1e-2 * scale, 1e-3 * scale, 1e-4 * scale]
-    K = pt.k1 + pt.k2
-    rng = np.random.default_rng(seed)
-    rows = iter(draws) if draws is not None else None
-    stuck = _stuck_forms(pt, p)
+        def at(x, c=0):
+            """The form x = (value, rate) plus c, snapped, then moved."""
+            x0, rate = x[0] + c, x[1]
+            if abs(x0 - mp.nint(x0)) <= 1e-9:
+                x0 = mp.nint(x0)
+            return x0 + rate * eps
 
-    def draw_direction():
-        for _ in range(32):
-            d = next(rows) if rows is not None else rng.uniform(-1.0, 1.0, size=K)
-            norm = np.abs(d).max()
-            if norm < 1e-3:
-                continue
-            d = d / norm
-            dd = d.tolist() + [0.0]
-            if all(abs(dd[plus] - dd[minus]) >= 0.05 for plus, minus in stuck):
-                return d[:pt.k1], d[pt.k1:]
-        raise LimitDisagreementError("could not find a generic probe direction")
+        def diff(x, y):
+            return (x[0] - y[0], x[1] - y[1])
 
-    results = []
-    for _ in range(10):
-        if len(results) == 2:
-            break
-        du, dv = draw_direction()
-        uu = np.stack([pt.u + e * du for e in eps_list])
-        vv = np.stack([pt.v + e * dv for e in eps_list])
-        try:
-            ys = integrands.f_off_lattice(uu, vv, p, include_weight=include_weight)
-        except (PoleError, NearSingularError):
-            continue
-        tab = [float(y) for y in ys]
-        for level in range(1, 3):
-            for i in range(3 - level):
-                tab[i] = ((eps_list[i + level] * tab[i] - eps_list[i] * tab[i + 1])
-                          / (eps_list[i + level] - eps_list[i]))
-        results.append(tab[0])
-    if len(results) < 2:
-        raise LimitDisagreementError("probe evaluations kept hitting singular hyperplanes")
-    return tuple(results)
-
-
-def sequential_limit_pairs(pts, p, seed=7919, include_weight=True, draws=None):
-    """``sequential_limit_pair`` at each point in order, each pair checked
-    as soon as it is found: two limits above 1e-10 must agree to 1e-6
-    relative.  Returns an (m, 2) array."""
-    from selberg3.errors import LimitDisagreementError
-
-    out = []
-    for pt in pts:
-        a, b = sequential_limit_pair(pt, p, seed, include_weight, draws)
-        scale = max(abs(a), abs(b))
-        if abs(a - b) > 1e-6 * scale and scale > 1e-10:
-            raise LimitDisagreementError(f"directional limits disagree: {a!r} vs {b!r} at {pt!r}")
-        out.append((a, b))
-    return np.array(out).reshape(-1, 2)
+        val = mp.mpf(1)
+        for z, block in ((p.z1, u), (p.z2, v)):
+            for x in block:
+                val *= mp.power(mp.mpf(z), x[0] + x[1] * eps)
+        for x in u:
+            val *= mp.gamma(at(x, a)) * mp.rgamma(at(x, 1))
+        for ui in u:
+            for vj in v:
+                x = diff(vj, ui)
+                val *= mp.gamma(at(x, 1 - g)) * mp.rgamma(at(x, 1))
+        for block in (u, v):
+            for i in range(len(block)):
+                for j in range(i + 1, len(block)):
+                    x = diff(block[i], block[j])
+                    val *= at(x) * mp.gamma(at(x, g)) * mp.rgamma(at(x, 1 - g))
+        if not k2:
+            return val
+        kk, total = k1 - k2, mp.mpf(0)
+        for sigma in permutations(range(k1)):
+            us = [u[i] for i in sigma]
+            for tau in permutations(range(k2)):
+                vs = [v[i] for i in tau]
+                term = mp.mpf(1)
+                for b in range(k2):
+                    term /= at(diff(vs[b], us[b + kk]), -g)
+                    for c in range(b + 1, k2):
+                        x = diff(vs[b], us[c + kk])
+                        term *= at(x) / at(x, -g)
+                for block in (us, vs):
+                    for i in range(len(block)):
+                        for j in range(i + 1, len(block)):
+                            x = diff(block[i], block[j])
+                            term *= at(x, -g) / at(x)
+                total += term
+        return val * total / (factorial(k1) * factorial(k2))
 
 
-def sequential_point_value(pt, p, seed=7919, include_weight=True):
-    """The lattice summand at one point: ``regular_values`` where it is
-    regular, the mean of its checked sequential limit pair elsewhere."""
-    NU, NV = np.array([pt.nu], dtype=float), np.array([pt.nv], dtype=float)
-    regular, vals = regular_values(NU, NV, p, include_weight)
+def sequential_limit_pairs(pts, p):
+    """The package's ``limit_pairs`` one point at a time, in order, raising
+    at the first point that fails.  Returns the (m, 2) pairs and the (m,)
+    rounding scales."""
+    from selberg3.integrands import limit_pairs
+
+    out = [limit_pairs(np.array([pt.nu], dtype=float).reshape(1, -1),
+                       np.array([pt.nv], dtype=float).reshape(1, -1), p) for pt in pts]
+    return (np.array([pair[0] for pair, _ in out]).reshape(-1, 2),
+            np.array([rounding[0] for _, rounding in out]))
+
+
+def sequential_point_value(pt, p):
+    """The lattice summand at one point and the rounding scale of a limit:
+    ``regular_values`` and 0 where it is regular, the mean of its checked
+    limit pair and its rounding elsewhere."""
+    NU = np.array([pt.nu], dtype=float).reshape(1, -1)
+    NV = np.array([pt.nv], dtype=float).reshape(1, -1)
+    regular, vals = regular_values(NU, NV, p)
     if regular[0]:
-        return float(vals[0])
-    a, b = sequential_limit_pairs([pt], p, seed, include_weight)[0].tolist()
-    return 0.5 * (a + b)
+        return float(vals[0]), 0.0
+    pairs, rounding = sequential_limit_pairs([pt], p)
+    a, b = pairs[0].tolist()
+    return 0.5 * (a + b), float(rounding[0])
 
 
 def sequential_fval_support(p, budget, seed, tol):
@@ -532,7 +527,7 @@ def sequential_fval_support(p, budget, seed, tol):
     rng = np.random.default_rng(seed)
     k1, k2 = p.k1, p.k2
     cone = cone_array(k1, k2, 6).astype(float)
-    in_vals = lattice_values(cone[:, :k1], cone[:, k1:], p, seed=seed)
+    in_vals = lattice_values(cone[:, :k1], cone[:, k1:], p)[0]
     med = float(np.median(np.abs(in_vals[np.abs(in_vals) > 0])))
     npts = budget.points
     off = []
@@ -541,31 +536,37 @@ def sequential_fval_support(p, budget, seed, tol):
         nv = tuple(int(x) for x in rng.integers(-4, 8, size=k2))
         if not integer_parts_in_cone(nu, nv, k1, k2):
             off.append(LatticePoint(nu, nv, p.gamma))
-    worst = 0.0
+    worst = err = 0.0
     for pt in off:
-        worst = max(worst, abs(sequential_point_value(pt, p, seed=seed)))
-    return worst / med, 0.0, 0.0, (tol if tol is not None else 1e-8), \
+        value, rounding = sequential_point_value(pt, p)
+        worst, err = max(worst, abs(value)), max(err, rounding)
+    # a regular value is rounded to 1e-14 of its size
+    err = max(err, 1e-14 * worst)
+    return worst / med, err / med, 0.0, (tol if tol is not None else 1e-8), \
         f"max off-cone {worst:.2e} vs median in-cone {med:.2e}, {npts} points"
 
 
 def sequential_limit_direction(p, budget, seed, tol):
-    """The direction check one lattice point at a time, each probed on its
-    own; a check that compared no point gets an infinite error."""
+    """The direction check one lattice point at a time, each evaluated on
+    its own; a compared pair's error is twice its rounding over its scale,
+    and a check that compared no point gets an infinite error."""
     from selberg3.integrands import LatticePoint
 
     rng = np.random.default_rng(seed)
     pts = [(nu, nv) for nu, nv in cone_integer_parts(p.k1, p.k2, 5)]
     rng.shuffle(pts)
     pts = pts[:min(budget.points, 20)]
-    pairs = sequential_limit_pairs([LatticePoint(nu, nv, p.gamma) for nu, nv in pts], p, seed)
-    worst = 0.0
+    pairs, rounding = sequential_limit_pairs(
+        [LatticePoint(nu, nv, p.gamma) for nu, nv in pts], p)
+    worst = err = 0.0
     compared = 0
-    for a, b in pairs.tolist():
+    for (a, b), r in zip(pairs.tolist(), rounding.tolist()):
         scale = max(abs(a), abs(b))
         if scale > 1e-12:
             worst = max(worst, abs(a - b) / scale)
+            err = max(err, 2.0 * r / scale)
             compared += 1
-    err = 0.0 if compared else float("inf")
+    err = err if compared else float("inf")
     return worst, err, 0.0, (tol if tol is not None else 1e-6), \
         f"max two-direction disagreement, {compared} of {len(pts)} points compared"
 
@@ -793,7 +794,7 @@ def simplex_membership_rows(t, s, x: float, y: float, k1: int, k2: int) -> np.nd
 # lattice series: one shell per evaluation, and the full lattice box
 # ---------------------------------------------------------------------------
 
-def shell_by_shell_sum(which, p, rel_tol=1e-10, max_bound=None, seed=7919):
+def shell_by_shell_sum(which, p, rel_tol=1e-10, max_bound=None):
     """The cone series in largest-part shells: shell j is every cone point
     whose largest integer part is j, evaluated in one ``lattice_values``
     call, and the sum stops at the first shell j >= 1 with
@@ -804,12 +805,11 @@ def shell_by_shell_sum(which, p, rel_tol=1e-10, max_bound=None, seed=7919):
 
     from selberg3.lattice import lattice_values
 
-    include_weight = which == "dexp3"
-    k1, k2 = p.k1, (p.k2 if include_weight else 0)
+    k1, k2 = p.k1, (p.k2 if which == "dexp3" else 0)
     shells = []
     for j in range(max_bound + 1):
         P = cone_array_from(k1, k2, j, j).astype(float)
-        vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=include_weight, seed=seed)
+        vals = lattice_values(P[:, :k1], P[:, k1:], p)[0]
         shells.append(math.fsum(vals.tolist()))
         partial = math.fsum(shells)
         if j >= 1 and partial != 0.0 and abs(shells[-1]) <= rel_tol * abs(partial):
@@ -843,7 +843,7 @@ def _block_by_sum(k, a, top):
     return {int(n): rows[sums == n] for n in np.unique(sums) if a * n < top}
 
 
-def degree_shell_sum(which, p, rel_tol=1e-11, max_bound=None, seed=7919):
+def degree_shell_sum(which, p, rel_tol=1e-11, max_bound=None):
     """``sum_discrete`` one degree shell at a time.
 
     Shell s is enumerated on its own, apart from ``degree_band``: the
@@ -861,8 +861,7 @@ def degree_shell_sum(which, p, rel_tol=1e-11, max_bound=None, seed=7919):
     from selberg3.integrands import lattice_shift
     from selberg3.lattice import _VALUE_ROUNDING, SeriesResult, _z_derivatives, lattice_values
 
-    include_weight = which == "dexp3"
-    k1, k2 = p.k1, (p.k2 if include_weight else 0)
+    k1, k2 = p.k1, (p.k2 if which == "dexp3" else 0)
     c1 = -log(p.z1)
     c2 = -log(p.z2) if k2 else c1
     c = min(c1, c2)
@@ -886,7 +885,7 @@ def degree_shell_sum(which, p, rel_tol=1e-11, max_bound=None, seed=7919):
                 parts.append(rows[ok])
         P = np.vstack(parts) if parts else np.zeros((0, k1 + k2), dtype=np.int64)
         P = P[np.lexsort(P.T[::-1])].astype(float)
-        vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=include_weight, seed=seed)
+        vals = lattice_values(P[:, :k1], P[:, k1:], p)[0]
         mag = np.abs(vals)
         sums.append(math.fsum(vals.tolist()))
         masses.append(math.fsum(mag.tolist()))
@@ -905,7 +904,7 @@ def degree_shell_sum(which, p, rel_tol=1e-11, max_bound=None, seed=7919):
                         bar(mass_u) / p.z1, bar(mass_v) / p.z2 if k2 else 0.0)
 
 
-def sum_over_total_lattice(p, bound, seed=7919):
+def sum_over_total_lattice(p, bound):
     """Sum F over the full shifted lattice box [-bound, bound]^(k1+k2).
 
     Off-cone points contribute exact zeros (or limit values ~ 0); this is
@@ -917,7 +916,7 @@ def sum_over_total_lattice(p, bound, seed=7919):
 
     k1, k2 = p.k1, p.k2
     P = (np.indices((2 * bound + 1,) * (k1 + k2)).reshape(k1 + k2, -1).T - bound).astype(float)
-    vals = lattice_values(P[:, :k1], P[:, k1:], p, include_weight=True, seed=seed)
+    vals = lattice_values(P[:, :k1], P[:, k1:], p)[0]
     return math.fsum(vals.tolist())
 
 

@@ -156,7 +156,7 @@ def test_criterion_08_limit_direction_independence():
 def test_criterion_09_dynamical_system_residuals():
     t0 = time.time()
     p = ParamSet(k1=2, k2=1, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.3)
-    r1, r2, _ = pde_residual(p, seed=909)
+    r1, r2, _ = pde_residual(p)
     ok = max(r1, r2) <= 1e-6
     # resolve the printed ambiguity of the second equation's denominator on
     # the closed form where k2 distinguishes them

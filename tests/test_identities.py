@@ -156,9 +156,9 @@ def _outcome(engine, p, seed, budget=Budget()):
 class TestBatchedEngines:
     """The one-batch engines against their point-by-point references."""
 
-    # at k2 = 2 the default 50 off-cone points reach a point whose two
-    # limits disagree at every case here, so 3 points also compare
-    # returned values there
+    # at (3, 2) and gamma = -0.15, where alpha + 2 gamma = 1, the default 50
+    # off-cone points reach a point whose two limits disagree, so 3 points
+    # also compare returned values there
     @pytest.mark.parametrize("points", [50, 3])
     @pytest.mark.parametrize("seed", BATCH_SEEDS)
     @pytest.mark.parametrize("gamma", BATCH_GAMMAS)
@@ -191,7 +191,8 @@ class TestBatchedEngines:
         assert any(integer_parts_in_cone(nu, nv, 2, 2) for nu, nv in probed)
         assert any(not integer_parts_in_cone(nu, nv, 2, 2) and min(nu + nv) < 0
                    for nu, nv in probed)
-        assert got[0] > 0.0
+        # every off-cone value is an exact zero, limits included
+        assert got[0] == 0.0 and got[1] == 0.0
         monkeypatch.undo()
         assert got == sequential_fval_support(p, budget, 5, None)
 
@@ -221,10 +222,39 @@ class TestBatchedEngines:
         assert rec.note.startswith("max two-direction disagreement, 0 of 20 points compared")
         assert "insufficient precision" in rec.note
 
+    @pytest.mark.parametrize("k1,k2,gamma,seed", [(2, 2, -0.15, 1), (3, 2, -0.28, 808)])
+    def test_fval_support_off_cone_limits_are_zero(self, k1, k2, gamma, seed):
+        # extrapolated probes once read 1e-8 to 1e-7 here, where F is O(eps)
+        rec = run_identity("fval_support", _lattice_params(k1, k2, gamma), seed=seed)
+        assert rec.passed and rec.rel_dev == 0.0 and rec.lhs_err == 0.0
+
+    def test_series_grid_records_do_not_depend_on_the_run_seed(self):
+        # the benchmark's series grid: only limit_direction reads its seed, to
+        # draw the points it compares, and with them the bar of their rounding
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).parent.parent / "perfbench" / "grids.py"
+        spec = importlib.util.spec_from_file_location("grids", path)
+        grids = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(grids)
+        runs = []
+        for run_seed in (0, 1):
+            recs = []
+            for case in grids.grid("series", run_seed):
+                rec = run_identity(case.identity, ParamSet(**case.params), seed=case.seed)
+                assert rec.passed, rec
+                drop = ("seed", "runtime_ms") + (
+                    ("lhs_err",) if case.identity == "limit_direction" else ())
+                recs.append({k: v for k, v in dataclasses.asdict(rec).items() if k not in drop})
+            runs.append(recs)
+        assert runs[0] == runs[1]
+
     def test_limit_direction_note_counts_compared_points(self):
         p = ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.3)
         rec = run_identity("limit_direction", p, seed=808)
-        assert rec.passed and rec.lhs_err == 0.0
+        # the bar is the limits' rounding, relative to each compared pair
+        assert rec.passed and 0.0 < rec.lhs_err <= 1e-12
         assert rec.note == "max two-direction disagreement, 20 of 20 points compared"
 
     @pytest.mark.parametrize("k1,k2", [(1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (4, 1)])

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from oracles import (brute_h, brute_weight_g, brute_weight_w, h_func, h_tilde_func,
-                     hand_phi_sign_log, integer_parts_in_cone, mp_gamma, omega, raw_integrand,
-                     regular_mask, sequential_limit_pairs, sequential_point_value, weight_g)
+                     hand_phi_sign_log, integer_parts_in_cone, mp_gamma, mp_lattice_value,
+                     omega, raw_integrand, regular_mask, sequential_limit_pairs,
+                     sequential_point_value, weight_g)
 from selberg3 import integrands
 from selberg3.errors import (
     DomainError,
@@ -22,7 +23,6 @@ from selberg3.integrands import (
     LatticePoint,
     assembled_integrand,
     f_limit,
-    f_off_lattice,
     is_admissible,
     lattice_shift,
     limit_pairs,
@@ -149,7 +149,7 @@ class TestWeightW:
         g = -0.23
 
         def numerator(u, v, eps):
-            w = weight_w(np.array([u]), np.array([v]), g, near_tol=1e-15)[0]
+            w = weight_w(np.array([u]), np.array([v]), g)[0]
             prod = 1.0
             for ua in u:
                 for vb in v:
@@ -356,45 +356,37 @@ class TestLatticeLimit:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_force_probe_agrees_with_direct(self):
-        # limit_pairs probes any point, a regular one too
+        # limit_pairs takes any point, a regular one too
         p = ParamSet(k1=2, k2=1, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.3)
         pt = LatticePoint((2, 1), (2,), p.gamma)
         assert _is_regular(pt, p)
         direct = f_limit(pt, p)
-        probed = limit_pairs(*_parts([pt]), p).mean()
-        assert probed == pytest.approx(direct, rel=1e-7)
+        pairs, rounding = limit_pairs(*_parts([pt]), p)
+        assert pairs.mean() == pytest.approx(direct, rel=1e-13)
+        assert 0.0 < rounding[0] <= 1e-13 * abs(direct)
 
     def test_singular_point_two_directions_agree(self):
         # the (2,2) diagonal points are genuine pole/zero collisions
         p = ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.3)
         pt = LatticePoint((1, 1), (1, 1), p.gamma)
         assert not _is_regular(pt, p)
-        a, b = limit_pairs(*_parts([pt]), p)[0]
-        assert a == pytest.approx(b, rel=1e-6)
+        (a, b), = limit_pairs(*_parts([pt]), p)[0]
+        assert a == pytest.approx(b, rel=1e-13)
 
     @pytest.mark.parametrize("nu,nv", F_LIMIT_POINTS)
     def test_f_limit_is_one_row_of_lattice_values(self, nu, nv):
         p = ParamSet(k1=len(nu), k2=len(nv), alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
         pt = LatticePoint(nu, nv, p.gamma)
-        for seed, include_weight in ((7919, True), (3, False)):
-            got = f_limit(pt, p, seed=seed, include_weight=include_weight)
-            row = lattice_values(*_parts([pt]), p, include_weight=include_weight, seed=seed)
-            assert got == row[0]
-            assert got == sequential_point_value(pt, p, seed, include_weight)
+        got = f_limit(pt, p)
+        vals, rounding = lattice_values(*_parts([pt]), p)
+        assert got == vals[0]
+        assert (got, rounding[0]) == sequential_point_value(pt, p)
 
     def test_f_limit_cases_cover_both_kinds_of_point(self):
         kinds = [_is_regular(LatticePoint(nu, nv, -0.15),
                              ParamSet(k1=len(nu), k2=len(nv), alpha=1.3, gamma=-0.15))
                  for nu, nv in F_LIMIT_POINTS]
         assert True in kinds and False in kinds
-
-    def test_off_lattice_probe_values_finite(self):
-        p = ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.3)
-        rng = np.random.default_rng(0)
-        u = np.array([[1.07, 0.93]]) + rng.uniform(0, 0.01, size=(1, 2))
-        v = np.array([[1.11, 0.89]])
-        vals = f_off_lattice(u, v, p)
-        assert np.all(np.isfinite(vals))
 
 
 def _singular_cone_points(p, bound):
@@ -405,7 +397,8 @@ def _singular_cone_points(p, bound):
 
 
 def _outcome(fn, *args, **kwargs):
-    """The returned array, or the class and message of what was raised."""
+    """The returned pairs and roundings, or the class and message of what
+    was raised."""
     try:
         return fn(*args, **kwargs)
     except LimitDisagreementError as exc:
@@ -413,30 +406,20 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _same(got, want):
-    if isinstance(want, tuple):
+    if isinstance(want[0], type):
         return got == want
-    return isinstance(got, np.ndarray) and np.array_equal(got, want)
+    return all(isinstance(g, np.ndarray) and np.array_equal(g, w) for g, w in zip(got, want))
 
 
-# (2,2) point singular through the weight pole v_0 - u_1 = gamma, with
-# Gamma(u_0 + alpha) at 1e-3 from its pole at -1; that near pole spoils
-# its limits, so a small z2 keeps them below the 1e-10 agreement scale
-PLANT_P = ParamSet(k1=2, k2=2, alpha=1.151, gamma=-0.15, z1=0.3, z2=1e-8)
-PLANT_PT = LatticePoint((-2, 1), (1, 1), PLANT_P.gamma)
-# generic everywhere (every form moves at rate >= 0.05) and of unit max-norm;
-# its first probe, eps = 1.5e-3, puts u_0 + alpha on -1
-PLANTED = np.array([-2.0 / 3.0, 0.2, 1.0, -0.5])
-# every coordinate alike: no form between two coordinates moves
-STILL = np.full(4, 0.7)
-
-
-def _plant(monkeypatch, head):
-    """Make the candidate block start with the rows ``head``, followed by
-    the true draws, cut to the block's size; returns the block."""
-    block = integrands._candidate_draws(7919, 4)
-    planted = np.vstack((head, block))[:len(block)]
-    monkeypatch.setattr(integrands, "_candidate_draws", lambda seed, K: planted.copy())
-    return planted
+# a (2,2) point singular through the weight pole v_0 - u_1 = gamma, with
+# Gamma(u_0 + alpha) at 1e-3 from its pole at -1: a near pole, not a pole
+NEAR_POLE_P = ParamSet(k1=2, k2=2, alpha=1.151, gamma=-0.15, z1=0.3, z2=0.5)
+NEAR_POLE_PT = LatticePoint((-2, 1), (1, 1), NEAR_POLE_P.gamma)
+# alpha + 2 gamma = 1 puts Gamma(u_0 + alpha) on its pole at -1 and
+# 1/Gamma(u_0 - u_1 - gamma + 1) on its zero at -7: two bases, whose ratio
+# of rates the limit keeps
+TWO_BASES_P = ParamSet(k1=3, k2=1, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
+TWO_BASES_PT = LatticePoint((-2, 6, 5), (6,), TWO_BASES_P.gamma)
 
 
 class TestLimitPairs:
@@ -445,80 +428,73 @@ class TestLimitPairs:
         p = ParamSet(k1=k1, k2=k2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
         pts = _singular_cone_points(p, 5)
         assert len(pts) > 5
-        returned = 0
-        for seed in (3, 11, 808):
-            for include_weight in (True, False):
-                got = _outcome(limit_pairs, *_parts(pts), p, seed=seed,
-                               include_weight=include_weight)
-                want = _outcome(sequential_limit_pairs, pts, p, seed, include_weight)
-                assert _same(got, want)
-                returned += isinstance(want, np.ndarray)
-        assert returned >= 3
+        for order in (pts, pts[::-1]):
+            got = limit_pairs(*_parts(order), p)
+            assert _same(got, sequential_limit_pairs(order, p))
 
-    def test_planted_candidate_is_generic_and_hits_a_pole(self):
-        pt, p = PLANT_PT, PLANT_P
-        assert not _is_regular(pt, p)
-        assert np.abs(PLANTED).max() == 1.0
-        ends = np.append(PLANTED, 0.0)
-        for _, plus, minus in integrands.lattice_bases(2, 2):
-            assert abs(ends[plus] - ends[minus]) >= 0.05
-        eps = 1e-2 * abs(p.gamma)
-        with pytest.raises(PoleError):
-            f_off_lattice(pt.u[None, :] + eps * PLANTED[:2], pt.v[None, :] + eps * PLANTED[2:], p)
+    @pytest.mark.parametrize("gamma", [-0.15, -0.28])
+    @pytest.mark.parametrize("k1,k2", [(2, 2), (3, 2)])
+    def test_limits_match_the_mpmath_oracle(self, k1, k2, gamma):
+        # both limits, against F in mpmath at eps = 1e-25 along a third
+        # direction, to 1e-13 of the row's scale: the sum of the sizes of its
+        # leading terms, which its rounding is 1e-14 of.  Where the limit is
+        # 0 the oracle reads the next term, of order eps
+        p = ParamSet(k1=k1, k2=k2, alpha=1.3, gamma=gamma, z1=0.2, z2=0.4)
+        pts = _singular_cone_points(p, 8)
+        assert len(pts) >= 9
+        pairs, rounding = limit_pairs(*_parts(pts), p)
+        direction = np.random.default_rng(1).uniform(0.5, 1.5, size=k1 + k2)
+        for pt, pair, scale in zip(pts, pairs, rounding / 1e-14):
+            want = float(mp_lattice_value(pt.nu, pt.nv, p, direction))
+            assert np.abs(pair - want).max() <= 1e-13 * scale + 1e-20, pt
+        assert np.all(pairs[:9] != 0.0)  # the first nine have nonzero limits
 
-    def test_probe_on_a_singular_hyperplane_takes_the_next_candidate(self, monkeypatch):
-        p = PLANT_P
-        pts = [PLANT_PT] + _singular_cone_points(p, 3)
-        assert len(pts) > 2
-        unplanted = limit_pairs(*_parts(pts), p)
-        planted = _plant(monkeypatch, PLANTED)
-        got = limit_pairs(*_parts(pts), p)
-        assert np.array_equal(got, sequential_limit_pairs(pts, p, draws=planted))
-        # the target skips the planted candidate for the true draws after it;
-        # the cone points, whose probes it leaves clean, take it first
-        assert np.array_equal(got[0], unplanted[0])
-        assert not np.array_equal(got[1:], unplanted[1:])
+    def test_near_pole_limit_is_zero(self):
+        # F vanishes like eps at this point, in every direction
+        assert not _is_regular(NEAR_POLE_PT, NEAR_POLE_P)
+        pairs, rounding = limit_pairs(*_parts([NEAR_POLE_PT]), NEAR_POLE_P)
+        assert pairs.tolist() == [[0.0, 0.0]] and rounding.tolist() == [0.0]
+        for d in ([1.0, 2.0, 3.0, 5.0], [0.3, -0.7, 1.1, 0.2]):
+            got = mp_lattice_value(NEAR_POLE_PT.nu, NEAR_POLE_PT.nv, NEAR_POLE_P, d)
+            assert abs(got) < 1e-20
 
-    @pytest.mark.parametrize("unclean,raises", [(8, False), (9, True)])
-    def test_at_most_ten_directions_per_point(self, monkeypatch, unclean, raises):
-        planted = _plant(monkeypatch, np.tile(PLANTED, (unclean, 1)))
-        got = _outcome(limit_pairs, *_parts([PLANT_PT]), PLANT_P)
-        assert _same(got, _outcome(sequential_limit_pairs, [PLANT_PT], PLANT_P, draws=planted))
-        assert isinstance(got, tuple) == raises
-        if raises:
-            assert got[1] == "probe evaluations kept hitting singular hyperplanes"
+    def test_pole_raises_with_its_order(self):
+        # at gamma = -1/2, Gamma(u_0 - u_1 + gamma) meets its pole at -1 at the
+        # origin, and no zero cancels it
+        p = ParamSet(k1=2, k2=0, alpha=1.3, gamma=-0.5, z1=0.3)
+        with pytest.raises(LimitDisagreementError,
+                           match=r"pole of order 1 at LatticePoint\(nu=\(0, 0\)"):
+            limit_pairs(np.zeros((1, 2)), np.zeros((1, 0)), p)
 
-    @pytest.mark.parametrize("still,raises", [(31, False), (32, True)])
-    def test_each_direction_within_32_draws(self, monkeypatch, still, raises):
-        p = ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
-        pt = LatticePoint((1, 1), (1, 1), p.gamma)
-        planted = _plant(monkeypatch, np.vstack([np.tile(STILL, (still, 1)),
-                                                 PLANTED, np.tile(STILL, (still, 1))]))
-        got = _outcome(limit_pairs, *_parts([pt]), p)
-        want = _outcome(sequential_limit_pairs, [pt], p, draws=planted)
-        assert _same(got, want)
-        assert isinstance(got, tuple) == raises
-        if raises:
-            assert got[1] == "could not find a generic probe direction"
+    def test_direction_dependent_limit_raises(self):
+        pt, p = TWO_BASES_PT, TWO_BASES_P
+        with pytest.raises(LimitDisagreementError, match="directional limits disagree"):
+            limit_pairs(*_parts([pt]), p)
+        # the first point that fails raises, in a batch as on its own
+        pts = _singular_cone_points(p, 4)
+        batch = pts[:3] + [pt] + pts[3:]
+        got = _outcome(limit_pairs, *_parts(batch), p)
+        assert got[0] is LimitDisagreementError
+        assert got == _outcome(sequential_limit_pairs, batch, p)
+        # the oracle sees the limit move with the direction too
+        a, b = (mp_lattice_value(pt.nu, pt.nv, p, d)
+                for d in ([1.0, 2.0, 3.0, 5.0], [0.3, -0.7, 1.1, 0.2]))
+        assert abs(a - b) > 1e-3 * max(abs(a), abs(b))
 
-    def test_no_generic_direction_raises(self, monkeypatch):
-        p = ParamSet(k1=2, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
-        pts = _singular_cone_points(p, 2)
-        planted = _plant(monkeypatch, np.tile(STILL, (320, 1)))
-        got = _outcome(limit_pairs, *_parts(pts), p)
-        assert got == (LimitDisagreementError, "could not find a generic probe direction")
-        assert got == _outcome(sequential_limit_pairs, pts, p, draws=planted)
-
-    def test_one_off_lattice_call_per_batch(self, monkeypatch):
+    def test_one_factor_pass_per_batch(self, monkeypatch):
+        # every factor kind is evaluated once for the whole batch, both
+        # directions at once
         p = ParamSet(k1=3, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
         pts = _singular_cone_points(p, 4)
         calls = []
-        evaluate = integrands.f_off_lattice
+        real = integrands.factor_table
 
-        def spy(*args, **kwargs):
-            calls.append(args[0].shape[0])
-            return evaluate(*args, **kwargs)
+        def spy(kind, arg, *args):
+            calls.append(arg.shape[0])
+            return real(kind, arg, *args)
 
-        monkeypatch.setattr(integrands, "f_off_lattice", spy)
-        limit_pairs(*_parts(pts), p, seed=11)
-        assert calls == [6 * len(pts)]
+        monkeypatch.setattr(integrands, "factor_table", spy)
+        limit_pairs(*_parts(pts), p)
+        # two factors of the u family, two of the vu family (its weight
+        # denominator is a weight form) and three of the pair family
+        assert len(calls) == 7 and set(calls) == {len(pts)}
