@@ -31,7 +31,7 @@ from .lattice import (
 from .logreal import gamma_ratio
 from .params import ParamSet
 from .quadrature import QuadSpec, integrate_chain, integrate_family
-from .recursions import jjl_shift_residuals, solve_both, verify_relations
+from .recursions import _plan, jjl_shift_residuals, solve_both, verify_relations
 
 MC_FLOOR = 1e-3
 MC_CEIL = 0.1  # a Monte Carlo check certifies at least one digit
@@ -188,7 +188,15 @@ def _v_aomoto(p: ParamSet):
 
 def _v_recursion(p: ParamSet):
     _v_sl3_cont(p)
+    _need(p.k1 >= 1, "need k1 >= 1: at k1 = 0 the table is its seed alone")
     _need(p.k1 + p.k2 <= 8, "need k1 + k2 <= 8")
+
+
+def _v_jjj(p: ParamSet):
+    _v_recursion(p)
+    _need(False in _plan(p.k1, p.k2, False).pivot,
+          "need an over-determined relation: at k2 = 0 and at k1 = k2 = 1 every "
+          "relation is a pivot, whose residual is 0 by construction")
 
 
 def _v_open(p: ParamSet):
@@ -266,12 +274,10 @@ def _aomoto_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
 
 def _jjj_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
     tab, tabt = solve_both(p)
-    res = verify_relations(tab, p) + verify_relations(tabt, p)
-    nonpivot = [r for _, r, pivot in res if not pivot]
-    checked = nonpivot if nonpivot else [r for _, r, _ in res]
-    worst = max(checked)
-    return worst, 0.0, 0.0, (tol if tol is not None else 1e-10), \
-        f"{len(res)} relations, {len(nonpivot)} over-determined"
+    res = verify_relations(tab) + verify_relations(tabt)
+    checked = [r for _, r, pivot in res if not pivot]
+    return max(checked), 0.0, 0.0, (tol if tol is not None else 1e-10), \
+        f"{len(res)} relations, {len(checked)} over-determined"
 
 
 def _jjl_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
@@ -445,12 +451,13 @@ _register("selb30", "two-block [0,1] chain integral without rational weight vs "
 _register("aomoto", "moment integrals of the beta-type density vs shifted "
           "product forms", "as selb, k <= 6", _v_aomoto, _aomoto_engine)
 _register("jjj_relations", "recursion-relation residuals of the solved "
-          "end-point integral tables", "as selb3, k1+k2 <= 8", _v_recursion,
-          _jjj_engine, aggregate=True)
+          "end-point integral tables", "as jjl_shift, and some relation over-determined "
+          "(k2 >= 1, not k1 = k2 = 1)", _v_jjj, _jjj_engine, aggregate=True)
 _register("jjl_shift", "parameter-shift identity between table corners",
-          "as selb3", _v_recursion, _jjl_engine, aggregate=True)
+          "alpha,beta1,beta2>0, gamma in (-0.5,0), 1 <= k1, k1+k2 <= 8", _v_recursion,
+          _jjl_engine, aggregate=True)
 _register("j0k", "boundary closed forms of the recursion tables",
-          "as selb3", _v_recursion, _j0k_engine, aggregate=True)
+          "as jjl_shift", _v_recursion, _j0k_engine, aggregate=True)
 _register("chain_decomp", "domain decomposition of the interleaved cone on "
           "smooth test functions", "k1 >= k2 >= 0, k1+k2 <= 4", _v_decomp,
           _chain_decomp_engine)

@@ -283,7 +283,8 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
     vector) steps past.  ``max_bound`` is the last degree shell summed;
     by default 600 (k1 + k2 <= 2) or 180, and at least eight windows.
     The reported tails add the values' rounding, ``_VALUE_ROUNDING`` times
-    the summed masses, to the window tails.
+    the summed masses, and the limits' own rounding at the singular points
+    summed, to the window tails.
 
     The first block of shells reaches the predicted stop, log(1/rel_tol)
     over the least column weight plus two shells (and at least four
@@ -317,8 +318,9 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
     first = max(math.ceil(math.log(1.0 / rel_tol) / c) + 2 if rel_tol > 0.0 else max_bound + 1,
                 4 * window)
     shift_u, shift_v = lattice_shift(k1, p.gamma).sum(), lattice_shift(k2, p.gamma).sum()
-    # per shell: the sum, and the masses of |F|, |F| |sum(u)| and |F| |sum(v)|
-    sums, masses, moments = [], ([], [], []), np.zeros(k1 + k2)
+    # per shell: the sum, and the masses of |F|, |F| |sum(u)| and |F| |sum(v)|;
+    # per singular row summed: its limit's rounding, weighted as each mass
+    sums, masses, jets, moments = [], ([], [], []), ([], [], []), np.zeros(k1 + k2)
     tables, converged, lo, size = None, False, 0, first
     while lo <= max_bound and not converged:
         hi = min(max_bound, lo + size - 1)
@@ -345,7 +347,7 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
         sing = np.flatnonzero(~regular)
         failed, failure = P.shape[0], None
         if sing.size:
-            pairs, _, failures = _jet_limits(P[sing, :k1], P[sing, k1:], p)
+            pairs, rounding, failures = _jet_limits(P[sing, :k1], P[sing, k1:], p)
             vals[sing] = 0.5 * (pairs[:, 0] + pairs[:, 1])
             if failures:
                 row, failure = next(iter(failures.items()))
@@ -364,14 +366,19 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
             if partial != 0.0 and window_tail(masses[0], window) <= rel_tol * abs(partial):
                 converged = True
                 break
+        if sing.size:
+            used = np.searchsorted(sing, start)
+            for jet, row in zip(jets, rounding[:used] * scale[:, sing[:used]]):
+                jet += row.tolist()
         lo, size = hi + 1, max(window, math.ceil(first / 4))
 
-    def bar(mass):
-        return window_tail(mass, window) + _VALUE_ROUNDING * math.fsum(mass)
+    def bar(i):
+        return (window_tail(masses[i], window) + _VALUE_ROUNDING * math.fsum(masses[i])
+                + math.fsum(jets[i]))
 
-    return SeriesResult(partial, bar(masses[0]), bound, converged,
+    return SeriesResult(partial, bar(0), bound, converged,
                         *_z_derivatives(k1, k2, p, partial, moments),
-                        bar(masses[1]) / p.z1, bar(masses[2]) / p.z2 if k2 else 0.0)
+                        bar(1) / p.z1, bar(2) / p.z2 if k2 else 0.0)
 
 
 def pde_coefficients(p: ParamSet, second_eq_denominator: str = "z2"):

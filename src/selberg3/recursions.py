@@ -5,6 +5,13 @@ triples (l1, l2, m) satisfy two relation families each: one advancing l1
 at fixed (l2, m), one advancing l2.  For generic parameters the whole
 table follows from the single seed value at (0, 0, 0).
 
+Every relation has three terms, each coefficient affine in (1, alpha,
+beta1, beta2, gamma) with integer multipliers, and which entries the
+terms touch depends only on the shape.  So each (k1, k2, twisted) has
+one plan: the relations' entry indices and multiplier rows, and the
+solver's steps.  A term on an inadmissible triple has an all-zero row
+and adds an exact 0.
+
 The table is linear in its seed, so it is solved once in plain floats at
 a unit seed; the seed's log-signed value scales an entry when it is read.
 The solver walks columns (l2 ascending, l1 ascending) and fills each
@@ -17,12 +24,15 @@ over-determination check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .closed_forms import j_closed_form
 from .errors import InconsistentSystemError, PivotZeroError
-from .integrands import is_admissible
 from .logreal import LogSigned
 from .params import ParamSet
 
@@ -41,8 +51,9 @@ def admissible_triples(k1: int, k2: int) -> list[tuple]:
 
 @dataclass
 class JTable:
-    """Solved table of one family: the entries solve ``relations`` at a
-    unit seed, and ``seed`` scales them at read-out."""
+    """Solved table of one family: the entries solve the shape's relations,
+    whose coefficients are ``coeffs``, at a unit seed, and ``seed`` scales
+    them at read-out."""
 
     k1: int
     k2: int
@@ -50,66 +61,61 @@ class JTable:
     twisted: bool
     seed: LogSigned
     entries: dict = field(default_factory=dict)  # triple -> float, at seed 1
-    pivot_ids: set = field(default_factory=set)
-    relations: list = field(default_factory=list)  # every relation instance
+    coeffs: list = field(default_factory=list)  # three per relation of the plan
 
     def value(self, triple) -> LogSigned:
         return self.seed * LogSigned.from_float(self.entries[triple])
 
 
-@dataclass(frozen=True)
-class Relation:
-    """One instantiated relation, sum(coeff * entry) = 0."""
-
-    rid: tuple
-    terms: tuple  # of (float coeff, triple)
-
-
-def _relation_a(p: ParamSet, l1, l2, m, twisted: bool) -> Relation:
-    a, b1, g = p.alpha, p.beta1, p.gamma
-    k1, k2 = p.k1, p.k2
-    pivot = b1 + (l1 - m) * g if twisted else b1 + (l1 - l2 + m) * g
-    raw = [
-        (a + (k1 - l1 - 1) * g, (l1, l2, m)),
-        (-pivot, (l1 + 1, l2, m)),
-        ((l2 - m) * g, (l1 + 1, l2, m + 1)),
-    ]
-    return _prune(("A~" if twisted else "A", l1, l2, m), raw, k1, k2)
+class _Plan(NamedTuple):
+    triples: list  # the admissible triples, in table index order
+    rids: list  # relation ids
+    terms: list  # three entry indices per relation, flattened
+    rows: np.ndarray  # (5, 3 * relations): multipliers of 1, alpha, beta1, beta2, gamma
+    steps: list  # relation indices: one solves its middle term, two their last two
+    pivot: list  # whether a step consumes each relation
 
 
-def _relation_b(p: ParamSet, l1, l2, m, twisted: bool) -> Relation:
-    b2, g = p.beta2, p.gamma
-    k1, k2 = p.k1, p.k2
-    pivot = b2 + (l2 - l1 + m - 1) * g if twisted else b2 + (l2 - m - 1) * g
-    raw = [
-        ((k2 - k1 + l1 - l2) * g, (l1, l2 - 1, m)),
-        (-pivot, (l1, l2, m)),
-        (-(l1 - m) * g, (l1, l2, m + 1)),
-    ]
-    return _prune(("B~" if twisted else "B", l1, l2, m), raw, k1, k2)
+@functools.lru_cache(maxsize=None)
+def _plan(k1: int, k2: int, twisted: bool) -> _Plan:
+    """The relations and solver steps of one shape."""
+    triples = admissible_triples(k1, k2)
+    at = {t: i for i, t in enumerate(triples)}
+    rel, terms, rows = {}, [], []
+    a, b = ("A~", "B~") if twisted else ("A", "B")
 
+    def relation(rid, raw):
+        for row, triple in raw:
+            if triple not in at and any(row):
+                raise InconsistentSystemError(f"inadmissible index {triple} enters {rid}")
+            terms.append(at.get(triple, 0))  # a zero row reads the seed for an exact 0
+            rows.append(row)
+        rel[rid] = len(rel)
 
-def _prune(rid, raw, k1, k2) -> Relation:
-    terms = []
-    for coeff, triple in raw:
-        if is_admissible(*triple, k1, k2):
-            terms.append((coeff, triple))
-        elif abs(coeff) > 1e-12:
-            raise InconsistentSystemError(
-                f"inadmissible index {triple} enters {rid} with coefficient {coeff!r}")
-    return Relation(rid, tuple(terms))
-
-
-def all_relations(p: ParamSet, twisted: bool) -> list[Relation]:
-    """Every valid relation instance for the given shape."""
-    k1, k2 = p.k1, p.k2
-    out = []
-    for (l1, l2, m) in admissible_triples(k1, k2):
+    for (l1, l2, m) in triples:
         if l1 < k1 - k2 + l2:
-            out.append(_relation_a(p, l1, l2, m, twisted))
-        if 0 <= m < l2:
-            out.append(_relation_b(p, l1, l2, m, twisted))
-    return out
+            shift = l1 - m if twisted else l1 - l2 + m
+            relation((a, l1, l2, m), [((0, 1, 0, 0, k1 - l1 - 1), (l1, l2, m)),
+                                      ((0, 0, -1, 0, -shift), (l1 + 1, l2, m)),
+                                      ((0, 0, 0, 0, l2 - m), (l1 + 1, l2, m + 1))])
+        if m < l2:
+            shift = l2 - l1 + m - 1 if twisted else l2 - m - 1
+            relation((b, l1, l2, m), [((0, 0, 0, 0, k2 - k1 + l1 - l2), (l1, l2 - 1, m)),
+                                      ((0, 0, 0, -1, -shift), (l1, l2, m)),
+                                      ((0, 0, 0, 0, m - l1), (l1, l2, m + 1))])
+    steps = []
+    for l2 in range(k2 + 1):
+        for l1 in range(k1 - k2 + l2 + 1):
+            top = min(l1, l2)
+            if l1 == l2 > 0:  # the column top needs two relations solved jointly
+                steps.append((rel[a, l1 - 1, l2, top - 1], rel[b, l1, l2, top - 1]))
+                top -= 1
+            elif l1 != l2:
+                steps.append((rel[(a, l1 - 1, l2, top) if l1 > l2 else (b, l1, l2, top)],))
+            steps += [(rel[a, l1 - 1, l2, m],) for m in range(top - 1, -1, -1)]
+    used = {r for step in steps for r in step}
+    return _Plan(triples, list(rel), terms, np.array(rows, dtype=float).reshape(-1, 5).T, steps,
+                 [r in used for r in range(len(rel))])
 
 
 def _guard(coeff: float, what: str) -> float:
@@ -118,75 +124,50 @@ def _guard(coeff: float, what: str) -> float:
     return coeff
 
 
-def _step(tab: JTable, rels: list[Relation], targets: list[tuple]) -> None:
-    """Solve relations for as many entries, every other entry they touch
-    being known: one relation for its beta-shifted pivot entry, or two
-    for the column top at l1 = l2 by Cramer's rule."""
-    rows = []
-    for rel in rels:
-        coeffs, rhs = [0.0] * len(targets), 0.0
-        for coeff, triple in rel.terms:
-            if triple in targets:
-                coeffs[targets.index(triple)] = coeff
-            else:
-                rhs -= coeff * tab.entries[triple]
-        rows.append((coeffs, rhs))
-    if len(rows) == 1:
-        [([pivot], rhs)] = rows
-        values = [rhs / _guard(pivot, f"beta-shifted {rels[0].rid}")]
-    else:
-        ([a11, a12], ra), ([b11, b12], rb) = rows
-        det = _guard(a11 * b12 - a12 * b11, "column-top determinant")
-        values = [(b12 * ra - a12 * rb) / det, (a11 * rb - b11 * ra) / det]
-    tab.entries.update(zip(targets, values))
-    tab.pivot_ids.update(rel.rid for rel in rels)
-
-
 def solve_j(p: ParamSet, seed_value: LogSigned, twisted: bool = False) -> JTable:
     """Fill the whole table from the seed entry at (0, 0, 0).
 
     The table is linear in its seed, so it is solved in plain floats at a
-    unit seed, and ``seed_value`` is applied when an entry is read."""
-    k1, k2 = p.k1, p.k2
-    tab = JTable(k1, k2, p, twisted, seed_value, {(0, 0, 0): 1.0},
-                 relations=all_relations(p, twisted))
-    rels = {rel.rid: rel for rel in tab.relations}
-    a, b = ("A~", "B~") if twisted else ("A", "B")
-    for l2 in range(k2 + 1):
-        for l1 in range(k1 - k2 + l2 + 1):
-            top = min(l1, l2)
-            if l1 == l2 > 0:
-                # the column top needs two relations solved jointly
-                _step(tab, [rels[(a, l1 - 1, l2, top - 1)], rels[(b, l1, l2, top - 1)]],
-                      [(l1, l2, top - 1), (l1, l2, top)])
-                top -= 1
-            elif l1 > l2:
-                _step(tab, [rels[(a, l1 - 1, l2, top)]], [(l1, l2, top)])
-            elif l1 < l2:
-                _step(tab, [rels[(b, l1, l2, top)]], [(l1, l2, top)])
-            for m in range(top - 1, -1, -1):
-                _step(tab, [rels[(a, l1 - 1, l2, m)]], [(l1, l2, m)])
-
-    bad = [t for t in admissible_triples(k1, k2)
-           if not math.isfinite(tab.entries.get(t, math.nan))]
+    unit seed, and ``seed_value`` is applied when an entry is read.  Every
+    coefficient is its multiplier row evaluated term by term, left to
+    right, which rounds as the relation's own expression does."""
+    plan = _plan(p.k1, p.k2, twisted)
+    M, t = plan.rows, plan.terms
+    c = (M[0] + M[1] * p.alpha + M[2] * p.beta1 + M[3] * p.beta2 + M[4] * p.gamma).tolist()
+    x = [1.0] + [math.nan] * (len(plan.triples) - 1)
+    for step in plan.steps:
+        i = 3 * step[0]
+        if len(step) == 1:  # the relation's beta-shifted middle term
+            x[t[i + 1]] = ((0.0 - c[i] * x[t[i]] - c[i + 2] * x[t[i + 2]])
+                           / _guard(c[i + 1], f"beta-shifted {plan.rids[step[0]]}"))
+        else:  # the last two terms of two relations, by Cramer's rule
+            j = 3 * step[1]
+            a11, a12, ra = c[i + 1], c[i + 2], 0.0 - c[i] * x[t[i]]
+            b11, b12, rb = c[j + 1], c[j + 2], 0.0 - c[j] * x[t[j]]
+            det = _guard(a11 * b12 - a12 * b11, "column-top determinant")
+            x[t[i + 1]], x[t[i + 2]] = (b12 * ra - a12 * rb) / det, (a11 * rb - b11 * ra) / det
+    bad = [tr for tr, v in zip(plan.triples, x) if not math.isfinite(v)]
     if bad:
         raise InconsistentSystemError(f"solver left entries unfilled or non-finite: {bad}")
-    return tab
+    return JTable(p.k1, p.k2, p, twisted, seed_value, dict(zip(plan.triples, x)), c)
 
 
-def verify_relations(table: JTable, p: ParamSet) -> list[tuple]:
-    """Relative residual of every relation instance against the table.
+def verify_relations(table: JTable) -> list[tuple]:
+    """Relative residual of every relation of the table's plan, at the
+    coefficients the table was solved from.
 
-    The relations are the ones the table was solved from, at its own
-    parameters ``p``.  Returns [(relation id, residual, used_as_pivot)];
-    residuals are |sum(coeff * value)| / max |coeff * value|.
+    Returns [(relation id, residual, used_as_pivot)]; residuals are
+    |sum(coeff * value)| / max |coeff * value|.
     """
+    plan = _plan(table.k1, table.k2, table.twisted)
+    x = [table.entries[t] for t in plan.triples]
+    c, t = table.coeffs, plan.terms
     out = []
-    for rel in table.relations:
-        terms = [coeff * table.entries[triple] for coeff, triple in rel.terms]
-        scale = max(abs(x) for x in terms) if terms else 0.0
+    for r, rid in enumerate(plan.rids):
+        terms = [c[i] * x[t[i]] for i in range(3 * r, 3 * r + 3)]
+        scale = max(map(abs, terms))
         resid = abs(math.fsum(terms)) / scale if scale > 0 else 0.0
-        out.append((rel.rid, resid, rel.rid in table.pivot_ids))
+        out.append((rid, resid, plan.pivot[r]))
     return out
 
 

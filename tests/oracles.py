@@ -32,9 +32,12 @@ checks, except the references that the package must reproduce:
   at a time, draw off-cone points one at a time through the scalar cone
   test (``integer_parts_in_cone``), and solve both shifted tables once
   per l, the way the one-batch engines replaced, bit for bit;
-* the exact recursion table (``exact_unit_table``) takes the package's
-  relation coefficients, each float converted exactly, and walks the
-  solver's columns in ``Fraction`` arithmetic at a unit seed;
+* the recursion relations (``raw_relations``, ``relation_instances``)
+  are written out one instance at a time from their formulas, the way
+  the package's per-shape plans of integer multiplier rows replaced, and
+  the exact recursion table (``exact_unit_table``) takes their
+  coefficients, each float converted exactly, and walks the solver's
+  columns in ``Fraction`` arithmetic at a unit seed;
 * the per-member engine references (``per_member_aomoto``,
   ``per_member_chain_decomp``) integrate each moment or monomial as its
   own chain integral, the way the integrand-family engines replaced,
@@ -583,17 +586,57 @@ def per_l_jjl_shift(p, l):
     return abs((left / right).to_float() - 1.0)
 
 
+def raw_relations(p, twisted=False) -> list:
+    """Every relation instance of the recursion system, each coefficient
+    written out from its formula at the parameters, one instance at a time:
+    [(rid, [(coeff, triple)] * 3)] in the package's order, every term kept,
+    the inadmissible ones too, the way the per-shape plans replaced."""
+    from selberg3.integrands import is_admissible
+
+    k1, k2 = p.k1, p.k2
+    a, b1, b2, g = p.alpha, p.beta1, p.beta2, p.gamma
+    out = []
+    for l2 in range(k2 + 1):
+        for l1 in range(k1 + 1):
+            for m in range(k2 + 1):
+                if not is_admissible(l1, l2, m, k1, k2):
+                    continue
+                if l1 < k1 - k2 + l2:
+                    pivot = b1 + (l1 - m) * g if twisted else b1 + (l1 - l2 + m) * g
+                    out.append((("A~" if twisted else "A", l1, l2, m), [
+                        (a + (k1 - l1 - 1) * g, (l1, l2, m)),
+                        (-pivot, (l1 + 1, l2, m)),
+                        ((l2 - m) * g, (l1 + 1, l2, m + 1))]))
+                if 0 <= m < l2:
+                    pivot = b2 + (l2 - l1 + m - 1) * g if twisted else b2 + (l2 - m - 1) * g
+                    out.append((("B~" if twisted else "B", l1, l2, m), [
+                        ((k2 - k1 + l1 - l2) * g, (l1, l2 - 1, m)),
+                        (-pivot, (l1, l2, m)),
+                        (-(l1 - m) * g, (l1, l2, m + 1))]))
+    return out
+
+
+def relation_instances(p, twisted=False) -> dict:
+    """``raw_relations`` by id, each without its terms on inadmissible
+    triples, every one of which must have an exactly zero coefficient."""
+    from selberg3.integrands import is_admissible
+
+    out = {}
+    for rid, raw in raw_relations(p, twisted):
+        out[rid] = [(c, t) for c, t in raw if is_admissible(*t, p.k1, p.k2)]
+        assert all(c == 0.0 for c, t in raw if not is_admissible(*t, p.k1, p.k2)), rid
+    return out
+
+
 def exact_unit_table(p, twisted=False) -> dict:
     """The recursion table at a unit seed in exact rationals.
 
-    The solver's column walk in ``Fraction`` arithmetic over the package's
-    relation coefficients, each float converted exactly: the exact table
-    for those coefficients, so a float table's distance from it is the
-    rounding of the solve alone."""
-    from selberg3.recursions import all_relations
-
-    rels = {rel.rid: [(Fraction(c), t) for c, t in rel.terms]
-            for rel in all_relations(p, twisted)}
+    The solver's column walk in ``Fraction`` arithmetic over the relation
+    coefficients of ``relation_instances``, each float converted exactly:
+    the exact table for those coefficients, so a float table's distance
+    from it is the rounding of the solve alone."""
+    rels = {rid: [(Fraction(c), t) for c, t in terms]
+            for rid, terms in relation_instances(p, twisted).items()}
     a, b = ("A~", "B~") if twisted else ("A", "B")
     J = {(0, 0, 0): Fraction(1)}
 
@@ -854,7 +897,8 @@ def degree_shell_sum(which, p, rel_tol=1e-11, max_bound=None):
     evaluated in one ``lattice_values`` call, and the sum stops at the
     first shell where the window tail of the shell masses is at most
     rel_tol * |sum|.  Each bar adds the package's value rounding over the
-    summed masses.  Returns the ``SeriesResult``.
+    summed masses and the summed points' limit rounding.  Returns the
+    ``SeriesResult``.
     """
     import math
 
@@ -871,6 +915,7 @@ def degree_shell_sum(which, p, rel_tol=1e-11, max_bound=None):
         max_bound = max(600 if k1 + k2 <= 2 else 180, 8 * window)
     shift_u, shift_v = lattice_shift(k1, p.gamma).sum(), lattice_shift(k2, p.gamma).sum()
     sums, masses, mass_u, mass_v = [], [], [], []
+    jets = ([], [], [])  # the limits' rounding, weighted as each mass
     moments, converged = np.zeros(k1 + k2), False
     for s in range(max_bound + 1):
         us = _block_by_sum(k1, a1, s + 1)
@@ -885,23 +930,28 @@ def degree_shell_sum(which, p, rel_tol=1e-11, max_bound=None):
                 parts.append(rows[ok])
         P = np.vstack(parts) if parts else np.zeros((0, k1 + k2), dtype=np.int64)
         P = P[np.lexsort(P.T[::-1])].astype(float)
-        vals = lattice_values(P[:, :k1], P[:, k1:], p)[0]
+        vals, rounding = lattice_values(P[:, :k1], P[:, k1:], p)
         mag = np.abs(vals)
         sums.append(math.fsum(vals.tolist()))
+        weights = (1.0, np.abs(P[:, :k1].sum(axis=1) + shift_u),
+                   np.abs(P[:, k1:].sum(axis=1) + shift_v))
         masses.append(math.fsum(mag.tolist()))
-        mass_u.append(math.fsum((mag * np.abs(P[:, :k1].sum(axis=1) + shift_u)).tolist()))
-        mass_v.append(math.fsum((mag * np.abs(P[:, k1:].sum(axis=1) + shift_v)).tolist()))
+        mass_u.append(math.fsum((mag * weights[1]).tolist()))
+        mass_v.append(math.fsum((mag * weights[2]).tolist()))
+        for jet, w in zip(jets, weights):
+            jet.extend((rounding * w).tolist())
         moments += vals @ P
         partial = math.fsum(sums)
         if partial != 0.0 and _oracle_window_tail(masses, window) <= rel_tol * abs(partial):
             converged = True
             break
-    def bar(masses):
-        return _oracle_window_tail(masses, window) + _VALUE_ROUNDING * math.fsum(masses)
+    def bar(masses, jet):
+        return (_oracle_window_tail(masses, window) + _VALUE_ROUNDING * math.fsum(masses)
+                + math.fsum(jet))
 
-    return SeriesResult(partial, bar(masses), s, converged,
+    return SeriesResult(partial, bar(masses, jets[0]), s, converged,
                         *_z_derivatives(k1, k2, p, partial, moments),
-                        bar(mass_u) / p.z1, bar(mass_v) / p.z2 if k2 else 0.0)
+                        bar(mass_u, jets[1]) / p.z1, bar(mass_v, jets[2]) / p.z2 if k2 else 0.0)
 
 
 def sum_over_total_lattice(p, bound):

@@ -211,7 +211,7 @@ def test_criterion_12_recursion_system():
                          beta2=float(rng.uniform(0.7, 2.2)),
                          gamma=float(rng.uniform(-0.28, -0.05)))
             tab, tabt = solve_both(p)
-            res = verify_relations(tab, p) + verify_relations(tabt, p)
+            res = verify_relations(tab) + verify_relations(tabt)
             worst_res = max(worst_res, max(r for _, r, pivot in res if not pivot))
     assert worst_res <= 1e-10, f"non-pivot residual {worst_res:.2e}"
 

@@ -48,6 +48,13 @@ class TestExitCodes:
         assert code == 2
         assert "gamma" in err
 
+    @pytest.mark.parametrize("identity", ["jjj_relations", "jjl_shift", "j0k"])
+    def test_seed_only_recursion_table_exit_two(self, capsys, identity):
+        code, out, err = run_cli(capsys, "verify", "--identity", identity,
+                                 "--k1", "0", "--k2", "0")
+        assert code == 2
+        assert "k1 >= 1" in err and "Traceback" not in err and out == ""
+
     def test_unknown_identity_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--identity", "bogus")
         assert code == 2

@@ -1,6 +1,6 @@
 """Recursion system: solver, residuals, closed-form corners, shifts."""
 
-from dataclasses import replace
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,15 +8,14 @@ import pytest
 
 from selberg3 import closed_forms as cf
 from selberg3 import recursions
-from selberg3.errors import InconsistentSystemError, PivotZeroError
-from selberg3.identities import run_identity
+from selberg3.errors import InconsistentSystemError, InvalidParamsError, PivotZeroError
+from selberg3.identities import REGISTRY, run_identity
 from selberg3.integrands import is_admissible
 from selberg3.logreal import LogSigned
 from selberg3.params import ParamSet
-from oracles import aomoto_ratio_residuals, exact_unit_table
+from oracles import aomoto_ratio_residuals, exact_unit_table, raw_relations, relation_instances
 from selberg3.recursions import (
     admissible_triples,
-    all_relations,
     jjl_shift_residuals,
     solve_both,
     solve_j,
@@ -67,13 +66,13 @@ class TestSolver:
         tab, tabt = solve_both(p)
         assert set(tab.entries) == set(admissible_triples(k1, k2))
         for table in (tab, tabt):
-            for rid, resid, _ in verify_relations(table, p):
+            for rid, resid, _ in verify_relations(table):
                 assert resid < 1e-10, (rid, resid)
 
     def test_overdetermined_relations_exist_and_check(self):
         p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
         tab, _ = solve_both(p)
-        res = verify_relations(tab, p)
+        res = verify_relations(tab)
         assert any(not pivot for _, _, pivot in res)
 
     @pytest.mark.parametrize("k1,k2", [(2, 1), (2, 2), (3, 2)])
@@ -104,33 +103,41 @@ class TestSolver:
         p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
         tab, _ = solve_both(p)
         tab.entries[(1, 1, 0)] *= 1.01
-        worst = max(r for _, r, _ in verify_relations(tab, p))
+        worst = max(r for _, r, _ in verify_relations(tab))
         assert worst > 1e-4
 
-    def test_relations_built_once_per_table(self, monkeypatch):
-        calls = []
-
-        def spy(p, twisted):
-            calls.append(twisted)
-            return all_relations(p, twisted)
-
-        monkeypatch.setattr(recursions, "all_relations", spy)
+    def test_plan_built_once_per_shape(self):
+        recursions._plan.cache_clear()
         p = ParamSet(k1=3, k2=2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
-        assert run_identity("jjj_relations", p).passed
-        assert sorted(calls) == [False, True]
+        for _ in range(2):
+            assert run_identity("jjj_relations", p).passed
+        # one plan per family; the predicate, solves and checks reuse them
+        info = recursions._plan.cache_info()
+        assert (info.misses, info.hits) == (2, 8)
 
-    def test_residuals_match_a_fresh_relation_walk(self):
+    def test_residuals_match_the_oracle_relations(self):
         p = ParamSet(k1=3, k2=2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
         for tab in solve_both(p):
-            fresh = replace(tab, relations=all_relations(p, tab.twisted))
-            assert fresh.relations is not tab.relations
-            assert verify_relations(tab, p) == verify_relations(fresh, p)
+            want = []
+            for rid, terms in relation_instances(p, tab.twisted).items():
+                x = [c * tab.entries[t] for c, t in terms]
+                scale = max(abs(v) for v in x)
+                want.append((rid, abs(math.fsum(x)) / scale))
+            assert [(rid, r) for rid, r, _ in verify_relations(tab)] == want
 
     def test_pivot_guard(self):
         # beta1 chosen so an l1-advance pivot vanishes
         p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=0.15, beta2=1.4, gamma=-0.15)
         # pivot beta1 + (l1 - l2 + m) gamma = 0.15 - 0.15 at (1,1,0) advance
         with pytest.raises(PivotZeroError):
+            solve_both(p)
+
+    def test_column_top_guard(self):
+        # a point inside the recursion predicate where a column top's 2x2
+        # determinant cancels to rounding (-6.9e-18)
+        p = ParamSet(k1=3, k2=3, alpha=1.5, beta1=0.1, beta2=0.2, gamma=-0.3)
+        REGISTRY["jjj_relations"].validate(p)
+        with pytest.raises(PivotZeroError, match="column-top determinant"):
             solve_both(p)
 
 
@@ -185,12 +192,54 @@ class TestUnitSeedTables:
         assert run_identity("jjj_relations", p).rel_dev <= 3e-10
 
 
-class TestRelationInstances:
-    def test_all_relations_skip_structurally_absent_terms(self):
-        p = ParamSet(k1=2, k2=2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
-        for rel in all_relations(p, twisted=False):
-            for coeff, triple in rel.terms:
-                assert is_admissible(*triple, p.k1, p.k2)
+# every shape with k1 + k2 <= 8, the seed-only (0, 0) too
+PLAN_SHAPES = [(k1, k2) for k1 in range(9) for k2 in range(k1 + 1) if k1 + k2 <= 8]
+
+
+class TestRelationPlan:
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_coefficients_match_the_oracle_bit_for_bit(self, twisted):
+        rng = np.random.default_rng(27)
+        for k1, k2 in PLAN_SHAPES:
+            plan = recursions._plan(k1, k2, twisted)
+            for _ in range(3):
+                p = random_params(rng, k1, k2)
+                c = solve_j(p, LogSigned.one(), twisted).coeffs
+                raw = raw_relations(p, twisted)
+                assert plan.rids == [rid for rid, _ in raw]
+                for r, (rid, terms) in enumerate(raw):
+                    for i, (want, triple) in zip(range(3 * r, 3 * r + 3), terms):
+                        if is_admissible(*triple, k1, k2):
+                            assert c[i].hex() == want.hex(), (rid, triple)
+                            assert plan.triples[plan.terms[i]] == triple
+                        else:
+                            assert c[i] == want == 0.0, (rid, triple)
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_pruned_terms_have_zero_rows(self, twisted):
+        pruned = 0
+        for k1, k2 in PLAN_SHAPES:
+            plan = recursions._plan(k1, k2, twisted)
+            p = ParamSet(k1=k1, k2=k2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+            for r, (rid, terms) in enumerate(raw_relations(p, twisted)):
+                for i, (_, triple) in zip(range(3 * r, 3 * r + 3), terms):
+                    if not is_admissible(*triple, k1, k2):
+                        assert not plan.rows[:, i].any() and plan.terms[i] == 0, (rid, triple)
+                        pruned += 1
+        assert pruned > 0
+
+    @pytest.mark.parametrize("k1,k2", [(0, 0), (3, 0), (1, 1)])
+    def test_no_over_determined_relation_is_invalid(self, k1, k2):
+        p = ParamSet(k1=k1, k2=k2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
+        assert False not in recursions._plan(k1, k2, False).pivot
+        with pytest.raises(InvalidParamsError, match="k1 >= 1" if k1 == 0 else "over-determined"):
+            run_identity("jjj_relations", p)
+
+    @pytest.mark.parametrize("identity", ["jjl_shift", "j0k"])
+    def test_seed_only_table_is_invalid(self, identity):
+        # at k1 = 0 both sides are the seed, so the check would read exactly 0
+        with pytest.raises(InvalidParamsError, match="k1 >= 1"):
+            run_identity(identity, ParamSet(k1=0, k2=0, alpha=1.5, beta1=1.2, gamma=-0.15))
 
 
 class TestShiftIdentity:
