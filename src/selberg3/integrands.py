@@ -1,21 +1,21 @@
 """Summands and integrands: the left-hand side of every identity.
 
 Two families live here.  The discrete family (``phi_sign_log``,
-``weight_w``, ``limit_pairs``) is evaluated on points of the shifted
-integer lattice, where gamma factors routinely sit at poles and zeros;
-finite values are obtained either directly (when every factor is
-regular) or as exact directional limits from each factor's leading term
-(``_jet_limits``).  The checks evaluate batches of points through
-``lattice.lattice_values``, which takes the singular ones to
-``limit_pairs``; ``f_limit`` is its one-point case.  The summand is
-described once, by ``lattice_bases`` and ``factor_args``: every factor
-is ``factor_table`` at its argument, and ``master_sign_log`` adds the
+``weight_w``, ``_jet_limits``) is evaluated on points of the shifted
+integer lattice, where gamma factors routinely sit at poles and zeros.
+The summand is described once, by ``lattice_bases`` and ``factor_args``:
+every factor is ``factor_table`` at its argument, which gives the
+factor's leading term sign * exp(log) * eps**order there (its value,
+order 0, away from a pole or a zero), and ``master_sign_log`` adds the
 factor logs in one fixed order.  The weight is described once, by
 ``weight_terms``.  The point evaluator ``phi_sign_log``, the lattice
-factor tables, ``weight_w`` and the limits all derive from these
-descriptions.  The continuous family is described, not
-evaluated: ``assembled_integrand`` returns an ``Integrand`` naming the
-interval, the power-product exponents and rates and the kind of
+factor tables, ``weight_w`` and the exact directional limits
+(``_jet_limits``, which reads Phi's leading term from the factor tables
+and adds the weight's) all derive from these descriptions; the checks
+evaluate batches of points through ``lattice.lattice_values``, and
+``f_limit`` is its one-point case.  The continuous family is described,
+not evaluated: ``assembled_integrand`` returns an ``Integrand`` naming
+the interval, the power-product exponents and rates and the kind of
 symmetrized rational weight, and ``quadrature`` evaluates every
 integrand from that description on its chain frame, for both schemes.
 """
@@ -33,7 +33,6 @@ from scipy.special import gammaln, gammasgn
 from .errors import (
     DomainError,
     InadmissibleTripleError,
-    LimitDisagreementError,
     NearSingularError,
     PoleError,
 )
@@ -93,9 +92,9 @@ def phi_sign_log(u: np.ndarray, v: np.ndarray, p: ParamSet):
     """Master-product value on real (u, v) batches as (sign, logmag) arrays.
 
     Every factor is ``factor_table`` at its ``factor_args`` argument, at
-    tolerance ``POLE_TOL``: reciprocal gamma factors at nonpositive
-    integers contribute exact zeros, and numerator gammas at poles raise
-    :class:`PoleError`.
+    tolerance ``POLE_TOL``: a numerator gamma at a pole (order -1) raises
+    :class:`PoleError`, and a reciprocal gamma at a zero or a vanishing
+    linear factor (order +1) is an exact zero, sign 0 with its leading log.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
@@ -108,10 +107,10 @@ def phi_sign_log(u: np.ndarray, v: np.ndarray, p: ParamSet):
         for kind, arg in factor_args(family, x[:, cols], p) if cols else ():
             if kind == "den":  # a weight denominator only
                 continue
-            sign, logm, singular = factor_table(kind, arg, POLE_TOL)
-            if kind == "num" and singular.any():
-                raise PoleError(f"gamma pole at argument {arg[singular][0]!r}")
-            signs.append(sign.prod(axis=1))
+            sign, logm, order = factor_table(kind, arg, POLE_TOL)
+            if (order < 0).any():
+                raise PoleError(f"gamma pole at argument {arg[order < 0][0]!r}")
+            signs.append(np.where(order > 0, 0.0, sign).prod(axis=1))
             for j, b in enumerate(cols):
                 logs[b].append(logm[:, j])
     return master_sign_log(p, u, v, signs, lambda b, f: logs[b][f])
@@ -307,40 +306,32 @@ def factor_args(family: str, x, p: ParamSet) -> tuple:
     return (("lin", x), ("num", x + g), ("recip", x - g + 1.0))
 
 
-def _near_nonpos_int(x, tol: float):
-    """Within tol of a nonpositive integer; x a float or an array."""
-    return (x < 0.5) & (abs(x - np.rint(x)) <= tol)
-
-
-def _factor_singular(kind: str, arg, tol: float):
-    """Where a factor is singular: a 'num' pole or a vanishing 'lin' or
-    'den'; a 'recip' factor never is."""
-    if kind == "num":
-        return _near_nonpos_int(arg, tol)
-    return kind != "recip" and abs(arg) <= tol
-
-
 def factor_table(kind: str, arg: np.ndarray, tol: float = NEAR_SINGULAR_TOL):
-    """(sign, log, singular) of one factor over an array of arguments.
-
-    Singular entries are flagged, never raised; their sign and log are
-    placeholders.  A 'recip' factor within tol of a nonpositive integer is
-    an exact zero, sign 0 and log 0.  A 'den' factor is not part of the
-    master product and has sign and log None.
+    """(sign, log, order) of one factor over an array of arguments: its
+    leading term sign * exp(log) * eps**order at arg + eps.  A regular
+    entry is the factor's value, order 0.  Within tol of a nonpositive
+    integer -n, Gamma has a pole, (-1)**n / n! at order -1 (its residue,
+    DLMF 5.2(i)), and 1/Gamma a zero, (-1)**n n! at order +1; within tol
+    of 0 a 'lin' factor vanishes, 1 at order +1.  A 'den' factor is not
+    part of the master product: no sign or log, order -1 where it vanishes.
     """
-    singular = _factor_singular(kind, arg, tol)
-    if kind == "den":
-        return None, None, singular
-    if kind == "lin":
-        sign = np.sign(arg)
-        return sign, np.log(np.abs(np.where(sign == 0.0, 1.0, arg))), singular
-    # Gamma(1) = 1 stands in at a pole
-    at_pole = singular if kind == "num" else _near_nonpos_int(arg, tol)
-    safe = np.where(at_pole, 1.0, arg)
-    sign, logm = gammasgn(safe), gammaln(safe)
-    if kind == "num":
-        return sign, logm, singular
-    return np.where(at_pole, 0.0, sign), np.where(at_pole, 0.0, -logm), singular
+    if kind in ("lin", "den"):
+        zero = np.abs(arg) <= tol
+        if kind == "den":
+            return None, None, zero * -1
+        return (np.where(zero, 1.0, np.sign(arg)), np.log(np.abs(np.where(zero, 1.0, arg))),
+                zero * 1)
+    num = kind == "num"
+    near = np.rint(arg)  # -n
+    at = (np.abs(arg - near) <= tol) & (arg < 0.5)
+    sign, logm = gammasgn(arg), gammaln(arg)  # placeholders where at
+    if not num:
+        logm = -logm
+    if at.any():
+        near = near[at]
+        sign[at] = (-1.0) ** near
+        logm[at] = -gammaln(1.0 - near) if num else gammaln(1.0 - near)
+    return sign, logm, at * (-1 if num else 1)  # the power of eps at a pole or a zero
 
 
 @lru_cache(maxsize=None)
@@ -368,60 +359,33 @@ def _jet_frame(k1: int, k2: int) -> tuple:
     return ends[:, plus] - ends[:, minus], forms, form_rates, powers
 
 
-def _jet_limits(NU: np.ndarray, NV: np.ndarray, p: ParamSet):
-    """``limit_pairs`` without the raise: the (m, 2) limits, each row's
-    rounding scale, and the message of each row that fails, by row in
-    ascending order.
+def _jet_limits(NU: np.ndarray, NV: np.ndarray, p: ParamSet, sign, logm, order):
+    """The two directional limits of F at lattice points, (m, 2), each
+    row's rounding scale, and the message of each failed row, by row.
 
-    Along a direction every factor argument is x0 + r * eps, r the rate of
-    its base or weight form, and a factor singular at x0 has a closed-form
-    leading term: Gamma at a pole -n is (-1)**n / (n! r eps), 1/Gamma at
-    a zero -n is (-1)**n n! r eps, and a vanishing linear form (a pair
-    base or a weight form) is r eps.  Every other factor is its value at
-    x0 (``factor_table`` at tolerance ``NEAR_SINGULAR_TOL``, and the
-    weight forms as ``weight_w`` computes them).  Each symmetrization term
-    of F = Phi * w is then c * eps**order, and the limit is the sum of the
-    order-0 terms' c over the terms' count.  A row fails when a term has
-    a negative order (F has a pole there) or when its two limits differ
-    by more than ``_VALUE_ROUNDING`` times the sum of the two directions'
-    order-0 masses sum |c| / count; its rounding scale is
-    ``_VALUE_ROUNDING`` times the larger mass.  A failed row's pair is a
+    ``NU``/``NV`` hold the integer parts, and Phi's leading term there is
+    sign * exp(logm) * prod_b eps**order[:, b] over the bases b
+    (``lattice.FactorTables.limits``).  Along a direction every base and
+    weight form moves as x0 + r * eps, so Phi's leading coefficient takes
+    r**order per base, and a vanishing weight form (within
+    ``NEAR_SINGULAR_TOL``, as ``weight_w`` computes it) leads with r eps.
+    Each symmetrization term of F = Phi * w is then c * eps**order, and the
+    limit is the sum of the order-0 terms' c over the terms' count.  A row
+    fails at a term of negative order (a pole of F) or when its limits
+    differ by more than ``_VALUE_ROUNDING`` times the sum of the two
+    directions' order-0 masses sum |c| / count, the larger of which, times
+    ``_VALUE_ROUNDING``, is its rounding scale.  A failed row's pair is a
     placeholder.  Every row is evaluated on its own.
     """
     m, k1 = NU.shape
     k2 = NV.shape[1]
     base_rates, forms, form_rates, powers = _jet_frame(k1, k2)
-    plus, minus, families = base_index(k1, k2)
-    # each base as FactorTables takes it: the integer difference plus the shifts'
-    P = np.hstack((NU, NV, np.zeros((m, 1))))
-    shifts = np.concatenate((lattice_shift(k1, p.gamma), lattice_shift(k2, p.gamma), [0.0]))
-    x = (P[:, plus] - P[:, minus]) + (shifts[plus] - shifts[minus])
-    order = np.zeros(x.shape, dtype=np.int64)  # each base's power of eps
-    signs, logs = [], [[] for _ in plus]
-    for family, cols in families.items():
-        for kind, arg in factor_args(family, x[:, cols], p) if cols else ():
-            if kind == "den":  # a weight denominator only: a weight form
-                continue
-            sign, logm, singular = factor_table(kind, arg)
-            singular = singular | (sign == 0.0)  # a 1/Gamma zero too
-            if singular.any():
-                # a pole's power is -1, a zero's +1; a linear form vanishes at n = 0
-                n = np.where(singular, -np.rint(arg), 0.0)
-                step = -1 if kind == "num" else 1
-                sign = np.where(singular, 1.0 - 2.0 * (n % 2), sign)
-                logm = np.where(singular, step * gammaln(n + 1.0), logm)
-                order[:, cols] += step * singular
-            signs.append(sign.prod(axis=1))
-            for j, b in enumerate(cols):
-                logs[b].append(logm[:, j])
-    U = NU + lattice_shift(k1, p.gamma)[None, :]
-    V = NV + lattice_shift(k2, p.gamma)[None, :]
-    sign, logm = master_sign_log(p, U, V, signs, lambda b, f: logs[b][f])
-    # Phi's leading coefficient along each direction, (2, m): every factor on
-    # a base moves at the base's rate
+    # Phi's leading coefficient along each direction, (2, m)
     phi = sign * np.exp(logm) * np.prod(base_rates[:, None, :] ** order, axis=2)
 
     # each weight form's leading coefficient: its rate where it vanishes
+    U = NU + lattice_shift(k1, p.gamma)[None, :]
+    V = NV + lattice_shift(k2, p.gamma)[None, :]
     value = _form_values(np.hstack((U, V)).T, p.gamma)
     vals = np.array([value(form) for form in forms]).reshape(len(forms), m)
     vanish = np.abs(vals) <= NEAR_SINGULAR_TOL
@@ -445,27 +409,11 @@ def _jet_limits(NU: np.ndarray, NV: np.ndarray, p: ParamSet):
     return limits.T, _VALUE_ROUNDING * mass.max(axis=0), failures
 
 
-def limit_pairs(NU: np.ndarray, NV: np.ndarray, p: ParamSet):
-    """Two directional limits (a, b) of F at each lattice point, shape
-    (m, 2), and each point's rounding scale, shape (m,).
-
-    ``NU``/``NV`` hold integer parts, one row per point.  The limits are
-    exact sums of leading-order terms along two fixed directions
-    (``_jet_limits``); the first point where F has a pole or where the
-    two limits differ by more than their rounding raises
-    :class:`LimitDisagreementError`.  The weight applies when k2 > 0.
-    """
-    pairs, rounding, failures = _jet_limits(NU, NV, p)
-    if failures:
-        raise LimitDisagreementError(next(iter(failures.values())))
-    return pairs, rounding
-
-
 def f_limit(pt: LatticePoint, p: ParamSet) -> float:
     """Value of F at one lattice point: the one-row case of
     ``lattice.lattice_values``.  Regular points are a plain product;
     at singular points the value is the mean of the two directional
-    limits of :func:`limit_pairs`.
+    limits of ``lattice.limit_pairs``.
     """
     from .lattice import lattice_values  # lattice is built on this module
 

@@ -21,19 +21,17 @@ Every gamma factor, reciprocal gamma factor and weight denominator of
 the summand is a function of one base quantity of
 ``integrands.lattice_bases``, and at a lattice point a base is an integer
 difference of two parts plus a constant of the base.  So
-``FactorTables`` holds each factor's (sign, log) and singular flag once
-per series, one table per base over the differences in use;
-``sum_discrete`` builds them at the first block's largest part and
-regrows them only when a later block passes it.  A block's regularity
-mask and regular product are gathers from these tables, reduced by
-``integrands.master_sign_log`` like every evaluation of the product;
-they match ``phi_sign_log`` up to the last-bit rounding of each factor's
-argument (``FactorTables``).  A block's singular points are exact
-directional limits, taken in one batch after its regular points
-(``integrands.limit_pairs``, which checks every point on its own).  A
-point that fails the check raises only when the sum reaches its shell,
-so one past the stopping shell is evaluated, dropped and never
-reported.
+``FactorTables`` holds each factor's ``factor_table`` leading term once
+per series, one table per base over the differences in use, regrown only
+when a later block passes them.  One block evaluator, ``_block_values``,
+reads every point from these tables: a block's regularity mask and
+regular product are gathers, reduced by ``integrands.master_sign_log``
+like every evaluation of the product, and its singular points are exact
+directional limits from Phi's leading term at the same entries, in one
+batch (``integrands._jet_limits``, which checks every point on its own).
+``lattice_values`` raises the first point that fails; ``sum_discrete``
+raises it only when the sum reaches its shell, so one past the stopping
+shell is evaluated, dropped and never reported.
 
 The summand depends on z only through z1**sum(u) * z2**sum(v), so
 ``sum_discrete`` also returns the exact z-derivatives, from first moments
@@ -56,9 +54,7 @@ from .integrands import (
     base_index,
     factor_args,
     factor_table,
-    lattice_bases,
     lattice_shift,
-    limit_pairs,
     master_sign_log,
     weight_w,
 )
@@ -110,39 +106,55 @@ def cone_array(k1: int, k2: int, bound: int) -> np.ndarray:
 class FactorTables:
     """The summand's factors at integer parts lo..hi, one table per base.
 
-    At a lattice point, base quantity x = c[plus] - c[minus] of
-    ``lattice_bases`` is the integer difference d = n[plus] - n[minus] of
-    the parts n = (nu, nv, 0) plus a constant of the base, the difference
-    of their ``lattice_shift`` entries.  So every factor on a base is one
-    table over d in [-span, span], span = max(hi, 0) - min(lo, 0), at
-    argument d + (s[plus] - s[minus]).  Per base the tables hold the
-    product of its factors' signs (None where every sign is +1), the log
-    of each factor in product order, and whether any factor is singular
-    (None where none is).  Entries are ``factor_table`` values, reduced by
-    ``master_sign_log``; ``phi_sign_log`` takes the same factors at
-    (n[plus] + s[plus]) - (n[minus] + s[minus]), which may round the
-    argument differently in its last bit.
+    At a lattice point base x = c[plus] - c[minus] of ``lattice_bases`` is
+    d = n[plus] - n[minus] plus s[plus] - s[minus], n = (nu, nv, 0) the
+    parts and s the ``lattice_shift`` entries, so every factor on a base is
+    one table of its ``factor_table`` leading term over d in [-span, span],
+    span = max(hi, 0) - min(lo, 0).  Per base the tables hold the products
+    of the factors' value signs (0 at a zero; None where all are +1) and
+    leading signs, each factor's leading log in product order, the power of
+    eps where some factor has a pole or a zero (else None), and where a
+    numerator gamma, a pair base or a weight denominator is singular (None
+    where none is).  ``phi_sign_log`` takes x as (n[plus] + s[plus]) -
+    (n[minus] + s[minus]), which may round apart in the last bit.
     """
 
     def __init__(self, k1: int, k2: int, p: ParamSet, lo: int, hi: int):
-        self.p, self.hi = p, hi
+        self.p, self.k1, self.hi = p, k1, hi
         self.span = max(hi, 0) - min(lo, 0)
-        plus, minus, _ = base_index(k1, k2)
+        plus, minus, families = base_index(k1, k2)
         self.pairs = list(zip(plus.tolist(), minus.tolist()))
         shifts = np.concatenate((lattice_shift(k1, p.gamma), lattice_shift(k2, p.gamma), [0.0]))
+        base_shifts = (shifts[plus] - shifts[minus])[:, None]
         d = np.arange(-self.span, self.span + 1, dtype=float)
-        self.signs, self.logs, self.singular = [], [], []
-        for (family, _, _), s in zip(lattice_bases(k1, k2), shifts[plus] - shifts[minus]):
-            sign, logs, singular = np.ones(d.size), [], np.zeros(d.size, dtype=bool)
-            for kind, arg in factor_args(family, d + s, p):
-                fs, logm, bad = factor_table(kind, arg)
-                singular |= bad
+        self.signs, self.leads, self.logs, self.orders, self.singular = (
+            [None] * len(plus) for _ in range(5))
+        for family, cols in families.items():
+            if not cols:
+                continue
+            # one row per base of the family, so each factor is one call
+            x = d + base_shifts[cols[0]:cols[-1] + 1]
+            sign = lead = order = None
+            singular, logs = False, []
+            for kind, arg in factor_args(family, x, p):
+                fs, logm, fo = factor_table(kind, arg)
+                if kind != "recip":  # a pole or a vanishing form
+                    singular = singular | (fo != 0)
                 if fs is not None:
-                    sign = sign * fs
+                    # a zero's value is 0; only 'recip' and 'lin' have zeros
+                    value = fs if kind == "num" else np.where(fo > 0, 0.0, fs)
+                    sign, lead, order = ((value, fs, fo) if sign is None
+                                         else (sign * value, lead * fs, order + fo))
                     logs.append(logm)
-            self.signs.append(None if np.all(sign == 1.0) else sign)
-            self.logs.append(logs)
-            self.singular.append(singular if singular.any() else None)
+            # where some factor has a pole or a zero, the order moves or the value is 0
+            moved = order.any(axis=1) | ~sign.all(axis=1)
+            ones, any_singular = (sign == 1.0).all(axis=1), singular.any(axis=1)
+            for j, b in enumerate(cols):
+                self.signs[b] = None if ones[j] else sign[j]
+                self.leads[b] = lead[j] if moved[j] else self.signs[b]
+                self.logs[b] = [logm[j] for logm in logs]
+                self.orders[b] = order[j] if moved[j] else None
+                self.singular[b] = singular[j] if any_singular[j] else None
 
     def index(self, P: np.ndarray) -> list:
         """Table index n[plus] - n[minus] + span of every base at each row
@@ -161,52 +173,87 @@ class FactorTables:
                 bad |= singular.take(ix)
         return ~bad
 
-    def sign_log(self, index: list, U: np.ndarray, V: np.ndarray):
-        """Master product through ``integrands.master_sign_log``; rows with
-        a singular factor get placeholder values."""
+    def sign_log(self, index: list, U: np.ndarray, V: np.ndarray, lead: bool = False):
+        """Master product through ``integrands.master_sign_log``: each
+        row's value sign, or with ``lead`` its leading sign, and its leading
+        log."""
         return master_sign_log(
-            self.p, U, V,
-            (sign.take(ix) for sign, ix in zip(self.signs, index) if sign is not None),
+            self.p, U, V, (sign.take(ix) for sign, ix in zip(self.leads if lead else self.signs,
+                                                             index) if sign is not None),
             lambda b, f: self.logs[b][f].take(index[b]))
 
+    def limits(self, P: np.ndarray, index: list):
+        """``integrands._jet_limits`` at rows of integer parts ``P``, from
+        Phi's leading term at their table entries ``index``."""
+        sign, logm = self.sign_log(index, *_coordinates(P, self.k1, self.p.gamma), lead=True)
+        order = np.zeros((P.shape[0], len(index)), dtype=np.int64)
+        for b, (orders, ix) in enumerate(zip(self.orders, index)):
+            if orders is not None:
+                order[:, b] = orders.take(ix)
+        return _jet_limits(P[:, :self.k1], P[:, self.k1:], self.p, sign, logm, order)
 
-def lattice_values(NU: np.ndarray, NV: np.ndarray, p: ParamSet,
-                   tables: FactorTables | None = None, index: list | None = None):
-    """F at a batch of lattice points, and the rounding scale of each
-    singular point's value.
 
-    Regular points are gathered from ``tables``, which must span the
-    batch's integer parts; without them, tables are built over that range.
-    ``index`` is ``tables.index`` of the batch's integer parts, for a
-    caller that already took it.  The weight applies when k2 > 0.
-    Singular points are the mean of their two directional limits, all in
-    one ``limit_pairs`` batch, with its rounding; a regular value is a
-    product rounded to ``_VALUE_ROUNDING`` of its size, and its entry is 0.
-    """
-    n, k1 = NU.shape
-    k2 = NV.shape[1]
-    if index is None:
-        P = np.hstack((NU, NV)).astype(np.int64)
-        if tables is None:
-            tables = FactorTables(k1, k2, p, *((int(P.min()), int(P.max())) if P.size else (0, 0)))
-        index = tables.index(P)
-    regular = tables.regular(index, n)
-    U = NU + lattice_shift(k1, p.gamma)[None, :]
-    V = NV + lattice_shift(k2, p.gamma)[None, :] if k2 else np.zeros((n, 0))
-    # every row is reduced on its own, so singular rows (placeholders,
-    # replaced below) leave the regular ones as phi_sign_log gives them
+def _coordinates(P: np.ndarray, k1: int, gamma: float):
+    """The real coordinates (u, v) of rows of integer parts."""
+    return (P[:, :k1] + lattice_shift(k1, gamma)[None, :],
+            P[:, k1:] + lattice_shift(P.shape[1] - k1, gamma)[None, :])
+
+
+def _block_values(tables: FactorTables, P: np.ndarray):
+    """F at the rows of integer parts ``P``, which ``tables`` span, each
+    row's limit rounding (0 at a regular row), and the message of each row
+    whose limit fails, {row: message} in row order.  A regular row is the
+    product gathered from the tables, times the weight when k2 > 0, a value
+    rounded to ``_VALUE_ROUNDING`` of its size; a singular row is the mean
+    of its two directional limits (``FactorTables.limits``), a placeholder
+    where they fail."""
+    index = tables.index(P)
+    regular = tables.regular(index, P.shape[0])
+    U, V = _coordinates(P, tables.k1, tables.p.gamma)
+    # every row is reduced on its own, so singular rows (replaced below)
+    # leave the regular ones as phi_sign_log gives them; an exact zero keeps
+    # its sign, and its leading log is not exponentiated
     sign, logm = tables.sign_log(index, U, V)
-    vals = sign * np.exp(logm)
-    if k2:
+    vals = sign * np.exp(np.where(sign == 0.0, 0.0, logm))
+    if V.shape[1]:
         nz = regular & (vals != 0.0)
         if np.any(nz):
-            vals[nz] = vals[nz] * weight_w(U[nz], V[nz], p.gamma)
-    rounding = np.zeros(n)
+            vals[nz] = vals[nz] * weight_w(U[nz], V[nz], tables.p.gamma)
+    rounding, failures = np.zeros(P.shape[0]), {}
     sing = np.flatnonzero(~regular)
     if sing.size:
-        pairs, rounding[sing] = limit_pairs(NU[sing], NV[sing], p)
+        pairs, rounding[sing], failed = tables.limits(P[sing], [ix[sing] for ix in index])
         vals[sing] = 0.5 * (pairs[:, 0] + pairs[:, 1])
+        failures = {int(sing[row]): message for row, message in failed.items()}
+    return vals, rounding, failures
+
+
+def _batch(NU: np.ndarray, NV: np.ndarray, p: ParamSet):
+    """Factor tables that span a batch of points, and its integer parts."""
+    P = np.hstack((NU, NV)).astype(np.int64)
+    return FactorTables(NU.shape[1], NV.shape[1], p, *(P.min(), P.max()) if P.size else (0, 0)), P
+
+
+def lattice_values(NU: np.ndarray, NV: np.ndarray, p: ParamSet):
+    """F at a batch of lattice points and each point's limit rounding:
+    ``_block_values`` over tables that span the batch.  The first point
+    whose limit fails raises :class:`LimitDisagreementError`."""
+    vals, rounding, failures = _block_values(*_batch(NU, NV, p))
+    if failures:
+        raise LimitDisagreementError(next(iter(failures.values())))
     return vals, rounding
+
+
+def limit_pairs(NU: np.ndarray, NV: np.ndarray, p: ParamSet):
+    """Two directional limits (a, b) of F at each lattice point, regular
+    ones too, (m, 2), and each point's rounding scale, (m,), over tables
+    that span the batch; the first point that fails (``_jet_limits``)
+    raises :class:`LimitDisagreementError`."""
+    tables, P = _batch(NU, NV, p)
+    pairs, rounding, failures = tables.limits(P, tables.index(P))
+    if failures:
+        raise LimitDisagreementError(next(iter(failures.values())))
+    return pairs, rounding
 
 
 def degree_band(k1: int, k2: int, weights, lo: int, hi: int):
@@ -290,13 +337,11 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
     over the least column weight plus two shells (and at least four
     windows); later blocks are a quarter of it, or one window.  Factor
     tables are built over the differences the first block's largest part
-    reaches and regrown only when a later block passes it.  Each block's
-    regular points are evaluated in one call and the limits at its
-    singular points in one batch.  A singular point that fails the check
+    reaches and regrown only when a later block passes it, and each block
+    is one ``_block_values`` call.  A singular point that fails the check
     raises :class:`LimitDisagreementError` when the sum reaches its shell,
     with the message of the shell's first failed point in row order, as
-    that shell alone gives; failures past the stopping shell are dropped
-    with their shells.
+    that shell alone gives; failures past the stopping shell are dropped.
     """
     if which not in ("dexp", "dexp3"):
         raise ValueError(f"unknown series {which!r}")
@@ -331,31 +376,16 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
         largest = int(P.max(initial=0))
         if tables is None or largest > tables.hi:
             tables = FactorTables(k1, k2, p, 0, largest)
-        index = tables.index(P)
-        regular = tables.regular(index, P.shape[0])
-        if not regular.all():
-            index = [ix[regular] for ix in index]
+        # a failed row raises only if the walk below reaches its shell
+        vals, rounding, failures = _block_values(tables, P)
+        failed = next(iter(failures), P.shape[0])
         P = P.astype(float)  # no view may keep the integer array alive
         scale = np.stack((np.ones(P.shape[0]), np.abs(P[:, :k1].sum(axis=1) + shift_u),
                           np.abs(P[:, k1:].sum(axis=1) + shift_v)))
-        vals = np.empty(P.shape[0])
-        if regular.any():
-            vals[regular] = lattice_values(P[regular, :k1], P[regular, k1:], p,
-                                           tables=tables, index=index)[0]
-        # the block's singular rows in one batch; a failed row raises only
-        # if the walk below reaches its shell
-        sing = np.flatnonzero(~regular)
-        failed, failure = P.shape[0], None
-        if sing.size:
-            pairs, rounding, failures = _jet_limits(P[sing, :k1], P[sing, k1:], p)
-            vals[sing] = 0.5 * (pairs[:, 0] + pairs[:, 1])
-            if failures:
-                row, failure = next(iter(failures.items()))
-                failed = int(sing[row])
         start = 0
         for bound, end in enumerate(ends, start=lo):
             if failed < end:
-                raise LimitDisagreementError(failure)
+                raise LimitDisagreementError(failures[failed])
             shell_vals = vals[start:end]
             sums.append(math.fsum(shell_vals.tolist()))
             for m, row in zip(masses, np.abs(shell_vals) * scale[:, start:end]):
@@ -366,10 +396,9 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
             if partial != 0.0 and window_tail(masses[0], window) <= rel_tol * abs(partial):
                 converged = True
                 break
-        if sing.size:
-            used = np.searchsorted(sing, start)
-            for jet, row in zip(jets, rounding[:used] * scale[:, sing[:used]]):
-                jet += row.tolist()
+        limited = np.flatnonzero(rounding[:start])  # the singular rows summed
+        for jet, row in zip(jets, rounding[limited] * scale[:, limited]):
+            jet += row.tolist()
         lo, size = hi + 1, max(window, math.ceil(first / 4))
 
     def bar(i):

@@ -13,8 +13,8 @@ checks, except the references that the package must reproduce:
   difference plus a difference of shifts, which the factor tables must
   match bit for bit;
 * the lattice-summand references run ``hand_lattice_sign_log`` and the
-  package's ``weight_w`` at regular points and its ``limit_pairs`` one
-  point at a time, the way the factor tables and the batched limits
+  package's ``weight_w`` at regular points and its ``lattice.limit_pairs``
+  one point at a time, the way the factor tables and the batched limits
   replaced; apart from them, ``mp_lattice_value`` writes F out factor by
   factor in mpmath at 60 digits, a hair off a lattice point along a
   direction, the reference for the limits themselves;
@@ -284,13 +284,14 @@ def _sign_log_gamma(x, pole_tol=1e-12):
 
 
 def _sign_log_recip_gamma(x, zero_tol):
-    """(sign, log) of 1/Gamma(x); arguments within zero_tol of a nonpositive
-    integer give an exact zero (sign 0)."""
+    """(sign, log) of 1/Gamma(x); an argument within zero_tol of a
+    nonpositive integer -n gives an exact zero, sign 0, with the log of
+    the leading term (-1)**n n! eps there, log n!."""
     x = np.asarray(x, dtype=float)
     zero = (x < 0.5) & (np.abs(x - np.round(x)) <= zero_tol)
     safe = np.where(zero, 1.0, x)
     sign = np.where(zero, 0.0, gammasgn(safe))
-    logm = np.where(zero, 0.0, -gammaln(safe))
+    logm = np.where(zero, gammaln(1.0 - np.where(zero, np.round(x), 0.0)), -gammaln(safe))
     return sign, logm
 
 
@@ -308,7 +309,8 @@ def hand_phi_sign_log(u, v, p, zero_tol=1e-12):
     written out factor family by factor family on raw coordinates.
 
     Reciprocal gamma factors within ``zero_tol`` of a nonpositive integer
-    contribute exact zeros; numerator gammas at poles raise PoleError.
+    contribute exact zeros (sign 0, and the log of their leading term);
+    numerator gammas at poles raise PoleError.
     The package's ``phi_sign_log`` derives the same product from
     ``lattice_bases`` and must match this bit for bit.
     """
@@ -418,7 +420,8 @@ def regular_values(NU, NV, p):
         U = NU[idx] + lattice_shift(k1, p.gamma)[None, :]
         V = NV[idx] + lattice_shift(k2, p.gamma)[None, :] if k2 else np.zeros((idx.size, 0))
         sign, logm = hand_lattice_sign_log(NU[idx], NV[idx], p)
-        fv = sign * np.exp(logm)
+        # an exact zero's log is its leading log, which may not exponentiate
+        fv = sign * np.exp(np.where(sign == 0.0, 0.0, logm))
         if k2:
             nz = fv != 0.0
             if np.any(nz):
@@ -499,7 +502,7 @@ def sequential_limit_pairs(pts, p):
     """The package's ``limit_pairs`` one point at a time, in order, raising
     at the first point that fails.  Returns the (m, 2) pairs and the (m,)
     rounding scales."""
-    from selberg3.integrands import limit_pairs
+    from selberg3.lattice import limit_pairs
 
     out = [limit_pairs(np.array([pt.nu], dtype=float).reshape(1, -1),
                        np.array([pt.nv], dtype=float).reshape(1, -1), p) for pt in pts]

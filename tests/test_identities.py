@@ -178,14 +178,14 @@ class TestBatchedEngines:
         assert got == _outcome(sequential_limit_direction, p, seed)
 
     def test_fval_support_batch_probes_singular_rows_on_both_sides(self, monkeypatch):
-        limit_pairs = lattice.limit_pairs
+        jet_limits = lattice._jet_limits
         probed = []
 
         def spy(NU, NV, *args, **kwargs):
             probed.extend(zip(NU.tolist(), NV.tolist()))
-            return limit_pairs(NU, NV, *args, **kwargs)
+            return jet_limits(NU, NV, *args, **kwargs)
 
-        monkeypatch.setattr(lattice, "limit_pairs", spy)
+        monkeypatch.setattr(lattice, "_jet_limits", spy)
         p, budget = _lattice_params(2, 2, -0.15), Budget(points=3)
         got = REGISTRY["fval_support"].engine(p, budget, 5, None)
         assert any(integer_parts_in_cone(nu, nv, 2, 2) for nu, nv in probed)
@@ -424,6 +424,74 @@ class TestMendedBreaches:
         p = ParamSet(k1=2, alpha=300.0, beta1=300.0, gamma=-0.1)
         with pytest.raises(IntegrandSingularError, match="underflows the double range"):
             run_identity(which, p)
+
+
+# points where a Gamma argument of the series' closed form is a nonpositive
+# integer: (j+1) gamma = -1, or alpha + j gamma = 0; the series has an
+# uncancelled pole there too
+CLOSED_FORM_POLES = [
+    ("dexp", dict(k1=2, alpha=1.3, gamma=-0.5, z1=0.3), "2 gamma"),
+    ("dexp", dict(k1=3, alpha=1.3, gamma=-1 / 3, z1=0.3), "3 gamma"),
+    ("dexp", dict(k1=3, alpha=0.3, gamma=-0.15, z1=0.3), "alpha \\+ 2 gamma"),
+    ("dexp3", dict(k1=3, k2=1, alpha=1.3, gamma=-1 / 3, z1=0.3, z2=0.5), "3 gamma"),
+    ("limit_direction", dict(k1=3, k2=1, alpha=1.3, gamma=-1 / 3, z1=0.3, z2=0.5), "3 gamma"),
+]
+
+
+class TestSeriesPredicates:
+    """dexp and dexp3, and the checks that share dexp3's predicate, reject a
+    point where the closed form has a Gamma pole."""
+
+    @pytest.mark.parametrize("which,params,form", CLOSED_FORM_POLES,
+                             ids=[f"{w}-k{p['k1']}{p.get('k2', 0)}-a{p['alpha']:g}"
+                                  f"-g{p['gamma']:.3g}" for w, p, _ in CLOSED_FORM_POLES])
+    def test_closed_form_pole_is_invalid(self, capsys, which, params, form):
+        p = ParamSet(**params)
+        with pytest.raises(InvalidParamsError, match=f"closed form has a Gamma pole: {form} "):
+            run_identity(which, p)
+        argv = ["verify", "--identity", which]
+        for key, value in params.items():
+            argv += [f"--{'k' if key == 'k1' and which == 'dexp' else key}", repr(value)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Gamma pole" in err and "Traceback" not in err
+        if which in ("dexp", "dexp3"):  # the series fails there, unchecked
+            with pytest.raises(LimitDisagreementError, match="F has a pole"):
+                REGISTRY[which].engine(p, Budget(), 0, None)
+
+    def test_the_checks_sharing_dexp3s_predicate_reject_it(self):
+        p = ParamSet(**CLOSED_FORM_POLES[3][1])
+        for which in ("fval_support", "pde_residual", "limit_direction"):
+            with pytest.raises(InvalidParamsError, match="Gamma pole"):
+                REGISTRY[which].validate(p)
+
+    @pytest.mark.parametrize("which,shapes", [("dexp", [(1, 0), (2, 0), (3, 0)]),
+                                              ("dexp3", [(2, 1), (3, 1), (2, 2)])])
+    def test_rejected_exactly_where_the_series_fails(self, which, shapes):
+        # rational gamma = -m/n and alphas that meet alpha + j gamma = 0
+        gammas = [-1 / 3, -1 / 4, -2 / 5, -1 / 5] + ([-1 / 2, -2 / 3] if which == "dexp" else [])
+        rejected = points = 0
+        for (k1, k2) in shapes:
+            for gamma in gammas:
+                for alpha in (0.3, 0.4, 0.5, 2 / 3, 1.3):
+                    p = ParamSet(k1=k1, k2=k2, alpha=alpha, gamma=gamma, z1=0.3, z2=0.5)
+                    points += 1
+                    try:
+                        REGISTRY[which].validate(p)
+                    except InvalidParamsError:
+                        rejected += 1
+                        with pytest.raises(LimitDisagreementError, match="F has a pole"):
+                            REGISTRY[which].engine(p, Budget(), 0, None)
+                    else:
+                        REGISTRY[which].engine(p, Budget(), 0, None)
+        assert 10 <= rejected < points
+
+    def test_pole_tolerance_is_the_closed_forms(self):
+        # 2 gamma within 1e-12 of -1 is rejected, at 2e-9 from it accepted
+        p = ParamSet(k1=2, alpha=1.3, gamma=-0.5 + 1e-13, z1=0.3)
+        with pytest.raises(InvalidParamsError, match="Gamma pole"):
+            REGISTRY["dexp"].validate(p)
+        REGISTRY["dexp"].validate(p.with_(gamma=-0.5 + 1e-9))
 
 
 class TestSelb3Predicate:

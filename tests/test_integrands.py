@@ -6,6 +6,7 @@ from itertools import permutations
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammaln, gammasgn
 
 from oracles import (brute_h, brute_weight_g, brute_weight_w, h_func, h_tilde_func,
                      hand_phi_sign_log, integer_parts_in_cone, mp_gamma, mp_lattice_value,
@@ -20,16 +21,17 @@ from selberg3.errors import (
     PoleError,
 )
 from selberg3.integrands import (
+    POLE_TOL,
     LatticePoint,
     assembled_integrand,
     f_limit,
+    factor_table,
     is_admissible,
     lattice_shift,
-    limit_pairs,
     phi_sign_log,
     weight_w,
 )
-from selberg3.lattice import cone_array, lattice_values
+from selberg3.lattice import cone_array, lattice_values, limit_pairs
 from selberg3.params import ParamSet
 
 
@@ -332,6 +334,70 @@ def _is_regular(pt, p):
 F_LIMIT_POINTS = [((2, 1), (2,)), ((1, 1), (1, 1)), ((-1, 1), (1, 3))]
 
 
+def _mp_leading(f, n):
+    """The limit of f(eps) as eps -> 0+, in mpmath at 50 digits, from
+    eps = 1e-30, where it is within 1e-29 of its limit."""
+    with mp.workdps(50):
+        return float(f(mp.mpf(-n), mp.mpf("1e-30")))
+
+
+class TestFactorTable:
+    """``factor_table`` gives each factor's leading term sign * exp(log) *
+    eps**order at arg + eps: its value away from a pole or a zero."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_pole_and_zero_leading_terms(self, n):
+        # eps Gamma(-n + eps) -> (-1)**n / n!, 1/(eps Gamma(-n + eps)) -> (-1)**n n!
+        for kind, order, f in (("num", -1, lambda x, e: e * mp.gamma(x + e)),
+                               ("recip", 1, lambda x, e: 1 / (e * mp.gamma(x + e)))):
+            want = _mp_leading(f, n)
+            for arg in (-float(n), -n + 1e-13):  # at the point and within tolerance
+                sign, logm, got_order = factor_table(kind, np.array([arg]))
+                assert got_order.tolist() == [order]
+                assert sign[0] == (-1.0) ** n == math.copysign(1.0, want)
+                assert sign[0] * math.exp(logm[0]) == pytest.approx(want, rel=1e-14)
+
+    def test_vanishing_linear_forms(self):
+        # the plain factor x at x = 0 + eps is 1 * eps; a weight denominator
+        # there is a pole of order 1, with no sign or log of its own
+        for arg in (0.0, -0.0, 5e-10, -5e-10):
+            sign, logm, order = factor_table("lin", np.array([arg]))
+            assert (sign.tolist(), logm.tolist(), order.tolist()) == ([1.0], [0.0], [1])
+            sign, logm, order = factor_table("den", np.array([arg]))
+            assert (sign, logm, order.tolist()) == (None, None, [-1])
+        assert _mp_leading(lambda x, e: (x + e) / e, 0) == 1.0
+
+    def test_regular_entries_are_the_values_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        x = np.concatenate((rng.uniform(-6.0, 6.0, 200), [0.5, 1.0, 2.0, -0.5, -3.25, 2e-9]))
+        for kind in ("num", "recip", "lin", "den"):
+            sign, logm, order = factor_table(kind, x)
+            assert not order.any()
+            if kind == "den":
+                assert sign is None and logm is None
+            elif kind == "lin":
+                assert np.array_equal(sign, np.sign(x))
+                assert np.array_equal(logm, np.log(np.abs(x)))
+            else:
+                assert np.array_equal(sign, gammasgn(x))
+                assert np.array_equal(logm, gammaln(x) if kind == "num" else -gammaln(x))
+
+    def test_phi_is_an_exact_zero_where_a_pair_base_is_within_the_pole_tolerance(self):
+        # a pair difference within POLE_TOL of 0 is the vanishing linear
+        # factor, an exact zero; just above it the product is its value
+        p = ParamSet(k1=2, k2=0, alpha=1.3, gamma=-0.2, z1=0.5)
+        for d, zero in ((2.0 ** -44, True), (0.0, True), (4 * POLE_TOL, False)):
+            assert (d <= POLE_TOL) == zero
+            u = np.array([[0.5 + d, 0.5]])
+            sign, logm = phi_sign_log(u, np.zeros((1, 0)), p)
+            if zero:
+                assert sign.tolist() == [0.0] and sign[0] * math.exp(logm[0]) == 0.0
+            else:
+                want = hand_phi_sign_log(u, np.zeros((1, 0)), p)
+                assert sign[0] != 0.0
+                assert (sign.tolist(), logm.tolist()) == (want[0].tolist(), want[1].tolist())
+
+
 class TestLatticeLimit:
     def test_regular_point_direct(self):
         p = ParamSet(k1=1, k2=0, alpha=1.3, gamma=-0.2, z1=0.5)
@@ -482,19 +548,23 @@ class TestLimitPairs:
         assert abs(a - b) > 1e-3 * max(abs(a), abs(b))
 
     def test_one_factor_pass_per_batch(self, monkeypatch):
-        # every factor kind is evaluated once for the whole batch, both
-        # directions at once
+        # every factor is evaluated once for the whole batch, on every base
+        # of its family at once, over the integer differences the rows span,
+        # both directions at once
+        import selberg3.lattice as lattice
+
         p = ParamSet(k1=3, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
         pts = _singular_cone_points(p, 4)
         calls = []
-        real = integrands.factor_table
+        real = lattice.factor_table
 
         def spy(kind, arg, *args):
-            calls.append(arg.shape[0])
+            calls.append(arg.shape)
             return real(kind, arg, *args)
 
-        monkeypatch.setattr(integrands, "factor_table", spy)
+        monkeypatch.setattr(lattice, "factor_table", spy)
         limit_pairs(*_parts(pts), p)
-        # two factors of the u family, two of the vu family (its weight
-        # denominator is a weight form) and three of the pair family
-        assert len(calls) == 7 and set(calls) == {len(pts)}
+        # two factors of the u family (3 bases), three of the vu family (6
+        # bases, its weight denominator too) and three of the pair family (4
+        # bases), each over the differences -4..4 of the parts 0..4
+        assert calls == [(3, 9)] * 2 + [(6, 9)] * 3 + [(4, 9)] * 3
