@@ -22,7 +22,12 @@ class NearSingularError(Selberg3Error):
 
 
 class LimitDisagreementError(Selberg3Error):
-    """Directional limits of the lattice summand disagree (non-generic point)."""
+    """Directional limits of the lattice summand disagree (non-generic
+    point); ``row`` is the failed point's row in its batch, if known."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class InadmissibleTripleError(Selberg3Error):

@@ -14,13 +14,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import closed_forms as cf
 from .chains import gamma_chain, unit_chain
-from .errors import InvalidParamsError, NotConvergedError
+from .errors import InvalidParamsError, NotConvergedError, PoleError
 from .integrands import _VALUE_ROUNDING, Integrand, assembled_integrand
 from .lattice import (
     cone_array,
@@ -30,7 +29,7 @@ from .lattice import (
     pde_residual,
     sum_discrete,
 )
-from .logreal import DEFAULT_POLE_TOL, _near_nonpositive_integer, gamma_ratio
+from .logreal import gamma_ratio
 from .params import ParamSet
 from .quadrature import QuadSpec, integrate_chain, integrate_family
 from .recursions import _plan, jjl_shift_residuals, solve_both, verify_relations
@@ -101,32 +100,30 @@ def _v_exp(p: ParamSet):
           "gamma below the convergence threshold")
 
 
-def _need_closed_form(p: ParamSet, blocks):
-    """Reject a point where a Gamma argument a + j gamma or (j + 1) gamma,
-    j < k, of a block (k, a named ``name``) of the closed form is a
-    nonpositive integer: the closed form is undefined, and the series has a
-    pole."""
-    for k, a, name in blocks:
-        for j in range(k):
-            for arg, form in ((a + j * p.gamma, f"{name} + {j} gamma"),
-                              (p.gamma + j * p.gamma, f"{j + 1} gamma")):
-                if _near_nonpositive_integer(arg, DEFAULT_POLE_TOL):
-                    raise InvalidParamsError(f"the closed form has a Gamma pole: {form} = "
-                                             f"{arg!r} is a nonpositive integer")
+def _need_closed_form(p: ParamSet):
+    """Reject a Gamma pole of the series' closed form, where the series has
+    a pole too: dexp3's k2 block has none for gamma in (-0.5, 0), k2 <= k1.
+    A factor too large for a double is the record's to report."""
+    try:
+        cf._exp_product(p.k1, p.alpha, p.gamma)
+    except PoleError as exc:
+        raise InvalidParamsError(f"the closed form has a {exc}") from None
+    except OverflowError:
+        pass
 
 
 def _v_dexp(p: ParamSet):
     _need(p.k2 == 0, "k2 must be 0 (set k via --k)")
     _need(0.0 < p.z < 1.0, "need z in (0,1)")
     _need(abs(p.gamma) > 1e-9 and p.alpha > 0, "need generic gamma and alpha > 0")
-    _need_closed_form(p, [(p.k1, p.alpha, "alpha")])
+    _need_closed_form(p)
 
 
 def _v_dexp3(p: ParamSet):
     _need(0.0 < p.z1 < 1.0 and 0.0 < p.z2 < 1.0, "need z1, z2 in (0,1)")
     _need(-0.5 < p.gamma < 0.0, "need gamma in (-0.5, 0)")
     _need(p.alpha > 0, "need alpha > 0")
-    _need_closed_form(p, [(p.k1, p.alpha, "alpha"), (p.k2, -p.k1 * p.gamma, f"-{p.k1} gamma")])
+    _need_closed_form(p)
 
 
 def _v_sl3_cont(p: ParamSet):
@@ -358,14 +355,10 @@ def _in_cone(P: np.ndarray, k1: int, k2: int) -> np.ndarray:
             & np.all(P >= 0, axis=1) & np.all(V >= U[:, k1 - k2:], axis=1))
 
 
-# the support checks' cone points, once per shape; neither check writes to them
-_cone = lru_cache(maxsize=None)(cone_array)
-
-
 def _fval_support_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
     rng = np.random.default_rng(seed)
     k1, k2 = p.k1, p.k2
-    cone = _cone(k1, k2, 6)
+    cone = cone_array(k1, k2, 6)
     npts = budget.points
     # a row of k1 + k2 draws takes the same values from the stream as a
     # draw of nu then one of nv; keep the first npts off-cone rows
@@ -412,7 +405,7 @@ def _eps_link_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
 
 
 def _limit_direction_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
-    P = _cone(p.k1, p.k2, 5).copy()
+    P = cone_array(p.k1, p.k2, 5)
     np.random.default_rng(seed).shuffle(P)
     P = P[:min(budget.points, 20)]
     pairs, rounding = limit_pairs(P[:, :p.k1], P[:, p.k1:], p)

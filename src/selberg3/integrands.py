@@ -323,11 +323,12 @@ def factor_table(kind: str, arg: np.ndarray, tol: float = NEAR_SINGULAR_TOL):
                 zero * 1)
     num = kind == "num"
     near = np.rint(arg)  # -n
-    at = (np.abs(arg - near) <= tol) & (arg < 0.5)
+    at = np.abs(arg - near) <= tol
     sign, logm = gammasgn(arg), gammaln(arg)  # placeholders where at
     if not num:
         logm = -logm
     if at.any():
+        at &= near <= 0.0
         near = near[at]
         sign[at] = (-1.0) ** near
         logm[at] = -gammaln(1.0 - near) if num else gammaln(1.0 - near)

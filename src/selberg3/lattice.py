@@ -17,21 +17,17 @@ rho the largest ratio of consecutive masses among the last four windows,
 the tail is rho * M0 / (1 - rho).  The first block reaches the stop that
 c predicts, and a later block is a quarter of it.
 
-Every gamma factor, reciprocal gamma factor and weight denominator of
-the summand is a function of one base quantity of
-``integrands.lattice_bases``, and at a lattice point a base is an integer
-difference of two parts plus a constant of the base.  So
-``FactorTables`` holds each factor's ``factor_table`` leading term once
-per series, one table per base over the differences in use, regrown only
-when a later block passes them.  One block evaluator, ``_block_values``,
-reads every point from these tables: a block's regularity mask and
-regular product are gathers, reduced by ``integrands.master_sign_log``
-like every evaluation of the product, and its singular points are exact
-directional limits from Phi's leading term at the same entries, in one
-batch (``integrands._jet_limits``, which checks every point on its own).
-``lattice_values`` raises the first point that fails; ``sum_discrete``
-raises it only when the sum reaches its shell, so one past the stopping
-shell is evaluated, dropped and never reported.
+Every factor of the summand is a function of one base quantity of
+``integrands.lattice_bases``, at a lattice point an integer difference of
+two parts plus a constant of the base, so ``FactorTables`` holds each
+factor's ``factor_table`` leading term once per batch, per base over the
+differences in use.  One block evaluator, ``_block_values``, gathers a
+batch's regularity mask and regular product from them (reduced by
+``integrands.master_sign_log`` like every evaluation of the product) and
+takes its singular points' exact limits from Phi's leading term at the
+same entries (``integrands._jet_limits``).  ``lattice_values`` evaluates
+each block of the series and raises the first point that fails;
+``sum_discrete`` raises it only when the sum reaches its shell.
 
 The summand depends on z only through z1**sum(u) * z2**sum(v), so
 ``sum_discrete`` also returns the exact z-derivatives, from first moments
@@ -54,6 +50,7 @@ from .integrands import (
     base_index,
     factor_args,
     factor_table,
+    lattice_bases,
     lattice_shift,
     master_sign_log,
     weight_w,
@@ -106,61 +103,62 @@ def cone_array(k1: int, k2: int, bound: int) -> np.ndarray:
 class FactorTables:
     """The summand's factors at integer parts lo..hi, one table per base.
 
-    At a lattice point base x = c[plus] - c[minus] of ``lattice_bases`` is
-    d = n[plus] - n[minus] plus s[plus] - s[minus], n = (nu, nv, 0) the
-    parts and s the ``lattice_shift`` entries, so every factor on a base is
-    one table of its ``factor_table`` leading term over d in [-span, span],
-    span = max(hi, 0) - min(lo, 0).  Per base the tables hold the products
-    of the factors' value signs (0 at a zero; None where all are +1) and
-    leading signs, each factor's leading log in product order, the power of
-    eps where some factor has a pole or a zero (else None), and where a
-    numerator gamma, a pair base or a weight denominator is singular (None
-    where none is).  ``phi_sign_log`` takes x as (n[plus] + s[plus]) -
+    Base x = c[plus] - c[minus] of ``lattice_bases`` is d = n[plus] -
+    n[minus] plus s[plus] - s[minus], n = (nu, nv, 0) the parts and s the
+    ``lattice_shift`` entries: each factor is one table of its
+    ``factor_table`` leading term over d in [-span, span], span =
+    max(hi, 0) - min(lo, 0).  Per base: the value-sign product where no
+    factor is singular (0 at a zero; None if all +1), the leading-sign
+    product, each factor's leading log in product order, the eps-order
+    where a factor is singular or zero (else None), and the singular mask
+    (None if clear).  ``phi_sign_log`` takes x as (n[plus] + s[plus]) -
     (n[minus] + s[minus]), which may round apart in the last bit.
     """
 
     def __init__(self, k1: int, k2: int, p: ParamSet, lo: int, hi: int):
-        self.p, self.k1, self.hi = p, k1, hi
-        self.span = max(hi, 0) - min(lo, 0)
+        self.p, self.k1 = p, k1
+        self.span = span = max(hi, 0) - min(lo, 0)
         plus, minus, families = base_index(k1, k2)
         self.pairs = list(zip(plus.tolist(), minus.tolist()))
-        shifts = np.concatenate((lattice_shift(k1, p.gamma), lattice_shift(k2, p.gamma), [0.0]))
-        base_shifts = (shifts[plus] - shifts[minus])[:, None]
-        d = np.arange(-self.span, self.span + 1, dtype=float)
-        self.signs, self.leads, self.logs, self.orders, self.singular = (
-            [None] * len(plus) for _ in range(5))
+        # the lattice_shift entries, and the trailing 0 of the 'u' bases
+        s = [p.gamma * j for k in (k1, k2) for j in range(k - 1, -1, -1)] + [0.0]
+        x = np.arange(-span, span + 1.0) + np.array([[s[i] - s[j]] for i, j in self.pairs])
+        # one factor_table call per kind, over every base that has it; the
+        # families with a kind are adjacent, so its bases are one slice
+        kinds, calls = {}, {}
         for family, cols in families.items():
-            if not cols:
-                continue
-            # one row per base of the family, so each factor is one call
-            x = d + base_shifts[cols[0]:cols[-1] + 1]
-            sign = lead = order = None
-            singular, logs = False, []
-            for kind, arg in factor_args(family, x, p):
-                fs, logm, fo = factor_table(kind, arg)
-                if kind != "recip":  # a pole or a vanishing form
-                    singular = singular | (fo != 0)
-                if fs is not None:
-                    # a zero's value is 0; only 'recip' and 'lin' have zeros
-                    value = fs if kind == "num" else np.where(fo > 0, 0.0, fs)
-                    sign, lead, order = ((value, fs, fo) if sign is None
-                                         else (sign * value, lead * fs, order + fo))
-                    logs.append(logm)
-            # where some factor has a pole or a zero, the order moves or the value is 0
-            moved = order.any(axis=1) | ~sign.all(axis=1)
-            ones, any_singular = (sign == 1.0).all(axis=1), singular.any(axis=1)
-            for j, b in enumerate(cols):
-                self.signs[b] = None if ones[j] else sign[j]
-                self.leads[b] = lead[j] if moved[j] else self.signs[b]
-                self.logs[b] = [logm[j] for logm in logs]
-                self.orders[b] = order[j] if moved[j] else None
-                self.singular[b] = singular[j] if any_singular[j] else None
+            factors = factor_args(family, x[cols[0]:cols[-1] + 1], p) if cols else ()
+            kinds[family] = [kind for kind, _ in factors if kind != "den"]
+            for kind, arg in factors:
+                calls.setdefault(kind, []).append((cols, arg))
+        lead, order = np.ones(x.shape), np.zeros(x.shape, dtype=np.int64)
+        singular, logs = np.zeros(x.shape, dtype=bool), {}
+        for kind, parts in calls.items():
+            rows = [b for cols, _ in parts for b in cols]
+            at = slice(rows[0], rows[-1] + 1)
+            fs, logm, fo = factor_table(kind, np.concatenate([arg for _, arg in parts]))
+            if kind != "recip":  # a pole or a vanishing form
+                singular[at] |= fo != 0
+            if fs is not None:
+                lead[at] *= fs
+                order[at] += fo
+                logs.update(((kind, b), row) for b, row in zip(rows, logm))
+        # where no factor is singular, a positive order is a zero
+        sign = np.where(order > 0, 0.0, lead)
+        ones, any_singular = (sign == 1.0).all(axis=1).tolist(), singular.any(axis=1)
+        moved = (any_singular | order.any(axis=1)).tolist()
+        self.signs = [None if one else row for one, row in zip(ones, sign)]
+        self.leads = [row if m else value for m, row, value in zip(moved, lead, self.signs)]
+        self.orders = [row if m else None for m, row in zip(moved, order)]
+        self.singular = [row if bad else None for bad, row in zip(any_singular.tolist(), singular)]
+        self.logs = [[logs[kind, b] for kind in kinds[family]]
+                     for b, (family, _, _) in enumerate(lattice_bases(k1, k2))]
 
-    def index(self, P: np.ndarray) -> list:
-        """Table index n[plus] - n[minus] + span of every base at each row
-        of integer parts, one contiguous array per base."""
-        parts = np.ascontiguousarray(P.T)
-        # a 'u' base's minus part is the trailing 0, which P does not hold
+    def index(self, parts: np.ndarray) -> list:
+        """Table index n[plus] - n[minus] + span of every base at each
+        column of integer parts (one row per coordinate), one contiguous
+        array per base."""
+        # a 'u' base's minus part is the trailing 0, which the parts do not hold
         raised = parts + self.span
         return [raised[plus] if minus == len(parts) else raised[plus] - parts[minus]
                 for plus, minus in self.pairs]
@@ -182,34 +180,43 @@ class FactorTables:
                                                              index) if sign is not None),
             lambda b, f: self.logs[b][f].take(index[b]))
 
-    def limits(self, P: np.ndarray, index: list):
-        """``integrands._jet_limits`` at rows of integer parts ``P``, from
+    def limits(self, parts: np.ndarray, index: list):
+        """``integrands._jet_limits`` at columns of integer parts, from
         Phi's leading term at their table entries ``index``."""
-        sign, logm = self.sign_log(index, *_coordinates(P, self.k1, self.p.gamma), lead=True)
-        order = np.zeros((P.shape[0], len(index)), dtype=np.int64)
+        NU, NV = parts[:self.k1].T, parts[self.k1:].T
+        sign, logm = self.sign_log(index, *_coordinates(parts, self.k1, self.p.gamma), lead=True)
+        order = np.zeros((parts.shape[1], len(index)), dtype=np.int64)
         for b, (orders, ix) in enumerate(zip(self.orders, index)):
             if orders is not None:
                 order[:, b] = orders.take(ix)
-        return _jet_limits(P[:, :self.k1], P[:, self.k1:], self.p, sign, logm, order)
+        return _jet_limits(NU, NV, self.p, sign, logm, order)
 
 
-def _coordinates(P: np.ndarray, k1: int, gamma: float):
-    """The real coordinates (u, v) of rows of integer parts."""
-    return (P[:, :k1] + lattice_shift(k1, gamma)[None, :],
-            P[:, k1:] + lattice_shift(P.shape[1] - k1, gamma)[None, :])
+def _coordinates(parts: np.ndarray, k1: int, gamma: float):
+    """The real coordinates (u, v), one row per point, of columns of
+    integer parts."""
+    return (parts[:k1].T + lattice_shift(k1, gamma)[None, :],
+            parts[k1:].T + lattice_shift(parts.shape[0] - k1, gamma)[None, :])
 
 
-def _block_values(tables: FactorTables, P: np.ndarray):
-    """F at the rows of integer parts ``P``, which ``tables`` span, each
-    row's limit rounding (0 at a regular row), and the message of each row
-    whose limit fails, {row: message} in row order.  A regular row is the
-    product gathered from the tables, times the weight when k2 > 0, a value
-    rounded to ``_VALUE_ROUNDING`` of its size; a singular row is the mean
-    of its two directional limits (``FactorTables.limits``), a placeholder
-    where they fail."""
-    index = tables.index(P)
-    regular = tables.regular(index, P.shape[0])
-    U, V = _coordinates(P, tables.k1, tables.p.gamma)
+def _batch(NU: np.ndarray, NV: np.ndarray, p: ParamSet):
+    """Factor tables that span a batch of points, and its integer parts,
+    one row per coordinate."""
+    parts = np.concatenate((NU.T, NV.T)).astype(np.int64, copy=False)
+    lo, hi = (int(parts.min()), int(parts.max())) if parts.size else (0, 0)
+    return FactorTables(NU.shape[1], NV.shape[1], p, lo, hi), parts
+
+
+def _block_values(tables: FactorTables, parts: np.ndarray):
+    """F at columns of integer parts (one row per coordinate) that
+    ``tables`` span, each point's limit rounding (0 where regular), and
+    {column: message} of the points whose limits fail, in order.  A regular
+    point is the gathered product, times the weight when k2 > 0; a singular
+    one is the mean of its two limits (``FactorTables.limits``)."""
+    n = parts.shape[1]
+    index = tables.index(parts)
+    regular = tables.regular(index, n)
+    U, V = _coordinates(parts, tables.k1, tables.p.gamma)
     # every row is reduced on its own, so singular rows (replaced below)
     # leave the regular ones as phi_sign_log gives them; an exact zero keeps
     # its sign, and its leading log is not exponentiated
@@ -219,40 +226,37 @@ def _block_values(tables: FactorTables, P: np.ndarray):
         nz = regular & (vals != 0.0)
         if np.any(nz):
             vals[nz] = vals[nz] * weight_w(U[nz], V[nz], tables.p.gamma)
-    rounding, failures = np.zeros(P.shape[0]), {}
+    rounding, failures = np.zeros(n), {}
     sing = np.flatnonzero(~regular)
     if sing.size:
-        pairs, rounding[sing], failed = tables.limits(P[sing], [ix[sing] for ix in index])
+        pairs, rounding[sing], failed = tables.limits(parts[:, sing], [ix[sing] for ix in index])
         vals[sing] = 0.5 * (pairs[:, 0] + pairs[:, 1])
         failures = {int(sing[row]): message for row, message in failed.items()}
     return vals, rounding, failures
 
 
-def _batch(NU: np.ndarray, NV: np.ndarray, p: ParamSet):
-    """Factor tables that span a batch of points, and its integer parts."""
-    P = np.hstack((NU, NV)).astype(np.int64)
-    return FactorTables(NU.shape[1], NV.shape[1], p, *(P.min(), P.max()) if P.size else (0, 0)), P
+def _raise_first(failures: dict):
+    """Raise the first failed point of a batch, if any."""
+    for row, message in failures.items():
+        raise LimitDisagreementError(message, row)
 
 
 def lattice_values(NU: np.ndarray, NV: np.ndarray, p: ParamSet):
-    """F at a batch of lattice points and each point's limit rounding:
-    ``_block_values`` over tables that span the batch.  The first point
-    whose limit fails raises :class:`LimitDisagreementError`."""
+    """F at a batch of lattice points and each point's limit rounding
+    (``_block_values``); the first point whose limit fails raises
+    :class:`LimitDisagreementError` with its ``row``."""
     vals, rounding, failures = _block_values(*_batch(NU, NV, p))
-    if failures:
-        raise LimitDisagreementError(next(iter(failures.values())))
+    _raise_first(failures)
     return vals, rounding
 
 
 def limit_pairs(NU: np.ndarray, NV: np.ndarray, p: ParamSet):
     """Two directional limits (a, b) of F at each lattice point, regular
-    ones too, (m, 2), and each point's rounding scale, (m,), over tables
-    that span the batch; the first point that fails (``_jet_limits``)
-    raises :class:`LimitDisagreementError`."""
-    tables, P = _batch(NU, NV, p)
-    pairs, rounding, failures = tables.limits(P, tables.index(P))
-    if failures:
-        raise LimitDisagreementError(next(iter(failures.values())))
+    ones too, (m, 2), and their rounding scales, (m,); the first point that
+    fails (``_jet_limits``) raises :class:`LimitDisagreementError`."""
+    tables, parts = _batch(NU, NV, p)
+    pairs, rounding, failures = tables.limits(parts, tables.index(parts))
+    _raise_first(failures)
     return pairs, rounding
 
 
@@ -335,13 +339,10 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
 
     The first block of shells reaches the predicted stop, log(1/rel_tol)
     over the least column weight plus two shells (and at least four
-    windows); later blocks are a quarter of it, or one window.  Factor
-    tables are built over the differences the first block's largest part
-    reaches and regrown only when a later block passes it, and each block
-    is one ``_block_values`` call.  A singular point that fails the check
-    raises :class:`LimitDisagreementError` when the sum reaches its shell,
-    with the message of the shell's first failed point in row order, as
-    that shell alone gives; failures past the stopping shell are dropped.
+    windows); later blocks are a quarter of it, or one window.  Each block
+    is one ``lattice_values`` call.  Its first failed point raises
+    :class:`LimitDisagreementError` only when the sum reaches its shell,
+    as that shell alone gives, and the rows before it are evaluated again.
     """
     if which not in ("dexp", "dexp3"):
         raise ValueError(f"unknown series {which!r}")
@@ -366,26 +367,26 @@ def sum_discrete(which: str, p: ParamSet, rel_tol: float = 1e-11,
     # per shell: the sum, and the masses of |F|, |F| |sum(u)| and |F| |sum(v)|;
     # per singular row summed: its limit's rounding, weighted as each mass
     sums, masses, jets, moments = [], ([], [], []), ([], [], []), np.zeros(k1 + k2)
-    tables, converged, lo, size = None, False, 0, first
+    converged, lo, size = False, 0, first
     while lo <= max_bound and not converged:
         hi = min(max_bound, lo + size - 1)
         P, shell = degree_band(k1, k2, weights, lo, hi)
         order = np.argsort(shell, kind="stable")  # each shell keeps lexicographic order
         P = P[order]
         ends = np.searchsorted(shell[order], np.arange(lo, hi + 1), side="right").tolist()
-        largest = int(P.max(initial=0))
-        if tables is None or largest > tables.hi:
-            tables = FactorTables(k1, k2, p, 0, largest)
-        # a failed row raises only if the walk below reaches its shell
-        vals, rounding, failures = _block_values(tables, P)
-        failed = next(iter(failures), P.shape[0])
+        failed = None
+        try:
+            vals, rounding = lattice_values(P[:, :k1], P[:, k1:], p)
+        except LimitDisagreementError as err:  # raised if the walk reaches its shell
+            failed, P = err, P[:err.row]
+            vals, rounding = lattice_values(P[:, :k1], P[:, k1:], p)
         P = P.astype(float)  # no view may keep the integer array alive
         scale = np.stack((np.ones(P.shape[0]), np.abs(P[:, :k1].sum(axis=1) + shift_u),
                           np.abs(P[:, k1:].sum(axis=1) + shift_v)))
         start = 0
         for bound, end in enumerate(ends, start=lo):
-            if failed < end:
-                raise LimitDisagreementError(failures[failed])
+            if failed is not None and failed.row < end:
+                raise failed
             shell_vals = vals[start:end]
             sums.append(math.fsum(shell_vals.tolist()))
             for m, row in zip(masses, np.abs(shell_vals) * scale[:, start:end]):

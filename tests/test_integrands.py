@@ -548,9 +548,9 @@ class TestLimitPairs:
         assert abs(a - b) > 1e-3 * max(abs(a), abs(b))
 
     def test_one_factor_pass_per_batch(self, monkeypatch):
-        # every factor is evaluated once for the whole batch, on every base
-        # of its family at once, over the integer differences the rows span,
-        # both directions at once
+        # every factor kind is evaluated once for the whole batch, on every
+        # base that has it at once, over the integer differences the rows
+        # span, both directions at once
         import selberg3.lattice as lattice
 
         p = ParamSet(k1=3, k2=2, alpha=1.3, gamma=-0.15, z1=0.3, z2=0.5)
@@ -564,7 +564,7 @@ class TestLimitPairs:
 
         monkeypatch.setattr(lattice, "factor_table", spy)
         limit_pairs(*_parts(pts), p)
-        # two factors of the u family (3 bases), three of the vu family (6
-        # bases, its weight denominator too) and three of the pair family (4
-        # bases), each over the differences -4..4 of the parts 0..4
-        assert calls == [(3, 9)] * 2 + [(6, 9)] * 3 + [(4, 9)] * 3
+        # Gamma and 1/Gamma on all 13 bases (3 u, 6 vu, 4 pair), the weight
+        # denominator on the vu bases and the linear factor on the pair
+        # bases, each over the differences -4..4 of the parts 0..4
+        assert calls == [(13, 9)] * 2 + [(6, 9), (4, 9)]

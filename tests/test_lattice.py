@@ -179,7 +179,7 @@ class TestFactorTables:
         for alpha in (1.3, 2.0):  # 2.0 puts Gamma(u + alpha) poles at negative parts
             p = ParamSet(k1=k1, k2=k2, alpha=alpha, gamma=gamma, z1=0.3, z2=0.5)
             tables = FactorTables(k1, k2, p, int(P.min()), int(P.max()))
-            index = tables.index(P)
+            index = tables.index(P.T)
             regular = tables.regular(index, P.shape[0])
             assert np.array_equal(regular, regular_mask(NU, NV, p))
             idx = np.flatnonzero(regular)
@@ -217,7 +217,7 @@ class TestFactorTables:
         for alpha in (1.3, 2.0):
             p = ParamSet(k1=k1, k2=k2, alpha=alpha, gamma=gamma, z1=0.3, z2=0.5)
             tables = FactorTables(k1, k2, p, int(P.min()), int(P.max()))
-            index = tables.index(P)
+            index = tables.index(P.T)
             singular = np.zeros(P.shape[0], dtype=bool)
             slope, own, mass = 0.0, 0.0, np.abs(math.log(p.z1) * C[:, :k1].sum(axis=1))
             mass = mass + np.abs(math.log(p.z2) * C[:, k1:-1].sum(axis=1))
@@ -500,20 +500,6 @@ def _spy(monkeypatch, module, name):
     return calls
 
 
-def _spy_blocks(monkeypatch):
-    """Record the integer parts of every block the lattice evaluates."""
-    import selberg3.lattice as lattice
-
-    calls, real = [], lattice._block_values
-
-    def spy(tables, P):
-        calls.append(P)
-        return real(tables, P)
-
-    monkeypatch.setattr(lattice, "_block_values", spy)
-    return calls
-
-
 def _shells_of(P, p):
     """Degree shell of each row of integer parts at (z1, z2)."""
     c1, c2 = -math.log(p.z1), -math.log(p.z2)
@@ -666,7 +652,9 @@ class TestBlockedSum:
         assert got == _outcome(_oracle_sum, "dexp3", self.P32)
 
     def test_few_value_calls_for_small_shells(self, monkeypatch):
-        calls = _spy_blocks(monkeypatch)
+        import selberg3.lattice as lattice
+
+        calls = _spy(monkeypatch, lattice, "lattice_values")
         p = ParamSet(k1=1, k2=1, alpha=1.3, gamma=-0.15, z1=0.5, z2=0.5)
         got = sum_discrete("dexp3", p)
         assert got.converged and got.bound > 14
@@ -674,7 +662,9 @@ class TestBlockedSum:
 
     def test_work_guard_at_the_heaviest_benchmark_record(self, monkeypatch):
         # by largest part this record evaluated 597,051 points
-        calls = _spy_blocks(monkeypatch)
+        import selberg3.lattice as lattice
+
+        calls = _spy(monkeypatch, lattice, "lattice_values")
         p = ParamSet(k1=3, k2=2, alpha=1.3, gamma=-0.15, z1=0.4, z2=0.2)
         rec = run_identity("dexp3", p, seed=5)
         assert rec.passed
@@ -737,7 +727,7 @@ class TestBlockedSum:
         points = [LatticePoint((600, 300), (400,), p.gamma), LatticePoint((12, 5), (8,), p.gamma)]
         # tables from 0 up, as every batch had before
         want = [lattice._block_values(FactorTables(2, 1, p, 0, max(pt.nu)),
-                                      np.array([pt.nu + pt.nv]))[0][0]
+                                      np.array([pt.nu + pt.nv]).T)[0][0]
                 for pt in points]
         assert want[1] != 0.0
         monkeypatch.setattr(lattice, "FactorTables", SpyTables)
