@@ -19,9 +19,7 @@ import sys
 
 from .errors import InvalidParamsError
 from .identities import REGISTRY, Budget, VerificationRecord, run_identity
-from .params import ParamSet
-
-DEFAULT_SEED = 20070920
+from .params import DEFAULT_SEED, ParamSet
 
 CONFIG_KEYS = {"identity", "k", "k1", "k2", "alpha", "beta", "beta1", "beta2",
                "gamma", "z", "z1", "z2", "grid", "tol", "budget", "seed",

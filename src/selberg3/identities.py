@@ -30,7 +30,7 @@ from .lattice import (
     sum_discrete,
 )
 from .logreal import gamma_ratio
-from .params import ParamSet
+from .params import DEFAULT_SEED, ParamSet
 from .quadrature import QuadSpec, integrate_chain, integrate_family
 from .recursions import _plan, jjl_shift_residuals, solve_both, verify_relations
 
@@ -268,22 +268,25 @@ def _series_engine(which: str, rhs_fn):
     return engine
 
 
+def _worst(checks: list):
+    """The value of the (deviation, value) pair of largest deviation, the
+    last of equal ones; a NaN deviation counts as the largest."""
+    return max(reversed(checks), key=lambda c: math.inf if math.isnan(c[0]) else c[0])[1]
+
+
 def _aomoto_engine(p: ParamSet, budget: Budget, seed: int, tol: float | None):
     k = p.k
     spec = _quad_spec(budget, seed)
     # the k+1 moments differ only in their weight: one family shares each
     # domain's rules, frame and power product
     members = [assembled_integrand("aomoto", p, indices=ell) for ell in range(k + 1)]
-    worst = None
+    checks = []
     for ell, (lhs, err) in enumerate(integrate_family(members, gamma_chain(k, 0, p.gamma),
                                                       spec, p)):
         rhs = cf.aomoto_rhs(k, ell, p).to_float()
         dev = abs(lhs) if rhs == 0.0 else abs(lhs - rhs) / abs(rhs)
-        if math.isnan(dev):  # a NaN deviation counts as the worst
-            dev = math.inf
-        if worst is None or dev >= worst[0]:
-            worst = (dev, lhs, rhs, err)
-    dev, lhs, rhs, err = worst
+        checks.append((dev, (lhs, err, rhs)))
+    lhs, err, rhs = _worst(checks)
     return lhs, err, rhs, (tol if tol is not None else 1e-4), f"worst over l=0..{k}"
 
 
@@ -336,14 +339,12 @@ def _chain_decomp_engine(p: ParamSet, budget: Budget, seed: int, tol: float | No
     members = [Integrand(_monomial(dt, ds), k1, k2, "01", 0, 1.0, 0.0, 1.0, 1.0,
                          kind="callable") for dt, ds in degs]
     spec = _quad_spec(budget, seed)
-    worst = None
+    checks = []
     for (dt, ds), (det, err) in zip(degs, integrate_family(members, unit_chain(k1, k2),
                                                            spec, p)):
         exact = float(cf.cone_monomial_integral(k1, k2, dt, ds))
-        dev = abs(det - exact) / exact
-        if worst is None or dev >= worst[0]:
-            worst = (dev, det, err, exact)
-    dev, det, err, exact = worst
+        checks.append((abs(det - exact) / exact, (det, err, exact)))
+    det, err, exact = _worst(checks)
     return det, err, exact, (tol if tol is not None else 1e-6), "worst of 20 random monomials"
 
 
@@ -493,7 +494,7 @@ def identity_ids() -> list[str]:
 
 
 def run_identity(identity_id: str, p: ParamSet, budget: Budget | None = None,
-                 seed: int = 20070920, tol: float | None = None) -> VerificationRecord:
+                 seed: int = DEFAULT_SEED, tol: float | None = None) -> VerificationRecord:
     """Run one identity check and produce its record."""
     if identity_id not in REGISTRY:
         raise InvalidParamsError(f"unknown identity {identity_id!r}")
@@ -519,7 +520,7 @@ def run_identity(identity_id: str, p: ParamSet, budget: Budget | None = None,
 
 
 def run_grid(identity_id: str, grid, budget: Budget | None = None,
-             seed: int = 20070920, tol: float | None = None) -> list[VerificationRecord]:
+             seed: int = DEFAULT_SEED, tol: float | None = None) -> list[VerificationRecord]:
     """Run one identity over a list of parameter points."""
     records = []
     for i, p in enumerate(grid):

@@ -360,11 +360,13 @@ def _jet_frame(k1: int, k2: int) -> tuple:
     return ends[:, plus] - ends[:, minus], forms, form_rates, powers
 
 
-def _jet_limits(NU: np.ndarray, NV: np.ndarray, p: ParamSet, sign, logm, order):
+def _jet_limits(NU: np.ndarray, NV: np.ndarray, U: np.ndarray, V: np.ndarray, p: ParamSet,
+                sign, logm, order):
     """The two directional limits of F at lattice points, (m, 2), each
     row's rounding scale, and the message of each failed row, by row.
 
-    ``NU``/``NV`` hold the integer parts, and Phi's leading term there is
+    ``NU``/``NV`` hold the integer parts and ``U``/``V`` the real
+    coordinates (``lattice._coordinates``), and Phi's leading term there is
     sign * exp(logm) * prod_b eps**order[:, b] over the bases b
     (``lattice.FactorTables.limits``).  Along a direction every base and
     weight form moves as x0 + r * eps, so Phi's leading coefficient takes
@@ -385,8 +387,6 @@ def _jet_limits(NU: np.ndarray, NV: np.ndarray, p: ParamSet, sign, logm, order):
     phi = sign * np.exp(logm) * np.prod(base_rates[:, None, :] ** order, axis=2)
 
     # each weight form's leading coefficient: its rate where it vanishes
-    U = NU + lattice_shift(k1, p.gamma)[None, :]
-    V = NV + lattice_shift(k2, p.gamma)[None, :]
     value = _form_values(np.hstack((U, V)).T, p.gamma)
     vals = np.array([value(form) for form in forms]).reshape(len(forms), m)
     vanish = np.abs(vals) <= NEAR_SINGULAR_TOL
@@ -449,9 +449,11 @@ class Integrand:
     symmetrization term (0 when the rational weight is absent).
     ``kind``/``indices`` name the rational weight: 'plain' (none), 'g',
     'h' or 'ht', the last two at a triple (l1, l2, m).  Kind 'callable'
-    is a black box: ``fn``
-    maps coordinate rows (t, s) to values and replaces the power product
-    and the weight; it is None for every other kind.
+    is a black box on '01': ``fn`` maps coordinate rows (t, s) to values
+    and replaces the power product and the weight, so its alpha, beta1,
+    beta2, gamma and pole_count are the empty product's 1, 1, 1, 0 and 0,
+    which ``quadrature.integrate_domain`` requires; ``fn`` is None for
+    every other kind.
     """
 
     fn: object

@@ -121,8 +121,8 @@ class FactorTables:
         plus, minus, families = base_index(k1, k2)
         self.pairs = list(zip(plus.tolist(), minus.tolist()))
         # the lattice_shift entries, and the trailing 0 of the 'u' bases
-        s = [p.gamma * j for k in (k1, k2) for j in range(k - 1, -1, -1)] + [0.0]
-        x = np.arange(-span, span + 1.0) + np.array([[s[i] - s[j]] for i, j in self.pairs])
+        s = np.concatenate((lattice_shift(k1, p.gamma), lattice_shift(k2, p.gamma), [0.0]))
+        x = np.arange(-span, span + 1.0) + (s[plus] - s[minus])[:, None]
         # one factor_table call per kind, over every base that has it; the
         # families with a kind are adjacent, so its bases are one slice
         kinds, calls = {}, {}
@@ -183,13 +183,13 @@ class FactorTables:
     def limits(self, parts: np.ndarray, index: list):
         """``integrands._jet_limits`` at columns of integer parts, from
         Phi's leading term at their table entries ``index``."""
-        NU, NV = parts[:self.k1].T, parts[self.k1:].T
-        sign, logm = self.sign_log(index, *_coordinates(parts, self.k1, self.p.gamma), lead=True)
+        U, V = _coordinates(parts, self.k1, self.p.gamma)
+        sign, logm = self.sign_log(index, U, V, lead=True)
         order = np.zeros((parts.shape[1], len(index)), dtype=np.int64)
         for b, (orders, ix) in enumerate(zip(self.orders, index)):
             if orders is not None:
                 order[:, b] = orders.take(ix)
-        return _jet_limits(NU, NV, self.p, sign, logm, order)
+        return _jet_limits(parts[:self.k1].T, parts[self.k1:].T, U, V, self.p, sign, logm, order)
 
 
 def _coordinates(parts: np.ndarray, k1: int, gamma: float):

@@ -11,6 +11,8 @@ from dataclasses import asdict, dataclass, replace
 
 from .errors import InvalidParamsError
 
+DEFAULT_SEED = 20070920  # the base seed of a run that names none
+
 
 @dataclass(frozen=True)
 class ParamSet:

@@ -55,16 +55,18 @@ from its exponential factors, so the scale is integrated in closed form
 to Gamma(H) L^(-H), L the sum of rate x coordinate (the Laguerre limit of
 Selberg's integral), and only the gap simplex carries a rule or samples.
 
-Black-box ('callable') integrands have no description.  They keep the
-chain frame's nested ratios c_i = c_{i-1} r_i, and axis i takes the
-Gauss-Jacobi rule of r^w0 (1-r)^w1 for the endpoint exponents of
-``facet_exponents``, through the same rule builder and levels.  For a
-polynomial this is a conical-product rule (Stroud, 1971), exact once
-2n - 1 reaches its degree in every r_i.
+The chain frame's endpoint exponents (``facet_exponents``) are read off
+the same description.  The Monte Carlo scheme importance-samples their
+beta densities r^w0 (1-r)^w1 and averages integrand/model through the
+chain frame, in fixed blocks of rows.
 
-The Monte Carlo scheme importance-samples the beta densities of
-``facet_exponents`` and averages integrand/model through the same chain
-frame, in fixed blocks of rows.
+Black-box ('callable') integrands are the empty product: a power product
+or pole count in their fields raises ``DomainError``, as a rule without
+that endpoint singularity would integrate it silently.  Their model is
+the chain Jacobian, so axis i takes the Gauss-Jacobi rule of r^(K-1-i)
+on the nested ratios c_i = c_{i-1} r_i, through the same rule builder
+and levels.  For a polynomial this is a conical-product rule (Stroud,
+1971), exact once 2n - 1 reaches its degree in every r_i.
 
 Integrands that differ only in their weight form a family.  The family
 shares each domain's rules, frames and power product, and each member
@@ -89,7 +91,7 @@ from scipy.special import betaln, gammaln
 from .chains import Chain, OrderMap, merged_order
 from .errors import DomainError, IntegrandSingularError
 from .integrands import Integrand
-from .params import ParamSet
+from .params import DEFAULT_SEED, ParamSet
 
 SECTOR_RTOL = 1e-8          # relative estimate a member certifies at
 SECTOR_MAX_NODES = 64       # nodes per axis the levels stop at
@@ -106,7 +108,7 @@ class QuadSpec:
     scheme: str = "deterministic"  # or "monte_carlo"
     nodes_per_axis: int = 0        # 0 = pick by dimension
     sample_count: int = 200_000
-    seed: int = 20070920
+    seed: int = DEFAULT_SEED
     smooth_order: int = 4
 
     def nodes_for(self, dim: int) -> int:
@@ -128,45 +130,33 @@ class AxisWeights:
 
 
 def facet_exponents(integrand: Integrand, M: OrderMap) -> AxisWeights:
-    """Endpoint exponent table of one domain for one integrand.
+    """Endpoint exponents of one domain's chain axes, read off the
+    integrand's description (``_describe``).
 
-    The r=0 exponent is pessimistic about rational poles: each
-    symmetrization term carries ``pole_count`` pole factors, of which at
-    most min(pole_count, #inner t, #inner s) can collapse with the inner
-    block.  Overestimating a zero is harmless (the bounded ratio then
-    vanishes at the facet); underestimating a pole is not.
+    At r_i -> 0 the gaps from i + off on shrink together (off is 1 on
+    [0,1] and 0 on the half-line), so axis i takes the Jacobian's
+    K - 1 - i plus the exponent of every power factor on a run of those
+    gaps, less the most poles any weight term has on them.  At r_i -> 1
+    the one gap i - 1 + off closes: its own factor, less the most poles a
+    term has on it.  The half-line's axis 0 has none.  Overstating a pole
+    is harmless, the bounded ratio then vanishes at the facet; missing one
+    is not.
     """
-    k1, k2 = integrand.k1, integrand.k2
-    order = merged_order(M, k1, k2)
-    K = k1 + k2
-    a, g = integrand.alpha, integrand.gamma
-    P = integrand.pole_count
+    order = tuple(merged_order(M, integrand.k1, integrand.k2))
+    d = _describe(integrand, order)
+    K, N = len(order), d.N
+    off = N - K
 
-    w0 = []
-    for i in range(K):
-        inner = order[i:]
-        nt = sum(1 for kind, _ in inner if kind == "t")
-        ns = len(inner) - nt
-        h = (nt * (a - 1.0)
-             + 2.0 * g * (nt * (nt - 1) // 2 + ns * (ns - 1) // 2)
-             - g * nt * ns
-             - min(P, nt, ns))
-        w0.append(h + (K - 1 - i))
+    def exponent(lo: int, hi: int, jacobian: int = 0) -> float:
+        """The factors on runs within gaps lo..hi, less the most poles a
+        weight term has on them, summed exactly."""
+        poles = max((sum(-x for a, b, x in facs if x < 0 and lo <= a and b <= hi)
+                     for _, facs in d.terms), default=0)
+        return math.fsum([jacobian, -poles, *(e for a, b, e in d.factors if lo <= a and b <= hi)])
 
-    w1 = []
-    for i in range(K):
-        if i == 0:
-            if integrand.interval == "01":
-                kind = order[0][0]
-                w1.append(integrand.beta1 - 1.0 if kind == "t" else integrand.beta2 - 1.0)
-            else:
-                w1.append(None)
-        else:
-            if order[i - 1][0] == order[i][0]:
-                w1.append(2.0 * g)
-            else:
-                w1.append(-g - (1.0 if P > 0 else 0.0))
-    return AxisWeights(tuple(w0), tuple(w1))
+    return AxisWeights(tuple(exponent(i + off, N - 1, K - 1 - i) for i in range(K)),
+                       tuple(exponent(i - 1 + off, i - 1 + off) if i + off else None
+                             for i in range(K)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +251,7 @@ def _describe(ig: Integrand, order: tuple) -> _Description:
                     + [(tau[b], sigma[b + kk]) for b in range(l2, k2)])
         norm = math.factorial(k1) * math.factorial(k2)
         terms = tuple((c / norm, key) for key, c in merged.items())
-    elif ig.kind != "plain":
+    elif ig.kind not in ("plain", "callable"):  # a black box is the empty product
         raise DomainError(f"unknown rational weight kind {ig.kind!r}")
 
     scale = ()
@@ -278,13 +268,12 @@ def _frame_values(members, order, aw: AxisWeights, frame):
     array per member of a family.
 
     ``aw`` is the chain frame's model.  A described family goes through
-    ``_described_values``.  A 'callable' family is a black box: only
-    Jacobian and models are structural, and the members read the frame's
-    coordinate rows (t, s).
+    ``_described_values``.  A 'callable' family is a black box, the empty
+    product, whose model is the Jacobian, so each member's values are its
+    ``fn`` of the frame's coordinate rows (t, s).
     """
     ig = members[0]
     if ig.kind == "callable":
-        base = np.exp(frame.log_model(aw))
         t = np.empty(frame.shape + (ig.k1,))
         s = np.empty(frame.shape + (ig.k2,))
         for i, (knd, idx) in enumerate(order):
@@ -294,7 +283,7 @@ def _frame_values(members, order, aw: AxisWeights, frame):
         for arr in rows:  # read-only rows, shared by the members
             arr.flags.writeable = False
         for member in members:
-            yield base * member.fn(*rows).reshape(frame.shape)
+            yield member.fn(*rows).reshape(frame.shape)
         return
     yield from _described_values([_describe(m, tuple(order)) for m in members], frame,
                                  frame.log_model(aw))
@@ -515,15 +504,13 @@ class _ChainFrame(_Runs):
 class _Tree:
     """One sector: a heap-ordered binary tree on the gaps.
 
-    ``parent[v]`` is -1 at the root; ``axes`` are the non-root nodes, axis
-    d carrying y of node axes[d]; ``path[v]`` are the axes from the root
-    down to v, whose y multiply to g_v; ``top[lo][hi]`` is the shallowest
-    gap of S[lo..hi], the largest one in the sector.
+    ``parent[v]`` is -1 at the root; the non-root nodes in order are the
+    axes, axis d carrying y of the d-th of them; ``path[v]`` are the axes
+    from the root down to v, whose y multiply to g_v; ``top[lo][hi]`` is
+    the shallowest gap of S[lo..hi], the largest one in the sector.
     """
 
-    root: int
     parent: tuple
-    axes: tuple
     path: tuple
     top: tuple
 
@@ -587,7 +574,7 @@ def _sector_table(N: int) -> _SectorTable:
             for hi in range(lo, N):
                 for u in path(top[lo][hi]):
                     cov[lo, hi, ax[u]] = 1
-        trees.append(_Tree(root, parent, axes, paths, top))
+        trees.append(_Tree(parent, paths, top))
         desc.append(cnt)
         cover.append(cov)
     return _SectorTable(tuple(trees), np.array(desc), np.array(cover))
@@ -627,38 +614,28 @@ def _sector_exponents(descs, table: _SectorTable) -> np.ndarray:
     return E
 
 
-_RULES: dict = {}   # (n, weight) -> read-only (log y, weight); records at equal exponents share
+_RULES: dict = {}   # (n, exponent) -> read-only (log y, weight); records at equal exponents share
 _RULES_CAP = 4096
 
 
 def _jacobi_rules(n: int, exponents) -> dict:
-    """The n-node Gauss-Jacobi rules on [0,1] for y^E of each exponent E
-    and y^E (1-y)^A of each pair (E, A), as {weight: (log y, weight)}.
+    """The n-node Gauss-Jacobi rules on [0,1] for y^E of each exponent E,
+    as {E: (log y, weight)}.
 
     The rules a level lacks come from one batched solve: nodes y = (1+x)/2
-    from the eigenvalues x of the Jacobi matrix of (1+x)^E (1-x)^A, and
-    as weights the mass B(E+1, A+1) times the Christoffel numbers
-    1 / sum_k p_k(x)^2, which keep full relative precision however small.
-    Rows with A = 0 keep the one-sided entries, bit for bit.
+    from the eigenvalues x of the Jacobi matrix of (1+x)^E, and as weights
+    the mass 1/(E+1) times the Christoffel numbers 1 / sum_k p_k(x)^2,
+    which keep full relative precision however small.
     """
     if len(_RULES) > _RULES_CAP:  # before the lookup, so every requested rule is rebuilt
         _RULES.clear()
     missing = list(dict.fromkeys(e for e in exponents if (n, e) not in _RULES))
     if missing:
-        b, a = np.array([e if isinstance(e, tuple) else (e, 0.0) for e in missing]).T[:, :, None]
+        b = np.array(missing)[:, None]
         k = np.arange(1, n)[None, :]
-        s = 2.0 * k + b + a
-        diag = np.hstack([(b - a) / (b + a + 2.0), (b * b - a * a) / (s * (s + 2.0))])
-        with np.errstate(invalid="ignore", divide="ignore"):  # two-sided rows: rebuilt below
-            off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
-        norm = b + 1.0  # 1 / the weight's mass
-        two = a[:, 0] != 0.0
-        if two.any():  # 2/s sqrt(k (k+a) (k+b) (k+a+b) / (s^2 - 1)), (k+a+b) / (s-1) = 1 at k = 1
-            a2, b2, s2 = a[two], b[two], s[two]
-            ratio = np.ones_like(s2)
-            ratio[:, 1:] = (k[:, 1:] + a2 + b2) / (s2[:, 1:] - 1.0)
-            off[two] = 2.0 / s2 * np.sqrt(k * (k + a2) * (k + b2) * ratio / (s2 + 1.0))
-            norm[two] = np.exp(-betaln(b2 + 1.0, a2 + 1.0))
+        s = 2.0 * k + b
+        diag = np.hstack([b / (b + 2.0), b * b / (s * (s + 2.0))])
+        off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
         J = np.zeros((len(missing), n, n))
         idx = np.arange(n)
         J[:, idx, idx] = diag
@@ -670,7 +647,7 @@ def _jacobi_rules(n: int, exponents) -> dict:
                 / off[:, j:j + 1]
             total += p * p
         logy = np.log1p(x) - math.log(2.0)
-        w = 1.0 / (total * norm)
+        w = 1.0 / (total * (b + 1.0))
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(logy))):
             raise IntegrandSingularError(f"non-finite quadrature rule weights at exponents {missing}")
         for i, e in enumerate(missing):
@@ -866,10 +843,10 @@ def _sector_rule(members, order, q: QuadSpec) -> list[tuple[float, float]]:
 
 def _tensor_level(members, order, aw: AxisWeights, n: int) -> list[float]:
     """The chain frame's tensor rule at n nodes per axis, axis i the
-    Gauss-Jacobi rule of r^w0[i] (1-r)^w1[i]: one value per member."""
+    Gauss-Jacobi rule of r^w0[i]: one value per member."""
     K = len(order)
-    rules = _jacobi_rules(n, list(zip(aw.w0, aw.w1)))
-    axes = [rules[w] for w in zip(aw.w0, aw.w1)]
+    rules = _jacobi_rules(n, aw.w0)
+    axes = [rules[w] for w in aw.w0]
     frame = _ChainFrame([_on_axis(ly, i, K) for i, (ly, _) in enumerate(axes)],
                         [_on_axis(np.log(-np.expm1(ly)), i, K) for i, (ly, _) in enumerate(axes)])
     totals = [_tensor_sum(vals, [w for _, w in axes])
@@ -974,14 +951,19 @@ def integrate_domain(integrand: Integrand, M: OrderMap, q: QuadSpec, p: ParamSet
     K = k1 + k2
     if K == 0:
         return [(1.0, 0.0)] * len(members)
+    halfline = integrand.interval == "0inf"
+    if integrand.kind == "callable":
+        if halfline:
+            raise DomainError("a black-box integrand on the half-line has no closed-form scale")
+        fields = (integrand.alpha, integrand.beta1, integrand.beta2, integrand.gamma,
+                  integrand.pole_count)
+        if fields != (1.0, 1.0, 1.0, 0.0, 0):
+            raise DomainError("a black-box integrand carries no power product or weight poles:"
+                              f" (alpha, beta1, beta2, gamma, pole_count) = {fields}")
     order = merged_order(M, k1, k2)
     aw = facet_exponents(integrand, M)
     if any(w <= -1.0 for w in aw.w0) or any(w is not None and w <= -1.0 for w in aw.w1):
         raise DomainError(f"facet exponent at or below -1; integral diverges: {aw}")
-
-    halfline = integrand.interval == "0inf"
-    if halfline and integrand.kind == "callable":
-        raise DomainError("a black-box integrand on the half-line has no closed-form scale")
 
     if q.scheme == "deterministic":
         dim = K - 1 if halfline else K

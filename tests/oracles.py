@@ -54,8 +54,13 @@ checks, except the references that the package must reproduce:
   tensor frame and the integrand families replaced; it sums the mesh
   axis by axis in the package's order, so it matches bit for bit;
 * the one-sided Gauss-Jacobi reference (``one_sided_jacobi_rules``) is
-  the rule builder as it was before it took a weight at y = 1, which
-  the package must still reproduce bit for bit at A = 0;
+  the rule builder written out on its own, which the package must
+  reproduce bit for bit;
+* the cluster-count endpoint exponents (``cluster_facet_exponents``)
+  count the inner t and s coordinates, their pairs and their poles on
+  each chain axis by hand, the way the package wrote them before it read
+  them off the integrand's gap-interval description, which must match
+  them to rounding;
 * the sector-rule reference (``heap_trees``, ``brute_sector_values``,
   ``brute_domain_value``) loops over the sectors, found as the Cartesian
   trees of every ordering of the gaps, and over the nodes of scipy's
@@ -1005,27 +1010,23 @@ def mesh_det_value(integrand, order, aw, n):
     every array laid out over the full node mesh.
 
     The per-axis rules come from the package's ``_jacobi_rules``, axis i
-    at the weight r^w0[i] (1-r)^w1[i]; the frame, the coordinate rows and
-    the values are the full-size path the broadcast frame replaced, which
-    the package must reproduce bit for bit.
+    at the weight r^w0[i], which is the chain Jacobian's for a black box,
+    so the values are the black box's own; the frame, the coordinate rows
+    and the values are the full-size path the broadcast frame replaced,
+    which the package must reproduce bit for bit.
     """
     from selberg3.quadrature import _jacobi_rules
 
     K = len(order)
-    rules = _jacobi_rules(n, list(zip(aw.w0, aw.w1)))
-    axes = [rules[w] for w in zip(aw.w0, aw.w1)]
+    rules = _jacobi_rules(n, aw.w0)
+    axes = [rules[w] for w in aw.w0]
     LOGR = mesh([ly for ly, _ in axes])
     frame = MeshChainFrame(LOGR, np.log(-np.expm1(LOGR)))
-    logf = np.zeros(frame.n)
-    for i in range(1, K):
-        logf += frame.LS[:, i - 1]
-    for i in range(K):
-        logf -= aw.w0[i] * LOGR[:, i] + aw.w1[i] * frame.LOGX[:, i]
     t = np.empty((frame.n, integrand.k1))
     s = np.empty((frame.n, integrand.k2))
     for i, (knd, idx) in enumerate(order):
         (t if knd == "t" else s)[:, idx - 1] = frame.C[:, i]
-    vals = (np.exp(logf) * integrand.fn(t, s)).reshape((n,) * K)
+    vals = integrand.fn(t, s).reshape((n,) * K)
     for _, w in reversed(axes):
         vals = vals @ w
     return float(vals)
@@ -1050,8 +1051,8 @@ def mesh_chain_value(integrand, chain, q):
 
 def one_sided_jacobi_rules(n, exponents):
     """{E: (log y, weight)} of the n-node Gauss-Jacobi rules for y^E on
-    [0,1], built by one batched solve the way the package built them
-    before its rules took a weight at y = 1."""
+    [0,1], built by one batched solve, the package's builder written out
+    on its own."""
     missing = sorted(set(exponents))
     b = np.array(missing)[:, None]
     k = np.arange(1, n)[None, :]
@@ -1071,6 +1072,49 @@ def one_sided_jacobi_rules(n, exponents):
     logy = np.log1p(x) - np.log(2.0)
     w = 1.0 / (total * (b + 1.0))
     return {e: (logy[i], w[i]) for i, e in enumerate(missing)}
+
+
+def cluster_facet_exponents(integrand, M):
+    """Endpoint exponents (w0, w1) of one domain's chain axes from cluster
+    counts, the way the package wrote them before it read them off
+    ``_describe``.
+
+    At r_i = 0 the inner coordinates order[i:] collapse together: nt t's
+    and ns s's carry nt (alpha - 1), 2 gamma per pair within a block,
+    -gamma per pair across, and at most min(pole_count, nt, ns) poles
+    each symmetrization term can put among them, plus the Jacobian's
+    K - 1 - i.  At r_i = 1 coordinate i meets the one above it: 2 gamma
+    within a block, -gamma less one pole across, and on [0,1] axis 0
+    meets 1 at its beta - 1; the half-line's axis 0 has none (None).
+    """
+    from selberg3.chains import merged_order
+
+    k1, k2 = integrand.k1, integrand.k2
+    order = merged_order(M, k1, k2)
+    K = k1 + k2
+    a, g, P = integrand.alpha, integrand.gamma, integrand.pole_count
+    w0 = []
+    for i in range(K):
+        inner = order[i:]
+        nt = sum(1 for kind, _ in inner if kind == "t")
+        ns = len(inner) - nt
+        h = (nt * (a - 1.0)
+             + 2.0 * g * (nt * (nt - 1) // 2 + ns * (ns - 1) // 2)
+             - g * nt * ns
+             - min(P, nt, ns))
+        w0.append(h + (K - 1 - i))
+    w1 = []
+    for i in range(K):
+        if i == 0:
+            if integrand.interval == "01":
+                w1.append(integrand.beta1 - 1.0 if order[0][0] == "t" else integrand.beta2 - 1.0)
+            else:
+                w1.append(None)
+        elif order[i - 1][0] == order[i][0]:
+            w1.append(2.0 * g)
+        else:
+            w1.append(-g - (1.0 if P > 0 else 0.0))
+    return tuple(w0), tuple(w1)
 
 
 # ---------------------------------------------------------------------------
@@ -1478,6 +1522,12 @@ def brute_domain_value(ig, order, n, members=()):
                for parent in heap_trees(descs[0].N))
 
 
+def sector_axes(tree):
+    """The non-root nodes of a sector's tree in order: axis d carries y of
+    the d-th of them."""
+    return [v for v, up in enumerate(tree.parent) if up != -1]
+
+
 class LogSectorFrame:
     """One sector's points in the log domain, the way the factored sector
     frame replaced: log g_v is a path sum of log y, log S of a run is its
@@ -1486,6 +1536,7 @@ class LogSectorFrame:
 
     def __init__(self, tree, LY, E, desc):
         self.tree, self.LY, self.E, self.desc = tree, LY, E, desc
+        self.root = tree.parent.index(-1)
         self._rel = {}
 
     def log_ratio(self, top, j):
@@ -1503,12 +1554,12 @@ class LogSectorFrame:
             if j != top:
                 r = np.exp(self.log_ratio(top, j))
                 rest = r if rest is None else rest + r
-        lsum = self.log_ratio(self.tree.root, top)
+        lsum = self.log_ratio(self.root, top)
         return lsum if rest is None else lsum + np.log1p(rest)
 
     def log_model(self):
-        return sum(((c - e) * self.LY[v] for v, c, e in zip(self.tree.axes, self.desc, self.E)),
-                   0.0)
+        return sum(((c - e) * self.LY[v] for v, c, e in zip(sector_axes(self.tree), self.desc,
+                                                             self.E)), 0.0)
 
 
 def log_domain_sector_values(descs, tree, LY, E, desc):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 from selberg3.cli import _param_grid, main
 from selberg3.errors import InvalidParamsError
-from selberg3.identities import REGISTRY, identity_ids
+from selberg3.identities import REGISTRY, identity_ids, run_identity
 
 
 def run_cli(capsys, *argv):
@@ -237,6 +238,15 @@ class TestConfig:
         code, out, _ = run_cli(capsys, "verify", "--identity", "stirling_ratio")
         assert code == 0
         assert json.loads(out.strip())["seed"] == 4242
+
+    def test_default_seed_is_run_identitys(self, capsys, monkeypatch):
+        # with no --seed and no SELBERG_SEED a record carries the seed a
+        # library call that names none runs at
+        monkeypatch.delenv("SELBERG_SEED", raising=False)
+        code, out, _ = run_cli(capsys, "verify", "--identity", "stirling_ratio")
+        assert code == 0
+        default = inspect.signature(run_identity).parameters["seed"].default
+        assert json.loads(out.strip())["seed"] == default
 
 
 class TestAliases:

@@ -339,6 +339,23 @@ class TestFamilyEngines:
         monkeypatch.undo()
         assert not rec.passed and math.isnan(rec.rel_dev)
 
+    def test_chain_decomp_picks_a_nan_monomial_as_the_worst(self, monkeypatch):
+        # the two family engines share one reduction, NaN the worst in both
+        p = ParamSet(k1=2, k2=1)
+        good = identities.integrate_family
+
+        def one_nan(members, chain, q, p):
+            out = good(members, chain, q, p)
+            out[5] = (math.nan, 0.0)
+            return out
+
+        monkeypatch.setattr(identities, "integrate_family", one_nan)
+        det, err, exact, tol, note = REGISTRY["chain_decomp"].engine(p, Budget(), 3, None)
+        assert math.isnan(det) and err == 0.0 and exact > 0.0
+        rec = run_identity("chain_decomp", p, seed=3)
+        monkeypatch.undo()
+        assert not rec.passed and math.isnan(rec.rel_dev)
+
     def test_aomoto_with_a_zero_reference_does_not_divide(self, monkeypatch):
         p = ParamSet(k1=2, alpha=1.5, beta1=1.2, gamma=-0.11)
         moment_0, _ = integrate_chain(assembled_integrand("aomoto", p, indices=0),

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from oracles import (MeshChainFrame, brute_domain_value, brute_sector_values, cartesian_tree,
-                     domain_monomial_integral, heap_trees, interleavings, log_domain_sector_values,
-                     mesh, mesh_chain_value, mesh_det_value, mp_gamma, mp_selberg_rhs,
-                     one_sided_jacobi_rules, raw_gap_integrand, raw_mc_value, raw_ratio,
+                     cluster_facet_exponents, domain_monomial_integral, heap_trees,
+                     interleavings, log_domain_sector_values, mesh, mesh_chain_value,
+                     mesh_det_value, mp_gamma, mp_selberg_rhs, one_sided_jacobi_rules,
+                     raw_gap_integrand, raw_mc_value, raw_ratio, sector_axes,
                      simplex_monomial_integral)
 from selberg3 import closed_forms as cf
 from selberg3 import quadrature
@@ -69,25 +70,6 @@ class TestDeterministic:
         assert val == pytest.approx(want, rel=1e-6)
 
     def test_convergence_order_regression(self):
-        # smooth weighted case: int t^(a-1) (1-t)^(b-1) e^t dt
-        a, b = 1.3, 1.7
-        want = float(mp.beta(a, b) * mp.hyp1f1(a, a + b, 1.0))
-
-        def smooth(t, s):
-            t = np.atleast_2d(t)
-            return t[:, 0] ** (a - 1.0) * (1.0 - t[:, 0]) ** (b - 1.0) * np.exp(t[:, 0])
-
-        ig = Integrand(smooth, 1, 0, "01", 0, a, 0.0, b, 1.0, kind="callable")
-        p = ParamSet(k1=1, k2=0, alpha=a, beta1=b)
-        errs = []
-        for n in (2, 4, 6):
-            [(val, err)] = integrate_domain(ig, EMPTY_MAP, QuadSpec(nodes_per_axis=n), p)
-            assert abs(val - want) <= err + 1e-15 * want
-            errs.append(abs(val - want))
-        # the Gauss-Jacobi rule of the endpoint exponents leaves e^t, which
-        # is entire: every two nodes gain at least five digits, to rounding
-        assert errs[1] <= 1e-5 * errs[0] and errs[2] <= max(1e-5 * errs[1], 1e-15 * want)
-
         # a described integrand takes the sector rule, which converges
         # geometrically even at the coincidence corner of selb k=3, where
         # a tensor rule over the chain decays algebraically
@@ -251,9 +233,9 @@ class TestBroadcastFrame:
     def test_frame_arrays_match_full_mesh(self, K, n, q):
         # elementwise, so that a last-bit change the weighted sum happens
         # to round away still shows; q scales the exponents at r = 0
-        weights = [(q * (0.5 + 0.1 * i), -0.3 + 0.2 * i) for i in range(K)]
-        rules = _jacobi_rules(n, weights)
-        logr = [rules[w][0] for w in weights]
+        exponents = [q * (0.5 + 0.1 * i) for i in range(K)]
+        rules = _jacobi_rules(n, exponents)
+        logr = [rules[e][0] for e in exponents]
         logx = [np.log(-np.expm1(v)) for v in logr]
         frame = _ChainFrame([_on_axis(v, i, K) for i, v in enumerate(logr)],
                             [_on_axis(v, i, K) for i, v in enumerate(logx)])
@@ -270,8 +252,8 @@ class TestBroadcastFrame:
                 assert np.array_equal(full(frame.lgap(i, j)), ref.lgap(i, j))
 
     def test_axis_rules_are_shared_and_read_only(self):
-        rule = _jacobi_rules(24, [(0.3, -0.4)])[(0.3, -0.4)]
-        assert _jacobi_rules(24, [(0.3, -0.4), 1.5])[(0.3, -0.4)] is rule
+        rule = _jacobi_rules(24, [0.3])[0.3]
+        assert _jacobi_rules(24, [0.3, 1.5])[0.3] is rule
         for arr in rule:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -340,8 +322,7 @@ class TestFrameAgainstRawOracle:
             order = merged_order(M, k1, k2)
             if ig.kind == "callable":
                 aw = facet_exponents(ig, M)
-                weights = list(zip(aw.w0, aw.w1))
-                logr = [_jacobi_rules(10, weights)[w][0] for w in weights]
+                logr = [_jacobi_rules(10, aw.w0)[w][0] for w in aw.w0]
                 frame = _ChainFrame([_on_axis(v, i, K) for i, v in enumerate(logr)],
                                     [_on_axis(np.log(-np.expm1(v)), i, K)
                                      for i, v in enumerate(logr)])
@@ -432,7 +413,7 @@ class TestFactoredSectorFrame:
             for s, (frame, _) in enumerate(_sector_frames(descs[0], table, E, rules)):
                 tree, Es = table.trees[s], E[s].tolist()
                 LY = {v: _on_axis(rules[e][0], d, dim)
-                      for d, (v, e) in enumerate(zip(tree.axes, Es))}
+                      for d, (v, e) in enumerate(zip(sector_axes(tree), Es))}
                 want = log_domain_sector_values(descs, tree, LY, Es, table.desc[s].tolist())
                 for got, ref in zip(_described_values(descs, frame), want, strict=True):
                     got, ref = np.broadcast_to(got, (n,) * dim), np.broadcast_to(ref, (n,) * dim)
@@ -761,30 +742,30 @@ class TestTensorRule:
     levels on the chain frame."""
 
     @pytest.mark.parametrize("n", [1, 2, 6, 24])
-    def test_two_sided_rules_integrate_beta_moments(self, n):
+    def test_rules_integrate_monomial_moments(self, n):
         # an n-node Gauss rule is exact for degree 2n - 1 against its weight:
-        # int y^(E+j) (1-y)^A dy = B(E+j+1, A+1), j < 2n, to rounding, near
-        # both ends, at a Chebyshev weight and at exponents near 300
-        weights = [(0.3, 0.7), (-0.5, -0.5), (-0.7, -0.8), (-0.95, 2.0), (2.0, -0.99),
-                   (0.0, 300.0), (299.5, 299.5), (3.0, 297.3), (0.0, 0.0), (1.5, 0.0)]
-        rules = _jacobi_rules(n, weights)
-        for E, A in weights:
-            ly, w = rules[(E, A)]
+        # int y^(E+j) dy = 1 / (E+j+1), j < 2n, to rounding, near y = 0 and
+        # at exponents near 300
+        E = [0.3, -0.5, -0.95, 2.0, 0.0, 1.5, 3.0, 299.5]
+        rules = _jacobi_rules(n, E)
+        for e in E:
+            ly, w = rules[e]
             for j in range(2 * n):
                 got = mp.fsum(mp.mpf(wi) * mp.exp(j * mp.mpf(lyi)) for wi, lyi in zip(w, ly))
-                assert abs(got / mp.beta(E + j + 1, A + 1) - 1) < 1e-12, (E, A, j)
+                assert abs(got * (e + j + 1) - 1) < 1e-12, (e, j)
 
     @pytest.mark.parametrize("n", [1, 2, 12, 14, 64])
     def test_one_sided_rules_are_unchanged(self, monkeypatch, n):
-        # A = 0 rules, asked alone, as pairs or next to two-sided rules,
-        # are bit for bit the one-sided builder's, so no sector rule moves
+        # the rules, asked alone or in one batch with others, are bit for
+        # bit the one-sided builder's, so no sector rule moves
         monkeypatch.setattr(quadrature, "_RULES", {})
         E = [0.0, 0.5, 1.0, 3.0, -0.9, 2.75, 150.0, 299.7]
         want = one_sided_jacobi_rules(n, E)
         alone = _jacobi_rules(n, E)
-        mixed = _jacobi_rules(n, [(e, 0.0) for e in E] + [(e, 0.4) for e in E])
+        quadrature._RULES.clear()
+        mixed = _jacobi_rules(n, [e + 0.4 for e in E] + E)
         for e in E:
-            for ly, w in (alone[e], mixed[(e, 0.0)]):
+            for ly, w in (alone[e], mixed[e]):
                 assert np.array_equal(ly, want[e][0]) and np.array_equal(w, want[e][1])
 
     @pytest.mark.parametrize("k1,k2", [(1, 0), (2, 1), (3, 1), (2, 2), (4, 0)])
@@ -998,6 +979,49 @@ class TestFacetExponents:
         without = facet_exponents(assembled_integrand("selb30", p), OrderMap((1,)))
         assert with_pole.w1[1] == pytest.approx(0.2 - 1.0)
         assert without.w1[1] == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("K", range(1, 9))
+    def test_derived_exponents_match_the_cluster_counts(self, K):
+        # every kind on every domain of every shape with k1 + k2 = K, at
+        # seeded points; J and Jt at every admissible triple and the moments
+        # at three indices up to K = 6; beyond it, where a description takes
+        # up to 40,320 permutations, one index and one seeded triple of J
+        # (even k2) or Jt (odd k2) per shape
+        rng = np.random.default_rng(700 + K)
+        for k2 in range(K // 2 + 1):
+            k1 = K - k2
+            p = ParamSet(k1=k1, k2=k2, alpha=rng.uniform(0.5, 2.5), beta1=rng.uniform(0.5, 2.5),
+                         beta2=rng.uniform(0.5, 2.5), gamma=rng.uniform(-0.4, 0.4))
+            igs = [assembled_integrand(w, p) for w in ("selb3", "selb30", "exp3")]
+            igs.append(Integrand(_poly, k1, k2, "01", 0, 1.0, 0.0, 1.0, 1.0, kind="callable"))
+            if k2 == 0:
+                igs += [assembled_integrand(w, p) for w in ("selb", "exp")]
+                ells = sorted({0, k1 // 2, k1}) if K <= 6 else [int(rng.integers(k1 + 1))]
+                igs += [assembled_integrand("aomoto", p, indices=ell) for ell in ells]
+            triples = [(l1, l2, m) for l1 in range(k1 + 1) for l2 in range(k2 + 1)
+                       for m in range(min(l1, l2) + 1) if is_admissible(l1, l2, m, k1, k2)]
+            kinds = ("J", "Jt") if K <= 6 else (("J", "Jt")[k2 % 2],)
+            if K > 6:
+                triples = [triples[int(rng.integers(len(triples)))]]
+            igs += [assembled_integrand(w, p, indices=t) for w in kinds for t in triples]
+            for ig in igs:
+                for M in enumerate_maps(k1, k2):
+                    aw = facet_exponents(ig, M)
+                    w0, w1 = cluster_facet_exponents(ig, M)
+                    assert np.allclose(aw.w0, w0, rtol=0.0, atol=4e-15), (ig, M)
+                    assert [w is None for w in aw.w1] == [w is None for w in w1], (ig, M)
+                    assert np.allclose([w or 0.0 for w in aw.w1], [w or 0.0 for w in w1],
+                                       rtol=0.0, atol=4e-15), (ig, M)
+
+    @pytest.mark.parametrize("scheme", ["deterministic", "monte_carlo"])
+    @pytest.mark.parametrize("field", [{"alpha": 1.3}, {"beta1": 1.7}])
+    def test_black_box_with_a_power_product_rejected(self, scheme, field):
+        # a black box's rule is the chain Jacobian's: an endpoint
+        # singularity in its fields would be integrated silently
+        ig = replace(Integrand(_poly, 2, 1, "01", 0, 1.0, 0.0, 1.0, 1.0, kind="callable"),
+                     **field)
+        with pytest.raises(DomainError, match="no power product"):
+            integrate_domain(ig, enumerate_maps(2, 1)[0], QuadSpec(scheme), ParamSet(k1=2, k2=1))
 
     def test_divergent_exponent_rejected(self):
         p = ParamSet(k1=1, k2=0, alpha=-0.5, beta1=1.0, gamma=-0.1)
