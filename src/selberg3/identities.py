@@ -31,7 +31,7 @@ from .lattice import (
 )
 from .logreal import gamma_ratio
 from .params import DEFAULT_SEED, ParamSet
-from .quadrature import QuadSpec, integrate_chain, integrate_family
+from .quadrature import QuadSpec, divergent_cluster, integrate_chain, integrate_family
 from .recursions import _plan, jjl_shift_residuals, solve_both, verify_relations
 
 MC_FLOOR = 1e-3
@@ -77,27 +77,25 @@ def _need(cond: bool, msg: str):
         raise InvalidParamsError(msg)
 
 
-def _selberg_gamma_ok(k: int, a: float, b: float, g: float) -> bool:
-    if k <= 1:
-        return True
-    lim = min(1.0 / k, a / (k - 1), b / (k - 1))
-    return g > -lim
+def _need_clusters(which: str, p: ParamSet):
+    """Reject a point where some cluster of points makes the integral of
+    ``which`` diverge (``quadrature.divergent_cluster``)."""
+    diverges = divergent_cluster(assembled_integrand(which, p))
+    _need(diverges is None, diverges)
 
 
 def _v_selb(p: ParamSet):
     _need(p.k2 == 0, "k2 must be 0 (set k via --k)")
     _need(p.alpha > 0 and p.beta > 0, "need alpha > 0 and beta > 0")
     _need(abs(p.gamma) > 1e-9, "gamma = 0 hits the gamma-function pole in the value")
-    _need(_selberg_gamma_ok(p.k, p.alpha, p.beta, p.gamma),
-          "gamma below the convergence threshold -min(1/k, alpha/(k-1), beta/(k-1))")
+    _need_clusters("selb", p)
 
 
 def _v_exp(p: ParamSet):
     _need(p.k2 == 0, "k2 must be 0 (set k via --k)")
     _need(p.alpha > 0, "need alpha > 0")
     _need(abs(p.gamma) > 1e-9, "gamma = 0 hits the gamma-function pole in the value")
-    _need(p.k <= 1 or p.gamma > -min(1.0 / p.k, p.alpha / (p.k - 1)),
-          "gamma below the convergence threshold")
+    _need_clusters("exp", p)
 
 
 def _need_closed_form(p: ParamSet):
@@ -131,69 +129,19 @@ def _v_sl3_cont(p: ParamSet):
     _need(-0.5 < p.gamma < 0.0, "need gamma in (-0.5, 0); working range is [-0.3, -0.02]")
 
 
-def _divergent_cluster(p: ParamSet, poles: int, halfline: bool = False) -> str | None:
-    """Where some cluster of points makes the integral diverge, or None.
-
-    m_t t's and m_s s's meeting at scale rho give rho^(2 gamma) per pair
-    within a block, rho^(-gamma) per pair across, and up to
-    min(poles, m_t, m_s) rational poles: rho^X in all.  Inside the
-    interval their relative positions have volume rho^(m_t+m_s-2) d rho,
-    so X + m_t + m_s - 1 > 0 is needed.  At 1 the cluster also carries
-    (1-t)^(beta1-1), (1-s)^(beta2-1) and one more dimension, so
-    m_t beta1 + m_s beta2 + X > 0; at 0 it carries t^(alpha-1), so
-    m_t alpha + m_s + X > 0.  Nothing meets 1 on the half-line.
-
-    A cluster is a run of consecutive coordinates in some domain's
-    descending order, whose prefixes ending at t_j hold at least
-    j - (k1 - k2) s's and which ends at a t.  So every run of two or more
-    points can meet inside; a run from the top, which can meet 1, has
-    m_s >= m_t - (k1 - k2); a run to the bottom, which can meet 0, has a
-    t, and m_s <= m_t unless it holds every t.
-    """
-    k1, k2 = p.k1, p.k2
-    a, b1, b2, g = p.alpha, p.beta1, p.beta2, p.gamma
-    for mt in range(k1 + 1):
-        for ms in range(k2 + 1):
-            X = g * (mt * (mt - 1) + ms * (ms - 1) - mt * ms) - min(poles, mt, ms)
-            if (not halfline and mt + ms and ms >= mt - (k1 - k2)
-                    and mt * b1 + ms * b2 + X <= 0.0):
-                return "1"
-            if mt and (ms <= mt or mt == k1) and mt * a + ms + X <= 0.0:
-                return "0"
-            if mt + ms > 1 and X + mt + ms - 1 <= 0.0:
-                return "inside"
-    return None
-
-
-_CLUSTER_NEED = {
-    "1": "m_t beta1 + m_s beta2 + X > 0 (beta1 + beta2 - gamma > 1 at k1 = k2 = 1)",
-    "0": "m_t alpha + m_s + X > 0 (alpha + gamma > 0 where two t's meet)",
-    "inside": "X + m_t + m_s - 1 > 0 (gamma > -1/3 where three t's meet)",
-}
-
-
-def _need_clusters(p: ParamSet, poles: int, halfline: bool = False):
-    place = _divergent_cluster(p, poles, halfline)
-    if place is not None:
-        raise InvalidParamsError(
-            f"the integral diverges where points meet {place}: every cluster of m_t t's "
-            f"and m_s s's needs {_CLUSTER_NEED[place]}, with X = gamma (m_t(m_t-1) + "
-            f"m_s(m_s-1) - m_t m_s) - min({poles}, m_t, m_s)")
-
-
 def _v_selb3(p: ParamSet):
     _v_sl3_cont(p)
-    _need_clusters(p, p.k2)
+    _need_clusters("selb3", p)
 
 
 def _v_selb30(p: ParamSet):
     _v_sl3_cont(p)
-    _need_clusters(p, 0)
+    _need_clusters("selb30", p)
 
 
 def _v_exp3(p: ParamSet):
     _v_sl3_cont(p)
-    _need_clusters(p, p.k2, halfline=True)
+    _need_clusters("exp3", p)
 
 
 def _v_aomoto(p: ParamSet):

@@ -483,8 +483,6 @@ def assembled_integrand(which: str, p: ParamSet, indices=None) -> Integrand:
 
     if which in ("selb", "exp", "aomoto") and k2 != 0:
         raise DomainError(f"{which!r} requires k2 = 0")
-    if (which in ("exp3", "selb3") and k2) or which in ("J", "Jt"):
-        _check_sym_cap(k1, k2)
     if which == "selb":
         return Integrand(None, k1, 0, "01", 0, a, g, b1, b2)
     if which == "exp":

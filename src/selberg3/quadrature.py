@@ -10,7 +10,8 @@ a list of (lo, hi, exponent) power factors and a list of rational-weight
 terms, each a coefficient times a product of S[lo..hi]^(+-1).  One
 evaluator, ``_described_values``, turns that description into integrand
 x Jacobian / model on any frame that gives each run S[lo..hi] as a run R
-(``_Runs``): the chain and stacked frames keep R = S and their own model.
+(``_Runs``): the chain and stacked frames give each gap as a positive
+product and R = S as the running sum of its gaps, with their own model.
 
 The deterministic scheme is a sector rule (Binoth & Heinrich, Nucl.
 Phys. B 585 (2000) 741).  It splits the simplex of gaps into one sector
@@ -55,18 +56,24 @@ from its exponential factors, so the scale is integrated in closed form
 to Gamma(H) L^(-H), L the sum of rate x coordinate (the Laguerre limit of
 Selberg's integral), and only the gap simplex carries a rule or samples.
 
+One convergence rule (``divergent_cluster``) guards both schemes and the
+validity predicates before any work: a cluster of points meeting at 1,
+at 0 or inside diverges exactly where the sector exponent of the axis
+that collapses it, or on the half-line the scale's, is at or below -1.
 The chain frame's endpoint exponents (``facet_exponents``) are read off
-the same description.  The Monte Carlo scheme importance-samples their
-beta densities r^w0 (1-r)^w1 and averages integrand/model through the
-chain frame, in fixed blocks of rows.
+the same description; they miss clusters that meet inside.  The Monte
+Carlo scheme importance-samples their beta densities r^w0 (1-r)^w1 and
+averages integrand/model through the chain frame, in fixed blocks of
+rows.
 
 Black-box ('callable') integrands are the empty product: a power product
 or pole count in their fields raises ``DomainError``, as a rule without
 that endpoint singularity would integrate it silently.  Their model is
 the chain Jacobian, so axis i takes the Gauss-Jacobi rule of r^(K-1-i)
 on the nested ratios c_i = c_{i-1} r_i, through the same rule builder
-and levels.  For a polynomial this is a conical-product rule (Stroud,
-1971), exact once 2n - 1 reaches its degree in every r_i.
+and levels, and their values read only the frame's coordinates.  For a
+polynomial this is a conical-product rule (Stroud, 1971), exact once
+2n - 1 reaches its degree in every r_i.
 
 Integrands that differ only in their weight form a family.  The family
 shares each domain's rules, frames and power product, and each member
@@ -90,7 +97,7 @@ from scipy.special import betaln, gammaln
 
 from .chains import Chain, OrderMap, merged_order
 from .errors import DomainError, IntegrandSingularError
-from .integrands import Integrand
+from .integrands import Integrand, _check_sym_cap
 from .params import DEFAULT_SEED, ParamSet
 
 SECTOR_RTOL = 1e-8          # relative estimate a member certifies at
@@ -159,6 +166,54 @@ def facet_exponents(integrand: Integrand, M: OrderMap) -> AxisWeights:
                              for i in range(K)))
 
 
+_CLUSTER_NEED = {
+    "1": "m_t beta1 + m_s beta2 + X > 0 (beta1 + beta2 - gamma > 1 at k1 = k2 = 1)",
+    "0": "m_t alpha + m_s + X > 0 (alpha + gamma > 0 where two t's meet)",
+    "inside": "X + m_t + m_s - 1 > 0 (gamma > -1/3 where three t's meet)",
+}
+
+
+def divergent_cluster(ig: Integrand) -> str | None:
+    """Why some cluster of points makes the integral of ``ig`` diverge,
+    or None.
+
+    m_t t's and m_s s's meeting at scale rho give rho^(2 gamma) per pair
+    within a block, rho^(-gamma) per pair across, and up to
+    min(poles, m_t, m_s) rational poles: rho^X in all.  Inside the
+    interval their relative positions have volume rho^(m_t+m_s-2) d rho,
+    so X + m_t + m_s - 1 > 0 is needed.  At 1 the cluster also carries
+    (1-t)^(beta1-1), (1-s)^(beta2-1) and one more dimension, so
+    m_t beta1 + m_s beta2 + X > 0; at 0 it carries t^(alpha-1), so
+    m_t alpha + m_s + X > 0.  Nothing meets 1 on the half-line.
+
+    A cluster is a run of consecutive coordinates in some domain's
+    descending order, whose prefixes ending at t_j hold at least
+    j - (k1 - k2) s's and which ends at a t.  So every run of two or more
+    points can meet inside; a run from the top, which can meet 1, has
+    m_s >= m_t - (k1 - k2); a run to the bottom, which can meet 0, has a
+    t, and m_s <= m_t unless it holds every t.  A black box is the empty
+    product, whose clusters all converge.
+    """
+    k1, k2, poles = ig.k1, ig.k2, ig.pole_count
+    a, b1, b2, g = ig.alpha, ig.beta1, ig.beta2, ig.gamma
+    for mt in range(k1 + 1):
+        for ms in range(k2 + 1):
+            X = g * (mt * (mt - 1) + ms * (ms - 1) - mt * ms) - min(poles, mt, ms)
+            if (ig.interval != "0inf" and mt + ms and ms >= mt - (k1 - k2)
+                    and mt * b1 + ms * b2 + X <= 0.0):
+                place = "1"
+            elif mt and (ms <= mt or mt == k1) and mt * a + ms + X <= 0.0:
+                place = "0"
+            elif mt + ms > 1 and X + mt + ms - 1 <= 0.0:
+                place = "inside"
+            else:
+                continue
+            return (f"the integral diverges where points meet {place}: every cluster of m_t "
+                    f"t's and m_s s's needs {_CLUSTER_NEED[place]}, with X = gamma (m_t(m_t-1)"
+                    f" + m_s(m_s-1) - m_t m_s) - min({poles}, m_t, m_s)")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # the gap-interval description
 # ---------------------------------------------------------------------------
@@ -189,7 +244,9 @@ class _Description:
 @lru_cache(maxsize=256)
 def _describe(ig: Integrand, order: tuple) -> _Description:
     """The gap-interval description of a described integrand on the
-    domain whose merged descending order is ``order``."""
+    domain whose merged descending order is ``order``.  A weight whose
+    symmetrization passes the term cap raises ``DomainError`` here, where
+    its permutations are enumerated, so building an integrand stays cheap."""
     K = len(order)
     halfline = ig.interval == "0inf"
     off = 0 if halfline else 1
@@ -218,6 +275,7 @@ def _describe(ig: Integrand, order: tuple) -> _Description:
     terms = ()
     if ig.kind in ("g", "h", "ht"):
         k1, k2 = ig.k1, ig.k2
+        _check_sym_cap(k1, k2)
         pos_t = {idx: i for i, (knd, idx) in enumerate(order) if knd == "t"}
         pos_s = {idx: i for i, (knd, idx) in enumerate(order) if knd == "s"}
         merged = {}
@@ -385,13 +443,32 @@ class _Runs:
     """What a frame gives ``_described_values``: each gap run S[lo..hi] as
     a run R, its log (``log_run``), R itself (``_base_run``) and S
     (``gap_sum``), and the monomial of a weight term (``monomial``), none
-    on a frame whose runs are the gap sums themselves.  Integer powers of
-    the runs are cached and taken by multiplication: a weight's powers are
-    small integers, where numpy's general power costs an exp and a log
-    per point."""
+    on a frame whose runs are the gap sums themselves.  Such a frame gives
+    its gaps ``G`` in product form, and a run is their cached running sum,
+    a sum of positives that never cancels.  Integer powers of the runs are
+    cached and taken by multiplication: a weight's powers are small
+    integers, where numpy's general power costs an exp and a log per
+    point."""
+
+    def __init__(self):
+        self._sums, self._logs, self._runs = {}, {}, {}
 
     def monomial(self, facs):
         return ()
+
+    def gap_sum(self, lo: int, hi: int):
+        key = (lo, hi)
+        if key not in self._sums:
+            self._sums[key] = self.G[lo] if lo == hi else self.gap_sum(lo, hi - 1) + self.G[hi]
+        return self._sums[key]
+
+    _base_run = gap_sum
+
+    def log_run(self, lo: int, hi: int):
+        key = (lo, hi)
+        if key not in self._logs:
+            self._logs[key] = np.log(self.gap_sum(lo, hi))
+        return self._logs[key]
 
     def run(self, lo: int, hi: int, x: int):
         key = (lo, hi, x)
@@ -423,14 +500,15 @@ class _ChainFrame(_Runs):
     columns for Monte Carlo; ``LOGX[0]`` is None on the half-line, whose
     top coordinate is c_0 = 1.  ``shape`` is their broadcast shape, and
     each derived array keeps the smallest shape its inputs allow.
-    Cumulative logs give the coordinates, and all pairwise gaps c_i - c_j
-    come out in product form c_i * (1 - exp(sum of inner log r)).
-    ``C``, ``OM`` and ``LOM`` are built on first use, so a half-line
-    frame, whose coordinates may exceed 1, never logs 1 - c.  Its runs
-    are the gap sums themselves, and on [0,1] they sum to 1.
+    Cumulative logs ``LS`` give the coordinates ``C`` and the gaps ``G``
+    in product form: c_(i-1) (1 - r_i) between c_(i-1) and c_i, c_(K-1)
+    at the bottom and, on [0,1], 1 - c_0 at the top, so no gap is a
+    difference of coordinates.  ``C`` and ``G`` are built on first use:
+    the black boxes read only ``C``, the described integrands only ``G``.
     """
 
     def __init__(self, LOGR, LOGX):
+        super().__init__()
         self.LOGR = list(LOGR)
         self.LOGX = list(LOGX)
         self.off = 0 if self.LOGX[0] is None else 1
@@ -438,51 +516,16 @@ class _ChainFrame(_Runs):
         self.LS = [self.LOGR[0]]                # log c_i
         for i in range(1, len(self.LOGR)):
             self.LS.append(self.LS[i - 1] + self.LOGR[i])
-        self._lgap = {}
-        self._runs = {}
 
     @cached_property
     def C(self):
         return [np.exp(ls) for ls in self.LS]
 
     @cached_property
-    def OM(self):
-        return [-np.expm1(ls) for ls in self.LS]   # 1 - c_i
-
-    @cached_property
-    def LOM(self):
-        return [np.log(om) for om in self.OM]
-
-    def lgap(self, i: int, j: int) -> np.ndarray:
-        """log(c_i - c_j) for chain positions i < j.
-
-        The inner log-sum is taken over the raw per-axis logs, left to
-        right, not as a difference of cumulatives, which would cancel
-        catastrophically when a node sits exponentially close to a facet.
-        """
-        key = (i, j)
-        if key not in self._lgap:
-            inner = self.LOGR[i + 1]
-            for m in range(i + 2, j + 1):
-                inner = inner + self.LOGR[m]
-            self._lgap[key] = self.LS[i] + np.log(-np.expm1(inner))
-        return self._lgap[key]
-
-    def log_run(self, lo: int, hi: int):
-        """log S[lo..hi]: 1 - c_hi, c_lo, or c_i - c_j, from the chain."""
-        off, N = self.off, len(self.LOGR) + self.off
-        if lo == 0 and hi == N - 1:
-            return 0.0
-        if off and lo == 0:
-            return self.LOM[hi]
-        if hi == N - 1:
-            return self.LS[lo - off]
-        return self.lgap(lo - off, hi + 1 - off)
-
-    def gap_sum(self, lo: int, hi: int):
-        return np.exp(self.log_run(lo, hi))
-
-    _base_run = gap_sum
+    def G(self):
+        LS, LOGX = self.LS, self.LOGX
+        return ([-np.expm1(LS[0])] * self.off
+                + [np.exp(LS[i - 1] + LOGX[i]) for i in range(1, len(LS))] + [np.exp(LS[-1])])
 
     def log_model(self, aw: AxisWeights) -> np.ndarray:
         """log(Jacobian / per-axis facet models); the half-line's axis 0
@@ -685,8 +728,9 @@ class _SectorFrame(_Runs):
     """
 
     def __init__(self, tree: _Tree, Y: list, lift: list):
+        super().__init__()
         self.tree, self.Y, self.lift = tree, Y, lift
-        self._ratios, self._rests, self._runs, self._powers = {}, {}, {}, {}
+        self._ratios, self._rests, self._powers = {}, {}, {}
 
     def _ratio(self, top: int, j: int):
         """g_j / g_top for a gap j below top."""
@@ -748,6 +792,7 @@ class _StackFrame(_Runs):
     """
 
     def __init__(self, table: _SectorTable, E: np.ndarray, rules: dict, n: int):
+        super().__init__()
         S, dim = E.shape
         self.shape = (S,) + (n,) * dim
         self.E, self.desc = E, table.desc
@@ -763,23 +808,6 @@ class _StackFrame(_Runs):
             for d in range(dim):
                 lg = lg + table.cover[:, j, j, d].reshape((S,) + (1,) * dim) * self.LY[d]
             self.G.append(np.exp(lg))
-        self._sum = {}
-        self._lsum = {}
-        self._runs = {}
-
-    def gap_sum(self, lo: int, hi: int):
-        key = (lo, hi)
-        if key not in self._sum:
-            self._sum[key] = self.G[lo] if lo == hi else self.gap_sum(lo, hi - 1) + self.G[hi]
-        return self._sum[key]
-
-    _base_run = gap_sum
-
-    def log_run(self, lo: int, hi: int):
-        key = (lo, hi)
-        if key not in self._lsum:
-            self._lsum[key] = np.log(self.gap_sum(lo, hi))
-        return self._lsum[key]
 
     def log_model(self):
         S = self.shape[0]
@@ -940,7 +968,9 @@ def integrate_domain(integrand: Integrand, M: OrderMap, q: QuadSpec, p: ParamSet
     dimension 4: k1 + k2 <= 4 on [0,1], and 5 on the half-line, whose
     overall scale is integrated in closed form: the sector rule for
     described integrands, the tensor rule for black boxes.  Monte Carlo
-    handles everything else.
+    handles everything else.  An unknown scheme, a rule dimension over
+    the cap and a divergent cluster of points (``divergent_cluster``)
+    raise ``DomainError`` before the integrand is described.
     """
     members = (integrand, *more)
     for ig in more:  # the weight (kind, indices, fn) is all that may differ
@@ -952,6 +982,11 @@ def integrate_domain(integrand: Integrand, M: OrderMap, q: QuadSpec, p: ParamSet
     if K == 0:
         return [(1.0, 0.0)] * len(members)
     halfline = integrand.interval == "0inf"
+    if q.scheme not in ("deterministic", "monte_carlo"):
+        raise DomainError(f"unknown quadrature scheme {q.scheme!r}")
+    dim = K - 1 if halfline else K
+    if q.scheme == "deterministic" and dim > 4:
+        raise DomainError("deterministic scheme requires k1 + k2 <= 4 (5 on the half-line)")
     if integrand.kind == "callable":
         if halfline:
             raise DomainError("a black-box integrand on the half-line has no closed-form scale")
@@ -960,22 +995,17 @@ def integrate_domain(integrand: Integrand, M: OrderMap, q: QuadSpec, p: ParamSet
         if fields != (1.0, 1.0, 1.0, 0.0, 0):
             raise DomainError("a black-box integrand carries no power product or weight poles:"
                               f" (alpha, beta1, beta2, gamma, pole_count) = {fields}")
+    diverges = divergent_cluster(integrand)
+    if diverges:
+        raise DomainError(diverges)
     order = merged_order(M, k1, k2)
     aw = facet_exponents(integrand, M)
-    if any(w <= -1.0 for w in aw.w0) or any(w is not None and w <= -1.0 for w in aw.w1):
-        raise DomainError(f"facet exponent at or below -1; integral diverges: {aw}")
-
-    if q.scheme == "deterministic":
-        dim = K - 1 if halfline else K
-        if dim > 4:
-            raise DomainError("deterministic scheme requires k1 + k2 <= 4 (5 on the half-line)")
-        if integrand.kind != "callable":
-            return _sector_rule(members, order, q)
-        return _refine(lambda active, n: _tensor_level([members[j] for j in active], order, aw, n),
-                       len(members), dim, 1, q)
-    if q.scheme != "monte_carlo":
-        raise DomainError(f"unknown quadrature scheme {q.scheme!r}")
-    return _mc_value(members, order, aw, q)
+    if q.scheme == "monte_carlo":
+        return _mc_value(members, order, aw, q)
+    if integrand.kind != "callable":
+        return _sector_rule(members, order, q)
+    return _refine(lambda active, n: _tensor_level([members[j] for j in active], order, aw, n),
+                   len(members), dim, 1, q)
 
 
 def integrate_family(members, chain: Chain, q: QuadSpec,

@@ -989,13 +989,18 @@ def mesh(cols):
 
 
 class MeshChainFrame:
-    """Per-node chain geometry on the full (n**K, K) node mesh."""
+    """Per-node chain geometry on [0,1] on the full (n**K, K) node mesh:
+    the coordinates, the K + 1 gaps in product form (1 - c_0,
+    c_(i-1) (1 - r_i), c_(K-1)), and log-domain coordinates, 1 - c_i and
+    pairwise gaps, the independent reference for the logs of gap runs."""
 
     def __init__(self, LOGR, LOGX):
         self.n, self.K = LOGR.shape
         self.LS = np.cumsum(LOGR, axis=1)
         self.OM = -np.expm1(self.LS)
         self.C = np.exp(self.LS)
+        self.G = np.column_stack([self.OM[:, 0], np.exp(self.LS[:, :-1] + LOGX[:, 1:]),
+                                  self.C[:, -1]])
         self.LOM = np.log(self.OM)
         self.LOGR = LOGR
         self.LOGX = LOGX

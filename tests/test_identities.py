@@ -10,9 +10,9 @@ from oracles import (integer_parts_in_cone, per_l_jjl_shift, per_member_aomoto,
                      per_member_chain_decomp, sequential_fval_support, sequential_limit_direction)
 from selberg3 import identities, lattice, quadrature, recursions
 from selberg3.cli import main
-from selberg3.chains import gamma_chain, unit_chain
-from selberg3.errors import (IntegrandSingularError, InvalidParamsError, LimitDisagreementError,
-                             Selberg3Error)
+from selberg3.chains import enumerate_maps, gamma_chain, merged_order, unit_chain
+from selberg3.errors import (DomainError, IntegrandSingularError, InvalidParamsError,
+                             LimitDisagreementError, Selberg3Error)
 from selberg3.identities import (
     MC_CEIL,
     MC_FLOOR,
@@ -24,7 +24,7 @@ from selberg3.identities import (
     run_grid,
     run_identity,
 )
-from selberg3.integrands import assembled_integrand
+from selberg3.integrands import assembled_integrand, is_admissible
 from selberg3.logreal import LogSigned
 from selberg3.params import ParamSet
 from selberg3.quadrature import QuadSpec, integrate_chain
@@ -556,37 +556,64 @@ class TestSelb3Predicate:
                 run_identity(which, p)
         assert run_identity("selb30", p.with_(alpha=0.25)).passed
 
-    @pytest.mark.parametrize("which", ["selb3", "selb30", "exp3"])
+    @pytest.mark.parametrize("which", ["selb", "exp", "aomoto", "selb3", "selb30", "exp3",
+                                       "J", "Jt"])
     def test_predicate_is_the_sector_rule_divergence(self, which):
         # seeded points of the base region alpha, beta > 0, gamma in (-0.5, 0):
-        # an accepted point integrates on every domain without the sector
-        # rule's DomainError, and a rejected one raises it on some domain
-        from selberg3.chains import enumerate_maps
-        from selberg3.errors import DomainError
-        from selberg3.quadrature import integrate_domain
-
+        # the convergence rule, which the predicates ask, rejects a point
+        # exactly when some domain's sector exponent, or on the half-line
+        # the scale's exponent, is at or below -1; J and Jt, which no
+        # predicate guards, are asked at every admissible triple
         rng = np.random.default_rng(1800)
+        halfline = which in ("exp", "exp3")
+        shapes = [(k, 0) for k in (1, 2, 3, 4)]
+        if which not in ("selb", "exp", "aomoto"):
+            shapes += [(1, 1), (2, 1), (3, 1), (2, 2)]
         places = set()
-        for k1, k2 in ((1, 0), (2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (3, 1), (2, 2)):
-            for _ in range(10):
+        for k1, k2 in shapes:
+            for _ in range(40):
                 p = ParamSet(k1=k1, k2=k2, alpha=rng.uniform(0.02, 2.2),
                              beta1=rng.uniform(0.02, 2.2), beta2=rng.uniform(0.02, 2.2),
                              gamma=rng.uniform(-0.5, 0.0))
-                try:
-                    REGISTRY[which].validate(p)
-                    place = None
-                except InvalidParamsError as exc:
-                    place = str(exc).split("meet ")[1].split(":")[0]
-                ig = assembled_integrand(which, p)
-                raised = []
-                for M in enumerate_maps(k1, k2):
+                if which in ("J", "Jt"):
+                    cases = [(quadrature.divergent_cluster(ig), [ig])
+                             for ig in (assembled_integrand(which, p, indices=(l1, l2, m))
+                                        for l1 in range(k1 + 1) for l2 in range(k2 + 1)
+                                        for m in range(min(l1, l2) + 1)
+                                        if is_admissible(l1, l2, m, k1, k2))]
+                else:
                     try:
-                        integrate_domain(ig, M, QuadSpec(nodes_per_axis=2), p)
-                    except DomainError:
-                        raised.append(M)
-                assert bool(raised) == (place is not None), (p, place)
-                places.add(place)
-        assert places == ({None, "0", "inside"} if which == "exp3" else {None, "0", "1", "inside"})
+                        REGISTRY[which].validate(p)
+                        said = None
+                    except InvalidParamsError as exc:
+                        said = str(exc)
+                    cases = [(said, [assembled_integrand(which, p, indices=ell)
+                                     for ell in range(k1 + 1)] if which == "aomoto"
+                              else [assembled_integrand(which, p)])]
+                for said, igs in cases:
+                    assert (said is not None) == any(map(_sector_rule_diverges, igs)), (p, said)
+                    places.add(said and said.split("meet ")[1].split(":")[0])
+        assert places == {None, "0", "inside"} | (set() if halfline else {"1"})
+
+    def test_a_weight_over_the_term_cap_is_the_records_to_report(self):
+        # the predicate builds the integrand, which is cheap at any shape;
+        # the description, which enumerates the symmetrization, refuses it
+        p = ParamSet(k1=8, k2=2, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.05)
+        REGISTRY["selb3"].validate(p)
+        with pytest.raises(DomainError, match="term cap"):
+            run_identity("selb3", p)
+
+
+def _sector_rule_diverges(ig) -> bool:
+    """Whether some domain of ``ig`` has a sector exponent at or below -1,
+    or on the half-line a scale exponent at or below -1."""
+    for M in enumerate_maps(ig.k1, ig.k2):
+        desc = quadrature._describe(ig, tuple(merged_order(M, ig.k1, ig.k2)))
+        if np.any(quadrature._sector_exponents([desc], quadrature._sector_table(desc.N)) <= -1.0):
+            return True
+        if desc.halfline and quadrature.facet_exponents(ig, M).w0[0] <= -1.0:
+            return True
+    return False
 
 
 class TestMonteCarloTolerance:

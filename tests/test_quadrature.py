@@ -120,6 +120,19 @@ class TestDeterministic:
             integrate_domain(assembled_integrand("exp", p), EMPTY_MAP,
                              QuadSpec("deterministic"), p)
 
+    def test_dimension_cap_before_the_description(self, monkeypatch):
+        # the description enumerates every pair of a k-point chain: a rule
+        # dimension over the cap is rejected before it is built
+        described = []
+        monkeypatch.setattr(quadrature, "_describe",
+                            lambda *args: described.append(args) or _describe(*args))
+        p = ParamSet(k1=1200, k2=0, alpha=1.5, beta1=1.2, gamma=0.5)
+        with pytest.raises(DomainError, match="k1 \\+ k2 <= 4"):
+            integrate_domain(assembled_integrand("selb", p), EMPTY_MAP, QuadSpec(), p)
+        with pytest.raises(DomainError, match="unknown quadrature scheme"):
+            integrate_domain(assembled_integrand("selb", p), EMPTY_MAP, QuadSpec("adaptive"), p)
+        assert described == []
+
     @pytest.mark.parametrize("scheme", ["deterministic", "monte_carlo"])
     def test_inadmissible_triple_rejected(self, scheme):
         p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
@@ -245,11 +258,20 @@ class TestBroadcastFrame:
             return np.broadcast_to(arr, frame.shape).ravel()
 
         for i in range(K):
-            for got, want in ((frame.LS, ref.LS), (frame.C, ref.C), (frame.OM, ref.OM),
-                              (frame.LOM, ref.LOM), (frame.LOGX, ref.LOGX)):
+            for got, want in ((frame.LS, ref.LS), (frame.C, ref.C), (frame.LOGX, ref.LOGX)):
                 assert np.array_equal(full(got[i]), want[:, i])
-            for j in range(i + 1, K):
-                assert np.array_equal(full(frame.lgap(i, j)), ref.lgap(i, j))
+        for j in range(K + 1):
+            assert np.array_equal(full(frame.G[j]), ref.G[:, j])
+        # each gap run S[lo..hi] within 1e-14 relative of the log-domain
+        # reference: 1 - c_hi from the top, c_(lo-1) to the bottom, and
+        # c_(lo-1) - c_hi between, so the log within 1e-14
+        for lo in range(K + 1):
+            for hi in range(lo, K + 1):
+                if lo == 0:
+                    want = ref.LOM[:, hi] if hi < K else np.zeros(len(ref.LS))
+                else:
+                    want = ref.LS[:, lo - 1] if hi == K else ref.lgap(lo - 1, hi)
+                assert np.abs(full(frame.log_run(lo, hi)) - want).max() <= 1e-14, (lo, hi)
 
     def test_axis_rules_are_shared_and_read_only(self):
         rule = _jacobi_rules(24, [0.3])[0.3]
@@ -367,9 +389,11 @@ class TestFrameAgainstRawOracle:
             want = raw_ratio(ig, order, aw, R)
             _assert_close_where_separated(got, want, _min_gap(R, halfline),
                                           raw_ratio(ig, order, aw, R, magnitude=True))
-            if halfline:
-                # the half-line integrand has no 1 - c factor: it is never logged
-                assert "LOM" not in vars(frame) and "OM" not in vars(frame)
+            # a black box reads the coordinates only, a described integrand
+            # the gaps only, the half-line's K with no 1 - c_0 at the top
+            assert {"C", "G"} & set(vars(frame)) == {"C" if ig.kind == "callable" else "G"}
+            if ig.kind != "callable":
+                assert len(frame.G) == K + (not halfline)
 
 
 def _family_of(ig):
@@ -834,17 +858,29 @@ class TestSectorRule:
 
     def test_a_divergent_sector_raises(self):
         # at gamma = -1/k four coinciding points diverge; every facet
-        # exponent stays above -1, one sector's reaches it
+        # exponent stays above -1, one sector's reaches it, and the
+        # convergence rule rejects the point before any rule is built
         p = ParamSet(k1=4, k2=0, alpha=1.2, beta1=2.2, gamma=-0.25)
         ig = assembled_integrand("selb", p)
         assert min(facet_exponents(ig, EMPTY_MAP).w0) > -1.0
-        with pytest.raises(DomainError, match="sector exponent"):
+        desc = _describe(ig, tuple(merged_order(EMPTY_MAP, 4, 0)))
+        assert np.any(_sector_exponents([desc], _sector_table(desc.N)) <= -1.0)
+        with pytest.raises(DomainError, match="diverges where points meet inside"):
             integrate_domain(ig, EMPTY_MAP, QuadSpec(), p)
         # s and t meeting 1 diverge when beta1 + beta2 - gamma <= 1
         p = ParamSet(k1=1, k2=1, alpha=1.0, beta1=0.3, beta2=0.4, gamma=-0.1)
-        with pytest.raises(DomainError, match="sector exponent"):
+        with pytest.raises(DomainError, match="diverges where points meet 1"):
             integrate_chain(assembled_integrand("selb3", p), gamma_chain(1, 1, p.gamma),
                             QuadSpec(), p)
+
+    def test_monte_carlo_rejects_a_cluster_meeting_inside(self):
+        # four t's meeting inside diverge at gamma < -1/4, where no facet
+        # exponent reaches -1: the draws would average a divergent integrand
+        p = ParamSet(k1=4, alpha=1.2, beta1=2.2, gamma=-0.26)
+        ig = assembled_integrand("selb", p)
+        assert min(facet_exponents(ig, EMPTY_MAP).w0) > -1.0
+        with pytest.raises(DomainError, match="diverges where points meet inside"):
+            integrate_domain(ig, EMPTY_MAP, QuadSpec("monte_carlo", sample_count=200_000), p)
 
     def test_explicit_nodes_fix_the_pair(self):
         p = ParamSet(k1=2, k2=1, alpha=1.5, beta1=1.2, beta2=1.4, gamma=-0.15)
